@@ -1007,8 +1007,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--ccd-block-size",
         type=int,
         default=1,
-        help="CCD kernel block size B: 1 = exact per-coordinate updates "
-        "(bit-identical to the reference), B>1 = blocked rank-B GEMM sweeps",
+        help="CCD update order: 1 = the paper's per-coordinate order, "
+        "B>1 = block Gauss-Seidel over blocks of B coordinates (same cost)",
     )
 
     evaluate = sub.add_parser("evaluate", help="run an evaluation protocol")

@@ -33,11 +33,13 @@ class PANEConfig:
     seed:
         Seed for the randomized SVD test matrices.
     ccd_block_size:
-        Coordinate block size ``B`` for the CCD kernel.  ``1`` (default)
-        runs the exact per-coordinate updates of Alg. 4, bit-identical to
-        the reference implementation; ``B > 1`` selects the blocked
-        rank-``B`` GEMM kernel (block Gauss–Seidel — same monotone
-        objective, different update order; see ``repro.core.kernels``).
+        Coordinate block size ``B`` for the CCD sweep.  ``1`` (default)
+        is Alg. 4's own update order (equal to the literal reference loop
+        within ``1e-10``, not bit-identical: the sweep runs as GEMMs);
+        ``B > 1`` minimizes blocks of ``B`` coordinates at a time (block
+        Gauss–Seidel — same monotone objective, different update order).
+        Every ``B`` costs the same, so this no longer buys speed; see
+        ``repro.core.kernels``.
     """
 
     k: int = 128

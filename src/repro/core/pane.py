@@ -16,10 +16,11 @@ accuracy cost the paper quantifies in Sec. 5.5–5.6.
 
 Performance notes: ``fit`` acquires one persistent
 :class:`~repro.parallel.pool.WorkerPool` and threads it through every
-parallel phase (the seed tore down two thread pools per CCD sweep), and
-``ccd_block_size`` selects the CCD kernel — ``1`` for the exact
-bit-identical path, ``B > 1`` for rank-``B`` GEMM sweeps (see
-``docs/PERFORMANCE.md``).
+parallel phase (the seed tore down two thread pools per CCD sweep).  CCD
+sweeps run in coefficient space as 8 GEMMs for every ``ccd_block_size``,
+which therefore selects an update order — ``1`` for Alg. 4's, ``B > 1``
+for block Gauss–Seidel — not a speed; a single-thread fit is
+bit-reproducible run to run (see ``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations

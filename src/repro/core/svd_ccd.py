@@ -5,76 +5,48 @@ One CCD sweep fixes ``Y`` and updates every entry of ``Xf`` and ``Xb``
 (Eqs. 15, 17), maintaining the residuals ``Sf = Xf Yᵀ − F′`` and
 ``Sb = Xb Yᵀ − B′`` incrementally (Eqs. 18–20).
 
-Vectorization note (exactness, not approximation): updating ``Xf[v, l]``
-touches only ``Sf[v]``, so distinct rows never interact — performing
-coordinate ``l`` for *all* rows at once, then ``l+1``, yields bit-identical
-results to the paper's row-by-row order.  The same holds for ``Y`` columns.
-``ccd_sweep_reference`` below is the literal per-entry transcription used
-by tests to verify this equivalence.
+Vectorization note: updating ``Xf[v, l]`` touches only ``Sf[v]``, so
+distinct rows never interact — performing coordinate ``l`` for *all* rows
+at once, then ``l+1``, is the paper's row-by-row order.  The same holds for
+``Y`` columns.  ``ccd_sweep_reference`` below is the literal per-entry
+transcription used by tests as the ground truth.
 
-Kernel layer: the sweeps execute through the allocation-free blocked
-kernels in :mod:`repro.core.kernels`.  ``block_size=1`` (the default) is
-the exact path, bit-identical to the seed per-coordinate updates;
-``block_size=B>1`` groups coordinates into blocks and replaces ``2·k``
-rank-1 residual updates per sweep with ``2·k/B`` rank-``B`` GEMMs.  Each
-block is minimized exactly (block Gauss–Seidel via the block Gram
-pseudo-inverse), so the objective stays monotonically non-increasing for
-every ``B`` — the variants differ only in update order, trading the exact
-coordinate sequence for cache-resident GEMM throughput.
+Kernel layer: every sweep runs through :func:`repro.core.kernels.ccd_sweep`,
+which performs the sequential coordinate updates in the ``k/2``-dimensional
+coefficient space and touches the ``n × d`` residuals only through 8 GEMMs
+(derivation in that module's docstring).  ``block_size=1`` (the default)
+is Alg. 4's own update order; ``block_size=B>1`` groups coordinates into
+blocks, each minimized exactly through its Gram pseudo-inverse (block
+Gauss–Seidel).  Every ``B`` costs the same GEMMs, so ``B`` selects an
+update order, not a speed.  Numerical contract: agreement with the
+literal reference within ``1e-10`` on the test problems (not bit-identity:
+the arithmetic is re-associated), residual caches consistent with
+``X·Yᵀ − F′``, objective monotone non-increasing for every ``B``, and a
+single-thread run bit-reproducible run to run.
 
-``PSVDCCD`` (Algorithm 8) runs the same sweeps with rows/columns split
-into blocks handled by a thread pool; since blocks are disjoint the result
-matches the serial sweep exactly.  Pass a persistent
-:class:`repro.parallel.pool.WorkerPool` to amortize thread start-up
-across sweeps (``PANE.fit`` does).
+``PSVDCCD`` (Algorithm 8) is the same sweep with the X phase split over
+row spans and the Y phase over column spans on a thread pool; spans are
+disjoint, so the result matches the serial sweep up to GEMM rounding.
+Pass a persistent :class:`repro.parallel.pool.WorkerPool` to amortize
+thread start-up across sweeps (``PANE.fit`` does).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core import kernels
 from repro.core.greedy_init import InitState
-from repro.core.kernels import (
-    _EPS_DENOM,
-    CCDScratch,
-    ccd_sweep_blocked,
-    ccd_sweep_blocked_parallel,
-    ccd_sweep_exact,
-    ccd_sweep_exact_parallel,
-)
 from repro.parallel.pool import WorkerPool
 
 
-def _scratch_for(
-    state: InitState, block_size: int, scratch: CCDScratch | None
-) -> CCDScratch:
-    """Reuse ``scratch`` when compatible, else size a fresh one."""
-    if (
-        scratch is not None
-        and scratch.fits(state)
-        and scratch.block_size == max(1, min(block_size, state.y.shape[1]))
-    ):
-        return scratch
-    return CCDScratch.for_state(state, block_size)
+def ccd_sweep(state: InitState, *, block_size: int = 1) -> None:
+    """One full in-place CCD sweep (lines 3–14 of Alg. 4) on one thread.
 
-
-def ccd_sweep(
-    state: InitState,
-    *,
-    block_size: int = 1,
-    scratch: CCDScratch | None = None,
-) -> None:
-    """One full in-place CCD sweep (lines 3–14 of Alg. 4), vectorized.
-
-    ``block_size=1`` is bit-identical to the seed implementation;
-    ``block_size>1`` selects the rank-``B`` GEMM variant.  Pass a
-    :class:`CCDScratch` to reuse buffers across sweeps (``refine`` does).
+    ``block_size=1`` follows Alg. 4's update order; ``block_size>1``
+    selects block Gauss–Seidel over coordinate blocks of that size.
     """
-    scratch = _scratch_for(state, block_size, scratch)
-    if scratch.block_size == 1:
-        ccd_sweep_exact(state, scratch)
-    else:
-        ccd_sweep_blocked(state, scratch)
+    kernels.ccd_sweep(state, block_size=block_size)
 
 
 def ccd_sweep_reference(state: InitState) -> None:
@@ -92,7 +64,7 @@ def ccd_sweep_reference(state: InitState) -> None:
         for l in range(half):
             y_col = y[:, l]
             denom = float(y_col @ y_col)
-            if denom <= _EPS_DENOM:
+            if denom <= kernels._EPS_DENOM:
                 continue
             mu_f = float(s_forward[vi] @ y_col) / denom
             mu_b = float(s_backward[vi] @ y_col) / denom
@@ -106,7 +78,7 @@ def ccd_sweep_reference(state: InitState) -> None:
             xf_col = x_forward[:, l]
             xb_col = x_backward[:, l]
             denom = float(xf_col @ xf_col + xb_col @ xb_col)
-            if denom <= _EPS_DENOM:
+            if denom <= kernels._EPS_DENOM:
                 continue
             mu_y = (
                 float(xf_col @ s_forward[:, rj]) + float(xb_col @ s_backward[:, rj])
@@ -121,23 +93,18 @@ def ccd_sweep_parallel(
     *,
     n_threads: int = 2,
     block_size: int = 1,
-    scratch: CCDScratch | None = None,
     pool: WorkerPool | None = None,
 ) -> None:
     """One CCD sweep with blockwise parallel X and Y phases (Alg. 8 body).
 
-    Row blocks of ``Xf/Xb`` (and their ``Sf/Sb`` rows) are updated by
-    separate threads while ``Y`` is fixed, then column blocks of ``Y``
-    while ``Xf/Xb`` are fixed.  Blocks are disjoint, so the result equals
-    the serial sweep.  ``pool`` reuses a persistent
+    Row spans of ``Xf/Xb`` (and their ``Sf/Sb`` rows) are updated by
+    separate threads while ``Y`` is fixed, then column spans of ``Y``
+    while ``Xf/Xb`` are fixed.  Spans are disjoint, so the result equals
+    the serial sweep up to GEMM rounding.  ``pool`` reuses a persistent
     :class:`~repro.parallel.pool.WorkerPool` instead of spinning up two
     ephemeral pools per sweep.
     """
-    scratch = _scratch_for(state, block_size, scratch)
-    if scratch.block_size == 1:
-        ccd_sweep_exact_parallel(state, scratch, n_threads=n_threads, pool=pool)
-    else:
-        ccd_sweep_blocked_parallel(state, scratch, n_threads=n_threads, pool=pool)
+    kernels.ccd_sweep(state, block_size=block_size, n_threads=n_threads, pool=pool)
 
 
 def objective_value(
@@ -155,9 +122,12 @@ def cached_objective(state: InitState) -> float:
     """Objective O of Eq. (4) read off the maintained residual caches.
 
     Equals :func:`objective_value` (up to incremental-update drift) at
-    O(n·d) cost with no matrix product.
+    O(n·d) cost with no matrix product and no temporary.
     """
-    return float(np.sum(state.s_forward**2) + np.sum(state.s_backward**2))
+    return float(
+        np.einsum("ij,ij->", state.s_forward, state.s_forward)
+        + np.einsum("ij,ij->", state.s_backward, state.s_backward)
+    )
 
 
 def refine(
@@ -171,29 +141,17 @@ def refine(
 ) -> InitState:
     """Run up to ``n_sweeps`` CCD sweeps in place and return the state.
 
-    ``n_threads > 1`` selects the parallel sweep (PSVDCCD); both variants
-    compute identical updates.  ``block_size > 1`` selects the rank-``B``
-    GEMM kernel (see the module docstring).  With ``tolerance`` set,
-    sweeps stop early once the relative objective improvement of a sweep
-    falls below it.  Scratch buffers are allocated once and reused by
-    every sweep; ``pool`` threads a persistent worker pool through the
-    parallel sweeps.
+    ``n_threads > 1`` splits each phase over that many spans (PSVDCCD);
+    ``block_size > 1`` selects block Gauss–Seidel (see the module
+    docstring).  With ``tolerance`` set, sweeps stop early once the
+    relative objective improvement of a sweep falls below it.  ``pool``
+    threads a persistent worker pool through the sweeps.
     """
-    if n_sweeps <= 0:
-        return state
-    scratch = CCDScratch.for_state(state, block_size)
     previous = cached_objective(state) if tolerance is not None else None
     for _ in range(n_sweeps):
-        if n_threads > 1:
-            ccd_sweep_parallel(
-                state,
-                n_threads=n_threads,
-                block_size=block_size,
-                scratch=scratch,
-                pool=pool,
-            )
-        else:
-            ccd_sweep(state, block_size=block_size, scratch=scratch)
+        kernels.ccd_sweep(
+            state, block_size=block_size, n_threads=n_threads, pool=pool
+        )
         if tolerance is not None:
             current = cached_objective(state)
             if previous > 0 and (previous - current) / previous < tolerance:
@@ -216,17 +174,9 @@ def refine_tracked(
     has ``n_sweeps + 1`` entries.
     """
     history = [cached_objective(state)]
-    scratch = CCDScratch.for_state(state, block_size) if n_sweeps > 0 else None
     for _ in range(n_sweeps):
-        if n_threads > 1:
-            ccd_sweep_parallel(
-                state,
-                n_threads=n_threads,
-                block_size=block_size,
-                scratch=scratch,
-                pool=pool,
-            )
-        else:
-            ccd_sweep(state, block_size=block_size, scratch=scratch)
+        kernels.ccd_sweep(
+            state, block_size=block_size, n_threads=n_threads, pool=pool
+        )
         history.append(cached_objective(state))
     return state, history

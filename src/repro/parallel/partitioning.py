@@ -43,7 +43,7 @@ def partition_spans(total: int, n_blocks: int) -> list[slice]:
     The same near-equal partition as :func:`partition_indices` without
     shuffling, but expressed as slices so that indexing a matrix block
     yields a *view* rather than a fancy-indexing copy — the form the
-    allocation-free kernels in :mod:`repro.core.kernels` require.
+    span kernels in :mod:`repro.core.kernels` rely on (in-place updates).
     """
     return [
         slice(int(block[0]), int(block[-1]) + 1)

@@ -67,3 +67,40 @@ def tiny_graph() -> AttributedGraph:
     )
     labels = np.array([0, 1, 0, 1])
     return AttributedGraph(adjacency=adjacency, attributes=attributes, labels=labels)
+
+
+def _block_gauss_seidel_sweep(state, block_size: int) -> None:
+    """Residual-space block Gauss–Seidel CCD sweep — ground truth for ``B > 1``.
+
+    The literal form of what ``ccd_sweep(block_size=B)`` computes in
+    coefficient space: coordinate blocks in order, each minimized exactly
+    through its Gram pseudo-inverse, with a rank-``B`` update of the
+    ``n × d`` residuals after every block (the kernel the coefficient-space
+    sweep replaced).  For ``B = 1`` it is ``ccd_sweep_reference``.
+    """
+    x_forward, x_backward, y = state.x_forward, state.x_backward, state.y
+    s_forward, s_backward = state.s_forward, state.s_backward
+    half = y.shape[1]
+    blocks = [slice(start, start + block_size) for start in range(0, half, block_size)]
+
+    for block in blocks:
+        yb = y[:, block]
+        ginv = np.linalg.pinv(yb.T @ yb, hermitian=True)
+        for x_half, s_half in ((x_forward, s_forward), (x_backward, s_backward)):
+            mu = s_half @ yb @ ginv
+            x_half[:, block] -= mu
+            s_half -= mu @ yb.T
+
+    for block in blocks:
+        xfb, xbb = x_forward[:, block], x_backward[:, block]
+        ginv = np.linalg.pinv(xfb.T @ xfb + xbb.T @ xbb, hermitian=True)
+        mu = ginv @ (xfb.T @ s_forward + xbb.T @ s_backward)
+        y[:, block] -= mu.T
+        s_forward -= xfb @ mu
+        s_backward -= xbb @ mu
+
+
+@pytest.fixture(scope="session")
+def block_reference_sweep():
+    """``sweep(state, block_size)``: the literal block Gauss–Seidel reference."""
+    return _block_gauss_seidel_sweep

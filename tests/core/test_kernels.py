@@ -1,4 +1,4 @@
-"""Tests for the allocation-free kernel layer (repro.core.kernels)."""
+"""Tests for the kernel layer (repro.core.kernels)."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ import scipy.sparse as sp
 from repro.core.affinity import apmi
 from repro.core.greedy_init import InitState, greedy_init, random_init
 from repro.core.kernels import (
-    CCDScratch,
     propagate_recurrence,
     propagate_recurrence_sparse,
     prune_sparse,
@@ -17,6 +16,7 @@ from repro.core.svd_ccd import (
     cached_objective,
     ccd_sweep,
     ccd_sweep_parallel,
+    ccd_sweep_reference,
     objective_value,
     refine,
 )
@@ -122,26 +122,80 @@ class TestPropagateRecurrence:
         assert prune_sparse(matrix, 0.0).nnz == pruned.nnz  # no-op threshold
 
 
-class TestCCDScratch:
-    def test_block_size_clamped_to_half(self):
-        scratch = CCDScratch(10, 6, 4, block_size=64)
-        assert scratch.block_size == 4
+_STATE_FIELDS = ("x_forward", "x_backward", "y", "s_forward", "s_backward")
 
-    def test_invalid_block_size(self):
-        with pytest.raises(ValueError, match="block_size"):
-            CCDScratch(10, 6, 4, block_size=0)
 
-    def test_fits(self, problem):
-        forward, backward = problem
-        state = greedy_init(forward, backward, k=8, seed=0)
-        scratch = CCDScratch.for_state(state, block_size=2)
-        assert scratch.fits(state)
-        other = random_init(forward[:50], backward[:50], k=8, seed=0)
-        assert not scratch.fits(other)
+def _assert_states_close(produced: InitState, expected: InitState, atol: float):
+    for name in _STATE_FIELDS:
+        assert np.all(np.isfinite(getattr(produced, name))), name
+        assert np.allclose(
+            getattr(produced, name), getattr(expected, name), atol=atol
+        ), name
+
+
+def _degenerate_state(dead: int, *, dead_x: bool, collinear: bool = False):
+    """A small random problem with coordinate ``dead`` zeroed / duplicated."""
+    rng = np.random.default_rng(0)
+    forward = rng.random((12, 6))
+    backward = rng.random((12, 6))
+    state = random_init(forward, backward, k=8, seed=0)
+    if collinear:  # cond(Y) ~ 1e12: column dead+1 is column dead, perturbed
+        state.y[:, dead + 1] = state.y[:, dead] + 1e-12 * rng.normal(size=6)
+    else:
+        state.y[:, dead] = 0.0
+    if dead_x:
+        state.x_forward[:, dead] = 0.0
+        state.x_backward[:, dead] = 0.0
+    state.s_forward = state.x_forward @ state.y.T - forward
+    state.s_backward = state.x_backward @ state.y.T - backward
+    return forward, backward, state
 
 
 class TestBlockedSweep:
-    """The B>1 rank-B GEMM path: monotone objective, near-exact updates."""
+    """``block_size=B``: block Gauss–Seidel order, monotone objective."""
+
+    @pytest.mark.parametrize("block_size", [2, 3, 8])
+    def test_matches_block_reference(self, problem, block_reference_sweep, block_size):
+        """The coefficient-space sweep equals literal rank-B residual updates."""
+        forward, backward = problem
+        produced = greedy_init(forward, backward, k=16, seed=0)
+        expected = _clone(produced)
+        for _ in range(2):
+            ccd_sweep(produced, block_size=block_size)
+            block_reference_sweep(expected, block_size)
+        _assert_states_close(produced, expected, atol=1e-10)
+
+    @pytest.mark.parametrize("n_threads", [1, 3])
+    def test_row_tiles_cover_every_span(
+        self, problem, block_reference_sweep, monkeypatch, n_threads
+    ):
+        """Tiles of 7 rows (uneven against n and the spans) change nothing."""
+        from repro.core import kernels
+
+        forward, backward = problem
+        monkeypatch.setattr(kernels, "_TILE_BYTES", 7 * 8 * forward.shape[1])
+        produced = greedy_init(forward, backward, k=16, seed=0)
+        expected = _clone(produced)
+        ccd_sweep_parallel(produced, n_threads=n_threads, block_size=3)
+        block_reference_sweep(expected, 3)
+        _assert_states_close(produced, expected, atol=1e-10)
+
+    def test_invalid_block_size(self, problem):
+        forward, backward = problem
+        state = greedy_init(forward, backward, k=8, seed=0)
+        with pytest.raises(ValueError, match="block_size"):
+            ccd_sweep(state, block_size=0)
+
+    def test_block_size_clamped_to_half(self, problem):
+        """``B > k/2`` is one block over every coordinate, same as ``B = k/2``."""
+        forward, backward = problem
+        base = greedy_init(forward, backward, k=8, seed=0)
+        # Clone both sides so memory layout matches bit-for-bit.
+        whole, oversized = _clone(base), _clone(base)
+        ccd_sweep(whole, block_size=4)
+        ccd_sweep(oversized, block_size=64)
+        assert np.array_equal(whole.x_forward, oversized.x_forward)
+        assert np.array_equal(whole.y, oversized.y)
 
     @pytest.mark.parametrize("block_size", [2, 3, 8, 64])
     def test_objective_monotone_decrease(self, problem, block_size):
@@ -161,18 +215,16 @@ class TestBlockedSweep:
         _, history = _tracked_blocked(state, 6, block_size)
         assert all(b <= a + 1e-8 for a, b in zip(history, history[1:]))
 
-    def test_block_one_is_bit_identical_to_exact(self, problem):
+    def test_single_thread_refine_is_bit_reproducible(self, problem):
+        """Same inputs, one thread: the same bits, run to run."""
         forward, backward = problem
         base = greedy_init(forward, backward, k=16, seed=0)
-        # Clone both sides so memory layout matches bit-for-bit.
-        exact = _clone(base)
-        blocked = _clone(base)
-        for _ in range(3):
-            ccd_sweep(exact)
-            ccd_sweep(blocked, block_size=1)
-        assert np.array_equal(exact.x_forward, blocked.x_forward)
-        assert np.array_equal(exact.y, blocked.y)
-        assert np.array_equal(exact.s_forward, blocked.s_forward)
+        for block_size in (1, 4):
+            first, second = _clone(base), _clone(base)
+            refine(first, 3, n_threads=1, block_size=block_size)
+            refine(second, 3, n_threads=1, block_size=block_size)
+            for name in _STATE_FIELDS:
+                assert np.array_equal(getattr(first, name), getattr(second, name))
 
     def test_blocked_tracks_exact_objective(self, problem):
         """Block Gauss–Seidel reaches an objective close to the exact path."""
@@ -186,15 +238,17 @@ class TestBlockedSweep:
         assert blocked_obj <= exact_obj * 1.01 + 1e-12
 
     def test_residual_caches_stay_consistent(self, problem):
+        """After 20 sweeps the maintained residuals still equal X·Yᵀ − F′."""
         forward, backward = problem
-        state = greedy_init(forward, backward, k=16, seed=0)
-        refine(state, 3, block_size=4)
-        assert np.allclose(
-            state.s_forward, state.x_forward @ state.y.T - forward, atol=1e-8
-        )
-        assert np.allclose(
-            state.s_backward, state.x_backward @ state.y.T - backward, atol=1e-8
-        )
+        base = greedy_init(forward, backward, k=16, seed=0)
+        for block_size in (1, 4):
+            state = refine(_clone(base), 20, block_size=block_size)
+            assert np.allclose(
+                state.s_forward, state.x_forward @ state.y.T - forward, atol=1e-8
+            )
+            assert np.allclose(
+                state.s_backward, state.x_backward @ state.y.T - backward, atol=1e-8
+            )
 
     @pytest.mark.parametrize("n_threads", [2, 3])
     def test_parallel_blocked_matches_serial_blocked(self, problem, n_threads):
@@ -208,27 +262,44 @@ class TestBlockedSweep:
         assert np.allclose(serial.y, parallel.y, atol=1e-10)
         assert np.allclose(serial.s_forward, parallel.s_forward, atol=1e-10)
 
-    def test_dead_coordinate_is_noop(self):
-        """A zero Y column inside a block must not produce NaNs."""
-        rng = np.random.default_rng(0)
-        forward = rng.random((12, 6))
-        backward = rng.random((12, 6))
-        state = random_init(forward, backward, k=8, seed=0)
-        state.y[:, 1] = 0.0
-        state.s_forward = state.x_forward @ state.y.T - forward
-        state.s_backward = state.x_backward @ state.y.T - backward
+    def test_dead_coordinate_is_noop(self, block_reference_sweep):
+        """A zero Y column inside a block: its X columns stay put, no NaNs."""
+        _, _, state = _degenerate_state(1, dead_x=False)
+        before, expected = _clone(state), _clone(state)
         ccd_sweep(state, block_size=4)
-        assert np.all(np.isfinite(state.x_forward))
-        assert np.all(np.isfinite(state.y))
+        block_reference_sweep(expected, 4)
+        _assert_states_close(state, expected, atol=1e-10)
+        # pinv leaves the dead direction's weight at rounding level, not 0.
+        assert np.allclose(state.x_forward[:, 1], before.x_forward[:, 1], atol=1e-12)
+        assert np.allclose(state.x_backward[:, 1], before.x_backward[:, 1], atol=1e-12)
 
-    def test_scratch_reused_across_sweeps(self, problem):
-        forward, backward = problem
-        state = greedy_init(forward, backward, k=16, seed=0)
-        scratch = CCDScratch.for_state(state, block_size=4)
-        before = objective_value(forward, backward, state)
-        for _ in range(2):
-            ccd_sweep(state, block_size=4, scratch=scratch)
-        assert objective_value(forward, backward, state) < before
+    @pytest.mark.parametrize("block_size", [1, 4])
+    def test_fully_dead_coordinate_stays_dead(self, block_reference_sweep, block_size):
+        """Zero Y column *and* zero Xf/Xb pair: both phases skip it."""
+        _, _, state = _degenerate_state(1, dead_x=True)
+        expected = _clone(state)
+        ccd_sweep(state, block_size=block_size)
+        if block_size == 1:
+            ccd_sweep_reference(expected)
+        else:
+            block_reference_sweep(expected, block_size)
+        _assert_states_close(state, expected, atol=1e-10)
+        for name in ("x_forward", "x_backward", "y"):
+            assert np.allclose(getattr(state, name)[:, 1], 0.0, atol=1e-12)
+            if block_size == 1:  # the scalar rule is an exact zero step
+                assert not getattr(state, name)[:, 1].any()
+
+    @pytest.mark.parametrize("block_size", [1, 2, 4])
+    def test_near_collinear_columns_stay_monotone(self, block_size):
+        """cond(Y) ~ 1e12 must not turn the recurrence into an ascent step."""
+        forward, backward, state = _degenerate_state(1, dead_x=False, collinear=True)
+        assert np.linalg.cond(state.y) > 1e10
+        values = [objective_value(forward, backward, state)]
+        for _ in range(5):
+            ccd_sweep(state, block_size=block_size)
+            values.append(objective_value(forward, backward, state))
+        assert np.all(np.isfinite(values))
+        assert all(b <= a * (1 + 1e-9) for a, b in zip(values, values[1:]))
 
     def test_uneven_tail_block(self, problem):
         """half=8 with B=3 leaves a tail block of 2 — must stay monotone."""

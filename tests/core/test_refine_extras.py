@@ -36,6 +36,18 @@ class TestCachedObjective:
         )
 
 
+    def test_allocation_free_form_equals_sum_of_squares(self, problem):
+        """The einsum form is the old ``np.sum(S**2)`` value, for any layout."""
+        forward, backward = problem
+        state = refine(greedy_init(forward, backward, k=16, seed=0), 2)
+        expected = float(np.sum(state.s_forward**2) + np.sum(state.s_backward**2))
+        assert cached_objective(state) == pytest.approx(expected, rel=1e-12)
+        state.s_forward = np.asfortranarray(state.s_forward)
+        state.s_backward = state.s_backward[::2]
+        expected = float(np.sum(state.s_forward**2) + np.sum(state.s_backward**2))
+        assert cached_objective(state) == pytest.approx(expected, rel=1e-12)
+
+
 class TestEarlyStopping:
     def test_loose_tolerance_stops_before_budget(self, problem):
         forward, backward = problem

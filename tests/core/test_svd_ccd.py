@@ -42,7 +42,7 @@ def small_state():
 
 
 class TestVectorizationEquivalence:
-    """The vectorized sweep must be bit-compatible with the literal Alg. 4."""
+    """The GEMM sweep must reproduce the literal Alg. 4 loop to rounding."""
 
     def test_matches_reference_one_sweep(self, small_state):
         _, _, state = small_state
@@ -136,7 +136,7 @@ class TestRefine:
         assert np.allclose(serial.y, parallel.y, atol=1e-10)
 
     def test_dead_coordinate_skipped(self):
-        """All-zero Y column must not produce NaNs (zero denominator)."""
+        """An all-zero Y column is a zero step: no NaNs, its X columns untouched."""
         rng = np.random.default_rng(0)
         forward = rng.random((6, 4))
         backward = rng.random((6, 4))
@@ -144,6 +144,13 @@ class TestRefine:
         state.y[:, 0] = 0.0
         state.s_forward = state.x_forward @ state.y.T - forward
         state.s_backward = state.x_backward @ state.y.T - backward
+        before, reference = _clone(state), _clone(state)
         ccd_sweep(state)
+        ccd_sweep_reference(reference)
         assert np.all(np.isfinite(state.x_forward))
         assert np.all(np.isfinite(state.y))
+        assert np.array_equal(state.x_forward[:, 0], before.x_forward[:, 0])
+        assert np.array_equal(state.x_backward[:, 0], before.x_backward[:, 0])
+        assert np.allclose(state.x_forward, reference.x_forward, atol=1e-12)
+        assert np.allclose(state.y, reference.y, atol=1e-12)
+        assert np.allclose(state.s_forward, reference.s_forward, atol=1e-12)

@@ -5,7 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.greedy_init import greedy_init, random_init
-from repro.core.svd_ccd import ccd_sweep, ccd_sweep_reference, objective_value
+from repro.core.svd_ccd import (
+    ccd_sweep,
+    ccd_sweep_parallel,
+    ccd_sweep_reference,
+    objective_value,
+)
 
 
 @st.composite
@@ -44,6 +49,31 @@ class TestCCDInvariants:
         ccd_sweep_reference(b)
         assert np.allclose(a.x_forward, b.x_forward, atol=1e-10)
         assert np.allclose(a.y, b.y, atol=1e-10)
+
+    @given(
+        factorization_problems(),
+        st.sampled_from([1, 2, 3, None]),
+        st.sampled_from([1, 2, 3]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sweep_equals_literal_reference(
+        self, block_reference_sweep, problem, block_size, n_threads
+    ):
+        """Every (B, threads) pair reproduces its residual-space ground truth:
+        ``ccd_sweep_reference`` for B = 1, block Gauss–Seidel for B > 1."""
+        forward, backward, k, seed = problem
+        block_size = block_size or k // 2
+        produced = random_init(forward, backward, k, seed=seed)
+        expected = random_init(forward, backward, k, seed=seed)
+        ccd_sweep_parallel(produced, n_threads=n_threads, block_size=block_size)
+        if block_size == 1:
+            ccd_sweep_reference(expected)
+        else:
+            block_reference_sweep(expected, block_size)
+        for name in ("x_forward", "x_backward", "y", "s_forward", "s_backward"):
+            assert np.allclose(
+                getattr(produced, name), getattr(expected, name), atol=1e-10
+            ), name
 
     @given(factorization_problems())
     @settings(max_examples=25, deadline=None)

@@ -459,18 +459,25 @@ class TestPrometheusExposition:
             client = ServingClient(server.url, retries=0)
             client.top_k(0, 5)
             client.top_k(0, 5)
-            status, headers, body = _get(
-                server.url + protocol.METRICS,
-                headers={"Accept": "text/plain"},
-            )
-            assert status == 200
-            assert headers.get("Content-Type") == TEXT_CONTENT_TYPE
-            parsed = parse_text(body.decode("utf-8"))
-            requests_total = parsed["http_requests_total"]
-            assert requests_total["type"] == "counter"
-            topk = requests_total["samples"][
-                ("http_requests_total", (("endpoint", protocol.TOPK),))
-            ]
+            # The counter is bumped after the response is written, so the
+            # scrape can overtake the second request's accounting: poll.
+            deadline = time.monotonic() + 5.0
+            while True:
+                status, headers, body = _get(
+                    server.url + protocol.METRICS,
+                    headers={"Accept": "text/plain"},
+                )
+                assert status == 200
+                assert headers.get("Content-Type") == TEXT_CONTENT_TYPE
+                parsed = parse_text(body.decode("utf-8"))
+                requests_total = parsed["http_requests_total"]
+                assert requests_total["type"] == "counter"
+                topk = requests_total["samples"][
+                    ("http_requests_total", (("endpoint", protocol.TOPK),))
+                ]
+                if topk >= 2 or time.monotonic() >= deadline:
+                    break
+                time.sleep(0.01)
             assert topk >= 2
             assert parsed["cache_lookups_total"]["type"] == "counter"
             assert parsed["http_request_seconds"]["type"] == "histogram"
