@@ -28,7 +28,7 @@ Correctness is asserted on **every** run (``--smoke`` included):
 
 - ``GET /healthz`` answers 200 with the active version;
 - exact top-k over HTTP is **bit-identical** to the in-process
-  ``QueryService.top_k`` answer for *both* wire formats — JSON floats
+  ``QueryService.search`` answer for *both* wire formats — JSON floats
   survive the round trip via shortest-repr, binary frames carry the raw
   IEEE-754 bytes;
 - coalesced groups are snapshot-consistent: single-query clients race

@@ -10,7 +10,9 @@ process boundary, like ``server_smoke.py``:
 3. issue queries, then **curl** ``/metrics`` with ``Accept:
    text/plain`` and validate the body with the stdlib-only Prometheus
    parser (:func:`repro.serving.obs.metrics.parse_text`) — counters
-   present, histogram buckets cumulative, ``_count`` consistent;
+   present, histogram buckets cumulative, ``_count`` consistent — and
+   require ``repro stat --url`` (which reads the same registry as JSON)
+   to report the same request and query totals as the scrape;
 4. require the ``X-Request-Id`` a caller supplies to be echoed on the
    response and discoverable in ``GET /debug/traces`` with per-stage
    spans;
@@ -50,7 +52,7 @@ from repro.serving.http.loadgen import (  # noqa: E402
     spawn_cli_server,
 )
 from repro.serving.obs.journal import read_events  # noqa: E402
-from repro.serving.obs.metrics import parse_text  # noqa: E402
+from repro.serving.obs.metrics import family_total, parse_text  # noqa: E402
 from repro.serving.synth import synthetic_embedding  # noqa: E402
 
 N_NODES, DIM, K = 512, 16, 10
@@ -170,10 +172,29 @@ def main() -> int:
                 ]
                 assert topk >= 5, f"scrape undercounts topk: {topk}"
                 assert parsed["http_request_seconds"]["type"] == "histogram"
+                queries = parsed["service_queries_total"]["samples"][
+                    ("service_queries_total", ())
+                ]
+                assert queries == topk, (queries, topk)
                 print(
                     f"  scrape ok: {len(parsed)} families validated, "
                     f"topk count {topk:.0f}"
                 )
+
+                # One instrument, two renderings: `repro stat` reads the
+                # registry as JSON and must agree with the text scrape.
+                live = json.loads(
+                    run_cli(
+                        "stat", "--store", str(store_dir), "--url", url, "--json"
+                    ).stdout
+                )["metrics"]["registry"]
+                assert family_total(
+                    live, "http_requests_total", endpoint="/v1/topk"
+                ) == topk, live
+                assert family_total(live, "service_queries_total") == queries
+                text = run_cli("stat", "--store", str(store_dir), "--url", url)
+                assert f"{queries:.0f} queries" in text.stdout, text.stdout
+                print("  repro stat agrees with the scrape")
 
                 print("SIGTERM: drain...")
                 server.send_signal(signal.SIGTERM)

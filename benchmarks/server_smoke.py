@@ -58,6 +58,7 @@ from repro.serving.http.loadgen import (  # noqa: E402
     spawn_cli_server,
 )
 from repro.serving.obs.journal import read_events  # noqa: E402
+from repro.serving.obs.metrics import family_total  # noqa: E402
 from repro.serving.service import QueryService  # noqa: E402
 from repro.serving.store import EmbeddingStore  # noqa: E402
 from repro.serving.synth import synthetic_embedding  # noqa: E402
@@ -198,7 +199,13 @@ def main() -> int:
                 check_bit_identical(client, local, "v2 exact after refresh")
 
             metrics = client.metrics()
-            assert metrics["service"]["queries"] > 0, metrics
+            queries = metrics["service"]["queries"]
+            assert queries > 0, metrics
+            # The JSON section is derived from the service's own counter:
+            # the registry in the same document must say the same number.
+            assert family_total(
+                metrics["registry"], "service_queries_total"
+            ) == queries, metrics
             scrape = scrape_prometheus(url)
             client.close()  # release pooled sockets before the drain
             binary_client.close()

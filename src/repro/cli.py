@@ -816,12 +816,18 @@ def _cmd_stat(args: argparse.Namespace) -> int:
                 f"{supervisor.get('n_workers')} workers reporting, "
                 f"{supervisor.get('restarts_total')} restart(s)"
             )
-        aggregate = metrics.get("aggregate") or metrics.get("server") or {}
-        http = aggregate.get("http") or {}
-        if http:
+        registry = metrics.get("registry")
+        if registry is not None:
+            # One server's registry or a supervisor's fleet merge: the
+            # same families, so the same three sums either way.
+            from repro.serving.obs.metrics import family_total
+
             print(
-                f"http: {http.get('queries', 0)} queries, "
-                f"{http.get('cache_hits', 0)} cache hits"
+                "http: {:.0f} requests, {:.0f} queries, {:.0f} cache hits".format(
+                    family_total(registry, "http_requests_total"),
+                    family_total(registry, "service_queries_total"),
+                    family_total(registry, "service_cache_served_total"),
+                )
             )
         ingest = metrics.get("ingest")
         if ingest is not None:

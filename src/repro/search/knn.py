@@ -602,19 +602,27 @@ def exact_top_k(
         # Boundary-tie repair: argpartition picks arbitrarily among rows
         # tied at the m-th score, and that choice differs between a full
         # matrix and a shard slice (duplicate rows are the realistic
-        # case — e.g. zero-feature isolated nodes).  Detect rows whose
-        # ties extend past the selection and redo them deterministically:
-        # everything strictly better, then the smallest ids among ties.
+        # case — e.g. zero-feature isolated nodes).  "Tied" has to mean
+        # *within GEMM rounding* of the m-th score, not equal to it: two
+        # identical rows can get selection scores that differ in the last
+        # bit (BLAS edge tiles) while their canonical scores tie.  Detect
+        # rows with more than m scores at or inside that band and redo
+        # them deterministically: everything better than the band, then
+        # the in-band candidates by (canonical score desc, id asc).
+        band = 4 * features.shape[1] * np.finfo(block.dtype).eps
         worst = part.max(axis=1, keepdims=True)
-        overflow = np.nonzero(
-            (block == worst).sum(axis=1) > (part == worst[:, :1]).sum(axis=1)
-        )[0]
+        overflow = np.nonzero((block <= worst + band).sum(axis=1) > m)[0]
         for row in overflow:
-            boundary = worst[row, 0]
-            definite = np.nonzero(block[row] < boundary)[0]
-            tied = np.nonzero(block[row] == boundary)[0][: m - definite.size]
-            top[row] = np.concatenate([definite, tied])
-            part[row] = block[row][top[row]]
+            selection = block[row]
+            low, high = worst[row, 0] - band, worst[row, 0] + band
+            definite = np.nonzero(selection < low)[0]
+            near = np.nonzero((selection >= low) & (selection <= high))[0]
+            near_canon = canonical_scores(features, near, queries[start + row])
+            # Masked candidates (excluded / disallowed) stay last among ties.
+            near_canon[np.isinf(selection[near])] = -np.inf
+            fill = near[np.lexsort((near, -near_canon))][: m - definite.size]
+            top[row] = np.concatenate([definite, fill])
+            part[row] = selection[top[row]]
         # Canonical rescore of the m selected rows: the GEMM above only
         # *selects*; the returned scores come from the partition-invariant
         # row-wise reduction.  Candidates are first ordered by ascending id

@@ -7,8 +7,9 @@ into something that answers similarity queries under load:
   atomic publish and rollback (``store.py``);
 - :class:`IVFIndex` / :class:`ExactBackend` — approximate and brute-force
   search behind one :class:`SearchBackend` interface (``index.py``);
-- :class:`QueryService` — batched, cached, latency-tracked query serving
-  with atomic version swaps (``service.py``);
+- :class:`QueryService` — one ``search(SearchRequest)`` entrypoint over
+  batched, cached, metered query serving with atomic version swaps
+  (``service.py``);
 - :class:`OnlineRefresher` — delta update → republish → incremental index
   rebuild → swap, without downtime (``refresh.py``);
 - :mod:`~repro.serving.sharding` — multi-segment sharded stores, PQ
@@ -41,6 +42,8 @@ from repro.serving.service import (
     PinnedView,
     QueryResult,
     QueryService,
+    SearchParams,
+    SearchRequest,
     backend_kind_name,
     json_safe,
 )
@@ -53,7 +56,6 @@ from repro.serving.sharding import (
     ShardedStoredEmbedding,
     ShardRouter,
 )
-from repro.serving.stats import LatencyStats
 from repro.serving.store import EmbeddingStore, StoredEmbedding, search_features
 
 __all__ = [
@@ -63,7 +65,6 @@ __all__ = [
     "IVFIndex",
     "IVFPQBackend",
     "IVFRebuildStats",
-    "LatencyStats",
     "OnlineRefresher",
     "PQBackend",
     "PQCodec",
@@ -73,6 +74,8 @@ __all__ = [
     "QueryService",
     "RefreshReport",
     "SearchBackend",
+    "SearchParams",
+    "SearchRequest",
     "ShardRouter",
     "ShardedEmbeddingStore",
     "ShardedStoredEmbedding",

@@ -6,8 +6,7 @@ The network layer over :class:`~repro.serving.service.QueryService`:
   endpoints, structured errors, and graceful drain (``server.py``);
 - :mod:`~repro.serving.http.protocol` — the wire schema both sides
   share: validation, error envelope, bit-exact score encoding;
-- :class:`ServingClient` — retrying, replica-fanning client with
-  :meth:`~repro.serving.stats.LatencyStats.merge` fan-in stats
+- :class:`ServingClient` — retrying, replica-fanning client
   (``client.py``);
 - :func:`run_load` — the closed-loop load generator behind
   ``repro bench-http`` and ``benchmarks/bench_http.py`` (``loadgen.py``);

@@ -30,9 +30,11 @@
   the same store version (the chunks are one logical batch); a version
   skew — one replica mid-swap — raises ``replica_version_skew`` so the
   caller can retry the batch rather than silently mixing versions.
-- **Fan-in stats.**  One :class:`~repro.serving.stats.LatencyStats` per
-  replica, merged on demand with :meth:`LatencyStats.merge` — the same
-  disjoint-stream fan-in the shard router uses, one level up.
+
+The client keeps no latency statistics of its own: every
+:class:`HTTPQueryResult` carries the client-observed and server-measured
+seconds of its request, and the fleet view is the servers'
+``http_request_seconds`` histogram (:meth:`ServingClient.metrics`).
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from repro.search.knn import NodeFilter
 from repro.serving.http import protocol
 from repro.serving.http.protocol import ApiError
 from repro.serving.obs.trace import new_request_id
-from repro.serving.stats import LatencyStats
 
 
 def _merge_search_options(body: dict, node_filter, params) -> None:
@@ -144,7 +145,7 @@ _POOL_SIZE = 16
 
 
 class _Replica:
-    """One base URL plus its connection pool and private latency stream."""
+    """One base URL plus its keep-alive connection pool."""
 
     def __init__(self, base_url: str) -> None:
         split = urlsplit(base_url if "//" in base_url else f"http://{base_url}")
@@ -158,7 +159,6 @@ class _Replica:
         # paths are appended to it.
         self.prefix = split.path.rstrip("/")
         self.base_url = f"http://{self.host}:{self.port}{self.prefix}"
-        self.stats = LatencyStats()
         # Has this replica ever answered with a binary frame?  Once yes,
         # request bodies may upgrade to frames too (wire="auto").
         self.binary_seen = False
@@ -242,7 +242,6 @@ class _Replica:
         decoded to a payload dict with ndarray fields (and mark the
         replica binary-capable); anything else parses as JSON.
         """
-        start = time.perf_counter()
         while True:
             connection, pooled = self._acquire(timeout_s, fresh)
             reusable = False
@@ -282,7 +281,6 @@ class _Replica:
                 else:
                     connection.close()
             break
-        self.stats.record(time.perf_counter() - start)
         try:
             lsn_served = int(lsn_header) if lsn_header is not None else None
         except ValueError:
@@ -375,16 +373,6 @@ class ServingClient:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def stats(self) -> dict:
-        """The merged per-replica latency view (disjoint-stream fan-in)."""
-        merged = LatencyStats.merge([r.stats for r in self.replicas])
-        return {
-            "replicas": {
-                r.base_url: r.stats.snapshot() for r in self.replicas
-            },
-            "merged": merged.snapshot(),
-        }
 
     @property
     def max_epoch_seen(self) -> int:
@@ -655,7 +643,6 @@ class ServingClient:
         node: int,
         k: int = 10,
         *,
-        nprobe: int | None = None,
         filter: NodeFilter | dict | None = None,
         params: dict | None = None,
         timeout_s: float | None = None,
@@ -663,8 +650,6 @@ class ServingClient:
     ) -> HTTPQueryResult:
         start = time.perf_counter()
         body = {"node": int(node), "k": int(k)}
-        if nprobe is not None:
-            body["nprobe"] = int(nprobe)
         _merge_search_options(body, filter, params)
         payload = self._request(
             "POST", protocol.TOPK, body, timeout_s=timeout_s, min_lsn=min_lsn
@@ -687,7 +672,6 @@ class ServingClient:
         vector: np.ndarray | Sequence[float],
         k: int = 10,
         *,
-        nprobe: int | None = None,
         filter: NodeFilter | dict | None = None,
         params: dict | None = None,
         timeout_s: float | None = None,
@@ -695,8 +679,6 @@ class ServingClient:
     ) -> HTTPQueryResult:
         start = time.perf_counter()
         body: dict = {"k": int(k)}
-        if nprobe is not None:
-            body["nprobe"] = int(nprobe)
         _merge_search_options(body, filter, params)
         query = np.asarray(vector, dtype=np.float64).ravel()
         payload = self._request(
@@ -720,7 +702,6 @@ class ServingClient:
         nodes: Sequence[int],
         k: int = 10,
         *,
-        nprobe: int | None = None,
         filter: NodeFilter | dict | None = None,
         params: dict | None = None,
         timeout_s: float | None = None,
@@ -742,8 +723,6 @@ class ServingClient:
 
         def submit(chunk: np.ndarray, prefer: int) -> dict:
             body: dict = {"k": int(k)}
-            if nprobe is not None:
-                body["nprobe"] = int(nprobe)
             _merge_search_options(body, filter, params)
             return self._request(
                 "POST", protocol.TOPK_BATCH, body,
@@ -853,17 +832,15 @@ class ServingClient:
         )
 
     # -- admin ---------------------------------------------------------
-    def refresh(
-        self, *, version: str | None = None, delta: dict | None = None
-    ) -> dict:
-        """Drive ``POST /admin/refresh`` (never retried — not idempotent)."""
-        if version is not None and delta is not None:
-            raise ValueError("pass either version or delta, not both")
+    def refresh(self, *, version: str | None = None) -> dict:
+        """Drive ``POST /admin/refresh`` (never retried — not idempotent).
+
+        Follows the store's ``LATEST`` or pins ``version``; graph changes
+        go through :meth:`upsert`, the only write path.
+        """
         body: dict = {}
         if version is not None:
             body["version"] = version
-        if delta is not None:
-            body["delta"] = delta
         return self._request("POST", protocol.REFRESH, body)
 
     def promote(self, *, epoch: int | None = None, prefer: int = 0) -> dict:

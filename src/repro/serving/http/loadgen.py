@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.serving.http.client import ServingClient
 from repro.serving.http.protocol import ApiError
+from repro.serving.service import SearchRequest
 
 
 @dataclass
@@ -143,7 +144,7 @@ def assert_bit_identical(client, service, nodes, k: int = 10) -> int:
     checked = 0
     for node in nodes:
         remote = client.top_k(int(node), k)
-        local = service.top_k(int(node), k)
+        local = service.search(SearchRequest(node=int(node), k=k))
         assert remote.version == local.version, (remote.version, local.version)
         assert np.array_equal(remote.ids, local.ids), (
             f"ids diverge at node {node}"
@@ -266,6 +267,7 @@ def run_load(
     latencies: list[list[float]] = [[] for _ in range(concurrency)]
     failures: list[list[str]] = [[] for _ in range(concurrency)]
     barrier = threading.Barrier(concurrency + 1)
+    params = {"nprobe": nprobe} if nprobe is not None else None
 
     def worker(index: int) -> None:
         rng = np.random.default_rng(seed + index)
@@ -275,10 +277,10 @@ def run_load(
             try:
                 if batch > 0:
                     nodes = rng.integers(n_nodes, size=batch)
-                    client.batch_top_k(nodes, k, nprobe=nprobe)
+                    client.batch_top_k(nodes, k, params=params)
                 else:
                     node = int(rng.integers(n_nodes))
-                    client.top_k(node, k, nprobe=nprobe)
+                    client.top_k(node, k, params=params)
             except Exception as error:
                 failures[index].append(f"{type(error).__name__}: {error}")
             else:

@@ -42,7 +42,11 @@ import numpy as np
 
 from repro.search.knn import FilterError, NodeFilter
 
-PROTOCOL_SCHEMA = "repro.serving.http/v1"
+# v2 has one spelling per thing: the probe width only as
+# ``params.nprobe``, writes only through ``/v1/upsert``, and latency in
+# ``/metrics`` only as the mergeable ``registry`` families plus count /
+# sum documents (no window percentiles).
+PROTOCOL_SCHEMA = "repro.serving.http/v2"
 
 # Stable endpoint paths (the server routes on these; the client targets them).
 TOPK = "/v1/topk"
@@ -510,36 +514,21 @@ def parse_filter_field(body: dict) -> NodeFilter | None:
     return None if node_filter.is_noop else node_filter
 
 
-def parse_params_field(body: dict, *, legacy_nprobe: int | None = None):
+def parse_params_field(body: dict):
     """The request's ``"params"`` object → SearchParams.
 
-    ``legacy_nprobe`` is the pre-existing top-level ``"nprobe"`` field,
-    kept for old clients; it must agree with ``params.nprobe`` when both
-    are sent.  Malformed params are an ``invalid_request`` (they predate
-    no capability — unlike filters they have no dedicated error code).
+    Malformed params are an ``invalid_request`` (unlike filters they
+    have no dedicated error code).
     """
-    from repro.serving.service import SearchParams
+    from repro.serving.service import DEFAULT_PARAMS, SearchParams
 
     obj = body.get("params")
     if obj is None:
-        return SearchParams(nprobe=legacy_nprobe)
+        return DEFAULT_PARAMS
     try:
-        params = SearchParams.from_json(obj)
+        return SearchParams.from_json(obj)
     except ValueError as error:
         raise ApiError(400, "invalid_request", str(error))
-    if legacy_nprobe is not None:
-        if params.nprobe is not None and params.nprobe != legacy_nprobe:
-            raise ApiError(
-                400, "invalid_request",
-                "'nprobe' and 'params.nprobe' disagree",
-                {"nprobe": legacy_nprobe, "params.nprobe": params.nprobe},
-            )
-        params = SearchParams(
-            nprobe=legacy_nprobe,
-            rescore_factor=params.rescore_factor,
-            select_dtype=params.select_dtype,
-        )
-    return params
 
 
 def encode_filter(

@@ -10,24 +10,26 @@ Endpoints (see :mod:`repro.serving.http.protocol` for the wire schema):
 ==========================  ====================================================
 ``GET  /healthz``           liveness + active version (503 while draining)
 ``GET  /v1/describe``       the stable ``QueryService.describe()`` document
-``GET  /metrics``           service/per-shard/per-endpoint ``LatencyStats``
-``POST /v1/topk``           ``{node, k?, nprobe?}`` → ids/scores
-``POST /v1/topk:batch``     ``{nodes, k?, nprobe?}`` → row-major ids/scores
-``POST /v1/similar_by_vector``  ``{vector, k?, nprobe?}`` → ids/scores
+``GET  /metrics``           cache / ingest / service count-sum documents plus
+                            the mergeable metrics ``registry`` (Prometheus
+                            text under ``Accept: text/plain``)
+``POST /v1/topk``           ``{node, k?, filter?, params?}`` → ids/scores
+``POST /v1/topk:batch``     ``{nodes, k?, filter?, params?}`` → row-major
+                            ids/scores
+``POST /v1/similar_by_vector``  ``{vector, k?, filter?, params?}`` → ids/scores
 ``POST /v1/upsert``         ``{add_edges?, remove_edges?, add_associations?,
                             remove_associations?}`` → durable LSN (requires a
-                            WAL ``IngestPipeline``; acked only after fsync)
-``POST /admin/refresh``     ``{}`` → follow LATEST; ``{version}`` → pin;
-                            ``{delta}`` → drive the attached
-                            :class:`~repro.serving.refresh.OnlineRefresher`
+                            WAL ``IngestPipeline``; acked only after fsync) —
+                            the only write
+``POST /admin/refresh``     ``{}`` → follow LATEST; ``{version}`` → pin
 ==========================  ====================================================
 
 Concurrency: every request handler runs in its own thread and pins one
 immutable service snapshot (:meth:`QueryService.pin`) for its whole
 lifetime, so a concurrent ``/admin/refresh`` swap can never hand a
 request the new backend with the old matrix.  The service's cache,
-stats, and worker pool are all lock-protected / snapshot-immutable, so
-handler threads need no locking of their own.
+instruments, and worker pool are all lock-protected / snapshot-immutable,
+so handler threads need no locking of their own.
 
 Graceful drain: :meth:`EmbeddingServer.close` (and SIGTERM under
 :meth:`run`) stops accepting connections, answers requests that arrive
@@ -56,11 +58,9 @@ from repro.serving.obs import metrics as obs_metrics
 from repro.serving.obs import trace as obs_trace
 from repro.serving.obs.metrics import MetricsRegistry
 from repro.serving.obs.trace import TraceBuffer, trace_span
-from repro.serving.refresh import OnlineRefresher
 from repro.search.knn import FilterError
 from repro.serving.service import QueryService, SearchRequest, json_safe
 from repro.serving.sharding.router import ShardRouter
-from repro.serving.stats import LatencyStats
 from repro.serving.wal.log import LogFull, LogWriteError
 from repro.serving.wal.replication import (
     FeedRejected,
@@ -88,18 +88,12 @@ class EmbeddingServer:
     host / port:
         Bind address; ``port=0`` picks a free port (read it back from
         :attr:`port`).
-    refresher:
-        Optional :class:`OnlineRefresher` wired to the same service;
-        with it attached, ``POST /admin/refresh`` accepts a ``delta``
-        document and drives the full update → publish → swap flow.
-        Without it, refresh is limited to following/pinning published
-        store versions.
     drain_timeout_s:
         How long :meth:`close` waits for in-flight requests.
     coalesce_window_s / coalesce_max_batch:
         ``coalesce_window_s > 0`` turns on the admission coalescer:
         concurrent single-query ``POST /v1/topk`` handler threads merge
-        into one ``batch_top_k`` GEMM against a single snapshot (the
+        into one batch GEMM against a single snapshot (the
         leader/follower :meth:`QueryService.make_coalescer` machinery).
         The window bounds how long the first arrival waits for company;
         ``coalesce_max_batch`` wakes the leader early once that many
@@ -128,14 +122,12 @@ class EmbeddingServer:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        refresher: OnlineRefresher | None = None,
         drain_timeout_s: float = 10.0,
         coalesce_window_s: float = 0.0,
         coalesce_max_batch: int = 64,
         binary: bool = True,
         log: bool = False,
         socket_fd: int | None = None,
-        reuse_port: bool = False,
         worker_id: int | None = None,
         faults=None,
         stats_for: "EmbeddingServer | None" = None,
@@ -148,10 +140,8 @@ class EmbeddingServer:
         slow_query_ms: float = 0.0,
         slow_log=None,
         journal=None,
-        trace_capacity: int = 256,
     ) -> None:
         self.service = service
-        self.refresher = refresher
         # The write path: an IngestPipeline makes POST /v1/upsert live
         # (acked after fsync) and surfaces lsn_durable/lsn_served; the
         # optional Compactor reference is observability-only.
@@ -191,22 +181,6 @@ class EmbeddingServer:
         self._drained = threading.Condition(self._flight_lock)
         self._refresh_lock = threading.Lock()
         self._thread: threading.Thread | None = None
-        self.endpoint_stats: dict[str, LatencyStats] = {
-            path: LatencyStats()
-            for path in (
-                protocol.TOPK,
-                protocol.TOPK_BATCH,
-                protocol.SIMILAR,
-                protocol.UPSERT,
-                protocol.DESCRIBE,
-                protocol.HEALTHZ,
-                protocol.METRICS,
-                protocol.REFRESH,
-                protocol.TRACES,
-                protocol.REPLICATE,
-                protocol.PROMOTE,
-            )
-        }
         self.error_counts: dict[str, int] = {}
         # Observability surfaces.  A worker's admin server *shares* its
         # data server's registry and trace ring (via stats_for) so the
@@ -222,7 +196,7 @@ class EmbeddingServer:
             self._trace_enabled = False
         elif obs:
             self.registry = MetricsRegistry()
-            self.trace_buffer = TraceBuffer(trace_capacity)
+            self.trace_buffer = TraceBuffer()
             self._trace_enabled = True
             self._register_instruments()
         else:
@@ -243,20 +217,6 @@ class EmbeddingServer:
             self._httpd.server_address = address[:2]
             self._httpd.server_name = address[0]
             self._httpd.server_port = address[1]
-        elif reuse_port:
-            if not hasattr(socket, "SO_REUSEPORT"):
-                raise RuntimeError(
-                    "SO_REUSEPORT is not available on this platform; "
-                    "use the inherited-socket worker mode instead"
-                )
-            self._httpd = ThreadingHTTPServer(
-                (host, port), _Handler, bind_and_activate=False
-            )
-            self._httpd.socket.setsockopt(
-                socket.SOL_SOCKET, socket.SO_REUSEPORT, 1
-            )
-            self._httpd.server_bind()
-            self._httpd.server_activate()
         else:
             self._httpd = ThreadingHTTPServer((host, port), _Handler)
         # Handler threads must not block process exit (an idle keep-alive
@@ -399,15 +359,20 @@ class EmbeddingServer:
 
     # -- observability --------------------------------------------------
     def _register_instruments(self) -> None:
-        """Create the hot-path instruments and the scrape-time mirror.
+        """Create this server's instruments and adopt the layers' below it.
 
         The request path pays exactly one counter increment and one
-        histogram observation; everything else the registry exposes
-        (endpoint latency counters, cache hit/miss, error counts, WAL
-        and compactor state) is *mirrored* from the existing structures
-        by a collect hook that runs only when someone scrapes.
+        histogram observation here; the service and the shard router
+        record into instruments they own, which the registry adopts as
+        the same objects.  State that is not an event stream (in-flight,
+        cache hit/miss, error counts, WAL and compactor totals) is
+        mirrored by a collect hook that runs only when someone scrapes.
         """
         reg = self.registry
+        for metric in self.service.instruments:
+            reg.adopt(metric)
+        if isinstance(self.service.backend, ShardRouter):
+            reg.adopt(self.service.backend.search_seconds)
         self._m_requests = reg.counter(
             "http_requests_total",
             "HTTP requests dispatched, by endpoint",
@@ -440,21 +405,6 @@ class EmbeddingServer:
             counts = dict(self.error_counts)
         for code, n in counts.items():
             errors.set_total(n, code=code)
-        queries = reg.counter(
-            "http_queries_total",
-            "Logical queries answered (batch members counted), by endpoint",
-            ("endpoint",),
-        )
-        for path, stats in self.endpoint_stats.items():
-            snap = stats.snapshot()
-            queries.set_total(snap["queries"], endpoint=path)
-        service_snap = self.service.stats.snapshot()
-        reg.counter(
-            "service_queries_total", "Queries answered by the query service"
-        ).set_total(service_snap["queries"])
-        reg.counter(
-            "service_cache_served_total", "Queries answered from the LRU cache"
-        ).set_total(service_snap["cache_hits"])
         cache = self.service.cache_info()
         lookups = reg.counter(
             "cache_lookups_total", "LRU cache lookups, by outcome", ("outcome",)
@@ -673,35 +623,25 @@ class EmbeddingServer:
 
     def handle_metrics(self, _body: dict) -> tuple[int, dict]:
         target = self.stats_for or self
-        per_endpoint = {
-            path: stats.snapshot() for path, stats in target.endpoint_stats.items()
-        }
         payload = {
             "schema": protocol.PROTOCOL_SCHEMA,
             "server": {
                 "worker": self.worker_id,
                 "in_flight": target.in_flight,
                 "draining": target._draining,
-                "endpoints": per_endpoint,
-                # All endpoints fan in to one server-level view; endpoint
-                # streams are disjoint, exactly what merge() is for.
-                "http": LatencyStats.merge(
-                    list(target.endpoint_stats.values())
-                ).snapshot(),
                 "errors": dict(target.error_counts),
             },
-            "service": self.service.stats.snapshot(),
-            # The LRU's own hit/miss view (the service latency counters
-            # above only say how many answers were cache-served, not how
-            # often lookups missed — both are needed to judge sizing).
+            "service": self.service.latency_info(),
+            # The LRU's own hit/miss view (the service counters above
+            # only say how many answers were cache-served, not how often
+            # lookups missed — both are needed to judge sizing).
             "cache": self.service.cache_info(),
         }
         backend = self.service.backend
         if isinstance(backend, ShardRouter):
             payload["shards"] = {
                 "n_shards": backend.n_shards,
-                "per_shard": [s.snapshot() for s in backend.shard_stats],
-                "merged": LatencyStats.merge(backend.shard_stats).snapshot(),
+                **backend.latency_info(),
             }
         if self.ingest is not None:
             ingest = {
@@ -721,9 +661,10 @@ class EmbeddingServer:
             payload["ingest"] = ingest
             payload["replication"] = self._replication_status()
         if target.registry is not None:
-            # The sum-mergeable view: the same families the Prometheus
-            # exposition renders, as JSON, so a supervisor can merge
-            # worker cells exactly (obs.metrics.merge_dicts).
+            # The sum-mergeable view, and the only home of per-endpoint
+            # HTTP latency: the same families the Prometheus exposition
+            # renders, as JSON, so a supervisor can merge worker cells
+            # exactly (obs.metrics.merge_dicts).
             payload["registry"] = target.registry.as_dict()
         return 200, json_safe(payload)
 
@@ -740,12 +681,11 @@ class EmbeddingServer:
 
     def handle_topk(self, body: dict) -> tuple[int, "protocol.ResultPayload"]:
         protocol.reject_unknown_fields(
-            body, ("node", "k", "nprobe") + protocol.SEARCH_OPTION_FIELDS
+            body, ("node", "k") + protocol.SEARCH_OPTION_FIELDS
         )
         node = protocol.require_int(body, "node", required=True, minimum=0)
         k = protocol.require_int(body, "k", default=10, minimum=1, maximum=MAX_K)
-        nprobe = protocol.require_int(body, "nprobe", minimum=1)
-        request = _parse_search_request(body, node=node, k=k, nprobe=nprobe)
+        request = _parse_search_request(body, node=node, k=k)
         if self._coalescer is not None:
             # Admission coalescing: this handler thread merges with its
             # concurrent peers into one batch GEMM.  The group executes
@@ -763,18 +703,17 @@ class EmbeddingServer:
 
     def handle_topk_batch(self, body: dict) -> tuple[int, "protocol.ResultPayload"]:
         protocol.reject_unknown_fields(
-            body, ("nodes", "k", "nprobe") + protocol.SEARCH_OPTION_FIELDS
+            body, ("nodes", "k") + protocol.SEARCH_OPTION_FIELDS
         )
         nodes = protocol.require_node_field(
             body, "nodes", max_items=MAX_BATCH_NODES
         )
         k = protocol.require_int(body, "k", default=10, minimum=1, maximum=MAX_K)
-        nprobe = protocol.require_int(body, "nprobe", minimum=1)
         if int(nodes.min()) < 0:
             raise ApiError(
                 400, "invalid_request", "field 'nodes' must be non-negative"
             )
-        request = _parse_search_request(body, nodes=nodes, k=k, nprobe=nprobe)
+        request = _parse_search_request(body, nodes=nodes, k=k)
         with trace_span("pin"):
             view = self.service.pin()
         result = _translate_errors(lambda: view.search(request))
@@ -782,15 +721,14 @@ class EmbeddingServer:
 
     def handle_similar(self, body: dict) -> tuple[int, "protocol.ResultPayload"]:
         protocol.reject_unknown_fields(
-            body, ("vector", "k", "nprobe") + protocol.SEARCH_OPTION_FIELDS
+            body, ("vector", "k") + protocol.SEARCH_OPTION_FIELDS
         )
         vector = protocol.require_vector_field(
             body, "vector", max_items=MAX_VECTOR_DIM
         )
         k = protocol.require_int(body, "k", default=10, minimum=1, maximum=MAX_K)
-        nprobe = protocol.require_int(body, "nprobe", minimum=1)
         request = _parse_search_request(
-            body, vector=np.asarray(vector, dtype=np.float64), k=k, nprobe=nprobe
+            body, vector=np.asarray(vector, dtype=np.float64), k=k
         )
         with trace_span("pin"):
             view = self.service.pin()
@@ -896,12 +834,7 @@ class EmbeddingServer:
         )
 
     def handle_refresh(self, body: dict) -> tuple[int, dict]:
-        protocol.reject_unknown_fields(body, ("version", "delta"))
-        if "version" in body and "delta" in body:
-            raise ApiError(
-                400, "invalid_request",
-                "'version' and 'delta' are mutually exclusive",
-            )
+        protocol.reject_unknown_fields(body, ("version",))
         if not self._refresh_lock.acquire(blocking=False):
             raise ApiError(
                 409, "refresh_in_progress",
@@ -909,8 +842,6 @@ class EmbeddingServer:
             )
         try:
             previous = self.service.version
-            if "delta" in body:
-                return 200, self._apply_delta_refresh(body["delta"], previous)
             if "version" in body:
                 version = body["version"]
                 if not isinstance(version, str) or not version:
@@ -941,37 +872,6 @@ class EmbeddingServer:
         finally:
             self._refresh_lock.release()
 
-    def _apply_delta_refresh(self, delta_body, previous: str) -> dict:
-        if self.refresher is None:
-            raise ApiError(
-                409, "no_refresher",
-                "this server has no OnlineRefresher attached; "
-                "publish a version and POST {} or {'version': ...} instead",
-            )
-        if not isinstance(delta_body, dict):
-            raise ApiError(400, "invalid_request", "'delta' must be an object")
-        delta = _delta_from_body(delta_body)
-        try:
-            report = self.refresher.apply(delta)
-        except (IndexError, ValueError) as error:
-            raise ApiError(
-                400, "invalid_request", f"delta rejected: {error}"
-            )
-        return json_safe(
-            {
-                "previous_version": previous,
-                "version": report.version,
-                "swapped": report.version != previous,
-                "report": {
-                    "n_nodes": report.n_nodes,
-                    "n_moved": report.n_moved,
-                    "n_lists_rebuilt": report.n_lists_rebuilt,
-                    "n_lists_total": report.n_lists_total,
-                    "timings": report.timings,
-                },
-            }
-        )
-
 
 _DELTA_FIELDS = (
     "add_edges",
@@ -982,12 +882,10 @@ _DELTA_FIELDS = (
 
 
 def _delta_from_body(body: dict) -> "GraphDelta":
-    """Parse the four GraphDelta fields out of a JSON or frame body.
+    """Parse the four GraphDelta fields out of a ``/v1/upsert`` body.
 
-    Shared by ``/admin/refresh`` (nested under ``delta``) and
-    ``/v1/upsert`` (top-level).  Frame bodies arrive with the fields
-    already decoded to arrays; JSON bodies as nested lists — both land
-    on the same validation.
+    Frame bodies arrive with the fields already decoded to arrays; JSON
+    bodies as nested lists — both land on the same validation.
     """
     from repro.dynamic.incremental import GraphDelta
 
@@ -1178,7 +1076,6 @@ def _parse_search_request(
     body: dict,
     *,
     k: int,
-    nprobe: int | None,
     node: int | None = None,
     nodes: np.ndarray | None = None,
     vector: np.ndarray | None = None,
@@ -1186,12 +1083,12 @@ def _parse_search_request(
     """The shared tail of the three data handlers: options → SearchRequest.
 
     The filter parses to the ``invalid_filter`` wire code, params to
-    ``invalid_request`` (with the legacy top-level ``nprobe`` folded in);
-    request assembly itself can only fail on programmer error upstream,
-    but is translated anyway so a gap surfaces as a 400, not a 500.
+    ``invalid_request``; request assembly itself can only fail on
+    programmer error upstream, but is translated anyway so a gap
+    surfaces as a 400, not a 500.
     """
     node_filter = protocol.parse_filter_field(body)
-    params = protocol.parse_params_field(body, legacy_nprobe=nprobe)
+    params = protocol.parse_params_field(body)
     return _translate_errors(
         lambda: SearchRequest(
             node=node, nodes=nodes, vector=vector, k=k,
@@ -1608,9 +1505,6 @@ class _Handler(BaseHTTPRequestHandler):
                 )
         finally:
             duration_s = time.perf_counter() - start
-            stats = owner.endpoint_stats.get(path)
-            if stats is not None:
-                stats.record(duration_s, cached=False)
             if trace is not None:
                 obs_trace.reset_current(token)
                 owner._finish_trace(trace, path, self._status_sent, duration_s)

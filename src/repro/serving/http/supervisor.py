@@ -28,8 +28,10 @@ whoever is blocked in accept), and babysits them:
   gradually instead of all-at-once.
 - **Aggregation.**  The supervisor serves its own loopback admin
   endpoints — ``/healthz``, ``/metrics``, ``/v1/describe`` — that fan
-  in across workers: summed request/error counters, per-worker served
-  version (surfacing refresh skew), liveness and restart counts.
+  in across workers: the workers' metric registries merged cell by cell
+  (:func:`~repro.serving.obs.metrics.merge_dicts` — the one fleet
+  aggregation), per-worker served version (surfacing refresh skew),
+  liveness and restart counts.
 - **Write path (opt-in via ``wal_dir``).**  Exactly one process may
   append to the delta log, so the *supervisor* owns the
   :class:`~repro.serving.wal.compactor.IngestPipeline` and its
@@ -77,10 +79,6 @@ WORKER_SPEC_ENV = "REPRO_WORKER_SPEC"
 # out of it (the data plane is the shared socket — only the admin port
 # is per-worker news).
 _READY_RE = re.compile(r"admin=(http://\S+)")
-
-# Counter keys of a LatencyStats snapshot that sum across disjoint
-# per-worker streams (percentiles do not — they stay per-worker).
-_SUMMABLE = ("queries", "cache_hits", "total_seconds", "samples")
 
 
 @dataclass(frozen=True)
@@ -998,19 +996,15 @@ class Supervisor:
         return 200, payload
 
     def aggregate_metrics(self) -> tuple[int, dict]:
-        """Fan-in ``/metrics``: per-worker payloads plus summed counters.
+        """Fan-in ``/metrics``: per-worker payloads plus the fleet registry.
 
-        Counters over disjoint per-worker request streams sum exactly
-        (the same contract as :meth:`LatencyStats.merge`); percentiles
-        do not, so the aggregate carries counters only and the raw
-        per-worker payloads sit alongside for anything distributional.
+        The fleet view is ``registry`` and nothing else: every worker
+        cell (counters, gauges, histogram buckets) sums exactly through
+        :func:`merge_dicts`, so request, error, query and latency totals
+        — and any quantile — are read off the merged families.  The raw
+        per-worker payloads sit alongside under ``workers``.
         """
         per_worker: dict[str, dict] = {}
-        endpoint_totals: dict[str, dict] = {}
-        error_totals: dict[str, int] = {}
-        http_total = {key: 0 for key in _SUMMABLE}
-        service_total = {key: 0 for key in _SUMMABLE}
-        in_flight = 0
         for slot, handle in self._worker_views():
             if handle is None or not handle.alive():
                 continue
@@ -1023,32 +1017,12 @@ class Supervisor:
             if isinstance(registry, dict):
                 with self._lock:
                     slot.registry_last = registry
-            server = metrics.get("server", {})
-            in_flight += int(server.get("in_flight", 0))
-            for code, count in (server.get("errors") or {}).items():
-                error_totals[code] = error_totals.get(code, 0) + int(count)
-            for key in _SUMMABLE:
-                http_total[key] += (server.get("http") or {}).get(key, 0)
-                service_total[key] += (metrics.get("service") or {}).get(key, 0)
-            for path, snap in (server.get("endpoints") or {}).items():
-                total = endpoint_totals.setdefault(
-                    path, {key: 0 for key in _SUMMABLE}
-                )
-                for key in _SUMMABLE:
-                    total[key] += snap.get(key, 0)
         payload = {
             "schema": protocol.PROTOCOL_SCHEMA,
             "supervisor": {
                 "n_workers": len(self._slots),
                 "n_reporting": len(per_worker),
                 "restarts_total": self.restarts_total,
-            },
-            "aggregate": {
-                "in_flight": in_flight,
-                "http": http_total,
-                "service": service_total,
-                "endpoints": endpoint_totals,
-                "errors": error_totals,
             },
             "workers": per_worker,
         }

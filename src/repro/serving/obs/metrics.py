@@ -1,14 +1,12 @@
 """A metrics registry: counters, gauges, fixed-bucket histograms.
 
-Why not keep leaning on :class:`~repro.serving.stats.LatencyStats`?
-Its percentiles come from a rolling sample window, and percentiles do
-not merge: the supervisor can only sum a worker fleet's *counters*,
-which is exactly the ``_SUMMABLE`` carve-out its aggregation makes
-today.  Histograms with **fixed buckets** fix that at the root — every
-cell (bucket count, sum, count, counter value) is a monotonic number,
-so fleet aggregation is plain summation and any quantile can be
-estimated *after* the merge.  The bucket bounds are therefore part of
-the fleet contract: every worker uses the same defaults below.
+Latency is recorded into histograms with **fixed buckets** rather than a
+rolling sample window, because percentiles of a window do not merge
+across processes while every histogram cell (bucket count, sum, count,
+counter value) is a monotonic number: fleet aggregation is plain
+summation and any quantile can be estimated *after* the merge.  The
+bucket bounds are therefore part of the fleet contract: every worker
+uses the same defaults below.
 
 Three output surfaces, one source of truth:
 
@@ -22,11 +20,12 @@ Three output surfaces, one source of truth:
   format (no external deps), used by the CI smoke and the tests to
   assert the output is real Prometheus, not Prometheus-shaped.
 
-Hot-path discipline: request handlers touch at most one counter
-increment and one histogram observation.  Everything that already has
-a home (endpoint ``LatencyStats`` counters, the service cache counters,
-WAL/pipeline counters) is *mirrored* into the registry by collect
-hooks that run at scrape time — no double accounting per request.
+Ownership: the layer that does the work owns the instrument it records
+into (HTTP server, query service, shard router) and a registry *adopts*
+those objects (:meth:`MetricsRegistry.adopt`) — an event is recorded
+once, and a scrape reads the very cells the hot path wrote.  Collect
+hooks remain for state that is not an event stream (in-flight gauges,
+totals kept by the WAL / compactor / replication layers).
 """
 
 from __future__ import annotations
@@ -118,10 +117,10 @@ class Counter(_Metric):
     def set_total(self, value: float, **labels) -> None:
         """Mirror an externally maintained monotonic total.
 
-        For collect hooks that project an existing counter (endpoint
-        ``LatencyStats.queries``, pipeline ``appends``) into the
-        registry at scrape time.  The source must be monotonic — this
-        does not enforce it, it just records the current total.
+        For collect hooks that project an existing counter (pipeline
+        ``appends``, compactor seconds) into the registry at scrape
+        time.  The source must be monotonic — this does not enforce
+        it, it just records the current total.
         """
         key = self._key(labels)
         with self._lock:
@@ -190,17 +189,15 @@ class Histogram(_Metric):
             bounds = bounds[:-1]  # +Inf is implicit
         self.buckets = bounds
 
+    def _empty_cell(self) -> dict:
+        return {"counts": [0] * (len(self.buckets) + 1), "sum": 0.0, "count": 0}
+
     def observe(self, value: float, **labels) -> None:
         key = self._key(labels)
         with self._lock:
             cell = self._cells.get(key)
             if cell is None:
-                cell = {
-                    "counts": [0] * (len(self.buckets) + 1),
-                    "sum": 0.0,
-                    "count": 0,
-                }
-                self._cells[key] = cell
+                cell = self._cells[key] = self._empty_cell()
             index = len(self.buckets)  # the +Inf slot
             for i, bound in enumerate(self.buckets):
                 if value <= bound:
@@ -210,12 +207,13 @@ class Histogram(_Metric):
             cell["sum"] += value
             cell["count"] += 1
 
-    def cell(self, **labels) -> dict | None:
+    def cell(self, **labels) -> dict:
+        """A copy of one cell; all zeros if never observed (like ``value``)."""
         key = self._key(labels)
         with self._lock:
             cell = self._cells.get(key)
             if cell is None:
-                return None
+                return self._empty_cell()
             return {
                 "counts": list(cell["counts"]),
                 "sum": cell["sum"],
@@ -295,10 +293,23 @@ class MetricsRegistry:
     ) -> Histogram:
         return self._register(Histogram(name, help, tuple(labels), buckets))
 
+    def adopt(self, metric: _Metric) -> _Metric:
+        """Expose an instrument another layer created and records into.
+
+        The registry keeps the object itself, so a scrape reads the
+        cells the owner wrote — nothing is copied.  A different object
+        already registered under the same name is an error.
+        """
+        if self._register(metric) is not metric:
+            raise ValueError(
+                f"metric {metric.name!r} is already registered as another object"
+            )
+        return metric
+
     def add_collect(self, hook) -> None:
         """Register a zero-arg hook run before every scrape.
 
-        Hooks mirror externally owned state (endpoint stats, pipeline
+        Hooks mirror externally owned state (in-flight gauges, pipeline
         counters, cache info) into gauges/counters so the hot path
         never pays for double accounting.
         """
@@ -412,6 +423,23 @@ def merge_dicts(dicts: "list[dict]") -> dict:
                     mine["sum"] += cell["sum"]
                     mine["count"] += cell["count"]
     return {"families": sorted(merged.values(), key=lambda f: f["name"])}
+
+
+def family_total(snapshot: dict, name: str, **labels) -> float:
+    """Sum one family's cells in an :meth:`as_dict`/:func:`merge_dicts` doc.
+
+    Counter and gauge cells contribute their value, histogram cells
+    their observation count; ``labels`` restricts the sum to the cells
+    that carry exactly those label values.  An absent family totals 0.
+    """
+    total = 0.0
+    for family in snapshot.get("families", []):
+        if family["name"] != name:
+            continue
+        for cell in family.get("cells", []):
+            if all(cell["labels"].get(k) == str(v) for k, v in labels.items()):
+                total += cell["value"] if "value" in cell else cell["count"]
+    return total
 
 
 def render_text_from_dict(snapshot: dict) -> str:

@@ -15,22 +15,28 @@ never the new backend with the old matrix.  The result cache is keyed by
 ``(version, node, k, nprobe)``, so entries can never bleed across versions
 either; rollback re-activates an older version and its keys simply miss.
 
-Throughput comes from three places:
+One way to ask — :meth:`QueryService.search` takes a
+:class:`SearchRequest` (``node`` / ``nodes`` / ``vector``) — and
+throughput comes from three places:
 
-- ``batch_top_k`` fans a node batch out over a persistent
+- a ``nodes`` batch fans out over a persistent
   :class:`~repro.parallel.pool.WorkerPool` in contiguous chunks;
-- an optional micro-batcher (``batch_window_s > 0``) coalesces *concurrent*
-  single-node ``top_k`` calls into one backend batch: the first arrival
-  becomes the leader, sleeps out the window, and executes everything that
-  queued up behind it against one consistent snapshot;
+- an opt-in coalescer (``search(request, coalescer=service.make_coalescer(w))``)
+  merges *concurrent* single-node requests into one backend batch: the
+  first arrival becomes the leader, sleeps out the window, and executes
+  everything that queued up behind it against one consistent snapshot;
 - an LRU result cache absorbs repeated queries entirely.
+
+One way to count — every answered call is recorded once, into the
+:mod:`repro.serving.obs.metrics` instruments the service owns
+(:attr:`QueryService.instruments`); ``describe()["latency"]`` is read off
+their cells and an HTTP server adopts the same objects into its registry.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -44,6 +50,7 @@ from repro.search.knn import (
     normalize_rows,
     top_k_sorted_indices,
 )
+from repro.serving.obs.metrics import Counter, Histogram
 from repro.serving.obs.trace import current_trace, trace_span
 from repro.serving.index import (
     ExactBackend,
@@ -58,7 +65,6 @@ from repro.serving.sharding.store import (
     ShardedEmbeddingStore,
     ShardedStoredEmbedding,
 )
-from repro.serving.stats import LatencyStats
 from repro.serving.store import _ARRAY_FILES, EmbeddingStore, StoredEmbedding
 
 
@@ -176,8 +182,7 @@ class SearchRequest:
     This is the single request object the whole stack speaks:
     :meth:`QueryService.search`, :class:`PinnedView`, the HTTP wire's
     ``"filter"``/``"params"`` JSON objects, and the CLI all construct or
-    consume it — the legacy ``top_k(node, k, nprobe=)`` signatures are
-    deprecated shims over it.
+    consume it.
     """
 
     node: int | None = None
@@ -223,9 +228,9 @@ def _node_key(
 ) -> tuple:
     """The result-cache key for a node top-k query.
 
-    One constructor for every site that reads or fills the cache
-    (``search``, the direct path, the micro-batcher, ``PinnedView``) —
-    a key-shape drift between sites would silently stop hits matching.
+    One constructor for every site that reads or fills the cache (the
+    single-node path, the batch fill, the coalescer's drain) — a
+    key-shape drift between sites would silently stop hits matching.
     Params and filter identity are part of the key: a filtered answer
     must never be served to an unfiltered query (or vice versa), and two
     requests differing only in ``nprobe`` are different answers.
@@ -233,29 +238,8 @@ def _node_key(
     return (version, "node", int(node), int(k), params.key(), filter_key)
 
 
-#: Sentinel default for ``QueryService.search(coalescer=...)``: "use the
-#: service's configured micro-batcher" — distinct from ``None`` (bypass).
-_DEFAULT_COALESCER = object()
-
 #: Compiled filter masks kept per service (LRU over (version, filter key)).
 _FILTER_CACHE_SIZE = 64
-
-#: Process-wide flag so the deprecated entrypoints warn exactly once.
-_deprecation_warned = False
-
-
-def _warn_deprecated(name: str, replacement: str) -> None:
-    """Emit the one-per-process ``DeprecationWarning`` for a legacy shim."""
-    global _deprecation_warned
-    if _deprecation_warned:
-        return
-    _deprecation_warned = True
-    warnings.warn(
-        f"QueryService.{name}() and the other per-shape entrypoints are "
-        f"deprecated; use QueryService.search({replacement})",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 @dataclass(frozen=True)
@@ -291,17 +275,14 @@ class QueryService:
         kind (``"auto"`` resolves on the total corpus size).
     nlist / nprobe / seed:
         IVF construction parameters (see :class:`IVFIndex`).
-    pq_subspaces / pq_bits:
-        PQ codec shape for the ``pq``/``ivfpq`` kinds (see
-        :class:`~repro.serving.sharding.pq.PQCodec`).
+    pq_subspaces:
+        Subspace count of the PQ codec for the ``pq``/``ivfpq`` kinds
+        (see :class:`~repro.serving.sharding.pq.PQCodec`).
     cache_size:
         LRU entries kept across all versions (0 disables caching).
     n_threads:
-        Workers in the persistent pool used by :meth:`batch_top_k` (and
-        by the shard router's scatter fan-out).
-    batch_window_s:
-        Micro-batching window for concurrent :meth:`top_k` calls;
-        ``0`` (default) answers immediately.
+        Workers in the persistent pool that ``nodes`` batches fan out
+        over (and that the shard router's scatter uses).
     version:
         Pin an explicit store version instead of ``latest()``.
     index_cache:
@@ -326,10 +307,8 @@ class QueryService:
         nprobe: int = 8,
         seed: int | None = 0,
         pq_subspaces: int | None = None,
-        pq_bits: int = 8,
         cache_size: int = 4096,
         n_threads: int = 1,
-        batch_window_s: float = 0.0,
         version: str | None = None,
         index_cache: bool = False,
         select_dtype: str = "float64",
@@ -342,7 +321,6 @@ class QueryService:
         self._nprobe = nprobe
         self._seed = seed
         self._pq_subspaces = pq_subspaces
-        self._pq_bits = pq_bits
         self._select_dtype = select_dtype
         self._index_cache = index_cache
         self._cache_size = cache_size
@@ -356,11 +334,23 @@ class QueryService:
         self._cache_hit_count = 0
         self._cache_miss_count = 0
         self._swap_lock = threading.Lock()
-        self.stats = LatencyStats()
-        self.pool = WorkerPool(max(1, n_threads))
-        self._batcher = (
-            self.make_coalescer(batch_window_s) if batch_window_s > 0 else None
+        # The service's instruments: _record() below is the only writer,
+        # once per answered call.
+        self.queries_total = Counter(
+            "service_queries_total",
+            "Queries answered by the query service (batch members counted)",
+            (),
         )
+        self.cache_served_total = Counter(
+            "service_cache_served_total", "Queries answered from the LRU cache", ()
+        )
+        self.query_seconds = Histogram(
+            "service_query_seconds",
+            "Seconds per answered call (a batch is one call; a coalesced "
+            "request includes its wait)",
+            (),
+        )
+        self.pool = WorkerPool(max(1, n_threads))
         self._active: _ActiveVersion | None = None
         self.activate(version)
 
@@ -399,6 +389,11 @@ class QueryService:
                     backend = self._build_router(stored)
                 else:
                     backend = self._build_backend(stored)
+            outgoing = self._active.backend if self._active is not None else None
+            if isinstance(backend, ShardRouter) and isinstance(outgoing, ShardRouter):
+                # Every swap installs a new router; the per-shard series
+                # (and whoever adopted it) must not restart from zero.
+                backend.search_seconds = outgoing.search_seconds
             self._active = _ActiveVersion(
                 version=stored.version, stored=stored, backend=backend
             )
@@ -412,7 +407,6 @@ class QueryService:
             nprobe=self._nprobe,
             seed=self._seed,
             pq_subspaces=self._pq_subspaces,
-            pq_bits=self._pq_bits,
             select_dtype=self._select_dtype,
         )
 
@@ -483,10 +477,10 @@ class QueryService:
         from the same immutable snapshot, even if :meth:`activate` swaps
         the service meanwhile — the consistency unit a multi-operation
         request (an HTTP handler validating, querying, and describing)
-        needs.  The view shares this service's cache and latency stats
-        (both are version-keyed / version-agnostic respectively), but
-        bypasses the micro-batcher: coalescing would answer from whatever
-        snapshot is active at drain time, not the pinned one.
+        needs.  The view shares this service's cache and instruments
+        (version-keyed / version-agnostic respectively) and never
+        coalesces: a coalescer answers from whatever snapshot is active
+        at drain time, not the pinned one.
         """
         return PinnedView(self, self._snapshot())
 
@@ -495,103 +489,83 @@ class QueryService:
         self,
         request: SearchRequest,
         *,
-        coalescer: "_MicroBatcher | None" = _DEFAULT_COALESCER,
+        coalescer: "_MicroBatcher | None" = None,
     ) -> QueryResult:
         """Answer one :class:`SearchRequest` — the single query entrypoint.
 
-        Dispatches on the request's shape: ``node`` goes through the
-        service's micro-batcher when one is configured (pass
-        ``coalescer=`` to use an explicit one, or ``None`` to bypass
-        coalescing entirely), ``nodes`` fans out over the worker pool,
-        ``vector`` answers directly.  The legacy ``top_k`` /
-        ``batch_top_k`` / ``similar_by_vector`` / ``top_k_coalesced``
-        names are deprecated shims over this method.
+        Without a coalescer this is ``self.pin().search(request)``: the
+        request's shape picks the path (``node`` direct, ``nodes`` fanned
+        out over the worker pool, ``vector`` direct).  With one (see
+        :meth:`make_coalescer`) a ``node`` request that misses the cache
+        joins its concurrent peers in one backend batch; the whole group
+        is answered from one snapshot read at drain time, so members can
+        never mix store versions, and each result carries the group id
+        for outside verification.
         """
-        if request.nodes is not None:
-            return self._batch_top_k_on(self._snapshot(), request)
-        if request.vector is not None:
-            return self._similar_by_vector_on(self._snapshot(), request)
-        batcher = self._batcher if coalescer is _DEFAULT_COALESCER else coalescer
-        return self._top_k_through(batcher, request)
-
-    def top_k(self, node: int, k: int = 10, *, nprobe: int | None = None) -> QueryResult:
-        """Deprecated shim — use :meth:`search` with a :class:`SearchRequest`."""
-        _warn_deprecated("top_k", "SearchRequest(node=..., k=..., params=...)")
-        return self.search(
-            SearchRequest(node=node, k=k, params=SearchParams(nprobe=nprobe))
-        )
+        if coalescer is not None and request.node is not None:
+            return self._top_k_on(self._snapshot(), request, coalescer)
+        return self.pin().search(request)
 
     def make_coalescer(
         self, window_s: float, *, max_batch: int | None = None
     ) -> "_MicroBatcher":
         """A leader/follower coalescer bound to this service's batch path.
 
-        Used internally for ``batch_window_s`` and by the HTTP server's
-        admission coalescer (:class:`~repro.serving.http.server.EmbeddingServer`):
-        concurrent single-node :meth:`top_k_coalesced` callers merge into
-        one ``batch_top_k`` GEMM against a single snapshot.  ``max_batch``
-        wakes the leader early once that many requests queued, bounding
-        both the wait and the coalesced GEMM size.
+        Pass it to :meth:`search` as ``coalescer=`` (the HTTP server's
+        admission coalescer does exactly that): concurrent single-node
+        callers merge into one backend batch against a single snapshot.
+        ``max_batch`` wakes the leader early once that many requests
+        queued, bounding both the wait and the coalesced GEMM size.
         """
         return _MicroBatcher(window_s, self._execute_microbatch, max_batch=max_batch)
 
-    def top_k_coalesced(
+    def _record(self, start: float, *, queries: int = 1, cached: bool = False) -> float:
+        """The one service-level record of an answered call; returns its latency."""
+        latency = time.perf_counter() - start
+        self.queries_total.inc(queries)
+        if cached:
+            self.cache_served_total.inc(queries)
+        self.query_seconds.observe(latency)
+        return latency
+
+    def _cache_hit(self, version: str, key: tuple, start: float) -> QueryResult | None:
+        """Probe the result cache; a hit is recorded and returned as a result."""
+        hit = self._cache_get(key)
+        if hit is None:
+            return None
+        latency = self._record(start, cached=True)
+        return QueryResult(version, hit[0], hit[1], latency, cached=True)
+
+    def _fill(
+        self, version: str, key: tuple, ids: np.ndarray, scores: np.ndarray, start: float
+    ) -> QueryResult:
+        """Cache a freshly computed answer, record it, and return it."""
+        self._cache_put(key, ids, scores)
+        return QueryResult(version, ids, scores, self._record(start))
+
+    def _top_k_on(
         self,
-        coalescer: "_MicroBatcher",
-        node: int,
-        k: int = 10,
-        *,
-        nprobe: int | None = None,
+        active: _ActiveVersion,
+        request: SearchRequest,
+        coalescer: "_MicroBatcher | None" = None,
     ) -> QueryResult:
-        """Deprecated shim — :meth:`search` with an explicit ``coalescer=``.
-
-        The whole coalesced group is answered from one snapshot read at
-        drain time, so members can never mix store versions; each result
-        carries the group id for outside verification.
-        """
-        _warn_deprecated(
-            "top_k_coalesced", "search(SearchRequest(node=...), coalescer=...)"
-        )
-        return self.search(
-            SearchRequest(node=node, k=k, params=SearchParams(nprobe=nprobe)),
-            coalescer=coalescer,
-        )
-
-    def _top_k_through(
-        self, batcher: "_MicroBatcher | None", request: SearchRequest
-    ) -> QueryResult:
+        """Single-node top-k: cache, else the coalescer or ``active`` directly."""
         start = time.perf_counter()
-        active = self._snapshot()
         node, k = int(request.node), int(request.k)
         self._check_node(active, node)
-        filter_key = request.filter_key()
-        key = _node_key(active.version, node, k, request.params, filter_key)
-        hit = self._cache_get(key)
+        key = _node_key(active.version, node, k, request.params, request.filter_key())
+        hit = self._cache_hit(active.version, key, start)
         if hit is not None:
-            latency = time.perf_counter() - start
-            self.stats.record(latency, cached=True)
-            return QueryResult(active.version, hit[0], hit[1], latency, cached=True)
-        if batcher is not None:
+            return hit
+        if coalescer is not None:
             with trace_span("coalesce_wait") as span:
-                result = batcher.submit(node, k, request)
+                result = coalescer.submit(node, k, request)
                 if span is not None and result.group is not None:
                     span.meta["group"] = result.group
             # The caller's latency includes the coalescing window it slept
             # out, not just its share of the backend batch — report what the
-            # client actually experienced or batch_window_s tuning is blind.
-            latency = time.perf_counter() - start
-            self.stats.record(latency)
-            return replace(result, latency_s=latency)
-        return self._top_k_direct(active, request, start)
-
-    def _top_k_direct(
-        self,
-        active: _ActiveVersion,
-        request: SearchRequest,
-        start: float,
-    ) -> QueryResult:
-        """Single-node top-k against an explicit snapshot (no batcher)."""
-        node, k = int(request.node), int(request.k)
+            # client actually experienced or window tuning is blind.
+            return replace(result, latency_s=self._record(start))
         compiled = self._compile_filter(active, request.filter)
         query = np.asarray(active.stored.features[node], dtype=np.float64)
         with trace_span("select", version=active.version):
@@ -603,28 +577,7 @@ class QueryService:
                 request.params,
                 compiled,
             )
-        self._cache_put(
-            _node_key(active.version, node, k, request.params, request.filter_key()),
-            ids[0],
-            scores[0],
-        )
-        latency = time.perf_counter() - start
-        self.stats.record(latency)
-        return QueryResult(active.version, ids[0], scores[0], latency)
-
-    def batch_top_k(
-        self, nodes: Sequence[int], k: int = 10, *, nprobe: int | None = None
-    ) -> QueryResult:
-        """Deprecated shim — use :meth:`search` with ``SearchRequest(nodes=...)``.
-
-        Returns one stacked :class:`QueryResult` with ``ids``/``scores`` of
-        shape ``(len(nodes), k)``.  The whole batch is answered from a
-        single snapshot, so every row reflects the same version.
-        """
-        _warn_deprecated("batch_top_k", "SearchRequest(nodes=..., k=...)")
-        return self.search(
-            SearchRequest(nodes=nodes, k=k, params=SearchParams(nprobe=nprobe))
-        )
+        return self._fill(active.version, key, ids[0], scores[0], start)
 
     def _batch_top_k_on(
         self, active: _ActiveVersion, request: SearchRequest
@@ -633,7 +586,7 @@ class QueryService:
         k = int(request.k)
         nodes = np.asarray(request.nodes, dtype=np.intp).ravel()
         if nodes.size == 0:
-            raise ValueError("batch_top_k needs at least one node")
+            raise ValueError("a nodes batch needs at least one node")
         for node in (int(nodes.min()), int(nodes.max())):
             self._check_node(active, node)
         compiled = self._compile_filter(active, request.filter)
@@ -669,18 +622,8 @@ class QueryService:
                 ids[row],
                 scores[row],
             )
-        latency = time.perf_counter() - start
-        self.stats.record(latency, queries=nodes.size)
+        latency = self._record(start, queries=int(nodes.size))
         return QueryResult(active.version, ids, scores, latency)
-
-    def similar_by_vector(
-        self, vector: np.ndarray, k: int = 10, *, nprobe: int | None = None
-    ) -> QueryResult:
-        """Deprecated shim — use :meth:`search` with ``SearchRequest(vector=...)``."""
-        _warn_deprecated("similar_by_vector", "SearchRequest(vector=..., k=...)")
-        return self.search(
-            SearchRequest(vector=vector, k=k, params=SearchParams(nprobe=nprobe))
-        )
 
     def _similar_by_vector_on(
         self, active: _ActiveVersion, request: SearchRequest
@@ -698,9 +641,7 @@ class QueryService:
             ids, scores = _search(
                 active.backend, query[np.newaxis], k, None, request.params, compiled
             )
-        latency = time.perf_counter() - start
-        self.stats.record(latency)
-        return QueryResult(active.version, ids[0], scores[0], latency)
+        return QueryResult(active.version, ids[0], scores[0], self._record(start))
 
     # -- filter compilation --------------------------------------------
     def _compile_filter(
@@ -788,19 +729,14 @@ class QueryService:
         active = self._snapshot()
         self._check_node(active, node)
         key = (active.version, "attr", int(node), int(k), None)
-        hit = self._cache_get(key)
+        hit = self._cache_hit(active.version, key, start)
         if hit is not None:
-            latency = time.perf_counter() - start
-            self.stats.record(latency, cached=True)
-            return QueryResult(active.version, hit[0], hit[1], latency, cached=True)
+            return hit
         stored = active.stored
         combined = np.asarray(stored.x_forward[node]) + np.asarray(stored.x_backward[node])
         scores = stored.y @ combined
         top = top_k_sorted_indices(scores, k)
-        self._cache_put(key, top, scores[top])
-        latency = time.perf_counter() - start
-        self.stats.record(latency)
-        return QueryResult(active.version, top, scores[top], latency)
+        return self._fill(active.version, key, top, scores[top], start)
 
     def top_nodes_for_attribute(self, attribute: int, k: int = 10) -> QueryResult:
         """Nodes with the highest Eq. (21) affinity to ``attribute``."""
@@ -812,22 +748,17 @@ class QueryService:
                 f"attribute {attribute} out of range [0, {stored.n_attributes})"
             )
         key = (active.version, "attr_nodes", int(attribute), int(k), None)
-        hit = self._cache_get(key)
+        hit = self._cache_hit(active.version, key, start)
         if hit is not None:
-            latency = time.perf_counter() - start
-            self.stats.record(latency, cached=True)
-            return QueryResult(active.version, hit[0], hit[1], latency, cached=True)
+            return hit
         y_row = np.asarray(stored.y[attribute], dtype=np.float64)
         scores = stored.x_forward @ y_row + stored.x_backward @ y_row
         top = top_k_sorted_indices(scores, k)
-        self._cache_put(key, top, scores[top])
-        latency = time.perf_counter() - start
-        self.stats.record(latency)
-        return QueryResult(active.version, top, scores[top], latency)
+        return self._fill(active.version, key, top, scores[top], start)
 
     # -- introspection / lifecycle -------------------------------------
     def describe(self) -> dict:
-        """Serving state, memory accounting, latency counters (JSON-safe).
+        """Serving state, memory accounting, query counters (JSON-safe).
 
         The top of the dict is a stable, server-visible schema — the same
         document ``GET /v1/describe`` returns over HTTP (see
@@ -843,13 +774,12 @@ class QueryService:
         the OS *could* page in, not resident set; for a sharded snapshot
         the replicated ``y`` counts every segment's copy) plus, for PQ
         backends, the resident code bytes and the compression ratio they
-        buy.  A sharded snapshot adds a ``sharding`` section with
-        per-shard sizes and the merged per-shard latency view (see
-        :meth:`LatencyStats.merge`).  Units there are **per-shard
-        searches**: every logical query is scattered to all shards, so
-        the merged ``queries`` reads ``n_shards ×`` the service-level
-        count — each shard search is still recorded exactly once (the
-        streams are disjoint), and cache hits only ever appear in the
+        buy.  ``latency`` is :meth:`latency_info`.  A sharded snapshot
+        adds a ``sharding`` section with per-shard sizes and the router's
+        own ``latency`` (:meth:`ShardRouter.latency_info`).  Units there
+        are **per-shard searches**: every backend call is scattered to
+        all shards, so ``searches`` reads ``n_shards ×`` the number of
+        uncached service calls, and cache hits only ever appear in the
         service-level ``latency``.
         """
         active = self._snapshot()
@@ -877,7 +807,7 @@ class QueryService:
             # top-level cache_entries/cache_size pair, which duplicated
             # it under a second read of the lock.
             "cache": self.cache_info(),
-            "latency": self.stats.snapshot(),
+            "latency": self.latency_info(),
         }
         if hasattr(backend, "select_dtype"):  # exact / IVF selector knob
             info["select_dtype"] = backend.select_dtype
@@ -935,7 +865,7 @@ class QueryService:
                     }
                     for shard, segment in enumerate(stored.shards)
                 ],
-                "latency": LatencyStats.merge(backend.shard_stats).snapshot(),
+                "latency": backend.latency_info(),
             }
         # The document is a wire schema (shared with ``GET /v1/describe``):
         # scrub any numpy scalar an accessor above may have produced so
@@ -964,10 +894,29 @@ class QueryService:
         if not 0 <= node < n:
             raise IndexError(f"node {node} out of range [0, {n})")
 
+    @property
+    def instruments(self) -> tuple[Counter, Counter, Histogram]:
+        """The metric objects this service records into, for a registry to adopt."""
+        return (self.queries_total, self.cache_served_total, self.query_seconds)
+
+    def latency_info(self) -> dict:
+        """Lifetime counts and seconds, read off :attr:`instruments`.
+
+        ``queries`` counts batch members, ``calls`` answered calls (a batch
+        is one); quantiles come from the histogram's buckets, not from here.
+        """
+        cell = self.query_seconds.cell()
+        return {
+            "queries": int(self.queries_total.value()),
+            "cache_hits": int(self.cache_served_total.value()),
+            "calls": cell["count"],
+            "total_seconds": cell["sum"],
+        }
+
     def cache_info(self) -> dict:
         """Result-cache effectiveness counters (lifetime, this process).
 
-        ``hits``/``misses`` count :meth:`top_k`-family lookups against
+        ``hits``/``misses`` count result lookups against
         the LRU (disabled caches record nothing); exposed through
         :meth:`describe` and the HTTP ``/metrics`` endpoint so the
         cache's effectiveness is observable, not just its size.
@@ -1016,7 +965,7 @@ class QueryService:
     def _execute_microbatch(
         self, requests: list["_BatchRequest"], group_id: int
     ) -> None:
-        """Answer a coalesced batch of top_k requests from one snapshot.
+        """Answer a coalesced batch of single-node requests from one snapshot.
 
         The single ``self._snapshot()`` read below is the coalescing
         consistency contract: every member of the group — whatever
@@ -1113,7 +1062,7 @@ class PinnedView:
     Produced by :meth:`QueryService.pin`.  All reads go against the
     snapshot captured at pin time — an :meth:`~QueryService.activate`
     racing this view cannot make two calls through it disagree about the
-    version.  Writes (cache fills, latency samples) still land in the
+    version.  Writes (cache fills, query records) still land in the
     owning service; cache keys carry the version, so a pinned fill can
     never be served to a caller on a different version.
 
@@ -1130,52 +1079,13 @@ class PinnedView:
         """The pinned store version — constant for the view's lifetime."""
         return self._active.version
 
-    @property
-    def n_nodes(self) -> int:
-        return self._active.stored.n_nodes
-
     def search(self, request: SearchRequest) -> QueryResult:
-        """Answer one :class:`SearchRequest` from the pinned snapshot.
-
-        The coalescer is always bypassed here (it would answer from the
-        snapshot active at drain time, not the pinned one).
-        """
-        active = self._active
+        """Answer one :class:`SearchRequest` from the pinned snapshot."""
         if request.nodes is not None:
-            return self._service._batch_top_k_on(active, request)
+            return self._service._batch_top_k_on(self._active, request)
         if request.vector is not None:
-            return self._service._similar_by_vector_on(active, request)
-        start = time.perf_counter()
-        node, k = int(request.node), int(request.k)
-        self._service._check_node(active, node)
-        key = _node_key(
-            active.version, node, k, request.params, request.filter_key()
-        )
-        hit = self._service._cache_get(key)
-        if hit is not None:
-            latency = time.perf_counter() - start
-            self._service.stats.record(latency, cached=True)
-            return QueryResult(active.version, hit[0], hit[1], latency, cached=True)
-        return self._service._top_k_direct(active, request, start)
-
-    def top_k(self, node: int, k: int = 10, *, nprobe: int | None = None) -> QueryResult:
-        return self.search(
-            SearchRequest(node=node, k=k, params=SearchParams(nprobe=nprobe))
-        )
-
-    def batch_top_k(
-        self, nodes: Sequence[int], k: int = 10, *, nprobe: int | None = None
-    ) -> QueryResult:
-        return self.search(
-            SearchRequest(nodes=nodes, k=k, params=SearchParams(nprobe=nprobe))
-        )
-
-    def similar_by_vector(
-        self, vector: np.ndarray, k: int = 10, *, nprobe: int | None = None
-    ) -> QueryResult:
-        return self.search(
-            SearchRequest(vector=vector, k=k, params=SearchParams(nprobe=nprobe))
-        )
+            return self._service._similar_by_vector_on(self._active, request)
+        return self._service._top_k_on(self._active, request)
 
 
 def _search(

@@ -18,9 +18,10 @@ have produced for those rows, and the heap merge (ordered by
 The per-query merge is the textbook k-way merge of ``n_shards`` sorted
 runs, stopping after ``k`` pops — O(k log S), independent of corpus size.
 
-The router also keeps one :class:`~repro.serving.stats.LatencyStats` per
-shard (recorded inside the scatter tasks), so a hot shard shows up in
-``QueryService.describe()`` instead of hiding in the aggregate.
+The router times every per-shard search into one fixed-bucket histogram
+labelled by shard (:attr:`ShardRouter.search_seconds`, observed inside the
+scatter tasks), so a hot shard shows up in ``QueryService.describe()``
+and ``/metrics`` instead of hiding in the service-level latency.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ import numpy as np
 from repro.parallel.pool import WorkerPool
 from repro.search.knn import CompiledFilter
 from repro.serving.index import IVFIndex, SearchBackend
+from repro.serving.obs.metrics import Histogram
 from repro.serving.sharding.store import Partitioner, ShardedStoredEmbedding
-from repro.serving.stats import LatencyStats
 
 
 class ShardRouter(SearchBackend):
@@ -78,7 +79,14 @@ class ShardRouter(SearchBackend):
         self.backends = list(backends)
         self.partitioner = partitioner
         self.pool = pool
-        self.shard_stats = [LatencyStats() for _ in backends]
+        # One observation per shard per scatter (a skipped shard records
+        # nothing).  The owning QueryService hands this object from each
+        # outgoing router to its successor, so the series outlives swaps.
+        self.search_seconds = Histogram(
+            "shard_search_seconds",
+            "Seconds per per-shard backend search, by shard",
+            ("shard",),
+        )
         self.last_rebuild = None
 
     # ------------------------------------------------------------------
@@ -179,9 +187,7 @@ class ShardRouter(SearchBackend):
                 self.partitioner.to_global(shard, np.clip(local_ids, 0, None)),
                 -1,
             )
-            self.shard_stats[shard].record(
-                time.perf_counter() - start, queries=n_queries
-            )
+            self.search_seconds.observe(time.perf_counter() - start, shard=shard)
             return global_ids, scores
 
         if self.pool is not None:
@@ -193,6 +199,24 @@ class ShardRouter(SearchBackend):
         if single:
             return ids[0], scores[0]
         return ids, scores
+
+    def latency_info(self) -> dict:
+        """Per-shard search counts and seconds, read off the histogram."""
+        per_shard = []
+        for shard in range(self.n_shards):
+            cell = self.search_seconds.cell(shard=shard)
+            per_shard.append(
+                {
+                    "shard": shard,
+                    "searches": cell["count"],
+                    "total_seconds": cell["sum"],
+                }
+            )
+        return {
+            "searches": sum(entry["searches"] for entry in per_shard),
+            "total_seconds": sum(entry["total_seconds"] for entry in per_shard),
+            "per_shard": per_shard,
+        }
 
     # ------------------------------------------------------------------
     def refresh(self, stored: ShardedStoredEmbedding) -> "ShardRouter":

@@ -16,7 +16,7 @@ from repro.serving.faults import (
 from repro.serving.http.client import ServingClient, ServingUnavailable
 from repro.serving.http.protocol import ApiError
 from repro.serving.http.server import EmbeddingServer
-from repro.serving.service import QueryService
+from repro.serving.service import QueryService, SearchRequest
 
 
 class TestFaultPlan:
@@ -179,7 +179,7 @@ class TestServerIntegration:
             server = EmbeddingServer(
                 service, faults=FaultInjector(plan, hard=False)
             )
-            reference = service.top_k(1, k=5)
+            reference = service.search(SearchRequest(node=1, k=5))
             with server:
                 client = ServingClient(server.url, wire="binary", retries=0)
                 client.top_k(0, k=5)  # 1st frame passes clean

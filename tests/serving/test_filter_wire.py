@@ -58,9 +58,6 @@ class TestOldClientNewServer:
         assert np.array_equal(result.ids, reference.ids)
         assert result.scores.tobytes() == reference.scores.tobytes()
 
-    def test_legacy_nprobe_field_still_accepted(self, client):
-        assert client.top_k(3, 5, nprobe=4).ids.shape == (5,)
-
     def test_unknown_fields_still_rejected(self, server):
         client = ServingClient(server.url, retries=0)
         with pytest.raises(ApiError) as excinfo:
@@ -116,13 +113,24 @@ class TestFilteredOverTheWire:
         assert got_vec.scores.tobytes() == ref_vec.scores.tobytes()
 
     def test_params_field_and_nprobe_disagreement(self, client):
-        result = client.top_k(3, 5, params={"select_dtype": "float32"})
+        """``params.nprobe`` is the one spelling: a top-level ``"nprobe"``
+        next to it is an unknown field, whether the two agree or not."""
+        result = client.top_k(3, 5, params={"select_dtype": "float32", "nprobe": 4})
         assert result.ids.shape == (5,)
-        with pytest.raises(ApiError) as excinfo:
-            client.top_k(3, 5, nprobe=4, params={"nprobe": 8})
-        assert excinfo.value.code == "invalid_request"
-        # agreeing values are fine
-        assert client.top_k(3, 5, nprobe=4, params={"nprobe": 4}).ids.shape == (5,)
+        for path, shape in (
+            (protocol.TOPK, {"node": 3}),
+            (protocol.TOPK_BATCH, {"nodes": [3, 4]}),
+            (protocol.SIMILAR, {"vector": [1.0] * 16}),
+        ):
+            for params in ({"nprobe": 8}, {"nprobe": 4}, None):
+                body = {**shape, "k": 5, "nprobe": 4}
+                if params is not None:
+                    body["params"] = params
+                with pytest.raises(ApiError) as excinfo:
+                    client._request("POST", path, body)
+                assert excinfo.value.status == 400
+                assert excinfo.value.code == "invalid_request"
+                assert excinfo.value.details["unknown"] == ["nprobe"]
 
     @pytest.mark.parametrize(
         "bad",

@@ -24,7 +24,7 @@ from repro.serving.fsck import (
 from repro.serving.http.client import ServingClient
 from repro.serving.http.protocol import ApiError
 from repro.serving.http.server import EmbeddingServer
-from repro.serving.service import QueryService
+from repro.serving.service import QueryService, SearchRequest
 from repro.serving.sharding.store import ShardedEmbeddingStore
 from repro.serving.store import STAGING_PREFIX, EmbeddingStore
 
@@ -193,7 +193,9 @@ class TestFsckRepair:
         quarantine v2, repoint LATEST at v1, and the repaired store must
         serve answers bit-identical to v1's pre-damage answers.
         """
-        expected = QueryService(store, backend="exact").top_k(0, k=8)
+        expected = QueryService(store, backend="exact").search(
+            SearchRequest(node=0, k=8)
+        )
         v2 = store.publish(trained_embedding, metadata={"doomed": True})
         assert store.latest() == v2
         _truncate(store.root / "versions" / v2 / "features.npy")
@@ -212,7 +214,7 @@ class TestFsckRepair:
         quarantined = store.root / QUARANTINE_DIR / v2
         assert (quarantined / "manifest.json").is_file()  # preserved, not deleted
 
-        after = QueryService(store, backend="exact").top_k(0, k=8)
+        after = QueryService(store, backend="exact").search(SearchRequest(node=0, k=8))
         assert after.version == expected.version
         np.testing.assert_array_equal(after.ids, expected.ids)
         assert after.scores.tolist() == expected.scores.tolist()  # bit-identical
@@ -306,7 +308,7 @@ class TestServiceRefusal:
         assert all(i.code == "bad_array" for i in excinfo.value.issues)
         # The previously served snapshot is untouched.
         assert service.version == "v00000001"
-        assert service.top_k(0, k=4).version == "v00000001"
+        assert service.search(SearchRequest(node=0, k=4)).version == "v00000001"
 
     def test_verify_open_target_passes_clean_and_missing(self, store):
         verify_open_target(store, None)

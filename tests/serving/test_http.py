@@ -22,7 +22,8 @@ from repro.serving.http import (
     run_load,
 )
 from repro.serving.http import protocol
-from repro.serving.service import QueryService
+from repro.serving.obs.metrics import family_total
+from repro.serving.service import QueryService, SearchParams, SearchRequest
 
 
 @pytest.fixture()
@@ -72,16 +73,20 @@ class TestEndpoints:
         client.top_k(0, 5)
         client.top_k(0, 5)
         metrics = client.metrics()
-        assert metrics["service"]["queries"] >= 2
-        assert metrics["service"]["cache_hits"] >= 1
-        assert metrics["server"]["endpoints"][protocol.TOPK]["queries"] >= 2
-        # The merged server view is the LatencyStats.merge fan-in of the
-        # per-endpoint streams: totals must agree.
-        total = sum(
-            endpoint["queries"]
-            for endpoint in metrics["server"]["endpoints"].values()
-        )
-        assert metrics["server"]["http"]["queries"] == total
+        assert metrics["schema"] == "repro.serving.http/v2"
+        assert metrics["service"]["queries"] == 2
+        assert metrics["service"]["cache_hits"] == 1
+        # Per-endpoint HTTP numbers live in the registry and nowhere
+        # else in the document; one observation per request.
+        assert set(metrics["server"]) == {
+            "worker", "in_flight", "draining", "errors",
+        }
+        registry = metrics["registry"]
+        for family in ("http_requests_total", "http_request_seconds"):
+            assert family_total(registry, family, endpoint=protocol.TOPK) == 2
+        assert family_total(registry, "service_queries_total") == 2
+        assert family_total(registry, "service_query_seconds") == 2
+        assert family_total(registry, "service_cache_served_total") == 1
         json.dumps(metrics, allow_nan=False)
 
     def test_metrics_includes_shard_merge(self, tmp_path, trained_embedding):
@@ -94,12 +99,15 @@ class TestEndpoints:
                 client = ServingClient(server.url)
                 client.top_k(0, 5)
                 metrics = client.metrics()
-                assert metrics["shards"]["n_shards"] == 3
-                assert len(metrics["shards"]["per_shard"]) == 3
-                merged = metrics["shards"]["merged"]["queries"]
-                assert merged == sum(
-                    s["queries"] for s in metrics["shards"]["per_shard"]
-                )
+                shards = metrics["shards"]
+                assert shards["n_shards"] == 3
+                assert [s["searches"] for s in shards["per_shard"]] == [1, 1, 1]
+                assert shards["searches"] == 3
+                # The same numbers, from the same cells, in the registry.
+                for shard in range(3):
+                    assert family_total(
+                        metrics["registry"], "shard_search_seconds", shard=shard
+                    ) == 1
 
     def test_unknown_endpoint_404(self, client):
         with pytest.raises(ApiError) as excinfo:
@@ -304,7 +312,7 @@ class TestBitIdentity:
     def test_topk_bit_identical(self, client, service):
         for node in (0, 7, 42, 119):
             remote = client.top_k(node, 6)
-            local = service.top_k(node, 6)
+            local = service.search(SearchRequest(node=node, k=6))
             assert remote.version == local.version
             assert np.array_equal(remote.ids, local.ids)
             assert remote.scores.tobytes() == local.scores.tobytes()
@@ -312,7 +320,7 @@ class TestBitIdentity:
     def test_batch_bit_identical(self, client, service):
         nodes = [3, 1, 4, 1, 5, 9, 2, 6]
         remote = client.batch_top_k(nodes, 5)
-        local = service.batch_top_k(nodes, 5)
+        local = service.search(SearchRequest(nodes=nodes, k=5))
         assert remote.ids.shape == (len(nodes), 5)
         assert np.array_equal(remote.ids, local.ids)
         assert remote.scores.tobytes() == local.scores.tobytes()
@@ -320,7 +328,7 @@ class TestBitIdentity:
     def test_similar_by_vector_bit_identical(self, client, service, trained_embedding):
         vector = trained_embedding.node_embeddings()[11]
         remote = client.similar_by_vector(vector, 5)
-        local = service.similar_by_vector(vector, 5)
+        local = service.search(SearchRequest(vector=vector, k=5))
         assert np.array_equal(remote.ids, local.ids)
         assert remote.scores.tobytes() == local.scores.tobytes()
         assert remote.ids[0] == 11
@@ -330,8 +338,10 @@ class TestBitIdentity:
         with QueryService(store, backend="ivf", nlist=8, nprobe=1) as service:
             with EmbeddingServer(service) as server:
                 client = ServingClient(server.url)
-                remote = client.top_k(0, 60, nprobe=1)
-                local = service.top_k(0, 60, nprobe=1)
+                remote = client.top_k(0, 60, params={"nprobe": 1})
+                local = service.search(
+                    SearchRequest(node=0, k=60, params=SearchParams(nprobe=1))
+                )
                 assert np.array_equal(remote.ids, local.ids)
                 assert remote.scores.tobytes() == local.scores.tobytes()
                 if (local.ids == -1).any():  # padding actually exercised
@@ -369,11 +379,16 @@ class TestRefresh:
             )
         assert excinfo.value.status == 400
 
-    def test_delta_without_refresher_409(self, client):
+    def test_delta_body_rejected_400(self, client):
+        """/admin/refresh is not a write path: deltas go through /v1/upsert."""
         with pytest.raises(ApiError) as excinfo:
-            client.refresh(delta={"add_edges": [[0, 1]]})
-        assert excinfo.value.status == 409
-        assert excinfo.value.code == "no_refresher"
+            client._request(
+                "POST", protocol.REFRESH, {"delta": {"add_edges": [[0, 1]]}}
+            )
+        assert excinfo.value.status == 400
+        assert excinfo.value.code == "invalid_request"
+        assert excinfo.value.details["unknown"] == ["delta"]
+        assert client.healthz()["version"] == "v00000001"
 
     def test_concurrent_refresh_409(self, server, client):
         assert server._refresh_lock.acquire(blocking=False)
@@ -384,52 +399,6 @@ class TestRefresh:
             assert excinfo.value.code == "refresh_in_progress"
         finally:
             server._refresh_lock.release()
-
-    def test_delta_drives_online_refresher(self, tmp_path):
-        """POST /admin/refresh {delta} runs the full update→publish→swap flow."""
-        from repro.dynamic.incremental import IncrementalPANE
-        from repro.graph.generators import attributed_sbm
-        from repro.serving.refresh import OnlineRefresher
-        from repro.serving.store import EmbeddingStore
-
-        graph = attributed_sbm(n_nodes=80, n_attributes=20, seed=2)
-        model = IncrementalPANE(k=8, seed=0, update_sweeps=1)
-        store = EmbeddingStore(tmp_path / "store")
-        store.publish(model.fit(graph))
-        with QueryService(store, backend="exact") as service:
-            refresher = OnlineRefresher(model, store, service)
-            with EmbeddingServer(service, refresher=refresher) as server:
-                client = ServingClient(server.url)
-                report = client.refresh(
-                    delta={"add_edges": [[0, 41], [1, 50]]}
-                )
-                assert report["swapped"]
-                assert report["version"] == "v00000002"
-                assert report["report"]["n_nodes"] == 80
-                assert client.healthz()["version"] == "v00000002"
-
-    def test_malformed_delta_400(self, tmp_path):
-        from repro.dynamic.incremental import IncrementalPANE
-        from repro.graph.generators import attributed_sbm
-        from repro.serving.refresh import OnlineRefresher
-        from repro.serving.store import EmbeddingStore
-
-        graph = attributed_sbm(n_nodes=40, n_attributes=10, seed=2)
-        model = IncrementalPANE(k=8, seed=0, update_sweeps=0)
-        store = EmbeddingStore(tmp_path / "store")
-        store.publish(model.fit(graph))
-        with QueryService(store, backend="exact") as service:
-            refresher = OnlineRefresher(model, store, service)
-            with EmbeddingServer(service, refresher=refresher) as server:
-                client = ServingClient(server.url)
-                for delta in (
-                    {"add_edges": [[0, 1, 2]]},  # wrong width
-                    {"add_edges": "nope"},
-                    {"bogus": []},
-                ):
-                    with pytest.raises(ApiError) as excinfo:
-                        client.refresh(delta=delta)
-                    assert excinfo.value.status == 400
 
 
 class TestDrainAndLifecycle:
@@ -542,18 +511,12 @@ class TestServingClient:
                     client = ServingClient([a.url, b.url])
                     nodes = list(range(40))
                     remote = client.batch_top_k(nodes, 5)
-                    local = service_a.batch_top_k(nodes, 5)
+                    # Both replicas actually served a chunk.
+                    for replica_service in (service_a, service_b):
+                        assert replica_service.queries_total.value() == 20
+                    local = service_a.search(SearchRequest(nodes=nodes, k=5))
                     assert np.array_equal(remote.ids, local.ids)
                     assert remote.scores.tobytes() == local.scores.tobytes()
-                    # Both replicas actually served a chunk.
-                    stats = client.stats()
-                    for url in (a.url, b.url):
-                        assert stats["replicas"][url]["queries"] >= 1
-                    assert (
-                        stats["merged"]["queries"]
-                        == stats["replicas"][a.url]["queries"]
-                        + stats["replicas"][b.url]["queries"]
-                    )
 
     def test_batch_version_skew_rejected(self, store, trained_embedding):
         store.publish(permuted_copy(trained_embedding))

@@ -332,7 +332,7 @@ class TestIVFFloat32Selection:
     def test_service_applies_select_dtype_to_cached_index(self, tmp_path):
         """QueryService(index_cache=True, select_dtype=float32): the
         persisted-artifact reload path must re-apply the opt-in."""
-        from repro.serving.service import QueryService
+        from repro.serving.service import QueryService, SearchRequest
         from repro.serving.store import EmbeddingStore
         from repro.serving.synth import synthetic_embedding
 
@@ -341,13 +341,13 @@ class TestIVFFloat32Selection:
         with QueryService(
             store, backend="ivf", nlist=8, index_cache=True
         ) as trainer:
-            baseline = trainer.top_k(0, 5)
+            baseline = trainer.search(SearchRequest(node=0, k=5))
         with QueryService(
             store, backend="ivf", nlist=8, index_cache=True,
             select_dtype="float32",
         ) as service:
             assert service.backend.select_dtype == "float32"
             assert service.describe()["select_dtype"] == "float32"
-            result = service.top_k(0, 5)
+            result = service.search(SearchRequest(node=0, k=5))
             assert np.array_equal(result.ids, baseline.ids)
             assert result.scores.tobytes() == baseline.scores.tobytes()

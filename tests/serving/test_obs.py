@@ -30,7 +30,9 @@ from repro.serving.obs.journal import (
 )
 from repro.serving.obs.metrics import (
     TEXT_CONTENT_TYPE,
+    Counter,
     MetricsRegistry,
+    family_total,
     merge_dicts,
     parse_text,
     render_text_from_dict,
@@ -46,8 +48,7 @@ from repro.serving.obs.trace import (
     set_current,
     trace_span,
 )
-from repro.serving.service import QueryService
-from repro.serving.stats import LatencyStats
+from repro.serving.service import QueryService, SearchRequest
 
 
 @pytest.fixture()
@@ -171,6 +172,28 @@ class TestRegistry:
         with pytest.raises(ValueError):
             merge_dicts([a.as_dict(), b.as_dict()])
 
+    def test_adopt_exposes_the_owners_object(self):
+        owned = Counter("jobs_total", "Jobs", ("kind",))
+        registry = MetricsRegistry()
+        assert registry.adopt(owned) is owned
+        owned.inc(3, kind="a")  # recorded by the owner, after adoption
+        assert family_total(registry.as_dict(), "jobs_total", kind="a") == 3
+        assert registry.adopt(owned) is owned  # idempotent for the same object
+        with pytest.raises(ValueError):
+            registry.adopt(Counter("jobs_total", "Jobs", ("kind",)))
+
+    def test_family_total_sums_values_and_histogram_counts(self):
+        registry = MetricsRegistry()
+        hits = registry.counter("hits_total", "Hits", ("shard",))
+        hits.inc(2, shard=0)
+        hits.inc(5, shard=1)
+        registry.histogram("lat", "Lat").observe(0.1)
+        snapshot = registry.as_dict()
+        assert family_total(snapshot, "hits_total") == 7
+        assert family_total(snapshot, "hits_total", shard=1) == 5
+        assert family_total(snapshot, "lat") == 1
+        assert family_total(snapshot, "absent_total") == 0
+
     def test_parse_text_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_text("this is not { prometheus\n")
@@ -231,18 +254,6 @@ class TestJournal:
         assert summary["events"] == 3
         assert summary["kinds"] == {"publish": 2, "drain": 1}
         assert summary["last_by_kind"]["publish"]["version"] == "v2"
-
-
-# -- p99 satellite -------------------------------------------------------
-class TestLatencyP99:
-    def test_snapshot_has_p99(self):
-        stats = LatencyStats()
-        for n in range(200):
-            stats.record(0.001 * (n + 1))
-        snapshot = stats.snapshot()
-        assert "p99_seconds" in snapshot
-        assert snapshot["p99_seconds"] >= snapshot["p50_seconds"]
-        assert snapshot["p99_seconds"] == pytest.approx(0.199, rel=0.05)
 
 
 # -- server integration -------------------------------------------------
@@ -494,6 +505,90 @@ class TestPrometheusExposition:
             assert "http_requests_total" in families
             assert "service_queries_total" in families
             client.close()
+
+
+class TestOneInstrument:
+    """One record per event, owned by the layer that does the work."""
+
+    def test_registry_holds_the_service_and_router_objects(
+        self, tmp_path, trained_embedding
+    ):
+        from repro.serving.sharding.store import ShardedEmbeddingStore
+
+        sharded = ShardedEmbeddingStore(tmp_path / "sharded", n_shards=2)
+        sharded.publish(trained_embedding)
+        with QueryService(sharded, backend="exact") as service:
+            server = EmbeddingServer(service)  # never started
+            try:
+                # adopt() hands back its argument only when the registry
+                # already holds that very object (a copy would raise).
+                owned = (*service.instruments, service.backend.search_seconds)
+                for metric in owned:
+                    assert server.registry.adopt(metric) is metric
+                # Written by the layers, read by the scrape: no hook copies.
+                service.search(SearchRequest(nodes=[0, 1, 2], k=3))
+                registry = server.registry.as_dict()
+                assert family_total(registry, "service_queries_total") == 3
+                assert family_total(registry, "service_query_seconds") == 1
+                assert family_total(registry, "shard_search_seconds") == 2
+                # A version swap builds a new router; the adopted series
+                # keeps counting.
+                sharded.publish(trained_embedding)
+                service.refresh_to_latest()
+                service.search(SearchRequest(node=5, k=3))
+                assert (
+                    family_total(
+                        server.registry.as_dict(), "shard_search_seconds", shard=1
+                    )
+                    == 2
+                )
+            finally:
+                server.close()
+
+    def test_one_topk_is_one_http_and_one_service_record(self, service):
+        with EmbeddingServer(service) as server:
+            client = ServingClient(server.url, retries=0)
+            client.top_k(3, 5)
+            registry = client.metrics()["registry"]  # same keep-alive thread
+            client.close()
+        for family in ("http_request_seconds", "http_requests_total"):
+            assert family_total(registry, family, endpoint=protocol.TOPK) == 1
+        assert family_total(registry, "service_query_seconds") == 1
+        assert family_total(registry, "service_queries_total") == 1
+
+    def test_two_workers_merge_to_exact_fleet_totals(self, store):
+        """merge_dicts alone turns per-worker /metrics into fleet totals."""
+        registries = []
+        for n_requests in (3, 5):
+            with QueryService(store, backend="exact") as worker_service:
+                with EmbeddingServer(worker_service) as server:
+                    client = ServingClient(server.url, retries=0)
+                    for node in range(n_requests):
+                        client.top_k(node, 4)
+                    client.batch_top_k([0, 50], 4)
+                    registries.append(client.metrics()["registry"])
+                    client.close()
+        fleet = merge_dicts(registries)
+        assert family_total(fleet, "http_requests_total", endpoint=protocol.TOPK) == 8
+        assert family_total(fleet, "http_request_seconds", endpoint=protocol.TOPK) == 8
+        assert family_total(fleet, "service_queries_total") == 8 + 4
+        assert family_total(fleet, "service_query_seconds") == 8 + 2
+        families = {f["name"]: f for f in fleet["families"]}
+        for name in ("http_request_seconds", "service_query_seconds"):
+            parts = [
+                {f["name"]: f for f in registry["families"]}[name]
+                for registry in registries
+            ]
+            for cell in families[name]["cells"]:
+                matching = [
+                    c for part in parts for c in part["cells"]
+                    if c["labels"] == cell["labels"]
+                ]
+                assert cell["counts"] == [
+                    sum(column) for column in zip(*(c["counts"] for c in matching))
+                ]
+                assert cell["sum"] == pytest.approx(sum(c["sum"] for c in matching))
+        parse_text(render_text_from_dict(fleet))
 
 
 class TestClientTraceRing:

@@ -313,12 +313,12 @@ class TestFactoryAndPersistence:
         assert store.load_index(stored.version, "pq", stored.features) is None
 
     def test_service_index_cache_skips_retraining(self, store, monkeypatch):
-        from repro.serving.service import QueryService
+        from repro.serving.service import QueryService, SearchRequest
 
         with QueryService(
             store, backend="pq", pq_subspaces=4, index_cache=True
         ) as service:
-            first = service.top_k(0, 5)
+            first = service.search(SearchRequest(node=0, k=5))
         # Second service must load the artifact, not refit the codec.
         import repro.serving.sharding.pq as pq_module
 
@@ -329,6 +329,6 @@ class TestFactoryAndPersistence:
         with QueryService(
             store, backend="pq", pq_subspaces=4, index_cache=True
         ) as service:
-            again = service.top_k(0, 5)
+            again = service.search(SearchRequest(node=0, k=5))
         assert np.array_equal(first.ids, again.ids)
         assert np.array_equal(first.scores, again.scores)

@@ -7,7 +7,7 @@ from repro.dynamic.incremental import GraphDelta, IncrementalPANE
 from repro.graph.generators import attributed_sbm
 from repro.serving.index import IVFIndex
 from repro.serving.refresh import OnlineRefresher
-from repro.serving.service import QueryService
+from repro.serving.service import QueryService, SearchParams, SearchRequest
 from repro.serving.store import EmbeddingStore
 
 
@@ -79,7 +79,9 @@ class TestApply:
     def test_queries_reflect_new_embedding(self, rig):
         refresher, _, service = rig
         refresher.apply(_delta())
-        result = service.top_k(0, 5, nprobe=9)
+        result = service.search(
+            SearchRequest(node=0, k=5, params=SearchParams(nprobe=9))
+        )
         expected = refresher.model.embedding
         from repro.search.knn import top_k_similar
 
@@ -88,11 +90,15 @@ class TestApply:
 
     def test_rollback_after_refresh(self, rig):
         refresher, store, service = rig
-        before = service.top_k(3, 5, nprobe=9)
+        before = service.search(
+            SearchRequest(node=3, k=5, params=SearchParams(nprobe=9))
+        )
         refresher.apply(_delta())
         store.rollback()
         service.refresh_to_latest()
-        restored = service.top_k(3, 5, nprobe=9)
+        restored = service.search(
+            SearchRequest(node=3, k=5, params=SearchParams(nprobe=9))
+        )
         assert restored.version == "v00000001"
         assert np.array_equal(restored.ids, before.ids)
 
@@ -161,7 +167,9 @@ class TestShardedApply:
     def test_sharded_queries_reflect_new_embedding(self, sharded_rig):
         refresher, _, service = sharded_rig
         refresher.apply(_delta())
-        result = service.top_k(0, 5, nprobe=5)
+        result = service.search(
+            SearchRequest(node=0, k=5, params=SearchParams(nprobe=5))
+        )
         expected = refresher.model.embedding
         from repro.search.knn import top_k_similar
 
@@ -170,10 +178,14 @@ class TestShardedApply:
 
     def test_sharded_rollback_after_refresh(self, sharded_rig):
         refresher, store, service = sharded_rig
-        before = service.top_k(3, 5, nprobe=5)
+        before = service.search(
+            SearchRequest(node=3, k=5, params=SearchParams(nprobe=5))
+        )
         refresher.apply(_delta())
         store.rollback()
         service.refresh_to_latest()
-        restored = service.top_k(3, 5, nprobe=5)
+        restored = service.search(
+            SearchRequest(node=3, k=5, params=SearchParams(nprobe=5))
+        )
         assert restored.version == "v00000001"
         assert np.array_equal(restored.ids, before.ids)

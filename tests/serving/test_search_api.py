@@ -1,23 +1,19 @@
-"""The unified query API: SearchRequest/SearchParams, filters, shims.
+"""The unified query API: SearchRequest/SearchParams and filters.
 
-``QueryService.search(SearchRequest)`` is the one entrypoint; the four
-per-shape methods are deprecated delegating shims.  These tests pin the
-contract: validation, shim equivalence (bit-identical results, exactly
-one DeprecationWarning per process), filter semantics through the
-service (attribute predicates, the similar_by_vector deny fix, cache
-isolation, partition errors on unsharded stores), and capability
+``QueryService.search(SearchRequest)`` is the one entrypoint (and
+``PinnedView.search`` its pinned twin).  These tests pin the contract:
+validation, the absence of any per-shape method, filter semantics
+through the service (attribute predicates, the vector-query deny fix,
+cache isolation, partition errors on unsharded stores), and capability
 advertisement in ``describe()``.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
 
 from repro.search.knn import FilterError, NodeFilter
-from repro.serving import service as service_module
 from repro.serving.service import (
     QueryService,
     SearchParams,
@@ -99,22 +95,14 @@ class TestUnifiedSearch:
         )
         assert vector.ids.shape == (5,)
 
-    def test_deprecated_shims_bit_identical_one_warning_per_process(
-        self, service
-    ):
-        service_module._deprecation_warned = False
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            old = service.top_k(2, 6)
-            service.batch_top_k([2, 5], 6)
-            service.similar_by_vector(np.ones(16), 6)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1  # one per process, not per call
-        new = service.search(SearchRequest(node=2, k=6))
-        assert np.array_equal(old.ids, new.ids)
-        assert old.scores.tobytes() == new.scores.tobytes()
+    def test_search_is_the_only_query_method(self, service):
+        for owner in (service, service.pin()):
+            for name in ("top_k", "batch_top_k", "similar_by_vector"):
+                assert not hasattr(owner, name), (type(owner).__name__, name)
+        pinned = service.pin().search(SearchRequest(node=2, k=6))
+        direct = service.search(SearchRequest(node=2, k=6))
+        assert np.array_equal(pinned.ids, direct.ids)
+        assert pinned.scores.tobytes() == direct.scores.tobytes()
 
     def test_filtered_results_respect_filter(self, service):
         deny = NodeFilter(deny=[0, 1, 2])

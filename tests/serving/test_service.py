@@ -10,7 +10,7 @@ from repro.core.pane import PANEEmbedding
 from repro.parallel.pool import WorkerPool
 from repro.search.knn import top_k_similar
 from repro.serving.index import ExactBackend, IVFIndex
-from repro.serving.service import QueryService
+from repro.serving.service import QueryService, SearchRequest
 from repro.serving.store import EmbeddingStore
 
 
@@ -22,79 +22,84 @@ def service(store):
 
 class TestTopK:
     def test_matches_knn_search(self, service, trained_embedding):
-        result = service.top_k(0, 5)
+        result = service.search(SearchRequest(node=0, k=5))
         knn_ids, knn_scores = top_k_similar(trained_embedding.node_embeddings(), 0, 5)
         assert np.array_equal(result.ids, knn_ids)
         assert np.allclose(result.scores, knn_scores)
 
     def test_result_carries_version(self, service):
-        assert service.top_k(0, 3).version == "v00000001"
+        assert service.search(SearchRequest(node=0, k=3)).version == "v00000001"
 
     def test_self_excluded(self, service):
-        assert 7 not in service.top_k(7, 10).ids
+        assert 7 not in service.search(SearchRequest(node=7, k=10)).ids
 
     def test_out_of_range_rejected(self, service):
         with pytest.raises(IndexError):
-            service.top_k(10_000, 3)
+            service.search(SearchRequest(node=10_000, k=3))
 
     def test_latency_recorded(self, service):
-        service.top_k(1, 3)
-        snapshot = service.stats.snapshot()
-        assert snapshot["queries"] >= 1
-        assert snapshot["mean_seconds"] > 0
+        service.search(SearchRequest(node=1, k=3))
+        info = service.latency_info()
+        assert info["queries"] == info["calls"] == 1
+        assert info["total_seconds"] > 0
+        assert service.describe()["latency"] == info
 
 
 class TestCache:
     def test_second_call_cached(self, service):
-        first = service.top_k(2, 4)
-        second = service.top_k(2, 4)
+        first = service.search(SearchRequest(node=2, k=4))
+        second = service.search(SearchRequest(node=2, k=4))
         assert not first.cached
         assert second.cached
         assert np.array_equal(first.ids, second.ids)
         assert np.array_equal(first.scores, second.scores)
 
     def test_cache_keyed_by_k(self, service):
-        service.top_k(2, 4)
-        assert not service.top_k(2, 5).cached
+        service.search(SearchRequest(node=2, k=4))
+        assert not service.search(SearchRequest(node=2, k=5)).cached
 
     def test_caller_mutation_cannot_poison_cache(self, service):
-        first = service.top_k(2, 4)
+        first = service.search(SearchRequest(node=2, k=4))
         expected = first.ids.copy()
         first.ids[:] = -99  # caller scribbles on its own result
-        second = service.top_k(2, 4)
+        second = service.search(SearchRequest(node=2, k=4))
         assert second.cached
         assert np.array_equal(second.ids, expected)
 
     def test_batch_rows_cannot_poison_cache(self, service):
-        batch = service.batch_top_k([4, 5], 3)
+        batch = service.search(SearchRequest(nodes=[4, 5], k=3))
         expected = batch.ids.copy()
         batch.ids[:] = -99  # cached rows were views into this matrix
-        hit = service.top_k(4, 3)
+        hit = service.search(SearchRequest(node=4, k=3))
         assert hit.cached
         assert np.array_equal(hit.ids, expected[0])
 
     def test_cache_hit_counted(self, service):
-        service.top_k(3, 4)
-        service.top_k(3, 4)
-        assert service.stats.snapshot()["cache_hits"] == 1
+        """A hit is one cache-served query and one record — not two."""
+        service.search(SearchRequest(node=3, k=4))
+        service.search(SearchRequest(node=3, k=4))
+        assert service.cache_served_total.value() == 1
+        assert service.queries_total.value() == 2
+        assert service.query_seconds.cell()["count"] == 2
+        assert service.latency_info()["cache_hits"] == 1
 
     def test_cache_disabled(self, store):
         with QueryService(store, backend="exact", cache_size=0) as service:
-            service.top_k(1, 3)
-            assert not service.top_k(1, 3).cached
+            service.search(SearchRequest(node=1, k=3))
+            assert not service.search(SearchRequest(node=1, k=3)).cached
 
     def test_lru_eviction(self, store):
         with QueryService(store, backend="exact", cache_size=2) as service:
-            service.top_k(0, 3)
-            service.top_k(1, 3)
-            service.top_k(2, 3)  # evicts node 0
-            assert not service.top_k(0, 3).cached
+            service.search(SearchRequest(node=0, k=3))
+            service.search(SearchRequest(node=1, k=3))
+            service.search(SearchRequest(node=2, k=3))  # evicts node 0
+            assert not service.search(SearchRequest(node=0, k=3)).cached
 
     def test_cache_invalidated_by_version(self, store, trained_embedding, service):
-        service.top_k(0, 3)
+        service.search(SearchRequest(node=0, k=3))
         store.publish(trained_embedding)
         service.refresh_to_latest()
-        result = service.top_k(0, 3)
+        result = service.search(SearchRequest(node=0, k=3))
         assert not result.cached
         assert result.version == "v00000002"
 
@@ -102,39 +107,47 @@ class TestCache:
 class TestBatch:
     def test_batch_matches_singles(self, service):
         nodes = [0, 5, 9, 33]
-        batch = service.batch_top_k(nodes, 4)
+        batch = service.search(SearchRequest(nodes=nodes, k=4))
         assert batch.ids.shape == (4, 4)
         for row, node in enumerate(nodes):
-            single = service.top_k(node, 4)
+            single = service.search(SearchRequest(node=node, k=4))
             assert np.array_equal(batch.ids[row], single.ids)
 
     def test_batch_fills_cache(self, service):
-        service.batch_top_k([11, 12], 4)
-        assert service.top_k(11, 4).cached
+        service.search(SearchRequest(nodes=[11, 12], k=4))
+        assert service.search(SearchRequest(node=11, k=4)).cached
+
+    def test_batch_counts_members_and_observes_once(self, service):
+        """q nodes are q queries but one timed call (one histogram sample)."""
+        service.search(SearchRequest(nodes=[3, 4, 5, 6, 7], k=4))
+        assert service.queries_total.value() == 5
+        assert service.query_seconds.cell()["count"] == 1
+        assert service.cache_served_total.value() == 0
+        assert service.latency_info()["calls"] == 1
 
     def test_empty_batch_rejected(self, service):
         with pytest.raises(ValueError):
-            service.batch_top_k([], 4)
+            service.search(SearchRequest(nodes=[], k=4))
 
     def test_batch_through_larger_pool(self, store):
         with QueryService(store, backend="exact", n_threads=4) as service:
-            batch = service.batch_top_k(list(range(40)), 3)
+            batch = service.search(SearchRequest(nodes=list(range(40)), k=3))
             assert batch.ids.shape == (40, 3)
             for row in (0, 17, 39):
-                single = service.top_k(row, 3)
+                single = service.search(SearchRequest(node=row, k=3))
                 assert np.array_equal(batch.ids[row], single.ids)
 
 
 class TestVectorAndAttributeQueries:
     def test_similar_by_vector_finds_node(self, service, trained_embedding):
         vector = trained_embedding.node_embeddings()[4]
-        result = service.similar_by_vector(vector, 3)
+        result = service.search(SearchRequest(vector=vector, k=3))
         assert result.ids[0] == 4
         assert result.scores[0] == pytest.approx(1.0)
 
     def test_similar_by_vector_wrong_dim(self, service):
         with pytest.raises(ValueError):
-            service.similar_by_vector(np.ones(3), 3)
+            service.search(SearchRequest(vector=np.ones(3), k=3))
 
     def test_top_attributes_match_eq21(self, service, trained_embedding):
         result = service.top_attributes(6, 5)
@@ -160,9 +173,8 @@ class TestVectorAndAttributeQueries:
 
 class TestMicroBatching:
     def test_concurrent_calls_coalesce_correctly(self, store, trained_embedding):
-        with QueryService(
-            store, backend="exact", batch_window_s=0.01
-        ) as service:
+        with QueryService(store, backend="exact") as service:
+            coalescer = service.make_coalescer(0.01)
             expected = {
                 node: top_k_similar(trained_embedding.node_embeddings(), node, 4)[0]
                 for node in range(8)
@@ -172,7 +184,9 @@ class TestMicroBatching:
 
             def query(node: int) -> None:
                 try:
-                    results[node] = service.top_k(node, 4).ids
+                    results[node] = service.search(
+                        SearchRequest(node=node, k=4), coalescer=coalescer
+                    ).ids
                 except BaseException as error:  # pragma: no cover
                     errors.append(error)
 
@@ -187,21 +201,53 @@ class TestMicroBatching:
             for node in range(8):
                 assert np.array_equal(results[node], expected[node])
 
+    def test_coalesced_threads_share_one_group_and_version(self, store):
+        """search(req, coalescer=c) from 4 threads: one group, one version."""
+        with QueryService(store, backend="exact") as service:
+            # A long window that max_batch=4 cuts short: all four callers
+            # are queued before the leader drains, whatever the scheduling.
+            coalescer = service.make_coalescer(5.0, max_batch=4)
+            results: list = []
+            barrier = threading.Barrier(4)
+
+            def query(node: int) -> None:
+                barrier.wait(timeout=10)
+                results.append(
+                    service.search(SearchRequest(node=node, k=4), coalescer=coalescer)
+                )
+
+            threads = [threading.Thread(target=query, args=(n,)) for n in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(results) == 4
+            assert {r.group for r in results} == {0}
+            assert {r.version for r in results} == {"v00000001"}
+            # Each member is one query and one timed call of its own.
+            assert service.queries_total.value() == 4
+            assert service.query_seconds.cell()["count"] == 4
+            assert coalescer.info()["groups"] == 1
+
     def test_microbatch_fills_cache(self, store):
-        with QueryService(store, backend="exact", batch_window_s=0.005) as service:
-            service.top_k(0, 4)
-            assert service.top_k(0, 4).cached
+        with QueryService(store, backend="exact") as service:
+            coalescer = service.make_coalescer(0.005)
+            service.search(SearchRequest(node=0, k=4), coalescer=coalescer)
+            assert service.search(SearchRequest(node=0, k=4)).cached
 
     def test_batched_latency_includes_window(self, store):
         """Reported latency is what the caller experienced, window included."""
-        with QueryService(store, backend="exact", batch_window_s=0.02) as service:
-            result = service.top_k(0, 4)
+        with QueryService(store, backend="exact") as service:
+            result = service.search(
+                SearchRequest(node=0, k=4), coalescer=service.make_coalescer(0.02)
+            )
             assert result.latency_s >= 0.02
-            assert service.stats.snapshot()["max_seconds"] >= 0.02
+            assert service.latency_info()["total_seconds"] >= 0.02
 
     def test_stale_node_fails_alone_in_microbatch(self, service):
         """A node invalidated by a swap fails its own request, not the batch."""
-        from repro.serving.service import SearchRequest, _BatchRequest
+        from repro.serving.service import _BatchRequest
 
         bad = _BatchRequest(node=10_000, k=3, search=SearchRequest(node=10_000, k=3))
         good = _BatchRequest(node=0, k=3, search=SearchRequest(node=0, k=3))
@@ -219,8 +265,6 @@ class TestMicroBatching:
             attempts.append(len(batch))
             raise RuntimeError("boom")
 
-        from repro.serving.service import SearchRequest
-
         batcher = _MicroBatcher(0.001, execute)
         for _ in range(2):
             with pytest.raises(RuntimeError):
@@ -230,21 +274,6 @@ class TestMicroBatching:
         assert attempts == [1, 1]
         assert batcher._has_leader is False
         assert batcher._pending == []
-
-
-class TestLatencyStats:
-    def test_batch_record_adds_one_window_sample(self):
-        """One huge batch must not flush the rolling window with copies."""
-        from repro.serving.stats import LatencyStats
-
-        stats = LatencyStats(window=8)
-        for _ in range(5):
-            stats.record(0.001)
-        stats.record(2.0, queries=2)  # per-query mean 1.0, single sample
-        snapshot = stats.snapshot()
-        assert snapshot["queries"] == 7
-        assert snapshot["p50_seconds"] == pytest.approx(0.001)
-        assert snapshot["max_seconds"] == pytest.approx(1.0)
 
 
 class TestVersionSwap:
@@ -261,20 +290,20 @@ class TestVersionSwap:
         return store.publish(permuted), permuted
 
     def test_activate_swaps_results(self, store, trained_embedding, service):
-        before = service.top_k(0, 5)
+        before = service.search(SearchRequest(node=0, k=5))
         self._publish_permuted(store, trained_embedding)
         service.activate()
-        after = service.top_k(0, 5)
+        after = service.search(SearchRequest(node=0, k=5))
         assert after.version == "v00000002"
         assert not np.array_equal(before.ids, after.ids)
 
     def test_rollback_restores_old_answers(self, store, trained_embedding, service):
-        before = service.top_k(0, 5)
+        before = service.search(SearchRequest(node=0, k=5))
         self._publish_permuted(store, trained_embedding)
         service.activate()
         store.rollback()
         service.refresh_to_latest()
-        restored = service.top_k(0, 5)
+        restored = service.search(SearchRequest(node=0, k=5))
         assert restored.version == "v00000001"
         assert np.array_equal(restored.ids, before.ids)
 
@@ -312,7 +341,7 @@ class TestVersionSwap:
                 served = 0
                 while not stop.is_set():
                     node = int(rng.integers(20))
-                    result = service.top_k(node, 5)
+                    result = service.search(SearchRequest(node=node, k=5))
                     expected_ids, expected_scores = truth[result.version][node]
                     if not (
                         np.array_equal(result.ids, expected_ids)
@@ -378,7 +407,7 @@ class TestDescribe:
             )
 
     def test_describe_json_serializable_exact(self, service):
-        service.top_k(0, 5)  # populate latency stats
+        service.search(SearchRequest(node=0, k=5))  # populate the latency document
         info = service.describe()
         self._assert_plain_types(info)
         json.loads(json.dumps(info, allow_nan=False))
@@ -386,7 +415,7 @@ class TestDescribe:
     def test_describe_json_serializable_all_backends(self, store):
         for backend in ("ivf", "pq", "ivfpq"):
             with QueryService(store, backend=backend, nlist=4) as service:
-                service.top_k(0, 5)
+                service.search(SearchRequest(node=0, k=5))
                 info = service.describe()
                 assert info["backend_kind"] == backend
                 self._assert_plain_types(info)
@@ -398,7 +427,7 @@ class TestDescribe:
         store = ShardedEmbeddingStore(tmp_path / "sharded", n_shards=3)
         store.publish(trained_embedding)
         with QueryService(store, backend="exact") as service:
-            service.batch_top_k([0, 1, 2], 4)
+            service.search(SearchRequest(nodes=[0, 1, 2], k=4))
             info = service.describe()
             assert info["backend_kind"] == "sharded"
             assert info["n_shards"] == 3
@@ -418,7 +447,7 @@ class TestPinnedView:
     def test_pinned_view_survives_swap(self, store, trained_embedding, service):
         """A pinned view keeps answering from its snapshot across activate()."""
         view = service.pin()
-        before = view.top_k(0, 5)
+        before = view.search(SearchRequest(node=0, k=5))
         rng = np.random.default_rng(5)
         permutation = rng.permutation(trained_embedding.n_nodes)
         store.publish(
@@ -432,28 +461,27 @@ class TestPinnedView:
         service.activate()
         assert service.version == "v00000002"
         assert view.version == "v00000001"
-        pinned = view.batch_top_k([0, 1], 5)
+        pinned = view.search(SearchRequest(nodes=[0, 1], k=5))
         assert pinned.version == "v00000001"
         assert np.array_equal(pinned.ids[0], before.ids)
-        assert service.top_k(0, 5).version == "v00000002"
+        assert service.search(SearchRequest(node=0, k=5)).version == "v00000002"
 
     def test_pinned_view_shares_cache(self, service):
         view = service.pin()
-        view.top_k(3, 4)
-        assert service.top_k(3, 4).cached
+        view.search(SearchRequest(node=3, k=4))
+        assert service.search(SearchRequest(node=3, k=4)).cached
 
     def test_pinned_similar_by_vector(self, service, trained_embedding):
         view = service.pin()
-        result = view.similar_by_vector(
-            trained_embedding.node_embeddings()[7], 3
-        )
+        vector = trained_embedding.node_embeddings()[7]
+        result = view.search(SearchRequest(vector=vector, k=3))
         assert result.version == "v00000001"
         assert result.ids[0] == 7
 
     def test_pinned_validates_against_snapshot(self, service):
         view = service.pin()
         with pytest.raises(IndexError):
-            view.top_k(10_000, 5)
+            view.search(SearchRequest(node=10_000, k=5))
 
 
 class TestBackendSelection:
@@ -464,5 +492,5 @@ class TestBackendSelection:
     def test_explicit_ivf(self, store):
         with QueryService(store, backend="ivf", nlist=6, nprobe=6) as service:
             assert isinstance(service.backend, IVFIndex)
-            result = service.top_k(0, 5)
+            result = service.search(SearchRequest(node=0, k=5))
             assert result.ids.shape == (5,)

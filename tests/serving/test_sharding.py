@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.parallel.pool import WorkerPool
 from repro.serving.index import ExactBackend, IVFIndex
-from repro.serving.service import QueryService
+from repro.serving.service import QueryService, SearchRequest
 from repro.serving.sharding import (
     Partitioner,
     ShardedEmbeddingStore,
@@ -321,8 +321,13 @@ class TestShardRouterBitIdentity:
         partitioner = Partitioner.build("range", 2, 100)
         router = ShardRouter(_shard_backends(features, partitioner), partitioner)
         router.search(features[:6], 3)
-        for stats in router.shard_stats:
-            assert stats.snapshot()["queries"] == 6
+        router.search(features[0], 3)
+        # One observation per shard per scatter, whatever the batch size.
+        for shard in range(2):
+            assert router.search_seconds.cell(shard=shard)["count"] == 2
+        info = router.latency_info()
+        assert info["searches"] == 4
+        assert [entry["searches"] for entry in info["per_shard"]] == [2, 2]
 
 
 class TestShardedService:
@@ -344,12 +349,12 @@ class TestShardedService:
             sharded, backend="exact", n_threads=2
         ) as service:
             for node in (0, 7, 119):
-                want = reference.top_k(node, 5)
-                got = service.top_k(node, 5)
+                want = reference.search(SearchRequest(node=node, k=5))
+                got = service.search(SearchRequest(node=node, k=5))
                 assert np.array_equal(got.ids, want.ids)
                 assert np.array_equal(got.scores, want.scores)
-            want = reference.batch_top_k([3, 50, 99], 6)
-            got = service.batch_top_k([3, 50, 99], 6)
+            want = reference.search(SearchRequest(nodes=[3, 50, 99], k=6))
+            got = service.search(SearchRequest(nodes=[3, 50, 99], k=6))
             assert np.array_equal(got.ids, want.ids)
             assert np.array_equal(got.scores, want.scores)
 
@@ -368,7 +373,7 @@ class TestShardedService:
     def test_describe_reports_sharding_and_memory(self, stores):
         _, sharded = stores
         with QueryService(sharded, backend="exact") as service:
-            service.top_k(0, 3)
+            service.search(SearchRequest(node=0, k=3))
             info = service.describe()
         assert info["backend"] == "ShardRouter"
         assert info["sharding"]["n_shards"] == 3
@@ -381,33 +386,37 @@ class TestShardedService:
         assert info["memory"]["total_mapped_bytes"] == sum(
             info["memory"]["per_shard_bytes"]
         )
-        # Shard latency counters are per-shard searches: each logical
-        # query is scattered to all 3 shards and recorded once per shard.
-        merged = info["sharding"]["latency"]
-        assert merged["queries"] == 3 * info["latency"]["queries"]
-        assert merged["cache_hits"] == 0  # hits only exist at service level
+        # Shard latency counts per-shard searches: each uncached call is
+        # scattered to all 3 shards and observed once per shard.
+        assert info["sharding"]["latency"]["searches"] == 3 * info["latency"]["calls"]
 
     def test_version_swap_over_sharded_store(self, stores, trained_embedding):
         _, sharded = stores
         with QueryService(sharded, backend="exact") as service:
             assert service.version == "v00000001"
+            series = service.backend.search_seconds
+            service.search(SearchRequest(node=1, k=3))
             sharded.publish(trained_embedding)
             assert service.refresh_to_latest() == "v00000002"
-            result = service.top_k(0, 3)
+            result = service.search(SearchRequest(node=0, k=3))
             assert result.version == "v00000002"
+            # The new version's router keeps recording into the same
+            # per-shard series: a swap must not reset (or orphan) it.
+            assert service.backend.search_seconds is series
+            assert series.cell(shard=0)["count"] == 2
 
     def test_out_of_range_node_raises(self, stores):
         _, sharded = stores
         with QueryService(sharded, backend="exact") as service:
             with pytest.raises(IndexError):
-                service.top_k(10_000, 3)
+                service.search(SearchRequest(node=10_000, k=3))
 
     def test_sharded_index_cache_round_trip(self, stores):
         _, sharded = stores
         with QueryService(
             sharded, backend="ivf", nlist=4, index_cache=True
         ) as service:
-            first = service.top_k(1, 4)
+            first = service.search(SearchRequest(node=1, k=4))
         stored = sharded.open()
         for entry in stored.manifest["shards"]:
             segment = sharded.segment_store(entry["shard"])
@@ -415,38 +424,6 @@ class TestShardedService:
         with QueryService(
             sharded, backend="ivf", nlist=4, index_cache=True
         ) as service:
-            again = service.top_k(1, 4)
+            again = service.search(SearchRequest(node=1, k=4))
         assert np.array_equal(first.ids, again.ids)
         assert np.array_equal(first.scores, again.scores)
-
-
-class TestLatencyStatsMerge:
-    def test_merge_sums_disjoint_streams(self):
-        from repro.serving.stats import LatencyStats
-
-        a, b = LatencyStats(), LatencyStats()
-        a.record(0.1)
-        a.record(0.2, cached=True)
-        b.record(0.3, queries=4)
-        merged = LatencyStats.merge([a, b]).snapshot()
-        assert merged["queries"] == 6
-        assert merged["cache_hits"] == 1
-        assert merged["total_seconds"] == pytest.approx(0.6)
-
-    def test_merge_does_not_mutate_parts(self):
-        from repro.serving.stats import LatencyStats
-
-        a = LatencyStats()
-        a.record(0.5)
-        LatencyStats.merge([a, LatencyStats()])
-        assert a.snapshot()["queries"] == 1
-
-    def test_merge_window_keeps_tail(self):
-        from repro.serving.stats import LatencyStats
-
-        a = LatencyStats()
-        for _ in range(10):
-            a.record(1.0)
-        merged = LatencyStats.merge([a], window=4)
-        assert merged.snapshot()["p50_seconds"] == 1.0
-        assert len(merged._recent) == 4

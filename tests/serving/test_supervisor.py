@@ -21,7 +21,8 @@ from repro.serving.faults import FAULTS_ENV, INJECTED_KILL_EXIT, FaultPlan
 from repro.serving.http import protocol
 from repro.serving.http.client import ServingClient
 from repro.serving.http.supervisor import Supervisor, SupervisorConfig
-from repro.serving.service import QueryService
+from repro.serving.obs.metrics import family_total
+from repro.serving.service import QueryService, SearchRequest
 from repro.serving.store import EmbeddingStore
 
 
@@ -71,7 +72,7 @@ class TestLifecycle:
             reference = QueryService(
                 EmbeddingStore(store_root), backend="exact"
             )
-            expected = reference.top_k(3, k=8)
+            expected = reference.search(SearchRequest(node=3, k=8))
             n_requests = 10
             for _ in range(n_requests):
                 result = client.top_k(3, k=8)
@@ -93,20 +94,29 @@ class TestLifecycle:
             assert info["supervisor"]["version_skew"] is False
             assert "worker" not in info  # supervisor view, not one worker's
 
-            # Aggregated counters equal the sum over per-worker payloads
-            # (poll briefly: the endpoint stat records after the response).
+            # The fleet view is the merged registry and nothing else: its
+            # totals equal the sum over the per-worker registries (poll
+            # briefly: the request counter bumps after the response).
             def summed_matches():
                 metrics = admin.metrics()
-                aggregate = metrics["aggregate"]["endpoints"].get(
-                    protocol.TOPK, {}
-                )
+                assert "aggregate" not in metrics
                 per_worker = [
-                    worker["server"]["endpoints"][protocol.TOPK]["queries"]
+                    family_total(
+                        worker["registry"], "http_requests_total",
+                        endpoint=protocol.TOPK,
+                    )
                     for worker in metrics["workers"].values()
                 ]
+                fleet = metrics["registry"]
                 return (
                     metrics["supervisor"]["n_reporting"] == 2
-                    and aggregate.get("queries") == sum(per_worker) == n_requests
+                    and family_total(
+                        fleet, "http_requests_total", endpoint=protocol.TOPK
+                    )
+                    == sum(per_worker)
+                    == n_requests
+                    and family_total(fleet, "service_queries_total") == n_requests
+                    and family_total(fleet, "service_query_seconds") == n_requests
                 )
 
             wait_until(summed_matches, timeout_s=5.0, message="metric fan-in")

@@ -20,7 +20,7 @@ from repro.graph.generators import attributed_sbm
 from repro.serving.faults import FaultInjector, FaultPlan, InjectedFault
 from repro.serving.fsck import fsck_wal
 from repro.serving.gc import collect_versions
-from repro.serving.http import ApiError, EmbeddingServer, ServingClient
+from repro.serving.http import ApiError, EmbeddingServer, ServingClient, protocol
 from repro.serving.refresh import OnlineRefresher
 from repro.serving.service import QueryService
 from repro.serving.store import EmbeddingStore
@@ -377,6 +377,11 @@ class TestIngestPipeline:
                         break
                     time.sleep(0.02)
             assert pipeline.lsn_applied == 3
+            # lsn_applied moves at publish, GC runs after it in the same
+            # iteration: join the thread so the retention asserts cannot
+            # land between the two.
+            compactor.stop(timeout_s=30)
+            assert not compactor.is_alive()
             assert published  # the hook saw every publish
             assert compactor.last_error is None
             assert len(store.versions()) <= 2  # retention ran
@@ -634,6 +639,20 @@ class TestHttpUpsert:
             client.upsert(add_edges=[[0, 10_000]])
         assert excinfo.value.status == 400
         assert excinfo.value.code == "invalid_request"
+
+    def test_malformed_upsert_body_400(self, serving):
+        pipeline, _, client = serving
+        for body in (
+            {"add_edges": [[0, 1, 2]]},  # wrong width
+            {"add_edges": "nope"},
+            {"bogus": []},
+            {"delta": {"add_edges": [[0, 1]]}},  # the fields are top-level
+        ):
+            with pytest.raises(ApiError) as excinfo:
+                client._request("POST", protocol.UPSERT, body)
+            assert excinfo.value.status == 400
+            assert excinfo.value.code == "invalid_request"
+        assert pipeline.lsn_durable == 0  # rejected before the log
 
     def test_upsert_requires_a_payload(self, serving):
         _, _, client = serving

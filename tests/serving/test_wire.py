@@ -1,6 +1,6 @@
 """Tests for PR 5's request-path overhaul: binary frames, content-type
 negotiation, client keep-alive reuse, the server-side admission
-coalescer, cache counters, and the ``LatencyStats`` zero-sample edges.
+coalescer, and cache counters.
 
 The HTTP basics (endpoints, validation, drain, replicas) live in
 ``test_http.py``; everything here is the wire/coalescing layer added on
@@ -16,8 +16,7 @@ import pytest
 
 from repro.serving.http import ApiError, EmbeddingServer, ServingClient, run_load
 from repro.serving.http import protocol
-from repro.serving.service import QueryService
-from repro.serving.stats import LatencyStats
+from repro.serving.service import QueryService, SearchParams, SearchRequest
 
 
 @pytest.fixture()
@@ -103,9 +102,9 @@ class TestFrameCodec:
 
 class TestNegotiation:
     def test_json_client_against_new_server(self, server, service):
-        """The legacy wire must be untouched: same answers, JSON only."""
+        """The JSON wire must be untouched: same answers, JSON only."""
         client = ServingClient(server.url, wire="json")
-        local = service.top_k(0, 5)
+        local = service.search(SearchRequest(node=0, k=5))
         remote = client.top_k(0, 5)
         assert np.array_equal(remote.ids, local.ids)
         assert remote.scores.tobytes() == local.scores.tobytes()
@@ -115,7 +114,7 @@ class TestNegotiation:
         client = ServingClient(server.url, wire="binary")
         for node in (0, 7, 42):
             remote = client.top_k(node, 6)
-            local = service.top_k(node, 6)
+            local = service.search(SearchRequest(node=node, k=6))
             assert np.array_equal(remote.ids, local.ids)
             assert remote.scores.tobytes() == local.scores.tobytes()
         assert client.replicas[0].binary_seen
@@ -135,7 +134,7 @@ class TestNegotiation:
             client = ServingClient(old.url, wire="auto")
             for node in (0, 3):
                 remote = client.top_k(node, 5)
-                local = service.top_k(node, 5)
+                local = service.search(SearchRequest(node=node, k=5))
                 assert np.array_equal(remote.ids, local.ids)
                 assert remote.scores.tobytes() == local.scores.tobytes()
             assert not client.replicas[0].binary_seen
@@ -153,7 +152,7 @@ class TestNegotiation:
         client = ServingClient(server.url, wire="binary")
         nodes = [3, 1, 4, 1, 5]
         remote = client.batch_top_k(nodes, 5)
-        local = service.batch_top_k(nodes, 5)
+        local = service.search(SearchRequest(nodes=nodes, k=5))
         assert np.array_equal(remote.ids, local.ids)
         assert remote.scores.tobytes() == local.scores.tobytes()
         assert remote.queries == len(nodes)
@@ -162,7 +161,7 @@ class TestNegotiation:
         )
         vector = trained_embedding.node_embeddings()[11]
         remote = client.similar_by_vector(vector, 5)
-        local = service.similar_by_vector(vector, 5)
+        local = service.search(SearchRequest(vector=vector, k=5))
         assert np.array_equal(remote.ids, local.ids)
         assert remote.scores.tobytes() == local.scores.tobytes()
 
@@ -171,8 +170,10 @@ class TestNegotiation:
         with QueryService(store, backend="ivf", nlist=8, nprobe=1) as service:
             with EmbeddingServer(service) as server:
                 client = ServingClient(server.url, wire="binary")
-                remote = client.top_k(0, 60, nprobe=1)
-                local = service.top_k(0, 60, nprobe=1)
+                remote = client.top_k(0, 60, params={"nprobe": 1})
+                local = service.search(
+                    SearchRequest(node=0, k=60, params=SearchParams(nprobe=1))
+                )
                 assert np.array_equal(remote.ids, local.ids)
                 assert remote.scores.tobytes() == local.scores.tobytes()
 
@@ -287,8 +288,7 @@ class TestCoalescing:
                 assert first.group != second.group  # two drains, two groups
                 assert np.array_equal(first.ids, second.ids)
                 assert first.scores.tobytes() == second.scores.tobytes()
-                stats = service.stats.snapshot()
-                assert stats["queries"] >= 2
+                assert service.latency_info()["queries"] >= 2
 
     def test_cache_hits_bypass_coalescer(self, store):
         with QueryService(store, backend="exact") as service:
@@ -347,9 +347,9 @@ class TestCoalescing:
 class TestCacheCounters:
     def test_cache_info_counts_hits_and_misses(self, service):
         before = service.cache_info()
-        service.top_k(0, 5)  # miss
-        service.top_k(0, 5)  # hit
-        service.top_k(1, 5)  # miss
+        service.search(SearchRequest(node=0, k=5))  # miss
+        service.search(SearchRequest(node=0, k=5))  # hit
+        service.search(SearchRequest(node=1, k=5))  # miss
         info = service.cache_info()
         assert info["hits"] - before["hits"] == 1
         assert info["misses"] - before["misses"] == 2
@@ -359,7 +359,7 @@ class TestCacheCounters:
 
     def test_disabled_cache_records_nothing(self, store):
         with QueryService(store, backend="exact", cache_size=0) as service:
-            service.top_k(0, 5)
+            service.search(SearchRequest(node=0, k=5))
             info = service.cache_info()
             assert info == {
                 "entries": 0, "capacity": 0,
@@ -375,44 +375,6 @@ class TestCacheCounters:
         assert metrics["cache"]["hits"] >= 1
         assert metrics["cache"]["misses"] >= 1
         assert metrics["cache"]["entries"] >= 1
-
-
-class TestLatencyStatsEdges:
-    def test_merge_of_empty_list_is_well_defined(self):
-        snapshot = LatencyStats.merge([]).snapshot()
-        assert snapshot["queries"] == 0
-        assert snapshot["samples"] == 0
-        # The percentile keys are present (0.0), not missing — callers
-        # never need to guard the zero-sample path.
-        assert snapshot["p50_seconds"] == 0.0
-        assert snapshot["p95_seconds"] == 0.0
-        assert snapshot["max_seconds"] == 0.0
-        assert snapshot["cache_hit_rate"] == 0.0
-
-    def test_merge_of_all_empty_parts(self):
-        merged = LatencyStats.merge([LatencyStats(), LatencyStats()])
-        snapshot = merged.snapshot()
-        assert snapshot["queries"] == 0
-        assert snapshot["p50_seconds"] == 0.0
-
-    def test_fresh_snapshot_has_full_schema(self):
-        snapshot = LatencyStats().snapshot()
-        assert {
-            "queries", "cache_hits", "cache_hit_rate", "total_seconds",
-            "mean_seconds", "samples", "p50_seconds", "p95_seconds",
-            "max_seconds",
-        } <= set(snapshot)
-
-    def test_single_sample_group(self):
-        stats = LatencyStats()
-        stats.record(0.002, queries=1)
-        snapshot = stats.snapshot()
-        assert snapshot["samples"] == 1
-        assert snapshot["p50_seconds"] == pytest.approx(0.002)
-
-    def test_zero_query_record_rejected(self):
-        with pytest.raises(ValueError):
-            LatencyStats().record(0.1, queries=0)
 
 
 class TestLoadgenPerQuery:
@@ -500,7 +462,9 @@ class TestPoolHazards:
 
             def fire(node: int) -> None:
                 results.append(
-                    service.top_k_coalesced(coalescer, node, 4)
+                    service.search(
+                        SearchRequest(node=node, k=4), coalescer=coalescer
+                    )
                 )
 
             threads = [

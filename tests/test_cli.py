@@ -370,12 +370,12 @@ class TestHTTPServeCli:
                 assert json.loads(response.read())["status"] == "ok"
 
             from repro.serving.http import ServingClient
-            from repro.serving.service import QueryService
+            from repro.serving.service import QueryService, SearchRequest
             from repro.serving.store import EmbeddingStore
 
             remote = ServingClient(url).top_k(0, 5)
             with QueryService(EmbeddingStore(store), backend="exact") as local:
-                expected = local.top_k(0, 5)
+                expected = local.search(SearchRequest(node=0, k=5))
             assert np.array_equal(remote.ids, expected.ids)
             assert remote.scores.tobytes() == expected.scores.tobytes()
             process.send_signal(signal.SIGTERM)
@@ -457,7 +457,7 @@ class TestWireAndCoalesceCLI:
 
         from repro.serving.http import ServingClient
         from repro.serving.http.loadgen import spawn_cli_server
-        from repro.serving.service import QueryService
+        from repro.serving.service import QueryService, SearchRequest
         from repro.serving.store import EmbeddingStore
 
         store = tmp_path / "store"
@@ -475,7 +475,7 @@ class TestWireAndCoalesceCLI:
             remote = client.top_k(0, 5)
             assert remote.group is not None  # answered by the coalescer
             with QueryService(EmbeddingStore(store), backend="exact") as local:
-                expected = local.top_k(0, 5)
+                expected = local.search(SearchRequest(node=0, k=5))
             assert np.array_equal(remote.ids, expected.ids)
             assert remote.scores.tobytes() == expected.scores.tobytes()
             process.send_signal(signal.SIGTERM)
