@@ -4,13 +4,15 @@ Times the kernels of :mod:`repro.core.kernels` against frozen copies of
 the seed implementations they replaced:
 
 - ``ccd_refine``      — a full CCD refine (default n=20k, d=512, k=128,
-  ``t`` sweeps): seed ``np.outer`` rank-1 sweeps vs the coefficient-space
-  GEMM sweep in Alg. 4's order (B=1) and in block Gauss–Seidel order
-  (B>1, serial and parallel).  The B=1 objective must agree with the
-  frozen seed sweep to 1e-9 relative (same update order, re-associated
-  arithmetic), and a full run must keep B=1 at >= 5x the seed sweep.
+  ``t`` sweeps): seed ``np.outer`` rank-1 sweeps over residuals the
+  baseline builds for itself vs the residual-free coefficient-space sweep
+  in Alg. 4's order (B=1) and in block Gauss–Seidel order (B>1, serial
+  and parallel).  The B=1 objective must agree with the frozen seed sweep
+  to 1e-9 relative (same update order, re-associated arithmetic), and a
+  full run must keep B=1 at >= 5x the seed sweep.
 - ``propagation``     — the Eq. (6) recurrence: per-hop allocation vs the
-  ping-pong two-buffer kernel.
+  row-blocked ping-pong kernel at 1 and 2 threads, which must return the
+  allocating loop's bits (``array_equal``) at both.
 - ``worker_pool``     — many small parallel phases: ephemeral
   ``ThreadPoolExecutor`` per call vs one persistent ``WorkerPool``.
 
@@ -19,7 +21,7 @@ Run as a script (not under pytest)::
     PYTHONPATH=src python benchmarks/bench_kernels.py              # full record
     PYTHONPATH=src python benchmarks/bench_kernels.py --smoke      # CI-sized
 
-The JSON record (schema ``bench_kernels/v2``, see ``docs/PERFORMANCE.md``)
+The JSON record (schema ``bench_kernels/v3``, see ``docs/PERFORMANCE.md``)
 stores the machine info (CPU count, BLAS thread setting, git SHA), the
 parameters, per-kernel seconds, and speedups relative to the seed
 implementation so future PRs have a regression trajectory.  BLAS is pinned
@@ -63,10 +65,15 @@ _EXACT_SPEEDUP_FLOOR = 5.0
 # ---------------------------------------------------------------------------
 
 
-def seed_ccd_sweep(state: InitState) -> None:
-    """The seed rank-1 ``np.outer`` CCD sweep, kept verbatim as baseline."""
+def seed_ccd_sweep(
+    state: InitState, s_forward: np.ndarray, s_backward: np.ndarray
+) -> None:
+    """The seed rank-1 ``np.outer`` CCD sweep, kept verbatim as baseline.
+
+    ``s_forward`` / ``s_backward`` are the residual caches Alg. 4 carries
+    (``X·Yᵀ − F′``); the caller builds them once, as the seed's init did.
+    """
     x_forward, x_backward, y = state.x_forward, state.x_backward, state.y
-    s_forward, s_backward = state.s_forward, state.s_backward
     half = y.shape[1]
     for l in range(half):
         y_col = y[:, l]
@@ -105,12 +112,13 @@ def seed_propagation(transition, p0: np.ndarray, alpha: float, t: int) -> np.nda
 
 
 def _clone(state: InitState) -> InitState:
+    """Copy the factors; the affinities are read-only and shared."""
     return InitState(
         state.x_forward.copy(),
         state.x_backward.copy(),
         state.y.copy(),
-        state.s_forward.copy(),
-        state.s_backward.copy(),
+        state.forward,
+        state.backward,
     )
 
 
@@ -130,12 +138,15 @@ def bench_ccd(n: int, d: int, k: int, sweeps: int, block_size: int, n_threads: i
     results: dict[str, dict[str, float]] = {}
 
     state = _clone(base)
+    s_forward = state.x_forward @ state.y.T - forward
+    s_backward = state.x_backward @ state.y.T - backward
 
     def run_seed() -> None:
         for _ in range(sweeps):
-            seed_ccd_sweep(state)
+            seed_ccd_sweep(state, s_forward, s_backward)
 
     seed_seconds = _timed(run_seed)
+    del s_forward, s_backward
     seed_objective = cached_objective(state)
     results["seed_rank1"] = {"seconds": seed_seconds, "objective": seed_objective}
 
@@ -170,26 +181,33 @@ def bench_ccd(n: int, d: int, k: int, sweeps: int, block_size: int, n_threads: i
 
 
 def bench_propagation(n: int, d: int, t: int, alpha: float, density: float = 2e-3):
-    """Time the Eq. (6) recurrence: allocating loop vs ping-pong kernel."""
+    """Time the Eq. (6) recurrence: allocating loop vs the row-blocked kernel."""
     import scipy.sparse as sp
 
     rng = np.random.default_rng(0)
     transition = sp.random(n, n, density=density, format="csr", random_state=0)
     p0 = rng.random((n, d))
 
-    seed_seconds = _timed(lambda: seed_propagation(transition, p0, alpha, t))
-    kernel_seconds = _timed(
-        lambda: propagate_recurrence(transition, p0.copy(), alpha, t)
-    )
-    return {
-        "seed_allocating": {"seconds": seed_seconds},
-        "kernel_pingpong": {
-            "seconds": kernel_seconds,
-            "speedup_vs_seed": seed_seconds / kernel_seconds
-            if kernel_seconds > 0
-            else float("inf"),
-        },
-    }
+    start = time.perf_counter()
+    expected = seed_propagation(transition, p0, alpha, t)
+    seed_seconds = time.perf_counter() - start
+    results = {"seed_allocating": {"seconds": seed_seconds}}
+    for name, n_threads in (("kernel_pingpong", 1), ("kernel_pingpong_parallel", 2)):
+        with WorkerPool(n_threads) as pool:
+            start = time.perf_counter()
+            produced = propagate_recurrence(
+                transition, p0.copy(), alpha, t, n_threads=n_threads, pool=pool
+            )
+            seconds = time.perf_counter() - start
+        # Same arithmetic in the same order for every row, whichever span
+        # and tile it falls in: the bits of the allocating loop.
+        assert np.array_equal(produced, expected), name
+        results[name] = {
+            "seconds": seconds,
+            "n_threads": float(n_threads),
+            "speedup_vs_seed": seed_seconds / seconds if seconds > 0 else float("inf"),
+        }
+    return results
 
 
 def bench_pool(n_calls: int, n_threads: int, work_size: int = 50_000):
@@ -275,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
 
     record = {
         "meta": {
-            "schema": "bench_kernels/v2",
+            "schema": "bench_kernels/v3",
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,

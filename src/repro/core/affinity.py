@@ -11,11 +11,13 @@ the recurrence of Alg. 2 lines 3–5 in O(m·d·t) time.
 ``2^F′ − 1``, and base-2 reproduces the paper's Table 2 running-example
 values (e.g. the v6/r3 entry 2.05).
 
-The Eq. (6) recurrence itself runs through the shared ping-pong kernel
-:func:`repro.core.kernels.propagate_recurrence`, which reuses two
-preallocated ``n × d`` buffers per direction instead of allocating a
-fresh matrix every hop (APMI, PAPMI, and the sparse variant all share
-this one propagation helper).
+The Eq. (6) recurrence runs through the one ping-pong kernel
+:func:`repro.core.kernels.propagate_recurrence` on two ``n × d`` buffers
+per direction that :func:`apmi` owns; the SPMI normalization of Eq. (7)
+then writes ``F′`` / ``B′`` into the spare buffer of the pair, so a
+direction costs three ``n × d`` arrays and no temporary.  With
+``n_threads > 1`` both steps split over row spans of their *output* —
+that call is PAPMI (:func:`papmi`) — and return the same bits regardless.
 """
 
 from __future__ import annotations
@@ -25,10 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.kernels import propagate_recurrence
+from repro.core.kernels import propagate_recurrence, row_tiles
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.matrices import normalized_attribute_matrices, random_walk_matrix
-from repro.utils.sparse import dense_column_normalize, dense_row_normalize
+from repro.parallel.executor import run_blocks
+from repro.parallel.partitioning import partition_spans
+from repro.parallel.pool import WorkerPool
 from repro.utils.validation import check_probability
 
 
@@ -66,16 +70,36 @@ class AffinityPair:
     backward_probabilities: np.ndarray
 
 
-def _affinity_from_probabilities(
-    pf: np.ndarray, pb: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the SPMI normalization of Eq. (7) to walk-probability matrices."""
-    n, d = pf.shape
-    pf_hat = dense_column_normalize(pf)
-    pb_hat = dense_row_normalize(pb)
-    forward = np.log2(1.0 + n * pf_hat)
-    backward = np.log2(1.0 + d * pb_hat)
-    return forward, backward
+def _spmi_into(
+    probabilities: np.ndarray,
+    out: np.ndarray,
+    axis: int,
+    *,
+    n_threads: int = 1,
+    pool: WorkerPool | None = None,
+) -> np.ndarray:
+    """SPMI normalization of Eq. (7): ``out ← log2(1 + m·P / sums)``.
+
+    ``axis=0`` normalizes columns, ``m = n`` (forward affinity); ``axis=1``
+    rows, ``m = d`` (backward); all-zero rows/columns stay zero.  The sums
+    are taken once; the elementwise part runs over ``n_threads`` row spans
+    in row tiles written straight into ``out`` — the same operations in
+    the same order whatever the split.
+    """
+    n, d = probabilities.shape
+    sums = probabilities.sum(axis=axis, keepdims=True)
+    safe = np.broadcast_to(np.where(sums == 0, 1.0, sums), (n, d))
+
+    def normalize(_: int, span: slice) -> None:
+        for rows in row_tiles(span, d):
+            tile = out[rows]
+            np.divide(probabilities[rows], safe[rows], out=tile)
+            tile *= probabilities.shape[axis]
+            tile += 1.0
+            np.log2(tile, out=tile)
+
+    run_blocks(normalize, partition_spans(n, n_threads), n_threads=n_threads, pool=pool)
+    return out
 
 
 def apmi(
@@ -85,6 +109,8 @@ def apmi(
     *,
     n_iterations: int | None = None,
     dangling: str = "zero",
+    n_threads: int = 1,
+    pool: WorkerPool | None = None,
 ) -> AffinityPair:
     """Approximate forward/backward affinity matrices (Algorithm 2).
 
@@ -100,6 +126,9 @@ def apmi(
         Explicit iteration count ``t`` (overrides ``epsilon``).
     dangling:
         Dangling-node policy for the random-walk matrix.
+    n_threads, pool:
+        Row spans to split each hop and the normalization over, and the
+        persistent pool to run them on; the result depends on neither.
 
     Returns
     -------
@@ -110,18 +139,47 @@ def apmi(
     transition = random_walk_matrix(graph, dangling=dangling)
     rr, rc = normalized_attribute_matrices(graph)
 
-    # Initializing with α·Rr makes the recurrence compute Eq. (6)'s
-    # truncated series exactly (the printed Alg. 2 seeds with Rr, which
-    # overweights the final hop and would break Lemma 3.1's lower bound).
-    pf = propagate_recurrence(transition, rr.toarray(), alpha, t)
-    pb = propagate_recurrence(transition.T.tocsr(), rc.toarray(), alpha, t)
+    def direction(matrix, attributes, axis: int) -> tuple[np.ndarray, np.ndarray]:
+        # Initializing with α·Rr makes the recurrence compute Eq. (6)'s
+        # truncated series exactly (the printed Alg. 2 seeds with Rr, which
+        # overweights the final hop and would break Lemma 3.1's lower bound).
+        restart = attributes.toarray()
+        buffers = np.empty_like(restart), np.empty_like(restart)
+        probabilities = propagate_recurrence(
+            matrix, restart, alpha, t, buffers=buffers, n_threads=n_threads, pool=pool
+        )
+        spare = buffers[1] if probabilities is buffers[0] else buffers[0]
+        affinity = _spmi_into(probabilities, spare, axis, n_threads=n_threads, pool=pool)
+        return affinity, probabilities
 
-    forward, backward = _affinity_from_probabilities(pf, pb)
-    return AffinityPair(
-        forward=forward,
-        backward=backward,
-        forward_probabilities=pf,
-        backward_probabilities=pb,
+    forward, pf = direction(transition, rr, 0)
+    backward, pb = direction(transition.T.tocsr(), rc, 1)
+    return AffinityPair(forward, backward, pf, pb)
+
+
+def papmi(
+    graph: AttributedGraph,
+    alpha: float = 0.5,
+    epsilon: float = 0.015,
+    *,
+    n_threads: int = 2,
+    n_iterations: int | None = None,
+    dangling: str = "zero",
+    pool: WorkerPool | None = None,
+) -> AffinityPair:
+    """PAPMI (Algorithm 6): :func:`apmi` over ``n_threads`` row spans.
+
+    The paper splits the *attribute* set into blocks and runs APMI on each
+    column block of ``Rr`` / ``Rc``; that needs a copy of every block,
+    per-block buffers, a narrower SpMM per non-zero and two concatenations,
+    and measured slower at two threads than APMI at one.  With row spans
+    every output row is produced by the same instruction sequence whichever
+    span owns it, so PAPMI equals APMI bit for bit at every thread count
+    (Lemma 4.1); the cost is one barrier per hop.
+    """
+    return apmi(
+        graph, alpha, epsilon, n_iterations=n_iterations, dangling=dangling,
+        n_threads=n_threads, pool=pool,
     )
 
 
@@ -156,10 +214,6 @@ def exact_affinity(
         pf += weight * term_f
         pb += weight * term_b
 
-    forward, backward = _affinity_from_probabilities(pf, pb)
-    return AffinityPair(
-        forward=forward,
-        backward=backward,
-        forward_probabilities=pf,
-        backward_probabilities=pb,
-    )
+    forward = _spmi_into(pf, np.empty_like(pf), 0)
+    backward = _spmi_into(pb, np.empty_like(pb), 1)
+    return AffinityPair(forward, backward, pf, pb)

@@ -1,46 +1,48 @@
 """Compute kernels for the PANE pipeline: CCD sweeps and Eq. (6) propagation.
 
 CCD sweep (:func:`ccd_sweep`, Alg. 4 / Alg. 8).  The paper's sweep is
-``2·k`` sequential rank-1 updates, each streaming an ``n × d`` residual
-several times.  The same iterate comes out of GEMMs, because the
-sequential part only lives in the ``k/2``-dimensional coefficient space:
+``2·k`` sequential rank-1 updates on two ``n × d`` residual caches
+``Sf = Xf·Yᵀ − F′``, ``Sb = Xb·Yᵀ − B′``.  The same iterate comes out of
+GEMMs with the *fixed* affinities: the sequential part only lives in the
+``h = k/2``-dimensional coefficient space, and the residuals enter only
+through products that expand over ``F′``, ``B′``.
 
-- X phase (``Y`` fixed, ``G = YᵀY``, ``C = S·Y``): coordinate ``l`` sees the
-  residual left by coordinates ``j < l``, so Alg. 4's steps satisfy
-  ``μ_l = (C[:, l] − Σ_{j<l} μ_j·G[j, l]) / G[l, l]``, i.e. ``Mu·triu(G) = C``.
-- Hence ``Mu = S·Z`` with ``Z = Y·triu(G)⁻¹`` — one forward substitution on
-  the ``d × k/2`` side — then ``X −= Mu`` and ``S −= Mu·Yᵀ``.
-- Y phase (``Xf, Xb`` fixed, ``G = XfᵀXf + XbᵀXb``, ``C = XfᵀSf + XbᵀSb``):
-  ``tril(G)·Mu = C``, then ``Y −= Muᵀ``, ``Sf −= Xf·Mu``, ``Sb −= Xb·Mu``.
-- That is 8 ``n × d × k/2`` GEMMs per sweep — the ``8·n·d·k`` flops the paper
-  counts — and, with each span worked in cache-sized row tiles, ≈ 10 passes
-  over a residual instead of ≈ 10·k, with no ``n × d`` temporary.
-- ``block_size = B`` is the same recurrence with the scalar division
-  replaced by the block's Gram pseudo-inverse and the triangular part by
-  the block-triangular part (block Gauss–Seidel; ``B = 1`` is its
-  ``1 × 1``-block case and is Alg. 4's own update order).
+- X phase (``Y`` fixed, ``G = YᵀY``): coordinate ``l`` sees the residual
+  left by coordinates ``j < l``, so Alg. 4's steps satisfy
+  ``Mu·triu(G) = S·Y``, i.e. ``Mu = S·Z`` with ``Z = Y·triu(G)⁻¹`` (one
+  forward substitution on the ``d × h`` side) ``= X·W − F′·Z`` with
+  ``W = YᵀZ`` (``h × h``): per row tile, ``X −= X·W − F′·Z``.
+- Y phase (``Xf, Xb`` fixed, ``G = XfᵀXf + XbᵀXb``, ``P = XfᵀF′ + XbᵀB′``):
+  ``XᵀS = G·Yᵀ − P``, so ``tril(G)·Mu = G·Yᵀ − P`` and ``Y −= Muᵀ``.  ``P``
+  and ``G`` are sums over rows of the *updated* ``X``, so they accumulate in
+  the same pass over the row tiles; the solve is ``h``-wide.
+- That is 4 ``n × d × h`` GEMMs per sweep (``F′Z``, ``B′Z``, ``XfᵀF′``,
+  ``XbᵀB′``) — half of the ``8·n·d·k`` flops the paper counts — one read of
+  ``F′`` and ``B′`` in cache-sized row tiles, and no ``n × d`` write.
+- The objective falls out for ``O(d·h²)``:
+  ``O = ‖F′‖² + ‖B′‖² − 2⟨P, Yᵀ⟩ + ⟨G, YᵀY⟩`` with the updated ``Y``.
+- ``block_size = B`` replaces the scalar division by the block's Gram
+  pseudo-inverse and ``triu``/``tril`` by their block forms (block
+  Gauss–Seidel; ``B = 1`` is Alg. 4's own update order).  Every ``B`` costs
+  the same GEMMs: it selects an update order, not a speed.
 
 Numerical contract: same update order as Alg. 4 (``B = 1``) or as block
-Gauss–Seidel (``B > 1``); agreement with the literal reference loops
-within ``1e-10`` on the test problems (the arithmetic is re-associated,
-so results are *not* bit-identical to a rank-1 implementation); residual
-caches consistent with ``X·Yᵀ − F′``; objective monotone non-increasing
-for every ``B``; dead coordinates take a zero step; and a single-thread
-run is bit-reproducible run to run.  Serial and threaded execution are
-one code path: a row-span function for the X phase, a column-span
-function for the Y phase, one dispatch per phase.  ``B`` no longer buys
-speed — every ``B`` costs the same 8 GEMMs — only a different update
-order.
+Gauss–Seidel (``B > 1``); agreement with the literal residual-space
+reference loops within ``1e-10`` on the test problems at 1–3 threads (the
+arithmetic is re-associated, so *not* bit-identical to a rank-1
+implementation); objective monotone non-increasing for every ``B``,
+near-collinear columns included; a dead coordinate takes an exactly zero
+step at ``B = 1``; ``F′``/``B′`` are never written; a single-thread run is
+bit-reproducible run to run, and so is any fixed thread count (it fixes
+the spans and the order their partial sums are added in).  Serial and
+threaded execution are one code path, one dispatch per sweep.
 
-Eq. (6) propagation:
-
-- :func:`propagate_recurrence` — the shared ping-pong evaluator used by
-  APMI, PAPMI, and (in sparse form, :func:`propagate_recurrence_sparse`)
-  the pruned sparse variant; two preallocated buffers per direction
-  replace one allocation per hop.
-- :func:`spmm_into` — sparse·dense product into a caller-owned output
-  buffer (CSR fast path via ``scipy.sparse._sparsetools.csr_matvecs``,
-  transparent fallback when unavailable).
+Eq. (6) propagation: :func:`propagate_recurrence` is the one evaluator
+behind APMI and PAPMI — a hop is one dispatch over row spans of the
+*output*, on two caller-owned ping-pong buffers, bit-identical for every
+thread count — with :func:`spmm_into` writing rows of a CSR·dense product
+straight into the output buffer; :func:`propagate_recurrence_sparse` is
+the pruned sparse form.
 
 See ``docs/PERFORMANCE.md`` for measurements and the
 ``benchmarks/bench_kernels.py`` record format.
@@ -62,7 +64,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 #: Denominators below this are treated as a dead coordinate and skipped.
 _EPS_DENOM = 1e-300
-#: Size of the residual tile a CCD span works on at a time (``_row_tiles``).
+#: Size of the ``n × d`` operand tile a span works on at a time (``row_tiles``).
 _TILE_BYTES = 512 * 1024
 
 try:  # CSR kernels shipped with scipy; private but stable since 2008.
@@ -79,21 +81,25 @@ except ImportError:  # pragma: no cover - depends on scipy build
 # ---------------------------------------------------------------------------
 
 
-def spmm_into(matrix, dense: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out ← matrix @ dense`` without allocating the product.
+def spmm_into(
+    matrix, dense: np.ndarray, out: np.ndarray, rows: slice | None = None
+) -> np.ndarray:
+    """``out[rows] ← (matrix @ dense)[rows]`` without allocating the product.
 
-    The CSR fast path writes straight into ``out`` (bit-identical to
-    ``matrix @ dense``, which calls the same scipy kernel); any other
-    matrix type or memory layout falls back to an allocating product
-    copied into ``out``.
+    ``rows`` (default: all) is a contiguous row range.  The CSR fast path
+    hands scipy's kernel ``indptr[r0:r1+1]``, which indexes the full
+    ``indices``/``data``, so nothing is sliced or copied, and writes
+    straight into ``out`` (bit-identical to ``matrix @ dense``, the same
+    kernel); any other matrix type or memory layout falls back to an
+    allocating product copied into ``out[rows]``.
     """
-    if matrix.shape[1] != dense.shape[0] or out.shape != (
-        matrix.shape[0],
-        dense.shape[1],
-    ):
+    if matrix.shape[1] != dense.shape[0] or out.shape != (matrix.shape[0], dense.shape[1]):
         raise ValueError(
             f"shape mismatch: {matrix.shape} @ {dense.shape} -> {out.shape}"
         )
+    if rows is None:
+        rows = slice(0, matrix.shape[0])
+    target = out[rows]
     if (
         _HAVE_CSR_MATVECS
         and sp.issparse(matrix)
@@ -104,20 +110,37 @@ def spmm_into(matrix, dense: np.ndarray, out: np.ndarray) -> np.ndarray:
         and dense.flags.c_contiguous
         and out.flags.c_contiguous
     ):
-        out.fill(0.0)
+        target.fill(0.0)
         _sparsetools.csr_matvecs(
-            matrix.shape[0],
+            rows.stop - rows.start,
             matrix.shape[1],
             dense.shape[1],
-            matrix.indptr,
+            matrix.indptr[rows.start : rows.stop + 1],
             matrix.indices,
             matrix.data,
             dense.ravel(),
-            out.ravel(),
+            target.ravel(),
         )
         return out
-    np.copyto(out, np.asarray(matrix @ dense))
+    np.copyto(target, np.asarray(matrix[rows] @ dense))
     return out
+
+
+def _work_spans(matrix, n_blocks: int) -> list[slice]:
+    """Row spans of about equal propagation work, read off ``indptr``.
+
+    A row of a hop costs one ``d``-wide axpy per non-zero plus about two
+    more for the fill, scale and restart passes.  Rows of ``Tᵀ`` follow the
+    in-degree distribution — power-law, and sorted by node id in generated
+    graphs — so equal row counts can leave one span nearly all the SpMM.
+    """
+    n = matrix.shape[0]
+    if n_blocks == 1 or not (sp.issparse(matrix) and matrix.format == "csr"):
+        return partition_spans(n, n_blocks)
+    work = matrix.indptr + 2 * np.arange(n + 1)
+    cuts = np.searchsorted(work, np.linspace(0, work[-1], n_blocks + 1)[1:-1])
+    bounds = [0, *cuts.tolist(), n]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
 
 def propagate_recurrence(
@@ -127,14 +150,21 @@ def propagate_recurrence(
     t: int,
     *,
     buffers: tuple[np.ndarray, np.ndarray] | None = None,
+    n_threads: int = 1,
+    pool: "WorkerPool | None" = None,
 ) -> np.ndarray:
     """Evaluate the Alg. 2 recurrence ``p ← (1−α)·T·p + α·p0`` for ``t`` hops.
 
     Starting from ``p = α·p0``, this computes Eq. (6)'s truncated series
     exactly (seeding with ``α·Rr`` rather than the printed ``Rr`` — see
-    :func:`repro.core.affinity.apmi`).  Instead of allocating a fresh
-    ``n × c`` matrix per hop, the recurrence ping-pongs between two
-    preallocated buffers.
+    :func:`repro.core.affinity.apmi`), ping-ponging between two
+    preallocated buffers.  A hop is one dispatch over ``n_threads`` row
+    spans of the *output*: each span accumulates ``T[rows]·p``, scales it
+    and adds its rows of the restart term — four calls per span, because
+    scipy's SpMM holds the GIL and every further call is one more hand-off
+    between the spans (tiling the span measured slower).  Every row goes
+    through the same instruction sequence whichever span owns it, so the
+    result is bit-identical for every thread count.
 
     ``p0`` is scaled by ``alpha`` **in place** and serves as the constant
     restart term, so the caller must own it (both call sites densify a
@@ -148,10 +178,15 @@ def propagate_recurrence(
         current, scratch = buffers
     np.copyto(current, p0)
     decay = 1.0 - alpha
+    spans = _work_spans(transition, n_threads)
     for _ in range(t):
-        spmm_into(transition, current, scratch)
-        scratch *= decay
-        scratch += p0
+
+        def hop(_: int, rows: slice, source=current, target=scratch) -> None:
+            spmm_into(transition, source, target, rows)
+            target[rows] *= decay
+            target[rows] += p0[rows]
+
+        run_blocks(hop, spans, n_threads=n_threads, pool=pool)
         current, scratch = scratch, current
     return current
 
@@ -239,12 +274,12 @@ def _gauss_seidel_solver(gram: np.ndarray, block_size: int):
     return solve
 
 
-def _row_tiles(span: slice, width: int) -> list[slice]:
+def row_tiles(span: slice, width: int) -> list[slice]:
     """Cut ``span`` into row tiles of about ``_TILE_BYTES`` (``rows × width`` float64).
 
-    A residual tile and the GEMM output subtracted from it then stay
-    cache-resident instead of streaming through an ``n × d`` temporary
-    (measured ≈ 10 % off a sweep; peak memory stays at the residuals).
+    A tile of an ``n × d`` operand and the skinny results computed from it
+    then stay cache-resident across the several operations a span applies
+    to them, instead of each operation streaming the whole span.
     """
     rows = max(1, _TILE_BYTES // (8 * width))
     return [
@@ -253,54 +288,73 @@ def _row_tiles(span: slice, width: int) -> list[slice]:
     ]
 
 
+def span_moments(state: "InitState", span: slice, step=None):
+    """``(‖F′‖² + ‖B′‖², P, G)`` summed over the rows of ``span``.
+
+    ``P = XfᵀF′ + XbᵀB′`` and ``G = XfᵀXf + XbᵀXb`` are all the Y phase and
+    the objective need of the ``n``-side.  With ``step = (W, Z)`` each row
+    tile first takes the X phase's step ``X −= X·W − F′·Z`` in place (Eqs.
+    13–14, 16, every coordinate at once) while its affinity tile is in cache.
+    """
+    d, half = state.y.shape
+    halves = ((state.x_forward, state.forward), (state.x_backward, state.backward))
+    norm, p, g = 0.0, np.zeros((half, d)), np.zeros((half, half))
+    for rows in row_tiles(span, d):
+        for x_half, affinity in halves:
+            x_tile, a_tile = x_half[rows], affinity[rows]
+            if step is not None:
+                x_tile -= x_tile @ step[0] - a_tile @ step[1]
+            norm += np.einsum("ij,ij->", a_tile, a_tile)
+            p += x_tile.T @ a_tile
+            g += x_tile.T @ x_tile
+    return norm, p, g
+
+
+def objective_from_moments(
+    norm: float, p: np.ndarray, g: np.ndarray, y: np.ndarray
+) -> float:
+    """Eq. (4) from :func:`span_moments` of every row and the current ``Y``.
+
+    ``‖X·Yᵀ − F′‖²`` summed over both directions expands to
+    ``norm − 2⟨P, Yᵀ⟩ + ⟨G, YᵀY⟩``; rounding can leave an exact fit a hair
+    below zero, which a sum of squares never is.
+    """
+    value = norm - 2.0 * np.vdot(p, y.T) + np.vdot(g, y.T @ y)
+    return max(float(value), 0.0)
+
+
 def ccd_sweep(
     state: "InitState",
     *,
     block_size: int = 1,
     n_threads: int = 1,
     pool: "WorkerPool | None" = None,
-) -> None:
-    """One in-place CCD sweep (Alg. 4 / Alg. 8) in coefficient space.
+) -> float:
+    """One in-place CCD sweep (Alg. 4 / Alg. 8); returns the objective after it.
 
-    The X phase runs over ``n_threads`` disjoint row spans, the Y phase
-    over column spans; the Gram matrix and its Gauss–Seidel solver are
-    computed once per phase and shared.  ``n_threads=1`` is the one-span
-    case, run inline.  See the module docstring for the derivation.
+    One dispatch over ``n_threads`` disjoint row spans updates ``Xf``/``Xb``
+    and accumulates the Y phase's ``P`` and ``G`` from the updated rows; the
+    partial sums are added in span order and the ``k/2``-wide Y solve runs
+    inline (``n_threads=1``: one span, no dispatch).  ``state.forward`` /
+    ``state.backward`` are only read.  Derivation in the module docstring.
     """
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
-    x_forward, x_backward, y = state.x_forward, state.x_backward, state.y
-    s_forward, s_backward = state.s_forward, state.s_backward
-    n, d = s_forward.shape
+    y = state.y
 
-    # X phase (Y fixed): the steps are linear in S, Mu = S·Z, so the
-    # recurrence runs once on Yᵀ (k/2 × d) instead of on S·Y (n × k/2).
+    # X phase (Y fixed): the steps are linear in S, Mu = S·Z = X·W − F′·Z,
+    # so the recurrence runs once on Yᵀ (k/2 × d) instead of on S·Y (n × k/2).
     z = _gauss_seidel_solver(y.T @ y, block_size)(y.T).T
-
-    def update_rows(_: int, span: slice) -> None:
-        for rows in _row_tiles(span, d):
-            for x_half, s_half in ((x_forward, s_forward), (x_backward, s_backward)):
-                mu = s_half[rows] @ z  # Eq. 16, every coordinate at once
-                x_half[rows] -= mu  # Eqs. 13-14
-                s_half[rows] -= mu @ y.T  # Eqs. 18-19
-
-    run_blocks(
-        update_rows, partition_spans(n, n_threads), n_threads=n_threads, pool=pool
+    step = (y.T @ z, z)
+    partials = run_blocks(
+        lambda _, span: span_moments(state, span, step),
+        partition_spans(state.forward.shape[0], n_threads),
+        n_threads=n_threads,
+        pool=pool,
     )
+    # Added in span order, so a thread count always gives the same bits.
+    norm, p, g = (sum(parts) for parts in zip(*partials))
 
-    # Y phase (Xf, Xb fixed): the recurrence runs on C = XfᵀSf + XbᵀSb.
-    solve = _gauss_seidel_solver(
-        x_forward.T @ x_forward + x_backward.T @ x_backward, block_size
-    )
-
-    def update_columns(_: int, span: slice) -> None:
-        sf, sb = s_forward[:, span], s_backward[:, span]
-        mu = solve(x_forward.T @ sf + x_backward.T @ sb)  # Eq. 17
-        y[span] -= mu.T  # Eq. 15
-        for rows in _row_tiles(slice(0, n), sf.shape[1]):
-            sf[rows] -= x_forward[rows] @ mu  # Eq. 20
-            sb[rows] -= x_backward[rows] @ mu
-
-    run_blocks(
-        update_columns, partition_spans(d, n_threads), n_threads=n_threads, pool=pool
-    )
+    # Y phase (Xf, Xb fixed): XfᵀSf + XbᵀSb = G·Yᵀ − P, a k/2 × d problem.
+    y -= _gauss_seidel_solver(g, block_size)(g @ y.T - p).T  # Eqs. 15, 17
+    return objective_from_moments(norm, p, g, y)

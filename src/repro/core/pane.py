@@ -12,12 +12,14 @@ Usage::
 ``n_threads=1`` runs the single-thread pipeline (APMI → GreedyInit →
 SVDCCD); ``n_threads>1`` the parallel one (PAPMI → SMGreedyInit →
 PSVDCCD).  The two differ only through the split-merge SVD, whose small
-accuracy cost the paper quantifies in Sec. 5.5–5.6.
+accuracy cost the paper quantifies in Sec. 5.5–5.6 (the affinities are
+the same bits at every thread count).
 
 Performance notes: ``fit`` acquires one persistent
 :class:`~repro.parallel.pool.WorkerPool` and threads it through every
 parallel phase (the seed tore down two thread pools per CCD sweep).  CCD
-sweeps run in coefficient space as 8 GEMMs for every ``ccd_block_size``,
+sweeps run in coefficient space directly on the read-only affinities — 4
+GEMMs per sweep, no residual matrices — for every ``ccd_block_size``,
 which therefore selects an update order — ``1`` for Alg. 4's, ``B > 1``
 for block Gauss–Seidel — not a speed; a single-thread fit is
 bit-reproducible run to run (see ``docs/PERFORMANCE.md``).
@@ -35,9 +37,8 @@ import numpy as np
 from repro.core.affinity import AffinityPair, apmi, iterations_for_epsilon
 from repro.core.config import PANEConfig
 from repro.core.greedy_init import greedy_init, random_init, sm_greedy_init
-from repro.core.papmi import papmi
 from repro.core.scoring import attribute_scores, link_scores
-from repro.core.svd_ccd import objective_value, refine
+from repro.core.svd_ccd import cached_objective, ccd_sweep
 from repro.graph.attributed_graph import AttributedGraph
 from repro.parallel.pool import WorkerPool
 from repro.utils.fs import atomic_write
@@ -226,18 +227,16 @@ class PANE:
     def compute_affinity(
         self, graph: AttributedGraph, *, pool: WorkerPool | None = None
     ) -> AffinityPair:
-        """Phase 1: approximate affinity matrices (APMI or PAPMI)."""
+        """Phase 1: approximate affinity matrices (APMI; PAPMI when threaded)."""
         cfg = self.config
-        if cfg.n_threads > 1:
-            return papmi(
-                graph,
-                cfg.alpha,
-                cfg.epsilon,
-                n_threads=cfg.n_threads,
-                dangling=cfg.dangling,
-                pool=pool,
-            )
-        return apmi(graph, cfg.alpha, cfg.epsilon, dangling=cfg.dangling)
+        return apmi(
+            graph,
+            cfg.alpha,
+            cfg.epsilon,
+            dangling=cfg.dangling,
+            n_threads=cfg.n_threads,
+            pool=pool,
+        )
 
     def fit(self, graph: AttributedGraph, *, compute_objective: bool = False) -> PANEEmbedding:
         """Train embeddings for ``graph`` (Algorithm 1 / Algorithm 5).
@@ -247,8 +246,8 @@ class PANE:
         graph:
             The attributed network.
         compute_objective:
-            Also evaluate the final Eq. (4) objective (one extra ``n × d``
-            product; off by default).
+            Also report the final Eq. (4) objective — the value the last
+            CCD sweep returns, so it costs nothing extra.
         """
         cfg = self.config
         check_embedding_dim(cfg.k, graph.n_nodes, graph.n_attributes)
@@ -289,20 +288,20 @@ class PANE:
                     )
 
             with timer.measure("ccd"):
-                refine(
-                    state,
-                    n_sweeps,
-                    n_threads=cfg.n_threads,
-                    block_size=cfg.ccd_block_size,
-                    pool=pool,
-                )
+                objective = None
+                for _ in range(n_sweeps):
+                    objective = ccd_sweep(
+                        state,
+                        n_threads=cfg.n_threads,
+                        block_size=cfg.ccd_block_size,
+                        pool=pool,
+                    )
         finally:
             if pool is not None:
                 pool.close()
 
-        objective = None
-        if compute_objective:
-            objective = objective_value(affinity.forward, affinity.backward, state)
+        if compute_objective and objective is None:  # no sweep ran
+            objective = cached_objective(state)
 
         return PANEEmbedding(
             x_forward=state.x_forward,
@@ -310,5 +309,5 @@ class PANE:
             y=state.y,
             config=cfg,
             timings=dict(timer.laps),
-            objective=objective,
+            objective=objective if compute_objective else None,
         )

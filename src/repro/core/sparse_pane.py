@@ -12,7 +12,11 @@ memory-constrained alternative:
   the *support* of the affinity rather than ``n·d``;
 - ``SparsePANE`` embeds from the pruned matrices with GreedyInit only
   (rank-``k/2`` SVD of sparse ``F′`` + ``Xb = B′Y``), skipping the CCD
-  refinement whose residual caches are inherently dense.
+  refinement.  That used to be forced — Alg. 4's residual caches are
+  dense ``n × d`` whatever ``F′`` is — and no longer is: the sweep in
+  :mod:`repro.core.kernels` touches the affinities only through ``F′·Z``
+  and ``XᵀF′``, which a sparse ``F′`` supports.  Sparse refinement is
+  left to a later issue.
 
 Figures 7/8 of the paper show the greedy seed alone already lands close
 to the converged quality, which is what makes this trade-off usable; the
@@ -28,7 +32,7 @@ import scipy.sparse as sp
 
 from repro.core.affinity import iterations_for_epsilon
 from repro.core.config import PANEConfig
-from repro.core.kernels import propagate_recurrence_sparse, prune_sparse
+from repro.core.kernels import propagate_recurrence_sparse
 from repro.core.pane import PANEEmbedding
 from repro.core.randsvd import randsvd
 from repro.graph.attributed_graph import AttributedGraph
@@ -50,10 +54,6 @@ class SparseAffinityPair:
         """Fraction of stored entries relative to the dense n×d layout."""
         n, d = self.forward.shape
         return (self.forward.nnz + self.backward.nnz) / (2.0 * n * d)
-
-
-# Pruning lives in the shared kernel layer; re-exported for back-compat.
-_prune = prune_sparse
 
 
 def apmi_sparse(

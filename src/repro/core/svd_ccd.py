@@ -2,33 +2,33 @@
 
 One CCD sweep fixes ``Y`` and updates every entry of ``Xf`` and ``Xb``
 (Eqs. 13–14, 16), then fixes ``Xf, Xb`` and updates every entry of ``Y``
-(Eqs. 15, 17), maintaining the residuals ``Sf = Xf Yᵀ − F′`` and
-``Sb = Xb Yᵀ − B′`` incrementally (Eqs. 18–20).
+(Eqs. 15, 17).  As printed, the algorithm maintains the residuals
+``Sf = Xf Yᵀ − F′`` and ``Sb = Xb Yᵀ − B′`` incrementally (Eqs. 18–20);
+``ccd_sweep_reference`` below is that literal per-entry transcription,
+building its residuals on entry, and is the ground truth the tests
+compare against.
 
 Vectorization note: updating ``Xf[v, l]`` touches only ``Sf[v]``, so
 distinct rows never interact — performing coordinate ``l`` for *all* rows
 at once, then ``l+1``, is the paper's row-by-row order.  The same holds for
-``Y`` columns.  ``ccd_sweep_reference`` below is the literal per-entry
-transcription used by tests as the ground truth.
+``Y`` columns.
 
 Kernel layer: every sweep runs through :func:`repro.core.kernels.ccd_sweep`,
 which performs the sequential coordinate updates in the ``k/2``-dimensional
-coefficient space and touches the ``n × d`` residuals only through 8 GEMMs
-(derivation in that module's docstring).  ``block_size=1`` (the default)
-is Alg. 4's own update order; ``block_size=B>1`` groups coordinates into
-blocks, each minimized exactly through its Gram pseudo-inverse (block
-Gauss–Seidel).  Every ``B`` costs the same GEMMs, so ``B`` selects an
-update order, not a speed.  Numerical contract: agreement with the
-literal reference within ``1e-10`` on the test problems (not bit-identity:
-the arithmetic is re-associated), residual caches consistent with
-``X·Yᵀ − F′``, objective monotone non-increasing for every ``B``, and a
-single-thread run bit-reproducible run to run.
+coefficient space and never forms a residual: it reads the fixed
+affinities ``F′``, ``B′`` through 4 GEMMs per sweep, writes only ``Xf``,
+``Xb``, ``Y`` and returns the Eq. (4) objective it ends at (derivation and
+numerical contract in that module's docstring).  ``block_size=1`` (the
+default) is Alg. 4's own update order; ``block_size=B>1`` groups
+coordinates into blocks, each minimized exactly through its Gram
+pseudo-inverse (block Gauss–Seidel) — an update order, not a speed.
 
-``PSVDCCD`` (Algorithm 8) is the same sweep with the X phase split over
-row spans and the Y phase over column spans on a thread pool; spans are
-disjoint, so the result matches the serial sweep up to GEMM rounding.
-Pass a persistent :class:`repro.parallel.pool.WorkerPool` to amortize
-thread start-up across sweeps (``PANE.fit`` does).
+``PSVDCCD`` (Algorithm 8) is the same sweep with the rows split over
+``n_threads`` spans; the spans' partial sums are added in span order, so
+the result matches the serial sweep up to GEMM rounding and repeats bit
+for bit at a given thread count.  Pass a persistent
+:class:`repro.parallel.pool.WorkerPool` to amortize thread start-up across
+sweeps (``PANE.fit`` does).
 """
 
 from __future__ import annotations
@@ -40,23 +40,22 @@ from repro.core.greedy_init import InitState
 from repro.parallel.pool import WorkerPool
 
 
-def ccd_sweep(state: InitState, *, block_size: int = 1) -> None:
-    """One full in-place CCD sweep (lines 3–14 of Alg. 4) on one thread.
-
-    ``block_size=1`` follows Alg. 4's update order; ``block_size>1``
-    selects block Gauss–Seidel over coordinate blocks of that size.
-    """
-    kernels.ccd_sweep(state, block_size=block_size)
+#: One in-place CCD sweep — lines 3–14 of Alg. 4, or the Alg. 8 body with
+#: ``n_threads > 1`` — returning the objective it ends at: the kernel itself.
+ccd_sweep = kernels.ccd_sweep
 
 
 def ccd_sweep_reference(state: InitState) -> None:
     """Literal per-entry CCD sweep, exactly as printed in Algorithm 4.
 
     O(n·d·k) Python-loop implementation kept as the ground truth for the
-    vectorization-equivalence test; never used in production paths.
+    vectorization-equivalence test; never used in production paths.  The
+    residuals Alg. 4 carries are built from ``state.forward`` /
+    ``state.backward`` on entry and dropped on return.
     """
     x_forward, x_backward, y = state.x_forward, state.x_backward, state.y
-    s_forward, s_backward = state.s_forward, state.s_backward
+    residual_f = x_forward @ y.T - state.forward
+    residual_b = x_backward @ y.T - state.backward
     n, half = x_forward.shape
     d = y.shape[0]
 
@@ -66,12 +65,12 @@ def ccd_sweep_reference(state: InitState) -> None:
             denom = float(y_col @ y_col)
             if denom <= kernels._EPS_DENOM:
                 continue
-            mu_f = float(s_forward[vi] @ y_col) / denom
-            mu_b = float(s_backward[vi] @ y_col) / denom
+            mu_f = float(residual_f[vi] @ y_col) / denom
+            mu_b = float(residual_b[vi] @ y_col) / denom
             x_forward[vi, l] -= mu_f
             x_backward[vi, l] -= mu_b
-            s_forward[vi] -= mu_f * y_col
-            s_backward[vi] -= mu_b * y_col
+            residual_f[vi] -= mu_f * y_col
+            residual_b[vi] -= mu_b * y_col
 
     for rj in range(d):
         for l in range(half):
@@ -81,30 +80,11 @@ def ccd_sweep_reference(state: InitState) -> None:
             if denom <= kernels._EPS_DENOM:
                 continue
             mu_y = (
-                float(xf_col @ s_forward[:, rj]) + float(xb_col @ s_backward[:, rj])
+                float(xf_col @ residual_f[:, rj]) + float(xb_col @ residual_b[:, rj])
             ) / denom
             y[rj, l] -= mu_y
-            s_forward[:, rj] -= mu_y * xf_col
-            s_backward[:, rj] -= mu_y * xb_col
-
-
-def ccd_sweep_parallel(
-    state: InitState,
-    *,
-    n_threads: int = 2,
-    block_size: int = 1,
-    pool: WorkerPool | None = None,
-) -> None:
-    """One CCD sweep with blockwise parallel X and Y phases (Alg. 8 body).
-
-    Row spans of ``Xf/Xb`` (and their ``Sf/Sb`` rows) are updated by
-    separate threads while ``Y`` is fixed, then column spans of ``Y``
-    while ``Xf/Xb`` are fixed.  Spans are disjoint, so the result equals
-    the serial sweep up to GEMM rounding.  ``pool`` reuses a persistent
-    :class:`~repro.parallel.pool.WorkerPool` instead of spinning up two
-    ephemeral pools per sweep.
-    """
-    kernels.ccd_sweep(state, block_size=block_size, n_threads=n_threads, pool=pool)
+            residual_f[:, rj] -= mu_y * xf_col
+            residual_b[:, rj] -= mu_y * xb_col
 
 
 def objective_value(
@@ -119,15 +99,15 @@ def objective_value(
 
 
 def cached_objective(state: InitState) -> float:
-    """Objective O of Eq. (4) read off the maintained residual caches.
+    """Objective O of Eq. (4) evaluated from the state's current arrays.
 
-    Equals :func:`objective_value` (up to incremental-update drift) at
-    O(n·d) cost with no matrix product and no temporary.
+    The expansion a sweep returns (:func:`repro.core.kernels.objective_from_moments`):
+    two skinny ``k/2 × n × d`` products in row tiles, no ``n × d`` temporary
+    and nothing stored that could go stale.  Equals :func:`objective_value`
+    to rounding.
     """
-    return float(
-        np.einsum("ij,ij->", state.s_forward, state.s_forward)
-        + np.einsum("ij,ij->", state.s_backward, state.s_backward)
-    )
+    moments = kernels.span_moments(state, slice(0, state.forward.shape[0]))
+    return kernels.objective_from_moments(*moments, state.y)
 
 
 def refine(
@@ -149,11 +129,8 @@ def refine(
     """
     previous = cached_objective(state) if tolerance is not None else None
     for _ in range(n_sweeps):
-        kernels.ccd_sweep(
-            state, block_size=block_size, n_threads=n_threads, pool=pool
-        )
+        current = ccd_sweep(state, block_size=block_size, n_threads=n_threads, pool=pool)
         if tolerance is not None:
-            current = cached_objective(state)
             if previous > 0 and (previous - current) / previous < tolerance:
                 break
             previous = current
@@ -175,8 +152,7 @@ def refine_tracked(
     """
     history = [cached_objective(state)]
     for _ in range(n_sweeps):
-        kernels.ccd_sweep(
-            state, block_size=block_size, n_threads=n_threads, pool=pool
+        history.append(
+            ccd_sweep(state, block_size=block_size, n_threads=n_threads, pool=pool)
         )
-        history.append(cached_objective(state))
     return state, history

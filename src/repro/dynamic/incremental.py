@@ -7,7 +7,8 @@ GreedyInit (Sec. 3.2), applied across time steps.  The update path is:
 
 1. apply the delta to the graph (edges and attribute associations);
 2. recompute ``F′, B′`` with APMI — O(md·t), the cheap linear phase;
-3. rebuild the residual caches around the *previous* embeddings;
+3. pair the *previous* embeddings with the new affinities (the sweeps
+   read ``F′, B′`` directly, so there is nothing to rebuild);
 4. run a handful of CCD sweeps (typically 1–3 instead of t).
 
 ``update()`` returns a fresh :class:`PANEEmbedding`; the wrapped graph and
@@ -150,7 +151,7 @@ class IncrementalPANE:
         """Warm-start from externally persisted state instead of fitting.
 
         The warm update path is fully determined by ``(graph, Xf, Xb, Y)``
-        — the residual caches are rebuilt on every refresh — so a crashed
+        — a refresh keeps no other state — so a crashed
         process can resume exactly where it left off by adopting the
         graph it reconstructed (base snapshot + log replay) and the
         embedding arrays of the last published store version.
@@ -187,8 +188,8 @@ class IncrementalPANE:
                 x_forward=previous.x_forward.copy(),
                 x_backward=previous.x_backward.copy(),
                 y=previous.y.copy(),
-                s_forward=previous.x_forward @ previous.y.T - pair.forward,
-                s_backward=previous.x_backward @ previous.y.T - pair.backward,
+                forward=pair.forward,
+                backward=pair.backward,
             )
             refine(state, self.update_sweeps)
         self._embedding = PANEEmbedding(

@@ -76,10 +76,13 @@ def _block_gauss_seidel_sweep(state, block_size: int) -> None:
     coefficient space: coordinate blocks in order, each minimized exactly
     through its Gram pseudo-inverse, with a rank-``B`` update of the
     ``n × d`` residuals after every block (the kernel the coefficient-space
-    sweep replaced).  For ``B = 1`` it is ``ccd_sweep_reference``.
+    sweep replaced).  The residuals are local: built from the state's
+    affinities on entry, as in ``ccd_sweep_reference``, which it equals
+    for ``B = 1``.
     """
     x_forward, x_backward, y = state.x_forward, state.x_backward, state.y
-    s_forward, s_backward = state.s_forward, state.s_backward
+    s_forward = x_forward @ y.T - state.forward
+    s_backward = x_backward @ y.T - state.backward
     half = y.shape[1]
     blocks = [slice(start, start + block_size) for start in range(0, half, block_size)]
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.affinity import apmi
 from repro.core.greedy_init import greedy_init, random_init, sm_greedy_init
+from repro.core.svd_ccd import cached_objective, objective_value
 
 
 @pytest.fixture(scope="module")
@@ -21,23 +22,23 @@ class TestGreedyInit:
         assert state.x_forward.shape == (n, 8)
         assert state.x_backward.shape == (n, 8)
         assert state.y.shape == (d, 8)
-        assert state.s_forward.shape == (n, d)
 
-    def test_residual_caches_consistent(self, affinities):
+    def test_state_references_the_affinities(self, affinities):
+        """No residual is built: the state points at F′/B′ themselves."""
         forward, backward = affinities
-        state = greedy_init(forward, backward, k=16, seed=0)
-        assert np.allclose(
-            state.s_forward, state.x_forward @ state.y.T - forward
-        )
-        assert np.allclose(
-            state.s_backward, state.x_backward @ state.y.T - backward
-        )
+        for state in (
+            greedy_init(forward, backward, k=16, seed=0),
+            sm_greedy_init(forward, backward, k=16, n_threads=3, seed=0),
+            random_init(forward, backward, k=16, seed=0),
+        ):
+            assert state.forward is forward and state.backward is backward
 
     def test_immediately_approximates_forward(self, affinities):
         """Xf·Yᵀ ≈ F′ right after init — the point of GreedyInit."""
         forward, backward = affinities
         state = greedy_init(forward, backward, k=32, seed=0)
-        rel_error = np.linalg.norm(state.s_forward) / np.linalg.norm(forward)
+        residual = state.x_forward @ state.y.T - forward
+        rel_error = np.linalg.norm(residual) / np.linalg.norm(forward)
         assert rel_error < 0.6
 
     def test_y_orthonormal(self, affinities):
@@ -54,9 +55,7 @@ class TestGreedyInit:
         forward, backward = affinities
         greedy = greedy_init(forward, backward, k=16, seed=0)
         random = random_init(forward, backward, k=16, seed=0)
-        greedy_obj = np.sum(greedy.s_forward**2) + np.sum(greedy.s_backward**2)
-        random_obj = np.sum(random.s_forward**2) + np.sum(random.s_backward**2)
-        assert greedy_obj < random_obj
+        assert cached_objective(greedy) < cached_objective(random)
 
 
 class TestLemma42:
@@ -80,7 +79,8 @@ class TestLemma42:
         assert np.allclose(state.y.T @ state.y, np.eye(half), atol=1e-8)
         # Xb = B' Y and Sb·Y = (Xb Yᵀ − B′) Y = Xb − B'Y = 0
         assert np.allclose(state.x_backward, backward @ state.y, atol=1e-8)
-        assert np.allclose(state.s_backward @ state.y, 0.0, atol=1e-7)
+        residual_b = state.x_backward @ state.y.T - backward
+        assert np.allclose(residual_b @ state.y, 0.0, atol=1e-7)
 
     def test_exact_limit_full_rank_reconstruction(self):
         """When k/2 covers the full rank, Sf must vanish (Lemma 4.2)."""
@@ -89,7 +89,7 @@ class TestLemma42:
         forward = rng.standard_normal((24, 4)) @ rng.standard_normal((4, 12))
         backward = rng.standard_normal((24, 4)) @ rng.standard_normal((4, 12))
         state = sm_greedy_init(forward, backward, k=8, n_threads=3, exact=True)
-        assert np.allclose(state.s_forward, 0.0, atol=1e-7)
+        assert np.allclose(state.x_forward @ state.y.T, forward, atol=1e-7)
 
 
 class TestSMGreedyInitPractical:
@@ -97,10 +97,8 @@ class TestSMGreedyInitPractical:
         forward, backward = affinities
         serial = greedy_init(forward, backward, k=16, seed=0)
         parallel = sm_greedy_init(forward, backward, k=16, n_threads=4, seed=0)
-        serial_obj = np.sum(serial.s_forward**2) + np.sum(serial.s_backward**2)
-        parallel_obj = np.sum(parallel.s_forward**2) + np.sum(parallel.s_backward**2)
         # the paper reports a small degradation; allow 35%
-        assert parallel_obj <= 1.35 * serial_obj
+        assert cached_objective(parallel) <= 1.35 * cached_objective(serial)
 
     def test_thread_clipping_small_graph(self):
         rng = np.random.default_rng(1)
@@ -110,12 +108,42 @@ class TestSMGreedyInitPractical:
         state = sm_greedy_init(forward, backward, k=8, n_threads=8, seed=0)
         assert state.x_forward.shape == (10, 4)
 
-    def test_residuals_consistent(self, affinities):
+    def test_int_seed_keeps_its_block_seeds(self, affinities):
+        """Block ``i`` draws from ``seed + i``, the merge from ``seed + nb``."""
+        from repro.core.randsvd import randsvd
+
         forward, backward = affinities
-        state = sm_greedy_init(forward, backward, k=16, n_threads=3, seed=0)
-        assert np.allclose(
-            state.s_forward, state.x_forward @ state.y.T - forward, atol=1e-9
+        state = sm_greedy_init(forward, backward, k=16, n_threads=2, seed=5)
+        half = forward.shape[0] // 2
+        blocks = [
+            randsvd(forward[rows], 8, 5, seed=5 + i)
+            for i, rows in enumerate((slice(0, half), slice(half, None)))
+        ]
+        stacked = np.vstack([v.T for _, _, v in blocks])
+        phi, sigma, y = randsvd(stacked, 8, 5, seed=7)
+        assert np.array_equal(state.y, y)
+        u0, s0, _ = blocks[0]
+        assert np.allclose(state.x_forward[:half], (u0 * s0) @ (phi * sigma)[:8])
+
+    @pytest.mark.parametrize("kind", ["generator", "none"])
+    def test_generator_and_none_seeds_accepted(self, affinities, kind):
+        """The signature advertises all three seed kinds; ``seed + i`` was int-only."""
+        forward, backward = affinities
+        seeds = (
+            (np.random.default_rng(3), np.random.default_rng(3))
+            if kind == "generator"
+            else (None, None)
         )
+        first, second = (
+            sm_greedy_init(forward, backward, k=16, n_threads=3, seed=seed)
+            for seed in seeds
+        )
+        assert np.all(np.isfinite(first.x_forward))
+        assert cached_objective(first) == pytest.approx(
+            objective_value(forward, backward, first), rel=1e-10
+        )
+        if kind == "generator":  # equal generators, equal draws
+            assert np.array_equal(first.y, second.y)
 
 
 class TestRandomInit:

@@ -1,5 +1,8 @@
 """Tests for the kernel layer (repro.core.kernels)."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -15,7 +18,6 @@ from repro.core.kernels import (
 from repro.core.svd_ccd import (
     cached_objective,
     ccd_sweep,
-    ccd_sweep_parallel,
     ccd_sweep_reference,
     objective_value,
     refine,
@@ -23,12 +25,13 @@ from repro.core.svd_ccd import (
 
 
 def _clone(state: InitState) -> InitState:
+    """Copy the factors; the affinities are read-only and shared."""
     return InitState(
         state.x_forward.copy(),
         state.x_backward.copy(),
         state.y.copy(),
-        state.s_forward.copy(),
-        state.s_backward.copy(),
+        state.forward,
+        state.backward,
     )
 
 
@@ -62,6 +65,23 @@ class TestSpmmInto:
         spmm_into(matrix, dense, out)
         assert np.array_equal(out, dense)
 
+    def test_row_range_writes_only_its_rows(self):
+        """``rows=`` computes that slice of the product and leaves the rest."""
+        rng = np.random.default_rng(0)
+        matrix = sp.random(40, 40, density=0.2, format="csr", random_state=1)
+        dense = rng.random((40, 9))
+        expected = np.asarray(matrix @ dense)
+        for fmt in ("csr", "csc"):  # fast path and fallback
+            out = np.full((40, 9), 99.0)
+            spmm_into(matrix.asformat(fmt), dense, out, slice(7, 23))
+            assert np.allclose(out[7:23], expected[7:23], atol=1e-15)
+            if fmt == "csr":
+                assert np.array_equal(out[7:23], expected[7:23])
+            assert np.all(out[:7] == 99.0) and np.all(out[23:] == 99.0)
+        out = np.full((40, 9), 99.0)
+        spmm_into(matrix, dense, out, slice(5, 5))  # empty range: a no-op
+        assert np.all(out == 99.0)
+
     def test_shape_mismatch_raises(self):
         """Wrong-shaped buffers must raise, not corrupt the heap."""
         matrix = sp.identity(10, format="csr")
@@ -88,6 +108,21 @@ class TestPropagateRecurrence:
         p0 = rng.random((25, 6))
         expected = self._seed_loop(transition, p0, 0.5, t)
         produced = propagate_recurrence(transition, p0.copy(), 0.5, t)
+        assert np.array_equal(produced, expected)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.3])
+    @pytest.mark.parametrize("n_threads", [2, 3, 40])
+    def test_threads_do_not_change_a_bit(self, alpha, n_threads):
+        """Row spans cut by ``indptr`` mass, more spans than rows: the seed loop's bits."""
+        rng = np.random.default_rng(2)
+        # Skewed rows (a few hubs hold most non-zeros), as Tᵀ of a power-law graph.
+        dense = rng.random((25, 25)) * (rng.random((25, 1)) ** 4 > rng.random((25, 25)))
+        transition = sp.csr_matrix(dense)
+        p0 = rng.random((25, 6))
+        expected = self._seed_loop(transition, p0, alpha, 4)
+        produced = propagate_recurrence(
+            transition, p0.copy(), alpha, 4, n_threads=n_threads
+        )
         assert np.array_equal(produced, expected)
 
     def test_scales_seed_in_place(self):
@@ -122,7 +157,7 @@ class TestPropagateRecurrence:
         assert prune_sparse(matrix, 0.0).nnz == pruned.nnz  # no-op threshold
 
 
-_STATE_FIELDS = ("x_forward", "x_backward", "y", "s_forward", "s_backward")
+_STATE_FIELDS = ("x_forward", "x_backward", "y")
 
 
 def _assert_states_close(produced: InitState, expected: InitState, atol: float):
@@ -146,8 +181,6 @@ def _degenerate_state(dead: int, *, dead_x: bool, collinear: bool = False):
     if dead_x:
         state.x_forward[:, dead] = 0.0
         state.x_backward[:, dead] = 0.0
-    state.s_forward = state.x_forward @ state.y.T - forward
-    state.s_backward = state.x_backward @ state.y.T - backward
     return forward, backward, state
 
 
@@ -176,7 +209,7 @@ class TestBlockedSweep:
         monkeypatch.setattr(kernels, "_TILE_BYTES", 7 * 8 * forward.shape[1])
         produced = greedy_init(forward, backward, k=16, seed=0)
         expected = _clone(produced)
-        ccd_sweep_parallel(produced, n_threads=n_threads, block_size=3)
+        ccd_sweep(produced, n_threads=n_threads, block_size=3)
         block_reference_sweep(expected, 3)
         _assert_states_close(produced, expected, atol=1e-10)
 
@@ -237,18 +270,36 @@ class TestBlockedSweep:
         blocked_obj = objective_value(forward, backward, blocked)
         assert blocked_obj <= exact_obj * 1.01 + 1e-12
 
-    def test_residual_caches_stay_consistent(self, problem):
-        """After 20 sweeps the maintained residuals still equal X·Yᵀ − F′."""
+    def test_returned_objective_exact_after_20_sweeps(self, problem):
+        """No cache, so no drift: the 20th sweep's objective is the recomputed one."""
         forward, backward = problem
         base = greedy_init(forward, backward, k=16, seed=0)
         for block_size in (1, 4):
-            state = refine(_clone(base), 20, block_size=block_size)
-            assert np.allclose(
-                state.s_forward, state.x_forward @ state.y.T - forward, atol=1e-8
-            )
-            assert np.allclose(
-                state.s_backward, state.x_backward @ state.y.T - backward, atol=1e-8
-            )
+            state = _clone(base)
+            for _ in range(20):
+                returned = ccd_sweep(state, block_size=block_size)
+            expected = objective_value(forward, backward, state)
+            assert returned == pytest.approx(expected, rel=1e-10)
+            assert cached_objective(state) == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_affinities_are_never_written(self, problem, n_threads):
+        """``refine`` succeeds on read-only F′/B′ and leaves them as they were."""
+        forward, backward = (matrix.copy() for matrix in problem)
+        forward.flags.writeable = False
+        backward.flags.writeable = False
+        state = greedy_init(forward, backward, k=16, seed=0)
+        assert state.forward is forward and state.backward is backward
+        refine(state, 2, n_threads=n_threads, block_size=4, tolerance=1e-12)
+        assert np.array_equal(forward, problem[0])
+        assert np.array_equal(backward, problem[1])
+
+    def test_state_has_exactly_five_fields(self, problem):
+        state = random_init(*problem, k=8, seed=0)
+        assert [field.name for field in dataclasses.fields(state)] == [
+            "x_forward", "x_backward", "y", "forward", "backward",
+        ]
+        assert not hasattr(state, "s_forward")
 
     @pytest.mark.parametrize("n_threads", [2, 3])
     def test_parallel_blocked_matches_serial_blocked(self, problem, n_threads):
@@ -257,10 +308,19 @@ class TestBlockedSweep:
         parallel = _clone(serial)
         for _ in range(2):
             ccd_sweep(serial, block_size=4)
-            ccd_sweep_parallel(parallel, n_threads=n_threads, block_size=4)
-        assert np.allclose(serial.x_forward, parallel.x_forward, atol=1e-10)
-        assert np.allclose(serial.y, parallel.y, atol=1e-10)
-        assert np.allclose(serial.s_forward, parallel.s_forward, atol=1e-10)
+            ccd_sweep(parallel, n_threads=n_threads, block_size=4)
+        _assert_states_close(parallel, serial, atol=1e-10)
+
+    def test_parallel_sweep_repeats_bit_for_bit(self, problem):
+        """Partial sums are added in span order: a thread count fixes the bits."""
+        forward, backward = problem
+        base = greedy_init(forward, backward, k=16, seed=0)
+        first, second = _clone(base), _clone(base)
+        for state in (first, second):
+            for _ in range(3):
+                ccd_sweep(state, n_threads=3)
+        for name in _STATE_FIELDS:
+            assert np.array_equal(getattr(first, name), getattr(second, name))
 
     def test_dead_coordinate_is_noop(self, block_reference_sweep):
         """A zero Y column inside a block: its X columns stay put, no NaNs."""
@@ -337,3 +397,32 @@ class TestBlockedDownstreamParity:
             PANE(k=16, seed=0, ccd_block_size=4)
         )
         assert blocked.auc >= exact.auc - 0.01 * max(exact.auc, 1e-12)
+
+
+class TestNoLargeTemporaries:
+    """Peak traced allocations stay far below one ``n × d`` matrix."""
+
+    n, d, k = 4000, 128, 32
+
+    def _peak(self, fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_refine_allocates_no_n_by_d_temporary(self):
+        rng = np.random.default_rng(0)
+        forward, backward = rng.random((self.n, self.d)), rng.random((self.n, self.d))
+        state = random_init(forward, backward, k=self.k, seed=0)
+        peak = self._peak(lambda: refine(state, 2))
+        assert peak < 0.25 * self.n * self.d * 8
+
+    def test_apmi_peaks_below_six_matrices(self):
+        """Two outputs of one direction + three buffers of the other + sparse."""
+        from repro.graph.generators import power_law_attributed
+
+        graph = power_law_attributed(self.n, self.d, seed=0)
+        peak = self._peak(lambda: apmi(graph))
+        assert peak < 6 * self.n * self.d * 8

@@ -32,6 +32,25 @@ class TestFit:
         assert embedding.objective is not None and embedding.objective >= 0
         assert PANE(k=16, seed=0).fit(sbm_graph).objective is None
 
+    @pytest.mark.parametrize("ccd_iterations", [None, 0])
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_objective_is_the_recomputed_one(self, sbm_graph, ccd_iterations, n_threads):
+        """The last sweep's return value (init's, with no sweeps) is Eq. (4)."""
+        from repro.core.affinity import apmi
+        from repro.core.svd_ccd import objective_value
+
+        model = PANE(k=16, seed=0, n_threads=n_threads, ccd_iterations=ccd_iterations)
+        embedding = model.fit(sbm_graph, compute_objective=True)
+        pair = apmi(sbm_graph, model.config.alpha, model.config.epsilon)
+        expected = objective_value(pair.forward, pair.backward, embedding)
+        assert embedding.objective == pytest.approx(expected, rel=1e-10)
+
+    def test_single_thread_fit_is_bit_reproducible(self, sbm_graph):
+        a = PANE(k=16, seed=0, n_threads=1).fit(sbm_graph)
+        b = PANE(k=16, seed=0, n_threads=1).fit(sbm_graph)
+        for name in ("x_forward", "x_backward", "y"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
     def test_k_too_large_rejected(self, sbm_graph):
         # sbm_graph has d=30 attributes; k/2 must be <= 30
         with pytest.raises(ValueError, match="exceeds"):

@@ -32,20 +32,30 @@ class TestCachedObjective:
         state = greedy_init(forward, backward, k=16, seed=0)
         refine(state, 3)
         assert cached_objective(state) == pytest.approx(
-            objective_value(forward, backward, state), rel=1e-6
+            objective_value(forward, backward, state), rel=1e-10
         )
 
-
-    def test_allocation_free_form_equals_sum_of_squares(self, problem):
-        """The einsum form is the old ``np.sum(S**2)`` value, for any layout."""
+    def test_any_affinity_layout(self, problem):
+        """Fortran-ordered F′ and a row-strided view: same value, nothing copied in."""
         forward, backward = problem
         state = refine(greedy_init(forward, backward, k=16, seed=0), 2)
-        expected = float(np.sum(state.s_forward**2) + np.sum(state.s_backward**2))
+        expected = objective_value(forward, backward, state)
+        state.forward = np.asfortranarray(forward)
         assert cached_objective(state) == pytest.approx(expected, rel=1e-12)
-        state.s_forward = np.asfortranarray(state.s_forward)
-        state.s_backward = state.s_backward[::2]
-        expected = float(np.sum(state.s_forward**2) + np.sum(state.s_backward**2))
+        # Every other node of a twice-as-tall problem: rows 2·d·8 bytes apart.
+        tall = np.repeat(backward, 2, axis=0)
+        state.backward = tall[::2]
+        assert not state.backward.flags.c_contiguous
         assert cached_objective(state) == pytest.approx(expected, rel=1e-12)
+
+    def test_reads_current_arrays_not_a_stored_value(self, problem):
+        """Editing the state between sweeps is seen: nothing can go stale."""
+        forward, backward = problem
+        state = refine(greedy_init(forward, backward, k=16, seed=0), 1)
+        state.y *= 0.5
+        assert cached_objective(state) == pytest.approx(
+            objective_value(forward, backward, state), rel=1e-10
+        )
 
 
 class TestEarlyStopping:
@@ -103,14 +113,9 @@ class TestToleranceEdgeCases:
         y = rng.random((5, 3))
         forward = x_forward @ y.T
         backward = x_backward @ y.T
-        state = InitState(
-            x_forward.copy(),
-            x_backward.copy(),
-            y.copy(),
-            np.zeros_like(forward),
-            np.zeros_like(backward),
-        )
-        refine(state, 3, tolerance=0.1)  # previous == 0: must not divide
+        state = InitState(x_forward.copy(), x_backward.copy(), y.copy(), forward, backward)
+        assert cached_objective(state) >= 0.0  # rounding never takes it below
+        refine(state, 3, tolerance=0.1)  # previous ~ 0: must not divide
         assert np.all(np.isfinite(state.x_forward))
         assert np.all(np.isfinite(state.y))
         # Zero residuals mean zero updates: the factors are untouched.
@@ -130,6 +135,17 @@ class TestRefineTracked:
         state = greedy_init(forward, backward, k=16, seed=0)
         _, history = refine_tracked(state, 4)
         assert len(history) == 5
+
+    def test_history_is_the_recomputed_objective(self, problem):
+        """Each entry (initial, then one per sweep) equals Eq. (4) recomputed."""
+        forward, backward = problem
+        state = greedy_init(forward, backward, k=16, seed=0)
+        expected = [objective_value(forward, backward, state)]
+        for _ in range(3):
+            refine(state, 1)
+            expected.append(objective_value(forward, backward, state))
+        _, history = refine_tracked(greedy_init(forward, backward, k=16, seed=0), 3)
+        assert history == pytest.approx(expected, rel=1e-10)
 
     def test_history_monotone_decreasing(self, problem):
         forward, backward = problem

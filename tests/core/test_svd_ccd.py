@@ -9,7 +9,6 @@ from repro.core.affinity import apmi
 from repro.core.greedy_init import InitState, greedy_init, random_init
 from repro.core.svd_ccd import (
     ccd_sweep,
-    ccd_sweep_parallel,
     ccd_sweep_reference,
     objective_value,
     refine,
@@ -23,12 +22,13 @@ def affinities(sbm_graph):
 
 
 def _clone(state: InitState) -> InitState:
+    """Copy the factors; the affinities are read-only and shared."""
     return InitState(
         state.x_forward.copy(),
         state.x_backward.copy(),
         state.y.copy(),
-        state.s_forward.copy(),
-        state.s_backward.copy(),
+        state.forward,
+        state.backward,
     )
 
 
@@ -53,7 +53,6 @@ class TestVectorizationEquivalence:
         assert np.allclose(vectorized.x_forward, reference.x_forward, atol=1e-12)
         assert np.allclose(vectorized.x_backward, reference.x_backward, atol=1e-12)
         assert np.allclose(vectorized.y, reference.y, atol=1e-12)
-        assert np.allclose(vectorized.s_forward, reference.s_forward, atol=1e-12)
 
     def test_matches_reference_three_sweeps(self, small_state):
         _, _, state = small_state
@@ -70,10 +69,10 @@ class TestVectorizationEquivalence:
         serial = _clone(state)
         parallel = _clone(state)
         ccd_sweep(serial)
-        ccd_sweep_parallel(parallel, n_threads=n_threads)
+        ccd_sweep(parallel, n_threads=n_threads)
         assert np.allclose(serial.x_forward, parallel.x_forward, atol=1e-12)
+        assert np.allclose(serial.x_backward, parallel.x_backward, atol=1e-12)
         assert np.allclose(serial.y, parallel.y, atol=1e-12)
-        assert np.allclose(serial.s_forward, parallel.s_forward, atol=1e-12)
 
 
 class TestConvergence:
@@ -95,17 +94,15 @@ class TestConvergence:
         after = objective_value(forward, backward, state)
         assert after < before
 
-    def test_residual_caches_stay_consistent(self, affinities):
-        """Incremental Eq. 18-20 updates must equal full recomputation."""
+    def test_sweep_returns_the_objective(self, affinities):
+        """Each sweep's return value is Eq. (4) recomputed from scratch."""
         forward, backward = affinities
         state = greedy_init(forward, backward, k=16, seed=0)
-        refine(state, 3)
-        assert np.allclose(
-            state.s_forward, state.x_forward @ state.y.T - forward, atol=1e-8
-        )
-        assert np.allclose(
-            state.s_backward, state.x_backward @ state.y.T - backward, atol=1e-8
-        )
+        for n_threads in (1, 2, 3):
+            returned = ccd_sweep(state, n_threads=n_threads)
+            assert returned == pytest.approx(
+                objective_value(forward, backward, state), rel=1e-10
+            )
 
     def test_greedy_init_converges_faster_than_random(self, affinities):
         """Sec. 5.7: same sweep count, greedy init reaches lower objective."""
@@ -142,8 +139,6 @@ class TestRefine:
         backward = rng.random((6, 4))
         state = random_init(forward, backward, k=4, seed=0)
         state.y[:, 0] = 0.0
-        state.s_forward = state.x_forward @ state.y.T - forward
-        state.s_backward = state.x_backward @ state.y.T - backward
         before, reference = _clone(state), _clone(state)
         ccd_sweep(state)
         ccd_sweep_reference(reference)
@@ -152,5 +147,5 @@ class TestRefine:
         assert np.array_equal(state.x_forward[:, 0], before.x_forward[:, 0])
         assert np.array_equal(state.x_backward[:, 0], before.x_backward[:, 0])
         assert np.allclose(state.x_forward, reference.x_forward, atol=1e-12)
+        assert np.allclose(state.x_backward, reference.x_backward, atol=1e-12)
         assert np.allclose(state.y, reference.y, atol=1e-12)
-        assert np.allclose(state.s_forward, reference.s_forward, atol=1e-12)

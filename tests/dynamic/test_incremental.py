@@ -89,12 +89,45 @@ class TestIncrementalPANE:
         cold = PANE(k=16, seed=0).fit(model.graph, compute_objective=True)
         pair = apmi(model.graph, 0.5, 0.015)
         warm_state = InitState(
-            warm.x_forward, warm.x_backward, warm.y,
-            warm.x_forward @ warm.y.T - pair.forward,
-            warm.x_backward @ warm.y.T - pair.backward,
+            warm.x_forward, warm.x_backward, warm.y, pair.forward, pair.backward
         )
         warm_obj = objective_value(pair.forward, pair.backward, warm_state)
         assert warm_obj <= 1.3 * cold.objective
+
+    def test_update_equals_residual_space_sweeps(self, model_and_graph):
+        """The refresh as it was before the sweeps stopped carrying residuals:
+        ``S = X·Yᵀ − F′`` around the previous embedding, then Alg. 4's rank-1
+        steps on ``S`` (the seed sweep, every row of a coordinate at once)."""
+        from repro.core.affinity import apmi
+
+        model, graph = model_and_graph
+        previous = model.embedding
+        rng = np.random.default_rng(3)
+        delta = GraphDelta(
+            add_edges=rng.integers(0, 120, size=(10, 2)),
+            add_associations=np.array([[0, 1, 1.0], [5, 2, 2.0]]),
+        )
+        produced = model.update(delta)
+
+        pair = apmi(apply_delta(graph, delta), 0.5, 0.015)
+        xf, xb, y = (a.copy() for a in (previous.x_forward, previous.x_backward, previous.y))
+        sf = xf @ y.T - pair.forward
+        sb = xb @ y.T - pair.backward
+        for _ in range(model.update_sweeps):
+            for l in range(y.shape[1]):
+                denom = y[:, l] @ y[:, l]
+                for x_half, s_half in ((xf, sf), (xb, sb)):
+                    mu = (s_half @ y[:, l]) / denom
+                    x_half[:, l] -= mu
+                    s_half -= np.outer(mu, y[:, l])
+            for l in range(y.shape[1]):
+                mu = (xf[:, l] @ sf + xb[:, l] @ sb) / (xf[:, l] @ xf[:, l] + xb[:, l] @ xb[:, l])
+                y[:, l] -= mu
+                sf -= np.outer(xf[:, l], mu)
+                sb -= np.outer(xb[:, l], mu)
+        assert np.allclose(produced.x_forward, xf, atol=1e-10)
+        assert np.allclose(produced.x_backward, xb, atol=1e-10)
+        assert np.allclose(produced.y, y, atol=1e-10)
 
     def test_update_faster_than_refit(self, model_and_graph):
         """The warm path skips the SVD and most CCD sweeps."""

@@ -5,8 +5,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.affinity import apmi, exact_affinity
-from repro.core.papmi import papmi
+from repro.core.affinity import apmi, exact_affinity, papmi
 from repro.graph.attributed_graph import AttributedGraph
 
 
@@ -57,11 +56,11 @@ class TestAffinityInvariants:
     @given(small_graphs(), st.integers(2, 5))
     @settings(max_examples=30, deadline=None)
     def test_papmi_equals_apmi(self, graph, n_threads):
-        """Lemma 4.1 over arbitrary graphs and thread counts."""
+        """Lemma 4.1, bitwise, over arbitrary graphs and thread counts."""
         serial = apmi(graph, epsilon=0.1)
         parallel = papmi(graph, epsilon=0.1, n_threads=n_threads)
-        assert np.allclose(serial.forward, parallel.forward, atol=1e-12)
-        assert np.allclose(serial.backward, parallel.backward, atol=1e-12)
+        assert np.array_equal(serial.forward, parallel.forward)
+        assert np.array_equal(serial.backward, parallel.backward)
 
     @given(small_graphs())
     @settings(max_examples=30, deadline=None)
