@@ -23,7 +23,9 @@ crosses a real process boundary, exactly like a deployment:
    require: no response with a 5xx status other than the structured 503
    ``draining``, and a clean exit code from the drained process;
 7. require the store's ops journal (``events.jsonl``) to have recorded
-   both publishes and the drain.
+   both publishes and the drain;
+8. print the server's peak RSS (``VmHWM``) and require that it mapped
+   no ``scipy`` object — a read-only server imports only what it serves.
 
 The journal and the last Prometheus scrape are copied into
 ``smoke-artifacts/`` so a CI failure uploads them for offline
@@ -55,6 +57,7 @@ from repro.serving.http import ServingClient  # noqa: E402
 from repro.serving.http.loadgen import (  # noqa: E402
     assert_bit_identical,
     cli_subprocess_env,
+    process_footprint,
     spawn_cli_server,
 )
 from repro.serving.obs.journal import read_events  # noqa: E402
@@ -150,6 +153,23 @@ def drain_under_fire(url: str, server: subprocess.Popen) -> None:
     )
 
 
+def check_footprint(pid: int) -> None:
+    """Print the server's peak RSS; a read-only server must map no scipy."""
+    footprint = process_footprint(pid)
+    if footprint is None:
+        print("  no /proc here: footprint not checked")
+        return
+    print(
+        "  server VmHWM {:.1f} MiB (anon {:.1f}, file {:.1f})".format(
+            *(footprint[name] / 1024 for name in ("VmHWM", "RssAnon", "RssFile"))
+        )
+    )
+    assert footprint["scipy_objects"] == [], (
+        "a read-only `repro serve` mapped scipy — something on the serve "
+        f"path imports the trainer: {footprint['scipy_objects'][:3]}"
+    )
+
+
 def main() -> int:
     scrape: str | None = None
     with tempfile.TemporaryDirectory() as tmp:
@@ -207,6 +227,7 @@ def main() -> int:
                 metrics["registry"], "service_queries_total"
             ) == queries, metrics
             scrape = scrape_prometheus(url)
+            check_footprint(server.pid)
             client.close()  # release pooled sockets before the drain
             binary_client.close()
 

@@ -13,15 +13,7 @@ Public API highlights:
   index, batched query service, online refresh — see ``docs/SERVING.md``).
 """
 
-from repro.core import PANE, PANEConfig, PANEEmbedding, apmi, exact_affinity, randsvd
-from repro.graph import (
-    AttributedGraph,
-    attributed_sbm,
-    citation_graph,
-    power_law_attributed,
-    random_attributed_graph,
-    running_example_graph,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -40,3 +32,22 @@ __all__ = [
     "running_example_graph",
     "__version__",
 ]
+
+# Resolved on first use: ``import repro`` (which every ``repro.serving``
+# import implies) must not load the trainer or scipy.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.pane": ("PANE",),
+        "repro.core.config": ("PANEConfig",),
+        "repro.core.embedding": ("PANEEmbedding",),
+        "repro.graph.attributed_graph": ("AttributedGraph",),
+        "repro.core.affinity": ("apmi", "exact_affinity"),
+        "repro.core.randsvd": ("randsvd",),
+        "repro.graph.generators": (
+            "attributed_sbm", "citation_graph", "power_law_attributed",
+            "random_attributed_graph",
+        ),
+        "repro.graph.toy": ("running_example_graph",),
+    },
+)

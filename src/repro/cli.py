@@ -116,7 +116,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_neighbors(args: argparse.Namespace) -> int:
-    from repro.core.pane import PANEEmbedding
+    from repro.core.embedding import PANEEmbedding
     from repro.search.knn import top_k_similar
 
     embedding = PANEEmbedding.load(args.embedding)
@@ -175,7 +175,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     sharded = isinstance(store, ShardedEmbeddingStore)
     layout = f" [{store.n_shards} {store.partition} shards]" if sharded else ""
     if args.publish:
-        from repro.core.pane import PANEEmbedding
+        from repro.core.embedding import PANEEmbedding
 
         embedding = PANEEmbedding.load(args.publish)
         version = store.publish(embedding)
@@ -829,6 +829,25 @@ def _cmd_stat(args: argparse.Namespace) -> int:
                     family_total(registry, "service_cache_served_total"),
                 )
             )
+            workers = sorted(
+                cell["labels"]["worker"]
+                for family in registry["families"]
+                if family["name"] == "process_modules_loaded"
+                for cell in family["cells"]
+            )
+            for worker in workers:
+                rss, peak, modules = (
+                    family_total(registry, name, worker=worker)
+                    for name in (
+                        "process_resident_memory_bytes",
+                        "process_peak_resident_memory_bytes",
+                        "process_modules_loaded",
+                    )
+                )
+                print(
+                    f"process: worker {worker} rss={rss / 2**20:.1f} MiB "
+                    f"peak={peak / 2**20:.1f} MiB modules={modules:.0f}"
+                )
         ingest = metrics.get("ingest")
         if ingest is not None:
             print(

@@ -1,14 +1,6 @@
 """PANE core: affinity approximation, joint factorization, and the facade."""
 
-from repro.core.affinity import apmi, exact_affinity, iterations_for_epsilon
-from repro.core.config import PANEConfig
-from repro.core.pane import PANE, PANEEmbedding
-from repro.core.randsvd import randsvd
-from repro.core.scoring import (
-    attribute_scores,
-    link_scores,
-    node_attribute_score_matrix,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "PANE",
@@ -22,3 +14,17 @@ __all__ = [
     "link_scores",
     "node_attribute_score_matrix",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.pane": ("PANE",),
+        "repro.core.config": ("PANEConfig",),
+        "repro.core.embedding": ("PANEEmbedding",),
+        "repro.core.affinity": ("apmi", "exact_affinity", "iterations_for_epsilon"),
+        "repro.core.randsvd": ("randsvd",),
+        "repro.core.scoring": (
+            "attribute_scores", "link_scores", "node_attribute_score_matrix",
+        ),
+    },
+)

@@ -7,6 +7,14 @@ the factorization from the previous embeddings instead of re-running the
 SVD-based GreedyInit.
 """
 
-from repro.dynamic.incremental import IncrementalPANE, GraphDelta
+from repro._lazy import lazy_exports
 
 __all__ = ["IncrementalPANE", "GraphDelta"]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.dynamic.incremental": ("IncrementalPANE",),
+        "repro.dynamic.delta": ("GraphDelta",),
+    },
+)

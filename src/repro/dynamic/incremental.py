@@ -17,49 +17,17 @@ embedding state advance with each call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
-import scipy.sparse as sp
 
 from repro.core.affinity import apmi
 from repro.core.config import PANEConfig
+from repro.core.embedding import PANEEmbedding
 from repro.core.greedy_init import InitState
-from repro.core.pane import PANE, PANEEmbedding
+from repro.core.pane import PANE
 from repro.core.svd_ccd import refine
+from repro.dynamic.delta import GraphDelta
 from repro.graph.attributed_graph import AttributedGraph
 from repro.utils.timing import Timer
-
-
-@dataclass(frozen=True)
-class GraphDelta:
-    """A batch of changes to apply to an attributed graph.
-
-    Attributes
-    ----------
-    add_edges / remove_edges:
-        Arrays of ``(source, target)`` pairs (shape ``e × 2``).
-    add_associations:
-        Array of ``(node, attribute, weight)`` triples (shape ``a × 3``).
-    remove_associations:
-        Array of ``(node, attribute)`` pairs whose entries become zero.
-    """
-
-    add_edges: np.ndarray | None = None
-    remove_edges: np.ndarray | None = None
-    add_associations: np.ndarray | None = None
-    remove_associations: np.ndarray | None = None
-
-    def is_empty(self) -> bool:
-        return all(
-            x is None or len(x) == 0
-            for x in (
-                self.add_edges,
-                self.remove_edges,
-                self.add_associations,
-                self.remove_associations,
-            )
-        )
 
 
 def apply_delta(graph: AttributedGraph, delta: GraphDelta) -> AttributedGraph:

@@ -21,7 +21,19 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from repro.utils.validation import check_csr
+
+def check_csr(matrix, name: str) -> sp.csr_matrix:
+    """Coerce ``matrix`` to CSR with float64 data, validating shape."""
+    if not sp.issparse(matrix):
+        matrix = sp.csr_matrix(np.asarray(matrix, dtype=np.float64))
+    matrix = matrix.tocsr()
+    if matrix.dtype != np.float64:
+        matrix = matrix.astype(np.float64)
+    if matrix.ndim != 2:
+        raise ValueError(f"{name} must be 2-dimensional")
+    if matrix.nnz and not np.all(np.isfinite(matrix.data)):
+        raise ValueError(f"{name} contains NaN or infinite entries")
+    return matrix
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """Embedding serving: versioned store, ANN index, query service, refresh.
 
-The subsystem that turns a trained :class:`~repro.core.pane.PANEEmbedding`
+The subsystem that turns a trained :class:`~repro.core.embedding.PANEEmbedding`
 into something that answers similarity queries under load:
 
 - :class:`EmbeddingStore` — durable, versioned, memory-mapped storage with
@@ -28,35 +28,7 @@ into something that answers similarity queries under load:
 See ``docs/SERVING.md`` for the operational guide.
 """
 
-from repro.serving.index import (
-    AUTO_EXACT_THRESHOLD,
-    ExactBackend,
-    IVFIndex,
-    IVFRebuildStats,
-    SearchBackend,
-    make_backend,
-    resolve_kind,
-)
-from repro.serving.refresh import OnlineRefresher, RefreshReport
-from repro.serving.service import (
-    PinnedView,
-    QueryResult,
-    QueryService,
-    SearchParams,
-    SearchRequest,
-    backend_kind_name,
-    json_safe,
-)
-from repro.serving.sharding import (
-    IVFPQBackend,
-    Partitioner,
-    PQBackend,
-    PQCodec,
-    ShardedEmbeddingStore,
-    ShardedStoredEmbedding,
-    ShardRouter,
-)
-from repro.serving.store import EmbeddingStore, StoredEmbedding, search_features
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AUTO_EXACT_THRESHOLD",
@@ -86,3 +58,26 @@ __all__ = [
     "resolve_kind",
     "search_features",
 ]
+
+# Resolved on first use: every ``repro.serving.*`` import runs this file,
+# and ``refresh`` pulls in the trainer, which a read-only server never calls.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.serving.index": (
+            "AUTO_EXACT_THRESHOLD", "ExactBackend", "IVFIndex", "IVFRebuildStats",
+            "SearchBackend", "make_backend", "resolve_kind",
+        ),
+        "repro.serving.refresh": ("OnlineRefresher", "RefreshReport"),
+        "repro.serving.service": (
+            "PinnedView", "QueryResult", "QueryService", "SearchParams",
+            "SearchRequest", "backend_kind_name", "json_safe",
+        ),
+        "repro.serving.sharding.pq": ("IVFPQBackend", "PQBackend", "PQCodec"),
+        "repro.serving.sharding.router": ("ShardRouter",),
+        "repro.serving.sharding.store": (
+            "Partitioner", "ShardedEmbeddingStore", "ShardedStoredEmbedding",
+        ),
+        "repro.serving.store": ("EmbeddingStore", "StoredEmbedding", "search_features"),
+    },
+)

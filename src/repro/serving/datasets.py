@@ -32,6 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.dynamic.delta import GraphDelta
 from repro.utils.fs import atomic_write
 
 DATASETS_FILE = "datasets.json"
@@ -199,7 +200,7 @@ def diff_versions(store, log, ref_a: str, ref_b: str, *, directed: bool = True):
 
     ``ref_a`` / ``ref_b`` are dataset names or version ids.  Returns
     ``(report, delta)``: a JSON-safe report and the folded
-    :class:`~repro.dynamic.incremental.GraphDelta` covering
+    :class:`~repro.dynamic.delta.GraphDelta` covering
     ``(applied_lsn(A), applied_lsn(B)]``.  Raises :class:`DatasetError`
     when A is newer than B or pruning removed records inside the range
     (an under-reported diff is worse than no diff).
@@ -223,8 +224,6 @@ def diff_versions(store, log, ref_a: str, ref_b: str, *, directed: bool = True):
         "lsn_range": [lsn_a + 1, lsn_b] if lsn_b > lsn_a else [],
     }
     if lsn_a == lsn_b:
-        from repro.dynamic.incremental import GraphDelta
-
         delta = GraphDelta()
         report.update(_delta_summary(delta))
         return report, delta

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.serving.http.client import ServingClient
 from repro.serving.http.protocol import ApiError
+from repro.serving.obs.metrics import proc_status_kib
 from repro.serving.service import SearchRequest
 
 
@@ -131,6 +132,29 @@ def spawn_cli_server(store_root, *extra_args: str, url_timeout_s: float = 30.0):
         process.wait(timeout=30)
         raise RuntimeError(f"could not parse server URL from: {line!r}")
     return process, match.group(1)
+
+
+def process_footprint(pid: int) -> dict | None:
+    """What process ``pid`` holds, read from ``/proc`` (``None`` without one).
+
+    The KiB fields of its ``status`` (``VmHWM``, ``VmRSS``, ``RssAnon``,
+    ``RssFile``, …) plus ``"scipy_objects"``: the files it has mapped
+    out of an installed ``scipy`` (or ``scipy.libs``) directory.  A
+    read-only ``repro serve`` must map none; the CI server smoke and
+    ``tests/serving/test_import_closure.py`` both assert it through this
+    one reader.  The match is on a directory, not a substring: numpy
+    wheels vendor their BLAS as ``numpy.libs/libscipy_openblas*.so``.
+    """
+    try:
+        footprint: dict = proc_status_kib(pid)
+        with open(f"/proc/{pid}/maps") as maps:
+            paths = {line.split(None, 5)[5].strip() for line in maps if "/" in line}
+    except OSError:
+        return None
+    footprint["scipy_objects"] = sorted(
+        path for path in paths if "/scipy/" in path or "/scipy.libs/" in path
+    )
+    return footprint
 
 
 def assert_bit_identical(client, service, nodes, k: int = 10) -> int:

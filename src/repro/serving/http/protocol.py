@@ -41,6 +41,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.search.knn import FilterError, NodeFilter
+from repro.serving.service import DEFAULT_PARAMS, SearchParams
 
 # v2 has one spelling per thing: the probe width only as
 # ``params.nprobe``, writes only through ``/v1/upsert``, and latency in
@@ -520,8 +521,6 @@ def parse_params_field(body: dict):
     Malformed params are an ``invalid_request`` (unlike filters they
     have no dedicated error code).
     """
-    from repro.serving.service import DEFAULT_PARAMS, SearchParams
-
     obj = body.get("params")
     if obj is None:
         return DEFAULT_PARAMS

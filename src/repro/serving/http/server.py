@@ -50,6 +50,7 @@ from urllib.parse import parse_qsl, urlsplit
 
 import numpy as np
 
+from repro.dynamic.delta import GraphDelta
 from repro.serving.faults import InjectedFault
 from repro.serving.fsck import StoreCorruptionError
 from repro.serving.http import protocol
@@ -392,6 +393,7 @@ class EmbeddingServer:
 
     def _collect_metrics(self) -> None:
         reg = self.registry
+        obs_metrics.mirror_process(reg, worker=self.worker_id or 0)
         reg.gauge("http_in_flight", "Requests currently executing").set(
             self.in_flight
         )
@@ -423,35 +425,7 @@ class EmbeddingServer:
                 "coalesce_pending", "Requests waiting in the coalescer right now"
             ).set(info["pending"])
         if self.ingest is not None:
-            counters = dict(self.ingest.counters)
-            reg.counter("wal_appends_total", "WAL append batches").set_total(
-                counters.get("appends", 0)
-            )
-            reg.counter("wal_events_total", "WAL events appended").set_total(
-                counters.get("events", 0)
-            )
-            reg.counter(
-                "wal_compactions_total", "Compaction folds completed"
-            ).set_total(counters.get("compactions", 0))
-            reg.counter(
-                "wal_records_folded_total", "WAL records folded into snapshots"
-            ).set_total(counters.get("records_folded", 0))
-            reg.counter(
-                "wal_checkpoints_total", "Checkpoints written"
-            ).set_total(counters.get("checkpoints", 0))
-            reg.counter(
-                "wal_log_full_total", "Upserts rejected because the log was full"
-            ).set_total(counters.get("log_full_rejections", 0))
-            log = self.ingest.log
-            reg.counter("wal_fsyncs_total", "WAL fsync calls").set_total(
-                getattr(log, "fsyncs", 0)
-            )
-            reg.counter(
-                "wal_fsynced_bytes_total", "Bytes written to the WAL before fsync"
-            ).set_total(getattr(log, "fsynced_bytes", 0))
-            reg.gauge("wal_log_bytes", "Live WAL size in bytes").set(
-                log.size_bytes
-            )
+            obs_metrics.mirror_wal_counters(reg, self.ingest)
             fresh = self.ingest.freshness()
             reg.gauge("ingest_lsn_durable", "Highest fsync-acked LSN").set(
                 fresh["lsn_durable"]
@@ -881,14 +855,12 @@ _DELTA_FIELDS = (
 )
 
 
-def _delta_from_body(body: dict) -> "GraphDelta":
+def _delta_from_body(body: dict) -> GraphDelta:
     """Parse the four GraphDelta fields out of a ``/v1/upsert`` body.
 
     Frame bodies arrive with the fields already decoded to arrays; JSON
     bodies as nested lists — both land on the same validation.
     """
-    from repro.dynamic.incremental import GraphDelta
-
     protocol.reject_unknown_fields(body, _DELTA_FIELDS)
 
     def as_array(name: str, width: int) -> np.ndarray | None:

@@ -69,6 +69,11 @@ from urllib.parse import urlsplit
 from repro.serving.http import protocol
 from repro.serving.http.client import ServingClient
 from repro.serving.http.protocol import ApiError
+from repro.serving.http.server import (
+    EmbeddingServer,
+    apply_upsert,
+    serve_replicate_feed,
+)
 from repro.serving.obs import metrics as obs_metrics
 from repro.serving.obs.journal import EventJournal
 from repro.serving.obs.metrics import MetricsRegistry, merge_dicts
@@ -162,7 +167,6 @@ def worker_main(environ=None) -> int:
     supervisor learns the per-worker admin URL.
     """
     from repro.serving.faults import FaultInjector
-    from repro.serving.http.server import EmbeddingServer
     from repro.serving.service import QueryService
 
     environ = os.environ if environ is None else environ
@@ -269,12 +273,18 @@ class _WorkerSlot:
         """Retire the dead incarnation's last-scraped registry snapshot."""
         if self.registry_last is None:
             return
-        if self.registry_retired is None:
-            self.registry_retired = self.registry_last
-        else:
-            self.registry_retired = merge_dicts(
-                [self.registry_retired, self.registry_last]
-            )
+        # Gauges describe a live process (in-flight requests, resident
+        # memory); the dead incarnation's must not add to its successor's.
+        retiring = {
+            "families": [
+                family
+                for family in self.registry_last["families"]
+                if family["type"] != "gauge"
+            ]
+        }
+        self.registry_retired = merge_dicts(
+            [part for part in (self.registry_retired, retiring) if part is not None]
+        )
         self.registry_last = None
 
 
@@ -755,35 +765,7 @@ class Supervisor:
             "supervisor_breaker_tripped", "1 after the crash-loop breaker fired"
         ).set(1.0 if self._failed is not None else 0.0)
         if self.pipeline is not None:
-            counters = dict(self.pipeline.counters)
-            reg.counter("wal_appends_total", "WAL append batches").set_total(
-                counters.get("appends", 0)
-            )
-            reg.counter("wal_events_total", "WAL events appended").set_total(
-                counters.get("events", 0)
-            )
-            reg.counter(
-                "wal_compactions_total", "Compaction folds completed"
-            ).set_total(counters.get("compactions", 0))
-            reg.counter(
-                "wal_records_folded_total", "WAL records folded into snapshots"
-            ).set_total(counters.get("records_folded", 0))
-            reg.counter(
-                "wal_checkpoints_total", "Checkpoints written"
-            ).set_total(counters.get("checkpoints", 0))
-            reg.counter(
-                "wal_log_full_total", "Upserts rejected because the log was full"
-            ).set_total(counters.get("log_full_rejections", 0))
-            log = self.pipeline.log
-            reg.counter("wal_fsyncs_total", "WAL fsync calls").set_total(
-                log.fsyncs
-            )
-            reg.counter(
-                "wal_fsynced_bytes_total", "Bytes written to the WAL before fsync"
-            ).set_total(log.fsynced_bytes)
-            reg.gauge("wal_log_bytes", "Live WAL size in bytes").set(
-                log.size_bytes
-            )
+            obs_metrics.mirror_wal_counters(reg, self.pipeline)
             served = [
                 self._version_applied_lsn(slot.last_version)
                 for slot, handle in views
@@ -802,7 +784,7 @@ class Supervisor:
                 "ingest_freshness_lag", "lsn_durable - fleet lsn_served"
             ).set(durable - lsn_served)
             reg.gauge("wal_epoch", "Current WAL fencing epoch").set(
-                log.epoch
+                self.pipeline.log.epoch
             )
             if self.hub is not None:
                 hub = self.hub.status()
@@ -1064,8 +1046,6 @@ class _SupervisorAdminHandler(BaseHTTPRequestHandler):
             if path == protocol.REPLICATE:
                 # Binary feed, not a JSON envelope — rejections still
                 # surface below as structured ApiError JSON.
-                from repro.serving.http.server import serve_replicate_feed
-
                 if supervisor.pipeline is None:
                     raise ApiError(
                         409, "no_write_path",
@@ -1109,8 +1089,6 @@ class _SupervisorAdminHandler(BaseHTTPRequestHandler):
         # multi-worker mode: exactly one process may append to the log,
         # and the shared data socket cannot address a specific process.
         # JSON only — the binary frame wire stays a data-plane affair.
-        from repro.serving.http.server import apply_upsert
-
         supervisor: Supervisor = self.server.supervisor  # type: ignore[attr-defined]
         path = urlsplit(self.path).path
         try:

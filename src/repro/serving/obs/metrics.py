@@ -31,6 +31,8 @@ totals kept by the WAL / compactor / replication layers).
 from __future__ import annotations
 
 import math
+import resource
+import sys
 import threading
 
 # The shared fleet contract: latency buckets in seconds.  Spanning
@@ -351,6 +353,74 @@ class MetricsRegistry:
             lines.append(f"# TYPE {metric.name} {metric.kind}")
             metric._render(lines)
         return "\n".join(lines) + "\n"
+
+
+# -- scrape-time mirrors shared by the server and the supervisor ---------
+def mirror_wal_counters(reg: MetricsRegistry, pipeline) -> None:
+    """Project an ``IngestPipeline``'s append / fold / fsync totals into ``reg``.
+
+    One definition of the ``wal_*`` families for every process that owns
+    a pipeline (a single-process server, or the supervisor in
+    ``--workers`` mode), so the names and help strings cannot drift.
+    """
+    counters = dict(pipeline.counters)
+    log = pipeline.log
+    for name, help, total in (
+        ("wal_appends_total", "WAL append batches", counters.get("appends", 0)),
+        ("wal_events_total", "WAL events appended", counters.get("events", 0)),
+        ("wal_compactions_total", "Compaction folds completed",
+         counters.get("compactions", 0)),
+        ("wal_records_folded_total", "WAL records folded into snapshots",
+         counters.get("records_folded", 0)),
+        ("wal_checkpoints_total", "Checkpoints written",
+         counters.get("checkpoints", 0)),
+        ("wal_log_full_total", "Upserts rejected because the log was full",
+         counters.get("log_full_rejections", 0)),
+        ("wal_fsyncs_total", "WAL fsync calls", log.fsyncs),
+        ("wal_fsynced_bytes_total", "Bytes written to the WAL before fsync",
+         log.fsynced_bytes),
+    ):
+        reg.counter(name, help).set_total(total)
+    reg.gauge("wal_log_bytes", "Live WAL size in bytes").set(log.size_bytes)
+
+
+def proc_status_kib(pid: int | str = "self") -> dict[str, int]:
+    """The memory fields of ``/proc/<pid>/status`` in KiB (``VmRSS``,
+    ``VmHWM``, ``RssAnon``, ``RssFile``, …); ``OSError`` without a ``/proc``."""
+    with open(f"/proc/{pid}/status") as status:
+        rows = (line.split() for line in status)
+        return {row[0].rstrip(":"): int(row[1]) for row in rows if row[-1] == "kB"}
+
+
+def process_memory_bytes() -> tuple[int, int]:
+    """``(resident, peak resident)`` bytes of this process.
+
+    ``VmRSS`` / ``VmHWM``; where there is no ``/proc``, ``ru_maxrss``
+    stands in for both (the kernel keeps no current figure there).
+    """
+    try:
+        kib = proc_status_kib()
+        return kib["VmRSS"] * 1024, kib["VmHWM"] * 1024
+    except (OSError, KeyError):
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        peak *= 1 if sys.platform == "darwin" else 1024
+        return peak, peak
+
+
+def mirror_process(reg: MetricsRegistry, *, worker: int) -> None:
+    """Project this process's footprint into ``reg`` (scrape time only).
+
+    Labelled by ``worker`` so a supervisor's fleet merge keeps one cell
+    per worker instead of summing them.
+    """
+    resident, peak = process_memory_bytes()
+    for name, help, value in (
+        ("process_resident_memory_bytes", "Resident set size in bytes", resident),
+        ("process_peak_resident_memory_bytes",
+         "Peak resident set size in bytes (VmHWM)", peak),
+        ("process_modules_loaded", "Entries in sys.modules", len(sys.modules)),
+    ):
+        reg.gauge(name, help, ("worker",)).set(value, worker=worker)
 
 
 # -- fleet merging (dict form) ------------------------------------------

@@ -3,7 +3,7 @@
 Ties the three other serving pieces to :mod:`repro.dynamic.incremental`:
 
 1. :class:`~repro.dynamic.incremental.IncrementalPANE` absorbs a
-   :class:`~repro.dynamic.incremental.GraphDelta` with a warm-started CCD
+   :class:`~repro.dynamic.delta.GraphDelta` with a warm-started CCD
    refresh (cheap — a few sweeps instead of a full fit);
 2. the updated embedding is :meth:`published <EmbeddingStore.publish>` as a
    new immutable store version;

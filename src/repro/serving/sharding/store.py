@@ -45,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.pane import PANEEmbedding
+from repro.core.embedding import PANEEmbedding
 from repro.serving.store import STAGING_PREFIX, EmbeddingStore, StoredEmbedding
 from repro.utils.fs import atomic_write, chmod_default_file
 

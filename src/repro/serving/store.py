@@ -1,7 +1,7 @@
 """Versioned, memory-mapped embedding store.
 
 The durable half of the serving split: :class:`EmbeddingStore` persists
-trained :class:`~repro.core.pane.PANEEmbedding`s as immutable, numbered
+trained :class:`~repro.core.embedding.PANEEmbedding`s as immutable, numbered
 versions that the in-memory :class:`~repro.serving.service.QueryService`
 maps and serves.  Layout under the store root::
 
@@ -47,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.config import PANEConfig
-from repro.core.pane import PANEEmbedding
+from repro.core.embedding import PANEEmbedding
 from repro.search.knn import normalize_rows
 from repro.utils.fs import atomic_write, chmod_default_dir
 

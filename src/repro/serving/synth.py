@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.config import PANEConfig
+from repro.core.embedding import PANEEmbedding
 from repro.search.knn import normalize_rows
 
 
@@ -35,9 +37,6 @@ def synthetic_embedding(n: int, dim: int, *, seed: int = 0):
     the HTTP bench, the process-boundary smoke, and the serving bench
     all exercise identically shaped stores.
     """
-    from repro.core.config import PANEConfig
-    from repro.core.pane import PANEEmbedding
-
     half = max(2, dim // 2)
     rng = np.random.default_rng(seed)
     return PANEEmbedding(

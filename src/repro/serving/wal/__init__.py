@@ -5,7 +5,7 @@ path"):
 
 - :class:`DeltaLog` — checksummed, fsync'd, LSN-stamped segment files of
   graph upsert events with torn-tail recovery and replay into a
-  :class:`~repro.dynamic.incremental.GraphDelta` (``log.py``);
+  :class:`~repro.dynamic.delta.GraphDelta` (``log.py``);
 - :class:`IngestPipeline` — durable appends + warm
   :class:`~repro.dynamic.incremental.IncrementalPANE` + publication of
   compacted store versions stamped with ``applied_lsn``
@@ -14,25 +14,7 @@ path"):
   checkpoint loop (``compactor.py``).
 """
 
-from repro.serving.wal.compactor import (
-    BASE_GRAPH_FILE,
-    CHECKPOINT_FILE,
-    CHECKPOINT_SCHEMA,
-    Compactor,
-    IngestPipeline,
-    RecoveryError,
-)
-from repro.serving.wal.log import (
-    DeltaLog,
-    LogCorruption,
-    LogFull,
-    LogRecord,
-    LogWriteError,
-    SegmentInfo,
-    events_from_delta,
-    fold_records,
-    scan_segment,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BASE_GRAPH_FILE",
@@ -51,3 +33,19 @@ __all__ = [
     "fold_records",
     "scan_segment",
 ]
+
+# Resolved on first use: the server imports ``wal.log`` for its error
+# types on every boot; only ``compactor`` needs the trainer.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.serving.wal.compactor": (
+            "BASE_GRAPH_FILE", "CHECKPOINT_FILE", "CHECKPOINT_SCHEMA", "Compactor",
+            "IngestPipeline", "RecoveryError",
+        ),
+        "repro.serving.wal.log": (
+            "DeltaLog", "LogCorruption", "LogFull", "LogRecord", "LogWriteError",
+            "SegmentInfo", "events_from_delta", "fold_records", "scan_segment",
+        ),
+    },
+)

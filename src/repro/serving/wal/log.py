@@ -3,7 +3,7 @@
 The log is the single durable copy of every accepted write, in the
 LogBase mold: fixed-format, checksummed records appended to segment
 files, fsync'd before the caller is acked, and replayed into a
-:class:`~repro.dynamic.incremental.GraphDelta` on recovery.
+:class:`~repro.dynamic.delta.GraphDelta` on recovery.
 
 Layout of a segment file ``{first_lsn:016d}.wal``::
 
@@ -48,7 +48,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from repro.dynamic.incremental import GraphDelta
+from repro.dynamic.delta import GraphDelta
 from repro.utils.fs import atomic_write, chmod_default_dir, chmod_default_file
 
 SEGMENT_SUFFIX = ".wal"

@@ -6,9 +6,6 @@ entry points fail fast on bad parameters instead of deep inside numpy.
 
 from __future__ import annotations
 
-import numpy as np
-import scipy.sparse as sp
-
 
 def check_probability(value: float, name: str, *, inclusive: bool = False) -> float:
     """Validate that ``value`` lies in (0, 1), or [0, 1] if ``inclusive``."""
@@ -44,17 +41,3 @@ def check_embedding_dim(k: int, n: int, d: int) -> int:
             "reduce k or use a larger graph"
         )
     return k
-
-
-def check_csr(matrix, name: str) -> sp.csr_matrix:
-    """Coerce ``matrix`` to CSR with float64 data, validating shape."""
-    if not sp.issparse(matrix):
-        matrix = sp.csr_matrix(np.asarray(matrix, dtype=np.float64))
-    matrix = matrix.tocsr()
-    if matrix.dtype != np.float64:
-        matrix = matrix.astype(np.float64)
-    if matrix.ndim != 2:
-        raise ValueError(f"{name} must be 2-dimensional")
-    if matrix.nnz and not np.all(np.isfinite(matrix.data)):
-        raise ValueError(f"{name} contains NaN or infinite entries")
-    return matrix

@@ -34,7 +34,10 @@ from repro.serving.obs.metrics import (
     MetricsRegistry,
     family_total,
     merge_dicts,
+    mirror_process,
+    mirror_wal_counters,
     parse_text,
+    process_memory_bytes,
     render_text_from_dict,
 )
 from repro.serving.obs.trace import (
@@ -589,6 +592,128 @@ class TestOneInstrument:
                 ]
                 assert cell["sum"] == pytest.approx(sum(c["sum"] for c in matching))
         parse_text(render_text_from_dict(fleet))
+
+
+def _cells(registry: dict, name: str) -> dict[str, float]:
+    """``{worker label: value}`` of one ``process_*`` family."""
+    family = next(f for f in registry["families"] if f["name"] == name)
+    assert family["type"] == "gauge" and family["labels"] == ["worker"]
+    return {cell["labels"]["worker"]: cell["value"] for cell in family["cells"]}
+
+
+class TestProcessFootprint:
+    """RSS, peak RSS and module count are readable from ``/metrics``."""
+
+    FAMILIES = (
+        "process_resident_memory_bytes",
+        "process_peak_resident_memory_bytes",
+        "process_modules_loaded",
+    )
+
+    def test_scrape_mirrors_the_process(self, service):
+        import importlib
+        import sys
+
+        with EmbeddingServer(service) as server:
+            client = ServingClient(server.url, retries=0)
+            client.top_k(0, 5)
+            first = client.metrics()["registry"]
+            resident = _cells(first, "process_resident_memory_bytes")["0"]
+            peak = _cells(first, "process_peak_resident_memory_bytes")["0"]
+            assert 0 < resident <= peak
+            # The server runs in this process: same kernel counters.
+            assert peak == pytest.approx(process_memory_bytes()[1], rel=0.25)
+            modules = _cells(first, "process_modules_loaded")["0"]
+            assert modules == pytest.approx(len(sys.modules), abs=16)
+            # Read at scrape time, not at boot: a module loaded since
+            # shows in the next scrape.
+            sys.modules.pop("colorsys", None)
+            importlib.import_module("colorsys")
+            assert _cells(client.metrics()["registry"], "process_modules_loaded")[
+                "0"
+            ] >= modules + 1
+            text = _get(
+                server.url + protocol.METRICS, headers={"Accept": "text/plain"}
+            )[2].decode("utf-8")
+            parsed = parse_text(text)
+            for name in self.FAMILIES:
+                assert parsed[name]["type"] == "gauge"
+                assert (name, (("worker", "0"),)) in parsed[name]["samples"]
+            client.close()
+
+    def test_fleet_merge_keeps_one_cell_per_worker(self):
+        registries = []
+        for worker in (0, 1):
+            registry = MetricsRegistry()
+            mirror_process(registry, worker=worker)
+            registries.append(registry.as_dict())
+        fleet = merge_dicts(registries)
+        for name in self.FAMILIES:
+            cells = _cells(fleet, name)
+            assert set(cells) == {"0", "1"}
+            for worker, registry in enumerate(registries):
+                assert cells[str(worker)] == _cells(registry, name)[str(worker)]
+
+    def test_stat_prints_the_footprint(self, service, store, capsys):
+        from repro.cli import main
+
+        with EmbeddingServer(service) as server:
+            code = main(
+                ["stat", "--store", str(store.root), "--url", server.url]
+            )
+        assert code == 0
+        line = next(
+            line
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("process: worker 0 ")
+        )
+        assert "rss=" in line and "peak=" in line and "modules=" in line
+
+
+class TestWalMirror:
+    """One definition of the ``wal_*`` families for server and supervisor."""
+
+    def test_server_registry_carries_the_shared_families(self, tmp_path):
+        import numpy as np
+
+        from repro.dynamic.delta import GraphDelta
+        from repro.graph.generators import attributed_sbm
+        from repro.serving.store import EmbeddingStore
+        from repro.serving.wal.compactor import IngestPipeline
+
+        graph = attributed_sbm(n_nodes=40, n_attributes=12, seed=5)
+        store = EmbeddingStore(tmp_path / "store")
+        pipeline = IngestPipeline(tmp_path / "wal", store)
+        pipeline.bootstrap(graph, k=8, update_sweeps=1)
+        try:
+            pipeline.append(GraphDelta(add_edges=np.array([[0, 1]])))
+            reference = MetricsRegistry()
+            mirror_wal_counters(reference, pipeline)
+            expected = {
+                f["name"]: (f["type"], f["help"], f["cells"])
+                for f in reference.as_dict()["families"]
+            }
+            assert set(expected) == {
+                "wal_appends_total", "wal_events_total", "wal_compactions_total",
+                "wal_records_folded_total", "wal_checkpoints_total",
+                "wal_log_full_total", "wal_fsyncs_total",
+                "wal_fsynced_bytes_total", "wal_log_bytes",
+            }
+            assert expected["wal_appends_total"][2][0]["value"] == 1
+            assert expected["wal_fsyncs_total"][2][0]["value"] >= 1
+            assert expected["wal_log_bytes"][2][0]["value"] > 0
+            with QueryService(store, backend="exact") as service:
+                server = EmbeddingServer(service, ingest=pipeline)  # never started
+                try:
+                    served = {
+                        f["name"]: (f["type"], f["help"], f["cells"])
+                        for f in server.registry.as_dict()["families"]
+                    }
+                finally:
+                    server.close()
+            assert {name: served[name] for name in expected} == expected
+        finally:
+            pipeline.close()
 
 
 class TestClientTraceRing:

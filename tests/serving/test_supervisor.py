@@ -359,6 +359,10 @@ class TestWritePath:
                 metrics = admin.metrics()
                 assert metrics["ingest"]["counters"]["appends"] == 1
                 assert metrics["ingest"]["compactor"]["alive"] is True
+                # The same wal_* mirror a single-process server runs.
+                assert family_total(metrics["registry"], "wal_appends_total") == 1
+                assert family_total(metrics["registry"], "wal_fsyncs_total") >= 1
+                assert family_total(metrics["registry"], "wal_log_bytes") > 0
 
                 # reads on the shared data socket serve the compacted version
                 result = data.top_k(0, k=5)
@@ -449,6 +453,21 @@ class TestObservability:
                 assert histogram["count"] == n_requests
                 assert sum(histogram["counts"]) == n_requests
 
+                # Footprint gauges carry a worker label, so the merge
+                # keeps each worker's own reading instead of a sum.
+                assert set(metrics["workers"]) == {"0", "1"}
+                for name in (
+                    "process_resident_memory_bytes",
+                    "process_peak_resident_memory_bytes",
+                    "process_modules_loaded",
+                ):
+                    for worker, payload in metrics["workers"].items():
+                        own = family_total(payload["registry"], name, worker=worker)
+                        assert own > 0
+                        assert own == family_total(
+                            metrics["registry"], name, worker=worker
+                        )
+
                 # The same snapshot renders as valid Prometheus text.
                 parsed = parse_text(self.scrape_text(supervisor.admin_url))
                 sample = parsed["http_requests_total"]["samples"][
@@ -519,6 +538,17 @@ class TestObservability:
                     timeout_s=5.0,
                     message="post-restart requests to land in the fleet view",
                 )
+                # Counters outlive the dead incarnation; its gauges do
+                # not — the restarted worker's footprint is its own, not
+                # its own plus its predecessor's.
+                metrics = admin.metrics()
+                assert len(metrics["workers"]) == 2
+                for worker, payload in metrics["workers"].items():
+                    assert family_total(
+                        metrics["registry"], "process_modules_loaded", worker=worker
+                    ) == family_total(
+                        payload["registry"], "process_modules_loaded", worker=worker
+                    )
             finally:
                 client.close()
                 admin.close()

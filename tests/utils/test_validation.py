@@ -1,11 +1,11 @@
-"""Tests for repro.utils.validation."""
+"""Tests for repro.utils.validation (and ``check_csr``, which lives with its caller)."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.graph.attributed_graph import check_csr
 from repro.utils.validation import (
-    check_csr,
     check_embedding_dim,
     check_positive,
     check_probability,
