@@ -531,6 +531,7 @@ def bench_replication(
     from repro.graph.generators import attributed_sbm
     from repro.serving.http import ServingClient
     from repro.serving.http.server import EmbeddingServer
+    from repro.serving.http.write_path import WritePath
     from repro.serving.service import QueryService
     from repro.serving.store import EmbeddingStore
     from repro.serving.wal import Compactor, IngestPipeline
@@ -561,7 +562,8 @@ def bench_replication(
                 p_compactor.start()
                 s_compactor.start()
                 with EmbeddingServer(
-                    p_service, ingest=primary, ack_replicas=1, ack_timeout_s=10.0
+                    p_service,
+                    ingest=WritePath(primary, ack_replicas=1, ack_timeout_s=10.0),
                 ) as server:
                     replicator = StandbyReplicator(
                         server.url,

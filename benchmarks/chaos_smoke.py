@@ -15,7 +15,11 @@ deterministically through ``REPRO_FAULTS``:
    clean again (exit 0) with v1 still the active version;
 3. start a healthy ``repro serve --http 0 --workers 2`` subprocess and
    measure the pre-fault throughput baseline (min of two closed-loop
-   bursts, so a lucky-fast trial cannot inflate the bar), then drain it
+   bursts, so a lucky-fast trial cannot inflate the bar), probe its
+   *admin* port with the hostile input the data port is tested with (a
+   404'd POST smuggling a request in its body must not desync the
+   keep-alive connection, ``PUT`` gets a JSON 405, ``X-Request-Id``
+   round-trips — one front-end serves every port), then drain it
    cleanly with SIGTERM (exit 0);
 4. start a second fleet with worker 0 armed to hard-crash after its
    5th data request, drive a retrying closed-loop burst through the
@@ -63,6 +67,7 @@ Exit code 0 = pass.  Run::
 
 from __future__ import annotations
 
+import http.client
 import json
 import re
 import shutil
@@ -74,6 +79,7 @@ import threading
 import time
 import urllib.request
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -205,11 +211,44 @@ def burst(url: str, *, seed: int, requests: int = 200):
     return report
 
 
+def probe_admin_port(admin_url: str) -> None:
+    """The supervisor's admin port treats hostile input like the data port."""
+    target = urlsplit(admin_url)
+    connection = http.client.HTTPConnection(target.hostname, target.port, timeout=10)
+
+    def exchange(method, path, request_id, body=None):
+        connection.request(
+            method, path, body=body, headers={"X-Request-Id": request_id}
+        )
+        response = connection.getresponse()
+        payload = json.loads(response.read())
+        assert response.getheader("X-Request-Id") == request_id, (method, path)
+        return response.status, payload
+
+    try:
+        # A route miss must consume its body: the smuggled request below
+        # may not be answered, and the connection must stay in sync.
+        status, payload = exchange(
+            "POST", "/v1/nope", "smoke-miss", body=b"GET /evil HTTP/1.1\r\n\r\n"
+        )
+        assert status == 404, (status, payload)
+        assert payload["error"]["request_id"] == "smoke-miss", payload
+        status, payload = exchange("GET", "/healthz", "smoke-health")
+        assert status == 200 and payload["status"] == "ok", (status, payload)
+        status, payload = exchange("PUT", "/healthz", "smoke-put")
+        assert status == 405, (status, payload)
+        assert payload["error"]["code"] == "method_not_allowed", payload
+    finally:
+        connection.close()
+    print("  admin port: route miss in sync, PUT -> JSON 405, request ids echoed")
+
+
 def measure_healthy_baseline(store_dir: Path) -> float:
     """Pre-fault throughput: min of two trials on an unarmed fleet."""
     print("starting a healthy repro serve --workers 2 for the baseline...")
     server, url, admin_url = spawn_supervised(store_dir)
     try:
+        probe_admin_port(admin_url)
         # Distinct seeds: a replayed node stream would be answered from
         # the workers' result caches and measure hits, not the wire.
         trials = [burst(url, seed=100).qps, burst(url, seed=200).qps]

@@ -569,66 +569,68 @@ def _serve_http(store, args: argparse.Namespace) -> int:
     from repro.serving.obs.journal import EventJournal
     from repro.serving.service import QueryService
 
+    # Reject contradictory flags up front, one line each.
+    problem = None
     if args.workers < 1:
-        print(f"error: --workers must be >= 1, got {args.workers}", file=sys.stderr)
+        problem = f"--workers must be >= 1, got {args.workers}"
+    elif args.standby_of is not None and args.wal_dir is None:
+        problem = (
+            "--standby-of needs --wal-dir (the standby keeps its own "
+            "durable copy of the log)"
+        )
+    elif args.standby_of is not None and args.workers > 1:
+        problem = (
+            "--standby-of requires --workers 1 (replication is owned by "
+            "the serving process)"
+        )
+    elif args.standby_of is not None and args.ack_replicas:
+        problem = (
+            "--ack-replicas is a primary-side knob; a standby takes no "
+            "client writes to ack"
+        )
+    elif args.ack_replicas and args.wal_dir is None:
+        problem = (
+            "--ack-replicas needs --wal-dir (without a log there are no "
+            "writes to replicate)"
+        )
+    elif args.coalesce_window_ms > 0 and args.coalesce_max_batch < 1:
+        # The coalescer would raise a bare ValueError from deep inside
+        # QueryService.make_coalescer otherwise.
+        problem = f"--coalesce-max-batch must be >= 1, got {args.coalesce_max_batch}"
+    elif args.wal_dir is None and store.latest() is None:
+        problem = "store has no published versions"
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
         return 2
-    if args.standby_of is not None:
-        if args.wal_dir is None:
-            print(
-                "error: --standby-of needs --wal-dir (the standby keeps "
-                "its own durable copy of the log)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.workers > 1:
-            print(
-                "error: --standby-of requires --workers 1 (replication "
-                "is owned by the serving process)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.ack_replicas:
-            print(
-                "error: --ack-replicas is a primary-side knob; a standby "
-                "takes no client writes to ack",
-                file=sys.stderr,
-            )
-            return 2
     if args.workers > 1:
         # The supervisor owns the write path in multi-worker mode (one
         # log writer per deployment); don't open the WAL here too.
-        if store.latest() is None and args.wal_dir is None:
+        return _serve_supervised(store, args)
+    journal = EventJournal(args.store)
+    write_path = None
+    try:
+        if args.wal_dir is not None:
+            # The write path boots before the query service: a cold
+            # bootstrap publishes the first version the service will open.
+            from repro.serving.http.write_path import WritePath
+
+            try:
+                write_path = WritePath.open(
+                    args.wal_dir,
+                    store,
+                    graph=args.graph,
+                    bootstrap_k=args.wal_k,
+                    max_bytes=args.wal_max_bytes,
+                    ack_replicas=args.ack_replicas,
+                    ack_timeout_s=args.ack_timeout,
+                    journal=journal,
+                )
+            except Exception as error:
+                print(f"error: {error}", file=sys.stderr)
+                return 2
+        if store.latest() is None:
             print("error: store has no published versions", file=sys.stderr)
             return 2
-        return _serve_supervised(store, args)
-    pipeline = compactor = None
-    if args.wal_dir is not None:
-        # The write path boots before the query service: a cold
-        # bootstrap publishes the first version the service will open.
-        from repro.serving.wal.compactor import Compactor, IngestPipeline
-
-        pipeline = IngestPipeline(
-            args.wal_dir, store, max_bytes=args.wal_max_bytes
-        )
-        try:
-            pipeline.ensure_ready(args.graph, k=args.wal_k)
-        except Exception as error:
-            print(f"error: {error}", file=sys.stderr)
-            pipeline.close()
-            return 2
-    if store.latest() is None:
-        print("error: store has no published versions", file=sys.stderr)
-        return 2
-    if args.coalesce_window_ms > 0 and args.coalesce_max_batch < 1:
-        # Reject up front: the coalescer would raise a bare ValueError
-        # from deep inside QueryService.make_coalescer otherwise.
-        print(
-            f"error: --coalesce-max-batch must be >= 1, "
-            f"got {args.coalesce_max_batch}",
-            file=sys.stderr,
-        )
-        return 2
-    try:
         with QueryService(
             store,
             backend=args.backend,
@@ -637,33 +639,15 @@ def _serve_http(store, args: argparse.Namespace) -> int:
             index_cache=True,
             select_dtype=args.select_dtype,
         ) as service:
-            journal = EventJournal(args.store)
-            if pipeline is not None:
+            if write_path is not None:
                 # Reads in this process follow the write path: each
                 # compacted version is atomically activated on the service.
-                pipeline.bind_service(service)
-                compactor = Compactor(
-                    pipeline,
-                    interval_s=args.compact_interval,
-                    keep_versions=args.gc_keep,
-                    journal=journal,
-                )
-                compactor.start()
-            replicator = None
-            if args.standby_of is not None:
-                import os as os_module
-                import socket as socket_module
-
-                from repro.serving.wal.replication import StandbyReplicator
-
-                standby_id = args.standby_id or (
-                    f"{socket_module.gethostname()}-{os_module.getpid()}"
-                )
-                replicator = StandbyReplicator(
-                    args.standby_of,
-                    pipeline.log,
-                    standby_id=standby_id,
-                    journal=journal,
+                write_path.start(
+                    compact_interval_s=args.compact_interval,
+                    gc_keep=args.gc_keep,
+                    service=service,
+                    standby_of=args.standby_of,
+                    standby_id=args.standby_id,
                 )
             server = EmbeddingServer(
                 service,
@@ -673,22 +657,12 @@ def _serve_http(store, args: argparse.Namespace) -> int:
                 coalesce_window_s=args.coalesce_window_ms / 1e3,
                 coalesce_max_batch=args.coalesce_max_batch,
                 log=args.log_requests,
-                ingest=pipeline,
-                compactor=compactor,
+                ingest=write_path,
                 slow_query_ms=args.slow_query_ms,
                 journal=journal,
-                replicator=replicator,
-                ack_replicas=args.ack_replicas,
-                ack_timeout_s=args.ack_timeout,
             )
-            if replicator is not None:
-                replicator.start()
-            wal = f" wal={args.wal_dir}" if pipeline is not None else ""
-            role = (
-                f" standby-of={args.standby_of}"
-                if replicator is not None
-                else ""
-            )
+            wal = f" wal={args.wal_dir}" if args.wal_dir else ""
+            role = f" standby-of={args.standby_of}" if args.standby_of else ""
             # One parsable line so wrappers (CI smoke, scripts) can discover
             # the bound port when --http 0 asked for an ephemeral one.
             print(
@@ -696,11 +670,7 @@ def _serve_http(store, args: argparse.Namespace) -> int:
                 f"{wal}{role} on {server.url}",
                 flush=True,
             )
-            drained = server.run()
-            if compactor is not None:
-                compactor.stop()
-                compactor = None
-            if drained:
+            if server.run():
                 print("drained and stopped", flush=True)
                 return 0
             print(
@@ -710,10 +680,8 @@ def _serve_http(store, args: argparse.Namespace) -> int:
             )
             return 1
     finally:
-        if compactor is not None:
-            compactor.stop()
-        if pipeline is not None:
-            pipeline.close()
+        if write_path is not None:
+            write_path.close()
 
 
 def _parse_since(raw: str | None) -> float | None:

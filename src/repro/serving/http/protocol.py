@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -636,6 +636,14 @@ class ResultPayload:
         return encode_frame(
             header, {"ids": result.ids, "scores": result.scores}
         )
+
+
+class RawPayload(NamedTuple):
+    """An answer that is already bytes (the replication feed, Prometheus
+    text): sent as-is under its own content type, never a JSON envelope."""
+
+    data: bytes
+    content_type: str
 
 
 def parse_result_payload(payload: dict) -> tuple:

@@ -31,16 +31,17 @@ whoever is blocked in accept), and babysits them:
   in across workers: the workers' metric registries merged cell by cell
   (:func:`~repro.serving.obs.metrics.merge_dicts` — the one fleet
   aggregation), per-worker served version (surfacing refresh skew),
-  liveness and restart counts.
+  liveness and restart counts.  Its admin port and every worker's are
+  the same :class:`~repro.serving.http.server.HttpFrontEnd` as the data
+  port, over their own routes.
 - **Write path (opt-in via ``wal_dir``).**  Exactly one process may
-  append to the delta log, so the *supervisor* owns the
-  :class:`~repro.serving.wal.compactor.IngestPipeline` and its
-  background :class:`~repro.serving.wal.compactor.Compactor`; the admin
-  surface accepts ``POST /v1/upsert`` (JSON), acks after fsync, and
-  each compacted version triggers a best-effort ``/admin/refresh`` poke
-  to every live worker.  Fleet ``lsn_served`` is the *minimum* across
-  live workers — the freshness a client can rely on no matter which
-  worker accepts its connection.
+  append to the delta log, so the *supervisor* holds the deployment's
+  :class:`~repro.serving.http.write_path.WritePath`; its admin port
+  routes ``POST /v1/upsert`` (JSON), ``/admin/promote`` and the
+  replication feed to it, and each compacted version triggers a
+  best-effort ``/admin/refresh`` poke to every live worker.  Fleet
+  ``lsn_served`` is the *minimum* across live workers — the freshness a
+  client can rely on no matter which worker accepts its connection.
 
 Workers are separate *processes* launched by re-exec (``python -m
 repro.serving.http._worker`` with a :data:`WORKER_SPEC_ENV` JSON
@@ -62,19 +63,13 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from urllib.parse import urlsplit
 
 from repro.serving.http import protocol
 from repro.serving.http.client import ServingClient
 from repro.serving.http.protocol import ApiError
-from repro.serving.http.server import (
-    EmbeddingServer,
-    apply_upsert,
-    serve_replicate_feed,
-)
-from repro.serving.obs import metrics as obs_metrics
+from repro.serving.http.server import EmbeddingServer, HttpFrontEnd
+from repro.serving.http.write_path import WritePath, write_routes
 from repro.serving.obs.journal import EventJournal
 from repro.serving.obs.metrics import MetricsRegistry, merge_dicts
 
@@ -84,6 +79,14 @@ WORKER_SPEC_ENV = "REPRO_WORKER_SPEC"
 # out of it (the data plane is the shared socket — only the admin port
 # is per-worker news).
 _READY_RE = re.compile(r"admin=(http://\S+)")
+
+# The SupervisorConfig fields forwarded verbatim to every worker, which
+# reads each one (worker_main): the whole spec, no defaults on that side.
+_WORKER_KNOBS = (
+    "store", "backend", "nprobe", "threads", "coalesce_window_ms",
+    "coalesce_max_batch", "select_dtype", "drain_timeout_s", "log_requests",
+    "slow_query_ms",
+)
 
 
 @dataclass(frozen=True)
@@ -183,39 +186,43 @@ def worker_main(environ=None) -> int:
     faults = FaultInjector.from_env(worker_id=worker_id)
 
     store = _open_worker_store(spec["store"])
+    # Every key is required: the supervisor always writes the whole spec
+    # (_WORKER_KNOBS), so a missing one is a boot error, not a silently
+    # different server.
     service = QueryService(
         store,
-        backend=spec.get("backend", "auto"),
-        nprobe=int(spec.get("nprobe", 8)),
-        n_threads=max(1, int(spec.get("threads", 1))),
+        backend=spec["backend"],
+        nprobe=int(spec["nprobe"]),
+        n_threads=max(1, int(spec["threads"])),
         index_cache=True,
-        select_dtype=spec.get("select_dtype", "float64"),
+        select_dtype=spec["select_dtype"],
     )
     try:
         server = EmbeddingServer(
             service,
             socket_fd=int(spec["listen_fd"]),
-            drain_timeout_s=float(spec.get("drain_timeout_s", 10.0)),
-            coalesce_window_s=float(spec.get("coalesce_window_ms", 0.0)) / 1e3,
-            coalesce_max_batch=int(spec.get("coalesce_max_batch", 64)),
-            log=bool(spec.get("log_requests", False)),
+            drain_timeout_s=float(spec["drain_timeout_s"]),
+            coalesce_window_s=float(spec["coalesce_window_ms"]) / 1e3,
+            coalesce_max_batch=int(spec["coalesce_max_batch"]),
+            log=bool(spec["log_requests"]),
             worker_id=worker_id,
             faults=faults,
-            slow_query_ms=float(spec.get("slow_query_ms", 0.0)),
+            slow_query_ms=float(spec["slow_query_ms"]),
         )
-        # The shared listen socket must be non-blocking under pre-fork:
-        # a new connection wakes every worker's selector, but only one
-        # accept() wins — the losers must get EAGAIN back, not block
-        # their serve loop until the *next* connection arrives.
-        server._httpd.socket.setblocking(False)
-        # Health/aggregation side-channel: same service, private port —
-        # the shared data socket cannot address one specific worker.
-        # stats_for makes its /metrics and /healthz report the *data*
-        # server's counters and drain state, not the admin server's own.
-        admin = EmbeddingServer(
-            service, port=0, worker_id=worker_id, stats_for=server
-        )
-        admin.start()
+        # Health/aggregation side-channel on a private port (the shared
+        # data socket cannot address one specific worker): the *data*
+        # server's own handlers, so /healthz and /metrics report its
+        # counters and drain state; no registry, so probes are neither
+        # traced nor counted.
+        admin = HttpFrontEnd(
+            {
+                protocol.HEALTHZ: ("GET", server.handle_healthz),
+                protocol.DESCRIBE: ("GET", server.handle_describe),
+                protocol.METRICS: ("GET", server.handle_metrics),
+                protocol.TRACES: ("GET", server.handle_traces),
+                protocol.REFRESH: ("POST", server.handle_refresh),
+            }
+        ).start()
         print(
             f"worker {worker_id} pid={os.getpid()} serving on {server.url} "
             f"admin={admin.url}",
@@ -293,9 +300,8 @@ class Supervisor:
 
     Lifecycle: :meth:`start` binds, spawns, and launches the health
     loop; :meth:`wait` blocks until SIGTERM/SIGINT or a breaker trip;
-    :meth:`shutdown` performs the rolling drain.  ``run()`` is the CLI
-    composition of the three.  Exit codes: ``0`` clean drain, ``3``
-    crash-loop breaker tripped.
+    :meth:`shutdown` performs the rolling drain.  Exit codes: ``0``
+    clean drain, ``3`` crash-loop breaker tripped.
     """
 
     BREAKER_EXIT = 3
@@ -311,17 +317,12 @@ class Supervisor:
         self._stop_logged = False
         self._failed: str | None = None
         self._listen: socket.socket | None = None
-        self._admin_httpd: ThreadingHTTPServer | None = None
-        self._admin_thread: threading.Thread | None = None
+        self._admin: HttpFrontEnd | None = None
         self._health_thread: threading.Thread | None = None
         self.restarts_total = 0
-        # Write path (only when config.wal_dir is set): the supervisor
-        # process owns the log + compactor; workers only ever read.
-        self.pipeline = None
-        self.compactor = None
-        # Replication hub (with the write path): tracks standby acks so
-        # the admin upsert can be semi-synchronous.
-        self.hub = None
+        # Only when config.wal_dir is set: the supervisor process owns
+        # the log, compactor and replication hub; workers only ever read.
+        self.write_path: WritePath | None = None
         # Ops journal under the store root: worker lifecycle, breaker
         # trips, publishes/checkpoints/GC (via the compactor), drains.
         self.journal = EventJournal(config.store)
@@ -339,9 +340,8 @@ class Supervisor:
 
     @property
     def admin_url(self) -> str:
-        assert self._admin_httpd is not None, "start() first"
-        host, port = self._admin_httpd.server_address[:2]
-        return f"http://{host}:{port}"
+        assert self._admin is not None, "start() first"
+        return self._admin.url
 
     @property
     def failed(self) -> str | None:
@@ -360,24 +360,21 @@ class Supervisor:
         # bootstrap publishes the first store version, and workers open
         # LATEST at startup.
         if config.wal_dir is not None:
-            from repro.serving.wal.compactor import Compactor, IngestPipeline
-            from repro.serving.wal.replication import ReplicationHub
-
-            self.hub = ReplicationHub(journal=self.journal)
-            self.pipeline = IngestPipeline(
+            self.write_path = WritePath.open(
                 config.wal_dir,
                 _open_worker_store(config.store),
+                graph=config.graph,
+                bootstrap_k=config.bootstrap_k,
                 max_bytes=config.wal_max_bytes,
-            )
-            self.pipeline.ensure_ready(config.graph, k=config.bootstrap_k)
-            self.compactor = Compactor(
-                self.pipeline,
-                interval_s=config.compact_interval_s,
-                keep_versions=config.gc_keep,
-                on_publish=self._poke_workers,
+                ack_replicas=config.ack_replicas,
+                ack_timeout_s=config.ack_timeout_s,
                 journal=self.journal,
             )
-            self.compactor.start()
+            self.write_path.start(
+                compact_interval_s=config.compact_interval_s,
+                gc_keep=config.gc_keep,
+                on_publish=self._poke_workers,
+            )
         self.journal.emit(
             "supervisor_start",
             n_workers=config.n_workers,
@@ -386,17 +383,20 @@ class Supervisor:
         )
         for slot in self._slots:
             self._spawn(slot)
-        self._admin_httpd = ThreadingHTTPServer(
-            (config.host, 0), _SupervisorAdminHandler
-        )
-        self._admin_httpd.daemon_threads = True
-        self._admin_httpd.supervisor = self  # type: ignore[attr-defined]
-        self._admin_thread = threading.Thread(
-            target=self._admin_httpd.serve_forever,
-            name="supervisor-admin",
-            daemon=True,
-        )
-        self._admin_thread.start()
+        # The write routes live on the admin port: the shared data socket
+        # cannot address the one process that owns the log.  JSON only —
+        # the binary frame wire stays a data-plane affair.
+        self._admin = HttpFrontEnd(
+            {
+                protocol.HEALTHZ: ("GET", self.aggregate_healthz),
+                protocol.DESCRIBE: ("GET", self.aggregate_describe),
+                protocol.METRICS: ("GET", self.aggregate_metrics),
+                **write_routes(self.write_path),
+            },
+            host=config.host,
+            drain_timeout_s=config.drain_timeout_s,
+            registry=self.registry,
+        ).start()
         self._health_thread = threading.Thread(
             target=self._health_loop, name="supervisor-health", daemon=True
         )
@@ -415,10 +415,6 @@ class Supervisor:
             return self.BREAKER_EXIT
         return 0
 
-    def run(self, *, signals: bool = True) -> int:
-        self.start()
-        return self.wait(signals=signals)
-
     def shutdown(self) -> None:
         """Rolling drain: SIGTERM workers one at a time, then tear down."""
         self._stop.set()
@@ -429,9 +425,8 @@ class Supervisor:
             )
         # Quiesce the write path first so no new version lands (and no
         # worker gets poked) mid-drain; the log itself closes last.
-        if self.compactor is not None:
-            self.compactor.stop()
-            self.compactor = None
+        if self.write_path is not None:
+            self.write_path.quiesce()
         if self._health_thread is not None:
             self._health_thread.join(timeout=10.0)
             self._health_thread = None
@@ -452,17 +447,14 @@ class Supervisor:
                     handle.process.kill()
                     handle.process.wait()
             self._reap(handle)
-        if self._admin_httpd is not None:
-            self._admin_httpd.shutdown()
-            self._admin_httpd.server_close()
-            if self._admin_thread is not None:
-                self._admin_thread.join(timeout=5.0)
-                self._admin_thread = None
+        if self._admin is not None:
+            # An in-flight admin upsert completes (late ones get 503
+            # draining) before the log under it closes.
+            self._admin.close()
         if self._listen is not None:
             self._listen.close()
-        if self.pipeline is not None:
-            self.pipeline.close()
-            self.pipeline = None
+        if self.write_path is not None:
+            self.write_path.close()
         if not self._stop_logged:
             self._stop_logged = True
             self.journal.emit("supervisor_stop", failed=self._failed)
@@ -474,26 +466,11 @@ class Supervisor:
         self.shutdown()
 
     # -- worker management ---------------------------------------------
-    def _worker_spec(self) -> dict:
-        config = self.config
-        assert self._listen is not None
-        return {
-            "store": config.store,
-            "listen_fd": self._listen.fileno(),
-            "backend": config.backend,
-            "nprobe": config.nprobe,
-            "threads": config.threads,
-            "coalesce_window_ms": config.coalesce_window_ms,
-            "coalesce_max_batch": config.coalesce_max_batch,
-            "select_dtype": config.select_dtype,
-            "drain_timeout_s": config.drain_timeout_s,
-            "log_requests": config.log_requests,
-            "slow_query_ms": config.slow_query_ms,
-        }
-
     def _spawn(self, slot: _WorkerSlot) -> bool:
         """Launch slot's worker and wait for its boot announcement."""
-        spec = self._worker_spec()
+        assert self._listen is not None
+        spec = {name: getattr(self.config, name) for name in _WORKER_KNOBS}
+        spec["listen_fd"] = self._listen.fileno()
         spec["worker_id"] = slot.worker_id
         env = dict(os.environ)
         env[WORKER_SPEC_ENV] = json.dumps(spec)
@@ -535,19 +512,7 @@ class Supervisor:
         if not handle.ready.is_set() or not handle.alive():
             # Died during boot (or never announced): goes through the
             # normal death path so backoff and the breaker apply.
-            if handle.alive():
-                handle.process.kill()
-            handle.process.wait()
-            self._reap(handle)
-            with self._lock:
-                slot.handle = None
-            self._register_death(
-                slot,
-                f"worker {slot.worker_id} failed to boot "
-                f"(exit {handle.process.returncode})",
-                pid=handle.process.pid,
-                exit_code=handle.process.returncode,
-            )
+            self._bury(slot, handle, "failed to boot (exit {code})")
             return False
         handle.client = ServingClient(
             handle.admin_url,
@@ -584,6 +549,23 @@ class Supervisor:
             handle.client.close()
         if handle.reader is not None:
             handle.reader.join(timeout=5.0)
+
+    def _bury(self, slot: _WorkerSlot, handle: _WorkerHandle, why: str) -> None:
+        """Kill the worker if it still runs, reap it, vacate its slot and
+        take the death path; ``{code}`` in ``why`` is its exit code."""
+        if handle.alive():
+            handle.process.kill()
+        handle.process.wait()
+        self._reap(handle)
+        with self._lock:
+            slot.handle = None
+        code = handle.process.returncode
+        self._register_death(
+            slot,
+            f"worker {slot.worker_id} " + why.format(code=code),
+            pid=handle.process.pid,
+            exit_code=code,
+        )
 
     def _register_death(
         self,
@@ -646,17 +628,7 @@ class Supervisor:
                         self._spawn(slot)
                     continue
                 if not handle.alive():
-                    code = handle.process.returncode
-                    pid = handle.process.pid
-                    self._reap(handle)
-                    with self._lock:
-                        slot.handle = None
-                    self._register_death(
-                        slot,
-                        f"worker {slot.worker_id} exited with code {code}",
-                        pid=pid,
-                        exit_code=code,
-                    )
+                    self._bury(slot, handle, "exited with code {code}")
                     continue
                 now = time.monotonic()
                 if now - slot.last_probe < config.health_interval_s:
@@ -670,17 +642,9 @@ class Supervisor:
                         # Unresponsive but alive: a hung worker sheds its
                         # accept share invisibly — kill it so the restart
                         # path can restore capacity.
-                        handle.process.kill()
-                        handle.process.wait()
-                        self._reap(handle)
-                        with self._lock:
-                            slot.handle = None
-                        self._register_death(
-                            slot,
-                            f"worker {slot.worker_id} hung "
-                            f"({slot.health_failures} failed probes)",
-                            pid=handle.process.pid,
-                            exit_code=handle.process.returncode,
+                        self._bury(
+                            slot, handle,
+                            f"hung ({slot.health_failures} failed probes)",
                         )
                 else:
                     slot.health_failures = 0
@@ -707,31 +671,28 @@ class Supervisor:
             except Exception:
                 pass
 
-    def _version_applied_lsn(self, version: str | None) -> int:
-        """The log position baked into ``version``'s manifest (0 if none)."""
-        if version is None or self.pipeline is None:
-            return 0
-        try:
-            manifest = self.pipeline.store.manifest(version)
-        except Exception:
-            return 0
-        return int((manifest.get("metadata") or {}).get("applied_lsn", 0))
-
-    def _lsn_fields(self, worker_versions) -> dict:
-        """``lsn_durable``/``lsn_served`` across the fleet.
-
-        ``lsn_served`` is the *minimum* over live workers — the write a
-        client is guaranteed to see regardless of which worker the
-        kernel hands its connection to.
-        """
-        assert self.pipeline is not None
-        served = [
-            self._version_applied_lsn(version) for version in worker_versions
-        ]
-        return {
-            "lsn_durable": self.pipeline.lsn_durable,
-            "lsn_served": min(served) if served else 0,
-        }
+    def _fleet_lsn_served(self, versions=None) -> int:
+        """``lsn_served`` across the fleet: the *minimum* over live workers
+        — the write a client is guaranteed to see whichever worker the
+        kernel hands its connection to.  ``versions`` are the live
+        workers' when the caller just probed them, else the health
+        loop's last readings."""
+        if versions is None:
+            versions = [
+                slot.last_version
+                for slot, handle in self._worker_views()
+                if handle is not None and handle.alive() and slot.last_version
+            ]
+        store = self.write_path.pipeline.store
+        served = []
+        for version in versions:
+            try:
+                # The log position baked into the version's manifest.
+                metadata = store.manifest(version).get("metadata") or {}
+                served.append(int(metadata.get("applied_lsn", 0)))
+            except Exception:
+                served.append(0)
+        return min(served, default=0)
 
     # -- aggregation ---------------------------------------------------
     def _worker_views(self) -> list[tuple[_WorkerSlot, _WorkerHandle | None]]:
@@ -764,54 +725,8 @@ class Supervisor:
         reg.gauge(
             "supervisor_breaker_tripped", "1 after the crash-loop breaker fired"
         ).set(1.0 if self._failed is not None else 0.0)
-        if self.pipeline is not None:
-            obs_metrics.mirror_wal_counters(reg, self.pipeline)
-            served = [
-                self._version_applied_lsn(slot.last_version)
-                for slot, handle in views
-                if handle is not None and handle.alive() and slot.last_version
-            ]
-            lsn_served = min(served) if served else 0
-            durable = self.pipeline.lsn_durable
-            reg.gauge("ingest_lsn_durable", "Highest fsync-acked LSN").set(
-                durable
-            )
-            reg.gauge(
-                "ingest_lsn_served",
-                "Highest LSN every live worker is guaranteed to serve",
-            ).set(lsn_served)
-            reg.gauge(
-                "ingest_freshness_lag", "lsn_durable - fleet lsn_served"
-            ).set(durable - lsn_served)
-            reg.gauge("wal_epoch", "Current WAL fencing epoch").set(
-                self.pipeline.log.epoch
-            )
-            if self.hub is not None:
-                hub = self.hub.status()
-                reg.gauge(
-                    "replication_standbys", "Standbys polling the feed"
-                ).set(hub["n_standbys"])
-                reg.gauge(
-                    "replication_min_ack_lsn",
-                    "Lowest cumulative ack across live standbys",
-                ).set(
-                    hub["min_ack_lsn"]
-                    if hub["min_ack_lsn"] is not None
-                    else -1
-                )
-            if self.compactor is not None:
-                timings = self.compactor.timings
-                reg.counter(
-                    "compactor_fold_seconds_total", "Time spent folding WAL deltas"
-                ).set_total(timings["fold_seconds"])
-                reg.counter(
-                    "compactor_publish_seconds_total",
-                    "Time spent publishing folded versions",
-                ).set_total(timings["publish_seconds"])
-                reg.counter(
-                    "compactor_publishes_total",
-                    "Versions published by the compactor",
-                ).set_total(timings["publishes"])
+        if self.write_path is not None:
+            self.write_path.collect(reg, self._fleet_lsn_served(versions))
 
     def registry_snapshot(self) -> dict:
         """The fleet registry: supervisor families + every worker's cells.
@@ -829,62 +744,9 @@ class Supervisor:
                     parts.append(slot.registry_last)
         return merge_dicts(parts)
 
-    def prometheus_text(self) -> str:
-        """The fleet registry rendered as Prometheus text exposition."""
-        return obs_metrics.render_text_from_dict(self.registry_snapshot())
-
-    def handle_promote(self, body: dict) -> dict:
-        """``POST /admin/promote``: bump the WAL epoch (fencing).
-
-        A supervisor is always on the primary side of replication, so
-        "promotion" here is the epoch bump alone — used to fence off a
-        dead peer's term after this deployment took over its data, or
-        to pre-empt a suspect writer.  Standbys adopt the new epoch on
-        their next poll; pollers still on an older term get 409s.
-        """
-        protocol.reject_unknown_fields(body, ("epoch",))
-        if self.pipeline is None:
-            raise ApiError(
-                409, "no_write_path",
-                "this supervisor has no WAL attached; there is no "
-                "epoch to bump",
-            )
-        target = protocol.require_int(body, "epoch", minimum=1)
-        log = self.pipeline.log
-        try:
-            epoch = log.bump_epoch(target)
-        except ValueError as error:
-            raise ApiError(
-                409, "stale_epoch", str(error),
-                {"epoch": log.epoch, "requested": target},
-            )
-        self.journal.emit(
-            "promote",
-            epoch=epoch,
-            previous_role="primary",
-            lsn_durable=log.last_lsn,
-        )
-        return {
-            "role": "primary",
-            "previous_role": "primary",
-            "epoch": epoch,
-            "lsn_durable": log.last_lsn,
-        }
-
-    def _replication_status(self) -> dict:
-        log = self.pipeline.log
-        return {
-            "role": "primary",
-            "epoch": log.epoch,
-            "epoch_start_lsn": log.epoch_start_lsn,
-            "hub": self.hub.status() if self.hub is not None else None,
-            "ack_replicas": self.config.ack_replicas,
-        }
-
-    def aggregate_healthz(self) -> tuple[int, dict]:
+    def aggregate_healthz(self, _body: dict) -> tuple[int, dict]:
         workers = []
         versions = set()
-        live_versions = []
         n_live = 0
         for slot, handle in self._worker_views():
             entry: dict = {
@@ -905,7 +767,6 @@ class Supervisor:
                     entry["version"] = probe.get("version")
                     entry["draining"] = probe.get("draining")
                     versions.add(probe.get("version"))
-                    live_versions.append(probe.get("version"))
                     n_live += 1
             workers.append(entry)
         status = (
@@ -921,19 +782,13 @@ class Supervisor:
             "restarts_total": self.restarts_total,
             "workers": workers,
         }
-        if self.pipeline is not None:
-            lsn = self._lsn_fields(live_versions)
-            payload.update(lsn)
-            payload["freshness_lag"] = lsn["lsn_durable"] - lsn["lsn_served"]
-            payload["role"] = "primary"
-            payload["epoch"] = self.pipeline.log.epoch
-            if self.hub is not None:
-                hub = self.hub.status()
-                if hub["n_standbys"]:
-                    payload["replication"] = hub
+        if self.write_path is not None:
+            payload.update(
+                self.write_path.health_fields(self._fleet_lsn_served(versions))
+            )
         return (200 if n_live else 503), payload
 
-    def aggregate_describe(self) -> tuple[int, dict]:
+    def aggregate_describe(self, _body: dict) -> tuple[int, dict]:
         base: dict | None = None
         workers = []
         versions = set()
@@ -960,24 +815,15 @@ class Supervisor:
             "workers": workers,
             "version_skew": len(versions) > 1,
         }
-        if self.pipeline is not None:
-            live = [w["version"] for w in workers if w.get("alive")]
-            lsn = self._lsn_fields(live)
-            payload.update(lsn)
-            payload["ingest"] = {
-                **self.pipeline.freshness(),
-                # Fleet view: the pipeline's own lsn_served tracks the
-                # store's LATEST; what matters here is the slowest worker.
-                "lsn_served": lsn["lsn_served"],
-                "lag": lsn["lsn_durable"] - lsn["lsn_served"],
-                "wal_dir": str(self.pipeline.wal_dir),
-                "log_bytes": self.pipeline.log.size_bytes,
-                "log_max_bytes": self.pipeline.log.max_bytes,
-            }
-            payload["replication"] = self._replication_status()
+        if self.write_path is not None:
+            # Fleet view: the pipeline's own lsn_served tracks the store's
+            # LATEST; what matters here is the slowest worker.
+            payload.update(
+                self.write_path.status_fields(self._fleet_lsn_served(versions))
+            )
         return 200, payload
 
-    def aggregate_metrics(self) -> tuple[int, dict]:
+    def aggregate_metrics(self, _body: dict) -> tuple[int, dict]:
         """Fan-in ``/metrics``: per-worker payloads plus the fleet registry.
 
         The fleet view is ``registry`` and nothing else: every worker
@@ -1008,142 +854,12 @@ class Supervisor:
             },
             "workers": per_worker,
         }
-        if self.pipeline is not None:
-            ingest = {
-                **self.pipeline.freshness(),
-                "counters": dict(self.pipeline.counters),
-                "log_bytes": self.pipeline.log.size_bytes,
-                "log_max_bytes": self.pipeline.log.max_bytes,
-            }
-            if self.compactor is not None:
-                ingest["compactor"] = {
-                    "alive": self.compactor.is_alive(),
-                    "interval_s": self.compactor.interval_s,
-                    "keep_versions": self.compactor.keep_versions,
-                    "last_publish": self.compactor.last_publish,
-                    "last_error": self.compactor.last_error,
-                }
-            payload["ingest"] = ingest
-            payload["replication"] = self._replication_status()
+        if self.write_path is not None:
+            payload.update(
+                self.write_path.status_fields(self._fleet_lsn_served())
+            )
         payload["registry"] = self.registry_snapshot()
         return 200, payload
-
-
-class _SupervisorAdminHandler(BaseHTTPRequestHandler):
-    """The supervisor's own tiny admin surface (JSON by default)."""
-
-    protocol_version = "HTTP/1.1"
-    timeout = 30
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass
-
-    def do_GET(self) -> None:
-        supervisor: Supervisor = self.server.supervisor  # type: ignore[attr-defined]
-        split = urlsplit(self.path)
-        path = split.path
-        try:
-            if path == protocol.REPLICATE:
-                # Binary feed, not a JSON envelope — rejections still
-                # surface below as structured ApiError JSON.
-                if supervisor.pipeline is None:
-                    raise ApiError(
-                        409, "no_write_path",
-                        "this supervisor has no WAL attached; there is "
-                        "no log to replicate",
-                    )
-                feed = serve_replicate_feed(
-                    supervisor.pipeline.log,
-                    supervisor.hub,
-                    split.query,
-                    abort=supervisor._stop.is_set,
-                )
-                self._send(200, feed, protocol.REPLICATION_CONTENT_TYPE)
-                return
-            if path == protocol.HEALTHZ:
-                status, payload = supervisor.aggregate_healthz()
-            elif path == protocol.METRICS:
-                if "text/plain" in (self.headers.get("Accept") or ""):
-                    # Prometheus scrape: fan in the worker registries
-                    # first so the fleet snapshot is as of this scrape.
-                    supervisor.aggregate_metrics()
-                    self._respond_text(200, supervisor.prometheus_text())
-                    return
-                status, payload = supervisor.aggregate_metrics()
-            elif path == protocol.DESCRIBE:
-                status, payload = supervisor.aggregate_describe()
-            else:
-                raise ApiError(
-                    404, "unknown_endpoint", f"no supervisor endpoint at {path!r}"
-                )
-        except ApiError as error:
-            status, payload = error.status, error.body()
-        except Exception as error:
-            status, payload = 500, ApiError(
-                500, "internal", f"{type(error).__name__}: {error}"
-            ).body()
-        self._respond(status, payload)
-
-    def do_POST(self) -> None:
-        # The write path lives on the *supervisor's* admin port in
-        # multi-worker mode: exactly one process may append to the log,
-        # and the shared data socket cannot address a specific process.
-        # JSON only — the binary frame wire stays a data-plane affair.
-        supervisor: Supervisor = self.server.supervisor  # type: ignore[attr-defined]
-        path = urlsplit(self.path).path
-        try:
-            if path not in (protocol.UPSERT, protocol.PROMOTE):
-                raise ApiError(
-                    404, "unknown_endpoint", f"no supervisor endpoint at {path!r}"
-                )
-            length = int(self.headers.get("Content-Length") or 0)
-            raw = self.rfile.read(length) if length else b"{}"
-            try:
-                body = json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, ValueError):
-                raise ApiError(400, "invalid_request", "request body is not JSON")
-            if not isinstance(body, dict):
-                raise ApiError(400, "invalid_request", "request body must be an object")
-            if path == protocol.PROMOTE:
-                status, payload = 200, supervisor.handle_promote(body)
-            else:
-                config = supervisor.config
-                status, payload = apply_upsert(
-                    supervisor.pipeline,
-                    body,
-                    hub=supervisor.hub,
-                    ack_replicas=config.ack_replicas,
-                    ack_timeout_s=config.ack_timeout_s,
-                    epoch=(
-                        supervisor.pipeline.log.epoch
-                        if supervisor.pipeline is not None
-                        else None
-                    ),
-                )
-        except ApiError as error:
-            status, payload = error.status, error.body()
-        except Exception as error:
-            status, payload = 500, ApiError(
-                500, "internal", f"{type(error).__name__}: {error}"
-            ).body()
-        self._respond(status, payload)
-
-    def _respond(self, status: int, payload: dict) -> None:
-        body = protocol.dump_json(payload)
-        self._send(status, body, protocol.JSON_CONTENT_TYPE)
-
-    def _respond_text(self, status: int, text: str) -> None:
-        self._send(status, text.encode("utf-8"), obs_metrics.TEXT_CONTENT_TYPE)
-
-    def _send(self, status: int, body: bytes, content_type: str) -> None:
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):
-            self.close_connection = True
 
 
 if __name__ == "__main__":

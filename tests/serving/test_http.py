@@ -5,9 +5,12 @@ and never collide.  Bit-identity assertions compare raw score bytes —
 the wire contract is that JSON floats round-trip exactly.
 """
 
+import http.client
 import json
 import threading
 import time
+from typing import NamedTuple
+from urllib.parse import urlsplit
 
 import numpy as np
 import pytest
@@ -22,8 +25,10 @@ from repro.serving.http import (
     run_load,
 )
 from repro.serving.http import protocol
+from repro.serving.http.supervisor import Supervisor, SupervisorConfig
 from repro.serving.obs.metrics import family_total
 from repro.serving.service import QueryService, SearchParams, SearchRequest
+from repro.serving.store import EmbeddingStore
 
 
 @pytest.fixture()
@@ -41,6 +46,51 @@ def server(service):
 @pytest.fixture()
 def client(server):
     return ServingClient(server.url, retries=0)
+
+
+class Port(NamedTuple):
+    """One HTTP port plus a POST it routes (path, body, expected status)."""
+
+    name: str
+    host: str
+    port: int
+    path: str
+    body: dict
+    status: int
+
+    def connect(self) -> http.client.HTTPConnection:
+        return http.client.HTTPConnection(self.host, self.port, timeout=10)
+
+
+@pytest.fixture(scope="module")
+def fleet(tmp_path_factory, trained_embedding):
+    """A real one-worker ``--workers`` fleet, for its two admin ports."""
+    root = tmp_path_factory.mktemp("fleet") / "store"
+    EmbeddingStore(root).publish(trained_embedding)
+    config = SupervisorConfig(store=str(root), n_workers=1, backend="exact")
+    with Supervisor(config) as supervisor:
+        yield supervisor
+
+
+@pytest.fixture()
+def ports(server, fleet) -> list[Port]:
+    """Every port built on the shared front-end: the hostile-input cases
+    run against the data port, a worker's admin port and the supervisor's
+    admin port alike."""
+    worker = urlsplit(fleet._slots[0].handle.admin_url)
+    admin = urlsplit(fleet.admin_url)
+    return [
+        Port("data", server.host, server.port, protocol.TOPK, {"node": 5}, 200),
+        Port(
+            "worker-admin", worker.hostname, worker.port,
+            protocol.REFRESH, {}, 200,
+        ),
+        Port(
+            # A read-only fleet: the routed POST is a structured 409.
+            "supervisor-admin", admin.hostname, admin.port,
+            protocol.UPSERT, {"add_edges": [[0, 1]]}, 409,
+        ),
+    ]
 
 
 def permuted_copy(embedding: PANEEmbedding, seed: int = 99) -> PANEEmbedding:
@@ -121,65 +171,69 @@ class TestEndpoints:
         assert excinfo.value.status == 405
         assert excinfo.value.code == "method_not_allowed"
 
-    def test_head_healthz_for_lb_probes(self, server):
+    def test_head_healthz_for_lb_probes(self, ports):
         """HEAD answers like GET minus the body (LBs probe with HEAD)."""
-        import http.client
-
-        connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
-        try:
-            connection.request("HEAD", protocol.HEALTHZ)
-            response = connection.getresponse()
-            assert response.status == 200
-            assert int(response.getheader("Content-Length")) > 0
-            assert response.read() == b""  # headers only
-        finally:
-            connection.close()
-
-    def test_unsupported_methods_get_json_envelope(self, server):
-        """PUT/DELETE must answer the JSON envelope, not a stdlib HTML 501."""
-        import http.client
-
-        for method in ("PUT", "DELETE"):
-            connection = http.client.HTTPConnection(
-                server.host, server.port, timeout=10
-            )
+        for port in ports:
+            connection = port.connect()
             try:
-                connection.request(method, protocol.TOPK)
+                connection.request("HEAD", protocol.HEALTHZ)
                 response = connection.getresponse()
-                body = json.loads(response.read())
-                assert response.status == 405
-                assert body["error"]["code"] == "method_not_allowed"
+                assert response.status == 200, port.name
+                assert int(response.getheader("Content-Length")) > 0
+                assert response.read() == b""  # headers only
             finally:
                 connection.close()
 
-    def test_route_miss_keeps_keepalive_in_sync(self, server):
-        """A 404'd POST must consume its body, or the unread bytes would
-        be parsed as the next request on the same keep-alive connection."""
-        import http.client
+    def test_unsupported_methods_get_json_envelope(self, ports):
+        """PUT/DELETE must answer the JSON envelope, not a stdlib HTML 501."""
+        for port in ports:
+            for method in ("PUT", "DELETE"):
+                connection = port.connect()
+                try:
+                    connection.request(method, port.path)
+                    response = connection.getresponse()
+                    body = json.loads(response.read())
+                    assert response.status == 405, port.name
+                    assert body["error"]["code"] == "method_not_allowed"
+                finally:
+                    connection.close()
 
-        connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
-        try:
-            payload = json.dumps({"node": 5}).encode()
-            connection.request(
-                "POST", "/v1/nope", body=payload,
-                headers={"Content-Type": "application/json"},
-            )
-            response = connection.getresponse()
-            body = json.loads(response.read())
-            assert response.status == 404
-            assert body["error"]["code"] == "unknown_endpoint"
-            # Same connection, now a valid request: it must be answered
-            # as JSON, not a stdlib HTML 400 from desynced framing.
-            connection.request(
-                "POST", protocol.TOPK, body=payload,
-                headers={"Content-Type": "application/json"},
-            )
-            response = connection.getresponse()
-            body = json.loads(response.read())
-            assert response.status == 200
-            assert body["ids"]
-        finally:
-            connection.close()
+    def test_route_miss_keeps_keepalive_in_sync(self, ports):
+        """A 404'd POST must consume its body, or the unread bytes would
+        be parsed as the next request on the same keep-alive connection
+        (a smuggled ``GET`` in the body would get its own response)."""
+        for port in ports:
+            connection = port.connect()
+            try:
+                connection.request(
+                    "POST", "/v1/nope", body=b"GET /evil HTTP/1.1\r\n\r\n",
+                    headers={protocol.REQUEST_ID_HEADER: "miss-1"},
+                )
+                response = connection.getresponse()
+                body = json.loads(response.read())
+                assert response.status == 404, port.name
+                assert body["error"]["code"] == "unknown_endpoint"
+                # Errors echo the caller's request id, header and envelope.
+                assert response.getheader(protocol.REQUEST_ID_HEADER) == "miss-1"
+                assert body["error"]["request_id"] == "miss-1"
+                # Same connection, now a routed request: it must be
+                # answered as JSON with its own id, not by a response to
+                # the smuggled bytes or a stdlib HTML 400.
+                connection.request(
+                    "POST", port.path, body=json.dumps(port.body).encode(),
+                    headers={
+                        "Content-Type": "application/json",
+                        protocol.REQUEST_ID_HEADER: "routed-2",
+                    },
+                )
+                response = connection.getresponse()
+                body = json.loads(response.read())
+                assert response.status == port.status, (port.name, body)
+                assert response.getheader(protocol.REQUEST_ID_HEADER) == "routed-2"
+                if port.name == "data":
+                    assert body["ids"]
+            finally:
+                connection.close()
 
 
 class TestValidation:
@@ -248,23 +302,22 @@ class TestValidation:
         finally:
             connection.close()
 
-    def test_chunked_body_rejected_with_close(self, server):
+    def test_chunked_body_rejected_with_close(self, ports):
         """Transfer-Encoding is refused (411) and the connection closed —
         an unconsumed chunked body would desync keep-alive framing."""
-        import http.client
-
-        connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
-        try:
-            connection.putrequest("POST", protocol.TOPK)
-            connection.putheader("Transfer-Encoding", "chunked")
-            connection.endheaders()
-            response = connection.getresponse()
-            body = json.loads(response.read())
-            assert response.status == 411
-            assert body["error"]["code"] == "length_required"
-            assert response.getheader("Connection") == "close"
-        finally:
-            connection.close()
+        for port in ports:
+            connection = port.connect()
+            try:
+                connection.putrequest("POST", port.path)
+                connection.putheader("Transfer-Encoding", "chunked")
+                connection.endheaders()
+                response = connection.getresponse()
+                body = json.loads(response.read())
+                assert response.status == 411, port.name
+                assert body["error"]["code"] == "length_required"
+                assert response.getheader("Connection") == "close"
+            finally:
+                connection.close()
 
     def test_vector_wrong_dim_400(self, client):
         with pytest.raises(ApiError) as excinfo:
@@ -272,40 +325,48 @@ class TestValidation:
         assert excinfo.value.status == 400
         assert excinfo.value.code == "invalid_request"
 
-    def test_malformed_json_400(self, server):
-        import http.client
+    def test_malformed_json_400(self, ports):
+        for port in ports:
+            connection = port.connect()
+            try:
+                connection.request(
+                    "POST", port.path, body=b"{not json",
+                    headers={"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                body = json.loads(response.read())
+                assert response.status == 400, port.name
+                assert body["error"]["code"] == "invalid_json"
+            finally:
+                connection.close()
 
-        connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
-        try:
-            connection.request(
-                "POST", protocol.TOPK, body=b"{not json",
-                headers={"Content-Type": "application/json"},
-            )
-            response = connection.getresponse()
-            body = json.loads(response.read())
-            assert response.status == 400
-            assert body["error"]["code"] == "invalid_json"
-        finally:
-            connection.close()
-
-    def test_oversized_body_413(self, server):
-        import http.client
-
-        connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
-        try:
-            connection.putrequest("POST", protocol.TOPK)
-            connection.putheader("Content-Length", str(64 << 20))
-            connection.endheaders()
-            response = connection.getresponse()
-            body = json.loads(response.read())
-            assert response.status == 413
-            assert body["error"]["code"] == "payload_too_large"
-            # The declared body was never consumed: the server must tear
-            # the connection down, or a keep-alive reuse would parse the
-            # leftover bytes as the next request line.
-            assert response.getheader("Connection") == "close"
-        finally:
-            connection.close()
+    def test_oversized_body_413(self, ports):
+        """A declared body the server will not read — too large, or a
+        length that is not one — is refused and the connection torn
+        down: a keep-alive reuse would parse the leftover bytes as the
+        next request line (and a negative length must not pin the
+        handler thread on a read that never returns)."""
+        for port in ports:
+            for declared, status, code in (
+                (str(64 << 20), 413, "payload_too_large"),
+                ("abc", 400, "invalid_request"),
+                ("-1", 400, "invalid_request"),
+            ):
+                connection = port.connect()
+                try:
+                    connection.putrequest("POST", port.path)
+                    connection.putheader("Content-Length", declared)
+                    connection.endheaders()
+                    response = connection.getresponse()
+                    body = json.loads(response.read())
+                    assert response.status == status, (port.name, declared)
+                    assert body["error"]["code"] == code
+                    assert response.getheader("Connection") == "close"
+                    assert body["error"]["request_id"] == response.getheader(
+                        protocol.REQUEST_ID_HEADER
+                    )
+                finally:
+                    connection.close()
 
 
 class TestBitIdentity:

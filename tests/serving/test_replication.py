@@ -21,6 +21,7 @@ from repro.graph.generators import attributed_sbm
 from repro.serving.fsck import fsck_wal
 from repro.serving.http import ApiError, EmbeddingServer, ServingClient
 from repro.serving.http import protocol
+from repro.serving.http.write_path import WritePath
 from repro.serving.service import QueryService
 from repro.serving.store import EmbeddingStore
 from repro.serving.wal import IngestPipeline
@@ -179,15 +180,14 @@ def base_graph():
 class _Node:
     """One serving node: store + pipeline + service + HTTP server."""
 
-    def __init__(self, root, graph, **server_kwargs):
+    def __init__(self, root, graph, **ack_settings):
         self.store = EmbeddingStore(root / "store")
         self.pipeline = IngestPipeline(root / "wal", self.store)
         self.pipeline.bootstrap(graph, k=8, update_sweeps=1)
         self.service = QueryService(self.store, backend="exact")
         self.pipeline.bind_service(self.service)
-        self.server = EmbeddingServer(
-            self.service, ingest=self.pipeline, **server_kwargs
-        )
+        self.write_path = WritePath(self.pipeline, **ack_settings)
+        self.server = EmbeddingServer(self.service, ingest=self.write_path)
         self.server.__enter__()
 
     @property
@@ -226,7 +226,7 @@ def pair(tmp_path, base_graph):
         standby_id="sb-test",
         wait_s=0.3,
     )
-    standby.server.replicator = replicator
+    standby.write_path.replicator = replicator
     replicator.start()
     try:
         yield primary, standby, replicator
@@ -298,7 +298,7 @@ class TestEndToEnd:
         # The old primary still answers at epoch 1 (hub empty now, so
         # disable semi-sync to get a 200 back): the client's fencing
         # token refuses it.
-        primary.server.ack_replicas = 0
+        primary.write_path.ack_replicas = 0
         with pytest.raises(ApiError) as excinfo:
             client.upsert(add_edges=[[3, 11]])
         assert excinfo.value.code == "stale_epoch"
@@ -311,7 +311,7 @@ class TestEndToEnd:
         ServingClient(standby.url).promote()
         # The old primary writes one more record its term has no right
         # to (semi-sync off so the append lands without standby acks).
-        primary.server.ack_replicas = 0
+        primary.write_path.ack_replicas = 0
         client.upsert(add_edges=[[5, 13]])
         diverged_at = primary.log.last_lsn
         # Rejoin the old primary as a standby of the new one: the feed
@@ -363,19 +363,19 @@ class TestSemiSync:
     def test_diverged_poll_does_not_count_as_ack(self, tmp_path):
         """Regression: a fenced peer's from_lsn must never satisfy
         semi-sync — it does not actually hold records of this term."""
-        hub = ReplicationHub()
+        from types import SimpleNamespace
+
         with DeltaLog(tmp_path / "wal") as log:
             log.append_delta(delta(add_edges=[[1, 2]]))
             log.bump_epoch()
             log.append_delta(delta(add_edges=[[3, 4]]))
-            from repro.serving.http.server import serve_replicate_feed
-
+            write_path = WritePath(SimpleNamespace(log=log))
             with pytest.raises(ApiError) as excinfo:
-                serve_replicate_feed(
-                    log, hub, "from_lsn=2&epoch=1&standby_id=zombie"
+                write_path.replicate(
+                    {"from_lsn": "2", "epoch": "1", "standby_id": "zombie"}
                 )
             assert excinfo.value.code == "diverged_tail"
-            assert hub.status()["n_standbys"] == 0
+            assert write_path.hub.status()["n_standbys"] == 0
 
 
 # ---------------------------------------------------------------------

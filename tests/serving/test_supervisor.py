@@ -296,7 +296,9 @@ class TestChaos:
 class TestWritePath:
     """Supervisor-owned WAL: upserts on the admin URL, fleet lsn fields."""
 
-    def post_upsert(self, admin_url: str, body: dict) -> tuple[int, dict]:
+    def post_upsert(
+        self, admin_url: str, body: dict, request_id: str = "test-upsert"
+    ) -> tuple[int, dict]:
         import json
         import urllib.error
         import urllib.request
@@ -304,7 +306,10 @@ class TestWritePath:
         request = urllib.request.Request(
             admin_url + protocol.UPSERT,
             data=json.dumps(body).encode("utf-8"),
-            headers={"Content-Type": protocol.JSON_CONTENT_TYPE},
+            headers={
+                "Content-Type": protocol.JSON_CONTENT_TYPE,
+                protocol.REQUEST_ID_HEADER: request_id,
+            },
             method="POST",
         )
         try:
@@ -339,10 +344,32 @@ class TestWritePath:
                 status, ack = self.post_upsert(
                     supervisor.admin_url,
                     {"add_edges": [[0, 7], [3, 11]], "add_associations": [[1, 2, 1.0]]},
+                    request_id="fleet-upsert-1",
                 )
                 assert status == 200
                 assert ack["durable"] is True
                 assert (ack["first_lsn"], ack["lsn"]) == (1, 3)
+
+                # The admin port is the same front-end as the data port:
+                # the upsert is traced under the caller's request id with
+                # its acked LSN, and counted in the fleet's http_* series.
+                def find_upsert_trace():
+                    traces = admin._request("GET", protocol.TRACES)["traces"]
+                    return next(
+                        (t for t in traces if t["request_id"] == "fleet-upsert-1"),
+                        None,
+                    )
+
+                wait_until(
+                    lambda: find_upsert_trace() is not None,
+                    timeout_s=5.0,
+                    message="the upsert's trace on the admin port",
+                )
+                trace = find_upsert_trace()
+                assert trace["endpoint"] == protocol.UPSERT
+                assert trace["status"] == 200
+                assert trace["annotations"]["lsn"] == ack["lsn"]
+                assert "append" in [span["name"] for span in trace["spans"]]
 
                 # compaction + worker pokes converge the whole fleet
                 wait_until(
@@ -359,6 +386,11 @@ class TestWritePath:
                 metrics = admin.metrics()
                 assert metrics["ingest"]["counters"]["appends"] == 1
                 assert metrics["ingest"]["compactor"]["alive"] is True
+                assert family_total(
+                    metrics["registry"], "http_requests_total",
+                    endpoint=protocol.UPSERT,
+                ) == 1
+                assert family_total(metrics["registry"], "compactor_alive") == 1
                 # The same wal_* mirror a single-process server runs.
                 assert family_total(metrics["registry"], "wal_appends_total") == 1
                 assert family_total(metrics["registry"], "wal_fsyncs_total") >= 1
@@ -377,6 +409,55 @@ class TestWritePath:
             finally:
                 admin.close()
                 data.close()
+
+    def test_in_flight_upsert_completes_before_the_log_closes(self, tmp_path):
+        """Shutdown drains the admin port before closing the log under it."""
+        from repro.graph.generators import attributed_sbm
+        from repro.graph.io import save_npz
+        from repro.serving.wal.log import LogReader
+
+        graph_path = tmp_path / "graph.npz"
+        save_npz(attributed_sbm(n_nodes=60, n_attributes=15, seed=9), graph_path)
+        config = make_config(
+            tmp_path / "store",
+            n_workers=1,
+            wal_dir=str(tmp_path / "wal"),
+            graph=str(graph_path),
+            bootstrap_k=8,
+        )
+        supervisor = Supervisor(config).start()
+        try:
+            pipeline = supervisor.write_path.pipeline
+            append = pipeline.append
+
+            def append_once_draining(delta):
+                # Reach the log only after the admin port began to drain:
+                # were the log closed first, this append would fail.
+                wait_until(
+                    lambda: supervisor._admin.draining, message="admin drain"
+                )
+                return append(delta)
+
+            pipeline.append = append_once_draining
+            outcome: dict = {}
+
+            def issue():
+                outcome["status"], outcome["body"] = self.post_upsert(
+                    supervisor.admin_url, {"add_edges": [[0, 7]]}
+                )
+
+            thread = threading.Thread(target=issue)
+            thread.start()
+            wait_until(
+                lambda: supervisor._admin.in_flight == 1,
+                message="the upsert to reach its handler",
+            )
+        finally:
+            supervisor.shutdown()
+        thread.join(timeout=10.0)
+        assert outcome["status"] == 200, outcome
+        assert outcome["body"]["durable"] is True
+        assert [r.lsn for r in LogReader(tmp_path / "wal").records()] == [1]
 
     def test_read_only_supervisor_rejects_upserts(self, store_root):
         with Supervisor(make_config(store_root)) as supervisor:

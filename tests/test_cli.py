@@ -351,6 +351,23 @@ class TestHTTPServeCli:
         assert code == 2
         assert "no published versions" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_ack_replicas_without_wal_dir_rejected(
+        self, workers, embedding_file, tmp_path, capsys
+    ):
+        """Semi-sync without a log used to be silently ignored."""
+        store = tmp_path / "store"
+        main(["serve", "--store", str(store), "--publish", str(embedding_file)])
+        capsys.readouterr()
+        code = main(
+            ["serve", "--store", str(store), "--http", "0",
+             "--workers", workers, "--ack-replicas", "1"]
+        )
+        assert code == 2
+        error = capsys.readouterr().err.strip()
+        assert error.startswith("error: --ack-replicas needs --wal-dir")
+        assert len(error.splitlines()) == 1
+
     def test_serve_http_subprocess_round_trip(self, embedding_file, tmp_path):
         """Boot the real CLI server process, query it, SIGTERM it."""
         import json
