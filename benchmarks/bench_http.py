@@ -79,7 +79,6 @@ from repro.serving.http import (
 from repro.serving.http.loadgen import DrainBurst, assert_bit_identical
 from repro.serving.http.protocol import ApiError
 from repro.serving.service import QueryService
-from repro.serving.sharding.store import ShardedEmbeddingStore
 from repro.serving.store import EmbeddingStore
 from repro.serving.synth import synthetic_embedding
 
@@ -656,7 +655,7 @@ def main(argv: list[str] | None = None) -> int:
         record["ivf"] = bench_deployment(
             "ivf", plain, "ivf", embedding, args, check_identity=False
         )
-        sharded = ShardedEmbeddingStore(
+        sharded = EmbeddingStore(
             Path(tmp) / "sharded", n_shards=args.shards
         )
         sharded.publish(embedding)

@@ -12,7 +12,10 @@ deterministically through ``REPRO_FAULTS``:
    require: the publisher exits with :data:`INJECTED_KILL_EXIT`, plain
    ``repro fsck`` detects the orphaned staging directory (exit 1),
    ``repro fsck --repair`` clears it (exit 1), and a final fsck is
-   clean again (exit 0) with v1 still the active version;
+   clean again (exit 0) with v1 still the active version — then the
+   same on a 3-shard root (a sharded version is one directory, so a
+   torn sharded publish leaves the same single staging directory), and
+   ``repro gc`` there deletes a superseded version, every shard at once;
 3. start a healthy ``repro serve --http 0 --workers 2`` subprocess and
    measure the pre-fault throughput baseline (min of two closed-loop
    bursts, so a lucky-fast trial cannot inflate the bar), probe its
@@ -164,6 +167,32 @@ def check_torn_publish_recovery(store_dir: Path, emb2: Path) -> None:
     print("  repaired: store clean again, v1 still active")
 
 
+def check_sharded_store(tmp_path: Path, emb1: Path, emb2: Path) -> None:
+    """Torn-publish recovery and gc on a sharded root, same commands."""
+    store_dir = tmp_path / "sharded"
+    print("publishing v1 into a 3-shard store...")
+    expect_rc(
+        run_cli(
+            "serve", "--store", str(store_dir), "--publish", str(emb1),
+            "--shards", "3",
+        ),
+        0, "sharded publish v1",
+    )
+    check_torn_publish_recovery(store_dir, emb2)
+    expect_rc(
+        run_cli("serve", "--store", str(store_dir), "--publish", str(emb2)),
+        0, "sharded publish v2",
+    )
+    expect_rc(
+        run_cli("gc", "--store", str(store_dir), "--keep", "1"), 0,
+        "gc on a sharded store",
+    )
+    versions = sorted(p.name for p in (store_dir / "versions").iterdir())
+    assert versions == ["v00000002"], versions
+    expect_rc(run_cli("fsck", "--store", str(store_dir)), 0, "fsck after gc")
+    print("  sharded: torn publish repaired, gc deleted v1 whole, fsck clean")
+
+
 def spawn_supervised(store_dir: Path, faults: FaultPlan | None = None) -> tuple:
     """Boot ``repro serve --workers 2`` (optionally armed); return urls."""
     env = cli_subprocess_env()
@@ -275,58 +304,69 @@ def check_worker_kill_under_load(
     print("starting repro serve --workers 2 with worker 0 armed to crash...")
     plan = FaultPlan(kill_after_requests=5, worker=0)
     server, url, admin_url = spawn_supervised(store_dir, plan)
-    print(f"  supervisor up: data={url} admin={admin_url}")
+    try:
+        print(f"  supervisor up: data={url} admin={admin_url}")
 
-    report = burst(url, seed=300)
-    print(
-        f"  burst ok: {report.requests} requests, 0 failures "
-        f"({report.qps:.0f} req/s through the crash)"
-    )
+        report = burst(url, seed=300)
+        print(
+            f"  burst ok: {report.requests} requests, 0 failures "
+            f"({report.qps:.0f} req/s through the crash)"
+        )
 
-    admin = ServingClient(admin_url, retries=2)
-    deadline = time.monotonic() + 30.0
-    probe = None
-    while time.monotonic() < deadline:
+        admin = ServingClient(admin_url, retries=2)
+        deadline = time.monotonic() + 30.0
+        probe = None
+        while time.monotonic() < deadline:
+            try:
+                probe = admin.healthz()
+            except (ApiError, OSError):
+                probe = None  # aggregate answers 503 while a slot restarts
+            if probe and probe["restarts_total"] >= 1 and probe["n_live"] == 2:
+                break
+            # The burst may have starved the armed slot of data requests
+            # (accept(2) can keep handing a lone connection stream to the
+            # unarmed worker) — fresh connections keep feeding it until it
+            # finally serves its 5th request and dies.
+            poke = ServingClient(url, retries=4, backoff_s=0.05)
+            try:
+                for node in range(3):
+                    poke.top_k(node, k=K)
+            finally:
+                poke.close()
+            time.sleep(0.1)
+        assert probe and probe["restarts_total"] >= 1, f"no restart observed: {probe}"
+        assert probe["n_live"] == 2, f"capacity not restored: {probe}"
+        assert any(
+            f"code {INJECTED_KILL_EXIT}" in (w.get("last_exit") or "")
+            for w in probe["workers"]
+        ), probe["workers"]
+        admin.close()
+        print(
+            f"  recovered: {probe['restarts_total']} restart(s), "
+            f"{probe['n_live']}/2 workers live"
+        )
+
+        # Post-recovery throughput must return to >= 90% of the pre-fault
+        # baseline.  The restarted worker inherited the armed env, so this
+        # burst absorbs another injected crash — the bound holds anyway.
+        after = burst(url, seed=400)
+        ratio = after.qps / baseline_qps
+        assert ratio >= 0.9, (
+            f"post-recovery throughput {after.qps:.0f} req/s is "
+            f"{ratio:.0%} of the pre-fault baseline {baseline_qps:.0f} req/s"
+        )
+        print(f"  post-recovery: {after.qps:.0f} req/s ({ratio:.0%} of baseline)")
+        scrape = scrape_fleet_prometheus(admin_url)
+    except BaseException:
+        # A failed check must not leave the armed fleet (and the worker
+        # it keeps restarting) running: SIGTERM drains the workers too.
+        server.send_signal(signal.SIGTERM)
         try:
-            probe = admin.healthz()
-        except (ApiError, OSError):
-            probe = None  # aggregate answers 503 while a slot restarts
-        if probe and probe["restarts_total"] >= 1 and probe["n_live"] == 2:
-            break
-        # The burst may have starved the armed slot of data requests
-        # (accept(2) can keep handing a lone connection stream to the
-        # unarmed worker) — fresh connections keep feeding it until it
-        # finally serves its 5th request and dies.
-        poke = ServingClient(url, retries=4, backoff_s=0.05)
-        try:
-            for node in range(3):
-                poke.top_k(node, k=K)
-        finally:
-            poke.close()
-        time.sleep(0.1)
-    assert probe and probe["restarts_total"] >= 1, f"no restart observed: {probe}"
-    assert probe["n_live"] == 2, f"capacity not restored: {probe}"
-    assert any(
-        f"code {INJECTED_KILL_EXIT}" in (w.get("last_exit") or "")
-        for w in probe["workers"]
-    ), probe["workers"]
-    admin.close()
-    print(
-        f"  recovered: {probe['restarts_total']} restart(s), "
-        f"{probe['n_live']}/2 workers live"
-    )
-
-    # Post-recovery throughput must return to >= 90% of the pre-fault
-    # baseline.  The restarted worker inherited the armed env, so this
-    # burst absorbs another injected crash — the bound holds anyway.
-    after = burst(url, seed=400)
-    ratio = after.qps / baseline_qps
-    assert ratio >= 0.9, (
-        f"post-recovery throughput {after.qps:.0f} req/s is "
-        f"{ratio:.0%} of the pre-fault baseline {baseline_qps:.0f} req/s"
-    )
-    print(f"  post-recovery: {after.qps:.0f} req/s ({ratio:.0%} of baseline)")
-    scrape = scrape_fleet_prometheus(admin_url)
+            server.wait(timeout=60)
+        except subprocess.TimeoutExpired:
+            server.kill()
+            server.wait(timeout=30)
+        raise
     return server, scrape
 
 
@@ -737,6 +777,7 @@ def main() -> int:
             print("  fsck: clean")
 
             check_torn_publish_recovery(store_dir, emb2)
+            check_sharded_store(tmp_path, emb1, emb2)
 
             baseline = measure_healthy_baseline(store_dir)
             server, scrape = check_worker_kill_under_load(store_dir, baseline)

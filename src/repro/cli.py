@@ -12,8 +12,8 @@ Usage::
     python -m repro.cli bench-http --url http://127.0.0.1:8080 --requests 512
     python -m repro.cli datasets
 
-``query`` auto-detects sharded store roots (created with ``serve
---shards N``) and scatter-gathers across the segments.  ``serve --http
+``query`` reads a store root's shard layout (fixed by ``serve
+--shards N``) and scatter-gathers across the shards.  ``serve --http
 PORT`` exposes the store over the JSON HTTP API (see
 ``docs/SERVING.md``); ``bench-http`` is the matching client-side load
 generator.
@@ -128,43 +128,17 @@ def _cmd_neighbors(args: argparse.Namespace) -> int:
 
 
 def _open_store(root: str, *, shards: int = 0, partition: str | None = None):
-    """A plain or sharded store handle for ``root``.
+    """The store at ``root``; ``--shards N`` / ``--partition`` create one.
 
-    Existing sharded roots are auto-detected (their ``sharding.json`` is
-    authoritative); ``--shards N`` creates a new sharded root.  A layout
-    request that conflicts with an existing store — shards on a plain
-    store, or a different shard count / partitioning on a sharded one —
-    is an error rather than a silent reinterpretation.
+    An existing root's layout is authoritative, and a layout request that
+    conflicts with it is an error rather than a silent reinterpretation.
     """
-    from repro.serving.sharding.store import ShardedEmbeddingStore
     from repro.serving.store import EmbeddingStore
 
-    if ShardedEmbeddingStore.is_sharded_root(root):
-        # Forward any explicit layout request so the store's own conflict
-        # checks fire instead of quietly serving the recorded layout.
-        return ShardedEmbeddingStore(
-            root, n_shards=shards or None, partition=partition
-        )
-    if partition is not None and shards == 0:
-        raise ValueError(
-            "--partition only applies to sharded stores; pass --shards N "
-            "to create one (or point --store at an existing sharded root)"
-        )
-    if shards > 0:
-        from pathlib import Path
-
-        if (Path(root) / "versions").is_dir():
-            raise ValueError(
-                f"{root} is an existing unsharded store; --shards only "
-                "applies when creating a new store root"
-            )
-        return ShardedEmbeddingStore(root, n_shards=shards, partition=partition)
-    return EmbeddingStore(root)
+    return EmbeddingStore(root, n_shards=shards or None, partition=partition)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serving.sharding.store import ShardedEmbeddingStore
-
     try:
         store = _open_store(
             args.store, shards=args.shards, partition=args.partition
@@ -172,8 +146,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    sharded = isinstance(store, ShardedEmbeddingStore)
-    layout = f" [{store.n_shards} {store.partition} shards]" if sharded else ""
+    layout = (
+        f" [{store.n_shards} {store.partition} shards]" if store.n_shards > 1 else ""
+    )
     if args.publish:
         from repro.core.embedding import PANEEmbedding
 
@@ -389,19 +364,10 @@ def _cmd_gc(args: argparse.Namespace) -> int:
 
     from repro.serving.datasets import retain
 
-    from repro.serving.sharding.store import ShardedEmbeddingStore
-
     try:
         store = _open_store(args.store)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
-        return 2
-    if isinstance(store, ShardedEmbeddingStore):
-        print(
-            "error: gc supports unsharded stores only (logical versions "
-            "pin per-shard segment versions)",
-            file=sys.stderr,
-        )
         return 2
     try:
         result = retain(store, keep=args.keep, dry_run=args.dry_run)
@@ -1036,8 +1002,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=0,
-        help="create the store root sharded across N mmap segments "
-        "(0 = unsharded; existing sharded roots are auto-detected)",
+        help="create the store root with rows split across N shards "
+        "(0 = unsharded; an existing root's layout is read from it)",
     )
     serve.add_argument(
         "--partition",

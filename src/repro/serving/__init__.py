@@ -4,7 +4,8 @@ The subsystem that turns a trained :class:`~repro.core.embedding.PANEEmbedding`
 into something that answers similarity queries under load:
 
 - :class:`EmbeddingStore` — durable, versioned, memory-mapped storage with
-  atomic publish and rollback (``store.py``);
+  atomic publish and rollback, unsharded or rows split across N shards
+  (``store.py``);
 - :class:`IVFIndex` / :class:`ExactBackend` — approximate and brute-force
   search behind one :class:`SearchBackend` interface (``index.py``);
 - :class:`QueryService` — one ``search(SearchRequest)`` entrypoint over
@@ -12,8 +13,8 @@ into something that answers similarity queries under load:
   (``service.py``);
 - :class:`OnlineRefresher` — delta update → republish → incremental index
   rebuild → swap, without downtime (``refresh.py``);
-- :mod:`~repro.serving.sharding` — multi-segment sharded stores, PQ
-  compression, and the scatter-gather :class:`ShardRouter`
+- :mod:`~repro.serving.sharding` — PQ compression and the
+  scatter-gather :class:`ShardRouter` over a sharded store's shards
   (``sharding/``);
 - :mod:`~repro.serving.http` — the stdlib HTTP front-end
   (:class:`~repro.serving.http.EmbeddingServer`) and its retrying,
@@ -49,8 +50,6 @@ __all__ = [
     "SearchParams",
     "SearchRequest",
     "ShardRouter",
-    "ShardedEmbeddingStore",
-    "ShardedStoredEmbedding",
     "StoredEmbedding",
     "backend_kind_name",
     "json_safe",
@@ -75,9 +74,8 @@ __getattr__, __dir__ = lazy_exports(
         ),
         "repro.serving.sharding.pq": ("IVFPQBackend", "PQBackend", "PQCodec"),
         "repro.serving.sharding.router": ("ShardRouter",),
-        "repro.serving.sharding.store": (
-            "Partitioner", "ShardedEmbeddingStore", "ShardedStoredEmbedding",
+        "repro.serving.store": (
+            "EmbeddingStore", "Partitioner", "StoredEmbedding", "search_features",
         ),
-        "repro.serving.store": ("EmbeddingStore", "StoredEmbedding", "search_features"),
     },
 )

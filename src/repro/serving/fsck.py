@@ -12,12 +12,14 @@ the recovery half of the durability story:
   ``.npy`` header agrees with the manifest's recorded shape/dtype, and
   the file's byte length equals exactly what the header promises — a
   truncated ``features.npy`` is caught *before* a query process maps it.
-- :func:`fsck` sweeps a whole store root (plain or sharded): every
-  version is verified, orphaned staging debris is found, and the
-  ``LATEST`` pointer is checked against the set of *clean* versions.
-  With ``repair=True`` it quarantines corrupt versions (moved under
-  ``<root>/quarantine/``, never deleted), removes staging debris, and
-  repoints ``LATEST`` at the newest version that verifies clean.
+- :func:`fsck` sweeps a whole store root, whatever its shard count (a
+  version is one directory, so a torn sharded publish leaves exactly
+  the debris a torn unsharded one does): every version is verified,
+  orphaned staging debris is found, and the ``LATEST`` pointer is
+  checked against the set of *clean* versions.  With ``repair=True`` it
+  quarantines corrupt versions (moved under ``<root>/quarantine/``,
+  never deleted), removes staging debris, and repoints ``LATEST`` at the
+  newest version that verifies clean.
 - :class:`StoreCorruptionError` is the structured refusal
   :class:`~repro.serving.service.QueryService` raises instead of
   serving a version that fails verification.
@@ -35,6 +37,7 @@ import json
 import math
 import os
 import shutil
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,6 +48,9 @@ from repro.serving.store import (
     MANIFEST_SCHEMA,
     STAGING_PREFIX,
     EmbeddingStore,
+    manifest_layout,
+    shard_array_shape,
+    shard_dir,
 )
 
 QUARANTINE_DIR = "quarantine"
@@ -174,7 +180,9 @@ def verify_version(store: EmbeddingStore, version: str) -> list[Issue]:
 
     Checks are header/metadata-level only — no array data is read — so a
     verification pass costs stats and a few KB of headers, cheap enough
-    to run on every :meth:`QueryService.activate`.
+    to run on every :meth:`QueryService.activate`.  Every shard's arrays
+    are checked against the manifest; a 1-shard version keeps them at the
+    top of its directory, so its issue paths are the unsharded ones.
     """
     directory = store.root / "versions" / version
     issues: list[Issue] = []
@@ -205,62 +213,71 @@ def verify_version(store: EmbeddingStore, version: str) -> list[Issue]:
             "bad_manifest", manifest_path,
             f"{version}: manifest names version {manifest.get('version')!r}",
         )
-    recorded = manifest.get("arrays")
-    if not isinstance(recorded, dict):
-        issue("bad_manifest", manifest_path, f"{version}: manifest has no arrays table")
+    try:
+        _, entries = manifest_layout(manifest)
+        expected_shapes = [
+            {
+                name: shard_array_shape(manifest, name, int(entry["n_nodes"]))
+                for name in _ARRAY_FILES
+            }
+            for entry in entries
+        ]
+        dtypes = {name: manifest["arrays"][name]["dtype"] for name in _ARRAY_FILES}
+    except (KeyError, TypeError, ValueError) as error:
+        issue(
+            "bad_manifest", manifest_path,
+            f"{version}: manifest lacks its array or shard table: {error!r}",
+        )
+        return issues
+    if len(entries) != store.n_shards:
+        issue(
+            "bad_manifest", manifest_path,
+            f"{version}: manifest records {len(entries)} shard(s), the store "
+            f"root has {store.n_shards}",
+        )
         return issues
 
-    for name in _ARRAY_FILES:
-        array_path = directory / f"{name}.npy"
-        spec = recorded.get(name)
-        if spec is None:
-            issue(
-                "bad_manifest", manifest_path,
-                f"{version}: manifest does not record array {name!r}",
-            )
-            continue
-        if not array_path.is_file():
-            issue("bad_array", array_path, f"{version}: {name}.npy missing")
-            continue
-        try:
-            shape, dtype, offset = _read_npy_header(array_path)
-        except (OSError, ValueError) as error:
-            issue(
-                "bad_array", array_path,
-                f"{version}: {name}.npy header unreadable: {error}",
-            )
-            continue
-        if list(shape) != list(spec.get("shape", [])) or str(dtype) != spec.get(
-            "dtype"
-        ):
-            issue(
-                "bad_array", array_path,
-                f"{version}: {name}.npy is {dtype} {list(shape)}, manifest "
-                f"records {spec.get('dtype')} {spec.get('shape')}",
-            )
-            continue
-        expected = offset + dtype.itemsize * math.prod(shape)
-        actual = array_path.stat().st_size
-        if actual != expected:
-            kind = "truncated" if actual < expected else "oversized"
-            issue(
-                "bad_array", array_path,
-                f"{version}: {name}.npy {kind}: {actual} bytes on disk, "
-                f"header promises {expected}",
-            )
+    for shard, shapes in enumerate(expected_shapes):
+        shard_path = shard_dir(directory, shard, len(entries))
+        prefix = "" if shard_path == directory else f"{shard_path.name}/"
+        for name in _ARRAY_FILES:
+            array_path = shard_path / f"{name}.npy"
+            label = f"{version}: {prefix}{name}.npy"
+            if not array_path.is_file():
+                issue("bad_array", array_path, f"{label} missing")
+                continue
+            try:
+                shape, dtype, offset = _read_npy_header(array_path)
+            except (OSError, ValueError) as error:
+                issue("bad_array", array_path, f"{label} header unreadable: {error}")
+                continue
+            if list(shape) != shapes[name] or str(dtype) != dtypes[name]:
+                issue(
+                    "bad_array", array_path,
+                    f"{label} is {dtype} {list(shape)}, manifest records "
+                    f"{dtypes[name]} {shapes[name]}",
+                )
+                continue
+            expected = offset + dtype.itemsize * math.prod(shape)
+            actual = array_path.stat().st_size
+            if actual != expected:
+                kind = "truncated" if actual < expected else "oversized"
+                issue(
+                    "bad_array", array_path,
+                    f"{label} {kind}: {actual} bytes on disk, "
+                    f"header promises {expected}",
+                )
 
-    # Index artifacts are derived data (deleting one only costs a
-    # rebuild), but a torn .npz would still crash activation with an
-    # opaque zipfile error — flag it so repair can GC it.
-    import zipfile
-
-    for artifact in sorted(directory.glob("index_*.npz")):
-        if not zipfile.is_zipfile(artifact):
-            issue(
-                "corrupt_index", artifact,
-                f"{version}: index artifact {artifact.name} is not a readable "
-                "archive (derived data; repair deletes it)",
-            )
+        # Index artifacts are derived data (deleting one only costs a
+        # rebuild), but a torn .npz would still crash activation with an
+        # opaque zipfile error — flag it so repair can GC it.
+        for artifact in sorted(shard_path.glob("index_*.npz")):
+            if not zipfile.is_zipfile(artifact):
+                issue(
+                    "corrupt_index", artifact,
+                    f"{version}: index artifact {prefix}{artifact.name} is not a "
+                    "readable archive (derived data; repair deletes it)",
+                )
     return issues
 
 
@@ -292,19 +309,9 @@ def _quarantine(root: Path, target: Path, report: FsckReport) -> None:
     report.actions.append(f"quarantined {target.name} -> {destination.relative_to(root)}")
 
 
-def _fsck_plain(store: EmbeddingStore, *, repair: bool) -> FsckReport:
+def _sweep(store: EmbeddingStore, *, repair: bool) -> FsckReport:
     root = store.root
     report = FsckReport(root=str(root))
-    if not (root / "versions").is_dir():
-        report.issues.append(
-            Issue(
-                code="not_a_store",
-                path=str(root),
-                detail=f"{root} has no versions/ directory",
-                repairable=False,
-            )
-        )
-        return report
 
     for orphan in find_orphans(root):
         report.issues.append(
@@ -388,10 +395,8 @@ def _check_datasets(store, report: FsckReport, *, repair: bool) -> None:
 def _check_latest(store, report: FsckReport, *, repair: bool) -> None:
     """Validate (and with ``repair`` fix) the ``LATEST`` pointer.
 
-    Shared by the plain and sharded sweeps: both stores point a one-line
-    ``LATEST`` file at a version name, and the repair is the same —
-    repoint at the newest version that verified clean, or remove the
-    pointer when nothing clean remains.
+    The repair repoints it at the newest version that verified clean, or
+    removes the pointer when nothing clean remains.
     """
     root = Path(report.root)
     pointer = root / "LATEST"
@@ -426,96 +431,6 @@ def _check_latest(store, report: FsckReport, *, repair: bool) -> None:
         report.actions.append("removed dangling LATEST pointer")
 
 
-def _fsck_sharded(store, *, repair: bool) -> FsckReport:
-    """Sweep a sharded root: segments first, then the logical layer.
-
-    A logical version is clean iff every segment version it names
-    verified clean in its segment store; a corrupt logical version's
-    manifest is quarantined (the segment sweeps already quarantined the
-    bad segment data itself).
-    """
-    from repro.serving.sharding.store import ShardedEmbeddingStore
-
-    assert isinstance(store, ShardedEmbeddingStore)
-    root = store.root
-    report = FsckReport(root=str(root))
-
-    segment_clean: list[set[str]] = []
-    for shard in range(store.n_shards):
-        segment_report = _fsck_plain(store.segment_store(shard), repair=repair)
-        # Segment LATEST pointers are unused (logical manifests pin exact
-        # segment versions), so a missing one is not an issue here.
-        report.issues.extend(
-            issue
-            for issue in segment_report.issues
-            if issue.code != "bad_latest"
-        )
-        report.actions.extend(
-            f"shard-{shard:04d}: {action}" for action in segment_report.actions
-        )
-        segment_clean.append(set(segment_report.clean_versions))
-
-    for orphan in find_orphans(root):
-        report.issues.append(
-            Issue(
-                code="orphan_staging",
-                path=str(orphan),
-                detail=f"abandoned staging debris {orphan.name}",
-            )
-        )
-        if repair:
-            if orphan.is_dir():
-                shutil.rmtree(orphan, ignore_errors=True)
-            else:
-                orphan.unlink(missing_ok=True)
-            report.actions.append(f"removed staging debris {orphan.name}")
-
-    for version in store.versions():
-        manifest_path = root / "versions" / f"{version}.json"
-        try:
-            manifest = store.manifest(version)
-            entries = manifest["shards"]
-            broken = [
-                entry
-                for entry in entries
-                if entry["version"] not in segment_clean[entry["shard"]]
-            ]
-        except (OSError, ValueError, KeyError, IndexError, TypeError) as error:
-            report.issues.append(
-                Issue(
-                    code="bad_manifest",
-                    path=str(manifest_path),
-                    detail=f"{version}: logical manifest unreadable: {error}",
-                    version=version,
-                )
-            )
-            broken = None
-        if broken:
-            for entry in broken:
-                report.issues.append(
-                    Issue(
-                        code="bad_manifest",
-                        path=str(manifest_path),
-                        detail=(
-                            f"{version}: names segment version "
-                            f"{entry['version']!r} on shard {entry['shard']} "
-                            "which is missing or corrupt"
-                        ),
-                        version=version,
-                    )
-                )
-        if broken or broken is None:
-            report.corrupt_versions.append(version)
-            if repair:
-                _quarantine(root, manifest_path, report)
-        else:
-            report.clean_versions.append(version)
-
-    _check_latest(store, report, repair=repair)
-    report.repaired = repair and not report.unrecoverable and bool(report.actions)
-    return report
-
-
 def _journal_repairs(journal, report: FsckReport, sweep: str) -> None:
     """Record the repairs a sweep made in the ops event journal."""
     if journal is None or not report.actions:
@@ -531,7 +446,7 @@ def _journal_repairs(journal, report: FsckReport, sweep: str) -> None:
 
 
 def fsck(root, *, repair: bool = False, journal=None) -> FsckReport:
-    """Sweep a store root (plain or sharded auto-detected) for damage.
+    """Sweep a store root (any shard count) for damage.
 
     ``repair=False`` only reports; ``repair=True`` additionally removes
     staging debris, quarantines corrupt versions under
@@ -540,27 +455,23 @@ def fsck(root, *, repair: bool = False, journal=None) -> FsckReport:
     restored by hand.  Repairs taken are appended to ``journal`` (an
     :class:`~repro.serving.obs.journal.EventJournal`) when one is given.
     """
-    from repro.serving.sharding.store import ShardedEmbeddingStore
-
     root = Path(root)
-    if ShardedEmbeddingStore.is_sharded_root(root):
-        report = _fsck_sharded(ShardedEmbeddingStore(root), repair=repair)
-        _journal_repairs(journal, report, "store")
-        return report
-    if not (root / "versions").is_dir():
-        # Don't let EmbeddingStore.__init__ mkdir a store skeleton into a
-        # path that plainly isn't one — report it instead.
-        report = FsckReport(root=str(root))
+    report = FsckReport(root=str(root))
+    # Don't let EmbeddingStore.__init__ mkdir a store skeleton into a
+    # path that plainly isn't one — report it instead.
+    detail = f"{root} is not an embedding store root"
+    store = None
+    if (root / "versions").is_dir():
+        try:
+            store = EmbeddingStore(root)
+        except (OSError, ValueError) as error:
+            detail = f"{root}: unreadable store layout: {error}"
+    if store is None:
         report.issues.append(
-            Issue(
-                code="not_a_store",
-                path=str(root),
-                detail=f"{root} is not an embedding store root",
-                repairable=False,
-            )
+            Issue(code="not_a_store", path=str(root), detail=detail, repairable=False)
         )
         return report
-    report = _fsck_plain(EmbeddingStore(root), repair=repair)
+    report = _sweep(store, repair=repair)
     _journal_repairs(journal, report, "store")
     return report
 
@@ -873,51 +784,12 @@ def verify_open_target(store, version: str | None) -> None:
     its usual ``FileNotFoundError``).  Raises
     :class:`StoreCorruptionError` listing every issue found.
     """
-    from repro.serving.sharding.store import ShardedEmbeddingStore
-
     target = version if version is not None else store.latest()
-    if target is None:
-        return
-    if isinstance(store, ShardedEmbeddingStore):
-        try:
-            manifest = store.manifest(target)
-            entries = manifest["shards"]
-        except FileNotFoundError:
-            return  # open() raises the canonical missing-version error
-        except (ValueError, KeyError, TypeError) as error:
-            raise StoreCorruptionError(
-                store.root,
-                target,
-                [
-                    Issue(
-                        code="bad_manifest",
-                        path=str(store.root / "versions" / f"{target}.json"),
-                        detail=f"{target}: logical manifest unreadable: {error}",
-                        version=target,
-                    )
-                ],
-            )
-        issues = []
-        for entry in entries:
-            segment = store.segment_store(entry["shard"])
-            if not (segment.root / "versions" / entry["version"]).is_dir():
-                issues.append(
-                    Issue(
-                        code="bad_manifest",
-                        path=str(segment.root),
-                        detail=(
-                            f"{target}: segment version {entry['version']!r} "
-                            f"missing on shard {entry['shard']}"
-                        ),
-                        version=target,
-                    )
-                )
-            else:
-                issues.extend(verify_version(segment, entry["version"]))
-    else:
-        if not (store.root / "versions" / target).is_dir():
-            return  # open() raises the canonical missing-version error
-        issues = verify_version(store, target)
-    fatal = [issue for issue in issues if issue.code != "corrupt_index"]
+    if target is None or not (store.root / "versions" / target).is_dir():
+        return  # open() raises the canonical missing-version error
+    fatal = [
+        issue for issue in verify_version(store, target)
+        if issue.code != "corrupt_index"
+    ]
     if fatal:
         raise StoreCorruptionError(store.root, target, fatal)

@@ -29,8 +29,9 @@ def collect_versions(store, *, keep: int, protect=(), dry_run: bool = False) -> 
         Report what would be deleted without touching the filesystem.
 
     Returns ``{"deleted": [...], "kept": [...], "reclaimed_bytes": int}``.
-    Deletion is per-version-directory and safe against concurrent
-    readers on POSIX: open mmaps keep their data until unmapped.
+    Deletion is per-version-directory — every shard of a version lives
+    in it — and safe against concurrent readers on POSIX: open mmaps
+    keep their data until unmapped.
     """
     if keep < 1:
         raise ValueError("keep must be at least 1")
@@ -46,14 +47,6 @@ def collect_versions(store, *, keep: int, protect=(), dry_run: bool = False) -> 
         if version in survivors:
             continue
         target = store.root / "versions" / version
-        if not target.is_dir():
-            # Sharded logical versions are JSON manifests pinning exact
-            # per-shard segment versions; deleting them safely needs
-            # cross-shard refcounting this sweep does not do.
-            raise ValueError(
-                f"gc supports plain stores only: {version!r} has no "
-                "version directory under the store root"
-            )
         size = sum(p.stat().st_size for p in target.rglob("*") if p.is_file())
         if not dry_run:
             shutil.rmtree(target)

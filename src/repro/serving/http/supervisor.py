@@ -72,6 +72,7 @@ from repro.serving.http.server import EmbeddingServer, HttpFrontEnd
 from repro.serving.http.write_path import WritePath, write_routes
 from repro.serving.obs.journal import EventJournal
 from repro.serving.obs.metrics import MetricsRegistry, merge_dicts
+from repro.serving.store import EmbeddingStore
 
 WORKER_SPEC_ENV = "REPRO_WORKER_SPEC"
 
@@ -152,15 +153,6 @@ class SupervisorConfig:
 # ---------------------------------------------------------------------
 # Worker side
 # ---------------------------------------------------------------------
-def _open_worker_store(root: str):
-    from repro.serving.sharding.store import ShardedEmbeddingStore
-    from repro.serving.store import EmbeddingStore
-
-    if ShardedEmbeddingStore.is_sharded_root(root):
-        return ShardedEmbeddingStore(root)
-    return EmbeddingStore(root)
-
-
 def worker_main(environ=None) -> int:
     """Entry point of one worker process (re-exec'd by the supervisor).
 
@@ -185,7 +177,7 @@ def worker_main(environ=None) -> int:
     worker_id = int(spec["worker_id"])
     faults = FaultInjector.from_env(worker_id=worker_id)
 
-    store = _open_worker_store(spec["store"])
+    store = EmbeddingStore(spec["store"])
     # Every key is required: the supervisor always writes the whole spec
     # (_WORKER_KNOBS), so a missing one is a boot error, not a silently
     # different server.
@@ -362,7 +354,7 @@ class Supervisor:
         if config.wal_dir is not None:
             self.write_path = WritePath.open(
                 config.wal_dir,
-                _open_worker_store(config.store),
+                EmbeddingStore(config.store),
                 graph=config.graph,
                 bootstrap_k=config.bootstrap_k,
                 max_bytes=config.wal_max_bytes,

@@ -28,7 +28,6 @@ from repro.serving.index import IVFIndex
 from repro.serving.service import QueryService
 from repro.serving.sharding.pq import PQBackend
 from repro.serving.sharding.router import ShardRouter
-from repro.serving.sharding.store import ShardedEmbeddingStore
 from repro.serving.store import EmbeddingStore
 from repro.utils.timing import Timer
 
@@ -59,7 +58,7 @@ class OnlineRefresher:
     def __init__(
         self,
         model: IncrementalPANE,
-        store: EmbeddingStore | ShardedEmbeddingStore,
+        store: EmbeddingStore,
         service: QueryService | None = None,
     ) -> None:
         self.model = model

@@ -61,10 +61,6 @@ from repro.serving.index import (
 )
 from repro.serving.sharding.pq import IVFPQBackend, PQBackend
 from repro.serving.sharding.router import ShardRouter
-from repro.serving.sharding.store import (
-    ShardedEmbeddingStore,
-    ShardedStoredEmbedding,
-)
 from repro.serving.store import _ARRAY_FILES, EmbeddingStore, StoredEmbedding
 
 
@@ -246,15 +242,13 @@ _FILTER_CACHE_SIZE = 64
 class _ActiveVersion:
     """Immutable serving snapshot; swapped atomically by ``activate``.
 
-    ``stored`` is a :class:`StoredEmbedding` or — when the service fronts
-    a :class:`~repro.serving.sharding.store.ShardedEmbeddingStore` — a
-    :class:`~repro.serving.sharding.store.ShardedStoredEmbedding`, whose
-    gather views answer the same row reads; ``backend`` is then a
+    ``stored`` is the opened :class:`StoredEmbedding`; over more than one
+    shard its row arrays are gather views and ``backend`` is a
     :class:`~repro.serving.sharding.router.ShardRouter`.
     """
 
     version: str
-    stored: StoredEmbedding | ShardedStoredEmbedding
+    stored: StoredEmbedding
     backend: SearchBackend
 
 
@@ -264,10 +258,9 @@ class QueryService:
     Parameters
     ----------
     store:
-        The :class:`EmbeddingStore` (or
-        :class:`~repro.serving.sharding.store.ShardedEmbeddingStore`) to
-        serve from.  A sharded store gets per-shard backends behind a
-        :class:`ShardRouter`; everything else is transparent.
+        The :class:`EmbeddingStore` to serve from.  A store of more than
+        one shard gets per-shard backends behind a :class:`ShardRouter`;
+        everything else is transparent.
     backend:
         ``"ivf"``, ``"exact"``, ``"pq"``, ``"ivfpq"``, or ``"auto"``
         (IVF above :data:`repro.serving.index.AUTO_EXACT_THRESHOLD`
@@ -300,7 +293,7 @@ class QueryService:
 
     def __init__(
         self,
-        store: EmbeddingStore | ShardedEmbeddingStore,
+        store: EmbeddingStore,
         *,
         backend: str = "auto",
         nlist: int | None = None,
@@ -383,12 +376,7 @@ class QueryService:
             # so the cost is a few KB of reads per activation.
             verify_open_target(self._store, version)
             stored = self._store.open(version)
-            backend = index
-            if backend is None:
-                if isinstance(stored, ShardedStoredEmbedding):
-                    backend = self._build_router(stored)
-                else:
-                    backend = self._build_backend(stored)
+            backend = index if index is not None else self._build_backend(stored)
             outgoing = self._active.backend if self._active is not None else None
             if isinstance(backend, ShardRouter) and isinstance(outgoing, ShardRouter):
                 # Every swap installs a new router; the per-shard series
@@ -423,43 +411,30 @@ class QueryService:
         return backend
 
     def _build_backend(self, stored: StoredEmbedding) -> SearchBackend:
-        """Backend for an unsharded snapshot, via the artifact cache if on."""
-        kind = resolve_kind(self._backend_kind, stored.features.shape[0])
-        if self._index_cache and kind != "exact":
-            loaded = self._store.load_index(stored.version, kind, stored.features)
-            if loaded is not None:
-                return self._apply_select_dtype(loaded)
-        backend = self._make_backend(stored.features, kind)
-        if self._index_cache and kind != "exact":
-            self._store.save_index(stored.version, backend)
-        return backend
-
-    def _build_router(self, stored: ShardedStoredEmbedding) -> ShardRouter:
-        """Per-shard backends behind a scatter-gather router.
+        """One backend per shard, via the artifact cache if on.
 
         ``"auto"`` resolves on the *total* corpus size so a sharded and an
-        unsharded deployment of the same corpus pick the same kind; each
-        shard then builds (or loads) its own index over its segment.
+        unsharded deployment of the same corpus pick the same kind; more
+        than one shard puts the backends behind a scatter-gather router.
         """
         kind = resolve_kind(self._backend_kind, stored.n_nodes)
-        loaded = (
-            self._store.load_shard_indexes(stored, kind)
-            if self._index_cache and kind != "exact"
-            else [None] * stored.n_shards
-        )
+        cache = self._index_cache and kind != "exact"
         backends: list[SearchBackend] = []
-        built: list[SearchBackend | None] = []
-        for shard, segment in enumerate(stored.shards):
-            backend = loaded[shard]
+        for shard in stored.shards:
+            backend = None
+            if cache:
+                backend = self._store.load_index(
+                    stored.version, kind, shard.features, shard=shard.shard
+                )
             if backend is None:
-                backend = self._make_backend(segment.features, kind)
-                built.append(backend)
+                backend = self._make_backend(shard.features, kind)
+                if cache:
+                    self._store.save_index(stored.version, backend, shard=shard.shard)
             else:
                 self._apply_select_dtype(backend)
-                built.append(None)  # already persisted; skip the rewrite
             backends.append(backend)
-        if self._index_cache and kind != "exact" and any(b is not None for b in built):
-            self._store.save_shard_indexes(stored.version, built)
+        if len(backends) == 1:
+            return backends[0]
         return ShardRouter(backends, stored.partitioner, pool=self.pool)
 
     def refresh_to_latest(self) -> str:
@@ -772,7 +747,7 @@ class QueryService:
 
         ``memory`` reports the mapped bytes behind every stored array (what
         the OS *could* page in, not resident set; for a sharded snapshot
-        the replicated ``y`` counts every segment's copy) plus, for PQ
+        the replicated ``y`` counts every shard's copy) plus, for PQ
         backends, the resident code bytes and the compression ratio they
         buy.  ``latency`` is :meth:`latency_info`.  A sharded snapshot
         adds a ``sharding`` section with per-shard sizes and the router's
@@ -811,18 +786,12 @@ class QueryService:
         }
         if hasattr(backend, "select_dtype"):  # exact / IVF selector knob
             info["select_dtype"] = backend.select_dtype
+        # Y is *replicated* per shard: count every mapped replica so
+        # total_mapped_bytes agrees with the per-shard sums reported below.
         mapped = {
-            name: int(getattr(active.stored, name).nbytes)
+            name: sum(int(getattr(shard, name).nbytes) for shard in active.stored.shards)
             for name in _ARRAY_FILES
         }
-        if isinstance(active.stored, ShardedStoredEmbedding):
-            # The row-partitioned arrays already sum across segments via
-            # their gather views, but Y is *replicated* per segment — count
-            # every mapped replica so total_mapped_bytes agrees with the
-            # per-shard sums reported below.
-            mapped["y"] = sum(
-                int(segment.y.nbytes) for segment in active.stored.shards
-            )
         memory: dict = {
             "mapped_bytes": mapped,
             "total_mapped_bytes": sum(mapped.values()),
@@ -845,25 +814,22 @@ class QueryService:
         elif isinstance(backend, IVFPQBackend):
             info["ivf"] = {"nlist": backend.nlist, "nprobe": backend.nprobe}
         if isinstance(backend, ShardRouter):
-            stored: ShardedStoredEmbedding = active.stored
+            stored = active.stored
             memory["per_shard_bytes"] = [
-                sum(
-                    int(getattr(segment, name).nbytes) for name in _ARRAY_FILES
-                )
-                for segment in stored.shards
+                sum(int(getattr(shard, name).nbytes) for name in _ARRAY_FILES)
+                for shard in stored.shards
             ]
             info["sharding"] = {
                 "n_shards": backend.n_shards,
                 "partition": stored.partitioner.kind,
                 "per_shard": [
                     {
-                        "shard": shard,
-                        "n_nodes": segment.n_nodes,
-                        "backend": type(backend.backends[shard]).__name__,
-                        "kind": backend_kind_name(backend.backends[shard]),
-                        "version": segment.version,
+                        "shard": shard.shard,
+                        "n_nodes": shard.n_nodes,
+                        "backend": type(backend.backends[shard.shard]).__name__,
+                        "kind": backend_kind_name(backend.backends[shard.shard]),
                     }
-                    for shard, segment in enumerate(stored.shards)
+                    for shard in stored.shards
                 ],
                 "latency": backend.latency_info(),
             }

@@ -1,11 +1,11 @@
-"""Sharded serving: multi-segment stores, PQ compression, scatter-gather.
+"""Sharded serving: PQ compression and scatter-gather over row shards.
 
-Scales the PR-2 serving layer past one mmap segment and one resident
-float64 matrix:
+Scales the serving layer past one resident float64 matrix and one
+backend.  The shards themselves are an
+:class:`~repro.serving.store.EmbeddingStore` created with ``n_shards > 1``
+(rows split by its :class:`~repro.serving.store.Partitioner`); this
+package holds what searches them:
 
-- :class:`ShardedEmbeddingStore` — rows partitioned across N independent
-  :class:`~repro.serving.store.EmbeddingStore` segments, published as one
-  atomic logical version (``store.py``);
 - :class:`PQCodec` / :class:`PQBackend` / :class:`IVFPQBackend` — product
   quantization: uint8 codes + ADC scan + exact rescoring, ~16-64x smaller
   resident vectors (``pq.py``);
@@ -18,11 +18,7 @@ See the sharding section of ``docs/SERVING.md``.
 
 from repro.serving.sharding.pq import IVFPQBackend, PQBackend, PQCodec
 from repro.serving.sharding.router import ShardRouter
-from repro.serving.sharding.store import (
-    Partitioner,
-    ShardedEmbeddingStore,
-    ShardedStoredEmbedding,
-)
+from repro.serving.store import Partitioner
 
 __all__ = [
     "IVFPQBackend",
@@ -30,6 +26,4 @@ __all__ = [
     "PQCodec",
     "Partitioner",
     "ShardRouter",
-    "ShardedEmbeddingStore",
-    "ShardedStoredEmbedding",
 ]

@@ -35,7 +35,7 @@ from repro.parallel.pool import WorkerPool
 from repro.search.knn import CompiledFilter
 from repro.serving.index import IVFIndex, SearchBackend
 from repro.serving.obs.metrics import Histogram
-from repro.serving.sharding.store import Partitioner, ShardedStoredEmbedding
+from repro.serving.store import Partitioner, StoredEmbedding
 
 
 class ShardRouter(SearchBackend):
@@ -219,7 +219,7 @@ class ShardRouter(SearchBackend):
         }
 
     # ------------------------------------------------------------------
-    def refresh(self, stored: ShardedStoredEmbedding) -> "ShardRouter":
+    def refresh(self, stored: StoredEmbedding) -> "ShardRouter":
         """A new router over refreshed per-shard backends.
 
         Every shard keeps its *kind* and its trained state: IVF backends
@@ -228,8 +228,7 @@ class ShardRouter(SearchBackend):
         keep their codec (and coarse quantizer) and only re-encode, and
         exact backends just point at the new segment matrix.  Aggregate
         IVF rebuild work lands in :attr:`last_rebuild`.  Requires the
-        logical version to keep the same partition layout (same node
-        count).
+        version to keep the same partition layout (same node count).
         """
         from repro.serving.index import ExactBackend, IVFRebuildStats
         from repro.serving.sharding.pq import PQBackend

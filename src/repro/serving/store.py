@@ -3,17 +3,23 @@
 The durable half of the serving split: :class:`EmbeddingStore` persists
 trained :class:`~repro.core.embedding.PANEEmbedding`s as immutable, numbered
 versions that the in-memory :class:`~repro.serving.service.QueryService`
-maps and serves.  Layout under the store root::
+maps and serves.  Rows may be partitioned across ``N`` shards; an
+unsharded store is simply the 1-shard case.  Layout under the store root::
 
     <root>/
       LATEST                     # pointer file, swapped with os.replace
+      sharding.json              # {n_shards, partition}; only when N > 1
       versions/
-        v00000001/
-          manifest.json          # config + shapes + metadata
+        v00000001/               # one shard: arrays at the top
+          manifest.json          # config + shapes + partition + metadata
           x_forward.npy          # raw Xf (n × k/2)
           x_backward.npy         # raw Xb
           y.npy                  # raw Y  (d × k/2)
           features.npy           # unit-row [Xf̂ ‖ X̂b] search matrix
+        v00000002/               # N shards: one sub-directory per shard
+          manifest.json
+          shard-0000/            # that shard's rows of the four arrays
+          shard-0001/            # (Y is replicated into every shard)
 
 Design notes:
 
@@ -21,15 +27,22 @@ Design notes:
   honors ``mmap_mode`` for bare ``.npy`` files (zip members are read into
   memory), and the whole point of the store is that a multi-million-node
   matrix is paged in on demand rather than resident.
-- **Atomic publish.**  A version is staged in a temp directory in the
-  store root and ``os.rename``d into ``versions/`` — readers either see a
-  complete version or none.  The ``LATEST`` pointer is a one-line file
-  replaced with ``os.replace``, so "latest" flips atomically and
-  :meth:`rollback` is just pointing it at an older version.
+- **Atomic publish, whatever the shard count.**  A version — every
+  shard's arrays and the manifest — is staged in one temp directory in
+  the store root and ``os.rename``d into ``versions/``: readers either
+  see a complete version or none, and a publisher killed mid-publish
+  leaves one staging directory behind, nothing else.  The ``LATEST``
+  pointer is a one-line file replaced with ``os.replace``, so "latest"
+  flips atomically and :meth:`rollback` is just pointing it at an older
+  version.
 - **``features`` is precomputed at publish time**: each k/2 half is
   row-normalized, concatenated, and the concatenation normalized again —
   exactly the rows :func:`repro.search.knn.top_k_similar` scores — so
   the serving path never re-normalizes an ``n × k`` matrix per query.
+- **Rows are split by a :class:`Partitioner`** (``range`` = contiguous
+  blocks, ``hash`` = round-robin ``id % n_shards``); both map global ↔
+  (shard, local) ids with O(1) arithmetic, no lookup tables.  The
+  partition layout is fixed when a root is created.
 """
 
 from __future__ import annotations
@@ -53,6 +66,14 @@ from repro.utils.fs import atomic_write, chmod_default_dir
 
 MANIFEST_SCHEMA = "repro.serving.store/v1"
 _ARRAY_FILES = ("x_forward", "x_backward", "y", "features")
+# Partitioned by row across shards; ``y`` (d × k/2) is replicated instead.
+_ROW_ARRAYS = ("x_forward", "x_backward", "features")
+
+# The root's partition layout, written only for N > 1 shards.  v1 named
+# the older layout (a separate store per shard under shards/), which
+# this code does not read.
+LAYOUT_FILE = "sharding.json"
+LAYOUT_SCHEMA = "repro.serving.sharding/v2"
 
 # Every in-flight staging directory starts with this prefix, so a
 # publisher killed mid-publish leaves debris ``repro fsck`` can recognize
@@ -62,13 +83,108 @@ STAGING_PREFIX = ".tmp-"
 
 
 @dataclass(frozen=True)
-class StoredEmbedding:
-    """A published version opened for serving (arrays are read-only mmaps)."""
+class Partitioner:
+    """O(1) global ↔ (shard, local) id arithmetic for one version.
 
-    version: str
-    path: Path
-    manifest: dict
-    config: PANEConfig
+    ``range``: shard ``s`` owns the contiguous block
+    ``[boundaries[s], boundaries[s+1])`` (``np.array_split`` sizes).
+    ``hash``: shard ``s`` owns every id with ``id % n_shards == s``; the
+    local id is ``id // n_shards``.
+    """
+
+    kind: str
+    n_shards: int
+    n_nodes: int
+    boundaries: tuple[int, ...]  # len n_shards + 1; ranges only (else empty)
+
+    @classmethod
+    def build(cls, kind: str, n_shards: int, n_nodes: int) -> "Partitioner":
+        if kind not in ("range", "hash"):
+            raise ValueError(f"partition kind must be range/hash, got {kind!r}")
+        if n_shards < 1:
+            raise ValueError(f"n_shards must be >= 1, got {n_shards}")
+        if kind == "range":
+            sizes = [len(block) for block in np.array_split(np.arange(n_nodes), n_shards)]
+            boundaries = tuple(int(b) for b in np.concatenate([[0], np.cumsum(sizes)]))
+        else:
+            boundaries = ()
+        return cls(kind=kind, n_shards=n_shards, n_nodes=n_nodes, boundaries=boundaries)
+
+    @classmethod
+    def from_manifest(cls, spec: dict) -> "Partitioner":
+        return cls(
+            kind=spec["kind"],
+            n_shards=int(spec["n_shards"]),
+            n_nodes=int(spec["n_nodes"]),
+            boundaries=tuple(int(b) for b in spec.get("boundaries", ())),
+        )
+
+    def to_manifest(self) -> dict:
+        return {
+            "kind": self.kind,
+            "n_shards": self.n_shards,
+            "n_nodes": self.n_nodes,
+            "boundaries": list(self.boundaries),
+        }
+
+    # ------------------------------------------------------------------
+    def shard_members(self, shard: int) -> np.ndarray:
+        """The global ids shard ``shard`` owns, ascending."""
+        if self.kind == "range":
+            return np.arange(self.boundaries[shard], self.boundaries[shard + 1])
+        return np.arange(shard, self.n_nodes, self.n_shards)
+
+    def shard_size(self, shard: int) -> int:
+        if self.kind == "range":
+            return self.boundaries[shard + 1] - self.boundaries[shard]
+        n, s = self.n_nodes, self.n_shards
+        return (n - shard + s - 1) // s
+
+    def shard_and_local(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized global id → (shard, local id)."""
+        ids = np.asarray(ids, dtype=np.intp)
+        if self.kind == "range":
+            bounds = np.asarray(self.boundaries, dtype=np.intp)
+            shards = np.searchsorted(bounds, ids, side="right") - 1
+            return shards, ids - bounds[shards]
+        return ids % self.n_shards, ids // self.n_shards
+
+    def to_global(self, shard: int, local_ids: np.ndarray) -> np.ndarray:
+        """Vectorized (shard, local id) → global id."""
+        local_ids = np.asarray(local_ids, dtype=np.intp)
+        if self.kind == "range":
+            return local_ids + self.boundaries[shard]
+        return local_ids * self.n_shards + shard
+
+
+def shard_dir(version_dir: Path, shard: int, n_shards: int) -> Path:
+    """Where shard ``shard``'s arrays live inside a version directory."""
+    return version_dir if n_shards == 1 else version_dir / f"shard-{shard:04d}"
+
+
+def manifest_layout(manifest: dict) -> tuple[Partitioner, list[dict]]:
+    """A manifest's partitioner and ``[{shard, n_nodes}, ...]`` entries.
+
+    Manifests written before stores could shard carry neither key; they
+    describe one shard holding every row.
+    """
+    n_nodes = int(manifest["n_nodes"])
+    if "partitioner" not in manifest:
+        return Partitioner.build("range", 1, n_nodes), [{"shard": 0, "n_nodes": n_nodes}]
+    return Partitioner.from_manifest(manifest["partitioner"]), list(manifest["shards"])
+
+
+def shard_array_shape(manifest: dict, name: str, n_rows: int) -> list:
+    """The shape array ``name`` must have in a shard holding ``n_rows`` rows."""
+    shape = list(manifest["arrays"][name]["shape"])
+    return [n_rows, *shape[1:]] if name in _ROW_ARRAYS else shape
+
+
+@dataclass(frozen=True)
+class StoredShard:
+    """One shard of an opened version: its rows as read-only mmaps."""
+
+    shard: int
     x_forward: np.ndarray
     x_backward: np.ndarray
     y: np.ndarray
@@ -78,9 +194,110 @@ class StoredEmbedding:
     def n_nodes(self) -> int:
         return self.features.shape[0]
 
+
+class _ShardedRows:
+    """A read-only virtual row matrix over per-shard mmapped arrays.
+
+    Supports exactly what the :class:`~repro.serving.service.QueryService`
+    needs from a stored array: integer / fancy row indexing (gather) and
+    ``@ vector`` (per-shard matmul scattered back into global row order) —
+    so the service's query paths work unchanged on a sharded snapshot.
+    """
+
+    def __init__(self, stored: "StoredEmbedding", name: str) -> None:
+        self._stored = stored
+        self._arrays = [getattr(shard, name) for shard in stored.shards]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self._stored.n_nodes, self._arrays[0].shape[1])
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        rows = self[np.arange(self.shape[0])]
+        return rows if dtype is None else rows.astype(dtype)
+
+    def __getitem__(self, ids):
+        partitioner = self._stored.partitioner
+        if np.ndim(ids) == 0:
+            index = int(ids)
+            if index < 0:
+                index += self.shape[0]
+            shards, locals_ = partitioner.shard_and_local(np.array([index]))
+            return np.asarray(
+                self._arrays[int(shards[0])][int(locals_[0])], dtype=np.float64
+            )
+        ids = np.asarray(ids, dtype=np.intp)
+        shards, locals_ = partitioner.shard_and_local(ids)
+        out = np.empty((ids.shape[0], self.shape[1]), dtype=np.float64)
+        for shard in np.unique(shards):
+            mask = shards == shard
+            out[mask] = np.asarray(self._arrays[shard][locals_[mask]])
+        return out
+
+    def __matmul__(self, other: np.ndarray) -> np.ndarray:
+        """Per-shard ``segment @ other`` scattered into global row order."""
+        other = np.asarray(other)
+        parts = [np.asarray(array) @ other for array in self._arrays]
+        out_shape = (self.shape[0],) + parts[0].shape[1:]
+        out = np.empty(out_shape, dtype=parts[0].dtype)
+        for shard, part in enumerate(parts):
+            out[self._stored.partitioner.shard_members(shard)] = part
+        return out
+
+
+@dataclass(frozen=True)
+class StoredEmbedding:
+    """A published version opened for serving.
+
+    Per-row data stays memory-mapped inside ``shards``.  With one shard
+    the row arrays *are* that shard's mmaps; with more they are gather
+    views (:class:`_ShardedRows`) answering the same row reads and
+    ``@ vector`` products in global row order.
+    """
+
+    version: str
+    path: Path
+    manifest: dict
+    config: PANEConfig
+    partitioner: Partitioner
+    shards: tuple[StoredShard, ...]
+
+    @property
+    def n_shards(self) -> int:
+        return len(self.shards)
+
+    @property
+    def n_nodes(self) -> int:
+        return self.partitioner.n_nodes
+
     @property
     def n_attributes(self) -> int:
         return self.y.shape[0]
+
+    @property
+    def y(self) -> np.ndarray:
+        # Y is replicated per shard; any copy serves attribute queries.
+        return self.shards[0].y
+
+    @property
+    def features(self):
+        return self._rows("features")
+
+    @property
+    def x_forward(self):
+        return self._rows("x_forward")
+
+    @property
+    def x_backward(self):
+        return self._rows("x_backward")
+
+    def _rows(self, name: str):
+        if len(self.shards) == 1:
+            return getattr(self.shards[0], name)
+        return _ShardedRows(self, name)
 
     def to_embedding(self) -> PANEEmbedding:
         """Materialize an in-memory :class:`PANEEmbedding` (copies the mmaps)."""
@@ -105,6 +322,17 @@ def search_features(embedding: PANEEmbedding) -> np.ndarray:
 class EmbeddingStore:
     """Versioned on-disk embedding store with atomic publish and rollback.
 
+    Parameters
+    ----------
+    root:
+        Store root.  An existing root fixes ``n_shards`` and
+        ``partition``; passing conflicting values raises.
+    n_shards:
+        Row shards when creating a root (default 1: unsharded).
+    partition:
+        ``"range"`` (contiguous blocks, the default) or ``"hash"``
+        (round-robin) row partitioning of a sharded root.
+
     Examples
     --------
     >>> store = EmbeddingStore(tmp_dir)          # doctest: +SKIP
@@ -113,9 +341,75 @@ class EmbeddingStore:
     >>> store.rollback()                         # back to the previous version
     """
 
-    def __init__(self, root: str | Path) -> None:
+    def __init__(
+        self,
+        root: str | Path,
+        *,
+        n_shards: int | None = None,
+        partition: str | None = None,
+    ) -> None:
         self.root = Path(root)
+        recorded = self._recorded_layout()
+        if recorded is None:
+            layout = (1 if n_shards is None else n_shards, partition or "range")
+        else:
+            layout = recorded
+            if n_shards is not None and n_shards != layout[0]:
+                held = (
+                    f"store at {self.root} has {layout[0]} shards" if layout[0] > 1
+                    else f"{self.root} is an existing unsharded store"
+                )
+                raise ValueError(f"{held}; cannot reopen with n_shards={n_shards}")
+        if layout[0] < 1:
+            raise ValueError(f"n_shards must be >= 1, got {layout[0]}")
+        if partition is not None and layout[0] == 1:
+            raise ValueError(
+                f"partition={partition!r} only applies to sharded stores (n_shards > 1)"
+            )
+        if partition is not None and partition != layout[1]:
+            raise ValueError(
+                f"store at {self.root} is {layout[1]}-partitioned; "
+                f"cannot reopen with partition={partition!r}"
+            )
+        if layout[1] not in ("range", "hash"):
+            raise ValueError(f"partition must be range/hash, got {layout[1]!r}")
+        self.n_shards, self.partition = layout
         (self.root / "versions").mkdir(parents=True, exist_ok=True)
+        if recorded is None and self.n_shards > 1:
+            spec = {
+                "schema": LAYOUT_SCHEMA,
+                "n_shards": self.n_shards,
+                "partition": self.partition,
+            }
+            atomic_write(
+                self.root / LAYOUT_FILE,
+                lambda handle: handle.write(json.dumps(spec, indent=2) + "\n"),
+                text=True,
+            )
+
+    def _recorded_layout(self) -> tuple[int, str] | None:
+        """``(n_shards, partition)`` an existing root fixes, else ``None``.
+
+        A root with published versions and no layout file is unsharded.
+        """
+        path = self.root / LAYOUT_FILE
+        if path.is_file():
+            try:
+                spec = json.loads(path.read_text())
+                schema, layout = spec.get("schema"), (int(spec["n_shards"]), spec["partition"])
+            except (AttributeError, KeyError, TypeError, ValueError) as error:
+                raise ValueError(f"{path} is unreadable: {error!r}") from error
+            if schema != LAYOUT_SCHEMA:
+                raise ValueError(
+                    f"{path} is {schema!r}, not {LAYOUT_SCHEMA!r}: a sharded "
+                    "root in the older one-store-per-shard layout; republish "
+                    "into a new root"
+                )
+            return layout
+        versions = self.root / "versions"
+        if versions.is_dir() and any(versions.iterdir()):
+            return 1, "range"
+        return None
 
     # -- queries -------------------------------------------------------
     def versions(self) -> list[str]:
@@ -148,13 +442,14 @@ class EmbeddingStore:
     ) -> str:
         """Persist ``embedding`` as a new immutable version; return its name.
 
-        The version is staged in a temp directory and renamed into place,
-        so concurrent readers never observe a partially written version.
-        Concurrent *publishers* are safe too: if another publish claims the
-        computed version id first, the rename fails and this one retries
-        with the next id (so the returned name is authoritative, not the
-        pre-computed one).  With ``set_latest`` (default) the ``LATEST``
-        pointer is swapped to the new version afterwards.
+        Every shard's rows and the manifest are staged in one temp
+        directory and renamed into place, so concurrent readers never
+        observe a partially written version.  Concurrent *publishers* are
+        safe too: if another publish claims the computed version id first,
+        the rename fails and this one retries with the next id (so the
+        returned name is authoritative, not the pre-computed one).  With
+        ``set_latest`` (default) the ``LATEST`` pointer is swapped to the
+        new version afterwards.
 
         ``faults`` is a :class:`~repro.serving.faults.FaultInjector` (or
         ``None`` to arm from ``REPRO_FAULTS``); its ``on_publish_step``
@@ -176,11 +471,13 @@ class EmbeddingStore:
             "y": np.ascontiguousarray(embedding.y, dtype=np.float64),
             "features": search_features(embedding),
         }
+        n_nodes = int(arrays["features"].shape[0])
+        partitioner = Partitioner.build(self.partition, self.n_shards, n_nodes)
         manifest = {
             "schema": MANIFEST_SCHEMA,
             "version": version,
             "created_at": time.time(),
-            "n_nodes": int(arrays["features"].shape[0]),
+            "n_nodes": n_nodes,
             "n_attributes": int(arrays["y"].shape[0]),
             "k": int(embedding.config.k),
             "config": asdict(embedding.config),
@@ -188,6 +485,11 @@ class EmbeddingStore:
                 name: {"shape": list(array.shape), "dtype": str(array.dtype)}
                 for name, array in arrays.items()
             },
+            "partitioner": partitioner.to_manifest(),
+            "shards": [
+                {"shard": shard, "n_nodes": int(partitioner.shard_size(shard))}
+                for shard in range(self.n_shards)
+            ],
             "metadata": metadata or {},
         }
 
@@ -198,8 +500,18 @@ class EmbeddingStore:
             # mkdtemp creates 0700; published versions must be readable by
             # serving processes that may run under a different uid.
             chmod_default_dir(staging)
-            for name, array in arrays.items():
-                np.save(staging / f"{name}.npy", array)
+            for shard in range(self.n_shards):
+                directory = shard_dir(staging, shard, self.n_shards)
+                directory.mkdir(exist_ok=True)
+                rows = (
+                    slice(None) if self.n_shards == 1
+                    else partitioner.shard_members(shard)
+                )
+                for name, array in arrays.items():
+                    np.save(
+                        directory / f"{name}.npy",
+                        array[rows] if name in _ROW_ARRAYS else array,
+                    )
             if faults is not None:
                 faults.on_publish_step("arrays")
             while True:
@@ -245,10 +557,15 @@ class EmbeddingStore:
         if not directory.is_dir():
             raise FileNotFoundError(f"version {version!r} not found in {self.root}")
         manifest = self.manifest(version)
-        arrays = {
-            name: np.load(directory / f"{name}.npy", mmap_mode="r")
-            for name in _ARRAY_FILES
-        }
+        partitioner, entries = manifest_layout(manifest)
+        shards = []
+        for entry in entries:
+            path = shard_dir(directory, entry["shard"], len(entries))
+            arrays = {
+                name: np.load(path / f"{name}.npy", mmap_mode="r")
+                for name in _ARRAY_FILES
+            }
+            shards.append(StoredShard(shard=entry["shard"], **arrays))
         known = {f.name for f in dataclass_fields(PANEConfig)}
         config = PANEConfig(
             **{k: v for k, v in manifest["config"].items() if k in known}
@@ -258,7 +575,8 @@ class EmbeddingStore:
             path=directory,
             manifest=manifest,
             config=config,
-            **arrays,
+            partitioner=partitioner,
+            shards=tuple(shards),
         )
 
     # -- integrity -----------------------------------------------------
@@ -308,12 +626,13 @@ class EmbeddingStore:
         return to
 
     # -- index artifact persistence ------------------------------------
-    def index_path(self, version: str, kind: str) -> Path:
-        """Where a ``kind`` (ivf/pq/ivfpq) index artifact lives for ``version``."""
-        return self._version_dir(version) / f"index_{kind}.npz"
+    def index_path(self, version: str, kind: str, *, shard: int = 0) -> Path:
+        """Where shard ``shard``'s ``kind`` (ivf/pq/ivfpq) index artifact lives."""
+        directory = shard_dir(self._version_dir(version), shard, self.n_shards)
+        return directory / f"index_{kind}.npz"
 
-    def save_index(self, version: str, backend) -> Path | None:
-        """Persist a built search index next to the version's arrays.
+    def save_index(self, version: str, backend, *, shard: int = 0) -> Path | None:
+        """Persist a built search index next to the shard's arrays.
 
         One atomically written ``index_<kind>.npz`` per backend kind, so a
         later ``cli query`` (or service activation with ``index_cache``)
@@ -335,12 +654,12 @@ class EmbeddingStore:
             return None
         if not self._version_dir(version).is_dir():
             raise FileNotFoundError(f"version {version!r} not found in {self.root}")
-        path = self.index_path(version, kind)
+        path = self.index_path(version, kind, shard=shard)
         atomic_write(path, lambda handle: np.savez(handle, **arrays))
         return path
 
-    def load_index(self, version: str, kind: str, features: np.ndarray):
-        """Reconstruct a persisted ``kind`` index over ``features``.
+    def load_index(self, version: str, kind: str, features, *, shard: int = 0):
+        """Reconstruct shard ``shard``'s persisted ``kind`` index over ``features``.
 
         Returns ``None`` when no artifact exists (or it covers a different
         row count — impossible for untouched version dirs, cheap to guard).
@@ -355,7 +674,7 @@ class EmbeddingStore:
         }
         if kind not in loaders:
             return None
-        path = self.index_path(version, kind)
+        path = self.index_path(version, kind, shard=shard)
         if not path.is_file():
             return None
         with np.load(path) as archive:

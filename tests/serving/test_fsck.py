@@ -25,7 +25,6 @@ from repro.serving.http.client import ServingClient
 from repro.serving.http.protocol import ApiError
 from repro.serving.http.server import EmbeddingServer
 from repro.serving.service import QueryService, SearchRequest
-from repro.serving.sharding.store import ShardedEmbeddingStore
 from repro.serving.store import STAGING_PREFIX, EmbeddingStore
 
 
@@ -261,10 +260,12 @@ class TestFsckRepair:
 
 
 class TestShardedFsck:
+    """A sharded version is one directory: the same sweep, the same debris."""
+
     @pytest.fixture()
     def sharded(self, tmp_path, trained_embedding):
         root = tmp_path / "sharded"
-        store = ShardedEmbeddingStore(root, n_shards=2)
+        store = EmbeddingStore(root, n_shards=2)
         store.publish(trained_embedding)
         return store
 
@@ -275,26 +276,122 @@ class TestShardedFsck:
 
     def test_corrupt_segment_condemns_logical_version(self, sharded, trained_embedding):
         v2 = sharded.publish(trained_embedding)
-        segment = sharded.segment_store(1)
-        _truncate(segment.root / "versions" / segment.versions()[-1] / "features.npy")
+        _truncate(sharded.root / "versions" / v2 / "shard-0001" / "features.npy")
         report = fsck(sharded.root)
         assert report.exit_code() == 1
         assert report.corrupt_versions == [v2]
         assert report.clean_versions == ["v00000001"]
+        assert "shard-0001/features.npy truncated" in report.issues[0].detail
 
         report = fsck(sharded.root, repair=True)
         assert report.exit_code() == 1 and report.repaired
         assert sharded.latest() == "v00000001"
         assert sharded.versions() == ["v00000001"]
-        # The repaired logical version still opens and serves.
+        # The whole version directory, every shard, went to quarantine.
+        assert (sharded.root / QUARANTINE_DIR / v2 / "shard-0000").is_dir()
+        # The repaired version still opens and serves.
         assert sharded.open().version == "v00000001"
         assert fsck(sharded.root).clean
 
     def test_unreadable_logical_manifest(self, sharded):
-        (sharded.root / "versions" / "v00000001.json").write_text("{broken")
+        (sharded.root / "versions" / "v00000001" / "manifest.json").write_text("{broken")
         report = fsck(sharded.root)
         assert report.exit_code() == 2  # only version is condemned
         assert any(i.code == "bad_manifest" for i in report.issues)
+
+    @pytest.mark.parametrize("step", ["arrays", "manifest"])
+    def test_torn_sharded_publish_leaves_only_staging(
+        self, sharded, trained_embedding, step
+    ):
+        """A publisher killed mid-publish leaves one staging directory —
+        no shard's rows land anywhere fsck cannot see and GC."""
+        before = sorted(p.relative_to(sharded.root) for p in sharded.root.rglob("*"))
+        injector = FaultInjector(FaultPlan(torn_publish_step=step), hard=False)
+        with pytest.raises(InjectedFault):
+            sharded.publish(trained_embedding, faults=injector)
+        assert sharded.versions() == ["v00000001"]
+        report = fsck(sharded.root, repair=True)
+        assert [i.code for i in report.issues] == ["orphan_staging"]
+        after = sorted(p.relative_to(sharded.root) for p in sharded.root.rglob("*"))
+        assert after == before
+        assert fsck(sharded.root).clean
+
+    def test_failed_sharded_publish_leaves_nothing(
+        self, sharded, trained_embedding, monkeypatch
+    ):
+        """A publish that dies before its rename used to leave every
+        shard's rows behind as versions no manifest named — invisible to
+        fsck and gc.  Now the rows only ever lived in the staging dir."""
+        import repro.serving.store as store_module
+
+        before = sorted(p.relative_to(sharded.root) for p in sharded.root.rglob("*"))
+
+        def boom(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(store_module.os, "rename", boom)
+        with pytest.raises(OSError):
+            sharded.publish(trained_embedding)
+        after = sorted(p.relative_to(sharded.root) for p in sharded.root.rglob("*"))
+        assert after == before
+
+    def test_missing_shard_directory_detected(self, sharded):
+        import shutil
+
+        shutil.rmtree(sharded.root / "versions" / "v00000001" / "shard-0001")
+        issues = verify_version(sharded, "v00000001")
+        assert {i.code for i in issues} == {"bad_array"}
+        assert len(issues) == 4  # every array of the lost shard
+        assert all("shard-0001/" in i.detail for i in issues)
+        with pytest.raises(StoreCorruptionError):
+            verify_open_target(sharded, None)
+
+    def test_shard_count_mismatch_is_bad_manifest(self, sharded, trained_embedding):
+        other = EmbeddingStore(sharded.root.parent / "three", n_shards=3)
+        other.publish(trained_embedding)
+        import shutil
+
+        shutil.copytree(
+            other.root / "versions" / "v00000001",
+            sharded.root / "versions" / "v00000002",
+        )
+        json_path = sharded.root / "versions" / "v00000002" / "manifest.json"
+        manifest = json.loads(json_path.read_text())
+        manifest["version"] = "v00000002"
+        json_path.write_text(json.dumps(manifest))
+        issues = verify_version(sharded, "v00000002")
+        assert [i.code for i in issues] == ["bad_manifest"]
+        assert "3 shard(s)" in issues[0].detail
+
+    def test_sweep_checks_datasets_on_sharded_roots(self, sharded, trained_embedding):
+        from repro.serving.datasets import DatasetRegistry
+
+        v2 = sharded.publish(trained_embedding)
+        DatasetRegistry(sharded).assign("prod", v2)
+        _truncate(sharded.root / "versions" / v2 / "shard-0000" / "y.npy")
+        report = fsck(sharded.root, repair=True)
+        # One sweep: quarantining v2 leaves "prod" dangling, and the same
+        # pass drops it.
+        assert f"quarantined {v2} -> quarantine/{v2}" in report.actions
+        assert any("dropped dangling dataset 'prod'" in a for a in report.actions)
+        assert DatasetRegistry(sharded).load() == {}
+        assert fsck(sharded.root).clean
+
+    def test_old_layout_root_is_unrecoverable(self, tmp_path):
+        root = tmp_path / "old"
+        (root / "versions").mkdir(parents=True)
+        (root / "sharding.json").write_text(
+            json.dumps({"schema": "repro.serving.sharding/v1", "n_shards": 2,
+                        "partition": "range"})
+        )
+        report = fsck(root, repair=True)
+        assert report.exit_code() == 2
+        assert [i.code for i in report.issues] == ["not_a_store"]
+        assert "republish" in report.issues[0].detail
+        (root / "sharding.json").write_text('{"schema": "repro.serving.sharding/v2"}')
+        report = fsck(root)
+        assert [i.code for i in report.issues] == ["not_a_store"]
+        assert "unreadable" in report.issues[0].detail
 
 
 class TestServiceRefusal:

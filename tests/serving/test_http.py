@@ -140,9 +140,7 @@ class TestEndpoints:
         json.dumps(metrics, allow_nan=False)
 
     def test_metrics_includes_shard_merge(self, tmp_path, trained_embedding):
-        from repro.serving.sharding.store import ShardedEmbeddingStore
-
-        sharded = ShardedEmbeddingStore(tmp_path / "sharded", n_shards=3)
+        sharded = EmbeddingStore(tmp_path / "sharded", n_shards=3)
         sharded.publish(trained_embedding)
         with QueryService(sharded, backend="exact") as service:
             with EmbeddingServer(service) as server:

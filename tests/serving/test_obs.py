@@ -516,9 +516,9 @@ class TestOneInstrument:
     def test_registry_holds_the_service_and_router_objects(
         self, tmp_path, trained_embedding
     ):
-        from repro.serving.sharding.store import ShardedEmbeddingStore
+        from repro.serving.store import EmbeddingStore
 
-        sharded = ShardedEmbeddingStore(tmp_path / "sharded", n_shards=2)
+        sharded = EmbeddingStore(tmp_path / "sharded", n_shards=2)
         sharded.publish(trained_embedding)
         with QueryService(sharded, backend="exact") as service:
             server = EmbeddingServer(service)  # never started

@@ -124,13 +124,13 @@ class TestApply:
 
 
 class TestShardedApply:
-    """Per-shard refresh through a ShardedEmbeddingStore + ShardRouter."""
+    """Per-shard refresh through a sharded EmbeddingStore + ShardRouter."""
 
     @pytest.fixture()
     def sharded_rig(self, tmp_path, graph):
-        from repro.serving.sharding import ShardedEmbeddingStore
+        from repro.serving.store import EmbeddingStore
 
-        store = ShardedEmbeddingStore(tmp_path / "store", n_shards=3)
+        store = EmbeddingStore(tmp_path / "store", n_shards=3)
         model = IncrementalPANE(k=16, seed=0, update_sweeps=2)
         refresher = OnlineRefresher(model, store)
         refresher.bootstrap(graph)

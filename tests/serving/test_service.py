@@ -422,9 +422,7 @@ class TestDescribe:
                 json.loads(json.dumps(info, allow_nan=False))
 
     def test_describe_json_serializable_sharded(self, tmp_path, trained_embedding):
-        from repro.serving.sharding.store import ShardedEmbeddingStore
-
-        store = ShardedEmbeddingStore(tmp_path / "sharded", n_shards=3)
+        store = EmbeddingStore(tmp_path / "sharded", n_shards=3)
         store.publish(trained_embedding)
         with QueryService(store, backend="exact") as service:
             service.search(SearchRequest(nodes=[0, 1, 2], k=4))

@@ -1,4 +1,4 @@
-"""Tests for the sharded store, partitioner, and scatter-gather router."""
+"""Tests for sharded stores, the partitioner, and the scatter-gather router."""
 
 from __future__ import annotations
 
@@ -12,11 +12,7 @@ from hypothesis import strategies as st
 from repro.parallel.pool import WorkerPool
 from repro.serving.index import ExactBackend, IVFIndex
 from repro.serving.service import QueryService, SearchRequest
-from repro.serving.sharding import (
-    Partitioner,
-    ShardedEmbeddingStore,
-    ShardRouter,
-)
+from repro.serving.sharding import Partitioner, ShardRouter
 from repro.serving.store import EmbeddingStore
 
 
@@ -63,7 +59,7 @@ class TestPartitioner:
 class TestShardedStore:
     @pytest.mark.parametrize("kind", ["range", "hash"])
     def test_publish_open_round_trip(self, tmp_path, trained_embedding, kind):
-        store = ShardedEmbeddingStore(
+        store = EmbeddingStore(
             tmp_path / "s", n_shards=3, partition=kind
         )
         version = store.publish(trained_embedding)
@@ -77,7 +73,7 @@ class TestShardedStore:
         plain = EmbeddingStore(tmp_path / "plain")
         plain.publish(trained_embedding)
         reference = plain.open()
-        store = ShardedEmbeddingStore(tmp_path / "s", n_shards=3, partition="hash")
+        store = EmbeddingStore(tmp_path / "s", n_shards=3, partition="hash")
         store.publish(trained_embedding)
         stored = store.open()
         ids = np.array([0, 17, 61, 119, 5])
@@ -91,7 +87,7 @@ class TestShardedStore:
     def test_virtual_matmul_scatters_to_global_order(
         self, tmp_path, trained_embedding
     ):
-        store = ShardedEmbeddingStore(tmp_path / "s", n_shards=4, partition="hash")
+        store = EmbeddingStore(tmp_path / "s", n_shards=4, partition="hash")
         store.publish(trained_embedding)
         stored = store.open()
         y_row = np.asarray(stored.y[3], dtype=np.float64)
@@ -100,7 +96,7 @@ class TestShardedStore:
         assert np.allclose(got, want)
 
     def test_latest_rollback_and_versions(self, tmp_path, trained_embedding):
-        store = ShardedEmbeddingStore(tmp_path / "s", n_shards=2)
+        store = EmbeddingStore(tmp_path / "s", n_shards=2)
         v1 = store.publish(trained_embedding)
         v2 = store.publish(trained_embedding)
         assert store.versions() == [v1, v2]
@@ -111,33 +107,43 @@ class TestShardedStore:
             store.rollback()
 
     def test_manifest_names_segment_versions(self, tmp_path, trained_embedding):
-        store = ShardedEmbeddingStore(tmp_path / "s", n_shards=2)
+        """One manifest describes every shard; each shard's rows live in
+        its own directory of the one version directory."""
+        store = EmbeddingStore(tmp_path / "s", n_shards=2)
         version = store.publish(trained_embedding)
         manifest = store.manifest(version)
         assert [entry["shard"] for entry in manifest["shards"]] == [0, 1]
+        version_dir = store.root / "versions" / version
         for entry in manifest["shards"]:
-            segment = store.segment_store(entry["shard"])
-            assert entry["version"] in segment.versions()
+            shard_path = version_dir / f"shard-{entry['shard']:04d}"
+            rows = np.load(shard_path / "features.npy", mmap_mode="r")
+            assert rows.shape[0] == entry["n_nodes"]
+        assert sorted(p.name for p in version_dir.iterdir()) == [
+            "manifest.json", "shard-0000", "shard-0001",
+        ]
 
     def test_is_sharded_root_detection(self, tmp_path, trained_embedding):
-        store = ShardedEmbeddingStore(tmp_path / "s", n_shards=2)
+        EmbeddingStore(tmp_path / "s", n_shards=2)
         plain = EmbeddingStore(tmp_path / "plain")
-        assert ShardedEmbeddingStore.is_sharded_root(store.root)
-        assert not ShardedEmbeddingStore.is_sharded_root(plain.root)
+        plain.publish(trained_embedding)
+        assert EmbeddingStore(tmp_path / "s").n_shards == 2
+        assert EmbeddingStore(plain.root).n_shards == 1
+        # An unsharded root is the 1-shard case: no layout file at all.
+        assert sorted(p.name for p in plain.root.iterdir()) == ["LATEST", "versions"]
 
     def test_reopen_uses_recorded_layout(self, tmp_path, trained_embedding):
-        ShardedEmbeddingStore(tmp_path / "s", n_shards=3, partition="hash")
-        again = ShardedEmbeddingStore(tmp_path / "s")
+        EmbeddingStore(tmp_path / "s", n_shards=3, partition="hash")
+        again = EmbeddingStore(tmp_path / "s")
         assert again.n_shards == 3
         assert again.partition == "hash"
 
     def test_reopen_with_conflicting_shards_raises(self, tmp_path):
-        ShardedEmbeddingStore(tmp_path / "s", n_shards=3)
+        EmbeddingStore(tmp_path / "s", n_shards=3)
         with pytest.raises(ValueError, match="cannot reopen"):
-            ShardedEmbeddingStore(tmp_path / "s", n_shards=5)
+            EmbeddingStore(tmp_path / "s", n_shards=5)
 
     def test_open_missing_version_raises(self, tmp_path, trained_embedding):
-        store = ShardedEmbeddingStore(tmp_path / "s", n_shards=2)
+        store = EmbeddingStore(tmp_path / "s", n_shards=2)
         with pytest.raises(FileNotFoundError):
             store.open()
         store.publish(trained_embedding)
@@ -145,27 +151,47 @@ class TestShardedStore:
             store.open("v00000099")
 
     def test_partial_manifest_never_published(self, tmp_path, trained_embedding):
-        """Segment versions land before the logical manifest names them."""
-        store = ShardedEmbeddingStore(tmp_path / "s", n_shards=2)
+        """Every shard the manifest names is in place when it is readable."""
+        store = EmbeddingStore(tmp_path / "s", n_shards=2)
         version = store.publish(trained_embedding)
         manifest = store.manifest(version)
-        # Every segment version the manifest names must be openable.
-        for entry in manifest["shards"]:
-            stored = store.segment_store(entry["shard"]).open(entry["version"])
-            assert stored.n_nodes == entry["n_nodes"]
+        stored = store.open(version)
+        for entry, shard in zip(manifest["shards"], stored.shards):
+            assert shard.n_nodes == entry["n_nodes"]
 
     def test_concurrent_version_name_claim(self, tmp_path, trained_embedding):
-        """A clashing logical version file pushes publish to the next id."""
-        store = ShardedEmbeddingStore(tmp_path / "s", n_shards=2)
+        """A clashing version directory pushes publish to the next id."""
+        store = EmbeddingStore(tmp_path / "s", n_shards=2)
         v1 = store.publish(trained_embedding)
         # Simulate a concurrent publisher claiming v00000002 already.
-        squatter = store.root / "versions" / "v00000002.json"
+        squatter = store.root / "versions" / "v00000002" / "manifest.json"
+        squatter.parent.mkdir()
         squatter.write_text(json.dumps({"squatter": True}))
         v2 = store.publish(trained_embedding)
         assert v2 == "v00000003"
         assert json.loads(squatter.read_text()) == {"squatter": True}
         assert store.latest() == v2
         assert v1 == "v00000001"
+
+    def test_gc_deletes_whole_sharded_versions(self, tmp_path, trained_embedding):
+        from repro.serving.gc import collect_versions
+
+        store = EmbeddingStore(tmp_path / "s", n_shards=2)
+        for _ in range(3):
+            store.publish(trained_embedding)
+        result = collect_versions(store, keep=1)
+        assert result["deleted"] == ["v00000001", "v00000002"]
+        assert result["reclaimed_bytes"] > 0
+        assert store.versions() == ["v00000003"]
+        assert store.open().n_shards == 2
+
+    def test_to_embedding_gathers_global_row_order(self, tmp_path, trained_embedding):
+        store = EmbeddingStore(tmp_path / "s", n_shards=3, partition="hash")
+        store.publish(trained_embedding)
+        embedding = store.open().to_embedding()
+        assert np.array_equal(embedding.x_forward, trained_embedding.x_forward)
+        assert np.array_equal(embedding.x_backward, trained_embedding.x_backward)
+        assert np.array_equal(embedding.y, trained_embedding.y)
 
 
 class TestShardRouterBitIdentity:
@@ -300,7 +326,7 @@ class TestShardRouterBitIdentity:
         them to full-precision exact backends."""
         from repro.serving.sharding.pq import PQBackend, PQCodec
 
-        store = ShardedEmbeddingStore(tmp_path / "s", n_shards=2)
+        store = EmbeddingStore(tmp_path / "s", n_shards=2)
         store.publish(trained_embedding)
         stored = store.open()
         backends = [
@@ -331,13 +357,13 @@ class TestShardRouterBitIdentity:
 
 
 class TestShardedService:
-    """QueryService over a ShardedEmbeddingStore behaves like the plain one."""
+    """QueryService over a sharded store behaves like over the plain one."""
 
     @pytest.fixture()
     def stores(self, tmp_path, trained_embedding):
         plain = EmbeddingStore(tmp_path / "plain")
         plain.publish(trained_embedding)
-        sharded = ShardedEmbeddingStore(
+        sharded = EmbeddingStore(
             tmp_path / "sharded", n_shards=3, partition="hash"
         )
         sharded.publish(trained_embedding)
@@ -418,9 +444,8 @@ class TestShardedService:
         ) as service:
             first = service.search(SearchRequest(node=1, k=4))
         stored = sharded.open()
-        for entry in stored.manifest["shards"]:
-            segment = sharded.segment_store(entry["shard"])
-            assert segment.index_path(entry["version"], "ivf").is_file()
+        for shard in stored.shards:
+            assert sharded.index_path(stored.version, "ivf", shard=shard.shard).is_file()
         with QueryService(
             sharded, backend="ivf", nlist=4, index_cache=True
         ) as service:

@@ -170,3 +170,17 @@ class TestConfigCompat:
         path.write_text(json.dumps(manifest))
         stored = store.open(version)
         assert isinstance(stored.config, PANEConfig)
+
+    def test_manifest_without_shard_table_is_one_shard(self, store, trained_embedding):
+        # Versions published before stores could shard record neither a
+        # partitioner nor a shard table: they still verify and open as
+        # the 1-shard case, with the same arrays.
+        path = store.root / "versions" / "v00000001" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        del manifest["partitioner"], manifest["shards"]
+        path.write_text(json.dumps(manifest))
+        assert store.verify() == []
+        stored = store.open()
+        assert stored.n_shards == 1
+        assert stored.partitioner.n_nodes == trained_embedding.n_nodes
+        assert np.array_equal(stored.features, search_features(trained_embedding))

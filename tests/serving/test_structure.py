@@ -1,10 +1,12 @@
-"""One HTTP front-end and one write path, checked on the syntax tree.
+"""One HTTP front-end, one write path and one store, checked on the syntax tree.
 
 The supervisor once carried its own request handler, its own listener
 wiring and its own copy of the write-path gauges, and the copies drifted
 (keep-alive desync, no body cap, no request ids on the admin port).  The
 fork must not quietly come back before the event loop (ROADMAP item 1)
-replaces the one that is left.
+replaces the one that is left.  Likewise the sharded store once had its
+own publish, manifest and fsck sweep beside the unsharded one's, and a
+torn sharded publish leaked shard data no sweep could see.
 """
 
 from __future__ import annotations
@@ -62,3 +64,37 @@ def test_one_request_handler_one_listener_one_gauge_writer():
     assert listeners == {"serving/http/server.py"}
     for name, writers in families.items():
         assert writers == {"serving/http/write_path.py:collect"}, name
+
+
+def _calls(node: ast.AST) -> set[str]:
+    return {_name(inner.func) for inner in ast.walk(node) if isinstance(inner, ast.Call)}
+
+
+def test_one_store_one_publish_one_verify_one_sweep():
+    stores, functions = set(), {}
+    for path in sorted(SRC.rglob("*.py")):
+        module = str(path.relative_to(SRC))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef) and {"publish", "rollback"} <= {
+                item.name for item in node.body if isinstance(item, ast.FunctionDef)
+            }:
+                stores.add(f"{module}:{node.name}")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                functions[f"{module}:{node.name}"] = node
+
+    def callers(callee: str) -> set[str]:
+        return {key for key, node in functions.items() if callee in _calls(node)}
+
+    assert stores == {"serving/store.py:EmbeddingStore"}
+    # Staging debris (what fsck GCs) has one producer: the one publish.
+    staging = {
+        key
+        for key in callers("mkdtemp") | callers("mkstemp")
+        if any(
+            isinstance(node, ast.Name) and node.id == "STAGING_PREFIX"
+            for node in ast.walk(functions[key])
+        )
+    }
+    assert staging == {"serving/store.py:publish"}
+    assert callers("_read_npy_header") == {"serving/fsck.py:verify_version"}
+    assert callers("find_orphans") == {"serving/fsck.py:_sweep"}

@@ -272,7 +272,7 @@ class TestShardedServeQuery:
         # dropped: the user asked for a sharded layout.
         store = tmp_path / "store"
         assert self._publish(store, embedding_file, "--partition", "hash") == 2
-        assert "--partition only applies" in capsys.readouterr().err
+        assert "only applies to sharded stores" in capsys.readouterr().err
         assert not store.exists() or not any(store.iterdir())
 
     def test_conflicting_layout_on_sharded_store_errors(
@@ -309,6 +309,15 @@ class TestShardedServeQuery:
         # Second invocation loads the artifact and answers identically.
         assert main(args) == 0
         assert capsys.readouterr().out.splitlines()[1:] == first.splitlines()[1:]
+
+    def test_gc_on_sharded_store(self, embedding_file, tmp_path, capsys):
+        store = tmp_path / "store"
+        self._publish(store, embedding_file, "--shards", "2")
+        self._publish(store, embedding_file)
+        capsys.readouterr()
+        assert main(["gc", "--store", str(store), "--keep", "1"]) == 0
+        assert "deleted 1 version(s)" in capsys.readouterr().out
+        assert main(["query", "--store", str(store), "--node", "0", "--k", "3"]) == 0
 
     def test_query_pq_backend_on_sharded_store(
         self, embedding_file, tmp_path, capsys
