@@ -327,11 +327,10 @@ def bench_deployment(
         record["drain"] = check_drain(url, args.n, server, args.k)
 
     # ---- server B: the full PR-5 hot path ----
-    # A second service over the same store with the float32 selection
-    # path on (bit-identical answers — asserted below against the
-    # float64 in-process service for the exact deployments) behind an
-    # admission-coalescing server.  index_cache makes this cheap: the
-    # trained IVF artifact persisted by service A is reloaded, not
+    # A second service over the same store behind an admission-coalescing
+    # server (answers asserted below against an independent in-process
+    # service for the exact deployments).  index_cache makes this cheap:
+    # the trained IVF artifact persisted by service A is reloaded, not
     # retrained.
     with QueryService(
         store,
@@ -339,11 +338,10 @@ def bench_deployment(
         nprobe=args.nprobe,
         n_threads=args.threads,
         index_cache=True,
-        select_dtype="float32",
-    ) as service_f32:
+    ) as service_b:
         window_s = args.coalesce_window_ms / 1e3
         server_b = EmbeddingServer(
-            service_f32,
+            service_b,
             drain_timeout_s=30.0,
             coalesce_window_s=window_s,
             coalesce_max_batch=args.coalesce_max_batch,
@@ -352,13 +350,12 @@ def bench_deployment(
         coalesced: dict = {
             "window_ms": args.coalesce_window_ms,
             "max_batch": args.coalesce_max_batch,
-            "select_dtype": "float32",
             "single": {},
         }
         if check_identity:
-            # The strongest form of the PR-5 contract: binary wire +
-            # coalescing + float32 selection, asserted bitwise against
-            # an independent float64 in-process service.
+            # The strongest form of the contract: binary wire +
+            # coalescing, asserted bitwise against an independent
+            # in-process service.
             rng = np.random.default_rng(args.seed + 7)
             sample = rng.choice(args.n, size=args.identity_sample, replace=False)
             with QueryService(
@@ -385,7 +382,7 @@ def bench_deployment(
         best = coalesced["single"]["binary"]["qps"]
         print(
             f"{name:8s} single json {base:7.0f} req/s -> "
-            f"binary+coalesce+f32 {best:7.0f} req/s ({best / base:.2f}x)  "
+            f"binary+coalesce {best:7.0f} req/s ({best / base:.2f}x)  "
             f"batch[{args.batch_size}] json "
             f"{record['batch']['json']['query_qps']:7.0f} q/s -> binary "
             f"{record['batch']['binary']['query_qps']:7.0f} q/s  "

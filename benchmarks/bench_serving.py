@@ -4,12 +4,10 @@ Measures the IVF ANN backend of :mod:`repro.serving.index` against the
 brute-force exact backend on a seeded clustered dataset shaped like real
 embedding matrices (cluster centers + Gaussian noise, unit rows):
 
-- ``exact``   — batched brute-force QPS (tiled GEMM + argpartition) and
-  single-query latency; the ground truth for recall.
-- ``exact_f32`` — the opt-in float32-selection exact path
-  (``select_dtype="float32"``): float32 shortlist GEMM + canonical
-  float64 rescore; asserted **bit-identical** to ``exact`` (and recall
-  therefore 1.0) on every run, smoke included.
+- ``exact``   — batched brute-force QPS (float32 GEMM over the backend's
+  resident copy, certified band, canonical float64 rescore) and
+  single-query latency; the ground truth for recall, asserted
+  **bit-identical** to the float64 engine on every run, smoke included.
 - ``ivf``     — index build time, batched QPS at the default ``nprobe``,
   recall@10 vs exact, and the QPS/recall curve over a few ``nprobe``s.
 - ``filtered`` — predicate-filtered search: exact and IVF under random
@@ -75,7 +73,7 @@ import numpy as np
 import scipy
 
 from repro.parallel.pool import WorkerPool
-from repro.search.knn import CompiledFilter
+from repro.search.knn import CompiledFilter, exact_top_k
 from repro.serving.index import ExactBackend, IVFIndex, filtered_probe_width
 from repro.serving.sharding import Partitioner, PQBackend, PQCodec, ShardRouter
 from repro.serving.synth import clustered_unit_vectors
@@ -97,6 +95,15 @@ def bench_exact(features: np.ndarray, query_nodes: np.ndarray, k: int) -> dict:
     start = time.perf_counter()
     ids, scores = backend.search(queries, k, exclude=query_nodes)
     batch_seconds = time.perf_counter() - start
+    # The backend selects in float32; the certified band makes its answer
+    # the float64 engine's, id for id and score byte for score byte.
+    ref_ids, ref_scores = exact_top_k(
+        features, queries, k, assume_normalized=True, exclude=query_nodes
+    )
+    assert np.array_equal(ids, ref_ids), "exact backend ids differ from float64"
+    assert scores.tobytes() == ref_scores.tobytes(), (
+        "exact backend scores are not bit-identical to the float64 engine"
+    )
 
     # Single-query latency over a subsample (the per-request serving path).
     sample = query_nodes[:64]
@@ -114,52 +121,6 @@ def bench_exact(features: np.ndarray, query_nodes: np.ndarray, k: int) -> dict:
             "qps_batch": query_nodes.size / batch_seconds,
             "p50_single_ms": float(np.percentile(latencies, 50) * 1e3),
         },
-    }
-
-
-def bench_exact_f32(
-    features: np.ndarray,
-    query_nodes: np.ndarray,
-    k: int,
-    truth_ids: np.ndarray,
-    truth_scores: np.ndarray,
-    exact_qps: float,
-) -> dict:
-    """The float32-selection exact path, asserted bit-identical.
-
-    ``select_dtype="float32"`` runs the selection GEMM in float32 over an
-    oversampled shortlist and rescores in canonical float64 — the scores
-    it returns must be *bitwise equal* to the float64 engine (and recall
-    therefore exactly 1.0) whenever the shortlist covers the true top-k.
-    Asserted on every run, smoke included: like the PQ ``min_rescore``
-    floor, the shortlist-covers-the-answer property is what makes the
-    cheap scan safe, so a regression must fail the script.
-    """
-    backend = ExactBackend(features, select_dtype="float32")
-    queries = features[query_nodes]
-    start = time.perf_counter()
-    ids, scores = backend.search(queries, k, exclude=query_nodes)
-    batch_seconds = time.perf_counter() - start
-    assert np.array_equal(ids, truth_ids), (
-        "float32 selection returned different ids than the float64 engine"
-    )
-    assert scores.tobytes() == truth_scores.tobytes(), (
-        "float32-selection scores are not bit-identical to float64"
-    )
-    sample = query_nodes[:64]
-    latencies = []
-    for node in sample:
-        tick = time.perf_counter()
-        backend.search(features[node], k, exclude=np.array([node]))
-        latencies.append(time.perf_counter() - tick)
-    qps = query_nodes.size / batch_seconds
-    return {
-        "select_dtype": "float32",
-        "qps_batch": qps,
-        "speedup_vs_exact": qps / exact_qps,
-        "p50_single_ms": float(np.percentile(latencies, 50) * 1e3),
-        "recall_at_k": 1.0,  # implied by the bit-identity assertions above
-        "identical_to_exact": True,
     }
 
 
@@ -713,16 +674,6 @@ def main(argv: list[str] | None = None) -> int:
     exact = bench_exact(features, query_nodes, args.k)
     record["exact"] = exact["record"]
 
-    print("exact backend (float32 selection)...", flush=True)
-    record["exact_f32"] = bench_exact_f32(
-        features,
-        query_nodes,
-        args.k,
-        exact["truth_ids"],
-        exact["truth_scores"],
-        exact["record"]["qps_batch"],
-    )
-
     print("ivf backend...", flush=True)
     ivf = bench_ivf(
         features,
@@ -856,11 +807,6 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"exact    {record['exact']['qps_batch']:10.0f} QPS  "
         f"(p50 single {record['exact']['p50_single_ms']:.2f} ms)"
-    )
-    print(
-        f"exactf32 {record['exact_f32']['qps_batch']:10.0f} QPS  "
-        f"(p50 single {record['exact_f32']['p50_single_ms']:.2f} ms, "
-        f"bit-identical, {record['exact_f32']['speedup_vs_exact']:.1f}x)"
     )
     print(
         f"ivf      {record['ivf']['qps_batch']:10.0f} QPS  "

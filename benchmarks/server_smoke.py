@@ -25,7 +25,9 @@ crosses a real process boundary, exactly like a deployment:
 7. require the store's ops journal (``events.jsonl``) to have recorded
    both publishes and the drain;
 8. print the server's peak RSS (``VmHWM``) and require that it mapped
-   no ``scipy`` object — a read-only server imports only what it serves.
+   no ``scipy`` object — a read-only server imports only what it serves —
+   and print the ``Rss`` of its ``features.npy`` mapping, which must be
+   0: the exact read path reads float64 rows with ``pread``.
 
 The journal and the last Prometheus scrape are copied into
 ``smoke-artifacts/`` so a CI failure uploads them for offline
@@ -57,6 +59,7 @@ from repro.serving.http import ServingClient  # noqa: E402
 from repro.serving.http.loadgen import (  # noqa: E402
     assert_bit_identical,
     cli_subprocess_env,
+    mapped_rss_kib,
     process_footprint,
     spawn_cli_server,
 )
@@ -167,6 +170,13 @@ def check_footprint(pid: int) -> None:
     assert footprint["scipy_objects"] == [], (
         "a read-only `repro serve` mapped scipy — something on the serve "
         f"path imports the trainer: {footprint['scipy_objects'][:3]}"
+    )
+    # Exact queries read float64 rows with pread: the mapping stays unpaged.
+    features_rss = mapped_rss_kib(pid, "features.npy")
+    print(f"  features.npy mapping Rss {features_rss} kB")
+    assert features_rss == 0, (
+        "the exact read path paged in the features.npy mapping "
+        f"({features_rss} kB resident); rows must come from pread"
     )
 
 

@@ -494,7 +494,6 @@ def _serve_supervised(store, args: argparse.Namespace) -> int:
         threads=args.threads,
         coalesce_window_ms=args.coalesce_window_ms,
         coalesce_max_batch=args.coalesce_max_batch,
-        select_dtype=args.select_dtype,
         drain_timeout_s=args.drain_timeout,
         log_requests=args.log_requests,
         slow_query_ms=args.slow_query_ms,
@@ -603,7 +602,6 @@ def _serve_http(store, args: argparse.Namespace) -> int:
             nprobe=args.nprobe,
             n_threads=args.threads,
             index_cache=True,
-            select_dtype=args.select_dtype,
         ) as service:
             if write_path is not None:
                 # Reads in this process follow the write path: each
@@ -912,7 +910,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         backend=args.backend,
         nprobe=args.nprobe,
         version=args.version,
-        select_dtype=args.select_dtype,
         # Persist trained IVF/PQ artifacts into the version directory so a
         # one-shot CLI process loads them instead of retraining per query.
         index_cache=True,
@@ -1054,14 +1051,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=64,
         help="wake the coalescing leader early once this many queued",
-    )
-    serve.add_argument(
-        "--select-dtype",
-        choices=("float64", "float32"),
-        default="float64",
-        help="selection precision for exact/IVF backends: float32 "
-        "selects an oversampled shortlist at half the memory traffic, "
-        "then rescores in canonical float64 (returned scores unchanged)",
     )
     serve.add_argument(
         "--drain-timeout",
@@ -1329,13 +1318,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument(
         "--nprobe", type=int, default=8, help="IVF cells probed per query"
-    )
-    query.add_argument(
-        "--select-dtype",
-        choices=("float64", "float32"),
-        default="float64",
-        help="selection precision for exact/IVF backends "
-        "(see serve --select-dtype)",
     )
     query.add_argument(
         "--version", default=None, help="pin a store version (default: latest)"

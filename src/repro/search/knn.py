@@ -2,7 +2,7 @@
 
 The classic downstream use of node embeddings: "find nodes like this one".
 This module is the *exact* search engine: brute-force dense scoring with
-``np.argpartition`` selection, tiled over queries so a batch never
+certified candidate selection, tiled over queries so a batch never
 materializes more than ``tile × n`` scores at once.  The serving layer
 (:mod:`repro.serving.index`) wraps it as the ``ExactBackend`` and adds an
 IVF approximate backend behind the same interface.
@@ -14,7 +14,7 @@ re-normalization of the full matrix.
 
 Returned similarities are **canonical**: candidates are *selected* with a
 BLAS GEMM (fast, but its partial edge tiles make element values depend on
-the matrix's row count), then the selected ``k`` rows are *rescored* with
+the matrix's row count), then the candidates are *rescored* with
 :func:`rowwise_inner`, whose reduction depends only on the row bytes.  Two
 engines scoring the same (row, query) pair therefore return the same
 float64 bits regardless of how many other rows sit in their matrices —
@@ -22,6 +22,14 @@ the property the sharded scatter-gather router
 (:mod:`repro.serving.sharding.router`) relies on to merge per-shard
 results into a global top-k bit-identical to unsharded search.  Ties are
 broken by ascending row id, which is partition-invariant too.
+
+Selection is **certified** (:func:`select_band`): the GEMM runs in the
+dtype of the matrix it is given (float32 or float64), and every row whose
+selection score lies within the rounding bound :func:`certified_band` of
+the k-th best is a candidate.  No row of the true top-k (by canonical
+score, ties by id) can fall outside that band, so the rescored answer
+equals a full float64 ranking by construction, whatever the selection
+dtype or the BLAS summation order.
 """
 
 from __future__ import annotations
@@ -39,29 +47,78 @@ MAX_PAIRWISE_ELEMENTS = 2**27
 DEFAULT_TILE_SIZE = 128
 
 # Elements gathered per canonical-rescore chunk (bounds the ``rows × dim``
-# copy when k is a large fraction of n).
+# copy when a band of near-ties holds a large fraction of the rows).
 _RESCORE_CHUNK_ELEMENTS = 2**22
 
-# float32 selection: shortlist size = max(oversample*k, k + slack).  The
-# slack floor keeps tiny k from producing a shortlist so tight that a
-# float32 rounding collision near the boundary could push a true top-k
-# member out before the float64 rescore can rank it back in.
-DEFAULT_SELECT_OVERSAMPLE = 4
-SELECT_SLACK = 16
+# Unit roundoff and smallest subnormal of each selection dtype.
+_ROUNDING = {
+    np.dtype(np.float64): (2.0**-53, 2.0**-1074),
+    np.dtype(np.float32): (2.0**-24, 2.0**-149),
+}
 
 
-def select_shortlist_size(
-    k: int, population: int, *, oversample: int = DEFAULT_SELECT_OVERSAMPLE
-) -> int:
-    """Float32-selection shortlist size: oversample, slack floor, clamp.
+def _gamma(n: int, unit: float) -> float:
+    """Higham's ``γ_n = n·u / (1 − n·u)``: the relative error bound of an
+    ``n``-term dot product in any summation order."""
+    return n * unit / (1.0 - n * unit)
 
-    The one definition of the safety-margin policy, shared by
-    :func:`exact_top_k`'s float32 path and the IVF backend's float32
-    candidate selector (:class:`repro.serving.index.IVFIndex`) — the two
-    paths must never diverge in how much slack protects their
-    bit-identity-via-rescore contract.
+
+def certified_band(dim: int, dtype) -> float:
+    """How far below the k-th best selection score a true top-k row can sit.
+
+    For unit rows ``x`` and a unit query ``q`` of ``dim`` elements, a
+    selection score ``s`` computed in ``dtype`` (operands rounded to it,
+    then any BLAS summation order) and the canonical float64 score ``c``
+    satisfy ``|s − c| ≤ δ = γ_{d+2}(1+u)² + 2u + u² + γ⁶⁴_{d+2}``, where
+    ``u`` is the unit roundoff of ``dtype`` and the cast terms vanish for
+    float64.  If ``t`` is the k-th best selection score, at least ``k``
+    rows have canonical score ``≥ t − δ``, so every row of the canonical
+    top-k has ``s ≥ t − 2δ``.  ``d + 2`` rather than ``d`` absorbs the
+    float64 rows' own norm error; the last term covers products that
+    underflow into subnormals.
     """
-    return min(population, max(int(oversample) * k, k + SELECT_SLACK))
+    dtype = np.dtype(dtype)
+    if dtype not in _ROUNDING:
+        raise ValueError(f"selection dtype must be float32 or float64, got {dtype}")
+    unit, subnormal = _ROUNDING[dtype]
+    cast = 0.0 if dtype == np.float64 else unit
+    terms = dim + 2
+    delta = (
+        _gamma(terms, unit) * (1 + cast) ** 2
+        + 2 * cast
+        + cast**2
+        + _gamma(terms, 2.0**-53)
+    )
+    return 2 * delta + 2 * terms * subnormal
+
+
+def select_band(
+    scores: np.ndarray, k: int, dim: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(row, column)`` of every candidate in each row's certified band.
+
+    ``scores`` is ``(q, m)`` selection scores of ``dim``-element unit
+    vectors, in the dtype they were computed in (higher is better,
+    ``-inf`` masks a column).  A column is a candidate when its score is
+    at least the row's ``k``-th best minus :func:`certified_band`, so the
+    canonical top-k (ties by id) is always among a row's candidates and a
+    row has at least ``k`` of them.  Masked columns are candidates only
+    when a row has fewer than ``k`` live ones; callers drop them by their
+    ``-inf`` score.  Output is row-major, columns ascending.  The one
+    place that decides what the exact engine and the IVF selectors
+    rescore.
+    """
+    kth = np.partition(scores, scores.shape[1] - k, axis=1)[:, scores.shape[1] - k]
+    # In float64, one ulp down for the subtraction's own rounding, then
+    # rounded down into the selection dtype: the band is never narrower.
+    exact = np.nextafter(
+        kth.astype(np.float64) - certified_band(dim, scores.dtype), -np.inf
+    )
+    limit = exact.astype(scores.dtype)
+    limit = np.where(
+        limit > exact, np.nextafter(limit, scores.dtype.type(-np.inf)), limit
+    )
+    return np.nonzero(scores >= limit[:, np.newaxis])
 
 
 def _normalize(features: np.ndarray) -> np.ndarray:
@@ -444,10 +501,8 @@ def exact_top_k(
     assume_normalized: bool = False,
     exclude: np.ndarray | None = None,
     tile_size: int = DEFAULT_TILE_SIZE,
-    select_dtype: str = "float64",
-    select_features: np.ndarray | None = None,
-    oversample: int = DEFAULT_SELECT_OVERSAMPLE,
     node_filter: CompiledFilter | None = None,
+    rows=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact cosine top-k of query *vectors* against every row of ``features``.
 
@@ -457,7 +512,8 @@ def exact_top_k(
     Parameters
     ----------
     features:
-        ``n × dim`` matrix (rows may be memory-mapped).
+        ``n × dim`` matrix the selection GEMM scores, float64 or float32
+        (rows may be memory-mapped).  The GEMM runs in its dtype.
     queries:
         ``q × dim`` query vectors (or a single ``dim`` vector).
     k:
@@ -469,33 +525,21 @@ def exact_top_k(
         (``-1`` = no exclusion) — how self-matches are dropped.
     tile_size:
         Query rows scored per GEMM tile.
-    select_dtype:
-        ``"float64"`` (default, the reference path) or ``"float32"`` —
-        run the *selection* GEMM in float32 over an oversampled
-        shortlist, then rescore the shortlist with the canonical float64
-        einsum.  The selection scan is memory-bound, so float32 moves
-        half the bytes; returned scores stay canonical float64 and are
-        bit-identical to the float64 engine whenever the shortlist
-        covers the true top-k (the same shortlist-covers-the-answer
-        rationale as the PQ ``min_rescore`` floor; asserted on the bench
-        corpus by ``benchmarks/bench_serving.py`` every run).
-    select_features:
-        Optional precomputed float32 copy of the (normalized) matrix for
-        the float32 path — callers with a long-lived matrix (the serving
-        ``ExactBackend``) cast once instead of per call.  Ignored for
-        float64.
-    oversample:
-        Shortlist factor for the float32 path: ``max(oversample × k,
-        k + 16)`` candidates are selected, clamped to ``n``.
     node_filter:
         Optional :class:`CompiledFilter` restricting which rows may be
         returned.  Selective filters (≤ ~12% of rows kept) search a
         gathered subset of the matrix; broad filters mask disallowed
         columns to ``-inf`` before selection.  Both strategies rescore
         with the same canonical reduction, so they agree bit-for-bit on
-        the rows they return, and ``node_filter=None`` leaves the
-        unfiltered path byte-identical to an engine without this
-        parameter.  Rows the filter exhausts pad with ``-1`` / ``-inf``.
+        the rows they return.  Rows the filter exhausts pad with ``-1`` /
+        ``-inf``.
+    rows:
+        The float64 rows the canonical rescore reads: anything of
+        ``features``' shape answering ``rows[ids]`` — an array, or a
+        :class:`repro.serving.store.RowReader` that ``pread``s them.
+        Defaults to ``features``.  Lets a caller select over a resident
+        float32 copy and rescore from the float64 store; needs
+        ``assume_normalized``.
 
     Returns
     -------
@@ -503,19 +547,24 @@ def exact_top_k(
     broken by ascending id.  A single 1-D query returns 1-D arrays.  A row
     whose exclusion leaves fewer than ``k`` candidates pads the tail with
     id ``-1`` / similarity ``-inf`` (the same convention as the serving
-    backends).  Scores are canonical (:func:`rowwise_inner` over the
-    selected rows), so they are bit-identical across engines scoring the
-    same rows — see the module docstring.
+    backends).  Scores are canonical (:func:`rowwise_inner` over ``rows``),
+    so they are bit-identical across engines and selection dtypes — see
+    the module docstring.
     """
-    if select_dtype not in ("float64", "float32"):
-        raise ValueError(
-            f"select_dtype must be 'float64' or 'float32', got {select_dtype!r}"
-        )
     single = np.ndim(queries) == 1
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if not assume_normalized:
+        if rows is not None:
+            raise ValueError("rows needs assume_normalized=True")
         features = normalize_rows(features)
         queries = _normalize(queries)
+    if rows is None:
+        rows = features
+    elif tuple(rows.shape) != tuple(features.shape):
+        raise ValueError(
+            f"rows shape {tuple(rows.shape)} != features shape "
+            f"{tuple(features.shape)}"
+        )
     n = features.shape[0]
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -534,7 +583,7 @@ def exact_top_k(
         if exclude.shape != (n_queries,):
             raise ValueError("exclude must have one entry per query")
 
-    disallowed = None
+    columns = disallowed = None
     if node_filter is not None:
         if node_filter.n != n:
             raise ValueError(
@@ -544,175 +593,96 @@ def exact_top_k(
             ids = np.full((n_queries, k), -1, dtype=np.intp)
             scores = np.full((n_queries, k), -np.inf, dtype=np.float64)
             return (ids[0], scores[0]) if single else (ids, scores)
-        if node_filter.n_allowed == n:
-            node_filter = None  # nothing masked: take the unfiltered path
-        elif node_filter.selectivity <= _GATHER_SELECTIVITY:
-            return _exact_top_k_gather(
-                features,
-                queries,
-                k,
-                exclude=exclude,
-                tile_size=tile_size,
-                select_dtype=select_dtype,
-                select_features=select_features,
-                oversample=oversample,
-                allowed=node_filter.allowed_ids(),
-                single=single,
-            )
-        else:
+        if node_filter.selectivity <= _GATHER_SELECTIVITY:
+            columns = node_filter.allowed_ids()
+        elif node_filter.n_allowed < n:
             disallowed = np.nonzero(~node_filter.mask)[0]
 
-    if select_dtype == "float32":
-        if select_features is None:
-            select_features = np.asarray(features, dtype=np.float32)
-        elif select_features.shape != features.shape:
-            raise ValueError(
-                f"select_features shape {select_features.shape} != "
-                f"features shape {features.shape}"
-            )
-        # Selection runs on the float32 pair; the shortlist m replaces k
-        # in the selection so float32 rounding near the k-th rank cannot
-        # evict a true top-k row before the float64 rescore ranks it.
-        select_mat = select_features
-        select_queries = queries.astype(np.float32)
-        m = select_shortlist_size(k, n, oversample=oversample)
-    else:
-        select_mat = features
-        select_queries = queries
-        m = k
-
-    ids = np.empty((n_queries, k), dtype=np.intp)
-    scores = np.empty((n_queries, k), dtype=np.float64)
-    for start in range(0, n_queries, max(1, tile_size)):
-        stop = min(start + max(1, tile_size), n_queries)
-        block = select_queries[start:stop] @ select_mat.T
-        if disallowed is not None:
-            block[:, disallowed] = -np.inf
-        if exclude is not None:
-            rows = np.arange(start, stop)
-            masked = exclude[rows] >= 0
-            block[np.nonzero(masked)[0], exclude[rows][masked]] = -np.inf
-        # Whole-tile selection: one argpartition + one m-wide argsort across
-        # the tile instead of a Python loop of per-row selections — the hot
-        # path the serving throughput numbers are measured on.  Negate in
-        # place so ascending partition order means descending similarity.
-        np.negative(block, out=block)
-        top = np.argpartition(block, m - 1, axis=1)[:, :m]
-        part = np.take_along_axis(block, top, axis=1)
-        # Boundary-tie repair: argpartition picks arbitrarily among rows
-        # tied at the m-th score, and that choice differs between a full
-        # matrix and a shard slice (duplicate rows are the realistic
-        # case — e.g. zero-feature isolated nodes).  "Tied" has to mean
-        # *within GEMM rounding* of the m-th score, not equal to it: two
-        # identical rows can get selection scores that differ in the last
-        # bit (BLAS edge tiles) while their canonical scores tie.  Detect
-        # rows with more than m scores at or inside that band and redo
-        # them deterministically: everything better than the band, then
-        # the in-band candidates by (canonical score desc, id asc).
-        band = 4 * features.shape[1] * np.finfo(block.dtype).eps
-        worst = part.max(axis=1, keepdims=True)
-        overflow = np.nonzero((block <= worst + band).sum(axis=1) > m)[0]
-        for row in overflow:
-            selection = block[row]
-            low, high = worst[row, 0] - band, worst[row, 0] + band
-            definite = np.nonzero(selection < low)[0]
-            near = np.nonzero((selection >= low) & (selection <= high))[0]
-            near_canon = canonical_scores(features, near, queries[start + row])
-            # Masked candidates (excluded / disallowed) stay last among ties.
-            near_canon[np.isinf(selection[near])] = -np.inf
-            fill = near[np.lexsort((near, -near_canon))][: m - definite.size]
-            top[row] = np.concatenate([definite, fill])
-            part[row] = selection[top[row]]
-        # Canonical rescore of the m selected rows: the GEMM above only
-        # *selects*; the returned scores come from the partition-invariant
-        # row-wise reduction.  Candidates are first ordered by ascending id
-        # so the stable score sort breaks exact ties by id — both steps are
-        # what makes sharded scatter-gather bit-identical to this engine.
-        id_order = np.argsort(top, axis=1)
-        sel = np.take_along_axis(top, id_order, axis=1)
-        sel_part = np.take_along_axis(part, id_order, axis=1)
-        canon = np.empty(sel.shape, dtype=np.float64)
-        tile_rows = stop - start
-        step = max(1, _RESCORE_CHUNK_ELEMENTS // max(1, m * features.shape[1]))
-        for row0 in range(0, tile_rows, step):
-            row1 = min(row0 + step, tile_rows)
-            chunk_ids = sel[row0:row1].ravel()
-            chunk_queries = np.repeat(queries[start + row0 : start + row1], m, axis=0)
-            canon[row0:row1] = rowwise_inner(
-                features[chunk_ids], chunk_queries
-            ).reshape(row1 - row0, m)
-        # Excluded candidates were forced in only when the row ran out of
-        # real ones (k = n with an exclusion); keep them -inf, not rescored.
-        canon[~np.isfinite(sel_part)] = -np.inf
-        order = np.argsort(-canon, axis=1, kind="stable")[:, :k]
-        ids[start:stop] = np.take_along_axis(sel, order, axis=1)
-        scores[start:stop] = np.take_along_axis(canon, order, axis=1)
-    if exclude is not None or disallowed is not None:
-        # A masked id can only reach the result when a row had fewer than k
-        # real candidates (k = n with an exclusion, or a filter keeping
-        # fewer than k rows); rewrite it as padding.
-        ids[scores == -np.inf] = -1
+    ids, scores = _select_and_rescore(
+        features,
+        rows,
+        queries,
+        k,
+        exclude=exclude,
+        columns=columns,
+        disallowed=disallowed,
+        tile_size=tile_size,
+    )
     if single:
         return ids[0], scores[0]
     return ids, scores
 
 
-def _exact_top_k_gather(
+def _select_and_rescore(
     features: np.ndarray,
+    rows,
     queries: np.ndarray,
     k: int,
     *,
     exclude: np.ndarray | None,
+    columns: np.ndarray | None,
+    disallowed: np.ndarray | None,
     tile_size: int,
-    select_dtype: str,
-    select_features: np.ndarray | None,
-    oversample: int,
-    allowed: np.ndarray,
-    single: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Selective-filter strategy: search the gathered allowed-row subset.
+    """Certified selection, then the canonical rescore, one query tile at a time.
 
-    ``allowed`` ascending keeps subset-local ordering equal to global id
-    ordering, and the canonical rescore makes subset scores bit-identical
-    to full-matrix scores for the same rows — so mapping local results
-    back through ``allowed`` agrees exactly with the mask strategy.
-    ``queries``/``features`` arrive already normalized; ``k`` is already
-    clamped to the full population (columns the subset cannot fill pad).
+    ``columns`` (ascending global ids) restricts the scan to a gathered
+    subset, so subset-local order is global id order; ``disallowed``
+    masks columns of the full scan.  Every candidate in
+    :func:`select_band`'s band is rescored from ``rows`` and each query's
+    top-k taken by ``(-score, id)``.  ``k`` is already clamped to the
+    population; columns a subset cannot fill pad with ``-1`` / ``-inf``.
     """
-    n_queries = queries.shape[0]
-    sub = np.ascontiguousarray(features[allowed])
-    sub_select = None
-    if select_dtype == "float32" and select_features is not None:
-        sub_select = np.ascontiguousarray(select_features[allowed])
-    sub_exclude = None
-    if exclude is not None:
-        # Translate global exclusions to subset-local ids; an excluded id
-        # the filter already removed needs no exclusion at all.
-        position = np.searchsorted(allowed, np.clip(exclude, 0, None))
-        position = np.clip(position, 0, allowed.size - 1)
-        hit = (exclude >= 0) & (allowed[position] == exclude)
-        sub_exclude = np.where(hit, position, -1)
-    local_ids, local_scores = exact_top_k(
-        sub,
-        queries,
-        min(k, allowed.size),
-        assume_normalized=True,
-        exclude=sub_exclude,
-        tile_size=tile_size,
-        select_dtype=select_dtype,
-        select_features=sub_select,
-        oversample=oversample,
-    )
-    local_ids = np.atleast_2d(local_ids)
-    local_scores = np.atleast_2d(local_scores)
+    n_queries, dim = queries.shape[0], features.shape[1]
+    select = features if columns is None else np.ascontiguousarray(features[columns])
+    width = min(k, select.shape[0])
+    select_queries = queries.astype(select.dtype, copy=False)
+    if exclude is not None and columns is not None:
+        # Global exclusions as subset-local columns; an excluded id the
+        # filter already removed needs no exclusion at all.
+        position = np.searchsorted(columns, np.clip(exclude, 0, None))
+        position = np.clip(position, 0, columns.size - 1)
+        hit = (exclude >= 0) & (columns[position] == exclude)
+        exclude = np.where(hit, position, -1)
     ids = np.full((n_queries, k), -1, dtype=np.intp)
     scores = np.full((n_queries, k), -np.inf, dtype=np.float64)
-    width = local_ids.shape[1]
-    ids[:, :width] = np.where(local_ids >= 0, allowed[np.clip(local_ids, 0, None)], -1)
-    scores[:, :width] = local_scores
-    if single:
-        return ids[0], scores[0]
+    step = max(1, tile_size)
+    for start in range(0, n_queries, step):
+        stop = min(start + step, n_queries)
+        block = select_queries[start:stop] @ select.T
+        if disallowed is not None:
+            block[:, disallowed] = -np.inf
+        if exclude is not None:
+            masked = np.nonzero(exclude[start:stop] >= 0)[0]
+            block[masked, exclude[start + masked]] = -np.inf
+        owner, cols = select_band(block, width, dim)
+        candidates = cols if columns is None else columns[cols]
+        # Masked columns enter the band only when a row has fewer than k
+        # live ones: they stay -inf (padding below) and are never read.
+        canon = np.full(candidates.shape, -np.inf)
+        live = np.nonzero(block[owner, cols] > -np.inf)[0]
+        canon[live] = _canonical(rows, candidates[live], queries, start + owner[live])
+        # Per query: canonical score descending, then ascending id — what
+        # makes sharded scatter-gather bit-identical to this engine.
+        order = np.lexsort((candidates, -canon, owner))
+        counts = np.bincount(owner, minlength=stop - start)
+        take = order[(np.cumsum(counts) - counts)[:, np.newaxis] + np.arange(width)]
+        ids[start:stop, :width] = candidates[take]
+        scores[start:stop, :width] = canon[take]
+    ids[scores == -np.inf] = -1
     return ids, scores
+
+
+def _canonical(rows, ids: np.ndarray, queries: np.ndarray, query_rows: np.ndarray):
+    """Canonical scores of ``rows[ids[i]]`` against ``queries[query_rows[i]]``."""
+    out = np.empty(ids.shape[0])
+    step = max(1, _RESCORE_CHUNK_ELEMENTS // max(1, queries.shape[1]))
+    for lo in range(0, ids.shape[0], step):
+        hi = lo + step
+        out[lo:hi] = rowwise_inner(
+            np.asarray(rows[ids[lo:hi]], dtype=np.float64), queries[query_rows[lo:hi]]
+        )
+    return out
 
 
 def pairwise_cosine(

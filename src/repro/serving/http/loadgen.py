@@ -157,6 +157,31 @@ def process_footprint(pid: int) -> dict | None:
     return footprint
 
 
+def mapped_rss_kib(pid: int, filename: str) -> int | None:
+    """Resident KiB of process ``pid``'s mappings of files named ``filename``.
+
+    Summed over every such mapping in ``/proc/<pid>/smaps``; ``None`` when
+    the process maps no such file or there is no ``/proc``.  The exact
+    read path reads float64 rows with ``pread``, so a server's
+    ``features.npy`` mappings must stay at 0: a touched page of them
+    would stay in the process's ``RssFile``.
+    """
+    total, found, current = 0, False, False
+    try:
+        with open(f"/proc/{pid}/smaps") as smaps:
+            for line in smaps:
+                fields = line.split(None, 5)
+                if fields and "-" in fields[0] and not fields[0].endswith(":"):
+                    path = fields[5].strip() if len(fields) == 6 else ""
+                    current = path.removesuffix(" (deleted)").endswith("/" + filename)
+                    found |= current
+                elif current and fields and fields[0] == "Rss:":
+                    total += int(fields[1])
+    except OSError:
+        return None
+    return total if found else None
+
+
 def assert_bit_identical(client, service, nodes, k: int = 10) -> int:
     """Exact top-k over HTTP must match the in-process answer bitwise.
 

@@ -85,8 +85,7 @@ _READY_RE = re.compile(r"admin=(http://\S+)")
 # reads each one (worker_main): the whole spec, no defaults on that side.
 _WORKER_KNOBS = (
     "store", "backend", "nprobe", "threads", "coalesce_window_ms",
-    "coalesce_max_batch", "select_dtype", "drain_timeout_s", "log_requests",
-    "slow_query_ms",
+    "coalesce_max_batch", "drain_timeout_s", "log_requests", "slow_query_ms",
 )
 
 
@@ -109,7 +108,6 @@ class SupervisorConfig:
     threads: int = 1
     coalesce_window_ms: float = 0.0
     coalesce_max_batch: int = 64
-    select_dtype: str = "float64"
     drain_timeout_s: float = 10.0
     log_requests: bool = False
     # Requests slower than this (milliseconds) are logged as structured
@@ -187,7 +185,6 @@ def worker_main(environ=None) -> int:
         nprobe=int(spec["nprobe"]),
         n_threads=max(1, int(spec["threads"])),
         index_cache=True,
-        select_dtype=spec["select_dtype"],
     )
     try:
         server = EmbeddingServer(

@@ -4,9 +4,11 @@
 speaks: cosine top-k of query *vectors* against a fixed, unit-row-normalized
 matrix.  Two implementations:
 
-- :class:`ExactBackend` — brute force, delegating to the tiled
-  ``argpartition`` engine in :mod:`repro.search.knn` (that module *is* the
-  exact backend; this class only adapts it to the interface).
+- :class:`ExactBackend` — brute force, delegating to the tiled engine in
+  :mod:`repro.search.knn` (that module *is* the exact backend; this class
+  adapts it to the interface): certified selection over a resident
+  float32 copy, canonical rescore of the candidates from the float64
+  rows.
 - :class:`IVFIndex` — inverted-file index: a spherical k-means coarse
   quantizer partitions the vectors into ``nlist`` cells; a query scores
   only the cells whose centroids it is closest to (``nprobe`` of them) and
@@ -14,6 +16,9 @@ matrix.  Two implementations:
   is the recall/latency knob: 1 = fastest, ``nlist`` = exhaustive, which
   reproduces :class:`ExactBackend` bit-for-bit (the search delegates to the
   identical exact engine, single and batch queries alike).
+
+Both rescore through :func:`repro.search.knn.select_band`, and count the
+rows they rescore into a ``rescored_rows`` counter.
 
 Everything is pure numpy and seeded through
 :func:`repro.utils.rng.ensure_rng`, like :mod:`repro.core.randsvd`.
@@ -31,9 +36,11 @@ from repro.search.knn import (
     canonical_scores,
     exact_top_k,
     normalize_rows,
-    select_shortlist_size,
+    select_band,
     top_k_sorted_indices,
 )
+from repro.serving.obs.metrics import Counter
+from repro.serving.store import RowReader
 from repro.utils.rng import ensure_rng
 
 # Below this many vectors an IVF's python-level per-query overhead beats no
@@ -59,6 +66,29 @@ def filtered_probe_width(nprobe: int, nlist: int, selectivity: float) -> int:
     if selectivity <= 0.0:
         return nlist
     return min(nlist, max(nprobe, int(np.ceil(nprobe / selectivity))))
+
+
+def rescored_rows_counter() -> Counter:
+    """A backend's own ``index_rescored_rows_total`` until a service shares one."""
+    return Counter(
+        "index_rescored_rows_total",
+        "Float64 rows canonically rescored after certified selection "
+        "(k plus the near-ties of the k-th, per query)",
+        (),
+    )
+
+
+class _CountedRows:
+    """A rescore row source that counts the rows it hands out."""
+
+    def __init__(self, rows, counter: Counter) -> None:
+        self.rows = rows
+        self.shape = rows.shape
+        self._counter = counter
+
+    def __getitem__(self, ids):
+        self._counter.inc(len(ids))
+        return self.rows[ids]
 
 
 class SearchBackend(abc.ABC):
@@ -106,36 +136,40 @@ class ExactBackend(SearchBackend):
     """Brute-force exact backend over :mod:`repro.search.knn`.
 
     The fallback for small corpora and the ground truth the IVF index is
-    measured against.  ``features`` must already have unit rows.
+    measured against.  ``features`` must be float64 with unit rows.
 
-    ``select_dtype="float32"`` opts in to the float32 *selection* path:
-    the backend keeps a float32 copy of the matrix (cast once here, not
-    per query) and :func:`repro.search.knn.exact_top_k` selects an
-    oversampled shortlist with it before the canonical float64 rescore.
-    Returned scores stay bit-identical to the float64 engine whenever
-    the shortlist covers the true top-k — asserted on the bench corpus
-    by ``benchmarks/bench_serving.py``.
+    Selection scans a resident float32 copy (``select``, half the bytes
+    of the float64 rows) and only the rows in the certified band are
+    rescored from the float64 ``rows``, so answers are the float64
+    engine's bit for bit (:func:`repro.search.knn.select_band`).  When
+    ``features`` maps a whole ``.npy`` (what the store opens), the copy is
+    built and the candidates are read by ``pread``
+    (:class:`~repro.serving.store.RowReader`): the process never touches
+    the mapping, and the float64 matrix costs page cache, not resident
+    memory.
     """
 
     SUPPORTS_FILTER = True
-    # search() accepts a per-query ``select_dtype`` override (the service's
-    # SearchParams hint); the cast-once float32 copy is only used when the
-    # effective dtype matches the configured one, otherwise exact_top_k
-    # casts on the fly.
-    SUPPORTS_SELECT_DTYPE = True
 
-    def __init__(self, features: np.ndarray, *, select_dtype: str = "float64") -> None:
-        if select_dtype not in ("float64", "float32"):
+    def __init__(self, features: np.ndarray) -> None:
+        if np.ndim(features) != 2 or features.dtype != np.float64:
             raise ValueError(
-                f"select_dtype must be 'float64' or 'float32', got {select_dtype!r}"
+                "the exact backend needs an n × dim float64 matrix, got "
+                f"{features.dtype} of shape {np.shape(features)}"
             )
         self.features = features
-        self.select_dtype = select_dtype
-        self._select32 = (
-            np.asarray(features, dtype=np.float32)
-            if select_dtype == "float32"
-            else None
+        self.rows = RowReader.of(features)
+        self.select = (
+            self.rows.read_all(np.float32)
+            if isinstance(self.rows, RowReader)
+            else np.asarray(features, dtype=np.float32)
         )
+        self.rescored_rows = rescored_rows_counter()
+
+    @property
+    def resident_bytes(self) -> int:
+        """Bytes the selection keeps resident (the float64 rows are not)."""
+        return int(self.select.nbytes)
 
     def search(
         self,
@@ -144,20 +178,15 @@ class ExactBackend(SearchBackend):
         *,
         exclude: np.ndarray | None = None,
         node_filter: CompiledFilter | None = None,
-        select_dtype: str | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        effective = self.select_dtype if select_dtype is None else select_dtype
         return exact_top_k(
-            self.features,
+            self.select,
             queries,
             k,
             assume_normalized=True,
             exclude=exclude,
-            select_dtype=effective,
-            select_features=(
-                self._select32 if effective == self.select_dtype else None
-            ),
             node_filter=node_filter,
+            rows=_CountedRows(self.rows, self.rescored_rows),
         )
 
 
@@ -194,15 +223,6 @@ class IVFIndex(SearchBackend):
         afterwards.
     n_iter:
         Lloyd iterations.
-    select_dtype:
-        ``"float64"`` (default) or ``"float32"`` — run the candidate
-        *selector* (the gather + GEMV over the probed cells' rows, the
-        per-query hot spot) in float32 against a resident float32 copy
-        of the matrix, selecting an oversampled shortlist that is then
-        rescored with the canonical float64 einsum.  Returned scores
-        stay canonical; the same shortlist-covers-the-answer rationale
-        as :func:`repro.search.knn.exact_top_k`'s float32 path.  Costs
-        ``n × dim × 4`` resident bytes.
     """
 
     SUPPORTS_NPROBE = True
@@ -217,7 +237,6 @@ class IVFIndex(SearchBackend):
         seed: int | np.random.Generator | None = 0,
         train_size: int = 65536,
         n_iter: int = 10,
-        select_dtype: str = "float64",
     ) -> None:
         features = np.asarray(features)
         n = features.shape[0]
@@ -244,26 +263,7 @@ class IVFIndex(SearchBackend):
         self.assignments = _assign(features, self.centroids)
         self._lists = _build_lists(self.assignments, nlist)
         self.last_rebuild: IVFRebuildStats | None = None
-        self.set_select_dtype(select_dtype)
-
-    def set_select_dtype(self, select_dtype: str) -> "IVFIndex":
-        """Switch the candidate-selector precision (see ``select_dtype``).
-
-        Exposed as a method (not just a constructor arg) because indexes
-        reloaded from persisted artifacts (:meth:`from_arrays`) are built
-        float64 and opt in afterwards.  Returns ``self`` for chaining.
-        """
-        if select_dtype not in ("float64", "float32"):
-            raise ValueError(
-                f"select_dtype must be 'float64' or 'float32', got {select_dtype!r}"
-            )
-        self.select_dtype = select_dtype
-        self._select32 = (
-            np.asarray(self.features, dtype=np.float32)
-            if select_dtype == "float32"
-            else None
-        )
-        return self
+        self.rescored_rows = rescored_rows_counter()
 
     # ------------------------------------------------------------------
     @property
@@ -323,17 +323,11 @@ class IVFIndex(SearchBackend):
         if rescore and nprobe >= self.nlist:
             return exact_top_k(
                 self.features, queries, k, assume_normalized=True, exclude=exclude,
-                # The exact engine's float32 path is bit-identical, so
-                # the nprobe >= nlist guarantee survives the opt-in.
-                select_dtype=self.select_dtype,
-                select_features=self._select32,
                 node_filter=node_filter,
+                rows=_CountedRows(self.features, self.rescored_rows),
             )
         single = np.ndim(queries) == 1
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        queries32 = (
-            queries.astype(np.float32) if self._select32 is not None else None
-        )
         n_queries = queries.shape[0]
         if exclude is not None:
             exclude = np.asarray(exclude, dtype=np.intp)
@@ -357,7 +351,6 @@ class IVFIndex(SearchBackend):
         scores = np.full((n_queries, k), -np.inf, dtype=np.float64)
         for row in range(n_queries):
             excluded = -1 if exclude is None else int(exclude[row])
-            query32 = None if queries32 is None else queries32[row]
             if node_filter is None:
                 row_ids, row_scores = self._search_one(
                     queries[row],
@@ -366,7 +359,6 @@ class IVFIndex(SearchBackend):
                     centroid_sims[row],
                     excluded,
                     rescore,
-                    query32,
                 )
             else:
                 row_ids, row_scores = self._search_one_filtered(
@@ -376,7 +368,6 @@ class IVFIndex(SearchBackend):
                     centroid_sims[row],
                     excluded,
                     rescore,
-                    query32,
                     node_filter,
                 )
             ids[row, : row_ids.shape[0]] = row_ids
@@ -393,34 +384,12 @@ class IVFIndex(SearchBackend):
         centroid_sims: np.ndarray,
         excluded: int,
         rescore: bool,
-        query32: np.ndarray | None,
     ) -> tuple[np.ndarray, np.ndarray]:
         if probes.shape[0] == self.nlist:
             # Full coverage without rescoring still scores exactly: ranking
             # every vector by its cell centroid would be strictly worse for
             # the same cost, so there is nothing coarser to fall back to.
-            # GEMV selects; the winners are rescored canonically like every
-            # other exact path (see repro.search.knn module docstring).
-            if query32 is not None:
-                sel = self._select32 @ query32
-                if excluded >= 0:
-                    sel[excluded] = -np.inf
-                prelim = top_k_sorted_indices(
-                    sel, select_shortlist_size(k, sel.shape[0])
-                )
-                canon = canonical_scores(self.features, prelim, query)
-                canon[sel[prelim] == -np.inf] = -np.inf
-                order = np.lexsort((prelim, -canon))[:k]
-                return prelim[order], canon[order]
-            candidate_scores = self.features @ query
-            if excluded >= 0:
-                candidate_scores[excluded] = -np.inf
-            prelim = top_k_sorted_indices(candidate_scores, k)
-            canon = canonical_scores(self.features, prelim, query)
-            canon[candidate_scores[prelim] == -np.inf] = -np.inf
-            order = np.lexsort((prelim, -canon))
-            return prelim[order], canon[order]
-
+            return self._rescored(query, k, None, excluded)
         candidates = np.sort(np.concatenate([self._lists[j] for j in probes]))
         if excluded >= 0:
             position = np.searchsorted(candidates, excluded)
@@ -429,33 +398,7 @@ class IVFIndex(SearchBackend):
         if candidates.shape[0] == 0:
             return np.empty(0, dtype=np.intp), np.empty(0)
         if rescore:
-            if query32 is not None:
-                # Float32 selector over an oversampled shortlist, then
-                # canonical float64 rescore of the shortlist — the gather
-                # + GEMV here is the per-query hot spot, and float32
-                # moves half the bytes.  The final k are chosen by the
-                # *canonical* scores (ties ascending id), so the result
-                # matches the float64 selector whenever the shortlist
-                # covers its top-k — the oversample + slack exist to make
-                # that hold through float32 rounding at the boundary.
-                selector = self._select32[candidates] @ query32
-                top = top_k_sorted_indices(
-                    selector, select_shortlist_size(k, candidates.shape[0])
-                )
-                shortlist = candidates[top]
-                canon = canonical_scores(self.features, shortlist, query)
-                order = np.lexsort((shortlist, -canon))[:k]
-                return shortlist[order], canon[order]
-            # GEMV *selects* (fast over the whole candidate set), then only
-            # the k winners are rescored canonically — same split as the
-            # exact engine, so returned bits and tie order (ascending id,
-            # via the lexsort secondary key) match it for the same rows.
-            selector = self.features[candidates] @ query
-            top = top_k_sorted_indices(selector, min(k, candidates.shape[0]))
-            chosen = candidates[top]
-            canon = canonical_scores(self.features, chosen, query)
-            order = np.lexsort((chosen, -canon))
-            return chosen[order], canon[order]
+            return self._rescored(query, k, candidates)
         candidate_scores = centroid_sims[self.assignments[candidates]]
         top = top_k_sorted_indices(candidate_scores, min(k, candidates.shape[0]))
         return candidates[top], candidate_scores[top]
@@ -468,17 +411,15 @@ class IVFIndex(SearchBackend):
         centroid_sims: np.ndarray,
         excluded: int,
         rescore: bool,
-        query32: np.ndarray | None,
         node_filter: CompiledFilter,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-query filtered scan: the per-list mask variant of `_search_one`.
 
-        Kept separate so the unfiltered per-query path stays literally
-        untouched.  Candidates from the probed lists pass through the
-        filter mask *before* any scoring; selection and canonical rescore
-        then run on the surviving pool exactly like the unfiltered scan,
-        so returned scores carry the same bits filtered-exact reports for
-        the same rows.
+        Candidates from the probed lists pass through the filter mask
+        *before* any scoring; selection and canonical rescore then run on
+        the surviving pool exactly like the unfiltered scan, so returned
+        scores carry the same bits filtered-exact reports for the same
+        rows.
         """
         if probes.shape[0] == self.nlist:
             candidates = node_filter.allowed_ids()
@@ -499,20 +440,36 @@ class IVFIndex(SearchBackend):
                 candidate_scores, min(k, candidates.shape[0])
             )
             return candidates[top], candidate_scores[top]
-        if query32 is not None:
-            selector = self._select32[candidates] @ query32
-            top = top_k_sorted_indices(
-                selector, select_shortlist_size(k, candidates.shape[0])
-            )
-            shortlist = candidates[top]
-            canon = canonical_scores(self.features, shortlist, query)
-            order = np.lexsort((shortlist, -canon))[:k]
-            return shortlist[order], canon[order]
-        selector = self.features[candidates] @ query
-        top = top_k_sorted_indices(selector, min(k, candidates.shape[0]))
-        chosen = candidates[top]
+        return self._rescored(query, k, candidates)
+
+    def _rescored(
+        self,
+        query: np.ndarray,
+        k: int,
+        candidates: np.ndarray | None,
+        excluded: int = -1,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Top-``k`` of ``candidates`` (``None``: every row) by canonical score.
+
+        A GEMV selects, :func:`select_band` keeps every row that can still
+        rank in the top ``k``, and only those are rescored canonically —
+        the exact engine's split, so returned bits and tie order
+        (ascending id) match it for the same rows.
+        """
+        if candidates is None:
+            selection = self.features @ query
+            if excluded >= 0:
+                selection[excluded] = -np.inf
+        else:
+            selection = self.features[candidates] @ query
+        _, band = select_band(
+            selection[np.newaxis], min(k, selection.shape[0]), self.dim
+        )
+        band = band[selection[band] > -np.inf]
+        chosen = band if candidates is None else candidates[band]
+        self.rescored_rows.inc(chosen.shape[0])
         canon = canonical_scores(self.features, chosen, query)
-        order = np.lexsort((chosen, -canon))
+        order = np.lexsort((chosen, -canon))[:k]
         return chosen[order], canon[order]
 
     # ------------------------------------------------------------------
@@ -553,10 +510,7 @@ class IVFIndex(SearchBackend):
             n_lists_rebuilt=int(affected.shape[0]),
             n_lists_total=self.nlist,
         )
-        # The selector precision is a serving-time knob: carry it across
-        # the refresh (the float32 copy must be re-cast from the *new*
-        # features, not shared with the old index).
-        clone.set_select_dtype(self.select_dtype)
+        clone.rescored_rows = self.rescored_rows
         return clone
 
     # -- persistence ---------------------------------------------------
@@ -591,9 +545,7 @@ class IVFIndex(SearchBackend):
         index.assignments = assignments
         index._lists = _build_lists(assignments, index.centroids.shape[0])
         index.last_rebuild = None
-        # Selector precision is a runtime knob, not a persisted artifact:
-        # reloads start float64; the owner opts in via set_select_dtype.
-        index.set_select_dtype("float64")
+        index.rescored_rows = rescored_rows_counter()
         return index
 
 
@@ -613,28 +565,22 @@ def make_backend(
     seed: int | np.random.Generator | None = 0,
     pq_subspaces: int | None = None,
     pq_bits: int = 8,
-    select_dtype: str = "float64",
 ) -> SearchBackend:
     """Backend factory: ``"exact"``, ``"ivf"``, ``"pq"``, ``"ivfpq"``, ``"auto"``.
 
     ``"auto"`` serves brute force below :data:`AUTO_EXACT_THRESHOLD`
     vectors (where IVF's per-query overhead wins nothing) and IVF above.
     The PQ kinds trade exactness for ~16-32x smaller resident vectors —
-    see :mod:`repro.serving.sharding.pq`.  ``select_dtype`` applies to
-    the exact and IVF kinds (see :class:`ExactBackend` /
-    :class:`IVFIndex`); the PQ kinds have their own uint8 selector.
+    see :mod:`repro.serving.sharding.pq`.
     """
     kind = resolve_kind(kind, features.shape[0])
     if kind == "exact" or features.shape[0] == 0:
         # Nothing to quantize in an empty matrix (an empty shard of a
         # sharded store); brute force over zero rows is the only backend
         # that degenerates gracefully.
-        return ExactBackend(features, select_dtype=select_dtype)
+        return ExactBackend(features)
     if kind == "ivf":
-        return IVFIndex(
-            features, nlist=nlist, nprobe=nprobe, seed=seed,
-            select_dtype=select_dtype,
-        )
+        return IVFIndex(features, nlist=nlist, nprobe=nprobe, seed=seed)
     if kind in ("pq", "ivfpq"):
         # Local import: sharding.pq imports this module for SearchBackend.
         from repro.serving.sharding.pq import IVFPQBackend, PQBackend, PQCodec

@@ -57,6 +57,7 @@ from repro.serving.index import (
     IVFIndex,
     SearchBackend,
     make_backend,
+    rescored_rows_counter,
     resolve_kind,
 )
 from repro.serving.sharding.pq import IVFPQBackend, PQBackend
@@ -89,23 +90,19 @@ class SearchParams:
     """Per-request tuning knobs, carried inside a :class:`SearchRequest`.
 
     Every field is a *hint*: it is honored by backends that advertise the
-    matching capability (``SUPPORTS_NPROBE`` / ``SUPPORTS_RESCORE_FACTOR``
-    / ``SUPPORTS_SELECT_DTYPE``) and silently ignored elsewhere — the same
-    convention ``nprobe`` has always followed, so one request shape works
-    against every backend kind.  ``None`` means "the backend's configured
-    default".
+    matching capability (``SUPPORTS_NPROBE`` / ``SUPPORTS_RESCORE_FACTOR``)
+    and silently ignored elsewhere — the same convention ``nprobe`` has
+    always followed, so one request shape works against every backend
+    kind.  ``None`` means "the backend's configured default".
 
     - ``nprobe``: IVF probe width (IVF / IVF-PQ / sharded IVF).
     - ``rescore_factor``: ADC shortlist multiplier for PQ rescoring
       (PQ / IVF-PQ): the top ``rescore_factor × k`` ADC candidates are
       exact-rescored.
-    - ``select_dtype``: ``"float64"`` or ``"float32"`` selection precision
-      for the exact engine; scores stay canonical float64 either way.
     """
 
     nprobe: int | None = None
     rescore_factor: int | None = None
-    select_dtype: str | None = None
 
     def __post_init__(self) -> None:
         if self.nprobe is not None and int(self.nprobe) < 1:
@@ -114,15 +111,10 @@ class SearchParams:
             raise ValueError(
                 f"rescore_factor must be >= 1, got {self.rescore_factor}"
             )
-        if self.select_dtype not in (None, "float64", "float32"):
-            raise ValueError(
-                "select_dtype must be 'float64' or 'float32', "
-                f"got {self.select_dtype!r}"
-            )
 
     def key(self) -> tuple:
         """Hashable identity for cache keys and coalescing groups."""
-        return (self.nprobe, self.rescore_factor, self.select_dtype)
+        return (self.nprobe, self.rescore_factor)
 
     def to_json(self) -> dict:
         """The wire form: a dict of the non-default fields only."""
@@ -131,8 +123,6 @@ class SearchParams:
             doc["nprobe"] = int(self.nprobe)
         if self.rescore_factor is not None:
             doc["rescore_factor"] = int(self.rescore_factor)
-        if self.select_dtype is not None:
-            doc["select_dtype"] = self.select_dtype
         return doc
 
     @classmethod
@@ -140,7 +130,7 @@ class SearchParams:
         """Parse the wire ``"params"`` object; strict, ``ValueError`` on junk."""
         if not isinstance(obj, dict):
             raise ValueError(f"params must be an object, got {type(obj).__name__}")
-        unknown = set(obj) - {"nprobe", "rescore_factor", "select_dtype"}
+        unknown = set(obj) - {"nprobe", "rescore_factor"}
         if unknown:
             raise ValueError(f"unknown params field(s): {sorted(unknown)}")
         nprobe = obj.get("nprobe")
@@ -150,12 +140,7 @@ class SearchParams:
                 isinstance(value, bool) or not isinstance(value, int)
             ):
                 raise ValueError(f"params.{name} must be an integer, got {value!r}")
-        select_dtype = obj.get("select_dtype")
-        if select_dtype is not None and not isinstance(select_dtype, str):
-            raise ValueError(
-                f"params.select_dtype must be a string, got {select_dtype!r}"
-            )
-        return cls(nprobe=nprobe, rescore_factor=rescore, select_dtype=select_dtype)
+        return cls(nprobe=nprobe, rescore_factor=rescore)
 
 
 #: The all-defaults instance shared by requests that pass no params.
@@ -282,13 +267,6 @@ class QueryService:
         Persist built IVF/PQ index artifacts into the store's version
         directory and load them on later activations, so short-lived
         processes (the CLI) stop retraining quantizers per invocation.
-    select_dtype:
-        ``"float64"`` (default) or ``"float32"`` — the *selection*
-        precision for exact and IVF backends (see
-        :func:`repro.search.knn.exact_top_k` and
-        :meth:`~repro.serving.index.IVFIndex.set_select_dtype`).
-        Returned scores stay canonical float64 either way; float32
-        halves the bytes the selection scan/gather moves.
     """
 
     def __init__(
@@ -304,7 +282,6 @@ class QueryService:
         n_threads: int = 1,
         version: str | None = None,
         index_cache: bool = False,
-        select_dtype: str = "float64",
     ) -> None:
         if cache_size < 0:
             raise ValueError(f"cache_size must be >= 0, got {cache_size}")
@@ -314,7 +291,6 @@ class QueryService:
         self._nprobe = nprobe
         self._seed = seed
         self._pq_subspaces = pq_subspaces
-        self._select_dtype = select_dtype
         self._index_cache = index_cache
         self._cache_size = cache_size
         self._cache: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = OrderedDict()
@@ -343,6 +319,9 @@ class QueryService:
             "request includes its wait)",
             (),
         )
+        # Every backend this service activates counts into this one object,
+        # so the series survives version swaps.
+        self.rescored_rows_total = rescored_rows_counter()
         self.pool = WorkerPool(max(1, n_threads))
         self._active: _ActiveVersion | None = None
         self.activate(version)
@@ -377,6 +356,9 @@ class QueryService:
             verify_open_target(self._store, version)
             stored = self._store.open(version)
             backend = index if index is not None else self._build_backend(stored)
+            for leaf in _leaf_backends(backend):
+                if hasattr(leaf, "rescored_rows"):
+                    leaf.rescored_rows = self.rescored_rows_total
             outgoing = self._active.backend if self._active is not None else None
             if isinstance(backend, ShardRouter) and isinstance(outgoing, ShardRouter):
                 # Every swap installs a new router; the per-shard series
@@ -395,20 +377,7 @@ class QueryService:
             nprobe=self._nprobe,
             seed=self._seed,
             pq_subspaces=self._pq_subspaces,
-            select_dtype=self._select_dtype,
         )
-
-    def _apply_select_dtype(self, backend: SearchBackend) -> SearchBackend:
-        """Opt a reloaded backend into this service's selector precision.
-
-        Persisted index artifacts are precision-agnostic (the float32
-        selector copy is derived data, cheap to re-cast at load time),
-        so reloads come back float64 and the service re-applies its
-        configured ``select_dtype`` here.
-        """
-        if self._select_dtype != "float64" and hasattr(backend, "set_select_dtype"):
-            backend.set_select_dtype(self._select_dtype)
-        return backend
 
     def _build_backend(self, stored: StoredEmbedding) -> SearchBackend:
         """One backend per shard, via the artifact cache if on.
@@ -430,8 +399,6 @@ class QueryService:
                 backend = self._make_backend(shard.features, kind)
                 if cache:
                     self._store.save_index(stored.version, backend, shard=shard.shard)
-            else:
-                self._apply_select_dtype(backend)
             backends.append(backend)
         if len(backends) == 1:
             return backends[0]
@@ -542,7 +509,7 @@ class QueryService:
             # client actually experienced or window tuning is blind.
             return replace(result, latency_s=self._record(start))
         compiled = self._compile_filter(active, request.filter)
-        query = np.asarray(active.stored.features[node], dtype=np.float64)
+        query = active.stored.feature_rows(node)
         with trace_span("select", version=active.version):
             ids, scores = _search(
                 active.backend,
@@ -574,7 +541,7 @@ class QueryService:
                 # would have the scatter wait on workers occupied by its own
                 # callers — parallelism across shards replaces parallelism
                 # across query chunks.
-                queries = np.asarray(active.stored.features[nodes], dtype=np.float64)
+                queries = active.stored.feature_rows(nodes)
                 ids, scores = _search(
                     active.backend, queries, k, nodes, request.params, compiled
                 )
@@ -583,7 +550,7 @@ class QueryService:
                 chunks = np.array_split(nodes, n_chunks)
 
                 def work(_: int, chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-                    queries = np.asarray(active.stored.features[chunk], dtype=np.float64)
+                    queries = active.stored.feature_rows(chunk)
                     return _search(
                         active.backend, queries, k, chunk, request.params, compiled
                     )
@@ -784,8 +751,6 @@ class QueryService:
             "cache": self.cache_info(),
             "latency": self.latency_info(),
         }
-        if hasattr(backend, "select_dtype"):  # exact / IVF selector knob
-            info["select_dtype"] = backend.select_dtype
         # Y is *replicated* per shard: count every mapped replica so
         # total_mapped_bytes agrees with the per-shard sums reported below.
         mapped = {
@@ -795,6 +760,12 @@ class QueryService:
         memory: dict = {
             "mapped_bytes": mapped,
             "total_mapped_bytes": sum(mapped.values()),
+            # Per shard: what selection keeps resident beside the mapped
+            # rows (the exact backend's float32 copy; 0 for the others).
+            "select_resident_bytes": [
+                int(getattr(leaf, "resident_bytes", 0))
+                for leaf in _leaf_backends(backend)
+            ],
         }
         pq_backends = [b for b in _leaf_backends(backend) if isinstance(b, PQBackend)]
         if pq_backends:
@@ -861,9 +832,14 @@ class QueryService:
             raise IndexError(f"node {node} out of range [0, {n})")
 
     @property
-    def instruments(self) -> tuple[Counter, Counter, Histogram]:
+    def instruments(self) -> tuple[Counter, Counter, Histogram, Counter]:
         """The metric objects this service records into, for a registry to adopt."""
-        return (self.queries_total, self.cache_served_total, self.query_seconds)
+        return (
+            self.queries_total,
+            self.cache_served_total,
+            self.query_seconds,
+            self.rescored_rows_total,
+        )
 
     def latency_info(self) -> dict:
         """Lifetime counts and seconds, read off :attr:`instruments`.
@@ -984,7 +960,7 @@ class QueryService:
             nodes = np.array([request.node for request in group], dtype=np.intp)
             try:
                 compiled = self._compile_filter(active, spec.filter)
-                queries = np.asarray(active.stored.features[nodes], dtype=np.float64)
+                queries = active.stored.feature_rows(nodes)
                 with trace_span(
                     "select",
                     version=active.version,
@@ -1084,10 +1060,6 @@ def _search(
         backend, "SUPPORTS_RESCORE_FACTOR", False
     ):
         kwargs["rescore_factor"] = params.rescore_factor
-    if params.select_dtype is not None and getattr(
-        backend, "SUPPORTS_SELECT_DTYPE", False
-    ):
-        kwargs["select_dtype"] = params.select_dtype
     return backend.search(queries, k, exclude=exclude, **kwargs)
 
 

@@ -53,8 +53,10 @@ import os
 import shutil
 import tempfile
 import time
+import weakref
 from dataclasses import asdict, dataclass
 from dataclasses import fields as dataclass_fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -180,6 +182,100 @@ def shard_array_shape(manifest: dict, name: str, n_rows: int) -> list:
     return [n_rows, *shape[1:]] if name in _ROW_ARRAYS else shape
 
 
+# Bytes per ``pread`` when a reader streams a whole matrix (the exact
+# backend's float32 copy): bounds the transient buffer, not the result.
+_STREAM_BYTES = 4 << 20
+# Up to this many rows are read one ``pread`` each; more (a band of
+# near-ties, a batch) share one ``pread`` per run of rows at most
+# ``_GAP_ROWS`` apart, the rows between them read and dropped.
+_FEW_ROWS = 64
+_GAP_ROWS = 8
+
+
+class RowReader:
+    """Rows of one ``.npy`` matrix read with ``pread``, never through a mapping.
+
+    A touched page of a mapping stays in the process's RSS (``RssFile``)
+    while the mapping lives; ``pread`` copies out of the page cache into
+    a buffer the process frees.  The serving read path takes every
+    float64 row it needs — query rows, rescore candidates, the exact
+    backend's float32 copy — from a reader, so a version's ``features``
+    cost page cache, not resident memory (and a cold cache means disk
+    reads, not page faults).  ``reader[i]`` is one row, ``reader[ids]``
+    a ``(len(ids), dim)`` gather.  The descriptor closes when the reader
+    is collected: for a served version, with the last snapshot pinning it.
+    """
+
+    def __init__(self, path, *, offset: int, shape: tuple, dtype=np.float64) -> None:
+        self.path = str(path)
+        self.offset = int(offset)
+        self.shape = (int(shape[0]), int(shape[1]))
+        self.dtype = np.dtype(dtype)
+        self._row_bytes = self.shape[1] * self.dtype.itemsize
+        self._fd = os.open(self.path, os.O_RDONLY)
+        weakref.finalize(self, os.close, self._fd)
+
+    @classmethod
+    def of(cls, array):
+        """A reader over the ``.npy`` file ``array`` maps whole (what
+        :meth:`EmbeddingStore.open` returns), else ``array`` itself."""
+        filename = getattr(array, "filename", None)
+        if filename is None or array.ndim != 2 or not array.flags.c_contiguous:
+            return array
+        try:
+            if os.path.getsize(filename) != array.offset + array.nbytes:
+                return array
+            return cls(filename, offset=array.offset, shape=array.shape, dtype=array.dtype)
+        except OSError:
+            return array
+
+    def __getitem__(self, ids) -> np.ndarray:
+        ids = np.asarray(ids, dtype=np.intp)
+        flat = ids.reshape(-1)
+        n, dim = self.shape
+        if flat.size and (flat.min() < -n or flat.max() >= n):
+            raise IndexError(f"row index out of range for {n} rows")
+        flat = flat % n
+        out = np.empty((flat.size, dim), self.dtype)
+        if flat.size <= _FEW_ROWS:  # a query row, a rescore band: one pread each
+            for i, row in enumerate(flat.tolist()):
+                self._read(row, row + 1, out=out[i : i + 1])
+            return out.reshape(ids.shape + (dim,))
+        order = np.argsort(flat, kind="stable")
+        wanted = flat[order]
+        # One pread per run of nearby rows, and no run crosses a stream
+        # block: a band covering the whole matrix reads in bounded pieces.
+        block = max(1, _STREAM_BYTES // max(1, self._row_bytes))
+        cuts = np.nonzero(
+            (np.diff(wanted) > _GAP_ROWS) | (np.diff(wanted // block) != 0)
+        )[0] + 1
+        for lo, hi in zip([0, *cuts], [*cuts, flat.size]):
+            first = wanted[lo]
+            span = self._read(first, wanted[hi - 1] + 1)
+            out[order[lo:hi]] = span[wanted[lo:hi] - first]
+        return out.reshape(ids.shape + (dim,))
+
+    def read_all(self, dtype) -> np.ndarray:
+        """The whole matrix cast to ``dtype``, streamed in bounded ``pread``s."""
+        n, dim = self.shape
+        out = np.empty(self.shape, dtype)
+        step = max(1, _STREAM_BYTES // max(1, self._row_bytes))
+        buffer = np.empty((min(step, n), dim), self.dtype)
+        for start in range(0, n, step):
+            stop = min(start + step, n)
+            out[start:stop] = self._read(start, stop, out=buffer[: stop - start])
+        return out
+
+    def _read(self, start: int, stop: int, *, out: np.ndarray | None = None) -> np.ndarray:
+        """Rows ``[start, stop)`` by one ``pread``, into ``out`` or a new array."""
+        if out is None:
+            out = np.empty((stop - start, self.shape[1]), self.dtype)
+        got = os.preadv(self._fd, [out], self.offset + int(start) * self._row_bytes)
+        if got != out.nbytes:  # a regular file reads short only at its end
+            raise OSError(errno.EIO, f"{self.path} ends before row {stop}")
+        return out
+
+
 @dataclass(frozen=True)
 class StoredShard:
     """One shard of an opened version: its rows as read-only mmaps."""
@@ -194,9 +290,14 @@ class StoredShard:
     def n_nodes(self) -> int:
         return self.features.shape[0]
 
+    @cached_property
+    def rows(self):
+        """``features`` rows by ``pread`` (:class:`RowReader`), opened on first use."""
+        return RowReader.of(self.features)
+
 
 class _ShardedRows:
-    """A read-only virtual row matrix over per-shard mmapped arrays.
+    """A read-only virtual row matrix over per-shard mmaps or row readers.
 
     Supports exactly what the :class:`~repro.serving.service.QueryService`
     needs from a stored array: integer / fancy row indexing (gather) and
@@ -298,6 +399,11 @@ class StoredEmbedding:
         if len(self.shards) == 1:
             return getattr(self.shards[0], name)
         return _ShardedRows(self, name)
+
+    def feature_rows(self, ids) -> np.ndarray:
+        """float64 ``features`` rows (one id or an array of them), read by
+        ``pread`` from their shards without touching the mappings."""
+        return self._rows("rows")[ids]
 
     def to_embedding(self) -> PANEEmbedding:
         """Materialize an in-memory :class:`PANEEmbedding` (copies the mmaps)."""

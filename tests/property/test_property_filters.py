@@ -136,17 +136,17 @@ class TestFilteredExactEquivalence:
         assert np.array_equal(got_ids, ref_ids)
         assert got_scores.tobytes() == ref_scores.tobytes()
 
-    @pytest.mark.parametrize("select_dtype", ["float64", "float32"])
-    def test_duplicate_free_matrix_matches_rank_all(self, select_dtype):
-        """No duplicates, no ties: the repair must never change an answer."""
+    @pytest.mark.parametrize("selection", ["float64", "float32"])
+    def test_duplicate_free_matrix_matches_rank_all(self, selection):
+        """No duplicates, no ties: the band must never change an answer."""
         rng = np.random.default_rng(0)
         features = normalize_rows(rng.standard_normal((4096, 32)))
         queries = normalize_rows(rng.standard_normal((64, 32)))
         everything = np.ones(4096, dtype=bool)
         for k in (1, 10, 100):
             ids, scores = exact_top_k(
-                features, queries, k,
-                assume_normalized=True, select_dtype=select_dtype,
+                features.astype(selection), queries, k,
+                assume_normalized=True, rows=features,
             )
             ref_ids, ref_scores = brute_force(features, queries, k, everything, None)
             assert np.array_equal(ids, ref_ids)

@@ -115,8 +115,12 @@ class TestFilteredOverTheWire:
     def test_params_field_and_nprobe_disagreement(self, client):
         """``params.nprobe`` is the one spelling: a top-level ``"nprobe"``
         next to it is an unknown field, whether the two agree or not."""
-        result = client.top_k(3, 5, params={"select_dtype": "float32", "nprobe": 4})
+        result = client.top_k(3, 5, params={"nprobe": 4})
         assert result.ids.shape == (5,)
+        # The removed selection-precision hint is an unknown field.
+        with pytest.raises(ApiError) as excinfo:
+            client.top_k(3, 5, params={"select_dtype": "float32"})
+        assert excinfo.value.status == 400
         for path, shape in (
             (protocol.TOPK, {"node": 3}),
             (protocol.TOPK_BATCH, {"nodes": [3, 4]}),

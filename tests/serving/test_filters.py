@@ -351,13 +351,21 @@ class TestUnfilteredPinnedIdentity:
     """The default path answers the exact bytes it did before this change."""
 
     def test_exact_backend_both_select_dtypes(self):
+        """float64 selection, float32 selection, and the backend that
+        selects over its resident float32 copy: one answer."""
         features, queries, exclude = _pinned_corpus()
-        for dtype in ("float64", "float32"):
-            ids, scores = exact_top_k(
-                features, queries, 13,
-                assume_normalized=True, exclude=exclude, select_dtype=dtype,
-            )
-            assert _digest(ids, scores) == PINNED_EXACT, dtype
+        answers = {
+            "float64": exact_top_k(
+                features, queries, 13, assume_normalized=True, exclude=exclude
+            ),
+            "float32": exact_top_k(
+                features.astype(np.float32), queries, 13,
+                assume_normalized=True, exclude=exclude, rows=features,
+            ),
+            "backend": ExactBackend(features).search(queries, 13, exclude=exclude),
+        }
+        for name, (ids, scores) in answers.items():
+            assert _digest(ids, scores) == PINNED_EXACT, name
 
     def test_ivf_index(self):
         features, queries, exclude = _pinned_corpus()

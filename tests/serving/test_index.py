@@ -8,7 +8,12 @@ and bit-for-bit agreement with the exact backend at ``nprobe = nlist``.
 import numpy as np
 import pytest
 
-from repro.search.knn import batch_top_k, normalize_rows, top_k_similar
+from repro.search.knn import (
+    batch_top_k,
+    canonical_scores,
+    normalize_rows,
+    top_k_similar,
+)
 from repro.serving.index import (
     AUTO_EXACT_THRESHOLD,
     ExactBackend,
@@ -268,61 +273,87 @@ class TestKnnBatchConsistency:
 
 
 class TestIVFFloat32Selection:
-    """The float32 candidate selector: same answers, half the gather bytes."""
+    """What replaced the float32 candidate selector: one certified band.
+
+    IVF's rescoring selectors go through
+    :func:`repro.search.knn.select_band`, so a probed search equals the
+    canonical ranking of exactly the rows it probed — boundary near-ties
+    included — and no precision knob is left.
+    """
 
     @pytest.fixture()
     def corpus(self, clustered_unit_vectors):
         return clustered_unit_vectors(3000, 24, 32, seed=11)
 
+    @staticmethod
+    def _probed_oracle(index, queries, k, nprobe, exclude):
+        """Canonical ranking, ties by id, of each query's probed rows."""
+        ids = np.full((queries.shape[0], k), -1, dtype=np.intp)
+        scores = np.full((queries.shape[0], k), -np.inf)
+        # The index's own probe choice: same batch GEMM, same argpartition.
+        sims = queries @ index.centroids.T
+        probes = np.argpartition(-sims, nprobe - 1, axis=1)[:, :nprobe]
+        for row, query in enumerate(queries):
+            candidates = np.sort(np.concatenate([index.lists[j] for j in probes[row]]))
+            candidates = candidates[candidates != exclude[row]]
+            canon = canonical_scores(index.features, candidates, query)
+            order = np.lexsort((candidates, -canon))[:k]
+            ids[row, : order.size] = candidates[order]
+            scores[row, : order.size] = canon[order]
+        return ids, scores
+
     def test_results_match_float64_selector(self, corpus):
-        queries = corpus[:48]
-        exclude = np.arange(48)
-        f64 = IVFIndex(corpus, nlist=32, nprobe=6, seed=0)
-        f32 = IVFIndex(corpus, nlist=32, nprobe=6, seed=0, select_dtype="float32")
-        a_ids, a_scores = f64.search(queries, 10, exclude=exclude)
-        b_ids, b_scores = f32.search(queries, 10, exclude=exclude)
-        assert np.array_equal(a_ids, b_ids)
-        assert a_scores.tobytes() == b_scores.tobytes()
+        """Probed search == the canonical ranking of the probed rows, with
+        ten twins of row 5 straddling the k-th rank."""
+        features = corpus.copy()
+        features[1000:1010] = features[5]
+        index = IVFIndex(features, nlist=32, nprobe=6, seed=0)
+        queries = features[:48]
+        exclude = np.r_[-1, np.arange(1, 48)]
+        ids, scores = index.search(queries, 4, exclude=exclude)
+        ref_ids, ref_scores = self._probed_oracle(index, queries, 4, 6, exclude)
+        assert np.array_equal(ids, ref_ids)
+        assert scores.tobytes() == ref_scores.tobytes()
+        assert list(ids[5]) == [1000, 1001, 1002, 1003]
 
     def test_exhaustive_nprobe_stays_bit_identical_to_exact(self, corpus):
-        """nprobe >= nlist delegates to the exact engine; the float32
-        opt-in must preserve that bit-for-bit guarantee."""
+        """nprobe >= nlist delegates to the exact engine bit for bit."""
         exact = ExactBackend(corpus)
-        f32 = IVFIndex(corpus, nlist=16, nprobe=4, seed=0, select_dtype="float32")
+        index = IVFIndex(corpus, nlist=16, nprobe=4, seed=0)
         queries = corpus[:16]
         exclude = np.arange(16)
         a_ids, a_scores = exact.search(queries, 7, exclude=exclude)
-        b_ids, b_scores = f32.search(queries, 7, exclude=exclude, nprobe=16)
+        b_ids, b_scores = index.search(queries, 7, exclude=exclude, nprobe=16)
         assert np.array_equal(a_ids, b_ids)
         assert a_scores.tobytes() == b_scores.tobytes()
 
     def test_set_select_dtype_toggles(self, corpus):
+        """The precision knob is gone from the index and the factory."""
         index = IVFIndex(corpus, nlist=16, seed=0)
-        assert index.select_dtype == "float64" and index._select32 is None
-        index.set_select_dtype("float32")
-        assert index._select32 is not None
-        assert index._select32.dtype == np.float32
-        index.set_select_dtype("float64")
-        assert index._select32 is None
-        with pytest.raises(ValueError):
-            index.set_select_dtype("bfloat16")
+        assert not hasattr(index, "set_select_dtype")
+        with pytest.raises(TypeError):
+            IVFIndex(corpus, nlist=16, seed=0, select_dtype="float32")
+        with pytest.raises(TypeError):
+            make_backend(corpus, "ivf", nlist=16, select_dtype="float32")
 
     def test_refresh_carries_select_dtype(self, corpus):
-        index = IVFIndex(corpus, nlist=16, seed=0, select_dtype="float32")
+        """A refreshed index ranks its new rows canonically and keeps
+        counting into the same rescore counter."""
+        index = IVFIndex(corpus, nlist=16, nprobe=4, seed=0)
         moved = corpus.copy()
         moved[5] = moved[100]
         refreshed = index.refresh(moved)
-        assert refreshed.select_dtype == "float32"
-        # The float32 copy must come from the *new* features.
-        assert np.array_equal(
-            refreshed._select32, np.asarray(moved, dtype=np.float32)
-        )
+        assert refreshed.rescored_rows is index.rescored_rows
+        queries = moved[:8]
+        no_exclusion = np.full(8, -1)
+        ids, scores = refreshed.search(queries, 5)
+        ref_ids, ref_scores = self._probed_oracle(refreshed, queries, 5, 4, no_exclusion)
+        assert np.array_equal(ids, ref_ids)
+        assert scores.tobytes() == ref_scores.tobytes()
 
     def test_from_arrays_reloads_float64(self, corpus):
-        index = IVFIndex(corpus, nlist=16, seed=0, select_dtype="float32")
+        index = IVFIndex(corpus, nlist=16, seed=0)
         reloaded = IVFIndex.from_arrays(corpus, index.save_arrays())
-        assert reloaded.select_dtype == "float64"
-        reloaded.set_select_dtype("float32")
         queries = corpus[:8]
         a = index.search(queries, 5)
         b = reloaded.search(queries, 5)
@@ -330,8 +361,8 @@ class TestIVFFloat32Selection:
         assert a[1].tobytes() == b[1].tobytes()
 
     def test_service_applies_select_dtype_to_cached_index(self, tmp_path):
-        """QueryService(index_cache=True, select_dtype=float32): the
-        persisted-artifact reload path must re-apply the opt-in."""
+        """A reloaded index artifact answers like the one that was trained,
+        and describe() carries no precision field."""
         from repro.serving.service import QueryService, SearchRequest
         from repro.serving.store import EmbeddingStore
         from repro.serving.synth import synthetic_embedding
@@ -343,11 +374,9 @@ class TestIVFFloat32Selection:
         ) as trainer:
             baseline = trainer.search(SearchRequest(node=0, k=5))
         with QueryService(
-            store, backend="ivf", nlist=8, index_cache=True,
-            select_dtype="float32",
+            store, backend="ivf", nlist=8, index_cache=True
         ) as service:
-            assert service.backend.select_dtype == "float32"
-            assert service.describe()["select_dtype"] == "float32"
+            assert "select_dtype" not in service.describe()
             result = service.search(SearchRequest(node=0, k=5))
             assert np.array_equal(result.ids, baseline.ids)
             assert result.scores.tobytes() == baseline.scores.tobytes()

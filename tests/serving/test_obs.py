@@ -548,6 +548,45 @@ class TestOneInstrument:
             finally:
                 server.close()
 
+    def test_near_ties_show_in_the_rescore_counter(self, tmp_path):
+        """A corpus of duplicates widens the certified band: the rows it
+        rescores show in ``index_rescored_rows_total``, across a swap, and
+        ``describe()`` reports each shard's resident selection copy."""
+        from repro.core.embedding import PANEEmbedding
+        from repro.serving.store import EmbeddingStore
+        from repro.serving.synth import synthetic_embedding
+
+        base = synthetic_embedding(300, 8, seed=0)
+        x_forward, x_backward = base.x_forward.copy(), base.x_backward.copy()
+        x_forward[:150], x_backward[:150] = x_forward[0], x_backward[0]
+        duplicated = PANEEmbedding(
+            x_forward=x_forward, x_backward=x_backward, y=base.y, config=base.config
+        )
+        store = EmbeddingStore(tmp_path / "store", n_shards=2)
+        store.publish(base)
+        with QueryService(store, backend="exact") as service:
+            server = EmbeddingServer(service)  # never started
+            try:
+                assert service.describe()["memory"]["select_resident_bytes"] == [
+                    150 * 8 * 4,
+                    150 * 8 * 4,
+                ]
+                service.search(SearchRequest(node=0, k=5))
+                distinct = family_total(
+                    server.registry.as_dict(), "index_rescored_rows_total"
+                )
+                assert 5 <= distinct < 20
+                store.publish(duplicated)
+                service.refresh_to_latest()
+                service.search(SearchRequest(node=0, k=5))
+                # The 149 twins of node 0 all tie at the k-th score.
+                total = family_total(
+                    server.registry.as_dict(), "index_rescored_rows_total"
+                )
+                assert total - distinct >= 149
+            finally:
+                server.close()
+
     def test_one_topk_is_one_http_and_one_service_record(self, service):
         with EmbeddingServer(service) as server:
             client = ServingClient(server.url, retries=0)

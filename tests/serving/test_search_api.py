@@ -30,7 +30,7 @@ def service(store):
 class TestSearchParams:
     def test_defaults_are_all_none(self):
         params = SearchParams()
-        assert params.key() == (None, None, None)
+        assert params.key() == (None, None)
         assert params.to_json() == {}
 
     def test_validation(self):
@@ -38,11 +38,9 @@ class TestSearchParams:
             SearchParams(nprobe=0)
         with pytest.raises(ValueError):
             SearchParams(rescore_factor=0)
-        with pytest.raises(ValueError):
-            SearchParams(select_dtype="float16")
 
     def test_json_round_trip(self):
-        params = SearchParams(nprobe=4, rescore_factor=2, select_dtype="float32")
+        params = SearchParams(nprobe=4, rescore_factor=2)
         assert SearchParams.from_json(params.to_json()) == params
 
     @pytest.mark.parametrize(
@@ -51,7 +49,7 @@ class TestSearchParams:
             {"bogus": 1},
             {"nprobe": True},
             {"nprobe": "4"},
-            {"select_dtype": 32},
+            {"select_dtype": "float32"},  # a removed hint is an unknown field
         ],
     )
     def test_from_json_rejects_malformed(self, obj):

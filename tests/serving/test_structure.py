@@ -6,7 +6,10 @@ wiring and its own copy of the write-path gauges, and the copies drifted
 fork must not quietly come back before the event loop (ROADMAP item 1)
 replaces the one that is left.  Likewise the sharded store once had its
 own publish, manifest and fsck sweep beside the unsharded one's, and a
-torn sharded publish leaked shard data no sweep could see.
+torn sharded publish leaked shard data no sweep could see.  And the
+exact engine once had a float32 shortlist with a fixed oversample, a
+float64 boundary-repair loop and an IVF top-k without a tie band: three
+answers to one question, now one certified band.
 """
 
 from __future__ import annotations
@@ -98,3 +101,49 @@ def test_one_store_one_publish_one_verify_one_sweep():
     assert staging == {"serving/store.py:publish"}
     assert callers("_read_npy_header") == {"serving/fsck.py:verify_version"}
     assert callers("find_orphans") == {"serving/fsck.py:_sweep"}
+
+
+def _identifiers(node: ast.AST) -> list[str]:
+    """Every name a node spells: variables, attributes, arguments, keywords,
+    definitions and string constants."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.arg, ast.keyword)):
+        return [node.arg or ""]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value]
+    name = _name(node)
+    return [name] if name else []
+
+
+def test_one_certified_band_and_no_precision_knob():
+    """One function computes the exact engine's candidate band, every
+    rescoring selector goes through the one function that applies it, and
+    the selection-precision knob it replaced is gone from the tree."""
+    functions, knob = {}, []
+    for path in sorted(SRC.rglob("*.py")):
+        module = str(path.relative_to(SRC))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                functions.setdefault(node.name, []).append((module, node))
+            knob += [
+                f"{module}:{node.lineno}"
+                for name in _identifiers(node)
+                if "select_dtype" in name
+            ]
+
+    def callers(callee: str) -> set[str]:
+        return {
+            f"{module}:{name}"
+            for name, defs in functions.items()
+            for module, node in defs
+            if callee in _calls(node)
+        }
+
+    assert [module for module, _ in functions["certified_band"]] == ["search/knn.py"]
+    assert callers("certified_band") == {"search/knn.py:select_band"}
+    assert callers("select_band") == {
+        "search/knn.py:_select_and_rescore",
+        "serving/index.py:_rescored",
+    }
+    assert knob == []

@@ -433,8 +433,8 @@ class TestHTTPServeCli:
 
 
 class TestWireAndCoalesceCLI:
-    """PR-5 flags: serve coalescing/select-dtype, query select-dtype,
-    bench-http wire selection."""
+    """Serve coalescing flags, bench-http wire selection, and the exact
+    answer `query` prints."""
 
     @pytest.fixture()
     def embedding_file(self, graph_file, tmp_path, capsys):
@@ -447,35 +447,38 @@ class TestWireAndCoalesceCLI:
         args = build_parser().parse_args(["serve", "--store", "s"])
         assert args.coalesce_window_ms == 0.0
         assert args.coalesce_max_batch == 64
-        assert args.select_dtype == "float64"
-        args = build_parser().parse_args(["query", "--store", "s"])
-        assert args.select_dtype == "float64"
         args = build_parser().parse_args(["bench-http", "--url", "http://h:1"])
         assert args.wire == "auto"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["serve", "--store", "s", "--select-dtype", "float16"]
-            )
+        for command in ("serve", "query"):  # one exact engine, no precision flag
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    [command, "--store", "s", "--select-dtype", "float32"]
+                )
         with pytest.raises(SystemExit):
             build_parser().parse_args(
                 ["bench-http", "--url", "u", "--wire", "msgpack"]
             )
 
     def test_query_float32_matches_float64(self, embedding_file, tmp_path, capsys):
+        """`query` selects over float32 and prints the float64 engine's answer."""
+        from repro.search.knn import exact_top_k
+        from repro.serving.store import EmbeddingStore
+
         store = tmp_path / "store"
         assert main(
             ["serve", "--store", str(store), "--publish", str(embedding_file)]
         ) == 0
         capsys.readouterr()
-        outputs = {}
-        for dtype in ("float64", "float32"):
-            assert main(
-                ["query", "--store", str(store), "--node", "0", "--k", "5",
-                 "--backend", "exact", "--select-dtype", dtype]
-            ) == 0
-            lines = capsys.readouterr().out.strip().splitlines()
-            outputs[dtype] = lines[1:]  # drop the latency header line
-        assert outputs["float64"] == outputs["float32"]
+        assert main(
+            ["query", "--store", str(store), "--node", "0", "--k", "5",
+             "--backend", "exact"]
+        ) == 0
+        lines = capsys.readouterr().out.strip().splitlines()[1:]  # drop the header
+        features = np.asarray(EmbeddingStore(store).open().features)
+        ids, scores = exact_top_k(
+            features, features[0], 5, assume_normalized=True, exclude=np.array([0])
+        )
+        assert lines == [f"{node}\t{score:.4f}" for node, score in zip(ids, scores)]
 
     def test_serve_http_coalescing_subprocess(self, embedding_file, tmp_path):
         """The real CLI server with coalescing + binary wire end to end."""
@@ -490,14 +493,12 @@ class TestWireAndCoalesceCLI:
         assert main(
             ["serve", "--store", str(store), "--publish", str(embedding_file)]
         ) == 0
-        process, url = spawn_cli_server(
-            store, "--coalesce-window-ms", "1", "--select-dtype", "float32"
-        )
+        process, url = spawn_cli_server(store, "--coalesce-window-ms", "1")
         try:
             client = ServingClient(url, wire="binary")
             info = client.describe()
             assert info["coalescing"]["enabled"] is True
-            assert info["select_dtype"] == "float32"
+            assert "select_dtype" not in info
             remote = client.top_k(0, 5)
             assert remote.group is not None  # answered by the coalescer
             with QueryService(EmbeddingStore(store), backend="exact") as local:

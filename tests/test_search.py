@@ -5,6 +5,7 @@ import pytest
 
 from repro.search.knn import (
     batch_top_k,
+    canonical_scores,
     exact_top_k,
     normalize_rows,
     pairwise_cosine,
@@ -199,11 +200,22 @@ class TestExactTopK:
 
 
 class TestFloat32Selection:
-    """The opt-in float32 selection path: bit-identical via rescore."""
+    """Selection over a float32 copy, canonical rescore from the float64 rows.
+
+    The serving backend's engine: bit-identical to the float64 engine
+    because every row that can still rank sits in the certified band.
+    """
 
     def _corpus(self, n=4096, dim=32, seed=0):
         rng = np.random.default_rng(seed)
         return normalize_rows(rng.standard_normal((n, dim)))
+
+    @staticmethod
+    def _float32(feats, queries, k, **kwargs):
+        return exact_top_k(
+            feats.astype(np.float32), queries, k,
+            assume_normalized=True, rows=feats, **kwargs,
+        )
 
     def test_batch_bit_identical_to_float64(self):
         feats = self._corpus()
@@ -212,10 +224,7 @@ class TestFloat32Selection:
         ids64, s64 = exact_top_k(
             feats, queries, 10, assume_normalized=True, exclude=exclude
         )
-        ids32, s32 = exact_top_k(
-            feats, queries, 10, assume_normalized=True, exclude=exclude,
-            select_dtype="float32",
-        )
+        ids32, s32 = self._float32(feats, queries, 10, exclude=exclude)
         assert np.array_equal(ids64, ids32)
         assert s64.tobytes() == s32.tobytes()
 
@@ -226,10 +235,7 @@ class TestFloat32Selection:
                 feats, feats[node], 5, assume_normalized=True,
                 exclude=np.array([node]),
             )
-            b = exact_top_k(
-                feats, feats[node], 5, assume_normalized=True,
-                exclude=np.array([node]), select_dtype="float32",
-            )
+            b = self._float32(feats, feats[node], 5, exclude=np.array([node]))
             assert np.array_equal(a[0], b[0])
             assert a[1].tobytes() == b[1].tobytes()
 
@@ -239,9 +245,7 @@ class TestFloat32Selection:
         base = self._corpus(n=16, dim=8, seed=2)
         feats = np.tile(base, (4, 1))  # every row appears 4x
         a = exact_top_k(feats, feats[:8], 9, assume_normalized=True)
-        b = exact_top_k(
-            feats, feats[:8], 9, assume_normalized=True, select_dtype="float32"
-        )
+        b = self._float32(feats, feats[:8], 9)
         assert np.array_equal(a[0], b[0])
         assert a[1].tobytes() == b[1].tobytes()
 
@@ -250,21 +254,34 @@ class TestFloat32Selection:
         a = exact_top_k(
             feats, feats[:2], 6, assume_normalized=True, exclude=np.array([0, -1])
         )
-        b = exact_top_k(
-            feats, feats[:2], 6, assume_normalized=True,
-            exclude=np.array([0, -1]), select_dtype="float32",
-        )
+        b = self._float32(feats, feats[:2], 6, exclude=np.array([0, -1]))
         assert np.array_equal(a[0], b[0])
         assert a[1].tobytes() == b[1].tobytes()
         assert a[0][0, -1] == -1 and a[1][0, -1] == -np.inf
 
-    def test_precomputed_select_features(self):
+    def test_precomputed_select_features(self, tmp_path):
+        """The backend's resident copy is the float32 cast, whether cast
+        from an array or streamed by ``pread`` from a store's file."""
+        from repro.serving.index import ExactBackend
+        from repro.serving.store import EmbeddingStore, RowReader
+        from repro.serving.synth import synthetic_embedding
+
         feats = self._corpus(n=256, dim=8, seed=4)
-        cast = np.asarray(feats, dtype=np.float32)
-        a = exact_top_k(feats, feats[:4], 7, assume_normalized=True,
-                        select_dtype="float32")
-        b = exact_top_k(feats, feats[:4], 7, assume_normalized=True,
-                        select_dtype="float32", select_features=cast)
+        in_memory = ExactBackend(feats)
+        assert in_memory.rows is feats
+        assert np.array_equal(in_memory.select, feats.astype(np.float32))
+
+        store = EmbeddingStore(tmp_path / "store")
+        store.publish(synthetic_embedding(300, 8, seed=4))
+        mapped = np.asarray(store.open().features)
+        backend = ExactBackend(store.open().features)
+        assert isinstance(backend.rows, RowReader)
+        assert np.array_equal(backend.select, mapped.astype(np.float32))
+        assert np.array_equal(backend.rows[[5, 2, 5, 299]], mapped[[5, 2, 5, 299]])
+        assert np.array_equal(backend.rows[7], mapped[7])
+        a = backend.search(mapped[:4], 7, exclude=np.arange(4))
+        b = exact_top_k(mapped, mapped[:4], 7, assume_normalized=True,
+                        exclude=np.arange(4))
         assert np.array_equal(a[0], b[0])
         assert a[1].tobytes() == b[1].tobytes()
 
@@ -272,41 +289,51 @@ class TestFloat32Selection:
         feats = self._corpus(n=64, dim=8, seed=5)
         with pytest.raises(ValueError):
             exact_top_k(
-                feats, feats[0], 3, assume_normalized=True,
-                select_dtype="float32",
-                select_features=np.zeros((3, 8), dtype=np.float32),
+                feats.astype(np.float32), feats[0], 3, assume_normalized=True,
+                rows=np.zeros((3, 8)),
             )
+        with pytest.raises(ValueError):  # rows are read as given: unit rows
+            exact_top_k(feats, feats[0], 3, rows=feats)
 
     def test_unknown_select_dtype_rejected(self):
+        """The band is certified for float32 and float64 selection only."""
         feats = self._corpus(n=8, dim=4, seed=6)
         with pytest.raises(ValueError):
-            exact_top_k(feats, feats[0], 2, select_dtype="float16")
+            exact_top_k(
+                feats.astype(np.float16), feats[0], 2, assume_normalized=True,
+                rows=feats,
+            )
 
     def test_default_unchanged(self):
-        """The float64 path is the default; no opt-in, no behavior change."""
+        """The float64 path equals a full canonical ranking."""
         feats = self._corpus(n=128, dim=8, seed=7)
-        a = exact_top_k(feats, feats[:4], 5, assume_normalized=True)
-        b = exact_top_k(
-            feats, feats[:4], 5, assume_normalized=True, select_dtype="float64"
-        )
-        assert np.array_equal(a[0], b[0])
-        assert a[1].tobytes() == b[1].tobytes()
+        ids, scores = exact_top_k(feats, feats[:4], 5, assume_normalized=True)
+        everyone = np.arange(128)
+        for row in range(4):
+            full = canonical_scores(feats, everyone, feats[row])
+            order = np.lexsort((everyone, -full))[:5]
+            assert np.array_equal(ids[row], order)
+            assert scores[row].tobytes() == full[order].tobytes()
 
     def test_backend_and_service_opt_in(self):
+        """No opt-in is left: the exact backend *is* float32 selection."""
         from repro.serving.index import ExactBackend, make_backend
 
         feats = self._corpus(n=300, dim=8, seed=8)
-        reference = ExactBackend(feats)
-        fast = make_backend(feats, "exact", select_dtype="float32")
-        assert isinstance(fast, ExactBackend)
-        assert fast.select_dtype == "float32"
-        a = reference.search(feats[:6], 9, exclude=np.arange(6))
-        b = fast.search(feats[:6], 9, exclude=np.arange(6))
+        backend = make_backend(feats, "exact")
+        assert isinstance(backend, ExactBackend)
+        assert backend.resident_bytes == feats.size * 4
+        a = exact_top_k(
+            feats, feats[:6], 9, assume_normalized=True, exclude=np.arange(6)
+        )
+        b = backend.search(feats[:6], 9, exclude=np.arange(6))
         assert np.array_equal(a[0], b[0])
         assert a[1].tobytes() == b[1].tobytes()
+        with pytest.raises(TypeError):
+            make_backend(feats, "exact", select_dtype="float32")
 
     def test_backend_rejects_unknown_dtype(self):
         from repro.serving.index import ExactBackend
 
         with pytest.raises(ValueError):
-            ExactBackend(self._corpus(n=8, dim=4), select_dtype="int8")
+            ExactBackend(self._corpus(n=8, dim=4).astype(np.float32))
