@@ -47,8 +47,15 @@ MAX_PAIRWISE_ELEMENTS = 2**27
 DEFAULT_TILE_SIZE = 128
 
 # Elements gathered per canonical-rescore chunk (bounds the ``rows × dim``
-# copy when a band of near-ties holds a large fraction of the rows).
-_RESCORE_CHUNK_ELEMENTS = 2**22
+# copies, 2 MiB each, when a band of near-ties holds a large fraction of
+# the rows).
+_RESCORE_CHUNK_ELEMENTS = 2**18
+
+# Band candidates rescored at once (≈ 60 bytes of bookkeeping each).  A
+# tile whose bands hold more — zero queries, which tie every row, or a
+# duplicate-heavy corpus — is rescored a few queries at a time; one
+# query's band is never split.
+_BAND_CANDIDATES = 2**16
 
 # Unit roundoff and smallest subnormal of each selection dtype.
 _ROUNDING = {
@@ -92,10 +99,8 @@ def certified_band(dim: int, dtype) -> float:
     return 2 * delta + 2 * terms * subnormal
 
 
-def select_band(
-    scores: np.ndarray, k: int, dim: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(row, column)`` of every candidate in each row's certified band.
+def select_band(scores: np.ndarray, k: int, dim: int) -> np.ndarray:
+    """Boolean ``(q, m)`` mask of every candidate in each row's certified band.
 
     ``scores`` is ``(q, m)`` selection scores of ``dim``-element unit
     vectors, in the dtype they were computed in (higher is better,
@@ -104,9 +109,8 @@ def select_band(
     canonical top-k (ties by id) is always among a row's candidates and a
     row has at least ``k`` of them.  Masked columns are candidates only
     when a row has fewer than ``k`` live ones; callers drop them by their
-    ``-inf`` score.  Output is row-major, columns ascending.  The one
-    place that decides what the exact engine and the IVF selectors
-    rescore.
+    ``-inf`` score.  The one place that decides what the exact engine and
+    the IVF selectors rescore.
     """
     kth = np.partition(scores, scores.shape[1] - k, axis=1)[:, scores.shape[1] - k]
     # In float64, one ulp down for the subtraction's own rounding, then
@@ -118,7 +122,7 @@ def select_band(
     limit = np.where(
         limit > exact, np.nextafter(limit, scores.dtype.type(-np.inf)), limit
     )
-    return np.nonzero(scores >= limit[:, np.newaxis])
+    return scores >= limit[:, np.newaxis]
 
 
 def _normalize(features: np.ndarray) -> np.ndarray:
@@ -503,6 +507,7 @@ def exact_top_k(
     tile_size: int = DEFAULT_TILE_SIZE,
     node_filter: CompiledFilter | None = None,
     rows=None,
+    rescored=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact cosine top-k of query *vectors* against every row of ``features``.
 
@@ -540,6 +545,10 @@ def exact_top_k(
         Defaults to ``features``.  Lets a caller select over a resident
         float32 copy and rescore from the float64 store; needs
         ``assume_normalized``.
+    rescored:
+        Optional counter (anything with ``inc(n)``, e.g. a
+        :class:`repro.serving.obs.metrics.Counter`) told how many rows
+        the call rescored.
 
     Returns
     -------
@@ -598,7 +607,7 @@ def exact_top_k(
         elif node_filter.n_allowed < n:
             disallowed = np.nonzero(~node_filter.mask)[0]
 
-    ids, scores = _select_and_rescore(
+    ids, scores, n_rescored = _select_and_rescore(
         features,
         rows,
         queries,
@@ -608,6 +617,8 @@ def exact_top_k(
         disallowed=disallowed,
         tile_size=tile_size,
     )
+    if rescored is not None:
+        rescored.inc(n_rescored)
     if single:
         return ids[0], scores[0]
     return ids, scores
@@ -623,15 +634,18 @@ def _select_and_rescore(
     columns: np.ndarray | None,
     disallowed: np.ndarray | None,
     tile_size: int,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Certified selection, then the canonical rescore, one query tile at a time.
 
     ``columns`` (ascending global ids) restricts the scan to a gathered
     subset, so subset-local order is global id order; ``disallowed``
     masks columns of the full scan.  Every candidate in
     :func:`select_band`'s band is rescored from ``rows`` and each query's
-    top-k taken by ``(-score, id)``.  ``k`` is already clamped to the
+    top-k taken by ``(-score, id)``; a tile's bands are rescored in
+    groups of queries holding at most :data:`_BAND_CANDIDATES` between
+    them (:func:`_band_groups`).  ``k`` is already clamped to the
     population; columns a subset cannot fill pad with ``-1`` / ``-inf``.
+    Also returns how many rows were rescored.
     """
     n_queries, dim = queries.shape[0], features.shape[1]
     select = features if columns is None else np.ascontiguousarray(features[columns])
@@ -646,6 +660,7 @@ def _select_and_rescore(
         exclude = np.where(hit, position, -1)
     ids = np.full((n_queries, k), -1, dtype=np.intp)
     scores = np.full((n_queries, k), -np.inf, dtype=np.float64)
+    n_rescored = 0
     step = max(1, tile_size)
     for start in range(0, n_queries, step):
         stop = min(start + step, n_queries)
@@ -655,22 +670,41 @@ def _select_and_rescore(
         if exclude is not None:
             masked = np.nonzero(exclude[start:stop] >= 0)[0]
             block[masked, exclude[start + masked]] = -np.inf
-        owner, cols = select_band(block, width, dim)
-        candidates = cols if columns is None else columns[cols]
-        # Masked columns enter the band only when a row has fewer than k
-        # live ones: they stay -inf (padding below) and are never read.
-        canon = np.full(candidates.shape, -np.inf)
-        live = np.nonzero(block[owner, cols] > -np.inf)[0]
-        canon[live] = _canonical(rows, candidates[live], queries, start + owner[live])
-        # Per query: canonical score descending, then ascending id — what
-        # makes sharded scatter-gather bit-identical to this engine.
-        order = np.lexsort((candidates, -canon, owner))
-        counts = np.bincount(owner, minlength=stop - start)
-        take = order[(np.cumsum(counts) - counts)[:, np.newaxis] + np.arange(width)]
-        ids[start:stop, :width] = candidates[take]
-        scores[start:stop, :width] = canon[take]
+        band = select_band(block, width, dim)
+        counts = np.count_nonzero(band, axis=1)
+        for lo, hi in _band_groups(counts):
+            owner, cols = np.nonzero(band[lo:hi])
+            candidates = cols if columns is None else columns[cols]
+            # Masked columns enter the band only when a row has fewer than
+            # k live ones: they stay -inf (padding below) and are never read.
+            canon = np.full(candidates.shape, -np.inf)
+            live = np.nonzero(block[lo + owner, cols] > -np.inf)[0]
+            canon[live] = _canonical(
+                rows, candidates[live], queries, start + lo + owner[live]
+            )
+            n_rescored += live.size
+            # Per query: canonical score descending, then ascending id —
+            # what makes sharded scatter-gather bit-identical to this engine.
+            order = np.lexsort((candidates, -canon, owner))
+            first = np.cumsum(counts[lo:hi]) - counts[lo:hi]
+            take = order[first[:, np.newaxis] + np.arange(width)]
+            ids[start + lo : start + hi, :width] = candidates[take]
+            scores[start + lo : start + hi, :width] = canon[take]
     ids[scores == -np.inf] = -1
-    return ids, scores
+    return ids, scores, n_rescored
+
+
+def _band_groups(counts: np.ndarray):
+    """``(lo, hi)`` runs of consecutive queries whose bands hold at most
+    :data:`_BAND_CANDIDATES` candidates together (a single query's band
+    may hold more, and is then a run of its own)."""
+    lo, held = 0, 0
+    for row, count in enumerate(counts.tolist()):
+        if row > lo and held + count > _BAND_CANDIDATES:
+            yield lo, row
+            lo, held = row, 0
+        held += count
+    yield lo, counts.size
 
 
 def _canonical(rows, ids: np.ndarray, queries: np.ndarray, query_rows: np.ndarray):

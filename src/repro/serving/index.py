@@ -18,7 +18,8 @@ matrix.  Two implementations:
   identical exact engine, single and batch queries alike).
 
 Both rescore through :func:`repro.search.knn.select_band`, and count the
-rows they rescore into a ``rescored_rows`` counter.
+rows they rescore into ``rescored_rows``: the counter of the service that
+activated them, or none.
 
 Everything is pure numpy and seeded through
 :func:`repro.utils.rng.ensure_rng`, like :mod:`repro.core.randsvd`.
@@ -68,29 +69,6 @@ def filtered_probe_width(nprobe: int, nlist: int, selectivity: float) -> int:
     return min(nlist, max(nprobe, int(np.ceil(nprobe / selectivity))))
 
 
-def rescored_rows_counter() -> Counter:
-    """A backend's own ``index_rescored_rows_total`` until a service shares one."""
-    return Counter(
-        "index_rescored_rows_total",
-        "Float64 rows canonically rescored after certified selection "
-        "(k plus the near-ties of the k-th, per query)",
-        (),
-    )
-
-
-class _CountedRows:
-    """A rescore row source that counts the rows it hands out."""
-
-    def __init__(self, rows, counter: Counter) -> None:
-        self.rows = rows
-        self.shape = rows.shape
-        self._counter = counter
-
-    def __getitem__(self, ids):
-        self._counter.inc(len(ids))
-        return self.rows[ids]
-
-
 class SearchBackend(abc.ABC):
     """Cosine top-k search over a fixed matrix of unit-norm rows."""
 
@@ -105,6 +83,10 @@ class SearchBackend(abc.ABC):
     # (:class:`repro.search.knn.CompiledFilter`); same attribute-dispatch
     # pattern as SUPPORTS_NPROBE.
     SUPPORTS_FILTER = False
+
+    # Where the rows this backend rescores are counted: set by
+    # ``QueryService.activate``; a backend used on its own counts nothing.
+    rescored_rows: Counter | None = None
 
     @property
     def n_vectors(self) -> int:
@@ -164,7 +146,6 @@ class ExactBackend(SearchBackend):
             if isinstance(self.rows, RowReader)
             else np.asarray(features, dtype=np.float32)
         )
-        self.rescored_rows = rescored_rows_counter()
 
     @property
     def resident_bytes(self) -> int:
@@ -186,7 +167,8 @@ class ExactBackend(SearchBackend):
             assume_normalized=True,
             exclude=exclude,
             node_filter=node_filter,
-            rows=_CountedRows(self.rows, self.rescored_rows),
+            rows=self.rows,
+            rescored=self.rescored_rows,
         )
 
 
@@ -263,7 +245,6 @@ class IVFIndex(SearchBackend):
         self.assignments = _assign(features, self.centroids)
         self._lists = _build_lists(self.assignments, nlist)
         self.last_rebuild: IVFRebuildStats | None = None
-        self.rescored_rows = rescored_rows_counter()
 
     # ------------------------------------------------------------------
     @property
@@ -324,7 +305,7 @@ class IVFIndex(SearchBackend):
             return exact_top_k(
                 self.features, queries, k, assume_normalized=True, exclude=exclude,
                 node_filter=node_filter,
-                rows=_CountedRows(self.features, self.rescored_rows),
+                rescored=self.rescored_rows,
             )
         single = np.ndim(queries) == 1
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
@@ -462,12 +443,13 @@ class IVFIndex(SearchBackend):
                 selection[excluded] = -np.inf
         else:
             selection = self.features[candidates] @ query
-        _, band = select_band(
-            selection[np.newaxis], min(k, selection.shape[0]), self.dim
-        )
+        band = np.nonzero(
+            select_band(selection[np.newaxis], min(k, selection.shape[0]), self.dim)[0]
+        )[0]
         band = band[selection[band] > -np.inf]
         chosen = band if candidates is None else candidates[band]
-        self.rescored_rows.inc(chosen.shape[0])
+        if self.rescored_rows is not None:
+            self.rescored_rows.inc(chosen.shape[0])
         canon = canonical_scores(self.features, chosen, query)
         order = np.lexsort((chosen, -canon))[:k]
         return chosen[order], canon[order]
@@ -510,7 +492,6 @@ class IVFIndex(SearchBackend):
             n_lists_rebuilt=int(affected.shape[0]),
             n_lists_total=self.nlist,
         )
-        clone.rescored_rows = self.rescored_rows
         return clone
 
     # -- persistence ---------------------------------------------------
@@ -545,7 +526,6 @@ class IVFIndex(SearchBackend):
         index.assignments = assignments
         index._lists = _build_lists(assignments, index.centroids.shape[0])
         index.last_rebuild = None
-        index.rescored_rows = rescored_rows_counter()
         return index
 
 

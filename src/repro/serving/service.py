@@ -57,7 +57,6 @@ from repro.serving.index import (
     IVFIndex,
     SearchBackend,
     make_backend,
-    rescored_rows_counter,
     resolve_kind,
 )
 from repro.serving.sharding.pq import IVFPQBackend, PQBackend
@@ -319,9 +318,14 @@ class QueryService:
             "request includes its wait)",
             (),
         )
-        # Every backend this service activates counts into this one object,
-        # so the series survives version swaps.
-        self.rescored_rows_total = rescored_rows_counter()
+        # Every backend this service activates counts into this one object
+        # (SearchBackend.rescored_rows), so the series survives swaps.
+        self.rescored_rows_total = Counter(
+            "index_rescored_rows_total",
+            "Float64 rows canonically rescored after certified selection "
+            "(k plus the near-ties of the k-th, per query)",
+            (),
+        )
         self.pool = WorkerPool(max(1, n_threads))
         self._active: _ActiveVersion | None = None
         self.activate(version)
@@ -357,8 +361,7 @@ class QueryService:
             stored = self._store.open(version)
             backend = index if index is not None else self._build_backend(stored)
             for leaf in _leaf_backends(backend):
-                if hasattr(leaf, "rescored_rows"):
-                    leaf.rescored_rows = self.rescored_rows_total
+                leaf.rescored_rows = self.rescored_rows_total
             outgoing = self._active.backend if self._active is not None else None
             if isinstance(backend, ShardRouter) and isinstance(outgoing, ShardRouter):
                 # Every swap installs a new router; the per-shard series

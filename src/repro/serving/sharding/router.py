@@ -226,9 +226,11 @@ class ShardRouter(SearchBackend):
         refresh incrementally (quantizer kept, only changed inverted
         lists rebuilt — see :meth:`IVFIndex.refresh`), PQ/IVF-PQ backends
         keep their codec (and coarse quantizer) and only re-encode, and
-        exact backends just point at the new segment matrix.  Aggregate
-        IVF rebuild work lands in :attr:`last_rebuild`.  Requires the
-        version to keep the same partition layout (same node count).
+        exact backends are rebuilt over the new segment, which re-streams
+        their float32 selection copy (``n·dim·4`` bytes by ``pread``).
+        Aggregate IVF rebuild work lands in :attr:`last_rebuild`.
+        Requires the version to keep the same partition layout (same node
+        count).
         """
         from repro.serving.index import ExactBackend, IVFRebuildStats
         from repro.serving.sharding.pq import PQBackend

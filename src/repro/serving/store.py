@@ -185,11 +185,6 @@ def shard_array_shape(manifest: dict, name: str, n_rows: int) -> list:
 # Bytes per ``pread`` when a reader streams a whole matrix (the exact
 # backend's float32 copy): bounds the transient buffer, not the result.
 _STREAM_BYTES = 4 << 20
-# Up to this many rows are read one ``pread`` each; more (a band of
-# near-ties, a batch) share one ``pread`` per run of rows at most
-# ``_GAP_ROWS`` apart, the rows between them read and dropped.
-_FEW_ROWS = 64
-_GAP_ROWS = 8
 
 
 class RowReader:
@@ -202,8 +197,9 @@ class RowReader:
     backend's float32 copy — from a reader, so a version's ``features``
     cost page cache, not resident memory (and a cold cache means disk
     reads, not page faults).  ``reader[i]`` is one row, ``reader[ids]``
-    a ``(len(ids), dim)`` gather.  The descriptor closes when the reader
-    is collected: for a served version, with the last snapshot pinning it.
+    a ``(len(ids), dim)`` gather, one ``pread`` per row.  The descriptor
+    closes when the reader is collected: for a served version, with the
+    last snapshot pinning it.
     """
 
     def __init__(self, path, *, offset: int, shape: tuple, dtype=np.float64) -> None:
@@ -237,22 +233,8 @@ class RowReader:
             raise IndexError(f"row index out of range for {n} rows")
         flat = flat % n
         out = np.empty((flat.size, dim), self.dtype)
-        if flat.size <= _FEW_ROWS:  # a query row, a rescore band: one pread each
-            for i, row in enumerate(flat.tolist()):
-                self._read(row, row + 1, out=out[i : i + 1])
-            return out.reshape(ids.shape + (dim,))
-        order = np.argsort(flat, kind="stable")
-        wanted = flat[order]
-        # One pread per run of nearby rows, and no run crosses a stream
-        # block: a band covering the whole matrix reads in bounded pieces.
-        block = max(1, _STREAM_BYTES // max(1, self._row_bytes))
-        cuts = np.nonzero(
-            (np.diff(wanted) > _GAP_ROWS) | (np.diff(wanted // block) != 0)
-        )[0] + 1
-        for lo, hi in zip([0, *cuts], [*cuts, flat.size]):
-            first = wanted[lo]
-            span = self._read(first, wanted[hi - 1] + 1)
-            out[order[lo:hi]] = span[wanted[lo:hi] - first]
+        for i, row in enumerate(flat.tolist()):
+            self._read(row, out[i : i + 1])
         return out.reshape(ids.shape + (dim,))
 
     def read_all(self, dtype) -> np.ndarray:
@@ -263,16 +245,14 @@ class RowReader:
         buffer = np.empty((min(step, n), dim), self.dtype)
         for start in range(0, n, step):
             stop = min(start + step, n)
-            out[start:stop] = self._read(start, stop, out=buffer[: stop - start])
+            out[start:stop] = self._read(start, buffer[: stop - start])
         return out
 
-    def _read(self, start: int, stop: int, *, out: np.ndarray | None = None) -> np.ndarray:
-        """Rows ``[start, stop)`` by one ``pread``, into ``out`` or a new array."""
-        if out is None:
-            out = np.empty((stop - start, self.shape[1]), self.dtype)
+    def _read(self, start: int, out: np.ndarray) -> np.ndarray:
+        """Rows from ``start`` on, one ``pread`` filling ``out``."""
         got = os.preadv(self._fd, [out], self.offset + int(start) * self._row_bytes)
         if got != out.nbytes:  # a regular file reads short only at its end
-            raise OSError(errno.EIO, f"{self.path} ends before row {stop}")
+            raise OSError(errno.EIO, f"{self.path} ends before row {start + len(out)}")
         return out
 
 

@@ -180,3 +180,46 @@ class TestExactSelection:
         _assert_matches(features, query[np.newaxis], 3, exclude=np.array([0]))
         keep_twins = np.array([False, True, True, True, False, True, False])
         _assert_matches(features, query[np.newaxis], 2, mask=keep_twins)
+
+    def test_a_batch_of_zero_node_queries(self, monkeypatch):
+        """Zero rows (isolated nodes without features) queried by node.
+
+        A zero query ties every row, so each query's band is the whole
+        corpus.  The batch still matches the oracle, every live row of
+        every band is rescored, and the engine holds one query's band at
+        a time once a tile's bands outgrow its budget — not the tile's.
+        """
+        import tracemalloc
+
+        from repro.search import knn
+
+        rng = np.random.default_rng(5)
+        n, dim, k = 4000, 16, 10
+        features = normalize_rows(rng.standard_normal((n, dim)))
+        nodes = np.arange(0, n, 50)
+        features[nodes] = 0.0
+        queries = features[nodes]
+        _assert_matches(features, queries, k, exclude=nodes)
+
+        class Tally:
+            total = 0
+
+            def inc(self, amount):
+                self.total += amount
+
+        monkeypatch.setattr(knn, "_BAND_CANDIDATES", n)
+        backend = ExactBackend(features)
+        backend.rescored_rows = Tally()
+        tracemalloc.start()
+        try:
+            ids, scores = backend.search(queries, k, exclude=nodes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        ref_ids, ref_scores = oracle(features, queries, k, exclude=nodes)
+        assert np.array_equal(ids, ref_ids)
+        assert scores.tobytes() == ref_scores.tobytes()
+        assert backend.rescored_rows.total == nodes.size * (n - 1)
+        # The whole tile's band at once is 80 × 3999 candidates: tens of
+        # MiB of indices, gathers and sort keys.  One query's is ≈ 0.3.
+        assert peak < 6 << 20

@@ -337,13 +337,13 @@ class TestIVFFloat32Selection:
             make_backend(corpus, "ivf", nlist=16, select_dtype="float32")
 
     def test_refresh_carries_select_dtype(self, corpus):
-        """A refreshed index ranks its new rows canonically and keeps
-        counting into the same rescore counter."""
+        """A refreshed index ranks its new rows canonically; like any
+        backend it counts rescored rows only once a service activates it."""
         index = IVFIndex(corpus, nlist=16, nprobe=4, seed=0)
         moved = corpus.copy()
         moved[5] = moved[100]
         refreshed = index.refresh(moved)
-        assert refreshed.rescored_rows is index.rescored_rows
+        assert refreshed.rescored_rows is None
         queries = moved[:8]
         no_exclusion = np.full(8, -1)
         ids, scores = refreshed.search(queries, 5)
