@@ -129,7 +129,7 @@ def check_trace(url: str) -> None:
             time.sleep(0.02)
     assert trace is not None, "supplied request id never surfaced in traces"
     names = [span["name"] for span in trace["spans"]]
-    assert "parse" in names and "serialize" in names, names
+    assert "parse" in names and "encode" in names and "write" in names, names
     print(f"  trace ok: id echoed, spans {names}")
 
 

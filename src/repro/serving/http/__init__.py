@@ -2,8 +2,10 @@
 
 The network layer over :class:`~repro.serving.service.QueryService`:
 
-- :class:`EmbeddingServer` — threaded stdlib HTTP server with JSON
-  endpoints, structured errors, and graceful drain (``server.py``);
+- :class:`EmbeddingServer` — thread-per-connection HTTP server with
+  JSON endpoints, structured errors, and graceful drain (``server.py``);
+- :mod:`~repro.serving.http.wire` — the HTTP/1.1 codec the server, the
+  client and the standby's feed fetch share;
 - :mod:`~repro.serving.http.protocol` — the wire schema both sides
   share: validation, error envelope, bit-exact score encoding;
 - :class:`ServingClient` — retrying, replica-fanning client

@@ -10,8 +10,9 @@
   serving state and is never retried — a timeout there must surface to
   the caller, who knows whether re-applying is safe.
 - **Keep-alive reuse.**  Each replica keeps a small pool of idle
-  ``HTTPConnection`` objects; a request checks one out, exchanges, and
-  returns it unless the server asked to close.  No TCP handshake per
+  :class:`~repro.serving.http.wire.Connection` objects; a request
+  checks one out, exchanges, and returns it unless the server asked to
+  close.  No TCP handshake per
   request — the single biggest fixed cost of the old
   connection-per-request scheme.  Non-idempotent requests always use a
   fresh connection, so a stale pooled socket can never fail a refresh.
@@ -39,8 +40,6 @@ seconds of its request, and the fleet view is the servers'
 
 from __future__ import annotations
 
-import http.client
-import socket
 import threading
 import time
 from collections import deque
@@ -51,7 +50,7 @@ from urllib.parse import urlsplit
 import numpy as np
 
 from repro.search.knn import NodeFilter
-from repro.serving.http import protocol
+from repro.serving.http import protocol, wire
 from repro.serving.http.protocol import ApiError
 from repro.serving.obs.trace import new_request_id
 
@@ -162,31 +161,19 @@ class _Replica:
         # Has this replica ever answered with a binary frame?  Once yes,
         # request bodies may upgrade to frames too (wire="auto").
         self.binary_seen = False
-        self._idle: list[http.client.HTTPConnection] = []
+        self._idle: list[wire.Connection] = []
         self._pool_lock = threading.Lock()
         self._closed = False
 
-    def _acquire(
-        self, timeout_s: float, fresh: bool
-    ) -> tuple[http.client.HTTPConnection, bool]:
+    def _acquire(self, timeout_s: float, fresh: bool) -> tuple[wire.Connection, bool]:
         """A connection plus whether it came from the pool (= may be stale)."""
         if not fresh:
             with self._pool_lock:
                 if self._idle:
                     return self._idle.pop(), True
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=timeout_s
-        )
-        connection.connect()
-        # Request bodies also go out as multiple small writes; without
-        # TCP_NODELAY each exchange can stall ~40 ms behind the peer's
-        # delayed ACK (Nagle), which dominates every latency number.
-        connection.sock.setsockopt(
-            socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
-        )
-        return connection, False
+        return wire.Connection(self.host, self.port, timeout_s), False
 
-    def _release(self, connection: http.client.HTTPConnection) -> None:
+    def _release(self, connection: wire.Connection) -> None:
         with self._pool_lock:
             # close() must be final: a request that was in flight when the
             # pool drained would otherwise resurrect its socket into the
@@ -242,45 +229,36 @@ class _Replica:
         decoded to a payload dict with ndarray fields (and mark the
         replica binary-capable); anything else parses as JSON.
         """
+        headers = {"Accept": accept}
+        if extra_headers:
+            headers.update(extra_headers)
+        if body is not None:
+            headers["Content-Type"] = content_type
         while True:
             connection, pooled = self._acquire(timeout_s, fresh)
-            reusable = False
             try:
-                if pooled and connection.sock is not None:
+                if pooled:
                     # A pooled socket keeps the timeout it was dialed
                     # with; deadline-capped attempts need *this*
                     # attempt's budget.  (A dead pooled socket raises
                     # here and takes the stale-redial path below.)
                     connection.sock.settimeout(timeout_s)
-                headers = {"Accept": accept}
-                if extra_headers:
-                    headers.update(extra_headers)
-                if body is not None:
-                    headers["Content-Type"] = content_type
-                connection.request(
-                    method, self.prefix + path, body=body, headers=headers
+                response = connection.exchange(
+                    method, self.prefix + path, headers, body
                 )
-                response = connection.getresponse()
-                raw = response.read()
-                status = response.status
-                response_type = (
-                    (response.getheader("Content-Type") or "")
-                    .split(";")[0]
-                    .strip()
-                )
-                lsn_header = response.getheader(protocol.LSN_HEADER)
-                reusable = not response.will_close
-            except (OSError, http.client.HTTPException):
+            except OSError:
                 connection.close()
                 if pooled:
                     continue  # stale keep-alive socket: redial, don't charge
                 raise
+            if response.will_close:
+                connection.close()
             else:
-                if reusable:
-                    self._release(connection)
-                else:
-                    connection.close()
+                self._release(connection)
             break
+        status, raw = response.status, response.body
+        response_type = response.headers.get("content-type", "").split(";")[0].strip()
+        lsn_header = response.headers.get(protocol.LSN_HEADER.lower())
         try:
             lsn_served = int(lsn_header) if lsn_header is not None else None
         except ValueError:
@@ -506,7 +484,7 @@ class ServingClient:
                         fresh=not idempotent,
                         extra_headers=extra_headers,
                     )
-                except (OSError, http.client.HTTPException) as error:
+                except OSError as error:
                     failures[target.base_url] = f"{type(error).__name__}: {error}"
                     attempt_log.append(
                         {

@@ -1,9 +1,11 @@
 """Threaded HTTP front-end, and the embedding server built on it.
 
 :class:`HttpFrontEnd` is the one HTTP listener in the package: a
-``ThreadingHTTPServer`` plus the request plumbing (request ids, bounded
-body reads, keep-alive hygiene, JSON envelopes on every verb, drain,
-error counts, tracing) over *any* route table.  The data port
+``ThreadingTCPServer`` with one thread per connection, the
+:mod:`~repro.serving.http.wire` codec, and the request plumbing
+(request ids, bounded heads and bodies, keep-alive hygiene, JSON
+envelopes on every verb and framing error, drain, error counts,
+tracing) over *any* route table.  The data port
 (:class:`EmbeddingServer`), each supervisor worker's admin port and the
 supervisor's own (:mod:`repro.serving.http.supervisor`) are all built
 from it — same limits, headers and error envelopes by construction.
@@ -53,17 +55,17 @@ from __future__ import annotations
 
 import json
 import socket
+import socketserver
 import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qsl, urlsplit
 
 import numpy as np
 
 from repro.serving.faults import InjectedFault
 from repro.serving.fsck import StoreCorruptionError
-from repro.serving.http import protocol
+from repro.serving.http import protocol, wire
 from repro.serving.http.protocol import ApiError
 from repro.serving.http.write_path import WritePath, write_routes
 from repro.serving.obs import metrics as obs_metrics
@@ -165,7 +167,7 @@ class HttpFrontEnd:
                 ("endpoint",),
             )
             registry.add_collect(self._collect_http)
-        self._httpd = ThreadingHTTPServer(
+        self._httpd = _Listener(
             (host, port), _Handler, bind_and_activate=socket_fd is None
         )
         if socket_fd is not None:
@@ -176,14 +178,7 @@ class HttpFrontEnd:
             # accept() wins — the losers must get EAGAIN back, not block
             # their serve loop until the *next* connection arrives.
             self._httpd.socket.setblocking(False)
-            address = self._httpd.socket.getsockname()
-            self._httpd.server_address = address[:2]
-            self._httpd.server_name = address[0]
-            self._httpd.server_port = address[1]
-        # Handler threads must not block process exit (an idle keep-alive
-        # peer would otherwise hang server_close); the drain condition
-        # below is what guarantees in-flight *requests* complete.
-        self._httpd.daemon_threads = True
+            self._httpd.server_address = self._httpd.socket.getsockname()[:2]
         self._httpd.front_end = self  # type: ignore[attr-defined]
 
     # -- lifecycle -----------------------------------------------------
@@ -723,59 +718,107 @@ def _translate_errors(run):
         raise ApiError(400, "invalid_request", str(error))
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """The wire side of :class:`HttpFrontEnd`: one request in, one response out."""
+class _Listener(socketserver.ThreadingTCPServer):
+    """The accept loop: one daemon thread per connection."""
 
-    protocol_version = "HTTP/1.1"
+    # A restarted server must rebind a port still in TIME_WAIT.
+    allow_reuse_address = True
+    # Handler threads must not block process exit (an idle keep-alive
+    # peer would otherwise hang server_close); the drain condition in
+    # HttpFrontEnd is what guarantees in-flight *requests* complete.
+    daemon_threads = True
+
+
+# The codes of requests the codec cannot frame, by status.
+_FRAMING_CODES = {
+    400: "invalid_request",
+    414: "uri_too_long",
+    431: "header_fields_too_large",
+    505: "http_version_not_supported",
+}
+_REQUEST_ID = protocol.REQUEST_ID_HEADER.lower()
+_DEADLINE = protocol.DEADLINE_HEADER.lower()
+
+
+class _Handler(socketserver.StreamRequestHandler):
+    """The wire side of :class:`HttpFrontEnd`: one connection, its requests in order."""
+
     # A peer that stalls mid-request must not pin a handler thread (and
     # the drain wait) forever.
     timeout = 30
-    # The response goes out as two writes (header block, body).  With
-    # Nagle on, the body write can sit behind the peer's delayed ACK of
-    # the header segment — a fixed ~40 ms stall per keep-alive exchange
-    # that dwarfs the actual query time.  TCP_NODELAY on both sides
-    # (the client sets it too) removes it.
+    # A response leaves as one write, but a short one must not wait on
+    # Nagle for the peer's delayed ACK of the previous one (~40 ms).
     disable_nagle_algorithm = True
 
     @property
     def owner(self) -> HttpFrontEnd:
         return self.server.front_end  # type: ignore[attr-defined]
 
-    # -- plumbing ------------------------------------------------------
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if self.owner.log_requests:
-            super().log_message(format, *args)
+    def handle(self) -> None:
+        """Answer requests until the peer or a response closes the connection.
 
-    def _send_bytes(self, status: int, body: bytes, content_type: str) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        request_id = getattr(self, "_request_id", None)
-        if request_id:
+        Pipelined requests are read from the buffer and answered in
+        order.  A head the codec cannot frame gets its JSON error and
+        the connection closes; an idle timeout or reset just closes.
+        """
+        self.close_connection = False
+        while not self.close_connection:
+            self.command = self.target = ""
+            self.version = "HTTP/1.1"
+            self._request_id = self._lsn_served = None
+            try:
+                request = wire.read_request(self.rfile)
+            except wire.ProtocolError as error:
+                code = _FRAMING_CODES[error.status]
+                self.owner._count_error(code)
+                self.close_connection = True
+                self._request_id = obs_trace.new_request_id()
+                self._respond(
+                    error.status,
+                    ApiError(error.status, code, str(error), request_id=self._request_id).body(),
+                )
+                return
+            except OSError:
+                return
+            if request is None:
+                return
+            self.command, self.target, self.version, self.headers = request
+            self.close_connection = not request.keep_alive
+            self._dispatch()
+
+    # -- plumbing ------------------------------------------------------
+    def _write(self, status: int, body: bytes, content_type: str) -> None:
+        fields = []
+        if self._request_id:
             # Every response — success, error, even the draining 503 —
             # echoes the request id so clients and operators can join
             # logs, traces, and retries on one key.
-            self.send_header(protocol.REQUEST_ID_HEADER, request_id)
-        lsn_served = getattr(self, "_lsn_served", None)
-        if lsn_served is not None:
+            fields.append((protocol.REQUEST_ID_HEADER, self._request_id))
+        if self._lsn_served is not None:
             # Read-freshness stamp for the client's min_lsn guard.
-            self.send_header(protocol.LSN_HEADER, str(lsn_served))
+            fields.append((protocol.LSN_HEADER, str(self._lsn_served)))
         self._status_sent = status
         if self.owner.draining or self.close_connection:
             # Tear the connection down once the response is out: while
             # draining a reused connection would only see more 503s, and
             # an error raised before the request body was consumed leaves
             # bytes that would desync the next keep-alive request.
-            self.send_header("Connection", "close")
+            fields.append(("Connection", "close"))
             self.close_connection = True
-        self.end_headers()
-        if self.command != "HEAD":
-            self.wfile.write(body)
-
-    def _send_json(self, status: int, payload: dict) -> None:
-        self._send_bytes(
-            status, protocol.dump_json(payload), protocol.JSON_CONTENT_TYPE
+        elif self.version == "HTTP/1.0":
+            fields.append(("Connection", "keep-alive"))
+        self.wfile.write(
+            wire.response_bytes(
+                status, content_type, body, fields,
+                send_body=self.command != "HEAD",
+            )
         )
+        if self.owner.log_requests:
+            print(
+                f'{self.client_address[0]} - - [{time.strftime("%d/%b/%Y %H:%M:%S")}] '
+                f'"{self.command} {self.target} {self.version}" {status} {len(body)}',
+                file=sys.stderr,
+            )
 
     def _accepts_binary(self) -> bool:
         """Did the request opt in to binary frame responses?
@@ -788,43 +831,48 @@ class _Handler(BaseHTTPRequestHandler):
         """
         if not self.owner.binary_wire:
             return False
-        accept = self.headers.get("Accept") or ""
-        return protocol.BINARY_CONTENT_TYPE in accept
+        return protocol.BINARY_CONTENT_TYPE in self.headers.get("accept", "")
 
-    def _safe_send(self, status: int, payload) -> None:
-        """Send a response, swallowing a peer that already hung up.
+    def _encode(self, payload) -> tuple[bytes, str]:
+        """A response payload's bytes and content type.
 
         Accepts a plain JSON-able dict, a :class:`protocol.RawPayload`
         (sent as-is), or a :class:`protocol.ResultPayload`, which is
         encoded as a binary frame when the request negotiated it and as
         JSON otherwise.
-        Used on every write in the dispatch paths (success and error):
-        a client that gave up mid-exchange must cost one closed
-        connection, not a stderr traceback per occurrence — during a
-        drain with impatient clients that would flood the log.
         """
-        try:
-            if isinstance(payload, protocol.ResultPayload):
-                if self._accepts_binary():
-                    frame = payload.to_frame()
-                    if self.owner.faults is not None:
-                        # Wire-corruption injection: the client's frame
-                        # decoder must catch the damage, not crash on it.
-                        frame = self.owner.faults.corrupt_frame(frame)
-                    self._send_bytes(
-                        status, frame, protocol.BINARY_CONTENT_TYPE
-                    )
-                else:
-                    self._send_json(status, payload.to_json())
-            elif isinstance(payload, protocol.RawPayload):
-                self._send_bytes(status, payload.data, payload.content_type)
-            else:
-                self._send_json(status, payload)
-        except (BrokenPipeError, ConnectionResetError):
-            self.close_connection = True
+        if isinstance(payload, protocol.ResultPayload):
+            if self._accepts_binary():
+                frame = payload.to_frame()
+                if self.owner.faults is not None:
+                    # Wire-corruption injection: the client's frame
+                    # decoder must catch the damage, not crash on it.
+                    frame = self.owner.faults.corrupt_frame(frame)
+                return frame, protocol.BINARY_CONTENT_TYPE
+            payload = payload.to_json()
+        elif isinstance(payload, protocol.RawPayload):
+            return payload.data, payload.content_type
+        return protocol.dump_json(payload), protocol.JSON_CONTENT_TYPE
+
+    def _respond(self, status: int, payload) -> None:
+        """Encode and send a response, swallowing a peer that already hung up.
+
+        Used on every response (success and error): a client that gave
+        up mid-exchange must cost one closed connection, not a stderr
+        traceback per occurrence — during a drain with impatient clients
+        that would flood the log.  The two spans keep socket and peer
+        time out of the encoder's.
+        """
+        with trace_span("encode"):
+            body, content_type = self._encode(payload)
+        with trace_span("write"):
+            try:
+                self._write(status, body, content_type)
+            except OSError:
+                self.close_connection = True
 
     def _read_body(self) -> bytes:
-        if self.headers.get("Transfer-Encoding"):
+        if self.headers.get("transfer-encoding"):
             # Chunked bodies are never consumed by this server, so the
             # same keep-alive desync as an unread Content-Length body
             # applies: refuse and tear the connection down.
@@ -833,19 +881,16 @@ class _Handler(BaseHTTPRequestHandler):
                 411, "length_required",
                 "Transfer-Encoding is not supported; send Content-Length",
             )
-        length = self.headers.get("Content-Length")
-        if length is None:
-            return b""
         try:
-            length = int(length)
-            if length < 0:
-                raise ValueError(length)
-        except ValueError:
+            length = wire.content_length(self.headers)
+        except wire.ProtocolError:
             # The declared body cannot be skipped, so a keep-alive reuse
             # would parse its bytes as the next request line — tear the
             # connection down with the error response.
             self.close_connection = True
             raise ApiError(400, "invalid_request", "bad Content-Length header")
+        if not length:
+            return b""
         if length > MAX_BODY_BYTES:
             self.close_connection = True  # unread body poisons keep-alive
             raise ApiError(
@@ -854,6 +899,11 @@ class _Handler(BaseHTTPRequestHandler):
                 {"content_length": length},
             )
         try:
+            if (
+                self.version != "HTTP/1.0"
+                and self.headers.get("expect", "").lower() == "100-continue"
+            ):
+                self.wfile.write(wire.CONTINUE)
             raw = self.rfile.read(length)
         except OSError as error:  # stalled peer hit the handler timeout
             self.close_connection = True
@@ -882,7 +932,7 @@ class _Handler(BaseHTTPRequestHandler):
         """
         if path not in protocol.DATA_ENDPOINTS:
             return
-        header = self.headers.get(protocol.DEADLINE_HEADER)
+        header = self.headers.get(_DEADLINE)
         if header is None:
             return
         try:
@@ -908,7 +958,7 @@ class _Handler(BaseHTTPRequestHandler):
         compatibility default — an absent or unknown Content-Type is
         treated as JSON exactly as before the binary wire existed).
         """
-        content_type = (self.headers.get("Content-Type") or "").split(";")[0].strip()
+        content_type = self.headers.get("content-type", "").split(";")[0].strip()
         if content_type == protocol.BINARY_CONTENT_TYPE:
             if not self.owner.binary_wire or path not in protocol.DATA_ENDPOINTS:
                 raise ApiError(
@@ -922,7 +972,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _assign_request_id(self) -> str:
         """Adopt the caller's ``X-Request-Id`` or mint one."""
         supplied = obs_trace.clean_request_id(
-            self.headers.get(protocol.REQUEST_ID_HEADER)
+            self.headers.get(_REQUEST_ID)
         )
         self._request_id = supplied or obs_trace.new_request_id()
         return self._request_id
@@ -931,13 +981,12 @@ class _Handler(BaseHTTPRequestHandler):
         """Every verb enters here; only GET / HEAD / POST route anywhere.
 
         HEAD answers exactly like GET minus the body (load balancers
-        probe with it; ``_send_bytes`` skips the write).  Any other verb
-        — the stdlib would answer PUT/DELETE/... with an HTML 501 page —
+        probe with it; ``_write`` skips the body).  Any other verb
         passes the same draining gate, body handling and error
         accounting on its way to a JSON 405.
         """
         owner = self.owner
-        url = urlsplit(self.path)
+        url = urlsplit(self.target)
         path = url.path
         request_id = self._assign_request_id()
         if not owner._enter_request():
@@ -953,7 +1002,7 @@ class _Handler(BaseHTTPRequestHandler):
                 body.update(
                     owner.draining_health(), status="draining", draining=True
                 )
-            self._safe_send(503, body)
+            self._respond(503, body)
             return
         start = time.perf_counter()
         # Tracing: only a port with a registry of its own traces its
@@ -1000,7 +1049,7 @@ class _Handler(BaseHTTPRequestHandler):
                 if (
                     path == protocol.METRICS
                     and "registry" in payload
-                    and "text/plain" in (self.headers.get("Accept") or "")
+                    and "text/plain" in self.headers.get("accept", "")
                 ):
                     # Content negotiation: Accept: text/plain turns the
                     # JSON metrics document's registry into Prometheus
@@ -1009,12 +1058,11 @@ class _Handler(BaseHTTPRequestHandler):
                     payload = protocol.RawPayload(
                         text.encode("utf-8"), obs_metrics.TEXT_CONTENT_TYPE
                     )
-                with trace_span("serialize"):
-                    self._safe_send(status, payload)
+                self._respond(status, payload)
             except ApiError as error:
                 owner._count_error(error.code)
                 error.request_id = request_id
-                self._safe_send(error.status, error.body())
+                self._respond(error.status, error.body())
             except (BrokenPipeError, ConnectionResetError):
                 pass  # client went away mid-request; nothing left to read
             except InjectedFault:
@@ -1026,7 +1074,7 @@ class _Handler(BaseHTTPRequestHandler):
                 raise
             except Exception as error:  # the contract: never a bare 500 page
                 owner._count_error("internal")
-                self._safe_send(
+                self._respond(
                     500,
                     ApiError(
                         500, "internal", f"{type(error).__name__}: {error}",
@@ -1039,6 +1087,3 @@ class _Handler(BaseHTTPRequestHandler):
                 obs_trace.reset_current(token)
                 owner._finish_trace(trace, path, self._status_sent, duration_s)
             owner._exit_request()
-
-    do_GET = do_HEAD = do_POST = _dispatch
-    do_PUT = do_DELETE = do_PATCH = do_OPTIONS = _dispatch

@@ -10,7 +10,7 @@ live here:
     describing the primary (epoch, durable LSN), zero or more
     ``records`` frames carrying raw encoded WAL records, and a
     ``heartbeat`` frame when the long-poll expired with nothing new.
-    Long-poll plus finite responses keeps the stdlib threading HTTP
+    Long-poll plus finite responses keeps the thread-per-connection HTTP
     server happy (no infinite chunked stream to babysit) while still
     giving sub-poll-interval latency: the handler parks until records
     arrive or ``wait_s`` elapses.
@@ -53,9 +53,7 @@ import json
 import struct
 import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 import zlib
 from pathlib import Path
 
@@ -493,6 +491,11 @@ class StandbyReplicator(threading.Thread):
     ) -> None:
         super().__init__(name="standby-replicator", daemon=True)
         self.primary_url = primary_url.rstrip("/")
+        split = urllib.parse.urlsplit(self.primary_url)
+        self._address = (split.hostname, split.port or 80)
+        self._path = f"{split.path}/v1/replicate"
+        # One keep-alive connection to the primary, owned by this thread.
+        self._connection = None
         self.log = log
         self.standby_id = standby_id
         self.wait_s = float(wait_s)
@@ -522,18 +525,26 @@ class StandbyReplicator(threading.Thread):
 
     def run(self) -> None:  # pragma: no cover - exercised via e2e tests
         backoff = 0.05
-        while not self._stop_event.is_set():
-            try:
-                advanced = self._poll_once()
-            except _FatalReplicationError:
-                return
-            except Exception as exc:  # transient: retry with backoff
-                self._note_error(str(exc))
-                self._stop_event.wait(backoff)
-                backoff = min(backoff * 2, self.max_backoff_s)
-                continue
-            backoff = 0.05 if advanced else min(max(backoff, 0.05), self.max_backoff_s)
-        self._set_state("stopped")
+        try:
+            while not self._stop_event.is_set():
+                try:
+                    advanced = self._poll_once()
+                except _FatalReplicationError:
+                    return
+                except Exception as exc:  # transient: retry with backoff
+                    self._note_error(str(exc))
+                    self._stop_event.wait(backoff)
+                    backoff = min(backoff * 2, self.max_backoff_s)
+                    continue
+                backoff = 0.05 if advanced else min(max(backoff, 0.05), self.max_backoff_s)
+            self._set_state("stopped")
+        finally:
+            self._disconnect()
+
+    def _disconnect(self) -> None:
+        if self._connection is not None:
+            self._connection.close()
+            self._connection = None
 
     # -- one round ------------------------------------------------------
     def _poll_once(self) -> bool:
@@ -547,18 +558,27 @@ class StandbyReplicator(threading.Thread):
                 "max_records": self.max_records,
             }
         )
-        request = urllib.request.Request(
-            f"{self.primary_url}/v1/replicate?{query}",
-            headers={"Accept": REPLICATION_CONTENT_TYPE},
-        )
+        from repro.serving.http import wire
+
         try:
-            with urllib.request.urlopen(request, timeout=self.wait_s + self.timeout_s) as resp:
-                body = resp.read()
-        except urllib.error.HTTPError as exc:
-            self._handle_http_error(exc)
+            if self._connection is None:
+                self._connection = wire.Connection(
+                    *self._address, self.wait_s + self.timeout_s
+                )
+            response = self._connection.exchange(
+                "GET", f"{self._path}?{query}",
+                {"Accept": REPLICATION_CONTENT_TYPE},
+            )
+        except OSError:
+            self._disconnect()  # a torn exchange leaves the stream unframed
+            raise
+        if response.will_close:
+            self._disconnect()
+        if not 200 <= response.status < 300:
+            self._handle_http_error(response.status, response.body)
             return False
 
-        frames = decode_frames(body)
+        frames = decode_frames(response.body)
         with self._lock:
             self._last_contact = time.monotonic()
             self._rounds += 1
@@ -612,15 +632,15 @@ class StandbyReplicator(threading.Thread):
             self._on_append(records[-1].lsn)
         return True
 
-    def _handle_http_error(self, exc: urllib.error.HTTPError) -> None:
+    def _handle_http_error(self, status: int, body: bytes) -> None:
         from repro.serving.http.protocol import ApiError
 
         try:
-            error = ApiError.from_body(exc.code, json.loads(exc.read().decode("utf-8")))
+            error = ApiError.from_body(status, json.loads(body.decode("utf-8")))
         except Exception:
             error = None
-        code = error.code if error is not None else f"http_{exc.code}"
-        message = str(error) if error is not None else str(exc)
+        code = error.code if error is not None else f"http_{status}"
+        message = str(error) if error is not None else f"HTTP Error {status}"
         details = error.details if error is not None else {}
         if code == "diverged_tail":
             first = int(details.get("first_diverged_lsn", self.log.last_lsn + 1))

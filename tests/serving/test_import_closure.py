@@ -3,7 +3,8 @@
 Checked from outside a real ``repro serve`` process — what the kernel
 says it has mapped — and from inside a fresh interpreter's
 ``sys.modules``.  The trainer and scipy may load only when ``--wal-dir``
-puts the compactor in the process.
+puts the compactor in the process.  The stdlib HTTP stack never loads:
+both ends of the wire speak ``repro.serving.http.wire``.
 """
 
 from __future__ import annotations
@@ -47,18 +48,21 @@ TRAINER_ONLY = (
 )
 
 
-def _stop(process: subprocess.Popen) -> int:
-    process.send_signal(signal.SIGTERM)
-    return process.wait(timeout=30)
+# The stdlib HTTP server and clients, and the email parser they drag in.
+STDLIB_HTTP = ("http.server", "http.client", "email", "urllib.request")
 
 
-def _kill_if_running(process: subprocess.Popen) -> None:
-    if process.poll() is None:
-        process.kill()
-        process.wait(timeout=30)
+def _banned(loaded: list[str], banned: tuple[str, ...]) -> list[str]:
+    return [
+        name
+        for name in loaded
+        if any(name == ban or name.startswith(ban + ".") for ban in banned)
+    ]
 
 
-def test_serve_path_imports_no_trainer_and_no_scipy():
+@pytest.fixture(scope="module")
+def serve_path_modules() -> list[str]:
+    """``sys.modules`` of a fresh interpreter that imported the serve path."""
     probe = (
         "import json, sys\n"
         f"import {', '.join(SERVE_PATH_MODULES)}\n"
@@ -72,16 +76,31 @@ def test_serve_path_imports_no_trainer_and_no_scipy():
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    loaded = json.loads(done.stdout)
-    offenders = [
-        name
-        for name in loaded
-        if any(name == banned or name.startswith(banned + ".") for banned in TRAINER_ONLY)
-    ]
-    assert offenders == []
+    return json.loads(done.stdout)
+
+
+def _stop(process: subprocess.Popen) -> int:
+    process.send_signal(signal.SIGTERM)
+    return process.wait(timeout=30)
+
+
+def _kill_if_running(process: subprocess.Popen) -> None:
+    if process.poll() is None:
+        process.kill()
+        process.wait(timeout=30)
+
+
+def test_serve_path_imports_no_trainer_and_no_scipy(serve_path_modules):
+    assert _banned(serve_path_modules, TRAINER_ONLY) == []
     # The two dataclasses the store and the WAL need came from their
     # kernel-free homes.
-    assert "repro.core.embedding" in loaded and "repro.dynamic.delta" in loaded
+    assert "repro.core.embedding" in serve_path_modules
+    assert "repro.dynamic.delta" in serve_path_modules
+
+
+def test_serve_path_imports_no_stdlib_http(serve_path_modules):
+    assert _banned(serve_path_modules, STDLIB_HTTP) == []
+    assert "repro.serving.http.wire" in serve_path_modules
 
 
 def test_read_only_server_maps_no_scipy(tmp_path):

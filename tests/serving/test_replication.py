@@ -258,6 +258,23 @@ class TestEndToEnd:
         assert ours == theirs
         assert max(acked) <= standby.log.last_lsn
 
+    def test_feed_polls_share_one_keepalive_connection(self, pair):
+        """The standby long-polls over one kept-alive connection, not a
+        dial per round."""
+        _, _, replicator = pair
+
+        def rounds_after(floor: int) -> int:
+            deadline = time.time() + 5.0
+            while replicator.status()["rounds"] <= floor and time.time() < deadline:
+                time.sleep(0.05)
+            return replicator.status()["rounds"]
+
+        first = rounds_after(0)
+        connection = replicator._connection
+        assert rounds_after(first + 2) > first + 2
+        assert replicator._connection is connection
+        assert connection.sock is not None
+
     def test_standby_refuses_writes(self, pair):
         _, standby, _ = pair
         client = ServingClient(standby.url, retries=0)

@@ -3,8 +3,9 @@
 The supervisor once carried its own request handler, its own listener
 wiring and its own copy of the write-path gauges, and the copies drifted
 (keep-alive desync, no body cap, no request ids on the admin port).  The
-fork must not quietly come back before the event loop (ROADMAP item 1)
-replaces the one that is left.  Likewise the sharded store once had its
+fork must not quietly come back, on any stdlib base a handler or a
+listener can be built on; nor may a second HTTP client dial the wire
+beside the one codec both ends share.  Likewise the sharded store once had its
 own publish, manifest and fsck sweep beside the unsharded one's, and a
 torn sharded publish leaked shard data no sweep could see.  And the
 exact engine once had a float32 shortlist with a fixed oversample, a
@@ -20,6 +21,24 @@ from pathlib import Path
 import repro
 
 SRC = Path(repro.__file__).resolve().parent
+
+# Every stdlib base a request handler or a listener can be built on.
+HANDLER_BASES = {
+    "BaseRequestHandler",
+    "StreamRequestHandler",
+    "DatagramRequestHandler",
+    "BaseHTTPRequestHandler",
+    "SimpleHTTPRequestHandler",
+}
+LISTENER_CLASSES = {
+    "TCPServer",
+    "ThreadingTCPServer",
+    "ForkingTCPServer",
+    "UnixStreamServer",
+    "ThreadingUnixStreamServer",
+    "HTTPServer",
+    "ThreadingHTTPServer",
+}
 
 # One family per group the two owners used to write separately.
 WRITE_PATH_FAMILIES = (
@@ -38,33 +57,36 @@ def _name(node: ast.AST) -> str | None:
 
 
 def _scan():
-    """(handler subclasses, listener constructions, family definitions)."""
-    handlers, listeners = [], set()
+    """(handler subclasses, listener modules, dialing modules, family definitions)."""
+    handlers, listeners, dialers = [], set(), set()
     families = {name: set() for name in WRITE_PATH_FAMILIES}
     for path in sorted(SRC.rglob("*.py")):
         module = str(path.relative_to(SRC))
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef) and any(
-                _name(base) == "BaseHTTPRequestHandler" for base in node.bases
-            ):
-                handlers.append(f"{module}:{node.name}")
-            elif (
-                isinstance(node, ast.Call)
-                and _name(node.func) == "ThreadingHTTPServer"
-            ):
-                listeners.add(module)
+            if isinstance(node, ast.ClassDef):
+                bases = {_name(base) for base in node.bases}
+                if bases & HANDLER_BASES:
+                    handlers.append(f"{module}:{node.name}")
+                if bases & LISTENER_CLASSES:
+                    listeners.add(module)
+            elif isinstance(node, ast.Call):
+                if _name(node.func) in LISTENER_CLASSES:
+                    listeners.add(module)
+                elif _name(node.func) in ("create_connection", "HTTPConnection"):
+                    dialers.add(module)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for inner in ast.walk(node):
                     if isinstance(inner, ast.Constant) and inner.value in families:
                         families[inner.value].add(f"{module}:{node.name}")
-    return handlers, listeners, families
+    return handlers, listeners, dialers, families
 
 
 def test_one_request_handler_one_listener_one_gauge_writer():
-    handlers, listeners, families = _scan()
+    handlers, listeners, dialers, families = _scan()
     assert handlers == ["serving/http/server.py:_Handler"]
     assert listeners == {"serving/http/server.py"}
+    assert dialers == {"serving/http/wire.py"}
     for name, writers in families.items():
         assert writers == {"serving/http/write_path.py:collect"}, name
 
