@@ -17,9 +17,6 @@ embedding matrices (cluster centers + Gaussian noise, unit rows):
 - ``sharded`` — exact scatter-gather through a
   :class:`~repro.serving.sharding.router.ShardRouter` over range-partitioned
   shards; asserts the results are **bit-identical** to unsharded exact.
-- ``pq``      — product quantization: codec train/encode time, flat-ADC
-  QPS, recall@10 after exact rescoring, and the resident-memory
-  compression ratio vs the float64 matrix.
 - ``service`` — a :class:`~repro.serving.service.QueryService` smoke: store
   publish → cold query → cached query → version swap, so the bench fails
   fast if the serving path itself regresses.
@@ -44,8 +41,7 @@ Run as a script (not under pytest)::
 
 The full configuration (n=131072) asserts the acceptance floors: IVF at
 the default ``nprobe`` must hold recall@10 ≥ 0.9 while serving ≥ 5× the
-exact backend's QPS, and PQ must hold recall@10 ≥ 0.9 at ≥ 8× resident
-compression.  Sharded bit-identity and ingestion freshness drain are
+exact backend's QPS.  Sharded bit-identity and ingestion freshness drain are
 asserted at every size, smoke included — they are correctness
 properties, not tuning properties; so is the filtered-IVF recall floor
 (≥ 0.95) at 1% selectivity, where the widened probe is exhaustive over
@@ -75,7 +71,7 @@ import scipy
 from repro.parallel.pool import WorkerPool
 from repro.search.knn import CompiledFilter, exact_top_k
 from repro.serving.index import ExactBackend, IVFIndex, filtered_probe_width
-from repro.serving.sharding import Partitioner, PQBackend, PQCodec, ShardRouter
+from repro.serving.sharding import Partitioner, ShardRouter
 from repro.serving.synth import clustered_unit_vectors
 
 
@@ -274,45 +270,6 @@ def bench_sharded(
         "qps_batch": query_nodes.size / batch_seconds,
         "speedup_vs_exact": (query_nodes.size / batch_seconds) / exact_qps,
         "identical_to_exact": identical,
-    }
-
-
-def bench_pq(
-    features: np.ndarray,
-    query_nodes: np.ndarray,
-    k: int,
-    truth_ids: np.ndarray,
-    exact_qps: float,
-    *,
-    pq_subspaces: int,
-    seed: int,
-) -> dict:
-    """Flat PQ: train/encode cost, ADC-scan QPS, recall, compression."""
-    start = time.perf_counter()
-    codec = PQCodec.fit(features, n_subspaces=pq_subspaces, seed=seed)
-    train_seconds = time.perf_counter() - start
-    start = time.perf_counter()
-    backend = PQBackend(features, codec)
-    encode_seconds = time.perf_counter() - start
-    queries = features[query_nodes]
-    start = time.perf_counter()
-    ids, _ = backend.search(queries, k, exclude=query_nodes)
-    batch_seconds = time.perf_counter() - start
-    qps = query_nodes.size / batch_seconds
-    memory = backend.memory_info()
-    return {
-        "n_subspaces": codec.n_subspaces,
-        "n_bits": codec.n_bits,
-        "rescore_factor": backend.rescore_factor,
-        "train_seconds": train_seconds,
-        "encode_seconds": encode_seconds,
-        "qps_batch": qps,
-        "speedup_vs_exact": qps / exact_qps,
-        "recall_at_k": recall_at_k(truth_ids, ids),
-        "code_bytes": memory["code_bytes"],
-        "resident_bytes": memory["resident_bytes"],
-        "float_bytes": memory["float_bytes"],
-        "compression_ratio": memory["compression_ratio"],
     }
 
 
@@ -615,12 +572,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--shard-threads", type=int, default=4, help="scatter worker threads"
     )
-    parser.add_argument(
-        "--pq-subspaces",
-        type=int,
-        default=0,
-        help="PQ subspaces (0 = dim//8, the codec default)",
-    )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="BENCH_serving.json")
     parser.add_argument(
@@ -655,7 +606,6 @@ def main(argv: list[str] | None = None) -> int:
             "nlist": args.nlist,
             "nprobe": args.nprobe,
             "shards": args.shards,
-            "pq_subspaces": args.pq_subspaces or None,
             "seed": args.seed,
         },
     }
@@ -711,17 +661,6 @@ def main(argv: list[str] | None = None) -> int:
         n_threads=args.shard_threads,
     )
 
-    print("pq backend...", flush=True)
-    record["pq"] = bench_pq(
-        features,
-        query_nodes,
-        args.k,
-        exact["truth_ids"],
-        exact["record"]["qps_batch"],
-        pq_subspaces=args.pq_subspaces or max(1, args.dim // 8),
-        seed=args.seed,
-    )
-
     print("query service...", flush=True)
     record["service"] = bench_service(
         min(args.n, 20_000), args.dim, args.k, args.seed
@@ -748,9 +687,6 @@ def main(argv: list[str] | None = None) -> int:
     recall = record["ivf"]["recall_at_k"]
     speedup = record["ivf"]["speedup_vs_exact"]
     assert recall >= 0.9, f"IVF recall@{args.k} = {recall:.3f} < 0.9"
-    pq_recall = record["pq"]["recall_at_k"]
-    pq_compression = record["pq"]["compression_ratio"]
-    assert pq_compression >= 8.0, f"PQ compression {pq_compression:.1f}x < 8x"
     lag = record["ingest"]["freshness_lag"]
     assert lag == 0, (
         f"ingestion lag did not drain: lsn_served="
@@ -787,7 +723,6 @@ def main(argv: list[str] | None = None) -> int:
             f"filtered exact at 50% selectivity holds only "
             f"{exact_ratio:.2f}x of unfiltered QPS (< 0.5x)"
         )
-        assert pq_recall >= 0.9, f"PQ recall@{args.k} = {pq_recall:.3f} < 0.9"
         if (os.cpu_count() or 1) > 1:
             assert speedup >= 5.0, f"IVF speedup {speedup:.1f}x < 5x"
         else:
@@ -825,13 +760,6 @@ def main(argv: list[str] | None = None) -> int:
         f"sharded  {record['sharded']['qps_batch']:10.0f} QPS  "
         f"({record['sharded']['n_shards']} shards, bit-identical to exact, "
         f"{record['sharded']['speedup_vs_exact']:.1f}x)"
-    )
-    print(
-        f"pq       {record['pq']['qps_batch']:10.0f} QPS  "
-        f"recall@{args.k}={pq_recall:.3f}  "
-        f"({pq_compression:.0f}x resident compression, "
-        f"m={record['pq']['n_subspaces']}, "
-        f"train {record['pq']['train_seconds']:.1f}s)"
     )
     print(
         f"service  cold {record['service']['cold_query_ms']:.2f} ms, "

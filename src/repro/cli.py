@@ -910,8 +910,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
         backend=args.backend,
         nprobe=args.nprobe,
         version=args.version,
-        # Persist trained IVF/PQ artifacts into the version directory so a
-        # one-shot CLI process loads them instead of retraining per query.
+        # Persist the trained IVF artifact into the version directory so a
+        # one-shot CLI process loads it instead of retraining per query.
         index_cache=True,
     ) as service:
         if args.attribute is not None:
@@ -1024,7 +1024,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--backend",
-        choices=("auto", "exact", "ivf", "pq", "ivfpq"),
+        choices=("auto", "exact", "ivf"),
         default="exact",
         help="search backend behind --http (default exact; trained "
         "artifacts persist into the store version directory)",
@@ -1306,15 +1306,15 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--k", type=int, default=10)
     query.add_argument(
         "--backend",
-        choices=("auto", "exact", "ivf", "pq", "ivfpq"),
+        choices=("auto", "exact", "ivf"),
         # A one-shot CLI process answers a single query and exits; exact
-        # stays the default, but non-exact backends now persist their
-        # trained artifacts into the store version directory on first use
-        # and load them afterwards, so --backend ivf/pq only pays the
-        # build once per version instead of per invocation.
+        # stays the default, but IVF persists its trained artifact into the
+        # store version directory on first use and loads it afterwards, so
+        # --backend ivf only pays the build once per version instead of
+        # per invocation.
         default="exact",
-        help="search backend (default exact; ivf/pq/ivfpq train once per "
-        "store version, persist the artifact, and reload it afterwards)",
+        help="search backend (default exact; ivf trains once per store "
+        "version, persists the artifact, and reloads it afterwards)",
     )
     query.add_argument(
         "--nprobe", type=int, default=8, help="IVF cells probed per query"

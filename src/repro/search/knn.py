@@ -156,7 +156,7 @@ def canonical_scores(
     """Canonical cosine scores of ``features[ids]`` against one ``query``.
 
     The single-query convenience over :func:`rowwise_inner` used by the
-    IVF and PQ backends to rescore candidate sets: the returned floats are
+    IVF backend to rescore candidate sets: the returned floats are
     bit-identical to what :func:`exact_top_k` reports for the same rows.
     A fancy-index gather always yields a fresh contiguous array, so the
     einsum runs directly on it (this sits on per-query hot paths; the

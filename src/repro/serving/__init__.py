@@ -13,9 +13,8 @@ into something that answers similarity queries under load:
   (``service.py``);
 - :class:`OnlineRefresher` — delta update → republish → incremental index
   rebuild → swap, without downtime (``refresh.py``);
-- :mod:`~repro.serving.sharding` — PQ compression and the
-  scatter-gather :class:`ShardRouter` over a sharded store's shards
-  (``sharding/``);
+- :mod:`~repro.serving.sharding` — the scatter-gather
+  :class:`ShardRouter` over a sharded store's shards (``sharding/``);
 - :mod:`~repro.serving.http` — the stdlib HTTP front-end
   (:class:`~repro.serving.http.EmbeddingServer`) and its retrying,
   replica-fanning :class:`~repro.serving.http.ServingClient`
@@ -36,11 +35,8 @@ __all__ = [
     "EmbeddingStore",
     "ExactBackend",
     "IVFIndex",
-    "IVFPQBackend",
     "IVFRebuildStats",
     "OnlineRefresher",
-    "PQBackend",
-    "PQCodec",
     "Partitioner",
     "PinnedView",
     "QueryResult",
@@ -72,7 +68,6 @@ __getattr__, __dir__ = lazy_exports(
             "PinnedView", "QueryResult", "QueryService", "SearchParams",
             "SearchRequest", "backend_kind_name", "json_safe",
         ),
-        "repro.serving.sharding.pq": ("IVFPQBackend", "PQBackend", "PQCodec"),
         "repro.serving.sharding.router": ("ShardRouter",),
         "repro.serving.store": (
             "EmbeddingStore", "Partitioner", "StoredEmbedding", "search_features",

@@ -75,14 +75,11 @@ class SearchBackend(abc.ABC):
     features: np.ndarray  # (n, dim), unit rows
 
     # Whether search() accepts the per-query ``nprobe`` recall knob; the
-    # QueryService dispatches on this instead of isinstance checks so new
-    # backends (IVF-PQ, the shard router) opt in with one attribute.
+    # QueryService dispatches on this instead of isinstance checks so a
+    # backend (IVF, the shard router) opts in with one attribute.  Every
+    # backend's search() accepts a per-query ``node_filter``
+    # (:class:`repro.search.knn.CompiledFilter`).
     SUPPORTS_NPROBE = False
-
-    # Whether search() accepts a per-query ``node_filter``
-    # (:class:`repro.search.knn.CompiledFilter`); same attribute-dispatch
-    # pattern as SUPPORTS_NPROBE.
-    SUPPORTS_FILTER = False
 
     # Where the rows this backend rescores are counted: set by
     # ``QueryService.activate``; a backend used on its own counts nothing.
@@ -130,8 +127,6 @@ class ExactBackend(SearchBackend):
     the mapping, and the float64 matrix costs page cache, not resident
     memory.
     """
-
-    SUPPORTS_FILTER = True
 
     def __init__(self, features: np.ndarray) -> None:
         if np.ndim(features) != 2 or features.dtype != np.float64:
@@ -208,7 +203,6 @@ class IVFIndex(SearchBackend):
     """
 
     SUPPORTS_NPROBE = True
-    SUPPORTS_FILTER = True
 
     def __init__(
         self,
@@ -543,15 +537,11 @@ def make_backend(
     nlist: int | None = None,
     nprobe: int = 8,
     seed: int | np.random.Generator | None = 0,
-    pq_subspaces: int | None = None,
-    pq_bits: int = 8,
 ) -> SearchBackend:
-    """Backend factory: ``"exact"``, ``"ivf"``, ``"pq"``, ``"ivfpq"``, ``"auto"``.
+    """Backend factory: ``"exact"``, ``"ivf"``, ``"auto"``.
 
     ``"auto"`` serves brute force below :data:`AUTO_EXACT_THRESHOLD`
     vectors (where IVF's per-query overhead wins nothing) and IVF above.
-    The PQ kinds trade exactness for ~16-32x smaller resident vectors —
-    see :mod:`repro.serving.sharding.pq`.
     """
     kind = resolve_kind(kind, features.shape[0])
     if kind == "exact" or features.shape[0] == 0:
@@ -561,21 +551,7 @@ def make_backend(
         return ExactBackend(features)
     if kind == "ivf":
         return IVFIndex(features, nlist=nlist, nprobe=nprobe, seed=seed)
-    if kind in ("pq", "ivfpq"):
-        # Local import: sharding.pq imports this module for SearchBackend.
-        from repro.serving.sharding.pq import IVFPQBackend, PQBackend, PQCodec
-
-        codec = PQCodec.fit(
-            features, n_subspaces=pq_subspaces, n_bits=pq_bits, seed=seed
-        )
-        if kind == "pq":
-            return PQBackend(features, codec)
-        return IVFPQBackend(
-            features, codec, nlist=nlist, nprobe=nprobe, seed=seed
-        )
-    raise ValueError(
-        f"unknown backend kind {kind!r} (expected exact/ivf/pq/ivfpq/auto)"
-    )
+    raise ValueError(f"unknown backend kind {kind!r} (expected exact/ivf/auto)")
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from repro.dynamic.incremental import GraphDelta, IncrementalPANE
 from repro.graph.attributed_graph import AttributedGraph
 from repro.serving.index import IVFIndex
 from repro.serving.service import QueryService
-from repro.serving.sharding.pq import PQBackend
 from repro.serving.sharding.router import ShardRouter
 from repro.serving.store import EmbeddingStore
 from repro.utils.timing import Timer
@@ -118,12 +117,6 @@ class OnlineRefresher:
                     n_moved = new_index.last_rebuild.n_moved
                     n_rebuilt = new_index.last_rebuild.n_lists_rebuilt
                     n_lists = new_index.last_rebuild.n_lists_total
-                elif isinstance(backend, PQBackend) and (
-                    backend.features.shape == stored.features.shape
-                ):
-                    # Keep the trained codec (and coarse quantizer for
-                    # IVF-PQ); only codes/assignments are re-derived.
-                    new_index = backend.refresh(stored.features)
             with timer.measure("swap"):
                 self.service.activate(version, index=new_index)
 

@@ -59,7 +59,6 @@ from repro.serving.index import (
     make_backend,
     resolve_kind,
 )
-from repro.serving.sharding.pq import IVFPQBackend, PQBackend
 from repro.serving.sharding.router import ShardRouter
 from repro.serving.store import _ARRAY_FILES, EmbeddingStore, StoredEmbedding
 
@@ -88,40 +87,29 @@ class QueryResult:
 class SearchParams:
     """Per-request tuning knobs, carried inside a :class:`SearchRequest`.
 
-    Every field is a *hint*: it is honored by backends that advertise the
-    matching capability (``SUPPORTS_NPROBE`` / ``SUPPORTS_RESCORE_FACTOR``)
-    and silently ignored elsewhere — the same convention ``nprobe`` has
-    always followed, so one request shape works against every backend
-    kind.  ``None`` means "the backend's configured default".
+    A field is a *hint*: it is honored by backends that advertise the
+    matching capability (``SUPPORTS_NPROBE``) and silently ignored
+    elsewhere, so one request shape works against every backend kind.
+    ``None`` means "the backend's configured default".
 
-    - ``nprobe``: IVF probe width (IVF / IVF-PQ / sharded IVF).
-    - ``rescore_factor``: ADC shortlist multiplier for PQ rescoring
-      (PQ / IVF-PQ): the top ``rescore_factor × k`` ADC candidates are
-      exact-rescored.
+    - ``nprobe``: IVF probe width (IVF / sharded IVF).
     """
 
     nprobe: int | None = None
-    rescore_factor: int | None = None
 
     def __post_init__(self) -> None:
         if self.nprobe is not None and int(self.nprobe) < 1:
             raise ValueError(f"nprobe must be >= 1, got {self.nprobe}")
-        if self.rescore_factor is not None and int(self.rescore_factor) < 1:
-            raise ValueError(
-                f"rescore_factor must be >= 1, got {self.rescore_factor}"
-            )
 
     def key(self) -> tuple:
         """Hashable identity for cache keys and coalescing groups."""
-        return (self.nprobe, self.rescore_factor)
+        return (self.nprobe,)
 
     def to_json(self) -> dict:
         """The wire form: a dict of the non-default fields only."""
         doc: dict = {}
         if self.nprobe is not None:
             doc["nprobe"] = int(self.nprobe)
-        if self.rescore_factor is not None:
-            doc["rescore_factor"] = int(self.rescore_factor)
         return doc
 
     @classmethod
@@ -129,17 +117,15 @@ class SearchParams:
         """Parse the wire ``"params"`` object; strict, ``ValueError`` on junk."""
         if not isinstance(obj, dict):
             raise ValueError(f"params must be an object, got {type(obj).__name__}")
-        unknown = set(obj) - {"nprobe", "rescore_factor"}
+        unknown = set(obj) - {"nprobe"}
         if unknown:
             raise ValueError(f"unknown params field(s): {sorted(unknown)}")
         nprobe = obj.get("nprobe")
-        rescore = obj.get("rescore_factor")
-        for name, value in (("nprobe", nprobe), ("rescore_factor", rescore)):
-            if value is not None and (
-                isinstance(value, bool) or not isinstance(value, int)
-            ):
-                raise ValueError(f"params.{name} must be an integer, got {value!r}")
-        return cls(nprobe=nprobe, rescore_factor=rescore)
+        if nprobe is not None and (
+            isinstance(nprobe, bool) or not isinstance(nprobe, int)
+        ):
+            raise ValueError(f"params.nprobe must be an integer, got {nprobe!r}")
+        return cls(nprobe=nprobe)
 
 
 #: The all-defaults instance shared by requests that pass no params.
@@ -246,15 +232,12 @@ class QueryService:
         one shard gets per-shard backends behind a :class:`ShardRouter`;
         everything else is transparent.
     backend:
-        ``"ivf"``, ``"exact"``, ``"pq"``, ``"ivfpq"``, or ``"auto"``
+        ``"ivf"``, ``"exact"``, or ``"auto"``
         (IVF above :data:`repro.serving.index.AUTO_EXACT_THRESHOLD`
         vectors).  For a sharded store this picks the *per-shard* backend
         kind (``"auto"`` resolves on the total corpus size).
     nlist / nprobe / seed:
         IVF construction parameters (see :class:`IVFIndex`).
-    pq_subspaces:
-        Subspace count of the PQ codec for the ``pq``/``ivfpq`` kinds
-        (see :class:`~repro.serving.sharding.pq.PQCodec`).
     cache_size:
         LRU entries kept across all versions (0 disables caching).
     n_threads:
@@ -263,7 +246,7 @@ class QueryService:
     version:
         Pin an explicit store version instead of ``latest()``.
     index_cache:
-        Persist built IVF/PQ index artifacts into the store's version
+        Persist built IVF index artifacts into the store's version
         directory and load them on later activations, so short-lived
         processes (the CLI) stop retraining quantizers per invocation.
     """
@@ -276,7 +259,6 @@ class QueryService:
         nlist: int | None = None,
         nprobe: int = 8,
         seed: int | None = 0,
-        pq_subspaces: int | None = None,
         cache_size: int = 4096,
         n_threads: int = 1,
         version: str | None = None,
@@ -289,7 +271,6 @@ class QueryService:
         self._nlist = nlist
         self._nprobe = nprobe
         self._seed = seed
-        self._pq_subspaces = pq_subspaces
         self._index_cache = index_cache
         self._cache_size = cache_size
         self._cache: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = OrderedDict()
@@ -379,7 +360,6 @@ class QueryService:
             nlist=self._nlist,
             nprobe=self._nprobe,
             seed=self._seed,
-            pq_subspaces=self._pq_subspaces,
         )
 
     def _build_backend(self, stored: StoredEmbedding) -> SearchBackend:
@@ -396,7 +376,7 @@ class QueryService:
             backend = None
             if cache:
                 backend = self._store.load_index(
-                    stored.version, kind, shard.features, shard=shard.shard
+                    stored.version, shard.features, shard=shard.shard
                 )
             if backend is None:
                 backend = self._make_backend(shard.features, kind)
@@ -708,8 +688,7 @@ class QueryService:
         The top of the dict is a stable, server-visible schema — the same
         document ``GET /v1/describe`` returns over HTTP (see
         :mod:`repro.serving.http`): ``version`` (the active store version
-        id), ``backend_kind`` (one of ``exact``/``ivf``/``pq``/``ivfpq``/
-        ``sharded`` — stable across refactors, unlike the class name in
+        id), ``backend_kind`` (one of ``exact``/``ivf``/``sharded`` — stable across refactors, unlike the class name in
         ``backend``), ``n_shards`` (1 for an unsharded deployment),
         ``n_nodes``, and ``n_attributes``.  Every value is a plain Python
         scalar/list/dict — ``json.dumps(service.describe())`` must never
@@ -717,9 +696,8 @@ class QueryService:
 
         ``memory`` reports the mapped bytes behind every stored array (what
         the OS *could* page in, not resident set; for a sharded snapshot
-        the replicated ``y`` counts every shard's copy) plus, for PQ
-        backends, the resident code bytes and the compression ratio they
-        buy.  ``latency`` is :meth:`latency_info`.  A sharded snapshot
+        the replicated ``y`` counts every shard's copy) plus what each
+        shard's selection keeps resident.  ``latency`` is :meth:`latency_info`.  A sharded snapshot
         adds a ``sharding`` section with per-shard sizes and the router's
         own ``latency`` (:meth:`ShardRouter.latency_info`).  Units there
         are **per-shard searches**: every backend call is scattered to
@@ -739,11 +717,12 @@ class QueryService:
             "n_attributes": active.stored.n_attributes,
             # Filter capability advertisement (mirrored by /v1/describe):
             # clients discover which NodeFilter families this deployment
-            # honors before sending one.  Partition selectors only exist
-            # where the store actually has partitions (a sharded layout).
+            # honors before sending one.  Every backend honors id and
+            # attribute filters; partition selectors only exist where the
+            # store actually has partitions (a sharded layout).
             "filters": {
-                "ids": bool(getattr(backend, "SUPPORTS_FILTER", False)),
-                "attributes": bool(getattr(backend, "SUPPORTS_FILTER", False)),
+                "ids": True,
+                "attributes": True,
                 "partitions": isinstance(backend, ShardRouter),
             },
             "backend": type(backend).__name__,
@@ -770,22 +749,8 @@ class QueryService:
                 for leaf in _leaf_backends(backend)
             ],
         }
-        pq_backends = [b for b in _leaf_backends(backend) if isinstance(b, PQBackend)]
-        if pq_backends:
-            parts = [b.memory_info() for b in pq_backends]
-            resident = sum(part["resident_bytes"] for part in parts)
-            float_bytes = sum(part["float_bytes"] for part in parts)
-            memory["pq"] = {
-                "code_bytes": sum(part["code_bytes"] for part in parts),
-                "codebook_bytes": sum(part["codebook_bytes"] for part in parts),
-                "resident_bytes": resident,
-                "float_bytes": float_bytes,
-                "compression_ratio": float_bytes / resident if resident else 0.0,
-            }
         info["memory"] = memory
         if isinstance(backend, IVFIndex):
-            info["ivf"] = {"nlist": backend.nlist, "nprobe": backend.nprobe}
-        elif isinstance(backend, IVFPQBackend):
             info["ivf"] = {"nlist": backend.nlist, "nprobe": backend.nprobe}
         if isinstance(backend, ShardRouter):
             stored = active.stored
@@ -1043,26 +1008,15 @@ def _search(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dispatch a search with capability-gated per-request hints.
 
-    Each :class:`SearchParams` field (and the compiled filter) is passed
-    only to backends that advertise the matching ``SUPPORTS_*`` class
-    attribute; a filter against a backend without filter support is a
-    hard error (silently dropping a predicate would return disallowed
-    rows), while unsupported tuning hints are ignored by design.
+    Every backend honors the compiled filter; ``nprobe`` is passed only
+    to backends that advertise ``SUPPORTS_NPROBE`` and ignored elsewhere
+    by design.
     """
     kwargs: dict = {}
     if node_filter is not None:
-        if not getattr(backend, "SUPPORTS_FILTER", False):
-            raise ValueError(
-                f"backend {type(backend).__name__} does not support "
-                "filtered search"
-            )
         kwargs["node_filter"] = node_filter
     if getattr(backend, "SUPPORTS_NPROBE", False):
         kwargs["nprobe"] = params.nprobe
-    if params.rescore_factor is not None and getattr(
-        backend, "SUPPORTS_RESCORE_FACTOR", False
-    ):
-        kwargs["rescore_factor"] = params.rescore_factor
     return backend.search(queries, k, exclude=exclude, **kwargs)
 
 
@@ -1074,20 +1028,14 @@ def _leaf_backends(backend: SearchBackend) -> list[SearchBackend]:
 
 
 def backend_kind_name(backend: SearchBackend) -> str:
-    """The stable wire name of a backend: exact/ivf/pq/ivfpq/sharded.
+    """The stable wire name of a backend: exact/ivf/sharded.
 
     ``describe()`` and the HTTP ``/v1/describe`` endpoint report this
     instead of the class name, so renaming a class cannot silently change
-    what remote clients key dashboards and routing decisions on.  Note
-    the ``isinstance`` order: :class:`IVFPQBackend` subclasses
-    :class:`PQBackend`, so the more specific kind must win.
+    what remote clients key dashboards and routing decisions on.
     """
     if isinstance(backend, ShardRouter):
         return "sharded"
-    if isinstance(backend, IVFPQBackend):
-        return "ivfpq"
-    if isinstance(backend, PQBackend):
-        return "pq"
     if isinstance(backend, IVFIndex):
         return "ivf"
     if isinstance(backend, ExactBackend):

@@ -1,14 +1,10 @@
-"""Sharded serving: PQ compression and scatter-gather over row shards.
+"""Sharded serving: scatter-gather over row shards.
 
-Scales the serving layer past one resident float64 matrix and one
-backend.  The shards themselves are an
+Scales the serving layer past one backend.  The shards themselves are an
 :class:`~repro.serving.store.EmbeddingStore` created with ``n_shards > 1``
 (rows split by its :class:`~repro.serving.store.Partitioner`); this
 package holds what searches them:
 
-- :class:`PQCodec` / :class:`PQBackend` / :class:`IVFPQBackend` — product
-  quantization: uint8 codes + ADC scan + exact rescoring, ~16-64x smaller
-  resident vectors (``pq.py``);
 - :class:`ShardRouter` — scatter-gather over per-shard backends with a
   heap merge that is bit-identical to unsharded exact search
   (``router.py``).
@@ -16,14 +12,10 @@ package holds what searches them:
 See the sharding section of ``docs/SERVING.md``.
 """
 
-from repro.serving.sharding.pq import IVFPQBackend, PQBackend, PQCodec
 from repro.serving.sharding.router import ShardRouter
 from repro.serving.store import Partitioner
 
 __all__ = [
-    "IVFPQBackend",
-    "PQBackend",
-    "PQCodec",
     "Partitioner",
     "ShardRouter",
 ]

@@ -56,7 +56,6 @@ class ShardRouter(SearchBackend):
     """
 
     SUPPORTS_NPROBE = True
-    SUPPORTS_FILTER = True
 
     def __init__(
         self,
@@ -117,7 +116,7 @@ class ShardRouter(SearchBackend):
         With exact per-shard backends the result is bit-identical to
         unsharded :class:`~repro.serving.index.ExactBackend` search (ids
         and scores).  ``nprobe`` is forwarded to shards that support it
-        (IVF / IVF-PQ); ``exclude`` carries *global* ids and is translated
+        (IVF); ``exclude`` carries *global* ids and is translated
         to the owning shard's local id.  ``node_filter`` carries global
         ids too: each shard gets the filter *sliced* to its own rows
         (local-id mask), and shards the filter empties entirely are
@@ -168,20 +167,12 @@ class ShardRouter(SearchBackend):
                 shard_exclude = np.where(owner == shard, local, -1)
             kwargs = {}
             if shard_filter is not None:
-                if not getattr(backend, "SUPPORTS_FILTER", False):
-                    raise ValueError(
-                        f"shard {shard} backend {type(backend).__name__} "
-                        "does not support filtered search"
-                    )
                 kwargs["node_filter"] = shard_filter
             if getattr(backend, "SUPPORTS_NPROBE", False):
-                local_ids, scores = backend.search(
-                    queries, k, exclude=shard_exclude, nprobe=nprobe, **kwargs
-                )
-            else:
-                local_ids, scores = backend.search(
-                    queries, k, exclude=shard_exclude, **kwargs
-                )
+                kwargs["nprobe"] = nprobe
+            local_ids, scores = backend.search(
+                queries, k, exclude=shard_exclude, **kwargs
+            )
             global_ids = np.where(
                 local_ids >= 0,
                 self.partitioner.to_global(shard, np.clip(local_ids, 0, None)),
@@ -224,16 +215,14 @@ class ShardRouter(SearchBackend):
 
         Every shard keeps its *kind* and its trained state: IVF backends
         refresh incrementally (quantizer kept, only changed inverted
-        lists rebuilt — see :meth:`IVFIndex.refresh`), PQ/IVF-PQ backends
-        keep their codec (and coarse quantizer) and only re-encode, and
-        exact backends are rebuilt over the new segment, which re-streams
-        their float32 selection copy (``n·dim·4`` bytes by ``pread``).
+        lists rebuilt — see :meth:`IVFIndex.refresh`), and exact backends
+        are rebuilt over the new segment, which re-streams their float32
+        selection copy (``n·dim·4`` bytes by ``pread``).
         Aggregate IVF rebuild work lands in :attr:`last_rebuild`.
         Requires the version to keep the same partition layout (same node
         count).
         """
         from repro.serving.index import ExactBackend, IVFRebuildStats
-        from repro.serving.sharding.pq import PQBackend
 
         if stored.partitioner != self.partitioner:
             raise ValueError(
@@ -253,10 +242,6 @@ class ShardRouter(SearchBackend):
                 rebuilt += refreshed.last_rebuild.n_lists_rebuilt
                 total += refreshed.last_rebuild.n_lists_total
                 backends.append(refreshed)
-            elif isinstance(backend, PQBackend) and (
-                backend.features.shape == segment.features.shape
-            ):
-                backends.append(backend.refresh(segment.features))
             elif isinstance(backend, ExactBackend):
                 backends.append(ExactBackend(segment.features))
             else:

@@ -54,6 +54,7 @@ import shutil
 import tempfile
 import time
 import weakref
+import zipfile
 from dataclasses import asdict, dataclass
 from dataclasses import fields as dataclass_fields
 from functools import cached_property
@@ -712,62 +713,45 @@ class EmbeddingStore:
         return to
 
     # -- index artifact persistence ------------------------------------
-    def index_path(self, version: str, kind: str, *, shard: int = 0) -> Path:
-        """Where shard ``shard``'s ``kind`` (ivf/pq/ivfpq) index artifact lives."""
+    def index_path(self, version: str, *, shard: int = 0) -> Path:
+        """Where shard ``shard``'s IVF index artifact lives."""
         directory = shard_dir(self._version_dir(version), shard, self.n_shards)
-        return directory / f"index_{kind}.npz"
+        return directory / "index_ivf.npz"
 
     def save_index(self, version: str, backend, *, shard: int = 0) -> Path | None:
-        """Persist a built search index next to the shard's arrays.
+        """Persist a built IVF index next to the shard's arrays.
 
-        One atomically written ``index_<kind>.npz`` per backend kind, so a
-        later ``cli query`` (or service activation with ``index_cache``)
-        loads the trained quantizer/codebooks instead of rebuilding them
-        per invocation.  Exact backends have no trained state and return
-        ``None``.  The artifact is derived data: deleting it only costs a
-        rebuild.
+        One atomically written ``index_ivf.npz`` per shard, so a later
+        ``cli query`` (or service activation with ``index_cache``) loads
+        the trained quantizer instead of rebuilding it per invocation.
+        Exact backends have no trained state and return ``None``.  The
+        artifact is derived data: deleting it only costs a rebuild.
         """
         from repro.serving.index import IVFIndex
-        from repro.serving.sharding.pq import IVFPQBackend, PQBackend
 
-        if isinstance(backend, IVFIndex):
-            kind, arrays = "ivf", backend.save_arrays()
-        elif isinstance(backend, IVFPQBackend):
-            kind, arrays = "ivfpq", backend.save_arrays()
-        elif isinstance(backend, PQBackend):
-            kind, arrays = "pq", backend.save_arrays()
-        else:
+        if not isinstance(backend, IVFIndex):
             return None
         if not self._version_dir(version).is_dir():
             raise FileNotFoundError(f"version {version!r} not found in {self.root}")
-        path = self.index_path(version, kind, shard=shard)
+        arrays = backend.save_arrays()
+        path = self.index_path(version, shard=shard)
         atomic_write(path, lambda handle: np.savez(handle, **arrays))
         return path
 
-    def load_index(self, version: str, kind: str, features, *, shard: int = 0):
-        """Reconstruct shard ``shard``'s persisted ``kind`` index over ``features``.
+    def load_index(self, version: str, features, *, shard: int = 0):
+        """Reconstruct shard ``shard``'s persisted IVF index over ``features``.
 
-        Returns ``None`` when no artifact exists (or it covers a different
-        row count — impossible for untouched version dirs, cheap to guard).
+        Returns ``None`` when the artifact is missing or unusable — not a
+        readable archive, or one that covers a different row count — so
+        the caller rebuilds the index and rewrites the file.
         """
         from repro.serving.index import IVFIndex
-        from repro.serving.sharding.pq import IVFPQBackend, PQBackend
 
-        loaders = {
-            "ivf": IVFIndex.from_arrays,
-            "pq": PQBackend.from_arrays,
-            "ivfpq": IVFPQBackend.from_arrays,
-        }
-        if kind not in loaders:
-            return None
-        path = self.index_path(version, kind, shard=shard)
-        if not path.is_file():
-            return None
-        with np.load(path) as archive:
-            arrays = {name: archive[name] for name in archive.files}
         try:
-            return loaders[kind](features, arrays)
-        except ValueError:
+            with np.load(self.index_path(version, shard=shard)) as archive:
+                arrays = {name: archive[name] for name in archive.files}
+            return IVFIndex.from_arrays(features, arrays)
+        except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
             return None
 
     # ------------------------------------------------------------------

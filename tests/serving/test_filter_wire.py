@@ -117,10 +117,14 @@ class TestFilteredOverTheWire:
         next to it is an unknown field, whether the two agree or not."""
         result = client.top_k(3, 5, params={"nprobe": 4})
         assert result.ids.shape == (5,)
-        # The removed selection-precision hint is an unknown field.
-        with pytest.raises(ApiError) as excinfo:
-            client.top_k(3, 5, params={"select_dtype": "float32"})
-        assert excinfo.value.status == 400
+        # Removed hints (selection precision, the PQ shortlist factor)
+        # are unknown fields: a structured 400 that names them.
+        for removed in ({"select_dtype": "float32"}, {"rescore_factor": 2}):
+            with pytest.raises(ApiError) as excinfo:
+                client.top_k(3, 5, params=removed)
+            assert excinfo.value.status == 400
+            assert excinfo.value.code == "invalid_request"
+            assert repr(sorted(removed)) in excinfo.value.message
         for path, shape in (
             (protocol.TOPK, {"node": 3}),
             (protocol.TOPK_BATCH, {"nodes": [3, 4]}),

@@ -29,7 +29,6 @@ from repro.search.knn import (
     normalize_rows,
 )
 from repro.serving.index import IVFIndex, filtered_probe_width
-from repro.serving.sharding.pq import IVFPQBackend, PQBackend, PQCodec
 from repro.serving.sharding.router import Partitioner, ShardRouter
 from repro.serving.index import ExactBackend
 
@@ -37,7 +36,6 @@ from repro.serving.index import ExactBackend
 # sha256(ids.int64.tobytes() + scores.f64.tobytes()) over the fixed
 # corpus/queries/exclude below.
 PINNED_EXACT = "c7112b365da4e7a335ac0d4ae56d2eae85d3addc6669cb8ade442de02b76740f"
-PINNED_PQ = PINNED_EXACT  # full-corpus rescore covers the exact answer
 PINNED_IVF = "a27d667ca22d5d8577a8edda1e80ce7d83b162388357cc0a5df18cb73a082906"
 
 
@@ -273,37 +271,6 @@ class TestFilteredIVF:
         assert scores.tobytes() == ref_scores.tobytes()
 
 
-class TestFilteredPQ:
-    def test_pq_filters_before_adc_and_rescores_canonically(self):
-        features, queries, exclude = _pinned_corpus()
-        codec = PQCodec.fit(features, n_subspaces=8, seed=0)
-        backend = PQBackend(features, codec)
-        mask = np.zeros(512, dtype=bool)
-        mask[::4] = True
-        ids, scores = backend.search(
-            queries, 13, exclude=exclude, node_filter=CompiledFilter(mask)
-        )
-        allowed = ids[ids >= 0]
-        assert mask[allowed].all()
-        # default PQBackend rescores the full shortlist in canonical f64,
-        # and the shortlist covers the corpus at this size — exact match
-        ref_ids, ref_scores = brute_force_filtered(
-            features, queries, 13, mask, exclude
-        )
-        assert np.array_equal(ids, ref_ids)
-        assert scores.tobytes() == ref_scores.tobytes()
-
-    def test_ivfpq_filtered_results_respect_mask(self):
-        features, queries, _ = _pinned_corpus()
-        codec = PQCodec.fit(features, n_subspaces=8, seed=0)
-        backend = IVFPQBackend(features, codec, nlist=16, nprobe=16, seed=0)
-        mask = np.zeros(512, dtype=bool)
-        mask[::5] = True
-        ids, _ = backend.search(queries, 9, node_filter=CompiledFilter(mask))
-        allowed = ids[ids >= 0]
-        assert mask[allowed].all()
-
-
 class TestFilteredRouter:
     def _router(self, features, kind="range", n_shards=4):
         partitioner = Partitioner.build(kind, n_shards, features.shape[0])
@@ -372,11 +339,3 @@ class TestUnfilteredPinnedIdentity:
         index = IVFIndex(features, nlist=16, nprobe=4, seed=0)
         ids, scores = index.search(queries, 13, exclude=exclude)
         assert _digest(ids, scores) == PINNED_IVF
-
-    def test_pq_backend(self):
-        features, queries, exclude = _pinned_corpus()
-        codec = PQCodec.fit(features, n_subspaces=8, seed=0)
-        ids, scores = PQBackend(features, codec).search(
-            queries, 13, exclude=exclude
-        )
-        assert _digest(ids, scores) == PINNED_PQ

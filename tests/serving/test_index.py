@@ -257,8 +257,9 @@ class TestFactory:
         assert isinstance(make_backend(dataset, "ivf", nlist=8), IVFIndex)
 
     def test_unknown_kind_rejected(self, dataset):
-        with pytest.raises(ValueError):
-            make_backend(dataset, "annoy")
+        for kind in ("annoy", "pq", "ivfpq"):
+            with pytest.raises(ValueError, match="exact/ivf/auto"):
+                make_backend(dataset, kind)
 
 
 class TestKnnBatchConsistency:
@@ -380,3 +381,54 @@ class TestIVFFloat32Selection:
             result = service.search(SearchRequest(node=0, k=5))
             assert np.array_equal(result.ids, baseline.ids)
             assert result.scores.tobytes() == baseline.scores.tobytes()
+
+
+class TestIndexArtifact:
+    """The persisted ``index_ivf.npz``: derived data, reloaded or rebuilt."""
+
+    def test_store_load_missing_index_returns_none(self, store):
+        stored = store.open()
+        assert store.load_index(stored.version, stored.features) is None
+
+    def test_service_index_cache_skips_retraining(self, store, monkeypatch):
+        from repro.serving import index as index_module
+        from repro.serving.service import QueryService, SearchRequest
+
+        with QueryService(store, backend="ivf", nlist=4, index_cache=True) as service:
+            first = service.search(SearchRequest(node=0, k=5))
+
+        def boom(*args, **kwargs):  # pragma: no cover - failure path
+            raise AssertionError("quantizer retrained despite a persisted artifact")
+
+        # The second service must load the artifact, not retrain k-means.
+        monkeypatch.setattr(index_module, "_train_spherical_kmeans", boom)
+        with QueryService(store, backend="ivf", nlist=4, index_cache=True) as service:
+            again = service.search(SearchRequest(node=0, k=5))
+        assert np.array_equal(first.ids, again.ids)
+        assert first.scores.tobytes() == again.scores.tobytes()
+
+    @pytest.mark.parametrize("damage", ["garbage", "truncated"])
+    def test_corrupt_artifact_is_rebuilt(self, store, damage):
+        """An unreadable archive is a cache miss: activation rebuilds the
+        index, answers like a fresh one, and rewrites a valid file."""
+        import zipfile
+
+        from repro.serving.service import QueryService, SearchRequest
+
+        stored = store.open()
+        path = store.index_path(stored.version)
+        with QueryService(store, backend="ivf", nlist=4, index_cache=True):
+            pass
+        if damage == "garbage":
+            path.write_bytes(b"not a zip archive")
+        else:
+            path.write_bytes(path.read_bytes()[:200])
+        with QueryService(store, backend="ivf", nlist=4, index_cache=True) as service:
+            result = service.search(SearchRequest(nodes=[0, 1, 2], k=5))
+        fresh = IVFIndex(stored.features, nlist=4, seed=0)
+        ids, scores = fresh.search(
+            np.asarray(stored.features[[0, 1, 2]]), 5, exclude=np.array([0, 1, 2])
+        )
+        assert np.array_equal(result.ids, ids)
+        assert result.scores.tobytes() == scores.tobytes()
+        assert zipfile.is_zipfile(path)

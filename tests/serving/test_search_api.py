@@ -30,17 +30,19 @@ def service(store):
 class TestSearchParams:
     def test_defaults_are_all_none(self):
         params = SearchParams()
-        assert params.key() == (None, None)
+        assert params.key() == (None,)
+        assert SearchParams(nprobe=4).key() == (4,)
         assert params.to_json() == {}
 
     def test_validation(self):
         with pytest.raises(ValueError):
             SearchParams(nprobe=0)
-        with pytest.raises(ValueError):
-            SearchParams(rescore_factor=0)
+        with pytest.raises(TypeError):  # nprobe is the only field
+            SearchParams(rescore_factor=2)
 
     def test_json_round_trip(self):
-        params = SearchParams(nprobe=4, rescore_factor=2)
+        params = SearchParams(nprobe=4)
+        assert params.to_json() == {"nprobe": 4}
         assert SearchParams.from_json(params.to_json()) == params
 
     @pytest.mark.parametrize(
@@ -50,6 +52,8 @@ class TestSearchParams:
             {"nprobe": True},
             {"nprobe": "4"},
             {"select_dtype": "float32"},  # a removed hint is an unknown field
+            {"rescore_factor": 2},
+            {"nprobe": 4, "rescore_factor": 2},
         ],
     )
     def test_from_json_rejects_malformed(self, obj):

