@@ -265,8 +265,8 @@ class _Replica:
             lsn_served = None
         if response_type == protocol.BINARY_CONTENT_TYPE:
             self.binary_seen = True
-            return status, protocol.decode_frame_body(raw), lsn_served
-        return status, protocol.parse_json_body(raw), lsn_served
+            return status, protocol.decode_frame_body(raw, response=True), lsn_served
+        return status, protocol.parse_json_body(raw, response=True), lsn_served
 
 
 class ServingClient:

@@ -162,12 +162,40 @@ class ApiError(Exception):
         )
 
 
-def parse_json_body(raw: bytes) -> dict:
-    """Decode a request/response body; empty bytes mean ``{}``."""
+def _finite_number(text: str) -> float:
+    """Request-decoder hook for every non-integer number: finite or a 400.
+
+    Python's parser takes the non-standard ``NaN`` / ``Infinity`` tokens
+    and overflows ``1e400`` to ``inf``.  Let through, such a value reaches
+    a validator that echoes it into an error's ``details``, which
+    :func:`dump_json` (``allow_nan=False``) then cannot write.
+    """
+    value = float(text)
+    if not math.isfinite(value):
+        raise ApiError(
+            400, "invalid_request",
+            f"JSON numbers must be finite, got {text}",
+        )
+    return value
+
+
+# Requests are decoded strictly.  A response was written by dump_json
+# (allow_nan=False), so it holds no such number and the client keeps the
+# C scanner's own float parsing: a float hook is a Python call per number.
+_REQUEST_JSON = json.JSONDecoder(
+    parse_float=_finite_number, parse_constant=_finite_number
+)
+_RESPONSE_JSON = json.JSONDecoder()
+
+
+def parse_json_body(raw: bytes, *, response: bool = False) -> dict:
+    """Decode a request (or, client-side, a response) body; empty bytes
+    mean ``{}``."""
     if not raw:
         return {}
+    decoder = _RESPONSE_JSON if response else _REQUEST_JSON
     try:
-        body = json.loads(raw.decode("utf-8"))
+        body = decoder.decode(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise ApiError(400, "invalid_json", f"body is not valid JSON: {error}")
     if not isinstance(body, dict):
@@ -222,7 +250,9 @@ def _frame_error(message: str, details: dict | None = None) -> ApiError:
     return ApiError(400, "invalid_frame", message, details)
 
 
-def decode_frame(raw: bytes) -> tuple[dict, dict[str, np.ndarray]]:
+def decode_frame(
+    raw: bytes, *, response: bool = False
+) -> tuple[dict, dict[str, np.ndarray]]:
     """Parse a binary frame into (header dict, name → array).
 
     Every malformation — bad magic, truncated header, unknown dtype,
@@ -239,7 +269,8 @@ def decode_frame(raw: bytes) -> tuple[dict, dict[str, np.ndarray]]:
             "frame header length out of bounds", {"header_len": header_len}
         )
     try:
-        header = json.loads(raw[8 : 8 + header_len].decode("utf-8"))
+        decoder = _RESPONSE_JSON if response else _REQUEST_JSON
+        header = decoder.decode(raw[8 : 8 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise _frame_error(f"frame header is not valid JSON: {error}")
     if not isinstance(header, dict):
@@ -281,15 +312,15 @@ def decode_frame(raw: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     return header, arrays
 
 
-def decode_frame_body(raw: bytes) -> dict:
-    """A decoded frame as one request-body dict (header fields + arrays).
+def decode_frame_body(raw: bytes, *, response: bool = False) -> dict:
+    """A decoded frame as one body dict (header fields + arrays).
 
-    The server-side mirror of :func:`parse_json_body`: handlers see one
-    flat dict either way, with array-valued fields as ndarrays instead
-    of JSON lists.  A name collision between a header field and an array
-    would silently shadow one of them — refuse instead.
+    The mirror of :func:`parse_json_body`: handlers see one flat dict
+    either way, with array-valued fields as ndarrays instead of JSON
+    lists.  A name collision between a header field and an array would
+    silently shadow one of them — refuse instead.
     """
-    header, arrays = decode_frame(raw)
+    header, arrays = decode_frame(raw, response=response)
     overlap = sorted(set(header) & set(arrays))
     if overlap:
         raise _frame_error("field appears as both header and array", {"names": overlap})
@@ -371,12 +402,13 @@ def require_float_list(body: dict, name: str, *, max_items: int) -> list[float]:
                 400, "invalid_request",
                 f"field {name!r} must contain only numbers", {name: item},
             )
-        if not math.isfinite(item):
+        try:
+            out.append(float(item))
+        except OverflowError:  # an integer literal past float range
             raise ApiError(
                 400, "invalid_request",
                 f"field {name!r} must contain only finite numbers",
-            )
-        out.append(float(item))
+            ) from None
     return out
 
 

@@ -54,6 +54,7 @@ finish — in-flight work completes with its real status, never a 500.
 from __future__ import annotations
 
 import json
+import math
 import socket
 import socketserver
 import sys
@@ -938,6 +939,10 @@ class _Handler(socketserver.StreamRequestHandler):
         try:
             budget_ms = float(header)
         except ValueError:
+            budget_ms = math.nan
+        if not math.isfinite(budget_ms):
+            # nan never compares <= 0 and inf never runs out: neither is
+            # a budget, and -inf could not be written into the 503.
             raise ApiError(
                 400, "invalid_request",
                 f"bad {protocol.DEADLINE_HEADER} header: {header!r}",

@@ -59,13 +59,21 @@ class TestServerShedding:
             assert len(payload["ids"]) == 5
 
     def test_bad_deadline_header_is_400(self, service):
+        # nan never compares as spent and inf never runs out; -inf would
+        # be echoed into a 503 that allow_nan=False cannot write.
         with EmbeddingServer(service) as server:
-            status, payload = _raw_post(
-                server.url, protocol.TOPK, {"node": 0, "k": 5},
-                {protocol.DEADLINE_HEADER: "soon"},
-            )
-            assert status == 400
-            assert payload["error"]["code"] == "invalid_request"
+            for header in ("soon", "nan", "inf", "-inf", "Infinity"):
+                status, payload = _raw_post(
+                    server.url, protocol.TOPK, {"node": 0, "k": 5},
+                    {protocol.DEADLINE_HEADER: header},
+                )
+                assert status == 400, header
+                assert payload["error"]["code"] == "invalid_request"
+                status, payload = _raw_post(
+                    server.url, protocol.TOPK, {"node": 1, "k": 5}, {}
+                )
+                assert status == 200
+                assert len(payload["ids"]) == 5
 
     def test_upsert_shed_before_fsync(self, tmp_path, store):
         """An already-dead upsert is refused *before* the append: the

@@ -280,8 +280,8 @@ class TestValidation:
         """A NaN element is a 400, not a 500 from allow_nan=False dumping.
 
         Sent raw: python's json emits the non-standard ``NaN`` token
-        (which ``json.loads`` also accepts server-side), while the
-        client's own dump_json would refuse to serialize it.
+        (which a plain ``json.loads`` would accept), while the client's
+        own dump_json would refuse to serialize it.
         """
         import http.client
 
@@ -299,6 +299,39 @@ class TestValidation:
             assert "finite" in body["error"]["message"]
         finally:
             connection.close()
+        # A non-finite scalar would be echoed into the 400's details,
+        # which allow_nan=False cannot write: the server must answer
+        # anyway, and keep answering.  An integer past float range is
+        # no vector element either.
+        for path, raw in (
+            (protocol.TOPK, b'{"node": 0, "k": NaN}'),
+            (protocol.TOPK, b'{"node": Infinity}'),
+            (protocol.TOPK, b'{"node": 0, "k": -Infinity}'),
+            (protocol.TOPK, b'{"node": 0, "k": 1e400}'),
+            (protocol.SIMILAR, b'{"vector": [1' + b"0" * 400 + b'], "k": 3}'),
+        ):
+            connection = http.client.HTTPConnection(
+                server.host, server.port, timeout=10
+            )
+            try:
+                connection.request(
+                    "POST", path, body=raw,
+                    headers={"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                body = json.loads(response.read())
+                assert response.status == 400, raw
+                assert body["error"]["code"] == "invalid_request"
+                assert "finite" in body["error"]["message"]
+                connection.request(
+                    "POST", protocol.TOPK, body=b'{"node": 0, "k": 3}',
+                    headers={"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                assert response.status == 200
+                assert len(json.loads(response.read())["ids"]) == 3
+            finally:
+                connection.close()
 
     def test_chunked_body_rejected_with_close(self, ports):
         """Transfer-Encoding is refused (411) and the connection closed —
