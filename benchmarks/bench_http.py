@@ -8,10 +8,12 @@ localhost for three deployments of the same corpus:
 - ``sharded`` — a 4-shard range-partitioned store behind the
   scatter-gather router (exact per shard).
 
-Schema ``bench_http/v4`` (same file as v1–v3): every deployment is
-measured along two wire formats (``json`` vs ``binary`` frames) and,
-for single queries, with the server-side admission coalescer off and on
-— the dimensions the PR-5 request-path overhaul optimizes.  A closed
+Schema ``bench_http/v5`` (same file as v1–v4): every deployment is
+measured along two wire formats (``json`` vs ``binary`` frames) — the
+dimension the PR-5 request-path overhaul optimizes; v5 drops v2–v4's
+second, admission-coalesced server per deployment (the coalescer is
+gone: concurrent single queries now batch naturally inside the one
+server) and its ``coalesced`` cells.  A closed
 loop (:func:`repro.serving.http.run_load`) drives ``POST /v1/topk`` and
 ``POST /v1/topk:batch`` through a real :class:`ServingClient` (keep-alive
 connection reuse included) and records client-observed QPS, p50 and p99,
@@ -30,11 +32,15 @@ Correctness is asserted on **every** run (``--smoke`` included):
 - exact top-k over HTTP is **bit-identical** to the in-process
   ``QueryService.search`` answer for *both* wire formats — JSON floats
   survive the round trip via shortest-repr, binary frames carry the raw
-  IEEE-754 bytes;
-- coalesced groups are snapshot-consistent: single-query clients race
-  ``POST /admin/refresh`` version flips and every response carries its
-  coalescing group id — no group may ever contain two store versions;
-- graceful shutdown drains in-flight requests (both servers): a burst is
+  IEEE-754 bytes (the binary check runs against an independent
+  in-process service);
+- answers stay true to the version they name while it flips: eight
+  single-query clients race ``POST /admin/refresh`` flips between two
+  versions with different rows, every answer must be bit-identical to
+  the reference answer of the version it names, and at least one
+  ``select`` span in ``/debug/traces`` must have answered a batch (so
+  the check crossed natural batching);
+- graceful shutdown drains in-flight requests: a burst is
   fired, the server is closed mid-burst, and every request must either
   complete with 200 or be rejected with a structured 503 — never a 500;
 - availability under worker loss: with 2 supervised workers and worker 0
@@ -44,8 +50,8 @@ Correctness is asserted on **every** run (``--smoke`` included):
 
 The full (non-smoke) configuration additionally asserts the PR-5
 acceptance floors against the committed PR-4 baselines: exact
-single-query throughput ≥ 2× 119 req/s and IVF ≥ 1.5× 528 req/s with
-coalescing + binary enabled.
+single-query throughput ≥ 2× 119 req/s and IVF ≥ 1.5× 528 req/s over
+the binary wire.
 
 Run as a script (not under pytest)::
 
@@ -63,11 +69,14 @@ import sys
 import tempfile
 import threading
 import time
+import urllib.request
 from pathlib import Path
 
 import numpy as np
 import scipy
 
+from repro.core.embedding import PANEEmbedding
+from repro.search.knn import exact_top_k
 from repro.serving.faults import FAULTS_ENV, FaultPlan
 from repro.serving.http import (
     EmbeddingServer,
@@ -77,8 +86,8 @@ from repro.serving.http import (
     run_load,
 )
 from repro.serving.http.loadgen import DrainBurst, assert_bit_identical
-from repro.serving.http.protocol import ApiError
-from repro.serving.service import QueryService
+from repro.serving.http.protocol import TRACES, ApiError
+from repro.serving.service import QueryService, SearchRequest
 from repro.serving.store import EmbeddingStore
 from repro.serving.synth import synthetic_embedding
 
@@ -136,43 +145,66 @@ def check_drain(url: str, n_nodes: int, server: EmbeddingServer, k: int) -> dict
     }
 
 
-def check_coalescing(
+def _batched_select_spans(url: str) -> int:
+    """``select`` spans in ``/debug/traces`` that answered more than one query."""
+    with urllib.request.urlopen(url + TRACES, timeout=30) as response:
+        traces = json.loads(response.read())["traces"]
+    return sum(
+        1
+        for trace in traces
+        for span in trace["spans"]
+        if span["name"] == "select" and span.get("meta", {}).get("batch", 1) > 1
+    )
+
+
+def check_version_flips(
     url: str,
     store,
-    embedding,
     args: argparse.Namespace,
     *,
+    reference,
     requests: int,
     workers: int = 8,
 ) -> dict:
-    """Race single-query clients against version flips; groups must be pure.
+    """Race single-query clients against version flips; answers must be true.
 
-    Every coalesced response carries its group id; a group executed
-    against one snapshot by construction, so two members of the same
-    group answering with different store versions would mean a torn
-    coalesce — the regression this check exists to catch.  Publishes a
-    second (identical-content) version and flips ``/admin/refresh``
-    between the two while the workers hammer ``POST /v1/topk``.
+    Publishes a second version whose rows are the active version's,
+    permuted (so the two answer every node differently), and flips
+    ``/admin/refresh`` between them while ``workers`` closed-loop clients
+    hammer ``POST /v1/topk``.  Every answer must be bit-identical to
+    ``reference(version, nodes)`` for the version it names: a queued
+    request answered from another snapshot than the one its handler
+    pinned fails here.  Runs until ``requests`` answers, ten flips and
+    one batched ``select`` span were seen (or 120 s), so the check is
+    never vacuous about natural batching.
     """
     admin = ServingClient(url, timeout_s=30.0)
     v_old = admin.describe()["version"]
-    v_new = store.publish(embedding)
-    observed: list[tuple[int | None, str]] = []
+    current = store.open(v_old).to_embedding()
+    order = np.random.default_rng(args.seed + 13).permutation(current.n_nodes)
+    v_new = store.publish(
+        PANEEmbedding(
+            x_forward=current.x_forward[order],
+            x_backward=current.x_backward[order],
+            y=current.y,
+            config=current.config,
+        )
+    )
+    observed: list[tuple[int, str, np.ndarray, np.ndarray]] = []
     lock = threading.Lock()
-    per_worker = max(1, requests // workers)
+    stop = threading.Event()
 
     def fire(seed: int) -> None:
         client = ServingClient(url, timeout_s=30.0, wire="auto")
-        # Decorrelate from the load phases' node streams: a reused seed
-        # would re-draw nodes the (version-keyed) result cache already
-        # holds, and cache hits bypass the coalescer — the stress would
-        # observe zero groups and assert vacuously.
+        # Decorrelate from the load phases' node streams: cache hits
+        # never enter admission, so a replayed stream would not batch.
         rng = np.random.default_rng(900_000 + seed)
         try:
-            for _ in range(per_worker):
-                result = client.top_k(int(rng.integers(args.n)), args.k)
+            while not stop.is_set():
+                node = int(rng.integers(args.n))
+                result = client.top_k(node, args.k)
                 with lock:
-                    observed.append((result.group, result.version))
+                    observed.append((node, result.version, result.ids, result.scores))
         finally:
             client.close()
 
@@ -182,39 +214,73 @@ def check_coalescing(
     ]
     for thread in threads:
         thread.start()
-    flips = 0
-    while any(thread.is_alive() for thread in threads):
-        admin.refresh(version=v_old if flips % 2 else v_new)
-        flips += 1
-        time.sleep(0.002)
-    for thread in threads:
-        thread.join(timeout=60.0)
+    flips = batched = 0
+    deadline = time.monotonic() + 120.0
+    try:
+        while (len(observed) < requests or flips < 10 or not batched) and (
+            time.monotonic() < deadline
+        ):
+            admin.refresh(version=v_old if flips % 2 else v_new)
+            flips += 1
+            if not batched:
+                batched = _batched_select_spans(url)
+            time.sleep(0.002)
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=60.0)
     admin.refresh()  # settle back onto LATEST for whatever runs next
     admin.close()
-
-    by_group: dict[int, set[str]] = {}
-    group_sizes: dict[int, int] = {}
-    for group, version in observed:
-        if group is None:  # cache hit — answered outside the coalescer
-            continue
-        by_group.setdefault(group, set()).add(version)
-        group_sizes[group] = group_sizes.get(group, 0) + 1
-    torn = {group: sorted(vs) for group, vs in by_group.items() if len(vs) > 1}
-    assert not torn, f"coalesced groups mixed store versions: {torn}"
-    coalesced_groups = sum(1 for size in group_sizes.values() if size > 1)
-    assert coalesced_groups >= 1, (
-        "the stress never observed an actually-coalesced group; "
-        "the no-torn-groups assertion would be vacuous"
+    assert batched, (
+        "no select span answered a batch: the stress never crossed "
+        "natural batching"
     )
+    by_version: dict[str, list] = {}
+    for entry in observed:
+        by_version.setdefault(entry[1], []).append(entry)
+    for version, entries in by_version.items():
+        nodes = np.array([entry[0] for entry in entries], dtype=np.intp)
+        want_ids, want_scores = reference(version, nodes)
+        for row, (node, _, ids, scores) in enumerate(entries):
+            assert np.array_equal(ids, want_ids[row]), (
+                f"ids of node {node} do not match version {version}"
+            )
+            assert scores.tobytes() == want_scores[row].tobytes(), (
+                f"node {node} scores not bit-identical to {version}"
+            )
     return {
         "responses": len(observed),
         "refresh_flips": flips,
-        "groups": len(by_group),
-        "coalesced_groups": coalesced_groups,
-        "largest_group": max(group_sizes.values(), default=0),
-        "torn_groups": 0,
-        "versions_seen": sorted({version for _, version in observed}),
+        "batched_select_spans": batched,
+        "versions_seen": sorted(by_version),
     }
+
+
+def exact_reference(store, k: int):
+    """``exact_top_k`` over the rows of the named version (self excluded)."""
+
+    def reference(version: str, nodes: np.ndarray):
+        stored = store.open(version)
+        rows = stored.feature_rows(np.arange(stored.n_nodes))
+        return exact_top_k(
+            rows, rows[nodes], k, assume_normalized=True, exclude=nodes
+        )
+
+    return reference
+
+
+def service_reference(store, backend: str, args: argparse.Namespace):
+    """An in-process service pinned to the named version (same backend)."""
+
+    def reference(version: str, nodes: np.ndarray):
+        with QueryService(
+            store, backend=backend, nprobe=args.nprobe, version=version,
+            cache_size=0, index_cache=True,
+        ) as pinned:
+            result = pinned.search(SearchRequest(nodes=nodes, k=args.k))
+        return result.ids, result.scores
+
+    return reference
 
 
 def best_single_run(url: str, args: argparse.Namespace, *, seed_base: int, wire: str) -> dict:
@@ -264,8 +330,8 @@ def bench_deployment(
         backend=backend,
         nprobe=args.nprobe,
         n_threads=args.threads,
-        # Persist/load index artifacts so the coalescing stress's
-        # /admin/refresh version flips swap in milliseconds instead of
+        # Persist/load index artifacts so the version-flip stress's
+        # /admin/refresh flips swap in milliseconds instead of
         # retraining an IVF quantizer per flip — the race needs real
         # flip pressure to be worth asserting.
         index_cache=True,
@@ -275,7 +341,6 @@ def bench_deployment(
             "backend_kind": service.describe()["backend_kind"],
         }
 
-        # ---- server A: no coalescing (the wire-format comparison) ----
         server = EmbeddingServer(service, drain_timeout_s=30.0).start()
         url = server.url
         with ServingClient(url) as client:
@@ -295,11 +360,15 @@ def bench_deployment(
                 )
             # The binary frame path must be just as bit-identical — raw
             # float64 bytes on the wire make it true by construction,
-            # this asserts the construction.
+            # this asserts the construction, against an independent
+            # in-process service.
             with ServingClient(url, wire="binary") as binary_client:
-                record["bit_identical_nodes_binary"] = assert_bit_identical(
-                    binary_client, service, sample, args.k
-                )
+                with QueryService(
+                    store, backend=backend, nprobe=args.nprobe
+                ) as independent:
+                    record["bit_identical_nodes_binary"] = assert_bit_identical(
+                        binary_client, independent, sample, args.k
+                    )
 
         record["single"] = {}
         record["batch"] = {}
@@ -323,71 +392,27 @@ def bench_deployment(
             assert batch.errors == 0, batch.error_messages[:3]
             record["batch"][wire] = batch.as_dict()
 
+        record["version_flips"] = check_version_flips(
+            url, store, args,
+            reference=(
+                exact_reference(store, args.k)
+                if check_identity
+                else service_reference(store, backend, args)
+            ),
+            requests=max(128, args.requests // 4),
+        )
         # Drain-under-fire closes this server.
         record["drain"] = check_drain(url, args.n, server, args.k)
 
-    # ---- server B: the full PR-5 hot path ----
-    # A second service over the same store behind an admission-coalescing
-    # server (answers asserted below against an independent in-process
-    # service for the exact deployments).  index_cache makes this cheap:
-    # the trained IVF artifact persisted by service A is reloaded, not
-    # retrained.
-    with QueryService(
-        store,
-        backend=backend,
-        nprobe=args.nprobe,
-        n_threads=args.threads,
-        index_cache=True,
-    ) as service_b:
-        window_s = args.coalesce_window_ms / 1e3
-        server_b = EmbeddingServer(
-            service_b,
-            drain_timeout_s=30.0,
-            coalesce_window_s=window_s,
-            coalesce_max_batch=args.coalesce_max_batch,
-        ).start()
-        url_b = server_b.url
-        coalesced: dict = {
-            "window_ms": args.coalesce_window_ms,
-            "max_batch": args.coalesce_max_batch,
-            "single": {},
-        }
-        if check_identity:
-            # The strongest form of the contract: binary wire +
-            # coalescing, asserted bitwise against an independent
-            # in-process service.
-            rng = np.random.default_rng(args.seed + 7)
-            sample = rng.choice(args.n, size=args.identity_sample, replace=False)
-            with QueryService(
-                store, backend=backend, nprobe=args.nprobe
-            ) as reference:
-                with ServingClient(url_b, wire="binary") as identity_client:
-                    coalesced["bit_identical_nodes_vs_float64"] = (
-                        assert_bit_identical(
-                            identity_client, reference, sample, args.k
-                        )
-                    )
-        for offset, wire in enumerate(("json", "binary")):
-            coalesced["single"][wire] = best_single_run(
-                url_b, args, seed_base=args.seed + 100 * (offset + 3), wire=wire
-            )
-        coalesced["stress"] = check_coalescing(
-            url_b, store, embedding, args,
-            requests=max(128, args.requests // 4),
-        )
-        coalesced["drain"] = check_drain(url_b, args.n, server_b, args.k)
-        record["coalesced"] = coalesced
-
-        base = record["single"]["json"]["qps"]
-        best = coalesced["single"]["binary"]["qps"]
         print(
-            f"{name:8s} single json {base:7.0f} req/s -> "
-            f"binary+coalesce {best:7.0f} req/s ({best / base:.2f}x)  "
+            f"{name:8s} single json {record['single']['json']['qps']:7.0f} "
+            f"req/s -> binary {record['single']['binary']['qps']:7.0f} req/s  "
             f"batch[{args.batch_size}] json "
             f"{record['batch']['json']['query_qps']:7.0f} q/s -> binary "
             f"{record['batch']['binary']['query_qps']:7.0f} q/s  "
-            f"stress groups {coalesced['stress']['coalesced_groups']} "
-            f"(largest {coalesced['stress']['largest_group']}), drains ok",
+            f"flips {record['version_flips']['refresh_flips']} "
+            f"(batched selects {record['version_flips']['batched_select_spans']}), "
+            "drain ok",
             flush=True,
         )
         return record
@@ -565,24 +590,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--shards", type=int, default=4)
     parser.add_argument("--threads", type=int, default=4, help="service pool")
     parser.add_argument(
-        "--coalesce-window-ms",
-        type=float,
-        default=0.5,
-        help="admission-coalescing window for the coalesced measurements "
-        "(0.5 ms measured best for the mixed exact/IVF workload on the "
-        "bench box: long enough to gather a closed-loop burst, short "
-        "enough not to idle the CPU when arrivals stagger)",
-    )
-    parser.add_argument(
-        "--coalesce-max-batch",
-        type=int,
-        default=0,
-        help="early-wake batch size (0 = the closed-loop concurrency: "
-        "the leader stops waiting the moment every worker's request has "
-        "joined the group, so the window only costs latency when load "
-        "is below the expected concurrency)",
-    )
-    parser.add_argument(
         "--identity-sample",
         type=int,
         default=64,
@@ -610,12 +617,10 @@ def main(argv: list[str] | None = None) -> int:
         args.batch_size, args.identity_sample = 32, 24
         args.shards, args.threads = 2, 2
         args.trials = 1
-    if args.coalesce_max_batch <= 0:
-        args.coalesce_max_batch = args.concurrency
 
     record = {
         "meta": {
-            "schema": "bench_http/v4",
+            "schema": "bench_http/v5",
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
@@ -633,8 +638,6 @@ def main(argv: list[str] | None = None) -> int:
             "nprobe": args.nprobe,
             "shards": args.shards,
             "threads": args.threads,
-            "coalesce_window_ms": args.coalesce_window_ms,
-            "coalesce_max_batch": args.coalesce_max_batch,
             "trials": args.trials,
             "seed": args.seed,
         },
@@ -662,8 +665,8 @@ def main(argv: list[str] | None = None) -> int:
             "sharded", sharded, "exact", embedding, args, check_identity=True
         )
         # The multi-process fleet over the same plain store (the
-        # coalescing stress above published extra identical-content
-        # versions; LATEST is what the workers open).
+        # version-flip stress above published extra permuted versions;
+        # LATEST is what the workers open).
         record["workers"] = bench_supervised(Path(tmp) / "plain", args)
         # Observability overhead over the same plain store.
         record["obs"] = bench_obs_overhead(plain, args)
@@ -678,9 +681,9 @@ def main(argv: list[str] | None = None) -> int:
         # The PR-5 acceptance floors, against the committed PR-4 numbers.
         for deployment, multiplier in ACCEPTANCE_FLOOR.items():
             floor = PR4_SINGLE_QPS[deployment] * multiplier
-            got = record[deployment]["coalesced"]["single"]["binary"]["qps"]
+            got = record[deployment]["single"]["binary"]["qps"]
             assert got >= floor, (
-                f"{deployment} binary+coalesced single-query throughput "
+                f"{deployment} binary single-query throughput "
                 f"{got:.0f} req/s is below the acceptance floor {floor:.0f} "
                 f"({multiplier}x the PR-4 baseline "
                 f"{PR4_SINGLE_QPS[deployment]:.0f})"

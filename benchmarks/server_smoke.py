@@ -13,9 +13,9 @@ crosses a real process boundary, exactly like a deployment:
 4. query through :class:`ServingClient` and require the exact top-k
    answers to be **bit-identical** to an in-process
    :class:`QueryService` over the same store — ids equal, score bytes
-   equal — for the JSON wire *and* the binary frame wire (the server is
-   started with admission coalescing on, so the single-query answers
-   also cross the coalescer);
+   equal — for the JSON wire *and* the binary frame wire, asked by
+   concurrent clients so queued single queries cross engine admission
+   and its natural batching;
 5. publish a second version out-of-band, drive ``POST /admin/refresh``,
    and require the server to swap and serve the new version
    bit-identically too (query → refresh → query);
@@ -45,6 +45,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import urllib.request
 from pathlib import Path
@@ -130,9 +131,29 @@ def curl_healthz(url: str) -> None:
 def check_bit_identical(
     client: ServingClient, service: QueryService, label: str
 ) -> None:
+    """The sample split over concurrent callers sharing ``client``."""
     nodes = np.random.default_rng(7).choice(N_NODES, size=SAMPLE, replace=False)
-    checked = assert_bit_identical(client, service, nodes, K)
-    print(f"  {label}: {checked} nodes bit-identical over HTTP")
+    checked: list[int] = []
+    failures: list[BaseException] = []
+
+    def check(part: np.ndarray) -> None:
+        try:
+            checked.append(assert_bit_identical(client, service, part, K))
+        except BaseException as error:
+            failures.append(error)
+
+    threads = [
+        threading.Thread(target=check, args=(part,))
+        for part in np.array_split(nodes, 4)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    if failures:
+        raise failures[0]
+    assert sum(checked) == SAMPLE, checked
+    print(f"  {label}: {SAMPLE} nodes bit-identical over HTTP")
 
 
 def drain_under_fire(url: str, server: subprocess.Popen) -> None:
@@ -194,10 +215,7 @@ def main() -> int:
 
         print("starting repro serve --http 0 subprocess...")
         server, url = spawn_cli_server(
-            store_dir, "--backend", "exact", "--threads", "2",
-            # Exercise the admission coalescer across the process
-            # boundary too: single queries below flow through it.
-            "--coalesce-window-ms", "1",
+            store_dir, "--backend", "exact", "--threads", "2"
         )
         try:
             print(f"  server up at {url}")
@@ -207,7 +225,6 @@ def main() -> int:
             binary_client = ServingClient(url, wire="binary")
             info = binary_client.describe()
             assert "binary" in info["wire_formats"], info
-            assert info["coalescing"]["enabled"] is True, info
 
             store = EmbeddingStore(store_dir)
             with QueryService(store, backend="exact") as local:

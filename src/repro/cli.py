@@ -492,8 +492,6 @@ def _serve_supervised(store, args: argparse.Namespace) -> int:
         backend=args.backend,
         nprobe=args.nprobe,
         threads=args.threads,
-        coalesce_window_ms=args.coalesce_window_ms,
-        coalesce_max_batch=args.coalesce_max_batch,
         drain_timeout_s=args.drain_timeout,
         log_requests=args.log_requests,
         slow_query_ms=args.slow_query_ms,
@@ -558,10 +556,6 @@ def _serve_http(store, args: argparse.Namespace) -> int:
             "--ack-replicas needs --wal-dir (without a log there are no "
             "writes to replicate)"
         )
-    elif args.coalesce_window_ms > 0 and args.coalesce_max_batch < 1:
-        # The coalescer would raise a bare ValueError from deep inside
-        # QueryService.make_coalescer otherwise.
-        problem = f"--coalesce-max-batch must be >= 1, got {args.coalesce_max_batch}"
     elif args.wal_dir is None and store.latest() is None:
         problem = "store has no published versions"
     if problem is not None:
@@ -618,8 +612,6 @@ def _serve_http(store, args: argparse.Namespace) -> int:
                 host=args.http_host,
                 port=args.http,
                 drain_timeout_s=args.drain_timeout,
-                coalesce_window_s=args.coalesce_window_ms / 1e3,
-                coalesce_max_batch=args.coalesce_max_batch,
                 log=args.log_requests,
                 ingest=write_path,
                 slow_query_ms=args.slow_query_ms,
@@ -1037,20 +1029,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="worker threads for batch fan-out behind --http",
-    )
-    serve.add_argument(
-        "--coalesce-window-ms",
-        type=float,
-        default=0.0,
-        help="admission-coalescing window for concurrent single-query "
-        "HTTP requests (0 = off): concurrent POST /v1/topk handlers "
-        "merge into one batch GEMM against a single snapshot",
-    )
-    serve.add_argument(
-        "--coalesce-max-batch",
-        type=int,
-        default=64,
-        help="wake the coalescing leader early once this many queued",
     )
     serve.add_argument(
         "--drain-timeout",

@@ -46,6 +46,14 @@ MAX_PAIRWISE_ELEMENTS = 2**27
 # ``tile × n`` score block (128 × 1M nodes ≈ 1 GiB) independent of batch size.
 DEFAULT_TILE_SIZE = 128
 
+# Query tiles of more than one and fewer than this many rows score one
+# GEMV per row instead of one GEMM: OpenBLAS sgemm packs the whole
+# selection matrix on every call, which costs more than the product itself
+# until a tile has about 8 rows (docs/PERFORMANCE.md § Admission); numpy
+# already multiplies a single row by GEMV.  The certified band covers any summation order, so the choice
+# never changes an answer.
+_GEMV_ROWS = 8
+
 # Elements gathered per canonical-rescore chunk (bounds the ``rows × dim``
 # copies, 2 MiB each, when a band of near-ties holds a large fraction of
 # the rows).
@@ -248,7 +256,7 @@ class NodeFilter:
       ``partition_of`` map.
 
     Instances are immutable; :meth:`key` is a stable content fingerprint
-    suitable for cache/coalescing keys.
+    suitable for cache keys and admission grouping.
     """
 
     __slots__ = ("allow", "deny", "attributes", "partitions", "_key")
@@ -297,7 +305,7 @@ class NodeFilter:
         )
 
     def key(self) -> str:
-        """Stable content fingerprint (hex) for cache/coalescing keys."""
+        """Stable content fingerprint (hex) for cache keys and admission grouping."""
         if self._key is None:
             digest = hashlib.blake2b(digest_size=16)
             for name, ids in (("allow", self.allow), ("deny", self.deny)):
@@ -664,7 +672,12 @@ def _select_and_rescore(
     step = max(1, tile_size)
     for start in range(0, n_queries, step):
         stop = min(start + step, n_queries)
-        block = select_queries[start:stop] @ select.T
+        if 1 < stop - start < _GEMV_ROWS:
+            block = np.empty((stop - start, select.shape[0]), dtype=select.dtype)
+            for row in range(stop - start):
+                np.dot(select, select_queries[start + row], out=block[row])
+        else:
+            block = select_queries[start:stop] @ select.T
         if disallowed is not None:
             block[:, disallowed] = -np.inf
         if exclude is not None:

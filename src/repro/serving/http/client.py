@@ -117,9 +117,7 @@ class HTTPQueryResult:
     ``queries`` is how many logical queries the request carried (the
     batch size; 1 for single-node requests), making
     :attr:`per_query_latency_s` directly comparable between single and
-    batch rows.  ``group`` is the server's coalescing group id when the
-    answer came out of a coalesced batch (``None`` otherwise) — all
-    members of one group are guaranteed to share a ``version``.
+    batch rows.
     """
 
     version: str
@@ -129,7 +127,6 @@ class HTTPQueryResult:
     server_latency_s: float
     cached: bool = False
     queries: int = 1
-    group: int | None = None
 
     @property
     def per_query_latency_s(self) -> float:
@@ -632,7 +629,7 @@ class ServingClient:
         payload = self._request(
             "POST", protocol.TOPK, body, timeout_s=timeout_s, min_lsn=min_lsn
         )
-        version, ids, scores, server_latency, cached, group = (
+        version, ids, scores, server_latency, cached = (
             protocol.parse_result_payload(payload)
         )
         return HTTPQueryResult(
@@ -642,7 +639,6 @@ class ServingClient:
             latency_s=time.perf_counter() - start,
             server_latency_s=server_latency,
             cached=cached,
-            group=group,
         )
 
     def similar_by_vector(
@@ -663,7 +659,7 @@ class ServingClient:
             "POST", protocol.SIMILAR, body,
             arrays={"vector": query}, timeout_s=timeout_s, min_lsn=min_lsn,
         )
-        version, ids, scores, server_latency, _, group = (
+        version, ids, scores, server_latency, _ = (
             protocol.parse_result_payload(payload)
         )
         return HTTPQueryResult(
@@ -672,7 +668,6 @@ class ServingClient:
             scores=scores,
             latency_s=time.perf_counter() - start,
             server_latency_s=server_latency,
-            group=group,
         )
 
     def batch_top_k(

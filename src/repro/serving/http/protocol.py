@@ -613,16 +613,13 @@ def decode_scores(values: Sequence[Any]) -> np.ndarray:
 
 def encode_result(result) -> dict:
     """A single :class:`~repro.serving.service.QueryResult` row → wire dict."""
-    payload = {
+    return {
         "version": result.version,
         "ids": [int(i) for i in result.ids.tolist()],
         "scores": encode_scores(result.scores),
         "cached": bool(result.cached),
         "latency_s": float(result.latency_s),
     }
-    if getattr(result, "group", None) is not None:
-        payload["group"] = int(result.group)
-    return payload
 
 
 def encode_batch_result(result) -> dict:
@@ -661,8 +658,6 @@ class ResultPayload:
         }
         if result.ids.ndim == 1:
             header["cached"] = bool(result.cached)
-        if getattr(result, "group", None) is not None:
-            header["group"] = int(result.group)
         # Raw float64 score bytes: -inf padding needs no null mapping,
         # and bit-identity with the in-process answer is structural.
         return encode_frame(
@@ -681,7 +676,7 @@ class RawPayload(NamedTuple):
 def parse_result_payload(payload: dict) -> tuple:
     """Normalize a JSON or frame-decoded response into result arrays.
 
-    Returns ``(version, ids, scores, server_latency_s, cached, group)``
+    Returns ``(version, ids, scores, server_latency_s, cached)``
     with ``ids`` as intp and ``scores`` as float64 ndarrays, whichever
     wire format delivered them — the client's single decoding path.
     """
@@ -702,5 +697,4 @@ def parse_result_payload(payload: dict) -> tuple:
         scores,
         float(payload["latency_s"]),
         bool(payload.get("cached", False)),
-        payload.get("group"),
     )

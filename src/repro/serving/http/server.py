@@ -356,17 +356,6 @@ class EmbeddingServer(HttpFrontEnd):
     service:
         The query service to expose.  The server never closes it — the
         owner that built it does.
-    coalesce_window_s / coalesce_max_batch:
-        ``coalesce_window_s > 0`` turns on the admission coalescer:
-        concurrent single-query ``POST /v1/topk`` handler threads merge
-        into one batch GEMM against a single snapshot (the
-        leader/follower :meth:`QueryService.make_coalescer` machinery).
-        The window bounds how long the first arrival waits for company;
-        ``coalesce_max_batch`` wakes the leader early once that many
-        queued.  Every response from a coalesced group carries the same
-        ``group`` id and — by construction, one snapshot per group — the
-        same ``version``.  Batch/vector endpoints and cache hits bypass
-        the coalescer.
     ingest:
         The write path: a :class:`WritePath`, or a bare bootstrapped
         ``IngestPipeline`` (wrapped in one with the default ack
@@ -389,8 +378,6 @@ class EmbeddingServer(HttpFrontEnd):
         self,
         service: QueryService,
         *,
-        coalesce_window_s: float = 0.0,
-        coalesce_max_batch: int = 64,
         binary: bool = True,
         worker_id: int | None = None,
         ingest=None,
@@ -408,13 +395,6 @@ class EmbeddingServer(HttpFrontEnd):
         self.worker_id = worker_id
         self.journal = journal
         self._drain_logged = False
-        self.coalesce_window_s = coalesce_window_s
-        self.coalesce_max_batch = coalesce_max_batch
-        self._coalescer = (
-            service.make_coalescer(coalesce_window_s, max_batch=coalesce_max_batch)
-            if coalesce_window_s > 0
-            else None
-        )
         self._refresh_lock = threading.Lock()
         super().__init__(
             {
@@ -479,17 +459,6 @@ class EmbeddingServer(HttpFrontEnd):
         )
         lookups.set_total(cache.get("hits", 0), outcome="hit")
         lookups.set_total(cache.get("misses", 0), outcome="miss")
-        if self._coalescer is not None:
-            info = self._coalescer.info()
-            reg.counter(
-                "coalesce_groups_total", "Coalesced admission groups executed"
-            ).set_total(info["groups"])
-            reg.counter(
-                "coalesce_members_total", "Requests that joined a coalesced group"
-            ).set_total(info["members"])
-            reg.gauge(
-                "coalesce_pending", "Requests waiting in the coalescer right now"
-            ).set(info["pending"])
         if self.write_path is not None:
             self.write_path.collect(reg)
 
@@ -516,11 +485,6 @@ class EmbeddingServer(HttpFrontEnd):
         info["wire_formats"] = (
             ["json", "binary"] if self.binary_wire else ["json"]
         )
-        info["coalescing"] = {
-            "enabled": self._coalescer is not None,
-            "window_s": self.coalesce_window_s,
-            "max_batch": self.coalesce_max_batch,
-        }
         if self.worker_id is not None:
             info["worker"] = self.worker_id
         if self.write_path is not None:
@@ -565,19 +529,9 @@ class EmbeddingServer(HttpFrontEnd):
         node = protocol.require_int(body, "node", required=True, minimum=0)
         k = protocol.require_int(body, "k", default=10, minimum=1, maximum=MAX_K)
         request = _parse_search_request(body, node=node, k=k)
-        if self._coalescer is not None:
-            # Admission coalescing: this handler thread merges with its
-            # concurrent peers into one batch GEMM.  The group executes
-            # against a single snapshot read at drain time — the same
-            # consistency a PinnedView gives one request, extended to
-            # the whole group (every member answers with one version).
-            result = _translate_errors(
-                lambda: self.service.search(request, coalescer=self._coalescer)
-            )
-        else:
-            with trace_span("pin"):
-                view = self.service.pin()
-            result = _translate_errors(lambda: view.search(request))
+        with trace_span("pin"):
+            view = self.service.pin()
+        result = _translate_errors(lambda: view.search(request))
         return 200, protocol.ResultPayload(result)
 
     def handle_topk_batch(self, body: dict) -> tuple[int, "protocol.ResultPayload"]:

@@ -84,8 +84,8 @@ _READY_RE = re.compile(r"admin=(http://\S+)")
 # The SupervisorConfig fields forwarded verbatim to every worker, which
 # reads each one (worker_main): the whole spec, no defaults on that side.
 _WORKER_KNOBS = (
-    "store", "backend", "nprobe", "threads", "coalesce_window_ms",
-    "coalesce_max_batch", "drain_timeout_s", "log_requests", "slow_query_ms",
+    "store", "backend", "nprobe", "threads", "drain_timeout_s",
+    "log_requests", "slow_query_ms",
 )
 
 
@@ -106,8 +106,6 @@ class SupervisorConfig:
     backend: str = "auto"
     nprobe: int = 8
     threads: int = 1
-    coalesce_window_ms: float = 0.0
-    coalesce_max_batch: int = 64
     drain_timeout_s: float = 10.0
     log_requests: bool = False
     # Requests slower than this (milliseconds) are logged as structured
@@ -191,8 +189,6 @@ def worker_main(environ=None) -> int:
             service,
             socket_fd=int(spec["listen_fd"]),
             drain_timeout_s=float(spec["drain_timeout_s"]),
-            coalesce_window_s=float(spec["coalesce_window_ms"]) / 1e3,
-            coalesce_max_batch=int(spec["coalesce_max_batch"]),
             log=bool(spec["log_requests"]),
             worker_id=worker_id,
             faults=faults,

@@ -1,7 +1,7 @@
 """Request tracing: ids, per-stage spans, and a ring buffer of recent traces.
 
 A :class:`Trace` follows one request across layers — HTTP dispatch,
-admission coalescing, snapshot pinning, backend selection, WAL append —
+snapshot pinning, engine admission, backend selection, WAL append —
 without threading a context argument through every call: the active
 trace rides a :mod:`contextvars` context variable, which is per-thread
 under ``ThreadingHTTPServer`` (each request runs in its own handler
@@ -19,10 +19,8 @@ error envelope, and recorded in the server's :class:`TraceBuffer` —
 ``GET /debug/traces`` serves the buffer, so one id can be followed from
 the client's attempt log to the handling worker's span breakdown.
 
-Cross-thread annotation is part of the design: a coalescing leader
-executes on behalf of its followers and stamps the group id and member
-request ids onto *their* traces, so every trace lock-protects its
-mutable state.
+Every trace lock-protects its mutable state, so any thread holding a
+trace may add a span or an annotation to it.
 """
 
 from __future__ import annotations

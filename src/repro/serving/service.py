@@ -21,10 +21,11 @@ throughput comes from three places:
 
 - a ``nodes`` batch fans out over a persistent
   :class:`~repro.parallel.pool.WorkerPool` in contiguous chunks;
-- an opt-in coalescer (``search(request, coalescer=service.make_coalescer(w))``)
-  merges *concurrent* single-node requests into one backend batch: the
-  first arrival becomes the leader, sleeps out the window, and executes
-  everything that queued up behind it against one consistent snapshot;
+- single-node cache misses pass one admission gate with as many engine
+  slots as the process has cores: a request that finds a free slot runs
+  at once, the rest queue, and the thread a released slot is handed to
+  answers everything queued by then in one backend batch per
+  ``(snapshot, k, params, filter)`` — natural batching, with no timer;
 - an LRU result cache absorbs repeated queries entirely.
 
 One way to count — every answered call is recorded once, into the
@@ -35,10 +36,11 @@ their cells and an HTTP server adopts the same objects into its registry.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
-from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from collections import OrderedDict, deque
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -51,7 +53,7 @@ from repro.search.knn import (
     top_k_sorted_indices,
 )
 from repro.serving.obs.metrics import Counter, Histogram
-from repro.serving.obs.trace import current_trace, trace_span
+from repro.serving.obs.trace import trace_span
 from repro.serving.index import (
     ExactBackend,
     IVFIndex,
@@ -69,10 +71,6 @@ class QueryResult:
 
     ``version`` names the store version that produced the answer, so
     callers can detect which side of a swap they were served from.
-    ``group`` is set only on answers produced by a coalescing batcher:
-    every member of one coalesced batch shares the same group id (and,
-    by construction, the same snapshot — callers can assert the
-    no-mixed-versions property from outside).
     """
 
     version: str
@@ -80,7 +78,6 @@ class QueryResult:
     scores: np.ndarray
     latency_s: float
     cached: bool = False
-    group: int | None = None
 
 
 @dataclass(frozen=True)
@@ -102,7 +99,7 @@ class SearchParams:
             raise ValueError(f"nprobe must be >= 1, got {self.nprobe}")
 
     def key(self) -> tuple:
-        """Hashable identity for cache keys and coalescing groups."""
+        """Hashable identity for cache keys and admission groups."""
         return (self.nprobe,)
 
     def to_json(self) -> dict:
@@ -195,8 +192,8 @@ def _node_key(
     """The result-cache key for a node top-k query.
 
     One constructor for every site that reads or fills the cache (the
-    single-node path, the batch fill, the coalescer's drain) — a
-    key-shape drift between sites would silently stop hits matching.
+    single-node path and the batch fill) — a key-shape drift between
+    sites would silently stop hits matching.
     Params and filter identity are part of the key: a filtered answer
     must never be served to an unfiltered query (or vice versa), and two
     requests differing only in ``nprobe`` are different answers.
@@ -295,8 +292,8 @@ class QueryService:
         )
         self.query_seconds = Histogram(
             "service_query_seconds",
-            "Seconds per answered call (a batch is one call; a coalesced "
-            "request includes its wait)",
+            "Seconds per answered call (a batch is one call; a single "
+            "query includes its admission wait)",
             (),
         )
         # Every backend this service activates counts into this one object
@@ -308,6 +305,11 @@ class QueryService:
             (),
         )
         self.pool = WorkerPool(max(1, n_threads))
+        # Admission for single-node cache misses (_admit): one engine
+        # slot per core this process may run on.
+        self._admit_lock = threading.Lock()
+        self._free_slots = len(os.sched_getaffinity(0))
+        self._queue: deque[_Queued] = deque()
         self._active: _ActiveVersion | None = None
         self.activate(version)
 
@@ -402,47 +404,22 @@ class QueryService:
         from the same immutable snapshot, even if :meth:`activate` swaps
         the service meanwhile — the consistency unit a multi-operation
         request (an HTTP handler validating, querying, and describing)
-        needs.  The view shares this service's cache and instruments
-        (version-keyed / version-agnostic respectively) and never
-        coalesces: a coalescer answers from whatever snapshot is active
-        at drain time, not the pinned one.
+        needs.  The view shares this service's cache, instruments
+        (version-keyed / version-agnostic respectively) and admission
+        queue; a single-node query batched with others is still answered
+        from the snapshot its own view pinned.
         """
         return PinnedView(self, self._snapshot())
 
     # -- queries -------------------------------------------------------
-    def search(
-        self,
-        request: SearchRequest,
-        *,
-        coalescer: "_MicroBatcher | None" = None,
-    ) -> QueryResult:
+    def search(self, request: SearchRequest) -> QueryResult:
         """Answer one :class:`SearchRequest` — the single query entrypoint.
 
-        Without a coalescer this is ``self.pin().search(request)``: the
-        request's shape picks the path (``node`` direct, ``nodes`` fanned
-        out over the worker pool, ``vector`` direct).  With one (see
-        :meth:`make_coalescer`) a ``node`` request that misses the cache
-        joins its concurrent peers in one backend batch; the whole group
-        is answered from one snapshot read at drain time, so members can
-        never mix store versions, and each result carries the group id
-        for outside verification.
+        ``self.pin().search(request)``: the request's shape picks the path
+        (``node`` through admission, ``nodes`` fanned out over the worker
+        pool, ``vector`` direct).
         """
-        if coalescer is not None and request.node is not None:
-            return self._top_k_on(self._snapshot(), request, coalescer)
         return self.pin().search(request)
-
-    def make_coalescer(
-        self, window_s: float, *, max_batch: int | None = None
-    ) -> "_MicroBatcher":
-        """A leader/follower coalescer bound to this service's batch path.
-
-        Pass it to :meth:`search` as ``coalescer=`` (the HTTP server's
-        admission coalescer does exactly that): concurrent single-node
-        callers merge into one backend batch against a single snapshot.
-        ``max_batch`` wakes the leader early once that many requests
-        queued, bounding both the wait and the coalesced GEMM size.
-        """
-        return _MicroBatcher(window_s, self._execute_microbatch, max_batch=max_batch)
 
     def _record(self, start: float, *, queries: int = 1, cached: bool = False) -> float:
         """The one service-level record of an answered call; returns its latency."""
@@ -468,13 +445,8 @@ class QueryService:
         self._cache_put(key, ids, scores)
         return QueryResult(version, ids, scores, self._record(start))
 
-    def _top_k_on(
-        self,
-        active: _ActiveVersion,
-        request: SearchRequest,
-        coalescer: "_MicroBatcher | None" = None,
-    ) -> QueryResult:
-        """Single-node top-k: cache, else the coalescer or ``active`` directly."""
+    def _top_k_on(self, active: _ActiveVersion, request: SearchRequest) -> QueryResult:
+        """Single-node top-k: the cache, else admission into the engine."""
         start = time.perf_counter()
         node, k = int(request.node), int(request.k)
         self._check_node(active, node)
@@ -482,27 +454,115 @@ class QueryService:
         hit = self._cache_hit(active.version, key, start)
         if hit is not None:
             return hit
-        if coalescer is not None:
-            with trace_span("coalesce_wait") as span:
-                result = coalescer.submit(node, k, request)
-                if span is not None and result.group is not None:
-                    span.meta["group"] = result.group
-            # The caller's latency includes the coalescing window it slept
-            # out, not just its share of the backend batch — report what the
-            # client actually experienced or window tuning is blind.
-            return replace(result, latency_s=self._record(start))
-        compiled = self._compile_filter(active, request.filter)
-        query = active.stored.feature_rows(node)
-        with trace_span("select", version=active.version):
-            ids, scores = _search(
-                active.backend,
-                query[np.newaxis],
-                k,
-                np.array([node]),
-                request.params,
-                compiled,
+        ids, scores = self._admit(active, request)
+        return self._fill(active.version, key, ids, scores, start)
+
+    def _admit(
+        self, active: _ActiveVersion, request: SearchRequest
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Answer one single-node miss through the engine slots.
+
+        With a free slot and nobody queued the request runs at once as a
+        batch of itself.  Otherwise it queues; whoever releases a slot
+        hands it to the oldest queued request, whose thread then answers
+        the whole queue (:meth:`_drain`).  A queued request is answered
+        from ``active``, the snapshot its caller pinned, whichever
+        thread runs it.
+        """
+        with self._admit_lock:
+            queued = None
+            if self._free_slots and not self._queue:
+                self._free_slots -= 1
+            else:
+                queued = _Queued(active, request)
+                self._queue.append(queued)
+        if queued is None:
+            try:
+                ids, scores = self._select(
+                    active, request, np.array([request.node], dtype=np.intp)
+                )
+            finally:
+                self._release()
+            return ids[0], scores[0]
+        try:
+            with trace_span("admit_wait"):
+                queued.event.wait()
+        except BaseException:
+            # Interrupted while queued: leave the queue, or pass on a
+            # slot handed over meanwhile, so nobody waits on this thread.
+            with self._admit_lock:
+                if queued in self._queue:
+                    self._queue.remove(queued)
+            if queued.drains:
+                self._release()
+            raise
+        if queued.drains:
+            try:
+                self._drain(queued)
+            finally:
+                self._release()
+        if queued.error is not None:
+            raise queued.error
+        return queued.answer
+
+    def _release(self) -> None:
+        """Return an engine slot: to the oldest queued request, else free."""
+        with self._admit_lock:
+            if not self._queue:
+                self._free_slots += 1
+                return
+            heir = self._queue.popleft()
+            heir.drains = True
+        heir.event.set()
+
+    def _drain(self, first: "_Queued") -> None:
+        """Answer ``first`` and everything queued behind it, one
+        :func:`_search` per ``(snapshot, k, params, filter)`` group.
+
+        An error fails its own group only; every other member is woken
+        whatever happens.
+        """
+        with self._admit_lock:
+            members = [first, *self._queue]
+            self._queue.clear()
+        groups: dict[tuple, list[_Queued]] = {}
+        for member in members:
+            request = member.request
+            key = (
+                id(member.active),
+                int(request.k),
+                request.params.key(),
+                request.filter_key(),
             )
-        return self._fill(active.version, key, ids[0], scores[0], start)
+            groups.setdefault(key, []).append(member)
+        try:
+            for group in groups.values():
+                head = group[0]
+                nodes = np.array([m.request.node for m in group], dtype=np.intp)
+                try:
+                    ids, scores = self._select(head.active, head.request, nodes)
+                except BaseException as error:
+                    for member in group:
+                        member.error = error
+                    continue
+                for row, member in enumerate(group):
+                    member.answer = ids[row], scores[row]
+        finally:
+            for member in members:
+                if member is not first:
+                    member.event.set()
+
+    def _select(
+        self, active: _ActiveVersion, request: SearchRequest, nodes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One backend call for the stored rows ``nodes`` (self-matches
+        excluded), with ``request``'s k, params and filter."""
+        compiled = self._compile_filter(active, request.filter)
+        queries = active.stored.feature_rows(nodes)
+        with trace_span("select", version=active.version, batch=int(nodes.size)):
+            return _search(
+                active.backend, queries, int(request.k), nodes, request.params, compiled
+            )
 
     def _batch_top_k_on(
         self, active: _ActiveVersion, request: SearchRequest
@@ -872,99 +932,6 @@ class QueryService:
             while len(self._cache) > self._cache_size:
                 self._cache.popitem(last=False)
 
-    def _execute_microbatch(
-        self, requests: list["_BatchRequest"], group_id: int
-    ) -> None:
-        """Answer a coalesced batch of single-node requests from one snapshot.
-
-        The single ``self._snapshot()`` read below is the coalescing
-        consistency contract: every member of the group — whatever
-        version was active when each caller *submitted* — is answered
-        from this one immutable snapshot, so one group can never mix
-        store versions even while ``activate`` races the drain.
-        """
-        active = self._snapshot()
-        # Stamp the group onto every member's trace (cross-thread: the
-        # leader annotates its followers' traces — Trace is lock-guarded
-        # for exactly this).  The member list makes /debug/traces show
-        # who shared the GEMM, joined on request ids.
-        member_ids = [
-            request.trace.request_id
-            for request in requests
-            if request.trace is not None
-        ]
-        for request in requests:
-            if request.trace is not None:
-                request.trace.annotate(
-                    coalesce_group=group_id,
-                    coalesce_size=len(requests),
-                    coalesce_members=member_ids,
-                )
-        by_params: dict[tuple, list[_BatchRequest]] = {}
-        for request in requests:
-            try:
-                # Re-validate against *this* snapshot: a version swap between
-                # the caller's check and the leader's drain may have shrunk
-                # the embedding, and one stale node must fail alone rather
-                # than taking down every request coalesced with it.
-                self._check_node(active, request.node)
-            except IndexError as error:
-                request.error = error
-                request.event.set()
-                continue
-            # Group by everything that changes the answer: k, the params
-            # tuple, and the filter identity.  Mixing two filters into one
-            # backend batch would answer both from whichever mask went in.
-            group_key = (
-                request.k,
-                request.search.params.key(),
-                request.search.filter_key(),
-            )
-            by_params.setdefault(group_key, []).append(request)
-        for group in by_params.values():
-            start = time.perf_counter()
-            spec = group[0].search
-            k = group[0].k
-            nodes = np.array([request.node for request in group], dtype=np.intp)
-            try:
-                compiled = self._compile_filter(active, spec.filter)
-                queries = active.stored.feature_rows(nodes)
-                with trace_span(
-                    "select",
-                    version=active.version,
-                    group=group_id,
-                    batch=len(group),
-                ):
-                    ids, scores = _search(
-                        active.backend, queries, k, nodes, spec.params, compiled
-                    )
-            except BaseException as error:  # propagate to every waiter
-                for request in group:
-                    request.error = error
-                    request.event.set()
-                continue
-            latency = time.perf_counter() - start
-            for row, request in enumerate(group):
-                self._cache_put(
-                    _node_key(
-                        active.version,
-                        request.node,
-                        k,
-                        spec.params,
-                        spec.filter_key(),
-                    ),
-                    ids[row],
-                    scores[row],
-                )
-                request.result = QueryResult(
-                    active.version,
-                    ids[row],
-                    scores[row],
-                    latency / len(group),
-                    group=group_id,
-                )
-                request.event.set()
-
 
 class PinnedView:
     """Queries answered from one immutable snapshot of a service.
@@ -1062,114 +1029,14 @@ def json_safe(value):
     return value
 
 
-@dataclass
-class _BatchRequest:
-    node: int
-    k: int
-    # The full SearchRequest spec (params + filter) this member carries;
-    # the drain groups members whose spec keys match.
-    search: SearchRequest
+@dataclass(eq=False)
+class _Queued:
+    """A single-node cache miss waiting for an engine slot."""
+
+    active: _ActiveVersion
+    request: SearchRequest
     event: threading.Event = field(default_factory=threading.Event)
-    result: QueryResult | None = None
+    # Set by _release: this request's thread holds a slot and drains.
+    drains: bool = False
+    answer: tuple[np.ndarray, np.ndarray] | None = None
     error: BaseException | None = None
-    # The submitting request's trace, captured at submit time so the
-    # leader (a different thread) can stamp the coalesce group onto it.
-    trace: object | None = None
-
-
-class _MicroBatcher:
-    """Leader/follower coalescing of concurrent single queries.
-
-    The first thread to submit becomes the leader: it waits out the
-    window (or is woken early once ``max_batch`` requests queued), then
-    drains everything that queued up meanwhile and executes it as one
-    batch.  Followers block on a per-request event.  Payoff is one
-    backend batch (and one snapshot read) per burst instead of one per
-    request.  Every drained batch gets a monotonically increasing group
-    id, passed to ``execute`` so results can carry it — the externally
-    observable handle for "these answers shared one snapshot".
-    """
-
-    def __init__(self, window_s: float, execute, *, max_batch: int | None = None) -> None:
-        if window_s <= 0:
-            raise ValueError(f"window_s must be > 0, got {window_s}")
-        if max_batch is not None and max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        self._window_s = window_s
-        self._execute = execute
-        self._max_batch = max_batch
-        self._lock = threading.Lock()
-        self._pending: list[_BatchRequest] = []
-        self._has_leader = False
-        self._wake = threading.Event()
-        self._next_group = 0
-        self._members = 0
-
-    def info(self) -> dict:
-        """Occupancy counters for /metrics: groups run, members, queue depth."""
-        with self._lock:
-            return {
-                "groups": self._next_group,
-                "members": self._members,
-                "pending": len(self._pending),
-            }
-
-    def submit(self, node: int, k: int, search: SearchRequest) -> QueryResult:
-        request = _BatchRequest(node=node, k=k, search=search, trace=current_trace())
-        with self._lock:
-            self._members += 1
-            self._pending.append(request)
-            is_leader = not self._has_leader
-            if is_leader:
-                self._has_leader = True
-                self._wake.clear()
-            full = (
-                self._max_batch is not None
-                and len(self._pending) >= self._max_batch
-            )
-        if full and not is_leader:
-            # Wake the leader early: the batch is as large as it is
-            # allowed to get, further waiting only adds latency.  (A
-            # set() that races a drain is harmless — the next leader
-            # clears the event when it claims the slot.)
-            self._wake.set()
-        if is_leader:
-            try:
-                try:
-                    if not full:
-                        self._wake.wait(self._window_s)
-                finally:
-                    # Even if the wait is interrupted (KeyboardInterrupt in
-                    # the leading thread), the leadership slot must be freed
-                    # and the queue drained, or every later submit() would
-                    # become a follower blocking on an event nobody will set.
-                    with self._lock:
-                        batch, self._pending = self._pending, []
-                        self._has_leader = False
-                # max_batch bounds the *executed* batch, not just the
-                # wake: requests that piled up past it (arrivals during
-                # the wake race, heavy concurrency) run as consecutive
-                # bounded groups, so the configured GEMM size is a real
-                # ceiling.  Each chunk is its own group (one snapshot
-                # read per _execute call).
-                chunk = self._max_batch or len(batch) or 1
-                for start in range(0, len(batch), chunk):
-                    with self._lock:
-                        group_id = self._next_group
-                        self._next_group += 1
-                    self._execute(batch[start : start + chunk], group_id)
-            except BaseException as error:
-                # _execute reports per-group search errors itself; this
-                # catches everything outside that handling (the snapshot
-                # read, an interrupted wait) so followers always wake —
-                # including members of chunks never reached.
-                for queued in batch:
-                    if not queued.event.is_set():
-                        queued.error = error
-                        queued.event.set()
-                raise
-        request.event.wait()
-        if request.error is not None:
-            raise request.error
-        assert request.result is not None
-        return request.result

@@ -8,8 +8,11 @@ serving backend's resident float32 copy, or float64) and rescore only the
 rows in :func:`repro.search.knn.select_band`'s certified band, so they
 agree with the oracle bit for bit only if the band never drops a row of
 the true top-k.  The corpora are built to make that hard: duplicate rows,
-zero rows, rows one ulp apart, zero queries, and a pinned pair whose
-float32 images are equal while their float64 scores straddle the k-th.
+zero rows, rows one ulp apart, zero and repeated queries, and a pinned
+pair whose float32 images are equal while their float64 scores straddle
+the k-th.  Batches of 1–16 queries straddle the 8-row tile below which
+selection runs one GEMV per query instead of a GEMM, and every row of a
+batch must equal the answer to that query asked alone.
 """
 
 from __future__ import annotations
@@ -69,14 +72,18 @@ def problems(draw):
                 features[source, column], rng.choice([-np.inf, np.inf])
             )
     queries = []
-    for _ in range(draw(st.integers(1, 5))):
-        shape = draw(st.sampled_from(["row", "random", "zero"]))
-        if shape == "row":
+    for _ in range(draw(st.integers(1, 16))):
+        shape = draw(st.sampled_from(["row", "random", "zero", "repeat"]))
+        if shape == "repeat" and queries:  # a duplicate query in the batch
+            queries.append(queries[rng.integers(len(queries))])
+        elif shape == "row":
             queries.append(features[rng.integers(n)])
         elif shape == "random":
             queries.append(normalize_rows(rng.standard_normal((1, dim)))[0])
-        else:  # a zero query ties every row
+        elif shape == "zero":  # a zero query ties every row
             queries.append(np.zeros(dim))
+        else:
+            queries.append(normalize_rows(rng.standard_normal((1, dim)))[0])
     queries = np.vstack(queries)
     k = draw(st.integers(1, n + 2))
     exclude = (
@@ -147,6 +154,41 @@ class TestExactSelection:
     def test_every_exact_path_matches_the_oracle(self, problem):
         features, queries, k, exclude, mask = problem
         _assert_matches(features, queries, k, exclude, mask)
+
+    @given(problems(), st.sampled_from([1, 3, 8, 128]))
+    @settings(max_examples=100, deadline=None)
+    def test_batch_rows_equal_single_queries(self, problem, tile_size):
+        """A batch answers each row as that query alone would be answered,
+        whatever the tiling and on both sides of the GEMV/GEMM switch."""
+        features, queries, k, exclude, mask = problem
+        node_filter = None if mask is None else CompiledFilter(mask)
+        backend = ExactBackend(features)
+        router = _router(features, 3, "range")
+
+        def engines(rows, excluded):
+            routed = dict(exclude=excluded, node_filter=node_filter)
+            return {
+                "float64 engine": exact_top_k(
+                    features, rows, k, assume_normalized=True,
+                    tile_size=tile_size, **routed,
+                ),
+                "float32 selection, float64 rows": exact_top_k(
+                    features.astype(np.float32), rows, k, assume_normalized=True,
+                    rows=features, tile_size=tile_size, **routed,
+                ),
+                "exact backend": backend.search(rows, k, **routed),
+                "3-shard range router": router.search(rows, k, **routed),
+            }
+
+        batched = engines(queries, exclude)
+        for row in range(queries.shape[0]):
+            alone = engines(
+                queries[row : row + 1],
+                None if exclude is None else exclude[row : row + 1],
+            )
+            for name, (ids, scores) in alone.items():
+                assert np.array_equal(batched[name][0][row], ids[0]), (name, row)
+                assert np.array_equal(batched[name][1][row], scores[0]), (name, row)
 
     def test_float32_twins_straddling_the_kth(self):
         """Two rows with one float32 image whose float64 scores differ.

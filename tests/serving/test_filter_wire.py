@@ -170,7 +170,7 @@ class TestFrameIdArrays:
         payload = client._request(
             "POST", protocol.TOPK, {"node": 2, "k": 5, **fields}, arrays=arrays
         )
-        _, ids, scores, _, _, _ = protocol.parse_result_payload(payload)
+        _, ids, scores, _, _ = protocol.parse_result_payload(payload)
         reference = service.search(SearchRequest(node=2, k=5, filter=node_filter))
         assert np.array_equal(ids, reference.ids)
         assert scores.tobytes() == reference.scores.tobytes()

@@ -308,46 +308,59 @@ class TestServerTracing:
             assert topk["duration_ms"] > 0
             client.close()
 
-    def test_coalesced_trace_records_group(self, store):
+    def test_queued_trace_records_admit_wait(self, store, monkeypatch):
+        """Two requests queued behind a held engine slot: both traces
+        carry ``admit_wait``, and the one handed the slot carries the
+        ``select`` span of the batch it answered for both."""
         with QueryService(store, backend="exact", cache_size=0) as service:
-            with EmbeddingServer(
-                service, coalesce_window_s=0.01, coalesce_max_batch=8
-            ) as server:
-                client = ServingClient(server.url, retries=0)
-                threads = [
-                    threading.Thread(target=client.top_k, args=(n, 4))
-                    for n in range(4)
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join()
+            search = service.backend.search
+            entered, release = threading.Event(), threading.Event()
 
-                def find_grouped():
-                    payload = json.loads(
-                        _get(server.url + protocol.TRACES)[2]
+            def held(queries, k, **kwargs):
+                if not entered.is_set():
+                    entered.set()
+                    assert release.wait(30)
+                return search(queries, k, **kwargs)
+
+            monkeypatch.setattr(service.backend, "search", held)
+            service._free_slots = 1
+            with EmbeddingServer(service) as server:
+
+                def post(node: int, request_id: str) -> None:
+                    request = urllib.request.Request(
+                        server.url + protocol.TOPK,
+                        data=json.dumps({"node": node, "k": 4}).encode(),
+                        headers={REQUEST_ID_HEADER: request_id},
+                        method="POST",
                     )
-                    for entry in payload["traces"]:
-                        if (
-                            entry["endpoint"] == protocol.TOPK
-                            and "coalesce_group" in entry["annotations"]
-                        ):
-                            return entry
-                    return None
+                    with urllib.request.urlopen(request, timeout=30) as response:
+                        assert response.status == 200
 
-                deadline = time.monotonic() + 5.0
-                sample = find_grouped()
-                while sample is None and time.monotonic() < deadline:
-                    time.sleep(0.01)
-                    sample = find_grouped()
-                assert sample is not None, "no trace recorded a group id"
-                members = sample["annotations"]["coalesce_members"]
-                assert sample["request_id"] in members
-                assert sample["annotations"]["coalesce_size"] == len(members)
-                assert any(
-                    s["name"] == "coalesce_wait" for s in sample["spans"]
-                )
-                client.close()
+                holder = threading.Thread(target=post, args=(0, "holder"))
+                holder.start()
+                assert entered.wait(30)
+                queued = [
+                    threading.Thread(target=post, args=(node, f"queued-{node}"))
+                    for node in (1, 2)
+                ]
+                for thread in queued:
+                    thread.start()
+                deadline = time.monotonic() + 30
+                while len(service._queue) < 2 and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                release.set()
+                for thread in (holder, *queued):
+                    thread.join(timeout=30)
+                holder_spans = _wait_for_trace(server, "holder")["spans"]
+                assert "admit_wait" not in [s["name"] for s in holder_spans]
+                batches = []
+                for node in (1, 2):
+                    spans = _wait_for_trace(server, f"queued-{node}")["spans"]
+                    assert "admit_wait" in [s["name"] for s in spans]
+                    batches += [
+                        s["meta"]["batch"] for s in spans if s["name"] == "select"
+                    ]
+                assert batches == [2]  # one drain answered both
 
     def test_slow_query_log_line(self, service):
         log = io.StringIO()

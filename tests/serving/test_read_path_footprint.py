@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import signal
 import subprocess
+import threading
 import time
 from pathlib import Path
 
@@ -46,17 +47,31 @@ def test_exact_queries_leave_the_features_mapping_unpaged(tmp_path):
     n = 4096
     store_root = tmp_path / "store"
     EmbeddingStore(store_root).publish(synthetic_embedding(n, 32, seed=0))
-    # Coalescing on and two threads: singles cross the coalescer, batches
-    # the worker pool, so every read path that fetches query rows runs.
+    # Concurrent singles cross engine admission (queued ones drain as a
+    # batch), batches the two-thread worker pool, so every read path that
+    # fetches query rows runs.
     process, url = spawn_cli_server(
         store_root, "--backend", "exact", "--threads", "2",
-        "--coalesce-window-ms", "1",
     )
     try:
         client = ServingClient(url)
         nodes = np.random.default_rng(0).permutation(n)[:500]
-        for node in nodes[:400]:
-            assert not client.top_k(int(node), 10).cached
+
+        cached: list[bool] = []
+
+        def singles(part: np.ndarray) -> None:
+            for node in part:
+                cached.append(client.top_k(int(node), 10).cached)
+
+        threads = [
+            threading.Thread(target=singles, args=(part,))
+            for part in np.array_split(nodes[:400], 8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert len(cached) == 400 and not any(cached)
         for chunk in np.array_split(nodes[400:], 4):
             assert client.batch_top_k(chunk, 10).ids.shape == (chunk.size, 10)
         client.similar_by_vector(np.ones(32), 10)

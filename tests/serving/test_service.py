@@ -2,6 +2,7 @@
 
 import json
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -171,113 +172,233 @@ class TestVectorAndAttributeQueries:
             service.top_nodes_for_attribute(10_000, 3)
 
 
-class TestMicroBatching:
-    def test_concurrent_calls_coalesce_correctly(self, store, trained_embedding):
-        with QueryService(store, backend="exact") as service:
-            coalescer = service.make_coalescer(0.01)
-            expected = {
-                node: top_k_similar(trained_embedding.node_embeddings(), node, 4)[0]
-                for node in range(8)
-            }
-            results: dict[int, np.ndarray] = {}
-            errors: list[BaseException] = []
+class _Gate:
+    """Wraps backends' ``search``: the first call waits for ``release``.
 
-            def query(node: int) -> None:
-                try:
-                    results[node] = service.search(
-                        SearchRequest(node=node, k=4), coalescer=coalescer
-                    ).ids
-                except BaseException as error:  # pragma: no cover
-                    errors.append(error)
+    Holding that call holds the engine slot it runs in, so requests made
+    meanwhile queue up behind it deterministically.  Records the batch
+    size of every call; ``fail_on`` makes the call with that index raise.
+    """
+
+    def __init__(self, monkeypatch, *backends, fail_on: int | None = None) -> None:
+        self._fail_on = fail_on
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.sizes: list[int] = []
+        for backend in backends:
+            monkeypatch.setattr(backend, "search", self._wrap(backend.search))
+
+    def _wrap(self, search):
+        def gated(queries, k, **kwargs):
+            self.sizes.append(len(queries))
+            if len(self.sizes) == 1:
+                self.entered.set()
+                assert self.release.wait(30)
+            if len(self.sizes) - 1 == self._fail_on:
+                raise RuntimeError("boom")
+            return search(queries, k, **kwargs)
+
+        return gated
+
+
+def _queue_behind(service, gate, first, rest, *, hold_s: float = 0.0) -> list:
+    """Run ``first`` on the only engine slot, queue ``rest`` behind it.
+
+    Each entry is a zero-argument call; returns its result (or the
+    exception it raised), in argument order.
+    """
+    service._free_slots = 1
+    calls = [first, *rest]
+    outcomes: list = [None] * len(calls)
+
+    def run(index: int) -> None:
+        try:
+            outcomes[index] = calls[index]()
+        except BaseException as error:
+            outcomes[index] = error
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(calls))]
+    threads[0].start()
+    assert gate.entered.wait(30)
+    for thread in threads[1:]:
+        thread.start()
+    deadline = time.monotonic() + 30
+    while len(service._queue) < len(rest) and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert len(service._queue) == len(rest)
+    time.sleep(hold_s)
+    gate.release.set()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    return outcomes
+
+
+class TestMicroBatching:
+    """Single-node misses through the engine slots (QueryService._admit)."""
+
+    def test_concurrent_calls_coalesce_correctly(self, store):
+        with QueryService(store, backend="exact", cache_size=0) as service:
+            serial = {
+                node: service.search(SearchRequest(node=node, k=4))
+                for node in range(16)
+            }
+            service._free_slots = 1  # force queueing behind one slot
+            results: dict[int, object] = {}
+
+            def query(nodes) -> None:
+                for node in nodes:
+                    results[node] = service.search(SearchRequest(node=node, k=4))
 
             threads = [
-                threading.Thread(target=query, args=(node,)) for node in range(8)
+                threading.Thread(target=query, args=(range(i, 16, 8),))
+                for i in range(8)
             ]
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join()
-            assert not errors
-            for node in range(8):
-                assert np.array_equal(results[node], expected[node])
-
-    def test_coalesced_threads_share_one_group_and_version(self, store):
-        """search(req, coalescer=c) from 4 threads: one group, one version."""
-        with QueryService(store, backend="exact") as service:
-            # A long window that max_batch=4 cuts short: all four callers
-            # are queued before the leader drains, whatever the scheduling.
-            coalescer = service.make_coalescer(5.0, max_batch=4)
-            results: list = []
-            barrier = threading.Barrier(4)
-
-            def query(node: int) -> None:
-                barrier.wait(timeout=10)
-                results.append(
-                    service.search(SearchRequest(node=node, k=4), coalescer=coalescer)
-                )
-
-            threads = [threading.Thread(target=query, args=(n,)) for n in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
                 thread.join(timeout=30)
-            assert not any(thread.is_alive() for thread in threads)
-            assert len(results) == 4
-            assert {r.group for r in results} == {0}
-            assert {r.version for r in results} == {"v00000001"}
-            # Each member is one query and one timed call of its own.
-            assert service.queries_total.value() == 4
-            assert service.query_seconds.cell()["count"] == 4
-            assert coalescer.info()["groups"] == 1
+            for node in range(16):
+                assert np.array_equal(results[node].ids, serial[node].ids)
+                assert results[node].scores.tobytes() == serial[node].scores.tobytes()
+            assert service._free_slots == 1 and not service._queue
 
-    def test_microbatch_fills_cache(self, store):
-        with QueryService(store, backend="exact") as service:
-            coalescer = service.make_coalescer(0.005)
-            service.search(SearchRequest(node=0, k=4), coalescer=coalescer)
-            assert service.search(SearchRequest(node=0, k=4)).cached
-
-    def test_batched_latency_includes_window(self, store):
-        """Reported latency is what the caller experienced, window included."""
-        with QueryService(store, backend="exact") as service:
-            result = service.search(
-                SearchRequest(node=0, k=4), coalescer=service.make_coalescer(0.02)
+    def test_queued_members_answer_from_own_snapshot(
+        self, store, trained_embedding, monkeypatch
+    ):
+        """Members pinned to two versions drain as two groups, each
+        answered from the snapshot its own view pinned."""
+        with QueryService(store, backend="exact", cache_size=0) as service:
+            old = service.pin()
+            TestVersionSwap._publish_permuted(store, trained_embedding)
+            service.activate()
+            new = service.pin()
+            expected = {
+                (view.version, node): view.search(SearchRequest(node=node, k=4))
+                for view in (old, new)
+                for node in range(3)
+            }
+            gate = _Gate(monkeypatch, service.backend, old._active.backend)
+            queued = [(view, node) for node in range(3) for view in (old, new)]
+            outcomes = _queue_behind(
+                service,
+                gate,
+                lambda: new.search(SearchRequest(node=5, k=4)),
+                [
+                    lambda view=view, node=node: view.search(
+                        SearchRequest(node=node, k=4)
+                    )
+                    for view, node in queued
+                ],
             )
-            assert result.latency_s >= 0.02
-            assert service.latency_info()["total_seconds"] >= 0.02
+            assert gate.sizes == [1, 3, 3]  # one backend call per snapshot
+            for (view, node), result in zip(queued, outcomes[1:]):
+                want = expected[(view.version, node)]
+                assert result.version == view.version
+                assert np.array_equal(result.ids, want.ids)
+                assert result.scores.tobytes() == want.scores.tobytes()
+            # Each member is one query and one timed call of its own.
+            assert service.queries_total.value() == 6 + 7
+            assert service.query_seconds.cell()["count"] == 6 + 7
 
-    def test_stale_node_fails_alone_in_microbatch(self, service):
-        """A node invalidated by a swap fails its own request, not the batch."""
-        from repro.serving.service import _BatchRequest
+    def test_microbatch_fills_cache(self, store, monkeypatch):
+        with QueryService(store, backend="exact") as service:
+            gate = _Gate(monkeypatch, service.backend)
+            _queue_behind(
+                service,
+                gate,
+                lambda: service.search(SearchRequest(node=0, k=4)),
+                [
+                    lambda node=node: service.search(SearchRequest(node=node, k=4))
+                    for node in (1, 2, 3)
+                ],
+            )
+            assert gate.sizes == [1, 3]
+            for node in range(4):
+                assert service.search(SearchRequest(node=node, k=4)).cached
 
-        bad = _BatchRequest(node=10_000, k=3, search=SearchRequest(node=10_000, k=3))
-        good = _BatchRequest(node=0, k=3, search=SearchRequest(node=0, k=3))
-        service._execute_microbatch([bad, good], 0)
-        assert isinstance(bad.error, IndexError) and bad.event.is_set()
-        assert good.error is None and good.result is not None
+    def test_latency_includes_admission_wait(self, store, monkeypatch):
+        """Reported latency is what the caller experienced, queueing included."""
+        with QueryService(store, backend="exact", cache_size=0) as service:
+            gate = _Gate(monkeypatch, service.backend)
+            _, queued = _queue_behind(
+                service,
+                gate,
+                lambda: service.search(SearchRequest(node=0, k=4)),
+                [lambda: service.search(SearchRequest(node=1, k=4))],
+                hold_s=0.05,
+            )
+            assert queued.latency_s >= 0.05
+            assert service.latency_info()["total_seconds"] >= 0.05
 
-    def test_execute_failure_frees_leader_slot(self):
-        """A failing leader must not wedge the batcher for later callers."""
-        from repro.serving.service import _MicroBatcher
+    def test_failing_group_fails_alone(self, store, monkeypatch):
+        """A member whose filter cannot compile fails its own group only."""
+        from repro.search.knn import NodeFilter
 
-        attempts: list[int] = []
+        with QueryService(store, backend="exact", cache_size=0) as service:
+            expected = service.search(SearchRequest(node=1, k=4))
+            gate = _Gate(monkeypatch, service.backend)
+            bad = NodeFilter(attributes=[(10_000, 0.0)])  # no such attribute
+            first, failed, good = _queue_behind(
+                service,
+                gate,
+                lambda: service.search(SearchRequest(node=0, k=4)),
+                [
+                    lambda: service.search(SearchRequest(node=2, k=4, filter=bad)),
+                    lambda: service.search(SearchRequest(node=1, k=4)),
+                ],
+            )
+            assert isinstance(failed, ValueError)
+            assert np.array_equal(good.ids, expected.ids)
+            assert good.scores.tobytes() == expected.scores.tobytes()
+            assert service._free_slots == 1 and not service._queue
 
-        def execute(batch, group_id) -> None:
-            attempts.append(len(batch))
-            raise RuntimeError("boom")
+    def test_drain_error_reaches_every_member_and_frees_slot(
+        self, store, monkeypatch
+    ):
+        """An exception inside the drain wakes every queued member with
+        it, returns the slot, and the next request succeeds."""
+        with QueryService(store, backend="exact", cache_size=0) as service:
+            gate = _Gate(monkeypatch, service.backend, fail_on=1)
+            outcomes = _queue_behind(
+                service,
+                gate,
+                lambda: service.search(SearchRequest(node=0, k=4)),
+                [
+                    lambda node=node: service.search(SearchRequest(node=node, k=4))
+                    for node in (1, 2, 3)
+                ],
+            )
+            assert gate.sizes == [1, 3]
+            assert not isinstance(outcomes[0], BaseException)
+            assert all(isinstance(o, RuntimeError) for o in outcomes[1:])
+            assert service._free_slots == 1 and not service._queue
+            assert service.search(SearchRequest(node=4, k=4)).ids.shape == (4,)
 
-        batcher = _MicroBatcher(0.001, execute)
-        for _ in range(2):
-            with pytest.raises(RuntimeError):
-                batcher.submit(0, 5, SearchRequest(node=0, k=5))
-        # The second submit became leader again (slot was released) instead
-        # of blocking forever as a follower of a dead leader.
-        assert attempts == [1, 1]
-        assert batcher._has_leader is False
-        assert batcher._pending == []
+    def test_cache_hit_skips_admission(self, store, monkeypatch):
+        """A hit answers while the only slot is held; it never queues."""
+        with QueryService(store, backend="exact") as service:
+            warm = service.search(SearchRequest(node=7, k=4))
+            gate = _Gate(monkeypatch, service.backend)
+            service._free_slots = 1
+            holder = threading.Thread(
+                target=service.search, args=(SearchRequest(node=0, k=4),)
+            )
+            holder.start()
+            try:
+                assert gate.entered.wait(30)
+                hit = service.search(SearchRequest(node=7, k=4))
+                assert hit.cached and not service._queue
+                assert np.array_equal(hit.ids, warm.ids)
+            finally:
+                gate.release.set()
+                holder.join(timeout=30)
+            assert gate.sizes == [1]
 
 
 class TestVersionSwap:
-    def _publish_permuted(self, store: EmbeddingStore, embedding: PANEEmbedding):
+    @staticmethod
+    def _publish_permuted(store: EmbeddingStore, embedding: PANEEmbedding):
         """A second version whose neighbor structure is visibly different."""
         rng = np.random.default_rng(99)
         permutation = rng.permutation(embedding.n_nodes)

@@ -10,13 +10,17 @@ own publish, manifest and fsck sweep beside the unsharded one's, and a
 torn sharded publish leaked shard data no sweep could see.  And the
 exact engine once had a float32 shortlist with a fixed oversample, a
 float64 boundary-repair loop and an IVF top-k without a tie band: three
-answers to one question, now one certified band.
+answers to one question, now one certified band.  And single-node
+queries once had two paths into the engine, one of them an opt-in
+coalescer with a window knob; now there is one admission path.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import repro
 
@@ -169,3 +173,41 @@ def test_one_certified_band_and_no_precision_knob():
         "serving/index.py:_rescored",
     }
     assert knob == []
+
+
+def test_one_single_query_path_and_no_coalescing_knob(capsys):
+    """Single-node misses reach the backend through one admission path
+    (QueryService._select, called by the direct run and the drain alike);
+    the opt-in coalescer it replaced, with its window and batch knobs, is
+    gone from the tree and from the CLI."""
+    from repro.cli import main
+
+    functions, coalesce = {}, []
+    for path in sorted(SRC.rglob("*.py")):
+        module = str(path.relative_to(SRC))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                functions[f"{module}:{node.name}"] = node
+            coalesce += [
+                f"{module}:{node.lineno}:{name}"
+                for name in _identifiers(node)
+                if "coalesce" in name.lower()
+            ]
+    assert coalesce == []
+    service = "serving/service.py"
+    assert {
+        key for key, node in functions.items() if "_search" in _calls(node)
+    } == {
+        f"{service}:_select",
+        f"{service}:_batch_top_k_on",
+        f"{service}:work",  # _batch_top_k_on's pool task
+        f"{service}:_similar_by_vector_on",
+    }
+    assert {
+        key for key, node in functions.items() if "_select" in _calls(node)
+    } == {f"{service}:_admit", f"{service}:_drain"}
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(["serve", "--store", "s", "--coalesce-window-ms", "1"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --coalesce-window-ms 1" in capsys.readouterr().err

@@ -1,15 +1,18 @@
-"""Tests for PR 5's request-path overhaul: binary frames, content-type
-negotiation, client keep-alive reuse, the server-side admission
-coalescer, and cache counters.
+"""Tests for the request path: binary frames, content-type negotiation,
+client keep-alive reuse, engine admission of concurrent single queries,
+and cache counters.
 
 The HTTP basics (endpoints, validation, drain, replicas) live in
-``test_http.py``; everything here is the wire/coalescing layer added on
+``test_http.py``; everything here is the wire/admission layer added on
 top — including the compatibility matrix the negotiation must uphold:
 binary-preferring clients against JSON-only servers and JSON clients
 against binary-capable servers.
 """
 
+import json
 import threading
+import time
+import urllib.request
 
 import numpy as np
 import pytest
@@ -180,7 +183,7 @@ class TestNegotiation:
     def test_describe_advertises_capabilities(self, server):
         info = ServingClient(server.url).describe()
         assert info["wire_formats"] == ["json", "binary"]
-        assert info["coalescing"]["enabled"] is False
+        assert "coalescing" not in info
 
     def test_nan_vector_rejected_in_binary_frame(self, server):
         """The frame path must enforce the same finiteness contract as
@@ -232,10 +235,24 @@ class TestKeepAlive:
             assert server.close() is True
 
 
-class TestCoalescing:
-    def test_concurrent_singles_share_group_and_version(self, store, trained_embedding):
+def _batched_select_spans(url: str) -> int:
+    """``select`` spans in ``/debug/traces`` that answered more than one query."""
+    with urllib.request.urlopen(url + protocol.TRACES, timeout=30) as response:
+        traces = json.loads(response.read())["traces"]
+    return sum(
+        1
+        for trace in traces
+        for span in trace["spans"]
+        if span["name"] == "select" and span.get("meta", {}).get("batch", 1) > 1
+    )
+
+
+class TestAdmission:
+    def test_concurrent_singles_bit_identical(self, store, trained_embedding):
+        from repro.search.knn import top_k_similar
+
         with QueryService(store, backend="exact", cache_size=0) as service:
-            with EmbeddingServer(service, coalesce_window_s=0.01) as server:
+            with EmbeddingServer(service) as server:
                 client = ServingClient(server.url)
                 results: dict[int, object] = {}
 
@@ -249,68 +266,74 @@ class TestCoalescing:
                     thread.start()
                 for thread in threads:
                     thread.join()
-                groups = {r.group for r in results.values()}
-                versions = {r.version for r in results.values()}
-                assert None not in groups  # every answer was coalesced
-                assert len(versions) == 1
-                # Correctness: same answers as the uncoalesced engine.
-                from repro.search.knn import top_k_similar
-
+                assert {r.version for r in results.values()} == {"v00000001"}
                 features = trained_embedding.node_embeddings()
                 for node, result in results.items():
                     expected_ids, expected_scores = top_k_similar(features, node, 4)
                     assert np.array_equal(result.ids, expected_ids)
                     assert result.scores.tobytes() == expected_scores.tobytes()
 
-    def test_max_batch_wakes_leader_early(self, store):
-        """With max_batch=1 every request is its own group — the leader
-        must not sleep out the (deliberately huge) window."""
-        import time
-
-        with QueryService(store, backend="exact", cache_size=0) as service:
-            with EmbeddingServer(
-                service, coalesce_window_s=30.0, coalesce_max_batch=1
-            ) as server:
-                client = ServingClient(server.url)
-                start = time.perf_counter()
-                result = client.top_k(0, 4)
-                assert time.perf_counter() - start < 5.0
-                assert result.group is not None
-
-    def test_single_member_group_well_formed(self, store):
-        """A coalesced group of size 1 (no concurrency) stays correct."""
-        with QueryService(store, backend="exact", cache_size=0) as service:
-            with EmbeddingServer(service, coalesce_window_s=0.001) as server:
-                client = ServingClient(server.url)
-                first = client.top_k(5, 4)
-                second = client.top_k(5, 4)
-                assert first.group is not None and second.group is not None
-                assert first.group != second.group  # two drains, two groups
-                assert np.array_equal(first.ids, second.ids)
-                assert first.scores.tobytes() == second.scores.tobytes()
-                assert service.latency_info()["queries"] >= 2
-
-    def test_cache_hits_bypass_coalescer(self, store):
+    def test_cache_hits_bypass_admission(self, store):
         with QueryService(store, backend="exact") as service:
-            with EmbeddingServer(service, coalesce_window_s=0.001) as server:
+            with EmbeddingServer(service) as server:
                 client = ServingClient(server.url)
                 cold = client.top_k(9, 4)
-                warm = client.top_k(9, 4)
-                assert cold.group is not None
-                assert warm.cached and warm.group is None
+                slots, service._free_slots = service._free_slots, 0
+                # With no free slot a request entering admission would hang.
+                warm = client.top_k(9, 4, timeout_s=10.0)
+                service._free_slots = slots
+                assert not cold.cached and warm.cached
+                assert np.array_equal(cold.ids, warm.ids)
+                assert cold.scores.tobytes() == warm.scores.tobytes()
 
-    def test_no_mixed_versions_inside_a_group_under_refresh_race(
+    def test_single_answer_carries_no_group(self, server):
+        """A single answer names its own version; neither wire carries a
+        batch id beside it."""
+        for wire in ("json", "binary"):
+            with ServingClient(server.url, wire=wire) as client:
+                payload = client._request("POST", protocol.TOPK, {"node": 0, "k": 3})
+            assert "group" not in payload, wire
+            assert payload["version"] == "v00000001"
+        result = server.service.search(SearchRequest(node=0, k=3))
+        assert set(protocol.encode_result(result)) == {
+            "version", "ids", "scores", "cached", "latency_s"
+        }
+
+    def test_version_flip_stress_answers_match_named_version(
         self, store, trained_embedding
     ):
-        """The PR-5 stress contract: /admin/refresh flips racing
-        coalesced single queries never produce a group whose members
-        answer from different store versions."""
-        version_2 = store.publish(trained_embedding)
+        """Eight single-query clients race ``/admin/refresh`` flips
+        between two versions with different rows: every answer is
+        bit-identical to ``exact_top_k`` over the rows of the version it
+        names, and some answers were batched (not vacuous)."""
+        from repro.search.knn import exact_top_k
+
+        rng = np.random.default_rng(99)
+        permutation = rng.permutation(trained_embedding.n_nodes)
+        v2 = store.publish(
+            type(trained_embedding)(
+                x_forward=trained_embedding.x_forward[permutation],
+                x_backward=trained_embedding.x_backward[permutation],
+                y=trained_embedding.y,
+                config=trained_embedding.config,
+            )
+        )
+        versions = ("v00000001", v2)
+        k, n = 4, trained_embedding.n_nodes
+        expected = {}
+        for version in versions:
+            features = np.asarray(store.open(version).features)
+            ids, scores = exact_top_k(
+                features, features, k, assume_normalized=True, exclude=np.arange(n)
+            )
+            expected[version] = (ids, scores)
+        assert not np.array_equal(expected[versions[0]][0], expected[v2][0])
         with QueryService(
-            store, backend="exact", version="v00000001", cache_size=0
+            store, backend="exact", version=versions[0], cache_size=0
         ) as service:
-            with EmbeddingServer(service, coalesce_window_s=0.002) as server:
-                observed: list[tuple[int, str]] = []
+            service._free_slots = 1  # one slot: concurrent misses must queue
+            with EmbeddingServer(service) as server:
+                observed: list[tuple[int, object]] = []
                 lock = threading.Lock()
                 stop = threading.Event()
 
@@ -318,30 +341,34 @@ class TestCoalescing:
                     client = ServingClient(server.url, timeout_s=30.0)
                     rng = np.random.default_rng(seed)
                     while not stop.is_set():
-                        result = client.top_k(int(rng.integers(120)), 4)
+                        node = int(rng.integers(n))
+                        result = client.top_k(node, k)
                         with lock:
-                            observed.append((result.group, result.version))
+                            observed.append((node, result))
+                    client.close()
 
                 readers = [
                     threading.Thread(target=read, args=(seed,), daemon=True)
-                    for seed in range(4)
+                    for seed in range(8)
                 ]
                 for reader in readers:
                     reader.start()
                 admin = ServingClient(server.url, timeout_s=30.0)
-                for flip in range(20):
-                    admin.refresh(
-                        version="v00000001" if flip % 2 else version_2
-                    )
+                batched, flips = 0, 0
+                deadline = time.monotonic() + 60.0
+                while (flips < 20 or not batched) and time.monotonic() < deadline:
+                    admin.refresh(version=versions[flips % 2 == 0])
+                    flips += 1
+                    batched += _batched_select_spans(server.url)
                 stop.set()
                 for reader in readers:
                     reader.join(timeout=30)
-                by_group: dict[int, set[str]] = {}
-                for group, version in observed:
-                    by_group.setdefault(group, set()).add(version)
-                torn = {g: vs for g, vs in by_group.items() if len(vs) > 1}
-                assert torn == {}, torn
-                assert len(observed) > 0
+                assert batched > 0, "no select span ever answered a batch"
+                assert {result.version for _, result in observed} == set(versions)
+                for node, result in observed:
+                    ids, scores = expected[result.version]
+                    assert np.array_equal(result.ids, ids[node]), (node, result)
+                    assert result.scores.tobytes() == scores[node].tobytes()
 
 
 class TestCacheCounters:
@@ -415,7 +442,7 @@ class TestLoadgenPerQuery:
 
 
 class TestPoolHazards:
-    """Review-round regressions: stale sockets, close finality, max_batch."""
+    """Review-round regressions: stale sockets, close finality."""
 
     def test_stale_pooled_connections_do_not_consume_retries(self, server):
         """Dead sockets in the pool (server idle-timeout, restart) must be
@@ -442,41 +469,3 @@ class TestPoolHazards:
         replica._release(connection)  # in-flight request finishing late
         assert replica._idle == []
         assert connection.sock is None  # closed, not resurrected
-
-    def test_max_batch_bounds_executed_group_size(self, store):
-        """max_batch is a hard ceiling on the coalesced GEMM, not just an
-        early-wake threshold: an oversized drain splits into chunks."""
-        from repro.serving.service import QueryService as QS
-
-        with QS(store, backend="exact", cache_size=0) as service:
-            sizes: list[int] = []
-            original = service._execute_microbatch
-
-            def recording(requests, group_id):
-                sizes.append(len(requests))
-                original(requests, group_id)
-
-            coalescer = service.make_coalescer(0.05, max_batch=3)
-            coalescer._execute = recording
-            results: list = []
-
-            def fire(node: int) -> None:
-                results.append(
-                    service.search(
-                        SearchRequest(node=node, k=4), coalescer=coalescer
-                    )
-                )
-
-            threads = [
-                threading.Thread(target=fire, args=(node,)) for node in range(8)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            assert len(results) == 8
-            assert sum(sizes) == 8
-            assert max(sizes) <= 3
-            # Distinct groups per chunk: no two chunks share a group id.
-            groups = {r.group for r in results}
-            assert len(groups) == len(sizes)

@@ -32,7 +32,7 @@ def _writer_schema(name: str) -> str:
             marks=pytest.mark.xfail(
                 strict=True,
                 reason="ROADMAP 6a: BENCH_http.json is still the v2 full run, "
-                "bench_http.py writes v4 — regenerate on the reference host",
+                "bench_http.py writes v5 — regenerate on the reference host",
             ),
         ),
     ],

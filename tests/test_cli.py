@@ -433,8 +433,8 @@ class TestHTTPServeCli:
 
 
 class TestWireAndCoalesceCLI:
-    """Serve coalescing flags, bench-http wire selection, and the exact
-    answer `query` prints."""
+    """The serve HTTP wire end to end, bench-http wire selection, and the
+    exact answer `query` prints."""
 
     @pytest.fixture()
     def embedding_file(self, graph_file, tmp_path, capsys):
@@ -444,9 +444,6 @@ class TestWireAndCoalesceCLI:
         return emb
 
     def test_parser_defaults(self, capsys):
-        args = build_parser().parse_args(["serve", "--store", "s"])
-        assert args.coalesce_window_ms == 0.0
-        assert args.coalesce_max_batch == 64
         args = build_parser().parse_args(["bench-http", "--url", "http://h:1"])
         assert args.wire == "auto"
         for command in ("serve", "query"):  # one exact engine, no precision flag
@@ -485,8 +482,8 @@ class TestWireAndCoalesceCLI:
         )
         assert lines == [f"{node}\t{score:.4f}" for node, score in zip(ids, scores)]
 
-    def test_serve_http_coalescing_subprocess(self, embedding_file, tmp_path):
-        """The real CLI server with coalescing + binary wire end to end."""
+    def test_serve_http_binary_subprocess(self, embedding_file, tmp_path):
+        """The real CLI server over the binary wire end to end."""
         import signal
 
         from repro.serving.http import ServingClient
@@ -498,14 +495,12 @@ class TestWireAndCoalesceCLI:
         assert main(
             ["serve", "--store", str(store), "--publish", str(embedding_file)]
         ) == 0
-        process, url = spawn_cli_server(store, "--coalesce-window-ms", "1")
+        process, url = spawn_cli_server(store)
         try:
             client = ServingClient(url, wire="binary")
             info = client.describe()
-            assert info["coalescing"]["enabled"] is True
-            assert "select_dtype" not in info
+            assert "coalescing" not in info and "select_dtype" not in info
             remote = client.top_k(0, 5)
-            assert remote.group is not None  # answered by the coalescer
             with QueryService(EmbeddingStore(store), backend="exact") as local:
                 expected = local.search(SearchRequest(node=0, k=5))
             assert np.array_equal(remote.ids, expected.ids)
@@ -538,16 +533,3 @@ class TestWireAndCoalesceCLI:
                 out = capsys.readouterr().out
                 assert "wire=binary" in out and "errors=0" in out
                 assert "ms/query p50" in out
-
-    def test_serve_coalesce_max_batch_validated(self, embedding_file, tmp_path, capsys):
-        store = tmp_path / "store"
-        assert main(
-            ["serve", "--store", str(store), "--publish", str(embedding_file)]
-        ) == 0
-        capsys.readouterr()
-        code = main(
-            ["serve", "--store", str(store), "--http", "0",
-             "--coalesce-window-ms", "1", "--coalesce-max-batch", "0"]
-        )
-        assert code == 2
-        assert "--coalesce-max-batch must be >= 1" in capsys.readouterr().err
