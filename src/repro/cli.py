@@ -273,12 +273,13 @@ def _cmd_log(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.serving.wal.compactor import CHECKPOINT_FILE
-    from repro.serving.wal.log import fold_records, scan_segment
+    from repro.serving.wal.log import LogCorruption, LogReader, fold_records
 
     root = Path(args.wal_dir)
-    segments = sorted(root.glob("*.wal")) if root.is_dir() else []
+    reader = LogReader(root)
+    view = reader.inspect()
     checkpoint_path = root / CHECKPOINT_FILE
-    if not segments and not checkpoint_path.exists():
+    if not view["segments"] and not checkpoint_path.exists():
         print(f"error: {root} is not a delta-log directory", file=sys.stderr)
         return 2
 
@@ -290,39 +291,16 @@ def _cmd_log(args: argparse.Namespace) -> int:
         except (OSError, ValueError):
             checkpoint = {"error": "unreadable"}
 
-    records = []
-    infos = []
-    damaged = False
-    for path in segments:
-        segment_records, info = scan_segment(path)
-        records.extend(segment_records)
-        infos.append(info)
-        damaged = damaged or info.error is not None
-
-    payload: dict = {
-        "wal_dir": str(root),
-        "checkpoint": checkpoint,
-        "n_segments": len(infos),
-        "n_records": len(records),
-        "first_lsn": records[0].lsn if records else 0,
-        "last_lsn": records[-1].lsn if records else 0,
-        "size_bytes": sum(info.size_bytes for info in infos),
-        "damaged": damaged,
-        "segments": [info.as_dict() for info in infos],
-    }
+    damaged = bool(view["torn"])
+    payload: dict = {"wal_dir": str(root), "checkpoint": checkpoint, "damaged": damaged, **view}
     if args.replay:
-        delta = fold_records(records, directed=not args.undirected)
-        payload["replay"] = {
-            "records_folded": len(records),
-            "add_edges": 0 if delta.add_edges is None else len(delta.add_edges),
-            "remove_edges": 0 if delta.remove_edges is None else len(delta.remove_edges),
-            "add_associations": 0
-            if delta.add_associations is None
-            else len(delta.add_associations),
-            "remove_associations": 0
-            if delta.remove_associations is None
-            else len(delta.remove_associations),
-        }
+        try:
+            records = list(reader.records())
+        except LogCorruption as error:
+            payload["replay"] = {"error": str(error)}
+        else:
+            delta = fold_records(records, directed=not args.undirected)
+            payload["replay"] = {"records_folded": len(records), **delta.counts()}
     if args.json:
         print(json_module.dumps(payload, indent=2))
         return 1 if damaged else 0
@@ -334,15 +312,17 @@ def _cmd_log(args: argparse.Namespace) -> int:
         f"[{payload['first_lsn']}..{payload['last_lsn']}], "
         f"{payload['size_bytes']} bytes, {base}"
     )
-    for info in infos:
-        status = f" DAMAGED ({info.error})" if info.error else ""
+    for segment in view["segments"]:
+        status = f" DAMAGED ({segment['error']})" if segment["error"] else ""
         print(
-            f"  {Path(info.path).name}: lsn {info.first_lsn}.."
-            f"{info.last_lsn} ({info.n_records} records, "
-            f"{info.size_bytes} bytes){status}"
+            f"  {segment['segment']}: lsn {segment['first_lsn']}.."
+            f"{segment['last_lsn']} ({segment['records']} records, "
+            f"{segment['bytes']} bytes){status}"
         )
-    if args.replay:
-        replay = payload["replay"]
+    replay = payload.get("replay")
+    if replay and "error" in replay:
+        print(f"  replay refused: {replay['error']}")
+    elif replay:
         print(
             f"  replay folds to: +{replay['add_edges']}/-{replay['remove_edges']} "
             f"edges, +{replay['add_associations']}/-{replay['remove_associations']} "

@@ -7,7 +7,7 @@ the trainer; :mod:`repro.dynamic.incremental` applies it to a graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,13 +31,10 @@ class GraphDelta:
     add_associations: np.ndarray | None = None
     remove_associations: np.ndarray | None = None
 
+    def counts(self) -> dict[str, int]:
+        """Rows per field, keyed by field name."""
+        arrays = {field.name: getattr(self, field.name) for field in fields(self)}
+        return {name: 0 if array is None else len(array) for name, array in arrays.items()}
+
     def is_empty(self) -> bool:
-        return all(
-            x is None or len(x) == 0
-            for x in (
-                self.add_edges,
-                self.remove_edges,
-                self.add_associations,
-                self.remove_associations,
-            )
-        )
+        return not any(self.counts().values())

@@ -25,6 +25,7 @@ Registry file layout::
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 import time
@@ -228,40 +229,32 @@ def diff_versions(store, log, ref_a: str, ref_b: str, *, directed: bool = True):
         report.update(_delta_summary(delta))
         return report, delta
 
-    view = log.inspect()
-    first_available = int(view["first_lsn"]) if view["n_segments"] else 0
-    last_available = int(view["last_lsn"])
-    # Coverage: the oldest surviving segment must start at or before the
-    # first LSN the diff needs, and the log must reach lsn_b.
-    if view["n_segments"] == 0 or first_available > lsn_a + 1 or last_available < lsn_b:
+    from repro.serving.wal.log import LogCorruption, fold_records
+
+    try:
+        records = list(itertools.takewhile(lambda rec: rec.lsn <= lsn_b, log.records(lsn_a)))
+    except LogCorruption as error:
         raise DatasetError(
-            f"WAL does not cover LSNs ({lsn_a}, {lsn_b}]: log holds "
-            f"[{first_available}, {last_available}] — records were pruned "
-            "or the log was reset; the diff would under-report"
-        )
-    delta, folded_through = log.replay(lsn_a, end_lsn=lsn_b, directed=directed)
-    if folded_through != lsn_b:
+            f"WAL replay of LSNs ({lsn_a}, {lsn_b}] refused: {error}; "
+            "run `repro fsck --wal` and retry"
+        ) from error
+    # The reader never skips an LSN, so both ends prove coverage.
+    held = [records[0].lsn, records[-1].lsn] if records else []
+    if held != [lsn_a + 1, lsn_b]:
         raise DatasetError(
-            f"WAL replay stopped at LSN {folded_through}, short of {lsn_b} "
-            "(damaged log?); run `repro fsck --wal` and retry"
+            f"WAL does not cover LSNs ({lsn_a}, {lsn_b}]: it holds {held or 'none'} "
+            "of them — records were pruned, the log was reset or its tail is "
+            "torn; the diff would under-report"
         )
+    delta = fold_records(records, directed=directed)
     report.update(_delta_summary(delta))
     return report, delta
 
 
 def _delta_summary(delta) -> dict:
     changed = _changed_nodes(delta)
-
-    def count(array) -> int:
-        return 0 if array is None else int(len(array))
-
     return {
-        "events": {
-            "add_edges": count(delta.add_edges),
-            "remove_edges": count(delta.remove_edges),
-            "add_associations": count(delta.add_associations),
-            "remove_associations": count(delta.remove_associations),
-        },
+        "events": delta.counts(),
         "n_changed_nodes": int(changed.size),
         "changed_nodes": [int(node) for node in changed],
     }

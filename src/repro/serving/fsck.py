@@ -61,6 +61,16 @@ QUARANTINE_DIR = "quarantine"
 # temp files.
 _ORPHAN_PREFIXES = (STAGING_PREFIX, ".staging.")
 
+# The issue code ``fsck --wal`` reports for each problem the WAL walk finds.
+_WAL_ISSUES = {
+    "bad_header": "bad_header",
+    "torn_tail": "torn_segment",
+    "bad_record": "bad_lsn",
+    "bad_lsn": "bad_lsn",
+    "epoch_regression": "epoch_regression",
+    "unreachable": "bad_lsn",
+}
+
 
 class StoreCorruptionError(RuntimeError):
     """A store version failed verification and must not be served.
@@ -509,14 +519,17 @@ def fsck_wal(root, *, repair: bool = False, journal=None) -> FsckReport:
 
     Segments after the first damaged-and-cut point are unreachable (the
     chain is broken); repair quarantines them under
-    ``<root>/quarantine/``.
+    ``<root>/quarantine/``.  Each code is one problem
+    :func:`~repro.serving.wal.log.walk_segments` reports (``_WAL_ISSUES``);
+    a segment it left ``valid_bytes`` in is truncated there, any other
+    is quarantined.
     """
     from repro.serving.wal.compactor import BASE_GRAPH_FILE, CHECKPOINT_FILE
-    from repro.serving.wal.log import scan_segment
+    from repro.serving.wal.log import walk_segments
 
     root = Path(root)
     report = FsckReport(root=str(root))
-    segments = sorted(root.glob("*.wal")) if root.is_dir() else []
+    segments = list(walk_segments(root)) if root.is_dir() else []
     checkpoint_path = root / CHECKPOINT_FILE
     if not root.is_dir() or (not segments and not checkpoint_path.exists()):
         report.issues.append(
@@ -564,102 +577,51 @@ def fsck_wal(root, *, repair: bool = False, journal=None) -> FsckReport:
             )
         )
 
-    expected: int | None = None  # next LSN the chain must continue at
-    last_epoch = 0  # fencing terms must be monotone across the chain
-    scanned: list = []  # (path, info) of surviving segments, in order
-    chain_broken = False
-    for position, path in enumerate(segments):
-        name = path.name
-        if chain_broken:
-            # Everything past a cut/quarantine point is unreachable:
-            # replay stops at the break, so these records cannot be
-            # reached in order again.
-            report.corrupt_versions.append(name)
-            report.issues.append(
-                Issue(
-                    code="bad_lsn",
-                    path=str(path),
-                    detail=f"{name}: unreachable past a damaged predecessor",
-                )
+    first = segments[0][0] if segments else None
+    if (
+        first is not None
+        and checkpoint_lsn
+        and first.problem != "bad_header"
+        and first.first_lsn > checkpoint_lsn + 1
+    ):
+        report.issues.append(
+            Issue(
+                code="bad_lsn",
+                path=str(first.path),
+                detail=(
+                    f"{first.path.name}: log starts at LSN {first.first_lsn} but "
+                    f"the checkpoint covers only through {checkpoint_lsn} — "
+                    f"records {checkpoint_lsn + 1}..{first.first_lsn - 1} are lost"
+                ),
+                repairable=False,
             )
-            if repair:
-                _quarantine(root, path, report)
-            continue
-        records, info = scan_segment(path)
-        del records
-        if info.error is not None and info.error.startswith("bad_header"):
-            report.corrupt_versions.append(name)
-            report.issues.append(
-                Issue(code="bad_header", path=str(path), detail=f"{name}: {info.error}")
-            )
-            if repair:
-                _quarantine(root, path, report)
-            chain_broken = True
-            continue
-        if info.epoch < last_epoch:
-            report.corrupt_versions.append(name)
-            report.issues.append(
-                Issue(
-                    code="epoch_regression",
-                    path=str(path),
-                    detail=(
-                        f"{name}: epoch {info.epoch} regresses from "
-                        f"{last_epoch} — fencing terms only ever go up"
-                    ),
-                )
-            )
-            if repair:
-                _quarantine(root, path, report)
-            chain_broken = True
-            continue
-        last_epoch = info.epoch
-        if expected is None and checkpoint_lsn and info.first_lsn > checkpoint_lsn + 1:
-            report.issues.append(
-                Issue(
-                    code="bad_lsn",
-                    path=str(path),
-                    detail=(
-                        f"{name}: log starts at LSN {info.first_lsn} but the "
-                        f"checkpoint covers only through {checkpoint_lsn} — "
-                        f"records {checkpoint_lsn + 1}..{info.first_lsn - 1} "
-                        "are lost"
-                    ),
-                    repairable=False,
-                )
-            )
-        elif expected is not None and info.first_lsn != expected:
-            report.corrupt_versions.append(name)
-            report.issues.append(
-                Issue(
-                    code="bad_lsn",
-                    path=str(path),
-                    detail=(
-                        f"{name}: first LSN is {info.first_lsn}, the chain "
-                        f"expected {expected}"
-                    ),
-                    repairable=False,
-                )
-            )
-            if repair:
-                _quarantine(root, path, report)
-            chain_broken = True
-            continue
+        )
+    scanned: list = []  # (info, records) of surviving segments, in order
+    for info, records in segments:
+        name = info.path.name
         if info.error is not None:
-            code = (
-                "torn_segment" if info.error.startswith("torn_tail") else "bad_lsn"
-            )
+            detail = f"{name}: {info.error}"
+            if info.valid_bytes:
+                detail += (
+                    f"; {info.n_records} valid record(s) survive up to byte "
+                    f"{info.valid_bytes}"
+                )
             report.issues.append(
                 Issue(
-                    code=code,
-                    path=str(path),
-                    detail=(
-                        f"{name}: {info.error}; {info.n_records} valid "
-                        f"record(s) survive up to byte {info.valid_bytes}"
-                    ),
+                    code=_WAL_ISSUES[info.problem],
+                    path=str(info.path),
+                    detail=detail,
+                    # A hole in the chain: the missing records are gone.
+                    repairable=info.problem != "bad_lsn",
                 )
             )
+            if not info.valid_bytes:
+                report.corrupt_versions.append(name)
+                if repair:
+                    _quarantine(root, info.path, report)
+                continue
             if repair:
-                with open(path, "r+b") as handle:
+                with open(info.path, "r+b") as handle:
                     handle.truncate(info.valid_bytes)
                     handle.flush()
                     os.fsync(handle.fileno())
@@ -667,12 +629,9 @@ def fsck_wal(root, *, repair: bool = False, journal=None) -> FsckReport:
                     f"truncated {name} at byte {info.valid_bytes} "
                     f"({info.n_records} records kept)"
                 )
-            if position != len(segments) - 1:
-                chain_broken = True  # records after the cut are unreachable
         report.clean_versions.append(name)
-        scanned.append((path, info))
-        expected = info.first_lsn + info.n_records
-        report.latest = None if expected <= 1 else f"lsn={expected - 1}"
+        scanned.append((info, records))
+        report.latest = f"lsn={info.last_lsn}" if info.last_lsn >= 1 else None
 
     _check_diverged_tail(root, report, scanned, repair=repair)
 
@@ -696,6 +655,7 @@ def _check_diverged_tail(
     """
     import shutil
 
+    from repro.serving.wal.log import encode_record
     from repro.serving.wal.replication import (
         clear_diverged_marker,
         read_diverged_marker,
@@ -719,13 +679,13 @@ def _check_diverged_tail(
     )
     if not repair:
         return
-    for path, info in scanned:
+    for info, records in scanned:
+        path = info.path
         if not path.is_file():
             continue  # already quarantined by an earlier issue
-        seg_last = info.first_lsn + info.n_records - 1
         if info.first_lsn >= boundary:
             _quarantine(root, path, report)
-        elif seg_last >= boundary:
+        elif info.last_lsn >= boundary:
             # Boundary falls inside this segment: preserve the diverged
             # suffix in quarantine, then cut the live file byte-exactly
             # before record `boundary`.
@@ -733,7 +693,9 @@ def _check_diverged_tail(
             quarantine.mkdir(exist_ok=True)
             copy = quarantine / f"{path.name}.diverged"
             shutil.copyfile(path, copy)
-            cut = info.record_offset(boundary)
+            cut = info.header_bytes + sum(
+                len(encode_record(*rec)) for rec in records if rec.lsn < boundary
+            )
             with open(path, "r+b") as handle:
                 handle.truncate(cut)
                 handle.flush()

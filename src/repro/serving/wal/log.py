@@ -28,8 +28,16 @@ that state is ``epoch_regression`` corruption.  The per-epoch start
 LSNs are mirrored into an ``EPOCHS`` json file so the fencing boundary
 survives segment pruning.
 
-A torn tail — a partially written final record, the normal residue of a
-crash mid-append — is tolerated: the open-time scan truncates the last
+Every record here and every replication frame (``replication.py``) is
+*sealed* the same way — ``header | payload | <I crc32(header + payload)``,
+the payload length being the header's last field — by :func:`seal`, and
+decoded by one loop, :func:`unseal`.
+
+The segment files are listed and chain-checked in one place,
+:func:`walk_segments`; recovery, the readers, the replication feed and
+``repro fsck --wal`` are policies over the problems it reports.  A torn
+tail — a partially written final record, the normal residue of a crash
+mid-append — is tolerated: opening a :class:`DeltaLog` truncates the last
 segment at the last valid record boundary.  Corruption anywhere else is
 refused here and repaired by ``repro fsck --wal``.
 """
@@ -42,9 +50,9 @@ import struct
 import threading
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -61,7 +69,7 @@ _SEG_HEADER_V1 = struct.Struct("<4sIQ")  # magic, format version, first LSN
 _SEG_HEADER = struct.Struct("<4sIQQ")  # magic, version, first LSN, epoch
 _SEG_PREFIX = struct.Struct("<4sI")  # magic, format version (both formats)
 _REC_HEADER = struct.Struct("<QBI")  # lsn, kind, payload length
-_REC_CRC = struct.Struct("<I")
+_CRC = struct.Struct("<I")
 
 KIND_ADD_EDGE = 1
 KIND_REMOVE_EDGE = 2
@@ -135,7 +143,15 @@ class LogRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class SegmentInfo:
-    """Scan result for one segment file."""
+    """Scan result for one segment file.
+
+    ``error`` is ``None`` or ``"<problem>: <detail>"``.  A segment's own
+    problems are ``bad_header``, ``torn_tail`` (a record cut short, with
+    a bad header or a bad checksum) and ``bad_record`` (a record out of
+    LSN sequence).  :func:`walk_segments` adds the chain problems in
+    :data:`CHAIN_PROBLEMS`.  ``valid_bytes`` is the truncation point that
+    would repair the segment; ``0`` means it can only be quarantined.
+    """
 
     path: Path
     first_lsn: int
@@ -151,20 +167,10 @@ class SegmentInfo:
         """LSN of the last valid record (``first_lsn - 1`` when empty)."""
         return self.first_lsn + self.n_records - 1
 
-    def record_offset(self, lsn: int) -> int:
-        """Byte offset of record ``lsn``'s start within this segment.
-
-        Only valid for ``first_lsn <= lsn <= last_lsn + 1`` (the latter
-        being the append position).  Exploits the fixed record framing:
-        every record of a given kind has one size, but kinds vary, so
-        this rescans the headers rather than multiplying.
-        """
-        data = self.path.read_bytes()
-        offset = self.header_bytes
-        for _ in range(lsn - self.first_lsn):
-            _, kind, payload_len = _REC_HEADER.unpack_from(data, offset)
-            offset += _REC_HEADER.size + payload_len + _REC_CRC.size
-        return offset
+    @property
+    def problem(self) -> str | None:
+        """The problem code ``error`` starts with, or ``None``."""
+        return None if self.error is None else self.error.split(":", 1)[0]
 
     def as_dict(self) -> dict:
         return {
@@ -179,6 +185,57 @@ class SegmentInfo:
         }
 
 
+# Problems of the chain rather than of one segment's bytes: a first LSN
+# that does not continue the previous segment, an epoch lower than the
+# previous segment's, and any segment after an earlier problem.
+CHAIN_PROBLEMS = ("bad_lsn", "epoch_regression", "unreachable")
+
+
+def seal(header: bytes, payload: bytes) -> bytes:
+    """One checksummed frame: ``header | payload | <I crc32(header + payload)``."""
+    body = header + payload
+    return body + _CRC.pack(zlib.crc32(body))
+
+
+def unseal(
+    data: bytes,
+    header: struct.Struct,
+    check: Callable[[tuple, int], str | None],
+    decode: Callable[[tuple, memoryview], object],
+    offset: int = 0,
+) -> tuple[list, int, str | None]:
+    """Decode the sealed frames in ``data[offset:]`` up to the first bad byte.
+
+    ``header``'s last field is the payload length; ``check(fields, i)``
+    vets the ``i``-th header before that length is trusted and returns a
+    problem or ``None``, and ``decode(fields, payload)`` builds a good
+    frame's item.  Returns ``(items, end, problem)``: the item of every
+    good frame, the offset just past the last of them, and what is wrong
+    at ``end`` (``None`` when the buffer ends cleanly there).  Strict
+    callers raise on the problem; the segment scan keeps ``end`` as the
+    truncation point.
+    """
+    items: list = []
+    view = memoryview(data)
+    size = len(data)
+    while offset < size:
+        if size - offset < header.size:
+            return items, offset, "truncated header"
+        fields = header.unpack_from(data, offset)
+        problem = check(fields, len(items))
+        if problem is not None:
+            return items, offset, problem
+        start = offset + header.size
+        stop = start + fields[-1]
+        if stop + _CRC.size > size:
+            return items, offset, "truncated body"
+        if _CRC.unpack_from(data, stop)[0] != zlib.crc32(view[offset:stop]):
+            return items, offset, "checksum mismatch"
+        items.append(decode(fields, view[start:stop]))
+        offset = stop + _CRC.size
+    return items, offset, None
+
+
 def encode_record(lsn: int, kind: int, a: int, b: int, weight: float = 0.0) -> bytes:
     if kind in (KIND_ADD_EDGE, KIND_REMOVE_EDGE, KIND_REMOVE_ASSOC):
         payload = _PAYLOAD_PAIR.pack(a, b)
@@ -186,20 +243,32 @@ def encode_record(lsn: int, kind: int, a: int, b: int, weight: float = 0.0) -> b
         payload = _PAYLOAD_TRIPLE.pack(a, b, weight)
     else:
         raise ValueError(f"unknown record kind {kind}")
-    header = _REC_HEADER.pack(lsn, kind, len(payload))
-    return header + payload + _REC_CRC.pack(zlib.crc32(header + payload))
+    return seal(_REC_HEADER.pack(lsn, kind, len(payload)), payload)
 
 
-def _decode_payload(kind: int, payload: bytes) -> tuple[int, int, float]:
+def _record_header_problem(kind: int, payload_len: int) -> str | None:
+    if _PAYLOAD_SIZE.get(kind) == payload_len:
+        return None
+    return f"bad record header (kind={kind}, len={payload_len})"
+
+
+def _record(fields: tuple, payload: memoryview) -> LogRecord:
+    lsn, kind, _ = fields
     if kind == KIND_ADD_ASSOC:
-        a, b, weight = _PAYLOAD_TRIPLE.unpack(payload)
-        return a, b, weight
-    a, b = _PAYLOAD_PAIR.unpack(payload)
-    return a, b, 0.0
+        return LogRecord(lsn, kind, *_PAYLOAD_TRIPLE.unpack(payload))
+    return LogRecord(lsn, kind, *_PAYLOAD_PAIR.unpack(payload), 0.0)
 
 
 def segment_name(first_lsn: int) -> str:
     return f"{first_lsn:016d}{SEGMENT_SUFFIX}"
+
+
+def _named_lsn(path: Path) -> int:
+    """The first LSN a segment's file name claims (-1 when it is no number)."""
+    try:
+        return int(path.name[: -len(SEGMENT_SUFFIX)])
+    except ValueError:
+        return -1
 
 
 def parse_records(data: bytes) -> list[LogRecord]:
@@ -211,25 +280,11 @@ def parse_records(data: bytes) -> list[LogRecord]:
     :class:`LogCorruption`, because a replication frame was already
     CRC-framed in transit and must decode completely or not at all.
     """
-    records: list[LogRecord] = []
-    offset = 0
-    size = len(data)
-    while offset < size:
-        if size - offset < _REC_HEADER.size:
-            raise LogCorruption("record buffer truncated mid-header")
-        lsn, kind, payload_len = _REC_HEADER.unpack_from(data, offset)
-        if kind not in _PAYLOAD_SIZE or payload_len != _PAYLOAD_SIZE[kind]:
-            raise LogCorruption(f"bad record header (kind={kind}, len={payload_len})")
-        end = offset + _REC_HEADER.size + payload_len + _REC_CRC.size
-        if end > size:
-            raise LogCorruption("record buffer truncated mid-body")
-        body = data[offset : offset + _REC_HEADER.size + payload_len]
-        (crc,) = _REC_CRC.unpack_from(data, end - _REC_CRC.size)
-        if crc != zlib.crc32(body):
-            raise LogCorruption(f"record checksum mismatch at LSN {lsn}")
-        a, b, weight = _decode_payload(kind, data[offset + _REC_HEADER.size : end - _REC_CRC.size])
-        records.append(LogRecord(lsn, kind, a, b, weight))
-        offset = end
+    records, _, problem = unseal(
+        data, _REC_HEADER, lambda fields, _: _record_header_problem(*fields[1:]), _record
+    )
+    if problem is not None:
+        raise LogCorruption(f"record buffer: {problem}")
     return records
 
 
@@ -244,10 +299,11 @@ def scan_segment(path: Path) -> tuple[list[LogRecord], SegmentInfo]:
     path = Path(path)
     data = path.read_bytes()
     size = len(data)
+    first_lsn = 0
     epoch = 1
     header_size = _SEG_HEADER_V1.size
 
-    def info(n_records: int, first_lsn: int, valid: int, error: str | None):
+    def info(n_records: int, valid: int, error: str | None):
         return SegmentInfo(
             path=path,
             first_lsn=first_lsn,
@@ -260,58 +316,93 @@ def scan_segment(path: Path) -> tuple[list[LogRecord], SegmentInfo]:
         )
 
     if size < _SEG_PREFIX.size:
-        return [], info(0, 0, 0, "bad_header: file shorter than segment header")
+        return [], info(0, 0, "bad_header: file shorter than segment header")
     magic, version = _SEG_PREFIX.unpack_from(data, 0)
     if magic != _SEG_MAGIC:
-        return [], info(0, 0, 0, f"bad_header: bad magic {magic!r}")
-    if version == 1:
-        # Pre-replication segments: no epoch field, implicitly epoch 1.
-        if size < _SEG_HEADER_V1.size:
-            return [], info(0, 0, 0, "bad_header: file shorter than segment header")
-        _, _, first_lsn = _SEG_HEADER_V1.unpack_from(data, 0)
-    elif version == FORMAT_VERSION:
-        if size < _SEG_HEADER.size:
-            return [], info(0, 0, 0, "bad_header: file shorter than segment header")
-        _, _, first_lsn, epoch = _SEG_HEADER.unpack_from(data, 0)
-        header_size = _SEG_HEADER.size
-        if epoch < 1:
-            return [], info(0, first_lsn, 0, f"bad_header: bad epoch {epoch}")
-    else:
-        return [], info(0, 0, 0, f"bad_header: unsupported format version {version}")
-    try:
-        named = int(path.name[: -len(SEGMENT_SUFFIX)])
-    except ValueError:
-        named = -1
+        return [], info(0, 0, f"bad_header: bad magic {magic!r}")
+    # Pre-replication (v1) segments have no epoch field: implicitly epoch 1.
+    header = {1: _SEG_HEADER_V1, FORMAT_VERSION: _SEG_HEADER}.get(version)
+    if header is None:
+        return [], info(0, 0, f"bad_header: unsupported format version {version}")
+    if size < header.size:
+        return [], info(0, 0, "bad_header: file shorter than segment header")
+    _, _, first_lsn, *stamped = header.unpack_from(data, 0)
+    epoch = stamped[0] if stamped else 1
+    header_size = header.size
+    if epoch < 1:
+        return [], info(0, 0, f"bad_header: bad epoch {epoch}")
+    named = _named_lsn(path)
     if named != first_lsn:
-        return [], info(0, first_lsn, 0, f"bad_header: file named for LSN {named} but header says {first_lsn}")
+        return [], info(0, 0, f"bad_header: file named for LSN {named} but header says {first_lsn}")
 
-    records: list[LogRecord] = []
-    offset = header_size
-    while offset < size:
-        valid = offset
-        if size - offset < _REC_HEADER.size:
-            return records, info(len(records), first_lsn, valid, "torn_tail: truncated record header")
-        lsn, kind, payload_len = _REC_HEADER.unpack_from(data, offset)
-        expected_lsn = first_lsn + len(records)
-        if lsn != expected_lsn:
-            return records, info(
-                len(records), first_lsn, valid, f"bad_lsn: expected {expected_lsn}, found {lsn}"
-            )
-        if kind not in _PAYLOAD_SIZE or payload_len != _PAYLOAD_SIZE[kind]:
-            return records, info(
-                len(records), first_lsn, valid, f"torn_tail: bad record header (kind={kind}, len={payload_len})"
-            )
-        end = offset + _REC_HEADER.size + payload_len + _REC_CRC.size
-        if end > size:
-            return records, info(len(records), first_lsn, valid, "torn_tail: truncated record body")
-        body = data[offset : offset + _REC_HEADER.size + payload_len]
-        (crc,) = _REC_CRC.unpack_from(data, end - _REC_CRC.size)
-        if crc != zlib.crc32(body):
-            return records, info(len(records), first_lsn, valid, "torn_tail: record checksum mismatch")
-        a, b, weight = _decode_payload(kind, data[offset + _REC_HEADER.size : end - _REC_CRC.size])
-        records.append(LogRecord(lsn, kind, a, b, weight))
-        offset = end
-    return records, info(len(records), first_lsn, offset, None)
+    def check(fields: tuple, i: int) -> str | None:
+        lsn, kind, payload_len = fields
+        if lsn != first_lsn + i:
+            return f"bad_record: LSN {lsn} where {first_lsn + i} was expected"
+        return _record_header_problem(kind, payload_len)
+
+    records, end, problem = unseal(data, _REC_HEADER, check, _record, header_size)
+    if problem is not None and not problem.startswith("bad_record"):
+        problem = f"torn_tail: {problem}"
+    return records, info(len(records), end, problem)
+
+
+def walk_segments(
+    root: str | Path, start_lsn: int = 0
+) -> Iterator[tuple[SegmentInfo, list[LogRecord] | None]]:
+    """List a log directory's segments once and chain-check them, oldest first.
+
+    Yields ``(info, records)`` per segment.  ``info.error`` is the first
+    problem of the chain at that segment: a ``bad_header``, else an epoch
+    lower than the previous segment's (``epoch_regression``), else a
+    first LSN that does not continue the previous segment (``bad_lsn``),
+    else its own ``torn_tail`` or ``bad_record``; every segment after a
+    problem is ``unreachable``.  A chain problem sets ``valid_bytes`` to
+    0: the segment can only be quarantined.  The first segment may start
+    past LSN 1 (earlier ones were pruned).
+
+    Segments wholly at or below ``start_lsn`` — whose successor is named
+    for an LSN at or before ``start_lsn + 1`` — are neither read nor
+    checked: they come with ``records=None`` and the last LSN their
+    successor's name implies.
+    """
+    paths = sorted(p for p in Path(root).glob(f"*{SEGMENT_SUFFIX}") if p.is_file())
+    named = [_named_lsn(path) for path in paths] + [0]
+    expected: int | None = None  # first LSN the next segment must carry
+    last_epoch = 0
+    broken: str | None = None  # the first segment with a problem
+    for i, path in enumerate(paths):
+        successor = named[i + 1]
+        if broken is None and 0 < successor <= start_lsn + 1:
+            expected = successor
+            try:
+                size = path.stat().st_size
+            except FileNotFoundError:  # pruned since the listing
+                continue
+            yield SegmentInfo(path, named[i], successor - named[i], size, size), None
+            continue
+        records, info = scan_segment(path)
+        error = info.error
+        if broken is not None:
+            error = f"unreachable: past the damaged {broken}"
+        elif info.problem != "bad_header":  # the header is there to check
+            if info.epoch < last_epoch:
+                error = (
+                    f"epoch_regression: epoch {info.epoch} after epoch "
+                    f"{last_epoch}; fencing terms only ever go up"
+                )
+            elif expected is not None and info.first_lsn != expected:
+                error = (
+                    f"bad_lsn: segment starts at LSN {info.first_lsn} but the "
+                    f"previous segment ends at {expected - 1}"
+                )
+        if error != info.error:
+            info = replace(info, error=error, valid_bytes=0)
+        if error is not None and broken is None:
+            broken = path.name
+        last_epoch = info.epoch
+        expected = info.last_lsn + 1
+        yield info, records
 
 
 def events_from_delta(delta: GraphDelta) -> list[tuple[int, int, int, float]]:
@@ -384,33 +475,23 @@ class LogReader:
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
 
-    def _segment_paths(self) -> list[Path]:
-        return sorted(p for p in self.root.glob(f"*{SEGMENT_SUFFIX}") if p.is_file())
-
     # -- read path ------------------------------------------------------
-    def records(self, start_lsn: int = 0) -> Iterator[LogRecord]:
+    def records(self, start_lsn: int = 0, *, with_epoch: bool = False) -> Iterator:
         """Yield records with ``lsn > start_lsn`` in LSN order.
 
-        Reads the files fresh, so it is safe from any thread.  A torn
-        tail on the final segment ends iteration silently (an in-flight
-        append looks exactly like one); corruption elsewhere raises
-        :class:`LogCorruption`.
+        With ``with_epoch``, yield ``(segment epoch, record)`` pairs (the
+        replication feed stamps its frames with them).  Reads the files
+        fresh, so it is safe from any thread.  A problem the last segment
+        finds in its own bytes ends iteration silently (an in-flight
+        append or rotation looks exactly like one); any other problem
+        :func:`walk_segments` reports raises :class:`LogCorruption`.
         """
-        paths = self._segment_paths()
-        for i, path in enumerate(paths):
-            if i + 1 < len(paths):
-                try:
-                    next_first = int(paths[i + 1].name[: -len(SEGMENT_SUFFIX)])
-                except ValueError:
-                    next_first = None
-                if next_first is not None and next_first - 1 <= start_lsn:
-                    continue  # wholly before the requested suffix
-            records, seg = scan_segment(path)
-            if seg.error is not None and i + 1 < len(paths):
-                raise LogCorruption(f"{path.name}: {seg.error}")
-            for rec in records:
+        for info, records in walk_segments(self.root, start_lsn):
+            if info.problem in CHAIN_PROBLEMS:
+                raise LogCorruption(f"{info.path.name}: {info.error}")
+            for rec in records or ():
                 if rec.lsn > start_lsn:
-                    yield rec
+                    yield (info.epoch, rec) if with_epoch else rec
 
     def replay(
         self, start_lsn: int = 0, *, end_lsn: int | None = None, directed: bool = True
@@ -420,30 +501,25 @@ class LogReader:
         Returns ``(delta, last_lsn_folded)``; when no records qualify the
         delta is empty and ``last_lsn_folded == start_lsn``.
         """
-        last = start_lsn
-        folded: list[LogRecord] = []
-        for rec in self.records(start_lsn):
-            if end_lsn is not None and rec.lsn > end_lsn:
-                break
-            folded.append(rec)
-            last = rec.lsn
-        return fold_records(folded, directed=directed), last
+        folded = [r for r in self.records(start_lsn) if end_lsn is None or r.lsn <= end_lsn]
+        return fold_records(folded, directed=directed), folded[-1].lsn if folded else start_lsn
 
     def inspect(self) -> dict:
-        """Segment-by-segment summary for ``repro log``."""
-        segments = [scan_segment(path)[1].as_dict() for path in self._segment_paths()]
-        n_records = sum(s["records"] for s in segments)
+        """Segment-by-segment summary for ``repro log``.
+
+        ``torn`` names every segment :func:`walk_segments` found a
+        problem at, chain problems included.
+        """
+        segments = [info.as_dict() for info, _ in walk_segments(self.root)]
         return {
-            "root": str(self.root),
-            "segments": segments,
             "n_segments": len(segments),
-            "n_records": n_records,
+            "n_records": sum(s["records"] for s in segments),
             "first_lsn": segments[0]["first_lsn"] if segments else 0,
             "last_lsn": segments[-1]["last_lsn"] if segments else 0,
             "epoch": segments[-1]["epoch"] if segments else 1,
             "size_bytes": sum(s["bytes"] for s in segments),
-            "max_bytes": getattr(self, "max_bytes", None),
             "torn": [s["segment"] for s in segments if s["error"]],
+            "segments": segments,
         }
 
 
@@ -517,53 +593,34 @@ class DeltaLog(LogReader):
 
     # -- open / recovery ------------------------------------------------
     def _recover_on_open(self) -> None:
-        paths = self._segment_paths()
-        last_lsn = 0
-        total = 0
-        current: Path | None = None
-        last_epoch = 0
-        epoch_starts: dict[int, int] = {}
-        for i, path in enumerate(paths):
-            records, seg = scan_segment(path)
-            is_last = i == len(paths) - 1
-            if seg.error is not None:
-                if not is_last or seg.valid_bytes == 0:
-                    raise LogCorruption(
-                        f"{path.name}: {seg.error} (run `repro fsck --wal {self.root}` to repair)"
-                    )
-                with path.open("r+b") as handle:
-                    handle.truncate(seg.valid_bytes)
-                self.recovered.append(
-                    f"truncated torn tail of {path.name} at byte {seg.valid_bytes} "
-                    f"(last valid LSN {seg.last_lsn}): {seg.error}"
-                )
-                seg = scan_segment(path)[1]
-            if last_lsn and seg.first_lsn != last_lsn + 1:
+        segments = [info for info, _ in walk_segments(self.root)]
+        last = segments[-1] if segments else None
+        for info in segments:
+            # Only the last segment may be cut back to its valid records.
+            if info.error is not None and (info is not last or not info.valid_bytes):
                 raise LogCorruption(
-                    f"{path.name}: bad_lsn gap — segment starts at LSN {seg.first_lsn} "
-                    f"but the previous segment ends at {last_lsn} "
+                    f"{info.path.name}: {info.error} "
                     f"(run `repro fsck --wal {self.root}` to repair)"
                 )
-            if seg.epoch < last_epoch:
-                raise LogCorruption(
-                    f"{path.name}: epoch_regression — segment carries epoch "
-                    f"{seg.epoch} after epoch {last_epoch} "
-                    f"(run `repro fsck --wal {self.root}` to repair)"
-                )
-            epoch_starts.setdefault(seg.epoch, seg.first_lsn)
-            last_epoch = seg.epoch
-            last_lsn = seg.last_lsn
-            total += seg.valid_bytes
-            current = path
-        self._last_lsn = last_lsn
-        self._total_bytes = total
-        if current is not None:
-            self._handle = current.open("r+b")
+        if last is not None and last.error is not None:
+            with last.path.open("r+b") as handle:
+                handle.truncate(last.valid_bytes)
+            self.recovered.append(
+                f"truncated torn tail of {last.path.name} at byte {last.valid_bytes} "
+                f"(last valid LSN {last.last_lsn}): {last.error}"
+            )
+        self._first_lsn = segments[0].first_lsn if segments else None
+        self._last_lsn = last.last_lsn if last else 0
+        self._total_bytes = sum(info.valid_bytes for info in segments)
+        if last is not None:
+            self._handle = last.path.open("r+b")
             self._handle.seek(0, os.SEEK_END)
             self._segment_size = self._handle.tell()
         else:
             self._segment_size = 0
-        self._load_epochs(epoch_starts, last_epoch)
+        # Each epoch starts at its oldest surviving segment.
+        epoch_starts = {info.epoch: info.first_lsn for info in reversed(segments)}
+        self._load_epochs(epoch_starts, last.epoch if last else 0)
 
     def _load_epochs(self, epoch_starts: dict[int, int], last_epoch: int) -> None:
         """Reconcile the ``EPOCHS`` history with what the segments say.
@@ -613,6 +670,15 @@ class DeltaLog(LogReader):
         return self._last_lsn
 
     @property
+    def first_lsn(self) -> int:
+        """Oldest LSN the segments still hold (``last_lsn + 1`` when none).
+
+        Read from :func:`walk_segments` at open and after every
+        :meth:`prune_through`; the replication feed serves from here.
+        """
+        return self._last_lsn + 1 if self._first_lsn is None else self._first_lsn
+
+    @property
     def size_bytes(self) -> int:
         return self._total_bytes
 
@@ -637,6 +703,8 @@ class DeltaLog(LogReader):
         if self._handle is not None:
             self._handle.close()
         path = self.root / segment_name(first_lsn)
+        if self._first_lsn is None:
+            self._first_lsn = first_lsn
         if path.exists():
             # Re-stamping an empty active segment (an epoch bump with no
             # appends since the last one) replaces it in place.
@@ -807,21 +875,17 @@ class DeltaLog(LogReader):
         and LSN counter survive.  Only call with an ``lsn`` that a
         durable checkpoint already covers — pruned records are gone.
         """
-        removed: list[str] = []
+        covered = []
+        for info, records in walk_segments(self.root, lsn):
+            if records is not None:
+                break
+            covered.append(info)
         with self._lock:
-            paths = self._segment_paths()
-            for i, path in enumerate(paths[:-1]):
-                try:
-                    next_first = int(paths[i + 1].name[: -len(SEGMENT_SUFFIX)])
-                except ValueError:
-                    break
-                if next_first - 1 > lsn:
-                    break
-                size = path.stat().st_size
-                path.unlink()
-                self._total_bytes -= size
-                removed.append(path.name)
-        return removed
+            for info in covered:
+                info.path.unlink()
+                self._total_bytes -= info.size_bytes
+                self._first_lsn = info.last_lsn + 1
+        return [info.path.name for info in covered]
 
     def close(self) -> None:
         with self._lock:

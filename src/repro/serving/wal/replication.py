@@ -39,6 +39,8 @@ Wire format (all little-endian, one frame)::
     <4s magic "RWF1"> <B type> <Q epoch> <Q arg> <I payload_len>
     <payload bytes> <I crc32(header + payload)>
 
+This is the seal every WAL record carries (``header | payload | crc32``,
+:func:`~repro.serving.wal.log.seal`), decoded by the same loop.
 ``type`` is 1=hello (arg = primary durable LSN, payload = JSON metadata),
 2=records (arg = first LSN in payload, payload = concatenated encoded
 records, epoch = the term those records were written under), 3=heartbeat
@@ -49,13 +51,14 @@ standby can stamp its segments faithfully.
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
 import threading
 import time
 import urllib.parse
-import zlib
 from pathlib import Path
+from typing import NamedTuple
 
 from repro.utils.fs import atomic_write
 from repro.serving.wal.log import (
@@ -64,10 +67,10 @@ from repro.serving.wal.log import (
     LogCorruption,
     LogRecord,
     LogWriteError,
-    SEGMENT_SUFFIX,
     encode_record,
     parse_records,
-    scan_segment,
+    seal,
+    unseal,
 )
 
 FRAME_MAGIC = b"RWF1"
@@ -75,7 +78,6 @@ FRAME_HELLO = 1
 FRAME_RECORDS = 2
 FRAME_HEARTBEAT = 3
 _FRAME_HEADER = struct.Struct("<4sBQQI")  # magic, type, epoch, arg, payload len
-_FRAME_CRC = struct.Struct("<I")
 
 # Cap one records frame at this many payload bytes so a standby far
 # behind streams in bounded responses instead of one giant body.
@@ -107,19 +109,23 @@ class FeedRejected(RuntimeError):
         self.details = details or {}
 
 
-class Frame:
-    __slots__ = ("type", "epoch", "arg", "payload")
-
-    def __init__(self, type: int, epoch: int, arg: int, payload: bytes = b"") -> None:
-        self.type = type
-        self.epoch = epoch
-        self.arg = arg
-        self.payload = payload
+class Frame(NamedTuple):
+    type: int
+    epoch: int
+    arg: int
+    payload: bytes = b""
 
 
 def encode_frame(type: int, epoch: int, arg: int, payload: bytes = b"") -> bytes:
-    header = _FRAME_HEADER.pack(FRAME_MAGIC, type, epoch, arg, len(payload))
-    return header + payload + _FRAME_CRC.pack(zlib.crc32(header + payload))
+    return seal(_FRAME_HEADER.pack(FRAME_MAGIC, type, epoch, arg, len(payload)), payload)
+
+
+def _frame_header_problem(fields: tuple, _: int) -> str | None:
+    return None if fields[0] == FRAME_MAGIC else f"bad frame magic {fields[0]!r}"
+
+
+def _frame(fields: tuple, payload: memoryview) -> Frame:
+    return Frame(*fields[1:4], bytes(payload))
 
 
 def decode_frames(body: bytes) -> list[Frame]:
@@ -130,24 +136,9 @@ def decode_frames(body: bytes) -> list[Frame]:
     standby should simply re-request — ``from_lsn`` makes the feed
     idempotent, so dropping the whole body is always safe.
     """
-    frames: list[Frame] = []
-    offset = 0
-    size = len(body)
-    while offset < size:
-        if size - offset < _FRAME_HEADER.size:
-            raise ReplicationWireError("truncated frame header")
-        magic, ftype, epoch, arg, payload_len = _FRAME_HEADER.unpack_from(body, offset)
-        if magic != FRAME_MAGIC:
-            raise ReplicationWireError(f"bad frame magic {magic!r}")
-        end = offset + _FRAME_HEADER.size + payload_len + _FRAME_CRC.size
-        if end > size:
-            raise ReplicationWireError("truncated frame payload")
-        (crc,) = _FRAME_CRC.unpack_from(body, end - _FRAME_CRC.size)
-        if crc != zlib.crc32(body[offset : end - _FRAME_CRC.size]):
-            raise ReplicationWireError("frame checksum mismatch")
-        payload = body[offset + _FRAME_HEADER.size : end - _FRAME_CRC.size]
-        frames.append(Frame(ftype, epoch, arg, payload))
-        offset = end
+    frames, _, problem = unseal(body, _FRAME_HEADER, _frame_header_problem, _frame)
+    if problem is not None:
+        raise ReplicationWireError(f"feed frame: {problem}")
     if not frames:
         raise ReplicationWireError("empty feed response")
     return frames
@@ -156,46 +147,6 @@ def decode_frames(body: bytes) -> list[Frame]:
 # ---------------------------------------------------------------------------
 # Primary side: feed builder
 # ---------------------------------------------------------------------------
-
-
-def _records_with_epoch(log, start_lsn: int, limit: int):
-    """Yield ``(epoch, record)`` for records with ``lsn > start_lsn``.
-
-    Like :meth:`LogReader.records` but keeps each record's segment epoch
-    so the feed can stamp frames.  A torn tail on the final segment ends
-    iteration silently (an in-flight append looks the same); corruption
-    elsewhere raises :class:`LogCorruption`.
-    """
-    yielded = 0
-    paths = sorted(p for p in Path(log.root).glob(f"*{SEGMENT_SUFFIX}") if p.is_file())
-    for i, path in enumerate(paths):
-        if i + 1 < len(paths):
-            try:
-                next_first = int(paths[i + 1].name[: -len(SEGMENT_SUFFIX)])
-            except ValueError:
-                next_first = None
-            if next_first is not None and next_first - 1 <= start_lsn:
-                continue
-        records, seg = scan_segment(path)
-        if seg.error is not None and i + 1 < len(paths):
-            raise LogCorruption(f"{path.name}: {seg.error}")
-        for rec in records:
-            if rec.lsn > start_lsn:
-                yield seg.epoch, rec
-                yielded += 1
-                if yielded >= limit:
-                    return
-
-
-def first_lsn_available(log) -> int:
-    """First LSN the feed can still serve (1 when nothing was pruned)."""
-    paths = sorted(p for p in Path(log.root).glob(f"*{SEGMENT_SUFFIX}") if p.is_file())
-    for path in paths:
-        try:
-            return int(path.name[: -len(SEGMENT_SUFFIX)])
-        except ValueError:
-            continue
-    return log.last_lsn + 1
 
 
 def check_feed_request(log: DeltaLog, from_lsn: int, requester_epoch: int | None) -> None:
@@ -241,7 +192,7 @@ def check_feed_request(log: DeltaLog, from_lsn: int, requester_epoch: int | None
             f"LSN {log.last_lsn} under the same epoch",
             {"first_diverged_lsn": log.last_lsn + 1, "epoch": log.epoch},
         )
-    oldest = first_lsn_available(log)
+    oldest = log.first_lsn
     if from_lsn + 1 < oldest:
         raise FeedRejected(
             "log_pruned",
@@ -279,7 +230,8 @@ def build_feed(
     batches: list[tuple[int, list[LogRecord]]] = []
     while True:
         if log.last_lsn > from_lsn:
-            for epoch, rec in _records_with_epoch(log, from_lsn, max_records):
+            feed = log.records(from_lsn, with_epoch=True)
+            for epoch, rec in itertools.islice(feed, max_records):
                 if batches and batches[-1][0] == epoch:
                     batches[-1][1].append(rec)
                 else:
@@ -300,7 +252,7 @@ def build_feed(
     if faults is not None:
         epoch = faults.replicate_epoch(epoch)
     hello_meta = json.dumps(
-        {"epoch_start_lsn": log.epoch_start_lsn, "first_lsn_available": first_lsn_available(log)}
+        {"epoch_start_lsn": log.epoch_start_lsn, "first_lsn_available": log.first_lsn}
     ).encode("utf-8")
     body = bytearray(encode_frame(FRAME_HELLO, epoch, durable, hello_meta))
     for batch_epoch, records in batches:

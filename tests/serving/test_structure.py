@@ -12,7 +12,11 @@ exact engine once had a float32 shortlist with a fixed oversample, a
 float64 boundary-repair loop and an IVF top-k without a tie band: three
 answers to one question, now one certified band.  And single-node
 queries once had two paths into the engine, one of them an opt-in
-coalescer with a window knob; now there is one admission path.
+coalescer with a window knob; now there is one admission path.  And the
+delta log's segments were once walked by four loops and its checksummed
+bytes decoded by three, which disagreed about a missing segment; now one
+function lists and chain-checks the segments, and WAL records and
+replication frames share one seal and one decode loop.
 """
 
 from __future__ import annotations
@@ -211,3 +215,49 @@ def test_one_single_query_path_and_no_coalescing_knob(capsys):
         main(["serve", "--store", "s", "--coalesce-window-ms", "1"])
     assert excinfo.value.code == 2
     assert "unrecognized arguments: --coalesce-window-ms 1" in capsys.readouterr().err
+
+
+def test_one_segment_walk_and_one_checksummed_frame_codec():
+    """One function lists the WAL segment files, and every reader of the
+    log consumes its chain check; one function seals and one decodes the
+    ``header | payload | crc32`` frames of WAL records and the feed."""
+    functions = {}
+    for path in sorted(SRC.rglob("*.py")):
+        module = str(path.relative_to(SRC))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                functions[f"{module}:{node.name}"] = node
+
+    def callers(callee: str) -> set[str]:
+        return {key for key, node in functions.items() if callee in _calls(node)}
+
+    def names_segments(node: ast.AST) -> bool:
+        return any(
+            name == "SEGMENT_SUFFIX" or ".wal" in name
+            for inner in ast.walk(node)
+            for name in _identifiers(inner)
+        )
+
+    listing = {"glob", "rglob", "iterdir", "listdir", "scandir"}
+    assert {
+        key for key, node in functions.items()
+        if _calls(node) & listing and names_segments(node)
+    } == {"serving/wal/log.py:walk_segments"}
+    log = "serving/wal/log.py"
+    assert callers("walk_segments") == {
+        f"{log}:_recover_on_open",
+        f"{log}:records",
+        f"{log}:inspect",
+        f"{log}:prune_through",
+        "serving/fsck.py:fsck_wal",
+    }
+    assert callers("crc32") == {f"{log}:seal", f"{log}:unseal"}
+    assert callers("seal") == {
+        f"{log}:encode_record",
+        "serving/wal/replication.py:encode_frame",
+    }
+    assert callers("unseal") == {
+        f"{log}:scan_segment",
+        f"{log}:parse_records",
+        "serving/wal/replication.py:decode_frames",
+    }

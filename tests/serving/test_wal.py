@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import os
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -586,6 +588,122 @@ class TestFsckWal:
             issue.code == "bad_lsn" and not issue.repairable
             for issue in report.issues
         )
+
+
+class TestChainBreaks:
+    """A hole in the LSN chain or an epoch that goes back down is
+    corruption to every consumer of the log, not only to ``DeltaLog``:
+    readers, diffs and the replication feed once folded past it."""
+
+    def damaged_log(self, root, damage):
+        """A 200-record log over at least 5 segments, damaged in the middle.
+
+        ``gap`` deletes segment 1 (LSNs 32..62); ``epoch`` bumps the epoch
+        after 40 records, then stamps a later segment back to epoch 1.
+        Returns the still-open log and the segment the chain breaks at.
+        """
+        log = DeltaLog(root, segment_bytes=1024, fsync=False)
+        for i in range(200):
+            if damage == "epoch" and i == 40:
+                log.bump_epoch()
+            log.append_delta(delta(add_edges=[[i, i + 1]]))
+        segments = sorted(root.glob("*.wal"))
+        assert len(segments) >= 5
+        if damage == "gap":
+            assert segments[1].name == "0000000000000032.wal"
+            segments[1].unlink()
+            return log, segments[2]
+        header = struct.Struct("<4sIQQ")
+        data = bytearray(segments[3].read_bytes())
+        magic, version, first_lsn, epoch = header.unpack_from(data, 0)
+        assert epoch == 2 and scan_segment(segments[2])[1].epoch == 2
+        header.pack_into(data, 0, magic, version, first_lsn, 1)
+        segments[3].write_bytes(bytes(data))
+        return log, segments[3]
+
+    @pytest.mark.parametrize(
+        "damage, problem", [("gap", "bad_lsn"), ("epoch", "epoch_regression")]
+    )
+    def test_every_consumer_refuses(
+        self, tmp_path, capsys, store, trained_embedding, damage, problem
+    ):
+        from repro.cli import main
+        from repro.serving.datasets import DatasetError, diff_versions
+        from repro.serving.wal.log import LogReader
+        from repro.serving.wal.replication import build_feed
+
+        root = tmp_path / "wal"
+        log, broken = self.damaged_log(root, damage)
+        reader = LogReader(root)
+        with pytest.raises(LogCorruption, match=f"{broken.name}: {problem}"):
+            list(reader.records())
+        with pytest.raises(LogCorruption, match=problem):
+            reader.replay(0)
+        with pytest.raises(LogCorruption, match=problem):
+            build_feed(log, 0)
+        segments = {s["segment"]: s for s in reader.inspect()["segments"]}
+        assert segments[broken.name]["error"].startswith(problem)
+        assert broken.name in reader.inspect()["torn"]
+        assert main(["log", "--wal-dir", str(root), "--json"]) == 1
+        listed = json.loads(capsys.readouterr().out)["segments"]
+        assert any(s["error"].startswith(problem) for s in listed if s["error"])
+        v2 = store.publish(trained_embedding, metadata={"applied_lsn": 200})
+        with pytest.raises(DatasetError, match=problem):
+            diff_versions(store, reader, "v00000001", v2)
+        # A suffix wholly past the break is still served in full.
+        assert [r.lsn for r in reader.records(190)] == list(range(191, 201))
+        with pytest.raises(LogCorruption, match=problem):
+            DeltaLog(root)
+        log.close()
+
+
+class TestFormat:
+    """The bytes on disk and on the wire, pinned to the module docstrings."""
+
+    def test_record_and_frame_layouts(self):
+        from repro.serving.wal.log import KIND_ADD_ASSOC, KIND_ADD_EDGE, encode_record
+        from repro.serving.wal.replication import FRAME_RECORDS, encode_frame
+
+        def sealed(body):
+            return body + struct.pack("<I", zlib.crc32(body))
+
+        assert encode_record(7, KIND_ADD_EDGE, 3, -4) == sealed(
+            struct.pack("<QBI", 7, 1, 16) + struct.pack("<qq", 3, -4)
+        )
+        assert encode_record(8, KIND_ADD_ASSOC, 5, 6, 0.25) == sealed(
+            struct.pack("<QBI", 8, 3, 24) + struct.pack("<qqd", 5, 6, 0.25)
+        )
+        assert encode_frame(FRAME_RECORDS, 2, 9, b"xyz") == sealed(
+            struct.pack("<4sBQQI", b"RWF1", 2, 2, 9, 3) + b"xyz"
+        )
+
+    def test_segment_header_v2(self, tmp_path):
+        with DeltaLog(tmp_path / "wal") as log:
+            log.bump_epoch(3)
+            log.append_delta(delta(add_edges=[[0, 1]]))
+        (segment,) = sorted((tmp_path / "wal").glob("*.wal"))
+        assert segment.read_bytes()[:24] == struct.pack("<4sIQQ", b"RWL1", 2, 1, 3)
+
+    def test_v1_segment_scans_as_epoch_1(self, tmp_path):
+        from repro.serving.wal.log import KIND_REMOVE_EDGE, LogReader, encode_record
+
+        root = tmp_path / "wal"
+        root.mkdir()
+        segment = root / "0000000000000001.wal"
+        segment.write_bytes(
+            struct.pack("<4sIQ", b"RWL1", 1, 1)
+            + encode_record(1, KIND_REMOVE_EDGE, 1, 2)
+            + encode_record(2, KIND_REMOVE_EDGE, 3, 4)
+        )
+        records, info = scan_segment(segment)
+        assert (info.error, info.epoch, info.header_bytes) == (None, 1, 16)
+        assert [(r.lsn, r.a, r.b) for r in records] == [(1, 1, 2), (2, 3, 4)]
+        pairs = list(LogReader(root).records(with_epoch=True))
+        assert [(epoch, rec.lsn) for epoch, rec in pairs] == [(1, 1), (1, 2)]
+        with DeltaLog(root) as log:
+            assert (log.epoch, log.last_lsn) == (1, 2)
+            assert log.append_delta(delta(add_edges=[[5, 6]])) == (3, 3)
+        assert fsck_wal(root).clean
 
 
 # ---------------------------------------------------------------------
