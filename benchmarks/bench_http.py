@@ -261,7 +261,7 @@ def exact_reference(store, k: int):
 
     def reference(version: str, nodes: np.ndarray):
         stored = store.open(version)
-        rows = stored.feature_rows(np.arange(stored.n_nodes))
+        rows = np.asarray(stored.features)
         return exact_top_k(
             rows, rows[nodes], k, assume_normalized=True, exclude=nodes
         )

@@ -26,8 +26,10 @@ crosses a real process boundary, exactly like a deployment:
    both publishes and the drain;
 8. print the server's peak RSS (``VmHWM``) and require that it mapped
    no ``scipy`` object — a read-only server imports only what it serves —
-   and print the ``Rss`` of its ``features.npy`` mapping, which must be
-   0: the exact read path reads float64 rows with ``pread``.
+   and print the ``Rss`` of its ``x_forward.npy`` and ``x_backward.npy``
+   mappings, which must be 0: the exact read path derives its float64
+   rows from rows read with ``pread``; and require that the published
+   version holds no ``features.npy``.
 
 The journal and the last Prometheus scrape are copied into
 ``smoke-artifacts/`` so a CI failure uploads them for offline
@@ -192,13 +194,14 @@ def check_footprint(pid: int) -> None:
         "a read-only `repro serve` mapped scipy — something on the serve "
         f"path imports the trainer: {footprint['scipy_objects'][:3]}"
     )
-    # Exact queries read float64 rows with pread: the mapping stays unpaged.
-    features_rss = mapped_rss_kib(pid, "features.npy")
-    print(f"  features.npy mapping Rss {features_rss} kB")
-    assert features_rss == 0, (
-        "the exact read path paged in the features.npy mapping "
-        f"({features_rss} kB resident); rows must come from pread"
-    )
+    # Exact queries derive float64 rows from pread rows: the mappings stay unpaged.
+    for name in ("x_forward.npy", "x_backward.npy"):
+        rss = mapped_rss_kib(pid, name)
+        print(f"  {name} mapping Rss {rss} kB")
+        assert rss == 0, (
+            f"the exact read path paged in the {name} mapping "
+            f"({rss} kB resident); rows must come from pread"
+        )
 
 
 def main() -> int:
@@ -212,6 +215,13 @@ def main() -> int:
 
         print("publishing v1 through the CLI...")
         run_cli("serve", "--store", str(store_dir), "--publish", str(emb1))
+        stored_files = sorted(
+            path.name for path in (store_dir / "versions" / "v00000001").iterdir()
+        )
+        print(f"  v00000001 holds {stored_files}")
+        assert stored_files == [
+            "manifest.json", "x_backward.npy", "x_forward.npy", "y.npy",
+        ], stored_files
 
         print("starting repro serve --http 0 subprocess...")
         server, url = spawn_cli_server(

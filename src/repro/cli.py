@@ -118,10 +118,13 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _cmd_neighbors(args: argparse.Namespace) -> int:
     from repro.core.embedding import PANEEmbedding
     from repro.search.knn import top_k_similar
+    from repro.serving.store import search_features
 
-    embedding = PANEEmbedding.load(args.embedding)
-    features = embedding.node_embeddings()
-    neighbors, similarities = top_k_similar(features, args.node, args.k)
+    # The rows a store serves, so the ids are `repro query --node`'s.
+    features = search_features(PANEEmbedding.load(args.embedding))
+    neighbors, similarities = top_k_similar(
+        features, args.node, args.k, assume_normalized=True
+    )
     for node, similarity in zip(neighbors, similarities):
         print(f"{node}\t{similarity:.4f}")
     return 0
@@ -370,15 +373,10 @@ def _cmd_gc(args: argparse.Namespace) -> int:
 
 
 def _cmd_dataset(args: argparse.Namespace) -> int:
-    """Named datasets: ``repro dataset list/assign/drop/diff/retain``."""
+    """Named datasets: ``repro dataset list/assign/drop/diff``."""
     import json as json_module
 
-    from repro.serving.datasets import (
-        DatasetError,
-        DatasetRegistry,
-        diff_versions,
-        retain,
-    )
+    from repro.serving.datasets import DatasetError, DatasetRegistry, diff_versions
 
     try:
         store = _open_store(args.store)
@@ -417,43 +415,31 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
             entry = registry.remove(args.name)
             print(f"dropped {args.name} (was {entry['version']})")
             return 0
-        if args.dataset_command == "diff":
-            from repro.serving.wal.log import LogReader
+        # diff
+        from repro.serving.wal.log import LogReader
 
-            # Read-only view: diffing must never trigger the torn-tail
-            # truncation a DeltaLog open performs.
-            report, _ = diff_versions(
-                store,
-                LogReader(args.wal_dir),
-                args.ref_a,
-                args.ref_b,
-                directed=not args.undirected,
-            )
-            if args.json:
-                print(json_module.dumps(report, indent=2))
-                return 0
-            span = report["lsn_range"]
-            window = f"LSNs {span[0]}..{span[1]}" if span else "no new records"
-            print(
-                f"{report['from']['version']} -> {report['to']['version']} "
-                f"({window})"
-            )
-            for kind, count in report["events"].items():
-                if count:
-                    print(f"  {kind}: {count}")
-            print(f"  changed nodes: {report['n_changed_nodes']}")
-            return 0
-        # retain
-        result = retain(store, keep=args.keep, dry_run=args.dry_run)
-        if args.json:
-            print(json_module.dumps(result, indent=2))
-            return 0
-        verb = "would delete" if args.dry_run else "deleted"
-        print(
-            f"{verb} {len(result['deleted'])} version(s), "
-            f"kept {len(result['kept'])}, "
-            f"{len(result['protected'])} pinned by datasets"
+        # Read-only view: diffing must never trigger the torn-tail
+        # truncation a DeltaLog open performs.
+        report, _ = diff_versions(
+            store,
+            LogReader(args.wal_dir),
+            args.ref_a,
+            args.ref_b,
+            directed=not args.undirected,
         )
+        if args.json:
+            print(json_module.dumps(report, indent=2))
+            return 0
+        span = report["lsn_range"]
+        window = f"LSNs {span[0]}..{span[1]}" if span else "no new records"
+        print(
+            f"{report['from']['version']} -> {report['to']['version']} "
+            f"({window})"
+        )
+        for kind, count in report["events"].items():
+            if count:
+                print(f"  {kind}: {count}")
+        print(f"  changed nodes: {report['n_changed_nodes']}")
         return 0
     except DatasetError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -1206,7 +1192,7 @@ def build_parser() -> argparse.ArgumentParser:
     dataset = sub.add_parser(
         "dataset",
         help="named datasets over store versions: list, assign, drop, "
-        "diff (WAL fold), retain (dataset-aware gc)",
+        "diff (WAL fold); `repro gc` keeps the versions they pin",
     )
     dsub = dataset.add_subparsers(dest="dataset_command", required=True)
     ds_list = dsub.add_parser("list", help="list dataset names and versions")
@@ -1241,16 +1227,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fold edge records with undirected (canonicalized) keys",
     )
     ds_diff.add_argument("--json", action="store_true")
-    ds_retain = dsub.add_parser(
-        "retain",
-        help="gc superseded versions; dataset-pinned versions always survive",
-    )
-    ds_retain.add_argument("--store", required=True, help="store root directory")
-    ds_retain.add_argument(
-        "--keep", type=int, required=True, help="newest versions to retain (>= 1)"
-    )
-    ds_retain.add_argument("--dry-run", action="store_true")
-    ds_retain.add_argument("--json", action="store_true")
 
     query = sub.add_parser("query", help="query a published embedding store")
     query.add_argument("--store", required=True, help="store root directory")

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.core.config import PANEConfig
 from repro.core.scoring import attribute_scores, link_scores
+from repro.search.knn import normalize_rows
 from repro.utils.fs import atomic_write
 
 
@@ -66,8 +67,8 @@ class PANEEmbedding:
         """
         forward, backward = self.x_forward, self.x_backward
         if normalize:
-            forward = _l2_normalize_rows(forward)
-            backward = _l2_normalize_rows(backward)
+            forward = normalize_rows(forward)
+            backward = normalize_rows(backward)
         return np.hstack([forward, backward])
 
     def score_attributes(self, nodes: np.ndarray, attributes: np.ndarray) -> np.ndarray:
@@ -143,8 +144,3 @@ class PANEEmbedding:
                 y=archive["y"],
                 config=config,
             )
-
-
-def _l2_normalize_rows(matrix: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    return matrix / np.where(norms == 0, 1.0, norms)

@@ -133,14 +133,11 @@ def select_band(scores: np.ndarray, k: int, dim: int) -> np.ndarray:
     return scores >= limit[:, np.newaxis]
 
 
-def _normalize(features: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(features, axis=1, keepdims=True)
-    return features / np.where(norms == 0, 1.0, norms)
-
-
 def normalize_rows(features: np.ndarray) -> np.ndarray:
     """Rows of ``features`` scaled to unit L2 norm (zero rows left zero)."""
-    return _normalize(np.asarray(features, dtype=np.float64))
+    features = np.asarray(features, dtype=np.float64)
+    norms = np.linalg.norm(features, axis=1, keepdims=True)
+    return features / np.where(norms == 0, 1.0, norms)
 
 
 def rowwise_inner(rows: np.ndarray, others: np.ndarray) -> np.ndarray:
@@ -549,7 +546,8 @@ def exact_top_k(
     rows:
         The float64 rows the canonical rescore reads: anything of
         ``features``' shape answering ``rows[ids]`` — an array, or a
-        :class:`repro.serving.store.RowReader` that ``pread``s them.
+        :class:`repro.serving.store.SearchRows` that derives them from
+        ``Xf`` / ``Xb`` rows it ``pread``s.
         Defaults to ``features``.  Lets a caller select over a resident
         float32 copy and rescore from the float64 store; needs
         ``assume_normalized``.
@@ -574,7 +572,7 @@ def exact_top_k(
         if rows is not None:
             raise ValueError("rows needs assume_normalized=True")
         features = normalize_rows(features)
-        queries = _normalize(queries)
+        queries = normalize_rows(queries)
     if rows is None:
         rows = features
     elif tuple(rows.shape) != tuple(features.shape):
@@ -750,7 +748,7 @@ def pairwise_cosine(
             f"(> max_elements={max_elements}); use top_k_similar/batch_top_k "
             "or pass max_elements=None to override"
         )
-    normalized = _normalize(features)
+    normalized = normalize_rows(features)
     return normalized @ normalized.T
 
 
@@ -775,7 +773,7 @@ def top_k_similar(
         # Only the query node itself exists — no neighbors to return.
         return np.empty(0, dtype=np.intp), np.empty(0)
     if not assume_normalized:
-        features = _normalize(features)
+        features = normalize_rows(features)
     return exact_top_k(
         features,
         features[node],
@@ -813,7 +811,7 @@ def batch_top_k(
             np.empty((queries.shape[0], 0)),
         )
     if not assume_normalized:
-        features = _normalize(features)
+        features = normalize_rows(features)
     return exact_top_k(
         features,
         features[queries],

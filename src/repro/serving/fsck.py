@@ -11,7 +11,7 @@ the recovery half of the durability story:
   the manifest parses and matches the directory, every array file's
   ``.npy`` header agrees with the manifest's recorded shape/dtype, and
   the file's byte length equals exactly what the header promises — a
-  truncated ``features.npy`` is caught *before* a query process maps it.
+  truncated ``x_forward.npy`` is caught *before* a query process maps it.
 - :func:`fsck` sweeps a whole store root, whatever its shard count (a
   version is one directory, so a torn sharded publish leaves exactly
   the debris a torn unsharded one does): every version is verified,

@@ -162,8 +162,9 @@ def mapped_rss_kib(pid: int, filename: str) -> int | None:
 
     Summed over every such mapping in ``/proc/<pid>/smaps``; ``None`` when
     the process maps no such file or there is no ``/proc``.  The exact
-    read path reads float64 rows with ``pread``, so a server's
-    ``features.npy`` mappings must stay at 0: a touched page of them
+    read path derives its rows from ``Xf`` / ``Xb`` rows read with
+    ``pread``, so a server's ``x_forward.npy`` and ``x_backward.npy``
+    mappings must stay at 0 after exact queries: a touched page of them
     would stay in the process's ``RssFile``.
     """
     total, found, current = 0, False, False

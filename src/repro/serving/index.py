@@ -41,7 +41,6 @@ from repro.search.knn import (
     top_k_sorted_indices,
 )
 from repro.serving.obs.metrics import Counter
-from repro.serving.store import RowReader
 from repro.utils.rng import ensure_rng
 
 # Below this many vectors an IVF's python-level per-query overhead beats no
@@ -119,13 +118,11 @@ class ExactBackend(SearchBackend):
 
     Selection scans a resident float32 copy (``select``, half the bytes
     of the float64 rows) and only the rows in the certified band are
-    rescored from the float64 ``rows``, so answers are the float64
-    engine's bit for bit (:func:`repro.search.knn.select_band`).  When
-    ``features`` maps a whole ``.npy`` (what the store opens), the copy is
-    built and the candidates are read by ``pread``
-    (:class:`~repro.serving.store.RowReader`): the process never touches
-    the mapping, and the float64 matrix costs page cache, not resident
-    memory.
+    rescored from the float64 ``features``, so answers are the float64
+    engine's bit for bit (:func:`repro.search.knn.select_band`).  A
+    store's :class:`~repro.serving.store.SearchRows` derives both from
+    ``Xf`` / ``Xb`` rows read by ``pread``: the float64 rows cost page
+    cache, not resident memory.
     """
 
     def __init__(self, features: np.ndarray) -> None:
@@ -135,12 +132,7 @@ class ExactBackend(SearchBackend):
                 f"{features.dtype} of shape {np.shape(features)}"
             )
         self.features = features
-        self.rows = RowReader.of(features)
-        self.select = (
-            self.rows.read_all(np.float32)
-            if isinstance(self.rows, RowReader)
-            else np.asarray(features, dtype=np.float32)
-        )
+        self.select = np.asarray(features, dtype=np.float32)
 
     @property
     def resident_bytes(self) -> int:
@@ -162,7 +154,7 @@ class ExactBackend(SearchBackend):
             assume_normalized=True,
             exclude=exclude,
             node_filter=node_filter,
-            rows=self.rows,
+            rows=self.features,
             rescored=self.rescored_rows,
         )
 
@@ -185,7 +177,8 @@ class IVFIndex(SearchBackend):
     ----------
     features:
         ``n × dim`` matrix of unit-norm rows (e.g.
-        :attr:`repro.serving.store.StoredEmbedding.features`).
+        :attr:`repro.serving.store.StoredEmbedding.features`, derived
+        once and kept resident).
     nlist:
         Number of k-means cells (default ``≈ √n``, clamped to ``[1, n]``).
     nprobe:
@@ -507,6 +500,7 @@ class IVFIndex(SearchBackend):
         cls, features: np.ndarray, arrays: dict[str, np.ndarray]
     ) -> "IVFIndex":
         """Rebuild an index from :meth:`save_arrays` output + the matrix."""
+        features = np.asarray(features)
         assignments = np.asarray(arrays["assignments"], dtype=np.intp)
         if assignments.shape[0] != features.shape[0]:
             raise ValueError(

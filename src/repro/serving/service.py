@@ -558,7 +558,7 @@ class QueryService:
         """One backend call for the stored rows ``nodes`` (self-matches
         excluded), with ``request``'s k, params and filter."""
         compiled = self._compile_filter(active, request.filter)
-        queries = active.stored.feature_rows(nodes)
+        queries = active.stored.features[nodes]
         with trace_span("select", version=active.version, batch=int(nodes.size)):
             return _search(
                 active.backend, queries, int(request.k), nodes, request.params, compiled
@@ -584,7 +584,7 @@ class QueryService:
                 # would have the scatter wait on workers occupied by its own
                 # callers — parallelism across shards replaces parallelism
                 # across query chunks.
-                queries = active.stored.feature_rows(nodes)
+                queries = active.stored.features[nodes]
                 ids, scores = _search(
                     active.backend, queries, k, nodes, request.params, compiled
                 )
@@ -593,7 +593,7 @@ class QueryService:
                 chunks = np.array_split(nodes, n_chunks)
 
                 def work(_: int, chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-                    queries = active.stored.feature_rows(chunk)
+                    queries = active.stored.features[chunk]
                     return _search(
                         active.backend, queries, k, chunk, request.params, compiled
                     )

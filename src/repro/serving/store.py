@@ -15,10 +15,9 @@ unsharded store is simply the 1-shard case.  Layout under the store root::
           x_forward.npy          # raw Xf (n × k/2)
           x_backward.npy         # raw Xb
           y.npy                  # raw Y  (d × k/2)
-          features.npy           # unit-row [Xf̂ ‖ X̂b] search matrix
         v00000002/               # N shards: one sub-directory per shard
           manifest.json
-          shard-0000/            # that shard's rows of the four arrays
+          shard-0000/            # that shard's rows of the three arrays
           shard-0001/            # (Y is replicated into every shard)
 
 Design notes:
@@ -35,10 +34,11 @@ Design notes:
   pointer is a one-line file replaced with ``os.replace``, so "latest"
   flips atomically and :meth:`rollback` is just pointing it at an older
   version.
-- **``features`` is precomputed at publish time**: each k/2 half is
-  row-normalized, concatenated, and the concatenation normalized again —
-  exactly the rows :func:`repro.search.knn.top_k_similar` scores — so
-  the serving path never re-normalizes an ``n × k`` matrix per query.
+- **Search rows are derived, never stored.**  The unit-row
+  ``[X̂f ‖ X̂b]`` (the paper's Sec. 5.4 preprocessing) is a row-local
+  function of ``Xf`` and ``Xb`` (:func:`feature_rows`), run by every
+  reader on the rows it reads (:class:`SearchRows`).  A ``features.npy``
+  that an older version holds is never read.
 - **Rows are split by a :class:`Partitioner`** (``range`` = contiguous
   blocks, ``hash`` = round-robin ``id % n_shards``); both map global ↔
   (shard, local) ids with O(1) arithmetic, no lookup tables.  The
@@ -64,13 +64,12 @@ import numpy as np
 
 from repro.core.config import PANEConfig
 from repro.core.embedding import PANEEmbedding
-from repro.search.knn import normalize_rows
 from repro.utils.fs import atomic_write, chmod_default_dir
 
 MANIFEST_SCHEMA = "repro.serving.store/v1"
-_ARRAY_FILES = ("x_forward", "x_backward", "y", "features")
+_ARRAY_FILES = ("x_forward", "x_backward", "y")
 # Partitioned by row across shards; ``y`` (d × k/2) is replicated instead.
-_ROW_ARRAYS = ("x_forward", "x_backward", "features")
+_ROW_ARRAYS = ("x_forward", "x_backward")
 
 # The root's partition layout, written only for N > 1 shards.  v1 named
 # the older layout (a separate store per shard under shards/), which
@@ -183,9 +182,29 @@ def shard_array_shape(manifest: dict, name: str, n_rows: int) -> list:
     return [n_rows, *shape[1:]] if name in _ROW_ARRAYS else shape
 
 
-# Bytes per ``pread`` when a reader streams a whole matrix (the exact
-# backend's float32 copy): bounds the transient buffer, not the result.
-_STREAM_BYTES = 4 << 20
+# Bytes of transient buffers when a whole matrix is derived (the exact
+# backend's float32 copy): bounds the buffers, not the result.  1 MiB
+# derived 131 072 × 64 rows in 65–75 ms, 4 MiB in 145–190 (2 MiB L2).
+_STREAM_BYTES = 1 << 20
+
+
+def feature_rows(xf_rows, xb_rows) -> np.ndarray:
+    """The one definition of a search row: the unit-row ``[X̂f ‖ X̂b]``.
+
+    Each k/2 half is scaled to unit L2 norm, then the concatenation (zero
+    halves stay zero).  Rows are reduced one by one, so a row's bits do
+    not depend on the rows derived with it.  Takes one row or ``(m, k/2)``
+    blocks.
+    """
+    xf_rows = np.asarray(xf_rows, dtype=np.float64)
+    half = xf_rows.shape[-1]
+    out = np.empty(xf_rows.shape[:-1] + (2 * half,))
+    out[..., :half] = xf_rows
+    out[..., half:] = xb_rows
+    for view in (out.reshape(-1, 2, half), out.reshape(-1, 1, 2 * half)):
+        norms = np.sqrt(np.add.reduce(view * view, axis=2, keepdims=True))
+        view /= np.where(norms == 0, 1.0, norms)
+    return out
 
 
 class RowReader:
@@ -193,14 +212,12 @@ class RowReader:
 
     A touched page of a mapping stays in the process's RSS (``RssFile``)
     while the mapping lives; ``pread`` copies out of the page cache into
-    a buffer the process frees.  The serving read path takes every
-    float64 row it needs — query rows, rescore candidates, the exact
-    backend's float32 copy — from a reader, so a version's ``features``
-    cost page cache, not resident memory (and a cold cache means disk
-    reads, not page faults).  ``reader[i]`` is one row, ``reader[ids]``
-    a ``(len(ids), dim)`` gather, one ``pread`` per row.  The descriptor
-    closes when the reader is collected: for a served version, with the
-    last snapshot pinning it.
+    a buffer the process frees.  So the serving read path reads ``Xf``
+    and ``Xb`` rows through readers (:class:`SearchRows`): a version's
+    rows cost page cache, not resident memory.  ``reader[i]`` is one
+    row, ``reader[ids]`` a gather (one ``pread`` per row) and
+    ``reader[start:stop]`` one ``pread``.  The descriptor closes when the
+    reader is collected: with the last snapshot pinning its version.
     """
 
     def __init__(self, path, *, offset: int, shape: tuple, dtype=np.float64) -> None:
@@ -227,9 +244,12 @@ class RowReader:
             return array
 
     def __getitem__(self, ids) -> np.ndarray:
+        n, dim = self.shape
+        if isinstance(ids, slice):
+            start, stop, _ = ids.indices(n)
+            return self._read(start, np.empty((max(0, stop - start), dim), self.dtype))
         ids = np.asarray(ids, dtype=np.intp)
         flat = ids.reshape(-1)
-        n, dim = self.shape
         if flat.size and (flat.min() < -n or flat.max() >= n):
             raise IndexError(f"row index out of range for {n} rows")
         flat = flat % n
@@ -237,17 +257,6 @@ class RowReader:
         for i, row in enumerate(flat.tolist()):
             self._read(row, out[i : i + 1])
         return out.reshape(ids.shape + (dim,))
-
-    def read_all(self, dtype) -> np.ndarray:
-        """The whole matrix cast to ``dtype``, streamed in bounded ``pread``s."""
-        n, dim = self.shape
-        out = np.empty(self.shape, dtype)
-        step = max(1, _STREAM_BYTES // max(1, self._row_bytes))
-        buffer = np.empty((min(step, n), dim), self.dtype)
-        for start in range(0, n, step):
-            stop = min(start + step, n)
-            out[start:stop] = self._read(start, buffer[: stop - start])
-        return out
 
     def _read(self, start: int, out: np.ndarray) -> np.ndarray:
         """Rows from ``start`` on, one ``pread`` filling ``out``."""
@@ -257,28 +266,58 @@ class RowReader:
         return out
 
 
+class SearchRows:
+    """A shard's ``n × k`` float64 search rows, derived on read from ``Xf`` / ``Xb``.
+
+    ``rows[i]``, ``rows[ids]`` and ``rows[start:stop]`` read those rows
+    of both halves (by ``pread`` when the halves map whole ``.npy``
+    files, :class:`RowReader`) and run :func:`feature_rows` on them, so
+    the mappings are never touched.
+    """
+
+    ndim = 2
+    dtype = np.dtype(np.float64)
+
+    def __init__(self, x_forward, x_backward) -> None:
+        self._halves = (RowReader.of(x_forward), RowReader.of(x_backward))
+        self.shape = (int(x_forward.shape[0]), int(x_forward.shape[1] + x_backward.shape[1]))
+
+    def __getitem__(self, ids) -> np.ndarray:
+        forward, backward = self._halves
+        return feature_rows(forward[ids], backward[ids])
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The whole matrix (cast to ``dtype``), derived chunk by chunk: a
+        chunk's two halves, rows and squares fit in :data:`_STREAM_BYTES`."""
+        n, dim = self.shape
+        out = np.empty(self.shape, np.float64 if dtype is None else dtype)
+        step = max(1, _STREAM_BYTES // (3 * dim * self.dtype.itemsize))
+        for start in range(0, n, step):
+            out[start : start + step] = self[start : start + step]
+        return out
+
+
 @dataclass(frozen=True)
 class StoredShard:
-    """One shard of an opened version: its rows as read-only mmaps."""
+    """One shard of an opened version: its arrays as read-only mmaps."""
 
     shard: int
     x_forward: np.ndarray
     x_backward: np.ndarray
     y: np.ndarray
-    features: np.ndarray
 
     @property
     def n_nodes(self) -> int:
-        return self.features.shape[0]
+        return self.x_forward.shape[0]
 
     @cached_property
-    def rows(self):
-        """``features`` rows by ``pread`` (:class:`RowReader`), opened on first use."""
-        return RowReader.of(self.features)
+    def features(self) -> SearchRows:
+        """The shard's search rows (:class:`SearchRows`), opened on first use."""
+        return SearchRows(self.x_forward, self.x_backward)
 
 
 class _ShardedRows:
-    """A read-only virtual row matrix over per-shard mmaps or row readers.
+    """A read-only virtual row matrix over per-shard mmaps or search rows.
 
     Supports exactly what the :class:`~repro.serving.service.QueryService`
     needs from a stored array: integer / fancy row indexing (gather) and
@@ -298,8 +337,10 @@ class _ShardedRows:
         return self.shape[0]
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        rows = self[np.arange(self.shape[0])]
-        return rows if dtype is None else rows.astype(dtype)
+        out = np.empty(self.shape, dtype=np.float64 if dtype is None else dtype)
+        for shard, array in enumerate(self._arrays):
+            out[self._stored.partitioner.shard_members(shard)] = np.asarray(array)
+        return out
 
     def __getitem__(self, ids):
         partitioner = self._stored.partitioner
@@ -335,9 +376,9 @@ class StoredEmbedding:
     """A published version opened for serving.
 
     Per-row data stays memory-mapped inside ``shards``.  With one shard
-    the row arrays *are* that shard's mmaps; with more they are gather
-    views (:class:`_ShardedRows`) answering the same row reads and
-    ``@ vector`` products in global row order.
+    the row arrays *are* that shard's mmaps (and its :class:`SearchRows`);
+    with more they are gather views (:class:`_ShardedRows`) answering the
+    same row reads and ``@ vector`` products in global row order.
     """
 
     version: str
@@ -366,6 +407,7 @@ class StoredEmbedding:
 
     @property
     def features(self):
+        """The search rows, derived on read (:class:`SearchRows`)."""
         return self._rows("features")
 
     @property
@@ -381,11 +423,6 @@ class StoredEmbedding:
             return getattr(self.shards[0], name)
         return _ShardedRows(self, name)
 
-    def feature_rows(self, ids) -> np.ndarray:
-        """float64 ``features`` rows (one id or an array of them), read by
-        ``pread`` from their shards without touching the mappings."""
-        return self._rows("rows")[ids]
-
     def to_embedding(self) -> PANEEmbedding:
         """Materialize an in-memory :class:`PANEEmbedding` (copies the mmaps)."""
         return PANEEmbedding(
@@ -397,13 +434,9 @@ class StoredEmbedding:
 
 
 def search_features(embedding: PANEEmbedding) -> np.ndarray:
-    """The unit-row ``[Xf̂ ‖ X̂b]`` matrix the serving layer searches.
-
-    Matches :meth:`PANEEmbedding.node_embeddings(normalize=True)` followed
-    by row normalization, i.e. cosine similarity over these rows equals
-    cosine similarity over ``node_embeddings()``.
-    """
-    return normalize_rows(embedding.node_embeddings(normalize=True))
+    """The search rows of every node (:func:`feature_rows`): cosine over
+    them equals cosine over ``node_embeddings()``."""
+    return feature_rows(embedding.x_forward, embedding.x_backward)
 
 
 class EmbeddingStore:
@@ -556,9 +589,8 @@ class EmbeddingStore:
             "x_forward": np.ascontiguousarray(embedding.x_forward, dtype=np.float64),
             "x_backward": np.ascontiguousarray(embedding.x_backward, dtype=np.float64),
             "y": np.ascontiguousarray(embedding.y, dtype=np.float64),
-            "features": search_features(embedding),
         }
-        n_nodes = int(arrays["features"].shape[0])
+        n_nodes = int(arrays["x_forward"].shape[0])
         partitioner = Partitioner.build(self.partition, self.n_shards, n_nodes)
         manifest = {
             "schema": MANIFEST_SCHEMA,

@@ -13,23 +13,42 @@ pair whose float32 images are equal while their float64 scores straddle
 the k-th.  Batches of 1–16 queries straddle the 8-row tile below which
 selection runs one GEMV per query instead of a GEMM, and every row of a
 batch must equal the answer to that query asked alone.
+
+The rows themselves are derived, never stored: :func:`feature_rows` is
+the one definition of a search row, and it must give the same bits for
+a row whatever it is derived with — alone, in chunks, through a store's
+``pread`` view of 1 or 3 shards — and the answers a store serves must be
+the oracle's over :func:`search_features` (ROADMAP item 20).
 """
 
 from __future__ import annotations
 
+import tempfile
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import PANEConfig
+from repro.core.embedding import PANEEmbedding
 from repro.search.knn import (
     CompiledFilter,
     canonical_scores,
     exact_top_k,
     normalize_rows,
 )
+from repro.serving import store as store_module
 from repro.serving.index import ExactBackend, IVFIndex
+from repro.serving.service import QueryService, SearchParams, SearchRequest
 from repro.serving.sharding.router import ShardRouter
-from repro.serving.store import Partitioner
+from repro.serving.store import (
+    EmbeddingStore,
+    Partitioner,
+    feature_rows,
+    search_features,
+)
 
 
 def oracle(features, queries, k, *, exclude=None, mask=None):
@@ -265,3 +284,121 @@ class TestExactSelection:
         # The whole tile's band at once is 80 × 3999 candidates: tens of
         # MiB of indices, gathers and sort keys.  One query's is ≈ 0.3.
         assert peak < 6 << 20
+
+
+@st.composite
+def halves(draw):
+    """``Xf`` / ``Xb`` rows over six orders of magnitude, some with one
+    half or both halves zero."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    n = draw(st.integers(1, 60))
+    half = draw(st.integers(1, 12))
+    xf, xb = (
+        rng.standard_normal((n, half)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+        for _ in range(2)
+    )
+    for _ in range(draw(st.integers(0, 6))):
+        row = int(rng.integers(n))
+        zeroed = draw(st.sampled_from(["forward", "backward", "both"]))
+        if zeroed != "backward":
+            xf[row] = 0.0
+        if zeroed != "forward":
+            xb[row] = 0.0
+    return xf, xb
+
+
+def _embedding(xf, xb):
+    half = xf.shape[1]
+    return PANEEmbedding(
+        x_forward=xf, x_backward=xb, y=np.eye(max(2, half), half),
+        config=PANEConfig(k=2 * half),
+    )
+
+
+def _open(root, embedding, n_shards, kind):
+    store = EmbeddingStore(
+        root, n_shards=n_shards, partition=kind if n_shards > 1 else None
+    )
+    store.publish(embedding)
+    return store
+
+
+LAYOUTS = [(1, "range"), (3, "range"), (3, "hash")]
+
+
+class TestDerivedSearchRows:
+    @given(halves(), st.sampled_from([1, 7, 8192]))
+    @settings(max_examples=150, deadline=None)
+    def test_feature_rows_are_row_local(self, pair, chunk):
+        """The fused derivation is the paper's preprocessing (each half
+        unit rows, concatenated) then unit rows, bit for bit, whatever
+        rows are derived together."""
+        xf, xb = pair
+        n = xf.shape[0]
+        full = feature_rows(xf, xb)
+        preprocessed = _embedding(xf, xb).node_embeddings(normalize=True)
+        assert full.tobytes() == normalize_rows(preprocessed).tobytes()
+        chunked = np.vstack([
+            feature_rows(xf[start : start + chunk], xb[start : start + chunk])
+            for start in range(0, n, chunk)
+        ])
+        assert chunked.tobytes() == full.tobytes()
+        subset = np.random.default_rng(n).integers(0, n, size=min(n, 9))
+        assert feature_rows(xf[subset], xb[subset]).tobytes() == full[subset].tobytes()
+        for row in range(n):
+            assert feature_rows(xf[row], xb[row]).tobytes() == full[row].tobytes()
+
+    @given(halves(), st.sampled_from(LAYOUTS), st.sampled_from([1, 7, 8192]))
+    @settings(max_examples=60, deadline=None)
+    def test_a_stores_search_rows_are_the_oracles(self, pair, layout, chunk):
+        """``stored.features`` — gathers by ``pread`` and the chunked
+        whole-matrix derivation — is :func:`search_features`, per shard
+        and in global order."""
+        embedding = _embedding(*pair)
+        full = search_features(embedding)
+        n, dim = full.shape
+        with tempfile.TemporaryDirectory() as root:
+            stored = _open(root, embedding, *layout).open()
+            assert not any(path.name == "features.npy" for path in stored.path.rglob("*"))
+            ids = np.random.default_rng(n).integers(0, n, size=min(n, 9))
+            assert stored.features[ids].tobytes() == full[ids].tobytes()
+            assert stored.features[int(ids[0])].tobytes() == full[ids[0]].tobytes()
+            # Stream budget of ``chunk`` rows per pass (three buffers a row).
+            with mock.patch.object(store_module, "_STREAM_BYTES", 3 * chunk * dim * 8):
+                assert np.asarray(stored.features).tobytes() == full.tobytes()
+                for shard in stored.shards:
+                    members = stored.partitioner.shard_members(shard.shard)
+                    assert np.array_equal(
+                        np.asarray(shard.features, dtype=np.float32),
+                        full[members].astype(np.float32),
+                    )
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("backend", ["exact", "ivf"])
+    def test_served_answers_equal_the_oracle(self, tmp_path, layout, backend):
+        """Exact, exhaustive IVF (``nprobe = nlist``) and sharded answers
+        over a store are ``exact_top_k(search_features(emb))``'s bits."""
+        rng = np.random.default_rng(20)
+        n, half, k = 300, 6, 10
+        xf, xb = rng.standard_normal((n, half)), rng.standard_normal((n, half))
+        xf[[3, 40]] = 0.0
+        xb[[40, 77]] = 0.0
+        xb[5] = xb[6]
+        xf[5] = xf[6] * 1e-3
+        embedding = _embedding(xf, xb)
+        full = search_features(embedding)
+        store = _open(tmp_path / "store", embedding, *layout)
+        nlist = 4
+        nodes = np.arange(0, n, 7)
+        want_ids, want_scores = exact_top_k(
+            full, full[nodes], k, assume_normalized=True, exclude=nodes
+        )
+        params = SearchParams(nprobe=nlist) if backend == "ivf" else SearchParams()
+        with QueryService(store, backend=backend, nlist=nlist, cache_size=0) as service:
+            got = service.search(SearchRequest(nodes=nodes, k=k, params=params))
+            assert np.array_equal(got.ids, want_ids)
+            assert got.scores.tobytes() == want_scores.tobytes()
+            for row, node in enumerate(nodes[:12]):
+                one = service.search(SearchRequest(node=int(node), k=k, params=params))
+                assert np.array_equal(one.ids, want_ids[row])
+                assert one.scores.tobytes() == want_scores[row].tobytes()

@@ -40,7 +40,7 @@ class TestVerifyVersion:
 
     def test_truncated_array_detected(self, store):
         version = store.latest()
-        _truncate(store.root / "versions" / version / "features.npy")
+        _truncate(store.root / "versions" / version / "x_forward.npy")
         issues = verify_version(store, version)
         assert [i.code for i in issues] == ["bad_array"]
         assert "truncated" in issues[0].detail
@@ -197,7 +197,7 @@ class TestFsckRepair:
         )
         v2 = store.publish(trained_embedding, metadata={"doomed": True})
         assert store.latest() == v2
-        _truncate(store.root / "versions" / v2 / "features.npy")
+        _truncate(store.root / "versions" / v2 / "x_forward.npy")
 
         report = fsck(store.root)  # detection pass, no mutation
         assert report.exit_code() == 1
@@ -229,7 +229,7 @@ class TestFsckRepair:
         assert store.latest() == "v00000001"
 
     def test_all_versions_corrupt_is_unrecoverable(self, store):
-        _truncate(store.root / "versions" / "v00000001" / "features.npy")
+        _truncate(store.root / "versions" / "v00000001" / "x_forward.npy")
         report = fsck(store.root)
         assert report.unrecoverable and report.exit_code() == 2
         report = fsck(store.root, repair=True)
@@ -240,7 +240,7 @@ class TestFsckRepair:
         assert store.latest() is None
 
     def test_quarantine_name_collisions_get_suffixes(self, store, trained_embedding):
-        _truncate(store.root / "versions" / "v00000001" / "features.npy")
+        _truncate(store.root / "versions" / "v00000001" / "x_forward.npy")
         fsck(store.root, repair=True)
         store.publish(trained_embedding)  # a fresh v00000001
         _truncate(store.root / "versions" / "v00000001" / "y.npy")
@@ -276,12 +276,12 @@ class TestShardedFsck:
 
     def test_corrupt_segment_condemns_logical_version(self, sharded, trained_embedding):
         v2 = sharded.publish(trained_embedding)
-        _truncate(sharded.root / "versions" / v2 / "shard-0001" / "features.npy")
+        _truncate(sharded.root / "versions" / v2 / "shard-0001" / "x_forward.npy")
         report = fsck(sharded.root)
         assert report.exit_code() == 1
         assert report.corrupt_versions == [v2]
         assert report.clean_versions == ["v00000001"]
-        assert "shard-0001/features.npy truncated" in report.issues[0].detail
+        assert "shard-0001/x_forward.npy truncated" in report.issues[0].detail
 
         report = fsck(sharded.root, repair=True)
         assert report.exit_code() == 1 and report.repaired
@@ -341,7 +341,7 @@ class TestShardedFsck:
         shutil.rmtree(sharded.root / "versions" / "v00000001" / "shard-0001")
         issues = verify_version(sharded, "v00000001")
         assert {i.code for i in issues} == {"bad_array"}
-        assert len(issues) == 4  # every array of the lost shard
+        assert len(issues) == 3  # every array of the lost shard: Xf, Xb, Y
         assert all("shard-0001/" in i.detail for i in issues)
         with pytest.raises(StoreCorruptionError):
             verify_open_target(sharded, None)
@@ -419,7 +419,7 @@ class TestServiceRefusal:
             with EmbeddingServer(service) as server:
                 client = ServingClient(server.url, retries=0)
                 v2 = store.publish(trained_embedding)
-                _truncate(store.root / "versions" / v2 / "features.npy")
+                _truncate(store.root / "versions" / v2 / "x_forward.npy")
                 with pytest.raises(ApiError) as excinfo:
                     client.refresh()  # follow LATEST → lands on corrupt v2
                 error = excinfo.value
@@ -442,7 +442,7 @@ class TestFsckCli:
 
     def test_cli_detect_and_repair_exit_codes(self, store, trained_embedding, capsys):
         v2 = store.publish(trained_embedding)
-        _truncate(store.root / "versions" / v2 / "features.npy")
+        _truncate(store.root / "versions" / v2 / "x_forward.npy")
         assert cli.main(["fsck", "--store", str(store.root)]) == 1
         out = capsys.readouterr().out
         assert "bad_array" in out and "bad_latest" in out

@@ -471,8 +471,8 @@ class TestErrorEnvelopeRequestId:
         with QueryService(store, backend="exact") as service:
             with EmbeddingServer(service) as server:
                 v2 = store.publish(trained_embedding)
-                features = store.root / "versions" / v2 / "features.npy"
-                with open(features, "r+b") as handle:
+                rows = store.root / "versions" / v2 / "x_forward.npy"
+                with open(rows, "r+b") as handle:
                     handle.truncate(16)
                 client = ServingClient(server.url, retries=0)
                 with pytest.raises(ApiError) as excinfo:
@@ -803,7 +803,7 @@ class TestFsckJournal:
         store = EmbeddingStore(root)
         store.publish(trained_embedding)
         v2 = store.publish(trained_embedding)
-        with open(root / "versions" / v2 / "features.npy", "r+b") as handle:
+        with open(root / "versions" / v2 / "x_forward.npy", "r+b") as handle:
             handle.truncate(16)
         journal = EventJournal(root)
         report = fsck(root, repair=True, journal=journal)

@@ -1,9 +1,11 @@
 """The exact read path never pages in the float64 rows (ROADMAP item 4).
 
 Checked from outside a real ``repro serve`` process, as the kernel sees
-it: after exact queries the ``features.npy`` mapping holds no resident
-page (``/proc/<pid>/smaps``), because query rows, rescore candidates and
-the float32 selection copy are all read with ``pread``; and the row
+it: after exact queries the ``x_forward.npy`` and ``x_backward.npy``
+mappings hold no resident page (``/proc/<pid>/smaps``), because query
+rows, rescore candidates and the float32 selection copy are all derived
+from rows read with ``pread`` (a version stores no ``features.npy`` to
+map; ROADMAP item 20); and the row
 readers' descriptors die with their version, so a compactor that swaps
 versions for as long as the server lives leaks none (``/proc/<pid>/fd``).
 """
@@ -46,7 +48,8 @@ def _kill_if_running(process: subprocess.Popen) -> None:
 def test_exact_queries_leave_the_features_mapping_unpaged(tmp_path):
     n = 4096
     store_root = tmp_path / "store"
-    EmbeddingStore(store_root).publish(synthetic_embedding(n, 32, seed=0))
+    version = EmbeddingStore(store_root).publish(synthetic_embedding(n, 32, seed=0))
+    assert not (store_root / "versions" / version / "features.npy").exists()
     # Concurrent singles cross engine admission (queued ones drain as a
     # batch), batches the two-thread worker pool, so every read path that
     # fetches query rows runs.
@@ -75,7 +78,8 @@ def test_exact_queries_leave_the_features_mapping_unpaged(tmp_path):
         for chunk in np.array_split(nodes[400:], 4):
             assert client.batch_top_k(chunk, 10).ids.shape == (chunk.size, 10)
         client.similar_by_vector(np.ones(32), 10)
-        assert mapped_rss_kib(process.pid, "features.npy") == 0
+        assert mapped_rss_kib(process.pid, "x_forward.npy") == 0
+        assert mapped_rss_kib(process.pid, "x_backward.npy") == 0
         client.close()
         assert _stop(process) == 0
     finally:

@@ -116,8 +116,9 @@ class TestShardedStore:
         version_dir = store.root / "versions" / version
         for entry in manifest["shards"]:
             shard_path = version_dir / f"shard-{entry['shard']:04d}"
-            rows = np.load(shard_path / "features.npy", mmap_mode="r")
+            rows = np.load(shard_path / "x_forward.npy", mmap_mode="r")
             assert rows.shape[0] == entry["n_nodes"]
+            assert not (shard_path / "features.npy").exists()
         assert sorted(p.name for p in version_dir.iterdir()) == [
             "manifest.json", "shard-0000", "shard-0001",
         ]

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.config import PANEConfig
 from repro.core.pane import PANEEmbedding
-from repro.serving.store import EmbeddingStore, search_features
+from repro.serving.store import EmbeddingStore, SearchRows, search_features
 
 
 class TestPublishOpen:
@@ -23,8 +23,10 @@ class TestPublishOpen:
 
     def test_arrays_are_memory_mapped(self, store):
         stored = store.open()
-        for array in (stored.x_forward, stored.x_backward, stored.y, stored.features):
+        for array in (stored.x_forward, stored.x_backward, stored.y):
             assert isinstance(array, np.memmap)
+        # Search rows are derived from Xf / Xb on read, not mapped.
+        assert isinstance(stored.features, SearchRows)
 
     def test_features_are_unit_rows(self, store):
         stored = store.open()
@@ -48,9 +50,10 @@ class TestPublishOpen:
         manifest = store.manifest("v00000001")
         assert manifest["n_nodes"] == trained_embedding.n_nodes
         assert manifest["k"] == trained_embedding.config.k
-        assert manifest["arrays"]["features"]["shape"] == [
+        assert sorted(manifest["arrays"]) == ["x_backward", "x_forward", "y"]
+        assert manifest["arrays"]["x_forward"]["shape"] == [
             trained_embedding.n_nodes,
-            trained_embedding.config.k,
+            trained_embedding.config.k // 2,
         ]
 
     def test_metadata_persisted(self, store, trained_embedding):
@@ -184,3 +187,58 @@ class TestConfigCompat:
         assert stored.n_shards == 1
         assert stored.partitioner.n_nodes == trained_embedding.n_nodes
         assert np.array_equal(stored.features, search_features(trained_embedding))
+
+    def test_a_stored_features_copy_is_never_served(self, tmp_path, capsys):
+        """A version in the older layout — ``features.npy`` beside the
+        arrays and a ``features`` entry in the manifest — with one byte
+        of that file flipped: fsck is clean, every answer is the one the
+        same embedding gets in the current layout, and ``repro gc``
+        reclaims the whole directory (ROADMAP item 20)."""
+        from repro.cli import main
+        from repro.serving.fsck import fsck
+        from repro.serving.service import QueryService, SearchRequest
+        from repro.serving.synth import synthetic_embedding
+
+        embedding = synthetic_embedding(500, 16, seed=3)
+        current = EmbeddingStore(tmp_path / "current")
+        current.publish(embedding)
+        older = EmbeddingStore(tmp_path / "older")
+        version = older.publish(embedding)
+        directory = older.root / "versions" / version
+        features = search_features(embedding)
+        np.save(directory / "features.npy", features)
+        manifest = json.loads((directory / "manifest.json").read_text())
+        manifest["arrays"]["features"] = {
+            "shape": list(features.shape), "dtype": str(features.dtype),
+        }
+        (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
+        # Node 7's first element, exponent byte: the row becomes ~1e300.
+        offset = np.load(directory / "features.npy", mmap_mode="r").offset
+        with open(directory / "features.npy", "r+b") as handle:
+            handle.seek(offset + 7 * features.shape[1] * 8 + 7)
+            byte = handle.read(1)[0]
+            handle.seek(-1, 1)
+            handle.write(bytes([byte ^ 0x40]))
+
+        report = fsck(older.root)
+        assert report.clean and report.exit_code() == 0
+
+        nodes = np.concatenate([[7], np.random.default_rng(0).choice(500, 40)])
+        with QueryService(older, backend="exact") as served, QueryService(
+            current, backend="exact"
+        ) as reference:
+            for request in [SearchRequest(node=int(node), k=10) for node in nodes] + [
+                SearchRequest(nodes=nodes, k=10)
+            ]:
+                got, want = served.search(request), reference.search(request)
+                assert np.array_equal(got.ids, want.ids)
+                assert got.scores.tobytes() == want.scores.tobytes()
+
+        size = sum(path.stat().st_size for path in directory.rglob("*") if path.is_file())
+        older.publish(embedding)
+        capsys.readouterr()
+        assert main(["gc", "--store", str(older.root), "--keep", "1", "--json"]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert result["deleted"] == [version]
+        assert result["reclaimed_bytes"] == size
+        assert not directory.exists()

@@ -16,7 +16,10 @@ coalescer with a window knob; now there is one admission path.  And the
 delta log's segments were once walked by four loops and its checksummed
 bytes decoded by three, which disagreed about a missing segment; now one
 function lists and chain-checks the segments, and WAL records and
-replication frames share one seal and one decode loop.
+replication frames share one seal and one decode loop.  And every
+version once stored its search rows twice — as ``Xf`` / ``Xb`` and as a
+``features.npy`` nothing checked against them; now one function derives
+a search row and no version stores one.
 """
 
 from __future__ import annotations
@@ -261,3 +264,43 @@ def test_one_segment_walk_and_one_checksummed_frame_codec():
         f"{log}:parse_records",
         "serving/wal/replication.py:decode_frames",
     }
+
+
+def test_one_search_row_definition_and_no_stored_rows():
+    """``feature_rows`` is the one definition of a search row: the store's
+    derived view and the knn oracle's input call it, ``repro neighbors``
+    ranks the oracle's rows, and no code names a ``features.npy``."""
+    from repro.serving.store import _ARRAY_FILES
+
+    functions, named = {}, set()
+    for path in sorted(SRC.rglob("*.py")):
+        module = str(path.relative_to(SRC))
+        tree = ast.parse(path.read_text(), filename=str(path))
+        docstrings = {
+            id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        functions[f"{module}:{node.name}.{item.name}"] = item
+            elif isinstance(node, ast.FunctionDef) and node.col_offset == 0:
+                functions[f"{module}:{node.name}"] = node
+            elif (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and "features.npy" in node.value
+                and id(node) not in docstrings
+            ):
+                named.add(module)
+
+    def callers(callee: str) -> set[str]:
+        return {key for key, node in functions.items() if callee in _calls(node)}
+
+    assert callers("feature_rows") == {
+        "serving/store.py:SearchRows.__getitem__",
+        "serving/store.py:search_features",
+    }
+    assert "cli.py:_cmd_neighbors" in callers("search_features")
+    assert "features" not in _ARRAY_FILES
+    assert named == set()

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,23 @@ class TestCommands:
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 3
+
+    def test_neighbors_ids_are_query_ids(self, graph_file, tmp_path, capsys):
+        """`neighbors` ranks the rows a store serves: its ids are what
+        `query --node` answers over the same embedding."""
+        emb, store = tmp_path / "emb.npz", tmp_path / "store"
+        main(["embed", "--graph", str(graph_file), "--out", str(emb), "--k", "8"])
+        main(["serve", "--store", str(store), "--publish", str(emb)])
+        for node in (0, 17, 79):
+            capsys.readouterr()
+            args = ["--node", str(node), "--k", "6"]
+            assert main(["neighbors", "--embedding", str(emb), *args]) == 0
+            neighbors = capsys.readouterr().out.strip().splitlines()
+            assert main(["query", "--store", str(store), *args]) == 0
+            served = capsys.readouterr().out.strip().splitlines()[1:]
+            assert [line.split("\t")[0] for line in neighbors] == [
+                line.split("\t")[0] for line in served
+            ]
 
 
 class TestServeQuery:
@@ -318,6 +337,24 @@ class TestShardedServeQuery:
         assert main(["gc", "--store", str(store), "--keep", "1"]) == 0
         assert "deleted 1 version(s)" in capsys.readouterr().out
         assert main(["query", "--store", str(store), "--node", "0", "--k", "3"]) == 0
+
+    def test_gc_is_the_one_retention_command(self, embedding_file, tmp_path, capsys):
+        """`repro dataset retain` is gone; `repro gc` keeps and reports
+        the versions a dataset pins."""
+        store = tmp_path / "store"
+        for _ in range(3):
+            self._publish(store, embedding_file)
+        assert main(["dataset", "assign", "old", "--version", "v00000001",
+                     "--store", str(store)]) == 0
+        with pytest.raises(SystemExit) as exit_info:
+            main(["dataset", "retain", "--store", str(store), "--keep", "1"])
+        assert exit_info.value.code == 2
+        capsys.readouterr()
+        assert main(["gc", "--store", str(store), "--keep", "1", "--json"]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert result["protected"] == ["v00000001"]
+        assert result["deleted"] == ["v00000002"]
+        assert result["kept"] == ["v00000001", "v00000003"]
 
     def test_query_ivf_backend_on_sharded_store(
         self, embedding_file, tmp_path, capsys

@@ -261,24 +261,27 @@ class TestFloat32Selection:
 
     def test_precomputed_select_features(self, tmp_path):
         """The backend's resident copy is the float32 cast, whether cast
-        from an array or streamed by ``pread`` from a store's file."""
+        from an array or derived chunk by chunk from a store's Xf / Xb."""
         from repro.serving.index import ExactBackend
-        from repro.serving.store import EmbeddingStore, RowReader
+        from repro.serving.store import EmbeddingStore, RowReader, SearchRows
         from repro.serving.synth import synthetic_embedding
 
         feats = self._corpus(n=256, dim=8, seed=4)
         in_memory = ExactBackend(feats)
-        assert in_memory.rows is feats
+        assert in_memory.features is feats
         assert np.array_equal(in_memory.select, feats.astype(np.float32))
 
         store = EmbeddingStore(tmp_path / "store")
         store.publish(synthetic_embedding(300, 8, seed=4))
         mapped = np.asarray(store.open().features)
         backend = ExactBackend(store.open().features)
-        assert isinstance(backend.rows, RowReader)
+        assert isinstance(backend.features, SearchRows)
+        assert all(isinstance(half, RowReader) for half in backend.features._halves)
         assert np.array_equal(backend.select, mapped.astype(np.float32))
-        assert np.array_equal(backend.rows[[5, 2, 5, 299]], mapped[[5, 2, 5, 299]])
-        assert np.array_equal(backend.rows[7], mapped[7])
+        assert np.array_equal(
+            backend.features[[5, 2, 5, 299]], mapped[[5, 2, 5, 299]]
+        )
+        assert np.array_equal(backend.features[7], mapped[7])
         a = backend.search(mapped[:4], 7, exclude=np.arange(4))
         b = exact_top_k(mapped, mapped[:4], 7, assume_normalized=True,
                         exclude=np.arange(4))
