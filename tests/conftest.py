@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.core.randsvd import _matmul
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.generators import attributed_sbm, citation_graph
 from repro.graph.toy import running_example_graph
+from repro.utils.rng import ensure_rng
 
 
 @pytest.fixture(scope="session")
@@ -107,3 +109,33 @@ def _block_gauss_seidel_sweep(state, block_size: int) -> None:
 def block_reference_sweep():
     """``sweep(state, block_size)``: the literal block Gauss–Seidel reference."""
     return _block_gauss_seidel_sweep
+
+
+def _randsvd_reference(matrix, rank, n_iter=5, *, oversample=8, seed=None):
+    """Randomized subspace iteration orthonormalised after every product.
+
+    Halko, Martinsson & Tropp (2011), Alg. 4.4, as ``randsvd`` ran it before
+    it moved its loop's QRs to the small side: ``2·n_iter + 1`` QRs,
+    ``n_iter + 1`` of them ``n × width``.  Same Gaussian draw and
+    Rayleigh–Ritz step, so a seed means the same thing on both sides; the
+    ground truth for ``randsvd``'s accuracy.
+    """
+    n, d = matrix.shape
+    rng = ensure_rng(seed)
+    width = min(rank + oversample, min(n, d))
+    test = rng.standard_normal((d, width))
+    sketch = _matmul(matrix, test)
+    q, _ = np.linalg.qr(sketch)
+    for _ in range(n_iter):
+        q, _ = np.linalg.qr(_matmul(matrix.T, q))
+        q, _ = np.linalg.qr(_matmul(matrix, q))
+    small = _matmul(matrix.T, q).T  # q.T @ matrix, shape (width, d)
+    u_small, s, vt = np.linalg.svd(small, full_matrices=False)
+    u = q @ u_small
+    return u[:, :rank], s[:rank], vt[:rank].T
+
+
+@pytest.fixture(scope="session")
+def randsvd_reference():
+    """``randsvd_reference(matrix, rank, n_iter, oversample=, seed=)``."""
+    return _randsvd_reference

@@ -74,7 +74,53 @@ class TestInputs:
         with pytest.raises(ValueError):
             randsvd(np.eye(4), 5)
 
+    def test_numpy_integer_rank_accepted(self):
+        matrix = _low_rank_matrix(rank=3)
+        _, s, _ = randsvd(matrix, np.int64(3), n_iter=np.int32(4), seed=0)
+        assert s.shape == (3,)
+
+    def test_non_integral_rank_rejected(self):
+        with pytest.raises(ValueError, match="integer"):
+            randsvd(_low_rank_matrix(n=50, d=20), 3.7)
+
+    def test_negative_oversample_rejected(self):
+        # Used to return min(rank + oversample, ...) = 3 triplets, not 8.
+        with pytest.raises(ValueError, match="oversample"):
+            randsvd(_low_rank_matrix(n=50, d=20), 8, oversample=-5)
+
+    def test_negative_n_iter_rejected(self):
+        with pytest.raises(ValueError, match="n_iter"):
+            randsvd(_low_rank_matrix(n=50, d=20), 8, n_iter=-3)
+
     def test_rank_equals_min_dim(self):
         matrix = _low_rank_matrix(n=10, d=6, rank=6)
         u, s, v = randsvd(matrix, 6, n_iter=8, seed=0)
         assert np.allclose(u @ np.diag(s) @ v.T, matrix, atol=1e-5)
+
+
+class TestCostStructure:
+    """The power iteration orthonormalises on the small side of ``M``."""
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    @pytest.mark.parametrize("n, d", [(300, 40), (40, 300)], ids=["tall", "wide"])
+    def test_at_most_one_qr_on_the_large_side(self, monkeypatch, n, d, sparse):
+        rows = []
+        qr = np.linalg.qr
+
+        def spy(a, *args, **kwargs):
+            rows.append(a.shape[0])
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", spy)
+        matrix = _low_rank_matrix(n=n, d=d, rank=12)
+        if sparse:
+            matrix = sp.csr_matrix(matrix)
+        n_iter = 5
+        randsvd(matrix, 8, n_iter, seed=0)
+        # Tall: n_iter d-row QRs, then the one n-row basis.  Wide: every QR
+        # is n-row, the small side.  Alg. 4.4 ran 2·n_iter + 1 QRs, n_iter
+        # of them on the large side and n_iter + 1 on the n side.
+        if n >= d:
+            assert rows == [d] * n_iter + [n]
+        else:
+            assert rows == [n] * (n_iter + 1)
