@@ -29,7 +29,10 @@ selection score lies within the rounding bound :func:`certified_band` of
 the k-th best is a candidate.  No row of the true top-k (by canonical
 score, ties by id) can fall outside that band, so the rescored answer
 equals a full float64 ranking by construction, whatever the selection
-dtype or the BLAS summation order.
+dtype or the BLAS summation order.  The k-th best is exact without a
+partition of the whole row: the k column groups with the largest maxima
+hold k scores at or above it, so only their columns are partitioned, and
+the band is read by flat index.
 """
 
 from __future__ import annotations
@@ -119,8 +122,28 @@ def select_band(scores: np.ndarray, k: int, dim: int) -> np.ndarray:
     when a row has fewer than ``k`` live ones; callers drop them by their
     ``-inf`` score.  The one place that decides what the exact engine and
     the IVF selectors rescore.
+
+    The ``k``-th best ``t`` is found without partitioning the whole row.
+    The row's first ``g·L`` columns fall into ``L ≥ k`` disjoint strided
+    groups of ``g = min(64, m // k)``.  The ``k``-th largest group maximum
+    ``b`` is reached by ``k`` distinct columns, so ``b ≤ t``: a lower
+    bound.  If ``b < t``, every column at or above ``t`` lies in one of
+    the ``k`` groups with the largest maxima (any other group tops out at
+    ``b``); if ``b = t``, each of those ``k`` groups holds one.  Either
+    way their ``k·g`` columns, with the ``< g`` columns past the last
+    group, hold ``k`` scores at or above ``t``, so a partition of just
+    those gives ``t`` exactly — ties, ``-inf`` and NaN (ranked above
+    everything, as ``np.partition`` ranks it) included.
     """
-    kth = np.partition(scores, scores.shape[1] - k, axis=1)[:, scores.shape[1] - k]
+    q, m = scores.shape
+    size = max(1, min(64, m // k))
+    groups = m // size
+    grouped = scores[:, : size * groups].reshape(q, size, groups)
+    top = np.argpartition(grouped.max(axis=1), groups - k, axis=1)[:, groups - k :]
+    rows = np.arange(q)[:, np.newaxis, np.newaxis]
+    members = grouped[rows, np.arange(size)[:, np.newaxis], top[:, np.newaxis]]
+    above = np.concatenate((members.reshape(q, -1), scores[:, size * groups :]), axis=1)
+    kth = np.partition(above, above.shape[1] - k, axis=1)[:, above.shape[1] - k]
     # In float64, one ulp down for the subtraction's own rounding, then
     # rounded down into the selection dtype: the band is never narrower.
     exact = np.nextafter(
@@ -568,6 +591,8 @@ def exact_top_k(
     """
     single = np.ndim(queries) == 1
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    if not np.isfinite(queries).all():
+        raise ValueError("queries must be finite")
     if not assume_normalized:
         if rows is not None:
             raise ValueError("rows needs assume_normalized=True")
@@ -583,6 +608,8 @@ def exact_top_k(
     n = features.shape[0]
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if tile_size < 1:
+        raise ValueError(f"tile_size must be >= 1, got {tile_size}")
     n_queries = queries.shape[0]
     if n == 0:
         # An empty population (e.g. an empty shard of a sharded store)
@@ -667,9 +694,8 @@ def _select_and_rescore(
     ids = np.full((n_queries, k), -1, dtype=np.intp)
     scores = np.full((n_queries, k), -np.inf, dtype=np.float64)
     n_rescored = 0
-    step = max(1, tile_size)
-    for start in range(0, n_queries, step):
-        stop = min(start + step, n_queries)
+    for start in range(0, n_queries, tile_size):
+        stop = min(start + tile_size, n_queries)
         if 1 < stop - start < _GEMV_ROWS:
             block = np.empty((stop - start, select.shape[0]), dtype=select.dtype)
             for row in range(stop - start):
@@ -682,9 +708,13 @@ def _select_and_rescore(
             masked = np.nonzero(exclude[start:stop] >= 0)[0]
             block[masked, exclude[start + masked]] = -np.inf
         band = select_band(block, width, dim)
-        counts = np.count_nonzero(band, axis=1)
+        # Row by row: ``count_nonzero`` along an axis is ≈ 7× slower.
+        counts = np.array([np.count_nonzero(row) for row in band])
+        if counts.min() < width:
+            # Only a NaN score can leave a band short of k candidates.
+            raise ValueError("selection scores are not finite; check the rows")
         for lo, hi in _band_groups(counts):
-            owner, cols = np.nonzero(band[lo:hi])
+            owner, cols = np.divmod(np.flatnonzero(band[lo:hi]), band.shape[1])
             candidates = cols if columns is None else columns[cols]
             # Masked columns enter the band only when a row has fewer than
             # k live ones: they stay -inf (padding below) and are never read.
@@ -805,6 +835,8 @@ def batch_top_k(
         raise IndexError(f"query node out of range [0, {n})")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if tile_size < 1:
+        raise ValueError(f"tile_size must be >= 1, got {tile_size}")
     if n == 1:
         return (
             np.empty((queries.shape[0], 0), dtype=np.intp),

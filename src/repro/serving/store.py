@@ -590,6 +590,9 @@ class EmbeddingStore:
             "x_backward": np.ascontiguousarray(embedding.x_backward, dtype=np.float64),
             "y": np.ascontiguousarray(embedding.y, dtype=np.float64),
         }
+        for name, array in arrays.items():
+            if not np.isfinite(array).all():
+                raise ValueError(f"refusing to publish non-finite {name}")
         n_nodes = int(arrays["x_forward"].shape[0])
         partitioner = Partitioner.build(self.partition, self.n_shards, n_nodes)
         manifest = {

@@ -10,6 +10,7 @@ from repro.core.randsvd import _matmul
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.generators import attributed_sbm, citation_graph
 from repro.graph.toy import running_example_graph
+from repro.search.knn import certified_band
 from repro.utils.rng import ensure_rng
 
 
@@ -139,3 +140,27 @@ def _randsvd_reference(matrix, rank, n_iter=5, *, oversample=8, seed=None):
 def randsvd_reference():
     """``randsvd_reference(matrix, rank, n_iter, oversample=, seed=)``."""
     return _randsvd_reference
+
+
+def _select_band_reference(scores, k, dim):
+    """``select_band`` as it ran before it stopped partitioning whole rows.
+
+    The k-th best of each row by ``np.partition`` of every column, then
+    the same certified-band arithmetic; the ground truth for
+    ``select_band``'s mask.
+    """
+    kth = np.partition(scores, scores.shape[1] - k, axis=1)[:, scores.shape[1] - k]
+    exact = np.nextafter(
+        kth.astype(np.float64) - certified_band(dim, scores.dtype), -np.inf
+    )
+    limit = exact.astype(scores.dtype)
+    limit = np.where(
+        limit > exact, np.nextafter(limit, scores.dtype.type(-np.inf)), limit
+    )
+    return scores >= limit[:, np.newaxis]
+
+
+@pytest.fixture(scope="session")
+def select_band_reference():
+    """``select_band_reference(scores, k, dim)``: the full-partition band."""
+    return _select_band_reference

@@ -38,6 +38,7 @@ from repro.search.knn import (
     canonical_scores,
     exact_top_k,
     normalize_rows,
+    select_band,
 )
 from repro.serving import store as store_module
 from repro.serving.index import ExactBackend, IVFIndex
@@ -284,6 +285,49 @@ class TestExactSelection:
         # The whole tile's band at once is 80 × 3999 candidates: tens of
         # MiB of indices, gathers and sort keys.  One query's is ≈ 0.3.
         assert peak < 6 << 20
+
+
+@st.composite
+def score_blocks(draw):
+    """``(scores, k, dim)`` for :func:`select_band`: 1–6 rows of 1–3 000
+    columns, float32 or float64, optionally quantised (heavy ties), with
+    zero rows and ``-inf`` masks, some leaving fewer than ``k`` live."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    q = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 3000))
+    k = draw(st.one_of(st.integers(1, min(m, 24)), st.integers(1, m)))
+    dim = draw(st.integers(1, 128))
+    scores = rng.uniform(-1.0, 1.0, size=(q, m))
+    levels = draw(st.sampled_from([None, 1, 3, 40, 1000]))
+    if levels is not None:
+        scores = np.round(scores * levels) / levels
+    scores = scores.astype(draw(st.sampled_from([np.float32, np.float64])))
+    for row in range(q):
+        shape = draw(st.sampled_from(["plain", "zero", "masked", "short"]))
+        if shape == "zero":  # a zero query ties every column
+            scores[row] = 0.0
+        elif shape == "masked":
+            scores[row, rng.random(m) < rng.random()] = -np.inf
+        elif shape == "short":  # at most k live columns, often fewer
+            live = rng.choice(m, size=int(rng.integers(0, k + 1)), replace=False)
+            dead = np.ones(m, dtype=bool)
+            dead[live] = False
+            scores[row, dead] = -np.inf
+    return scores, k, dim
+
+
+class TestSelectBand:
+    @given(score_blocks())
+    @settings(max_examples=300, deadline=None)
+    def test_band_equals_the_full_partition_reference(
+        self, select_band_reference, block
+    ):
+        """The strided-maxima bound finds each row's k-th best exactly, so
+        the mask is the one a partition of every column gives."""
+        scores, k, dim = block
+        assert np.array_equal(
+            select_band(scores, k, dim), select_band_reference(scores, k, dim)
+        )
 
 
 @st.composite

@@ -72,6 +72,21 @@ class TestPublishOpen:
         with pytest.raises(FileNotFoundError):
             EmbeddingStore(tmp_path / "empty").open()
 
+    @pytest.mark.parametrize("name", ["x_forward", "x_backward", "y"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_arrays_refused(self, tmp_path, trained_embedding, name, value):
+        """A NaN or infinite entry would score NaN against every query;
+        publish refuses it, as graph construction refuses NaN adjacency."""
+        arrays = {
+            field: np.array(getattr(trained_embedding, field))
+            for field in ("x_forward", "x_backward", "y")
+        }
+        arrays[name][3, 1] = value
+        store = EmbeddingStore(tmp_path / "store")
+        with pytest.raises(ValueError, match=f"non-finite {name}"):
+            store.publish(PANEEmbedding(config=trained_embedding.config, **arrays))
+        assert store.versions() == []
+
 
 class TestVersioning:
     def test_versions_increment(self, store, trained_embedding):

@@ -198,6 +198,61 @@ class TestExactTopK:
         assert 3 not in ids[1]
         assert sorted(ids[1, :-1]) == sorted(set(range(n)) - {3})
 
+    def test_tile_size_must_be_positive(self, features):
+        for tile_size in (0, -3):
+            with pytest.raises(ValueError, match="tile_size"):
+                exact_top_k(features, features[:2], 2, tile_size=tile_size)
+            with pytest.raises(ValueError, match="tile_size"):
+                batch_top_k(features, np.arange(2), k=2, tile_size=tile_size)
+
+    def test_nan_corpus_row_raises_instead_of_borrowing_an_answer(self):
+        """A NaN row leaves query 0's band one candidate short; reading
+        ``k`` from it used to return the zero query's row 0 as query 0's
+        third answer, with no error."""
+        corpus = normalize_rows(np.random.default_rng(0).standard_normal((500, 8)))
+        queries = np.vstack([corpus[0], np.zeros(8)])
+        ids, _ = exact_top_k(corpus, queries, 3, assume_normalized=True)
+        assert list(ids[0]) == [0, 136, 44]
+        corpus[7] = np.nan
+        with pytest.raises(ValueError, match="not finite"):
+            exact_top_k(corpus, queries, 3, assume_normalized=True)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, features, value):
+        query = normalize_rows(features)[0].copy()
+        query[1] = value
+        with pytest.raises(ValueError, match="queries must be finite"):
+            exact_top_k(normalize_rows(features), query, 2, assume_normalized=True)
+
+    def test_selection_reads_no_full_row_partition_and_no_2d_nonzero(
+        self, monkeypatch
+    ):
+        """One query's band is found from the strided group maxima and read
+        by flat index: no partition spans the row, and no ``q × m`` mask is
+        split into coordinates by ``np.nonzero``."""
+        n, k = 20_000, 10
+        rng = np.random.default_rng(3)
+        corpus = normalize_rows(rng.standard_normal((n, 16)))
+        query = normalize_rows(rng.standard_normal((1, 16)))[0]
+        widths, nonzero_dims = [], []
+        partition, nonzero = np.partition, np.nonzero
+
+        def spy_partition(a, *args, **kwargs):
+            widths.append(np.shape(a)[-1])
+            return partition(a, *args, **kwargs)
+
+        def spy_nonzero(a):
+            nonzero_dims.append(np.ndim(a))
+            return nonzero(a)
+
+        monkeypatch.setattr(np, "partition", spy_partition)
+        monkeypatch.setattr(np, "nonzero", spy_nonzero)
+        ids, _ = exact_top_k(corpus, query, k, assume_normalized=True)
+        monkeypatch.undo()
+        assert list(ids) == list(np.lexsort((np.arange(n), -(corpus @ query)))[:k])
+        assert widths and max(widths) <= n // 8
+        assert nonzero_dims and max(nonzero_dims) == 1
+
 
 class TestFloat32Selection:
     """Selection over a float32 copy, canonical rescore from the float64 rows.
