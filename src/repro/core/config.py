@@ -38,8 +38,9 @@ class PANEConfig:
         within ``1e-10``, not bit-identical: the sweep runs as GEMMs);
         ``B > 1`` minimizes blocks of ``B`` coordinates at a time (block
         Gauss–Seidel — same monotone objective, different update order).
-        Every ``B`` costs the same, so this no longer buys speed; see
-        ``repro.core.kernels``.
+        Every ``B`` costs the same ``n``-side passes (the order only
+        changes ``k/2``-wide coefficient work), so this does not buy
+        speed; see ``repro.core.kernels``.
     """
 
     k: int = 128

@@ -26,16 +26,50 @@ through products that expand over ``F′``, ``B′``.
   Gauss–Seidel; ``B = 1`` is Alg. 4's own update order).  Every ``B`` costs
   the same GEMMs: it selects an update order, not a speed.
 
+Several sweeps (:func:`ccd_sweeps`) in coefficient space.  The X phase is
+linear in ``X`` and ``F′``: from the sweep's starting rows ``X₀`` every later
+iterate of a half is ``X = X₀·A + F′·B`` (``B′`` for the backward half) with
+one ``A`` (``h × h``) and one ``B`` (``d × h``) shared by both halves, because
+``W`` and ``Z`` are.  Stack them as ``K = [A; B]`` (``(h+d) × h``, starting at
+``[I; 0]``); the X phase ``X −= X·W − F′·Z`` becomes ``K −= K·W − [0; Z]``.
+The Y phase needs ``P`` and ``G`` of the current ``X``, and with the joint
+Gram ``M = Σ_halves [X₀, F′]ᵀ[X₀, F′] = [[G₀, P₀], [P₀ᵀ, C]]`` of the
+starting rows (``C = F′ᵀF′ + B′ᵀB′``, ``d × d``) they are
+``Pᵀ = (M·K)[h:]`` and ``G = Kᵀ·(M·K)``; ``‖F′‖² + ‖B′‖² = tr C``.  So the
+``n``-side work of a whole refinement is two dispatches over row spans:
+
+- setup: ``M`` per span, partials added in span order.  Each product is one
+  call over the whole span — ``X₀ᵀF′``, then ``C`` by one ``aᵀa`` (a syrk)
+  per half, not per row tile: per-tile Grams measured 4–5× slower at
+  ``3 000 × 1 024`` — so the setup reads ``F′``/``B′`` twice;
+- materialise: ``X ← X₀·A + F′·B`` in place, in row tiles, once at the end:
+  a third read.
+
+Between them each sweep is ``O((h+d)²·h)`` coefficient work, the same Y
+solve and the same :func:`objective_from_moments`; the objective before the
+first sweep comes from ``M`` too.  Three reads and about ``n·d·(d + 4h)``
+multiply-adds per refinement replace one read and ``4·n·d·h`` per sweep,
+and the span partials hold ``(h+d)²`` floats each.  That wins at the
+shapes PANE is run at (``d`` no larger than a few ``h·(sweeps − 1)``, the
+gate's fits at 0.8) and loses past them and when ``d > n``: one sweep
+at ``2 000 × 64``, ``k = 32`` measured 1.7 → 2.5 ms, two sweeps at
+``1 000 × 3 000``, ``k = 64`` 112 → 561 ms.  Every refinement runs this
+path (no benchmark workload runs a losing shape to set a crossover by);
+:func:`ccd_sweep` is the one-sweep ``n``-side form it is tested against.
+
 Numerical contract: same update order as Alg. 4 (``B = 1``) or as block
 Gauss–Seidel (``B > 1``); agreement with the literal residual-space
 reference loops within ``1e-10`` on the test problems at 1–3 threads (the
 arithmetic is re-associated, so *not* bit-identical to a rank-1
-implementation); objective monotone non-increasing for every ``B``,
-near-collinear columns included; a dead coordinate takes an exactly zero
-step at ``B = 1``; ``F′``/``B′`` are never written; a single-thread run is
-bit-reproducible run to run, and so is any fixed thread count (it fixes
-the spans and the order their partial sums are added in).  Serial and
-threaded execution are one code path, one dispatch per sweep.
+implementation); :func:`ccd_sweeps` agrees with as many calls of
+:func:`ccd_sweep` within ``1e-10`` (≈ 1e-15 relative on the gate's fits),
+its objectives with Eq. (4) to ``1e-10`` relative; objective monotone
+non-increasing for every ``B``, near-collinear columns included; a dead
+coordinate takes an exactly zero step at ``B = 1``; ``F′``/``B′`` are never
+written; a single-thread run is bit-reproducible run to run, and so is any
+fixed thread count (it fixes the spans and the order their partial sums
+are added in).  Serial and threaded execution are one code path: one
+dispatch per :func:`ccd_sweep`, two per :func:`ccd_sweeps`.
 
 Eq. (6) propagation: :func:`propagate_recurrence` is the one evaluator
 behind APMI and PAPMI — a hop is one dispatch over row spans of the
@@ -288,6 +322,11 @@ def row_tiles(span: slice, width: int) -> list[slice]:
     ]
 
 
+def _halves(state: "InitState"):
+    """``(X, affinity)`` of the forward and the backward half, in that order."""
+    return ((state.x_forward, state.forward), (state.x_backward, state.backward))
+
+
 def span_moments(state: "InitState", span: slice, step=None):
     """``(‖F′‖² + ‖B′‖², P, G)`` summed over the rows of ``span``.
 
@@ -297,10 +336,9 @@ def span_moments(state: "InitState", span: slice, step=None):
     13–14, 16, every coordinate at once) while its affinity tile is in cache.
     """
     d, half = state.y.shape
-    halves = ((state.x_forward, state.forward), (state.x_backward, state.backward))
     norm, p, g = 0.0, np.zeros((half, d)), np.zeros((half, half))
     for rows in row_tiles(span, d):
-        for x_half, affinity in halves:
+        for x_half, affinity in _halves(state):
             x_tile, a_tile = x_half[rows], affinity[rows]
             if step is not None:
                 x_tile -= x_tile @ step[0] - a_tile @ step[1]
@@ -358,3 +396,119 @@ def ccd_sweep(
     # Y phase (Xf, Xb fixed): XfᵀSf + XbᵀSb = G·Yᵀ − P, a k/2 × d problem.
     y -= _gauss_seidel_solver(g, block_size)(g @ y.T - p).T  # Eqs. 15, 17
     return objective_from_moments(norm, p, g, y)
+
+
+def _span_gram(state: "InitState", span: slice) -> np.ndarray:
+    """Joint Gram ``Σ_halves [X, F′]ᵀ[X, F′]`` over the rows of ``span``.
+
+    ``(h+d) × (h+d)``: ``[[XᵀX, XᵀF′], [F′ᵀX, F′ᵀF′]]`` summed over both
+    halves — everything :func:`ccd_sweeps` needs of the ``n``-side.  Each
+    product is one call over the whole span (``aᵀa`` and ``xᵀx`` run as
+    syrk), so the span of ``F′``/``B′`` is read twice: ``XᵀF′``, then
+    ``F′ᵀF′``.
+    """
+    d, half = state.y.shape
+    gram = np.zeros((half + d, half + d))
+    for x_half, affinity in _halves(state):
+        x_span, a_span = x_half[span], affinity[span]
+        cross = x_span.T @ a_span
+        gram[:half, :half] += x_span.T @ x_span
+        gram[:half, half:] += cross
+        gram[half:, :half] += cross.T
+        gram[half:, half:] += a_span.T @ a_span
+    return gram
+
+
+def _materialise(state: "InitState", span: slice, coef: np.ndarray) -> None:
+    """``X ← X·K[:h] + F′·K[h:]`` in place over the rows of ``span``, per row tile."""
+    half = coef.shape[1]
+    top, bottom = coef[:half], coef[half:]
+    for rows in row_tiles(span, state.y.shape[0]):
+        for x_half, affinity in _halves(state):
+            x_tile = x_half[rows]
+            x_tile[...] = x_tile @ top + affinity[rows] @ bottom
+
+
+def _check_sweeps(n_sweeps, tolerance) -> int:
+    """``n_sweeps`` as an ``int``; ``ValueError`` for a bad count or tolerance."""
+    try:
+        count = int(n_sweeps)
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    if count is None or count != n_sweeps or count < 0:
+        raise ValueError(f"n_sweeps must be a non-negative integer, got {n_sweeps!r}")
+    if tolerance is not None and not tolerance >= 0:  # NaN fails too
+        raise ValueError(f"tolerance must be >= 0, got {tolerance!r}")
+    return count
+
+
+def _stalled(previous: float, current: float, tolerance: float | None) -> bool:
+    """Whether a sweep's relative improvement fell below ``tolerance``."""
+    return (
+        tolerance is not None
+        and previous > 0
+        and (previous - current) / previous < tolerance
+    )
+
+
+def _coefficient_sweep(
+    gram: np.ndarray, coef: np.ndarray, y: np.ndarray, norm: float, block_size: int
+) -> float:
+    """One sweep on ``K`` and ``Y`` in place, from the starting rows' joint Gram."""
+    half = coef.shape[1]
+    # X phase: X −= X·W − F′·Z is K −= K·W − [0; Z].
+    z = _gauss_seidel_solver(y.T @ y, block_size)(y.T).T
+    step = coef @ (y.T @ z)
+    step[half:] -= z
+    coef -= step
+    # Y phase on the moments of X = [X₀, F′]·K: Pᵀ = (M·K)[h:], G = Kᵀ·M·K.
+    moments = gram @ coef
+    p, g = moments[half:].T, coef.T @ moments
+    y -= _gauss_seidel_solver(g, block_size)(g @ y.T - p).T
+    return objective_from_moments(norm, p, g, y)
+
+
+def ccd_sweeps(
+    state: "InitState",
+    n_sweeps: int,
+    *,
+    block_size: int = 1,
+    n_threads: int = 1,
+    pool: "WorkerPool | None" = None,
+    tolerance: float | None = None,
+) -> list[float]:
+    """Up to ``n_sweeps`` in-place CCD sweeps; the objective before and after each.
+
+    Returns one objective more than the sweeps run, the first being the
+    state's own.  With ``tolerance`` set, the sweeps stop after the first one whose
+    relative objective improvement falls below it.  Runs in coefficient
+    space: one setup and one materialise dispatch over ``F′``/``B′``
+    however many sweeps (derivation, costs and numerical contract in the
+    module docstring).  ``state.forward`` / ``state.backward`` are only
+    read.
+    """
+    n_sweeps = _check_sweeps(n_sweeps, tolerance)
+    if block_size < 1:
+        raise ValueError(f"block_size must be >= 1, got {block_size}")
+    d, half = state.y.shape
+    spans = partition_spans(state.forward.shape[0], n_threads)
+    partials = run_blocks(
+        lambda _, span: _span_gram(state, span), spans, n_threads=n_threads, pool=pool
+    )
+    gram = sum(partials)  # in span order: a thread count fixes the bits
+    norm = float(np.trace(gram[half:, half:]))
+    start = objective_from_moments(norm, gram[:half, half:], gram[:half, :half], state.y)
+    history = [start]
+    coef = np.vstack([np.eye(half), np.zeros((d, half))])  # K: X = [X₀, F′]·K
+    for _ in range(n_sweeps):
+        history.append(_coefficient_sweep(gram, coef, state.y, norm, block_size))
+        if _stalled(history[-2], history[-1], tolerance):
+            break
+    if n_sweeps:
+        run_blocks(
+            lambda _, span: _materialise(state, span, coef),
+            spans,
+            n_threads=n_threads,
+            pool=pool,
+        )
+    return history

@@ -17,12 +17,15 @@ the same bits at every thread count).
 
 Performance notes: ``fit`` acquires one persistent
 :class:`~repro.parallel.pool.WorkerPool` and threads it through every
-parallel phase (the seed tore down two thread pools per CCD sweep).  CCD
-sweeps run in coefficient space directly on the read-only affinities — 4
-GEMMs per sweep, no residual matrices — for every ``ccd_block_size``,
-which therefore selects an update order — ``1`` for Alg. 4's, ``B > 1``
-for block Gauss–Seidel — not a speed; a single-thread fit is
-bit-reproducible run to run (see ``docs/PERFORMANCE.md``).
+parallel phase (the seed tore down two thread pools per CCD sweep).  The
+CCD sweeps run in coefficient space on the read-only affinities, with no
+residual matrices: the whole refinement reads ``F′``/``B′`` three times
+(twice for their Gram, once for the final write of ``X``), however many
+sweeps it runs (:func:`repro.core.kernels.ccd_sweeps`).  Every
+``ccd_block_size`` costs the same, so it selects an update order — ``1``
+for Alg. 4's, ``B > 1`` for block Gauss–Seidel — not a speed; a
+single-thread fit is bit-reproducible run to run (see
+``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from repro.core.affinity import AffinityPair, apmi, iterations_for_epsilon
 from repro.core.config import PANEConfig
 from repro.core.embedding import PANEEmbedding
 from repro.core.greedy_init import greedy_init, random_init, sm_greedy_init
-from repro.core.svd_ccd import cached_objective, ccd_sweep
+from repro.core.kernels import ccd_sweeps
 from repro.graph.attributed_graph import AttributedGraph
 from repro.parallel.pool import WorkerPool
 from repro.utils.timing import Timer
@@ -150,20 +153,16 @@ class PANE:
                     )
 
             with timer.measure("ccd"):
-                objective = None
-                for _ in range(n_sweeps):
-                    objective = ccd_sweep(
-                        state,
-                        n_threads=cfg.n_threads,
-                        block_size=cfg.ccd_block_size,
-                        pool=pool,
-                    )
+                history = ccd_sweeps(
+                    state,
+                    n_sweeps,
+                    n_threads=cfg.n_threads,
+                    block_size=cfg.ccd_block_size,
+                    pool=pool,
+                )
         finally:
             if pool is not None:
                 pool.close()
-
-        if compute_objective and objective is None:  # no sweep ran
-            objective = cached_objective(state)
 
         return PANEEmbedding(
             x_forward=state.x_forward,
@@ -171,5 +170,5 @@ class PANE:
             y=state.y,
             config=cfg,
             timings=dict(timer.laps),
-            objective=objective if compute_objective else None,
+            objective=history[-1] if compute_objective else None,
         )

@@ -13,9 +13,10 @@ memory-constrained alternative:
 - ``SparsePANE`` embeds from the pruned matrices with GreedyInit only
   (rank-``k/2`` SVD of sparse ``F′`` + ``Xb = B′Y``), skipping the CCD
   refinement.  That used to be forced — Alg. 4's residual caches are
-  dense ``n × d`` whatever ``F′`` is — and no longer is: the sweep in
-  :mod:`repro.core.kernels` touches the affinities only through ``F′·Z``
-  and ``XᵀF′``, which a sparse ``F′`` supports.  Sparse refinement is
+  dense ``n × d`` whatever ``F′`` is — and no longer is: the sweeps in
+  :mod:`repro.core.kernels` touch the affinities only through products
+  (``F′·Z`` and ``XᵀF′`` per sweep, or the Gram ``F′ᵀF′`` and ``F′·B`` once
+  per refinement), which a sparse ``F′`` supports.  Sparse refinement is
   left to a later issue.
 
 Figures 7/8 of the paper show the greedy seed alone already lands close

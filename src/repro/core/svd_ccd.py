@@ -13,15 +13,19 @@ distinct rows never interact — performing coordinate ``l`` for *all* rows
 at once, then ``l+1``, is the paper's row-by-row order.  The same holds for
 ``Y`` columns.
 
-Kernel layer: every sweep runs through :func:`repro.core.kernels.ccd_sweep`,
-which performs the sequential coordinate updates in the ``k/2``-dimensional
-coefficient space and never forms a residual: it reads the fixed
-affinities ``F′``, ``B′`` through 4 GEMMs per sweep, writes only ``Xf``,
-``Xb``, ``Y`` and returns the Eq. (4) objective it ends at (derivation and
-numerical contract in that module's docstring).  ``block_size=1`` (the
-default) is Alg. 4's own update order; ``block_size=B>1`` groups
-coordinates into blocks, each minimized exactly through its Gram
-pseudo-inverse (block Gauss–Seidel) — an update order, not a speed.
+Kernel layer: :func:`refine` and :func:`refine_tracked` run
+:func:`repro.core.kernels.ccd_sweeps`, which performs the sequential
+coordinate updates in the ``k/2``-dimensional coefficient space and never
+forms a residual.  It reads the fixed affinities ``F′``, ``B′`` three times
+per refinement, however many sweeps (twice for their Gram, once for the
+final write of ``Xf``, ``Xb``), writes only ``Xf``, ``Xb``, ``Y`` and returns
+the Eq. (4) objective before and after every sweep (derivation, costs and
+numerical contract in that module's docstring).  :func:`ccd_sweep` is one
+sweep on the ``n``-side (4 GEMMs), the form ``ccd_sweeps`` is tested
+against.  ``block_size=1`` (the default) is Alg. 4's own update order;
+``block_size=B>1`` groups coordinates into blocks, each minimized exactly
+through its Gram pseudo-inverse (block Gauss–Seidel) — an update order,
+not a speed.
 
 ``PSVDCCD`` (Algorithm 8) is the same sweep with the rows split over
 ``n_threads`` spans; the spans' partial sums are added in span order, so
@@ -127,13 +131,14 @@ def refine(
     relative objective improvement of a sweep falls below it.  ``pool``
     threads a persistent worker pool through the sweeps.
     """
-    previous = cached_objective(state) if tolerance is not None else None
-    for _ in range(n_sweeps):
-        current = ccd_sweep(state, block_size=block_size, n_threads=n_threads, pool=pool)
-        if tolerance is not None:
-            if previous > 0 and (previous - current) / previous < tolerance:
-                break
-            previous = current
+    kernels.ccd_sweeps(
+        state,
+        n_sweeps,
+        block_size=block_size,
+        n_threads=n_threads,
+        pool=pool,
+        tolerance=tolerance,
+    )
     return state
 
 
@@ -150,9 +155,7 @@ def refine_tracked(
     The first history entry is the pre-refinement objective, so the list
     has ``n_sweeps + 1`` entries.
     """
-    history = [cached_objective(state)]
-    for _ in range(n_sweeps):
-        history.append(
-            ccd_sweep(state, block_size=block_size, n_threads=n_threads, pool=pool)
-        )
+    history = kernels.ccd_sweeps(
+        state, n_sweeps, block_size=block_size, n_threads=n_threads, pool=pool
+    )
     return state, history

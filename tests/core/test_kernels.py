@@ -10,6 +10,7 @@ import scipy.sparse as sp
 from repro.core.affinity import apmi
 from repro.core.greedy_init import InitState, greedy_init, random_init
 from repro.core.kernels import (
+    ccd_sweeps,
     propagate_recurrence,
     propagate_recurrence_sparse,
     prune_sparse,
@@ -378,6 +379,73 @@ def _tracked_blocked(state, sweeps, block_size):
         ccd_sweep(state, block_size=block_size)
         history.append(cached_objective(state))
     return state, history
+
+
+class _CountingAffinity(np.ndarray):
+    """An affinity that counts the ``np.matmul`` calls it takes part in.
+
+    Views (row tiles, spans, ``.T``) share the counter; results are plain
+    arrays.
+    """
+
+    counter = None
+
+    def __array_finalize__(self, obj):
+        self.counter = getattr(obj, "counter", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.counter[0] += 1
+        plain = [
+            x.view(np.ndarray) if isinstance(x, _CountingAffinity) else x
+            for x in inputs
+        ]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+class TestCoefficientSpaceCost:
+    """``ccd_sweeps`` reads ``F′``/``B′`` a fixed number of times per fit."""
+
+    n, d, k = 300, 24, 8
+
+    def _matmuls(self, run, n_sweeps: int, n_threads: int) -> int:
+        rng = np.random.default_rng(0)
+        counter = [0]
+        forward, backward = (
+            rng.random((self.n, self.d)).view(_CountingAffinity) for _ in range(2)
+        )
+        forward.counter = backward.counter = counter
+        state = greedy_init(
+            forward.view(np.ndarray), backward.view(np.ndarray), self.k, seed=0
+        )
+        state.forward, state.backward = forward, backward
+        run(state, n_sweeps, n_threads)
+        assert np.all(np.isfinite(state.x_forward))
+        return counter[0]
+
+    @staticmethod
+    def _coefficient(state, n_sweeps, n_threads):
+        ccd_sweeps(state, n_sweeps, n_threads=n_threads)
+
+    @staticmethod
+    def _loop(state, n_sweeps, n_threads):
+        for _ in range(n_sweeps):
+            ccd_sweep(state, n_threads=n_threads)
+
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_affinity_products_do_not_grow_with_sweeps(self, n_threads):
+        """Setup and materialise only: 1, 2 and 8 sweeps cost the same ``n``-side."""
+        one = self._matmuls(self._coefficient, 1, n_threads)
+        two = self._matmuls(self._coefficient, 2, n_threads)
+        eight = self._matmuls(self._coefficient, 8, n_threads)
+        assert one == two == eight > 0
+
+    def test_control_one_pass_per_sweep_grows(self):
+        """The counter sees a per-sweep pass: a loop of ``ccd_sweep`` is 4× at 8."""
+        two = self._matmuls(self._loop, 2, 1)
+        eight = self._matmuls(self._loop, 8, 1)
+        assert eight == 4 * two > 0
+        assert two > self._matmuls(self._coefficient, 2, 1)
 
 
 class TestBlockedDownstreamParity:

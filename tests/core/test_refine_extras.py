@@ -160,3 +160,41 @@ class TestRefineTracked:
         _, h_serial = refine_tracked(serial, 3, n_threads=1)
         _, h_parallel = refine_tracked(parallel, 3, n_threads=3)
         assert np.allclose(h_serial, h_parallel, rtol=1e-9)
+
+
+class TestInputChecks:
+    """A bad sweep count or tolerance raises instead of running nothing."""
+
+    @pytest.fixture()
+    def runners(self, problem):
+        from repro.core.kernels import ccd_sweeps
+
+        state = greedy_init(*problem, k=8, seed=0)
+        return state, {
+            "refine": lambda n, **kw: refine(state, n, **kw),
+            "refine_tracked": lambda n, **kw: refine_tracked(state, n),
+            "ccd_sweeps": lambda n, **kw: ccd_sweeps(state, n, **kw),
+        }
+
+    @pytest.mark.parametrize("name", ["refine", "refine_tracked", "ccd_sweeps"])
+    @pytest.mark.parametrize("n_sweeps", [-3, -1, 2.5, float("nan"), float("inf"), "2"])
+    def test_bad_sweep_count(self, runners, name, n_sweeps):
+        state, run = runners
+        before = state.y.copy()
+        with pytest.raises(ValueError, match="n_sweeps"):
+            run[name](n_sweeps)
+        assert np.array_equal(state.y, before)
+
+    @pytest.mark.parametrize("name", ["refine", "ccd_sweeps"])
+    @pytest.mark.parametrize("tolerance", [-1e-3, float("nan")])
+    def test_bad_tolerance(self, runners, name, tolerance):
+        state, run = runners
+        before = state.y.copy()
+        with pytest.raises(ValueError, match="tolerance"):
+            run[name](3, tolerance=tolerance)
+        assert np.array_equal(state.y, before)
+
+    @pytest.mark.parametrize("n_sweeps", [0, 2, 2.0, np.int64(3)])
+    def test_integral_counts_run(self, runners, n_sweeps):
+        _, run = runners
+        assert len(run["ccd_sweeps"](n_sweeps)) == int(n_sweeps) + 1

@@ -4,7 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.greedy_init import greedy_init, random_init
+from repro.core import kernels
+from repro.core.greedy_init import InitState, greedy_init, random_init
 from repro.core.svd_ccd import (
     ccd_sweep,
     ccd_sweep_reference,
@@ -110,3 +111,92 @@ class TestCCDInvariants:
         greedy_obj = objective_value(forward, backward, greedy)
         random_obj = objective_value(forward, backward, random)
         assert greedy_obj <= random_obj + 1e-6
+
+
+_FIELDS = ("x_forward", "x_backward", "y")
+
+
+def _clone(state: InitState) -> InitState:
+    """Copy the factors; the affinities are read-only and shared."""
+    return InitState(
+        state.x_forward.copy(),
+        state.x_backward.copy(),
+        state.y.copy(),
+        state.forward,
+        state.backward,
+    )
+
+
+@st.composite
+def sweep_problems(draw):
+    """A planted-spectrum problem for ``ccd_sweeps``, ``d`` below and above ``n``.
+
+    ``F′`` has spectrum ``σ_j = 10^(−j/decay)`` up to a true rank that may
+    fall below ``min(n, d)`` and below ``h``; ``Y`` may carry a dead column
+    or two near-collinear ones (``cond(Y) > 1e10``).
+    """
+    half = draw(st.integers(1, 4))
+    n_sweeps = draw(st.integers(0, 8))
+    d = draw(st.integers(max(half, 2), 16))
+    n = draw(st.integers(half, 40))
+    true_rank = draw(st.integers(1, min(n, d)))
+    decay = draw(st.sampled_from([0.5, 1.0, 2.0, 4.0, 16.0, np.inf]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    left, _ = np.linalg.qr(rng.standard_normal((n, true_rank)))
+    right, _ = np.linalg.qr(rng.standard_normal((d, true_rank)))
+    forward = (left * 10.0 ** (-np.arange(true_rank) / decay)) @ right.T
+    backward = rng.random((n, d))
+    init = greedy_init if draw(st.booleans()) else random_init
+    state = init(forward, backward, 2 * half, seed=int(rng.integers(1000)))
+    degenerate = draw(st.sampled_from([None, "dead", "collinear"]))
+    if degenerate == "dead":
+        state.y[:, draw(st.integers(0, half - 1))] = 0.0
+    elif degenerate == "collinear" and half >= 2:
+        column = draw(st.integers(0, half - 2))
+        state.y[:, column + 1] = state.y[:, column] + 1e-12 * rng.normal(size=d)
+        assert np.linalg.cond(state.y) > 1e10
+    block_size = draw(st.integers(1, half))
+    n_threads = draw(st.integers(1, 3))
+    return state, n_sweeps, block_size, n_threads
+
+
+class TestCoefficientSpace:
+    """``ccd_sweeps(state, s)`` is ``s`` calls of ``ccd_sweep``, to rounding."""
+
+    @given(sweep_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_a_loop_of_single_sweeps(self, problem):
+        state, n_sweeps, block_size, n_threads = problem
+        forward, backward = state.forward, state.backward
+        originals = forward.copy(), backward.copy()
+        forward.flags.writeable = backward.flags.writeable = False
+        scale = float(np.sum(forward**2) + np.sum(backward**2))
+        kwargs = dict(block_size=block_size, n_threads=n_threads)
+
+        produced, again, expected = _clone(state), _clone(state), _clone(state)
+        returned = kernels.ccd_sweeps(produced, n_sweeps, **kwargs)
+        assert kernels.ccd_sweeps(again, n_sweeps, **kwargs) == returned
+        values = [objective_value(forward, backward, state)]
+        for _ in range(n_sweeps):
+            kernels.ccd_sweep(expected, **kwargs)
+            values.append(objective_value(forward, backward, expected))
+
+        # Relative to the data: an (almost) exact fit leaves O at rounding
+        # level.  A square Y (h = d) fits any F′, B′ exactly with a factor
+        # pair that is not unique; both paths then end at rounding-level
+        # objectives, up to ≈ 2e-11 of the data apart (the loop's own
+        # returned objective is off by up to ≈ 1e-11 there).
+        square = state.y.shape[0] == state.y.shape[1]
+        tol, floor = (1e-8, scale) if square else (1e-10, 1e-3 * scale)
+        assert len(returned) == n_sweeps + 1
+        for name in _FIELDS:
+            got, want = getattr(produced, name), getattr(expected, name)
+            assert np.all(np.isfinite(got)), name
+            assert np.abs(got - want).max() <= tol * max(1.0, np.abs(want).max()), name
+            assert np.array_equal(got, getattr(again, name)), name
+        for got, want in zip(returned, values):
+            assert abs(got - want) <= 1e-10 * max(want, floor)
+        for before, after in zip(returned, returned[1:]):
+            assert after <= before + 1e-2 * tol * scale
+        assert np.array_equal(forward, originals[0])
+        assert np.array_equal(backward, originals[1])

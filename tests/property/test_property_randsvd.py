@@ -4,8 +4,8 @@
 and orthonormalises the tall side once; the reference (``conftest``)
 orthonormalises after every product.  Both draw the same Gaussian test
 matrix for a seed, so on any input the fast loop must reach the
-reference's truncation error, up to the ``√ε·σ₁`` floor the module
-docstring states.
+reference's truncation error, within a ``1e-9·‖M‖`` slack (the module
+docstring gives the measured margin).
 """
 
 import numpy as np
