@@ -45,5 +45,5 @@ for model in (
 print()
 print(format_table(rows, title="Link prediction AUC/AP (cf. paper Table 5)"))
 print()
-print("Expected shape: both PANE variants lead; parallel PANE trails the")
-print("single-thread version by at most a few thousandths (split-merge SVD).")
+print("Expected shape: both PANE variants lead; parallel PANE matches the")
+print("single-thread version up to the rounding of its span sums.")

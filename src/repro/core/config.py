@@ -2,9 +2,21 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
-from repro.utils.validation import check_probability
+from repro.utils.validation import DANGLING_POLICIES, check_count, check_probability
+
+#: Integer fields and their least value; ``_OPTIONAL`` ones may be ``None``.
+_COUNTS = {
+    "k": 2,
+    "n_threads": 1,
+    "ccd_iterations": 0,
+    "svd_power_iterations": 0,
+    "seed": 0,
+    "ccd_block_size": 1,
+}
+_OPTIONAL = ("ccd_iterations", "seed")
 
 
 @dataclass(frozen=True)
@@ -27,11 +39,17 @@ class PANEConfig:
         Override for the number of CCD refinement sweeps (``None`` = use
         the same ``t`` as APMI, as in Alg. 1/4).
     svd_power_iterations:
-        Power-iteration count for the randomized SVD.
+        Subspace iterations of GreedyInit's RandSVD.  It runs on the
+        ``d × d`` Gram ``F′ᵀF′`` that CCD needs anyway
+        (``repro.core.randsvd.randsvd_gram``), so each costs ``O(d²·w)``
+        and no pass over ``F′``.
     dangling:
-        Dangling-node policy for ``P`` (see ``random_walk_matrix``).
+        Dangling-node policy for ``P``: ``"zero"`` or ``"self"`` (see
+        ``random_walk_matrix``).
     seed:
-        Seed for the randomized SVD test matrices.
+        Seed of RandSVD's Gaussian test matrix (a non-negative integer, or
+        ``None`` for fresh entropy).  Every thread count draws the same
+        matrix.
     ccd_block_size:
         Coordinate block size ``B`` for the CCD sweep.  ``1`` (default)
         is Alg. 4's own update order (equal to the literal reference loop
@@ -54,20 +72,25 @@ class PANEConfig:
     ccd_block_size: int = 1
 
     def __post_init__(self) -> None:
-        if self.k <= 0 or self.k % 2 != 0:
+        # Each field fails here, not deep inside the fit (``k=16.0`` would
+        # make ``half_dim`` a float, ``seed=1.5`` a TypeError in RandSVD).
+        for name, minimum in _COUNTS.items():
+            value = getattr(self, name)
+            if value is not None or name not in _OPTIONAL:
+                value = check_count(value, name, minimum=minimum)
+                object.__setattr__(self, name, value)
+        if self.k % 2 != 0:
             raise ValueError(f"k must be a positive even integer, got {self.k}")
+        for name in ("alpha", "epsilon"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         check_probability(self.alpha, "alpha")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if self.n_threads < 1:
-            raise ValueError(f"n_threads must be >= 1, got {self.n_threads}")
-        if self.ccd_iterations is not None and self.ccd_iterations < 0:
-            raise ValueError("ccd_iterations must be non-negative")
-        if self.svd_power_iterations < 0:
-            raise ValueError("svd_power_iterations must be non-negative")
-        if self.ccd_block_size < 1:
+        if self.dangling not in DANGLING_POLICIES:
             raise ValueError(
-                f"ccd_block_size must be >= 1, got {self.ccd_block_size}"
+                f"dangling must be one of {DANGLING_POLICIES}, got {self.dangling!r}"
             )
 
     @property

@@ -1,19 +1,31 @@
 """Greedy seeding of the CCD optimizer (Algorithms 3 and 7).
 
-``GreedyInit`` decomposes ``F′ ≈ U Σ Vᵀ`` with RandSVD and seeds
+Alg. 3 (GreedyInit) seeds ``Y = V`` from a RandSVD ``F′ ≈ U Σ Vᵀ``,
+``Xf = U Σ`` and ``Xb = B′ Y``.  Here the RandSVD runs on the ``d × d``
+Gram ``C_f = F′ᵀF′`` (:func:`repro.core.randsvd.randsvd_gram`: ``randsvd``'s
+Gaussian ``Ω``, iterations and oversampling, ``V ⊂ span(C_f^(q+1)·Ω)``) and
+the start is ``X = [F′; B′]·Y``.  ``F′ Y = U Σ`` for exact singular
+vectors; for approximate ones ``F′ Y`` is the best ``Xf`` for that ``Y``.
 
-- ``Xf = U Σ`` and ``Y = V``   (so ``Xf Yᵀ ≈ F′`` immediately), and
-- ``Xb = B′ Y``                (because ``V`` is near-unitary,
-  ``Xb Yᵀ ≈ B′ Y Yᵀ ≈ B′``).
+CCD needs ``C = F′ᵀF′ + B′ᵀB′`` anyway (:func:`repro.core.kernels.ccd_sweeps`),
+so :func:`gram_start` sums ``C_f`` and ``C_b`` over row spans in one
+dispatch (a syrk per span and matrix), takes ``Y`` from ``C_f`` for
+``O(q·d²·w)`` on the ``d`` side, and hands CCD a :class:`GramStart`: ``X``
+implied, not written, plus ``C``.  CCD writes ``X`` once at the end, so a
+fit reads ``F′``/``B′`` twice after APMI.  The Gram rounds ``σ_j²`` at
+``ε·σ₁²``: singular values below ``√ε·σ₁`` are not told apart, which only
+moves the start CCD refines (``tests/property/test_property_greedy_init.py``
+states the bound measured against the ``randsvd`` form).
 
-The state handed to the CCD sweeps carries these three factors and
-*references* to ``F′``, ``B′``, which the sweeps read and never write; no
-residual ``Xf Yᵀ − F′`` is formed (see :mod:`repro.core.kernels`).
-
-``SMGreedyInit`` is the split-merge parallel variant: each thread SVDs a
-row block of ``F′``; the per-block right factors are stacked and SVD'd
-again to produce a single shared ``Y`` (Lemma 4.2 shows the limit with
-exact SVDs reproduces ``Xf Yᵀ = F′`` and unitary ``Y``).
+Alg. 7 (SMGreedyInit) SVD'd row blocks of ``F′`` and merged their right
+factors with one more SVD; with exact SVDs the merge reproduces
+``Xf Yᵀ = F′`` and a unitary ``Y`` (Lemma 4.2).  A Gram is a sum over row
+blocks, so here the blocks are the spans of the Gram dispatch and the
+merge is the sum of their partials: :func:`sm_greedy_init` returns the
+serial ``Y`` up to that sum's order at any thread count, and Lemma 4.2's
+limit (``exact=True``: the top eigenvectors of ``C_f``) holds as for Alg. 3.
+:func:`greedy_init` and :func:`sm_greedy_init` return the start with ``X``
+written (zero sweeps).
 """
 
 from __future__ import annotations
@@ -22,11 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.randsvd import randsvd
+from repro.core.kernels import ccd_sweeps
+from repro.core.randsvd import randsvd_gram
 from repro.parallel.executor import run_blocks
 from repro.parallel.partitioning import partition_spans
 from repro.parallel.pool import WorkerPool
-from repro.utils.rng import ensure_rng, spawn_rngs
+from repro.utils.rng import ensure_rng
 
 
 @dataclass
@@ -40,6 +53,62 @@ class InitState:
     backward: np.ndarray  # B′, n × d — a reference, only ever read
 
 
+@dataclass
+class GramStart(InitState):
+    """GreedyInit's start before CCD has written ``X`` (:func:`gram_start`).
+
+    ``x_forward``/``x_backward`` are ``None``: ``X = [F′; B′]·Y`` is
+    implied, and ``gram`` holds ``C = F′ᵀF′ + B′ᵀB′``.
+    :func:`~repro.core.kernels.ccd_sweeps` starts from ``C`` when ``X`` is
+    absent, then writes ``X`` and drops ``gram``, so it is read only while
+    it describes the state.
+    """
+
+    gram: np.ndarray | None = None
+
+
+def _span_grams(forward: np.ndarray, backward: np.ndarray, span: slice):
+    """``(F′ᵀF′, B′ᵀB′)`` over the rows of ``span``: one syrk each."""
+    f, b = forward[span], backward[span]
+    return f.T @ f, b.T @ b
+
+
+def gram_start(
+    forward: np.ndarray,
+    backward: np.ndarray,
+    k: int,
+    *,
+    svd_iterations: int = 5,
+    seed: int | np.random.Generator | None = None,
+    exact: bool = False,
+    n_threads: int = 1,
+    pool: WorkerPool | None = None,
+) -> GramStart:
+    """GreedyInit's start with ``X = [F′; B′]·Y`` left implicit (module docstring).
+
+    One dispatch over ``n_threads`` row spans reads ``F′`` and ``B′`` once
+    for their Grams; everything else is ``d × d``.  The state goes to
+    :func:`~repro.core.kernels.ccd_sweeps`, which writes ``X``.
+    """
+    partials = run_blocks(
+        lambda _, span: _span_grams(forward, backward, span),
+        partition_spans(forward.shape[0], n_threads),
+        n_threads=n_threads,
+        pool=pool,
+    )
+    # Added in span order, so a thread count always gives the same bits.
+    gram_f, gram_b = (sum(parts) for parts in zip(*partials))
+    y = randsvd_gram(
+        gram_f,
+        k // 2,
+        svd_iterations,
+        n_rows=forward.shape[0],
+        seed=seed,
+        exact=exact,
+    )
+    return GramStart(None, None, y, forward, backward, gram_f + gram_b)
+
+
 def greedy_init(
     forward: np.ndarray,
     backward: np.ndarray,
@@ -49,7 +118,7 @@ def greedy_init(
     seed: int | np.random.Generator | None = None,
     exact: bool = False,
 ) -> InitState:
-    """GreedyInit (Algorithm 3).
+    """GreedyInit (Algorithm 3): ``Y`` from the RandSVD of ``F′``, ``X = [F′; B′]·Y``.
 
     Parameters
     ----------
@@ -62,12 +131,17 @@ def greedy_init(
     seed:
         RNG for RandSVD.
     exact:
-        Use a full SVD (for the Lemma 4.2 limit tests).
+        Use an exact eigendecomposition (for the Lemma 4.2 limit tests).
     """
-    half = k // 2
-    u, sigma, v = randsvd(forward, half, svd_iterations, seed=seed, exact=exact)
-    # UΣ without materializing the diagonal; Y = V; Xb = B′Y.
-    return InitState(u * sigma, backward @ v, v, forward, backward)
+    return sm_greedy_init(
+        forward,
+        backward,
+        k,
+        n_threads=1,
+        svd_iterations=svd_iterations,
+        seed=seed,
+        exact=exact,
+    )
 
 
 def sm_greedy_init(
@@ -83,49 +157,24 @@ def sm_greedy_init(
 ) -> InitState:
     """SMGreedyInit — split-merge parallel initialization (Algorithm 7).
 
-    Row blocks of ``F′`` are factorized independently (lines 1–3); the
-    stacked right factors are re-factorized to merge them into one shared
-    attribute basis ``Y`` (lines 4–6); finally the per-block embeddings
-    are assembled (lines 7–11).  Row blocks are contiguous spans, so each
-    block of ``F′``/``B′`` is a view.  ``pool`` reuses a persistent
-    :class:`~repro.parallel.pool.WorkerPool` for both parallel stages.
+    The row blocks (lines 1–3) are ``n_threads`` spans of the Gram
+    dispatch, the merge (lines 4–6) is the sum of their partials, and the
+    per-block embeddings (lines 7–11) are written by one more dispatch:
+    :func:`greedy_init`'s start, up to the order of that sum.  ``pool``
+    reuses a persistent :class:`~repro.parallel.pool.WorkerPool` for both.
     """
-    n, _ = forward.shape
-    half = k // 2
-    # Every row block must have at least k/2 rows for its rank-k/2 SVD to
-    # exist; clip the block count on small graphs rather than failing.
-    n_threads = max(1, min(n_threads, n // half if n >= half else 1))
-    node_blocks = partition_spans(n, n_threads)
-    # One RandSVD seed per block and one for the merge: ``seed + i`` for an
-    # int; child generators for a Generator, which threads must not share.
-    if isinstance(seed, np.random.Generator):
-        seeds = spawn_rngs(seed, len(node_blocks) + 1)
-    else:
-        seeds = [None if seed is None else seed + i for i in range(len(node_blocks) + 1)]
-
-    def factor_block(i: int, rows: slice):
-        u_block, sigma, v_block = randsvd(
-            forward[rows], half, svd_iterations, seed=seeds[i], exact=exact
-        )
-        return u_block * sigma, v_block
-
-    factored = run_blocks(factor_block, node_blocks, n_threads=n_threads, pool=pool)
-    u_blocks = [u for u, _ in factored]
-    # V ← [V1 · · · Vnb]ᵀ  ∈ R^{(nb·k/2) × d}
-    stacked = np.vstack([v.T for _, v in factored])
-    phi, sigma, y = randsvd(stacked, half, svd_iterations, seed=seeds[-1], exact=exact)
-    w = phi * sigma  # (nb·k/2) × k/2
-
-    x_forward = np.empty((n, half))
-    x_backward = np.empty((n, half))
-
-    def assemble(i: int, rows: slice) -> None:
-        w_block = w[i * half : (i + 1) * half]
-        np.matmul(u_blocks[i], w_block, out=x_forward[rows])
-        np.matmul(backward[rows], y, out=x_backward[rows])
-
-    run_blocks(assemble, node_blocks, n_threads=n_threads, pool=pool)
-    return InitState(x_forward, x_backward, y, forward, backward)
+    state = gram_start(
+        forward,
+        backward,
+        k,
+        svd_iterations=svd_iterations,
+        seed=seed,
+        exact=exact,
+        n_threads=n_threads,
+        pool=pool,
+    )
+    ccd_sweeps(state, 0, n_threads=n_threads, pool=pool)  # writes X
+    return InitState(state.x_forward, state.x_backward, state.y, forward, backward)
 
 
 def random_init(

@@ -57,6 +57,18 @@ at ``2 000 × 64``, ``k = 32`` measured 1.7 → 2.5 ms, two sweeps at
 path (no benchmark workload runs a losing shape to set a crossover by);
 :func:`ccd_sweep` is the one-sweep ``n``-side form it is tested against.
 
+The Gram start.  GreedyInit's ``X`` is ``[F′; B′]·Y``
+(:func:`repro.core.greedy_init.gram_start`), so from it ``X = F′·K`` with
+``K₀ = Y`` (``d × h``) and no ``X₀`` block, and the joint Gram is just
+``C = F′ᵀF′ + B′ᵀB′``, which the init already summed over the spans for
+its own RandSVD.  A state whose ``X`` is absent (``None``) carries that
+``C``; ``ccd_sweeps`` then skips the setup dispatch, runs the same sweeps
+on ``K`` (``K −= K·W − Z``, ``Pᵀ = C·K``, ``G = Kᵀ·C·K``) and always
+writes ``X = F′·K`` — with the init's Gram pass, two reads of
+``F′``/``B′`` per fit after APMI.  Any state with ``X`` (a random init, a
+warm incremental refresh, ``greedy_init``'s written start) takes the
+``[X₀, F′]`` path above, unchanged.
+
 Numerical contract: same update order as Alg. 4 (``B = 1``) or as block
 Gauss–Seidel (``B > 1``); agreement with the literal residual-space
 reference loops within ``1e-10`` on the test problems at 1–3 threads (the
@@ -69,7 +81,8 @@ coordinate takes an exactly zero step at ``B = 1``; ``F′``/``B′`` are never
 written; a single-thread run is bit-reproducible run to run, and so is any
 fixed thread count (it fixes the spans and the order their partial sums
 are added in).  Serial and threaded execution are one code path: one
-dispatch per :func:`ccd_sweep`, two per :func:`ccd_sweeps`.
+dispatch per :func:`ccd_sweep`, two per :func:`ccd_sweeps` (one from a Gram
+start).
 
 Eq. (6) propagation: :func:`propagate_recurrence` is the one evaluator
 behind APMI and PAPMI — a hop is one dispatch over row spans of the
@@ -420,13 +433,19 @@ def _span_gram(state: "InitState", span: slice) -> np.ndarray:
 
 
 def _materialise(state: "InitState", span: slice, coef: np.ndarray) -> None:
-    """``X ← X·K[:h] + F′·K[h:]`` in place over the rows of ``span``, per row tile."""
-    half = coef.shape[1]
-    top, bottom = coef[:half], coef[half:]
+    """``X ← X·K[:h] + F′·K[h:]`` in place over the rows of ``span``, per row tile.
+
+    From a Gram start ``K`` has no ``X₀`` block and this writes ``X = F′·K``.
+    """
+    lead = coef.shape[0] - state.y.shape[0]
+    top, bottom = coef[:lead], coef[lead:]
     for rows in row_tiles(span, state.y.shape[0]):
         for x_half, affinity in _halves(state):
             x_tile = x_half[rows]
-            x_tile[...] = x_tile @ top + affinity[rows] @ bottom
+            if lead:
+                x_tile[...] = x_tile @ top + affinity[rows] @ bottom
+            else:
+                np.matmul(affinity[rows], bottom, out=x_tile)
 
 
 def _check_sweeps(n_sweeps, tolerance) -> int:
@@ -451,19 +470,27 @@ def _stalled(previous: float, current: float, tolerance: float | None) -> bool:
     )
 
 
+def _coefficient_moments(gram: np.ndarray, coef: np.ndarray, lead: int):
+    """``(P, G)`` of ``X = [X₀, F′]·K``: ``Pᵀ = (M·K)[lead:]``, ``G = Kᵀ·M·K``.
+
+    ``lead`` is the height of ``K``'s ``X₀`` block: ``h``, or ``0`` from a
+    Gram start (``X = F′·K``).
+    """
+    moments = gram @ coef
+    return moments[lead:].T, coef.T @ moments
+
+
 def _coefficient_sweep(
     gram: np.ndarray, coef: np.ndarray, y: np.ndarray, norm: float, block_size: int
 ) -> float:
     """One sweep on ``K`` and ``Y`` in place, from the starting rows' joint Gram."""
-    half = coef.shape[1]
+    lead = coef.shape[0] - y.shape[0]
     # X phase: X −= X·W − F′·Z is K −= K·W − [0; Z].
     z = _gauss_seidel_solver(y.T @ y, block_size)(y.T).T
     step = coef @ (y.T @ z)
-    step[half:] -= z
+    step[lead:] -= z
     coef -= step
-    # Y phase on the moments of X = [X₀, F′]·K: Pᵀ = (M·K)[h:], G = Kᵀ·M·K.
-    moments = gram @ coef
-    p, g = moments[half:].T, coef.T @ moments
+    p, g = _coefficient_moments(gram, coef, lead)
     y -= _gauss_seidel_solver(g, block_size)(g @ y.T - p).T
     return objective_from_moments(norm, p, g, y)
 
@@ -484,31 +511,44 @@ def ccd_sweeps(
     relative objective improvement falls below it.  Runs in coefficient
     space: one setup and one materialise dispatch over ``F′``/``B′``
     however many sweeps (derivation, costs and numerical contract in the
-    module docstring).  ``state.forward`` / ``state.backward`` are only
+    module docstring).  A state without ``X`` (a Gram start) skips the
+    setup, starts from its ``gram`` and ``K₀ = Y``, and has ``X`` written
+    even at zero sweeps.  ``state.forward`` / ``state.backward`` are only
     read.
     """
     n_sweeps = _check_sweeps(n_sweeps, tolerance)
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
-    d, half = state.y.shape
-    spans = partition_spans(state.forward.shape[0], n_threads)
-    partials = run_blocks(
-        lambda _, span: _span_gram(state, span), spans, n_threads=n_threads, pool=pool
-    )
-    gram = sum(partials)  # in span order: a thread count fixes the bits
-    norm = float(np.trace(gram[half:, half:]))
-    start = objective_from_moments(norm, gram[:half, half:], gram[:half, :half], state.y)
-    history = [start]
-    coef = np.vstack([np.eye(half), np.zeros((d, half))])  # K: X = [X₀, F′]·K
-    for _ in range(n_sweeps):
-        history.append(_coefficient_sweep(gram, coef, state.y, norm, block_size))
-        if _stalled(history[-2], history[-1], tolerance):
-            break
-    if n_sweeps:
-        run_blocks(
-            lambda _, span: _materialise(state, span, coef),
+    n, d, half = state.forward.shape[0], *state.y.shape
+    spans = partition_spans(n, n_threads)
+    if state.x_forward is None:  # a Gram start: X = [F′; B′]·Y, C from the init
+        gram, coef, lead = state.gram, state.y.copy(), 0
+    else:
+        partials = run_blocks(
+            lambda _, span: _span_gram(state, span),
             spans,
             n_threads=n_threads,
             pool=pool,
         )
+        gram = sum(partials)  # in span order: a thread count fixes the bits
+        # K: X = [X₀, F′]·K, starting at [I; 0].
+        coef, lead = np.vstack([np.eye(half), np.zeros((d, half))]), half
+    norm = float(np.trace(gram[lead:, lead:]))
+    start = _coefficient_moments(gram, coef, lead)
+    history = [objective_from_moments(norm, *start, state.y)]
+    for _ in range(n_sweeps):
+        history.append(_coefficient_sweep(gram, coef, state.y, norm, block_size))
+        if _stalled(history[-2], history[-1], tolerance):
+            break
+    if not lead:  # a Gram start: X is written here for the first time
+        state.x_forward, state.x_backward = np.empty((n, half)), np.empty((n, half))
+        state.gram = None
+    elif not n_sweeps:
+        return history
+    run_blocks(
+        lambda _, span: _materialise(state, span, coef),
+        spans,
+        n_threads=n_threads,
+        pool=pool,
+    )
     return history

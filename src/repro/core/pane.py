@@ -11,21 +11,25 @@ Usage::
 
 ``n_threads=1`` runs the single-thread pipeline (APMI → GreedyInit →
 SVDCCD); ``n_threads>1`` the parallel one (PAPMI → SMGreedyInit →
-PSVDCCD).  The two differ only through the split-merge SVD, whose small
-accuracy cost the paper quantifies in Sec. 5.5–5.6 (the affinities are
-the same bits at every thread count).
+PSVDCCD).  The two differ only in the order span partial sums are added
+in: the affinities are the same bits at every thread count, and
+SMGreedyInit's split-merge is the span-summed Gram of GreedyInit
+(:mod:`repro.core.greedy_init`), not the separate block SVDs whose
+accuracy cost the paper quantifies in Sec. 5.5–5.6.
 
 Performance notes: ``fit`` acquires one persistent
 :class:`~repro.parallel.pool.WorkerPool` and threads it through every
-parallel phase (the seed tore down two thread pools per CCD sweep).  The
-CCD sweeps run in coefficient space on the read-only affinities, with no
-residual matrices: the whole refinement reads ``F′``/``B′`` three times
-(twice for their Gram, once for the final write of ``X``), however many
-sweeps it runs (:func:`repro.core.kernels.ccd_sweeps`).  Every
-``ccd_block_size`` costs the same, so it selects an update order — ``1``
-for Alg. 4's, ``B > 1`` for block Gauss–Seidel — not a speed; a
-single-thread fit is bit-reproducible run to run (see
-``docs/PERFORMANCE.md``).
+parallel phase (the seed tore down two thread pools per CCD sweep).
+After APMI a fit reads ``F′``/``B′`` twice, however many power
+iterations and sweeps it runs: the init sums their Grams ``F′ᵀF′``,
+``B′ᵀB′`` over row spans and takes ``Y`` from ``F′ᵀF′`` on the ``d`` side
+(:func:`repro.core.greedy_init.gram_start`); CCD starts from
+``X = [F′; B′]·Y`` in coefficient space on the summed Gram, with no
+residual matrices, and writes ``X`` once at the end
+(:func:`repro.core.kernels.ccd_sweeps`).  Every ``ccd_block_size`` costs
+the same, so it selects an update order — ``1`` for Alg. 4's, ``B > 1``
+for block Gauss–Seidel — not a speed; a fit at a fixed thread count is
+bit-reproducible run to run (see ``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 from repro.core.affinity import AffinityPair, apmi, iterations_for_epsilon
 from repro.core.config import PANEConfig
 from repro.core.embedding import PANEEmbedding
-from repro.core.greedy_init import greedy_init, random_init, sm_greedy_init
+from repro.core.greedy_init import gram_start, random_init
 from repro.core.kernels import ccd_sweeps
 from repro.graph.attributed_graph import AttributedGraph
 from repro.parallel.pool import WorkerPool
@@ -120,8 +124,8 @@ class PANE:
         n_sweeps = cfg.ccd_iterations if cfg.ccd_iterations is not None else t
         timer = Timer()
 
-        # One persistent pool for every parallel phase: PAPMI, the two
-        # SMGreedyInit stages, and all PSVDCCD sweeps share its threads
+        # One persistent pool for every parallel phase: PAPMI, the Gram
+        # dispatch of the init and CCD's write of X share its threads
         # instead of each creating (and tearing down) their own pools.
         pool = WorkerPool(cfg.n_threads) if cfg.n_threads > 1 else None
         try:
@@ -133,23 +137,15 @@ class PANE:
                     state = random_init(
                         affinity.forward, affinity.backward, cfg.k, seed=cfg.seed
                     )
-                elif cfg.n_threads > 1:
-                    state = sm_greedy_init(
-                        affinity.forward,
-                        affinity.backward,
-                        cfg.k,
-                        n_threads=cfg.n_threads,
-                        svd_iterations=cfg.svd_power_iterations,
-                        seed=cfg.seed,
-                        pool=pool,
-                    )
                 else:
-                    state = greedy_init(
+                    state = gram_start(
                         affinity.forward,
                         affinity.backward,
                         cfg.k,
                         svd_iterations=cfg.svd_power_iterations,
                         seed=cfg.seed,
+                        n_threads=cfg.n_threads,
+                        pool=pool,
                     )
 
             with timer.measure("ccd"):

@@ -16,11 +16,13 @@ at once, then ``l+1``, is the paper's row-by-row order.  The same holds for
 Kernel layer: :func:`refine` and :func:`refine_tracked` run
 :func:`repro.core.kernels.ccd_sweeps`, which performs the sequential
 coordinate updates in the ``k/2``-dimensional coefficient space and never
-forms a residual.  It reads the fixed affinities ``F′``, ``B′`` three times
-per refinement, however many sweeps (twice for their Gram, once for the
-final write of ``Xf``, ``Xb``), writes only ``Xf``, ``Xb``, ``Y`` and returns
-the Eq. (4) objective before and after every sweep (derivation, costs and
-numerical contract in that module's docstring).  :func:`ccd_sweep` is one
+forms a residual.  On a state with ``Xf``, ``Xb`` it reads the fixed
+affinities ``F′``, ``B′`` three times per refinement, however many sweeps
+(twice for their Gram, once for the final write of ``Xf``, ``Xb``); from
+``PANE.fit``'s Gram start (no ``X`` yet, the Gram ``F′ᵀF′ + B′ᵀB′`` already
+summed by the init) only once, to write them.  It writes only ``Xf``,
+``Xb``, ``Y`` and returns the Eq. (4) objective before and after every sweep
+(derivation, costs and numerical contract in that module's docstring).  :func:`ccd_sweep` is one
 sweep on the ``n``-side (4 GEMMs), the form ``ccd_sweeps`` is tested
 against.  ``block_size=1`` (the default) is Alg. 4's own update order;
 ``block_size=B>1`` groups coordinates into blocks, each minimized exactly

@@ -20,6 +20,7 @@ import scipy.sparse as sp
 
 from repro.graph.attributed_graph import AttributedGraph
 from repro.utils.sparse import column_normalize, row_normalize
+from repro.utils.validation import DANGLING_POLICIES
 
 
 def random_walk_matrix(
@@ -36,7 +37,7 @@ def random_walk_matrix(
         (walk mass stops, matching the truncated power series of Eq. 5);
         ``"self"`` adds a self-loop so the row is stochastic.
     """
-    if dangling not in ("zero", "self"):
+    if dangling not in DANGLING_POLICIES:
         raise ValueError(f"unknown dangling policy {dangling!r}")
     adjacency = graph.adjacency
     if dangling == "self":

@@ -5,7 +5,7 @@ The seed implementation created (and tore down) a fresh
 per PAPMI/SMGreedyInit phase — so thread spawn/join cost was paid dozens
 of times per ``fit``.  :class:`WorkerPool` is the long-lived replacement:
 ``PANE.fit`` acquires one pool up front and threads it through PAPMI,
-SMGreedyInit, and every PSVDCCD sweep; the underlying executor is created
+the init's Gram dispatch and CCD's write of ``X``; the underlying executor is created
 lazily on the first multi-block call and reused until :meth:`close`.
 
 Lifecycle

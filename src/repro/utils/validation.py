@@ -6,6 +6,23 @@ entry points fail fast on bad parameters instead of deep inside numpy.
 
 from __future__ import annotations
 
+import numbers
+
+#: How ``random_walk_matrix`` may treat a node with no out-links.
+DANGLING_POLICIES = ("zero", "self")
+
+
+def check_count(value, name: str, *, minimum: int) -> int:
+    """Validate an integer ``>= minimum``; ``bool`` and integral floats are rejected.
+
+    Returns it as a plain ``int`` (numpy integers are accepted).
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
 
 def check_probability(value: float, name: str, *, inclusive: bool = False) -> float:
     """Validate that ``value`` lies in (0, 1), or [0, 1] if ``inclusive``."""

@@ -142,6 +142,28 @@ def randsvd_reference():
     return _randsvd_reference
 
 
+def _greedy_init_reference(
+    forward, backward, k, *, svd_iterations=5, seed=None, exact=False
+):
+    """GreedyInit (Alg. 3) as it ran before its RandSVD moved to the Gram.
+
+    ``randsvd(F′)`` streams ``F′`` ``2·svd_iterations + 2`` times and seeds
+    ``Xf = UΣ``, ``Y = V``, ``Xb = B′Y``.  The same Gaussian draw for a seed
+    as ``greedy_init``; the ground truth for its truncation error.
+    """
+    from repro.core.greedy_init import InitState
+    from repro.core.randsvd import randsvd
+
+    u, sigma, v = randsvd(forward, k // 2, svd_iterations, seed=seed, exact=exact)
+    return InitState(u * sigma, backward @ v, v, forward, backward)
+
+
+@pytest.fixture(scope="session")
+def greedy_init_reference():
+    """``greedy_init_reference(forward, backward, k, svd_iterations=, seed=)``."""
+    return _greedy_init_reference
+
+
 def _select_band_reference(scores, k, dim):
     """``select_band`` as it ran before it stopped partitioning whole rows.
 

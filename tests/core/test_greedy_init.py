@@ -108,23 +108,6 @@ class TestSMGreedyInitPractical:
         state = sm_greedy_init(forward, backward, k=8, n_threads=8, seed=0)
         assert state.x_forward.shape == (10, 4)
 
-    def test_int_seed_keeps_its_block_seeds(self, affinities):
-        """Block ``i`` draws from ``seed + i``, the merge from ``seed + nb``."""
-        from repro.core.randsvd import randsvd
-
-        forward, backward = affinities
-        state = sm_greedy_init(forward, backward, k=16, n_threads=2, seed=5)
-        half = forward.shape[0] // 2
-        blocks = [
-            randsvd(forward[rows], 8, 5, seed=5 + i)
-            for i, rows in enumerate((slice(0, half), slice(half, None)))
-        ]
-        stacked = np.vstack([v.T for _, _, v in blocks])
-        phi, sigma, y = randsvd(stacked, 8, 5, seed=7)
-        assert np.array_equal(state.y, y)
-        u0, s0, _ = blocks[0]
-        assert np.allclose(state.x_forward[:half], (u0 * s0) @ (phi * sigma)[:8])
-
     @pytest.mark.parametrize("kind", ["generator", "none"])
     def test_generator_and_none_seeds_accepted(self, affinities, kind):
         """The signature advertises all three seed kinds; ``seed + i`` was int-only."""

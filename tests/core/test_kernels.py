@@ -448,6 +448,45 @@ class TestCoefficientSpaceCost:
         assert two > self._matmuls(self._coefficient, 2, 1)
 
 
+class TestFitAffinityReads:
+    """After APMI, ``PANE.fit`` multiplies by each of ``F′``, ``B′`` twice.
+
+    Once in the init, for its Gram (one syrk), and once at the end of CCD
+    to write ``X`` — whatever the power iterations and sweeps.  The graph
+    is small enough that a span is one row tile, so that is two products
+    per span.
+    """
+
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    @pytest.mark.parametrize("power_iterations", [0, 5, 9])
+    @pytest.mark.parametrize("sweeps", [0, 1, 8])
+    def test_two_products_on_each_affinity(
+        self, sbm_graph, monkeypatch, n_threads, power_iterations, sweeps
+    ):
+        from repro.core.pane import PANE
+
+        counters = {"forward": [0], "backward": [0]}
+        compute_affinity = PANE.compute_affinity
+
+        def counting(model, graph, *, pool=None):
+            pair = compute_affinity(model, graph, pool=pool)
+            views = {}
+            for name, counter in counters.items():
+                views[name] = getattr(pair, name).view(_CountingAffinity)
+                views[name].counter = counter
+            return dataclasses.replace(pair, **views)
+
+        monkeypatch.setattr(PANE, "compute_affinity", counting)
+        embedding = PANE(
+            k=16,
+            n_threads=n_threads,
+            svd_power_iterations=power_iterations,
+            ccd_iterations=sweeps,
+        ).fit(sbm_graph)
+        assert np.all(np.isfinite(embedding.node_embeddings()))
+        assert counters == {"forward": [2 * n_threads], "backward": [2 * n_threads]}
+
+
 class TestBlockedDownstreamParity:
     """Acceptance: blocked-path AUC within 1% of the exact path."""
 
