@@ -1,21 +1,16 @@
-"""Benches for the extension modules (paper Sec. 7 future-work items).
+"""Bench for the incremental-update extension (paper Sec. 7 future work).
 
-Not part of the paper's evaluation section; these quantify the repo's
-extensions with the same harness: incremental updates vs cold refits,
-multiplex typed prediction, and the sparse memory-lean pipeline.
+Not part of the paper's evaluation section; it quantifies warm
+``IncrementalPANE`` updates against cold refits with the same harness.
 """
 
 import numpy as np
 
 from repro.core.pane import PANE
-from repro.core.sparse_pane import SparsePANE, apmi_sparse
 from repro.dynamic import GraphDelta, IncrementalPANE
 from repro.eval.datasets import load_dataset
 from repro.eval.reporting import format_table
-from repro.hetero import MultiplexAttributedGraph, MultiplexPANE, multiplex_sbm
 from repro.tasks.link_prediction import LinkPredictionTask
-from repro.tasks.metrics import area_under_roc
-from repro.tasks.splits import split_edges
 from repro.utils.timing import time_call
 
 
@@ -51,66 +46,3 @@ def test_extension_incremental_updates(benchmark, report):
         )
     )
     assert abs(warm_auc - cold_auc) < 0.05
-
-
-def test_extension_multiplex_typed_links(benchmark, report):
-    """Typed link prediction must use the matching layer."""
-    multiplex = multiplex_sbm(
-        n_nodes=300, n_communities=4, n_attributes=60, seed=2
-    )
-    follows = multiplex.layer_graph("follows")
-    split = split_edges(follows, 0.3, seed=0)
-    residual = MultiplexAttributedGraph(
-        layers={
-            "follows": split.residual_graph.adjacency,
-            "mentions": multiplex.layers["mentions"],
-        },
-        attributes=multiplex.attributes,
-        directed=True,
-    )
-    embedding = benchmark.pedantic(
-        lambda: MultiplexPANE(k=32, seed=0).fit(residual),
-        rounds=1,
-        iterations=1,
-    )
-    rows = {}
-    for edge_type in residual.edge_types:
-        rows[f"score with {edge_type}"] = {
-            "AUC": area_under_roc(
-                split.test_labels,
-                embedding.score_links(
-                    edge_type, split.test_sources, split.test_targets
-                ),
-            )
-        }
-    report(format_table(rows, title="Extension — multiplex typed link prediction"))
-    assert rows["score with follows"]["AUC"] > rows["score with mentions"]["AUC"]
-
-
-def test_extension_sparse_pipeline(benchmark, report):
-    """Pruned-sparse PANE: density saved vs AUC given up."""
-    graph = load_dataset("tweibo_sim")
-    task = LinkPredictionTask(graph, seed=0)
-
-    pair = apmi_sparse(task.split.residual_graph, prune_threshold=1e-3)
-    sparse_auc = task.evaluate(SparsePANE(k=32, seed=0, prune_threshold=1e-3)).auc
-    dense_auc = task.evaluate(PANE(k=32, seed=0)).auc
-
-    benchmark.pedantic(
-        lambda: SparsePANE(k=32, seed=0, prune_threshold=1e-3).fit(graph),
-        rounds=1,
-        iterations=1,
-    )
-    report(
-        format_table(
-            {
-                "SparsePANE (init-only)": {
-                    "AUC": sparse_auc,
-                    "affinity density": pair.density,
-                },
-                "PANE (dense, full CCD)": {"AUC": dense_auc, "affinity density": 1.0},
-            },
-            title="Extension — sparse memory-lean pipeline, tweibo_sim",
-        )
-    )
-    assert sparse_auc > 0.55

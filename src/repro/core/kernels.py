@@ -88,8 +88,7 @@ Eq. (6) propagation: :func:`propagate_recurrence` is the one evaluator
 behind APMI and PAPMI — a hop is one dispatch over row spans of the
 *output*, on two caller-owned ping-pong buffers, bit-identical for every
 thread count — with :func:`spmm_into` writing rows of a CSR·dense product
-straight into the output buffer; :func:`propagate_recurrence_sparse` is
-the pruned sparse form.
+straight into the output buffer.
 
 See ``docs/PERFORMANCE.md`` for measurements and the
 ``benchmarks/bench_kernels.py`` record format.
@@ -235,41 +234,6 @@ def propagate_recurrence(
 
         run_blocks(hop, spans, n_threads=n_threads, pool=pool)
         current, scratch = scratch, current
-    return current
-
-
-def prune_sparse(matrix: sp.csr_matrix, threshold: float) -> sp.csr_matrix:
-    """Drop entries with magnitude below ``threshold``."""
-    if threshold <= 0:
-        return matrix
-    matrix = matrix.tocsr()
-    matrix.data[np.abs(matrix.data) < threshold] = 0.0
-    matrix.eliminate_zeros()
-    return matrix
-
-
-def propagate_recurrence_sparse(
-    transition,
-    restart: sp.csr_matrix,
-    alpha: float,
-    t: int,
-    *,
-    prune_threshold: float = 0.0,
-) -> sp.csr_matrix:
-    """Sparse form of :func:`propagate_recurrence` with per-hop pruning.
-
-    ``restart`` is the already ``α``-scaled seed (``α·Rr`` as CSR); each
-    hop computes ``(1−α)·T·p + restart`` and prunes entries below
-    ``prune_threshold``, so memory tracks the support of the affinity
-    rather than ``n·d``.  With ``prune_threshold=0`` the result equals
-    the dense recurrence on the same inputs.
-    """
-    current = restart.copy()
-    decay = 1.0 - alpha
-    for _ in range(t):
-        current = prune_sparse(
-            (decay * (transition @ current) + restart).tocsr(), prune_threshold
-        )
     return current
 
 

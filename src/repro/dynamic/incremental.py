@@ -28,10 +28,16 @@ from repro.core.svd_ccd import refine
 from repro.dynamic.delta import GraphDelta
 from repro.graph.attributed_graph import AttributedGraph
 from repro.utils.timing import Timer
+from repro.utils.validation import check_count
 
 
 def apply_delta(graph: AttributedGraph, delta: GraphDelta) -> AttributedGraph:
-    """Return a new graph with ``delta`` applied (input left untouched)."""
+    """Return a new graph with ``delta`` applied (input left untouched).
+
+    Raises ``ValueError``, before anything is touched, when
+    :meth:`GraphDelta.check` rejects the delta for this graph.
+    """
+    delta.check(graph.n_nodes, graph.n_attributes)
     adjacency = graph.adjacency.tolil(copy=True)
     if delta.add_edges is not None and len(delta.add_edges):
         edges = np.asarray(delta.add_edges, dtype=np.int64)
@@ -95,10 +101,8 @@ class IncrementalPANE:
         update_sweeps: int = 2,
         seed: int | None = 0,
     ) -> None:
-        if update_sweeps < 0:
-            raise ValueError("update_sweeps must be non-negative")
+        self.update_sweeps = check_count(update_sweeps, "update_sweeps", minimum=0)
         self.config = PANEConfig(k=k, alpha=alpha, epsilon=epsilon, seed=seed)
-        self.update_sweeps = update_sweeps
         self.graph: AttributedGraph | None = None
         self._embedding: PANEEmbedding | None = None
 

@@ -31,8 +31,6 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from repro.core.config import PANEConfig
 from repro.dynamic.incremental import GraphDelta, IncrementalPANE, apply_delta
 from repro.graph.attributed_graph import AttributedGraph
@@ -295,35 +293,6 @@ class IngestPipeline:
     def n_attributes(self) -> int:
         return self._model.graph.attributes.shape[1] if self._model else 0
 
-    def _validate(self, delta: GraphDelta) -> int:
-        n, d = self.n_nodes, self.n_attributes
-        count = 0
-        for name, arr, width in (
-            ("add_edges", delta.add_edges, 2),
-            ("remove_edges", delta.remove_edges, 2),
-            ("add_associations", delta.add_associations, 3),
-            ("remove_associations", delta.remove_associations, 2),
-        ):
-            if arr is None or not len(arr):
-                continue
-            arr = np.asarray(arr)
-            count += arr.shape[0]
-            cols = arr[:, 0].astype(np.int64, copy=False)
-            if not (np.all(cols >= 0) and np.all(cols < n)):
-                raise ValueError(f"{name}: node index out of range [0, {n})")
-            second = arr[:, 1].astype(np.int64, copy=False)
-            limit = n if "edge" in name else d
-            if not (np.all(second >= 0) and np.all(second < limit)):
-                kind = "node" if "edge" in name else "attribute"
-                raise ValueError(f"{name}: {kind} index out of range [0, {limit})")
-            if width == 3:
-                weights = np.asarray(arr[:, 2], dtype=np.float64)
-                if not np.all(np.isfinite(weights)) or np.any(weights < 0):
-                    raise ValueError(f"{name}: weights must be finite and non-negative")
-        if count == 0:
-            raise ValueError("upsert contains no events")
-        return count
-
     def append(self, delta: GraphDelta) -> tuple[int, int]:
         """Validate and durably append ``delta``; returns ``(first, last)`` LSN.
 
@@ -333,7 +302,10 @@ class IngestPipeline:
         """
         if self._model is None:
             raise RuntimeError("pipeline is not bootstrapped")
-        n_events = self._validate(delta)
+        delta.check(self.n_nodes, self.n_attributes)
+        n_events = sum(delta.counts().values())
+        if n_events == 0:
+            raise ValueError("upsert contains no events")
         try:
             first, last = self.log.append_delta(delta)
         except LogFull:

@@ -23,17 +23,3 @@ def ensure_rng(seed: int | np.random.Generator | None = None) -> np.random.Gener
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(
-    seed: int | np.random.Generator | None, count: int
-) -> list[np.random.Generator]:
-    """Derive ``count`` independent child generators from ``seed``.
-
-    Children are statistically independent streams, suitable for handing to
-    worker threads so parallel runs stay reproducible for a fixed seed.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    root = ensure_rng(seed)
-    return root.spawn(count)

@@ -12,8 +12,6 @@ from repro.core.greedy_init import InitState, greedy_init, random_init
 from repro.core.kernels import (
     ccd_sweeps,
     propagate_recurrence,
-    propagate_recurrence_sparse,
-    prune_sparse,
     spmm_into,
 )
 from repro.core.svd_ccd import (
@@ -139,23 +137,6 @@ class TestPropagateRecurrence:
         buffers = (np.empty_like(p0), np.empty_like(p0))
         result = propagate_recurrence(transition, p0.copy(), 0.5, 3, buffers=buffers)
         assert result is buffers[0] or result is buffers[1]
-
-    def test_sparse_matches_dense_when_unpruned(self):
-        rng = np.random.default_rng(6)
-        transition = sp.random(20, 20, density=0.3, format="csr", random_state=7)
-        seed = sp.random(20, 5, density=0.5, format="csr", random_state=8)
-        alpha, t = 0.5, 3
-        dense = propagate_recurrence(transition, seed.toarray(), alpha, t)
-        sparse = propagate_recurrence_sparse(
-            transition, (alpha * seed).tocsr(), alpha, t
-        )
-        assert np.allclose(sparse.toarray(), dense, atol=1e-12)
-
-    def test_prune_sparse_drops_small_entries(self):
-        matrix = sp.csr_matrix(np.array([[0.5, 1e-6], [0.0, 0.2]]))
-        pruned = prune_sparse(matrix, 1e-4)
-        assert pruned.nnz == 2
-        assert prune_sparse(matrix, 0.0).nnz == pruned.nnz  # no-op threshold
 
 
 _STATE_FIELDS = ("x_forward", "x_backward", "y")

@@ -56,7 +56,56 @@ class TestGraphDelta:
         assert updated.has_edge(0, 1) and updated.has_edge(1, 0)
 
 
+class TestDeltaCheck:
+    """``GraphDelta.check``: the one validity rule for logging and applying."""
+
+    def test_negative_id_rejected_and_graph_unchanged(self):
+        graph = attributed_sbm(n_nodes=60, n_attributes=20, seed=1)
+        model = IncrementalPANE(k=16, seed=0)
+        model.fit(graph)
+        with pytest.raises(ValueError, match="node index out of range"):
+            model.update(GraphDelta(add_edges=np.array([[-1, 5]])))
+        assert model.graph is graph
+        assert not graph.has_edge(59, 5)
+
+    def test_fractional_id_rejected(self, sbm_graph):
+        with pytest.raises(ValueError, match="must be integers"):
+            apply_delta(sbm_graph, GraphDelta(add_edges=np.array([[0.7, 1.0]])))
+        with pytest.raises(ValueError, match="must be integers"):
+            apply_delta(
+                sbm_graph, GraphDelta(add_associations=np.array([[0.0, 1.5, 1.0]]))
+            )
+
+    def test_integral_float_ids_accepted(self, sbm_graph):
+        delta = GraphDelta(
+            add_edges=np.array([[0.0, 1.0]]),
+            add_associations=np.array([[3.0, 2.0, 0.5]]),
+        )
+        updated = apply_delta(sbm_graph, delta)
+        assert updated.has_edge(0, 1)
+        assert updated.attributes[3, 2] == 0.5
+
+    @pytest.mark.parametrize(
+        "rows, match",
+        [
+            (dict(add_associations=np.array([[0, 1, -1.0]])), "non-negative"),
+            (dict(add_associations=np.array([[0, 1, np.inf]])), "finite"),
+            (dict(remove_associations=np.array([[0, 10_000]])), "attribute index"),
+            (dict(add_edges=np.array([0, 1])), "rows of 2"),
+            (dict(add_edges=np.array([[0.0, np.nan]])), "must be integers"),
+        ],
+    )
+    def test_bad_rows_rejected(self, rows, match):
+        with pytest.raises(ValueError, match=match):
+            GraphDelta(**rows).check(120, 30)
+
+
 class TestIncrementalPANE:
+    @pytest.mark.parametrize("sweeps", [True, 1.5, 2.0, -1])
+    def test_update_sweeps_validated_at_construction(self, sweeps):
+        with pytest.raises(ValueError, match="update_sweeps"):
+            IncrementalPANE(k=16, update_sweeps=sweeps)
+
     def test_update_before_fit_raises(self):
         with pytest.raises(RuntimeError):
             IncrementalPANE(k=16).update(GraphDelta())

@@ -30,17 +30,6 @@ class TestPartitionIndices:
     def test_empty_total(self):
         assert partition_indices(0, 3) == []
 
-    def test_shuffle_deterministic(self):
-        a = partition_indices(20, 3, shuffle=True, seed=1)
-        b = partition_indices(20, 3, shuffle=True, seed=1)
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
-
-    def test_shuffle_still_partitions(self):
-        blocks = partition_indices(20, 3, shuffle=True, seed=0)
-        combined = sorted(np.concatenate(blocks).tolist())
-        assert combined == list(range(20))
-
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             partition_indices(-1, 2)

@@ -264,6 +264,8 @@ class TestIngestPipeline:
                 pipeline.append(delta(add_assocs=[[0, 10_000, 1.0]]))
             with pytest.raises(ValueError, match="finite"):
                 pipeline.append(delta(add_assocs=[[0, 1, float("nan")]]))
+            with pytest.raises(ValueError, match="must be integers"):
+                pipeline.append(GraphDelta(add_edges=np.array([[0.7, 1.0]])))
             with pytest.raises(ValueError, match="no events"):
                 pipeline.append(delta())
             assert pipeline.lsn_durable == 0  # nothing slipped through
@@ -757,6 +759,14 @@ class TestHttpUpsert:
             client.upsert(add_edges=[[0, 10_000]])
         assert excinfo.value.status == 400
         assert excinfo.value.code == "invalid_request"
+
+    def test_fractional_node_id_maps_to_400(self, serving):
+        pipeline, _, client = serving
+        with pytest.raises(ApiError) as excinfo:  # a raw body: the client casts to int64
+            client._request("POST", protocol.UPSERT, {"add_edges": [[0.7, 1.0]]})
+        assert excinfo.value.status == 400
+        assert excinfo.value.code == "invalid_request"
+        assert pipeline.lsn_durable == 0  # not logged as edge (0, 1)
 
     def test_malformed_upsert_body_400(self, serving):
         pipeline, _, client = serving

@@ -1,9 +1,8 @@
 """Tests for repro.utils.rng."""
 
 import numpy as np
-import pytest
 
-from repro.utils.rng import ensure_rng, spawn_rngs
+from repro.utils.rng import ensure_rng
 
 
 def test_ensure_rng_from_int_is_deterministic():
@@ -19,25 +18,3 @@ def test_ensure_rng_passthrough_generator():
 
 def test_ensure_rng_none_gives_generator():
     assert isinstance(ensure_rng(None), np.random.Generator)
-
-
-def test_spawn_rngs_count_and_independence():
-    children = spawn_rngs(0, 4)
-    assert len(children) == 4
-    draws = [c.integers(0, 2**31) for c in children]
-    assert len(set(draws)) > 1  # streams differ
-
-
-def test_spawn_rngs_reproducible():
-    a = [g.integers(0, 2**31) for g in spawn_rngs(5, 3)]
-    b = [g.integers(0, 2**31) for g in spawn_rngs(5, 3)]
-    assert a == b
-
-
-def test_spawn_rngs_zero():
-    assert spawn_rngs(0, 0) == []
-
-
-def test_spawn_rngs_negative_raises():
-    with pytest.raises(ValueError):
-        spawn_rngs(0, -1)
