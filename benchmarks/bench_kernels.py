@@ -10,9 +10,10 @@ the seed implementations they replaced:
   and parallel).  The B=1 objective must agree with the frozen seed sweep
   to 1e-9 relative (same update order, re-associated arithmetic), and a
   full run must keep B=1 at >= 5x the seed sweep.
-- ``propagation``     — the Eq. (6) recurrence: per-hop allocation vs the
-  row-blocked ping-pong kernel at 1 and 2 threads, which must return the
-  allocating loop's bits (``array_equal``) at both.
+- ``propagation``     — the Eq. (6) recurrence: per-hop allocation vs
+  APMI's attribute-block kernel (``affinity.propagate_blocks``) at 1 and 2
+  threads, which must return the allocating loop's bits (``array_equal``)
+  at both.
 - ``worker_pool``     — many small parallel phases: ephemeral
   ``ThreadPoolExecutor`` per call vs one persistent ``WorkerPool``.
 
@@ -49,7 +50,7 @@ import scipy
 
 from repro.core.affinity import iterations_for_epsilon
 from repro.core.greedy_init import InitState, random_init
-from repro.core.kernels import propagate_recurrence
+from repro.core.affinity import block_buffers, propagate_blocks
 from repro.core.svd_ccd import cached_objective, refine
 from repro.parallel.executor import run_blocks
 from repro.parallel.pool import WorkerPool
@@ -181,26 +182,28 @@ def bench_ccd(n: int, d: int, k: int, sweeps: int, block_size: int, n_threads: i
 
 
 def bench_propagation(n: int, d: int, t: int, alpha: float, density: float = 2e-3):
-    """Time the Eq. (6) recurrence: allocating loop vs the row-blocked kernel."""
+    """Time the Eq. (6) recurrence: allocating loop vs the attribute-block kernel."""
     import scipy.sparse as sp
 
-    rng = np.random.default_rng(0)
     transition = sp.random(n, n, density=density, format="csr", random_state=0)
-    p0 = rng.random((n, d))
+    seed = sp.random(n, d, density=0.05, format="csc", random_state=1)
 
     start = time.perf_counter()
-    expected = seed_propagation(transition, p0, alpha, t)
+    expected = seed_propagation(transition, seed.toarray(), alpha, t)
     seed_seconds = time.perf_counter() - start
     results = {"seed_allocating": {"seconds": seed_seconds}}
     for name, n_threads in (("kernel_pingpong", 1), ("kernel_pingpong_parallel", 2)):
+        produced = np.empty((n, d))
         with WorkerPool(n_threads) as pool:
             start = time.perf_counter()
-            produced = propagate_recurrence(
-                transition, p0.copy(), alpha, t, n_threads=n_threads, pool=pool
+            propagate_blocks(
+                transition, seed, alpha, t,
+                lambda block, columns: np.copyto(produced[:, columns], block),
+                block_buffers(n, d, n_threads), n_threads=n_threads, pool=pool,
             )
             seconds = time.perf_counter() - start
-        # Same arithmetic in the same order for every row, whichever span
-        # and tile it falls in: the bits of the allocating loop.
+        # Same column-wise arithmetic in the same order for every column,
+        # whichever block and thread it falls in: the allocating loop's bits.
         assert np.array_equal(produced, expected), name
         results[name] = {
             "seconds": seconds,

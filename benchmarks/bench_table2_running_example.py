@@ -9,7 +9,7 @@ comparable but not identical.
 
 import numpy as np
 
-from repro.core.affinity import exact_affinity
+from repro.core.affinity import exact_affinity, exact_probabilities
 from repro.eval.paper_numbers import TABLE2_FORWARD as PAPER_FORWARD
 from repro.eval.reporting import format_table
 from repro.graph.random_walks import WalkSimulator
@@ -55,7 +55,7 @@ def test_table2_monte_carlo_agreement(benchmark, report):
         rounds=1,
         iterations=1,
     )
-    exact = exact_affinity(graph, alpha=0.15).forward_probabilities
+    exact, _ = exact_probabilities(graph, alpha=0.15)
     from repro.utils.sparse import dense_row_normalize
 
     agreement = np.abs(empirical - dense_row_normalize(exact)).max()

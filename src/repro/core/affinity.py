@@ -11,19 +11,24 @@ the recurrence of Alg. 2 lines 3–5 in O(m·d·t) time.
 ``2^F′ − 1``, and base-2 reproduces the paper's Table 2 running-example
 values (e.g. the v6/r3 entry 2.05).
 
-The Eq. (6) recurrence runs through the one ping-pong kernel
-:func:`repro.core.kernels.propagate_recurrence` on two ``n × d`` buffers
-per direction that :func:`apmi` owns; the SPMI normalization of Eq. (7)
-then writes ``F′`` / ``B′`` into the spare buffer of the pair, so a
-direction costs three ``n × d`` arrays and no temporary.  With
-``n_threads > 1`` both steps split over row spans of their *output* —
-that call is PAPMI (:func:`papmi`) — and return the same bits regardless.
+APMI runs on blocks of ``w = _BLOCK_COLUMNS`` attribute columns, PAPMI's
+attribute split (Alg. 6), at every thread count: a block densifies its
+columns of ``Rr`` (``Rc``) and runs all ``t`` hops in a per-thread
+``3·n·w`` buffer (:func:`block_probabilities`), so the hops stay in cache.
+Forward SPMI (Eq. 7) normalizes columns, so a block goes straight into
+``F′``'s columns; backward SPMI needs whole rows, so the blocks' walk
+probabilities fill ``B′`` and its rows are normalized in place.  Threads
+take blocks by a fixed rule, one dispatch per direction and no barrier per
+hop.  Every operation is column-wise, so ``F′``/``B′`` are the bits of the
+full-width recurrence at every thread count (Lemma 4.1), and APMI holds
+two ``n × d`` arrays instead of five.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -34,6 +39,11 @@ from repro.parallel.executor import run_blocks
 from repro.parallel.partitioning import partition_spans
 from repro.parallel.pool import WorkerPool
 from repro.utils.validation import check_probability
+
+#: Attribute columns per APMI block (``w``): a block's three ``n × w``
+#: buffers are a thread's whole working set for its ``t`` hops.  Measured
+#: over {16, 32, 64, 128} in ``docs/PERFORMANCE.md``.
+_BLOCK_COLUMNS = 32
 
 
 def iterations_for_epsilon(epsilon: float, alpha: float) -> int:
@@ -59,47 +69,125 @@ class AffinityPair:
         ``F′`` — dense ``n × d`` approximate forward affinity.
     backward:
         ``B′`` — dense ``n × d`` approximate backward affinity.
-    forward_probabilities / backward_probabilities:
-        The un-normalized truncated walk probabilities ``P_f^(t)`` /
-        ``P_b^(t)`` (kept for the Lemma 3.1 accuracy checks).
+
+    The walk probabilities behind them come from :func:`apmi_probabilities`
+    (:func:`exact_probabilities` for :func:`exact_affinity`).
     """
 
     forward: np.ndarray
     backward: np.ndarray
-    forward_probabilities: np.ndarray
-    backward_probabilities: np.ndarray
 
 
-def _spmi_into(
-    probabilities: np.ndarray,
-    out: np.ndarray,
-    axis: int,
-    *,
-    n_threads: int = 1,
-    pool: WorkerPool | None = None,
-) -> np.ndarray:
+def _spmi_into(probabilities: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
     """SPMI normalization of Eq. (7): ``out ← log2(1 + m·P / sums)``.
 
     ``axis=0`` normalizes columns, ``m = n`` (forward affinity); ``axis=1``
     rows, ``m = d`` (backward); all-zero rows/columns stay zero.  The sums
-    are taken once; the elementwise part runs over ``n_threads`` row spans
-    in row tiles written straight into ``out`` — the same operations in
-    the same order whatever the split.
+    are taken once, then the elementwise part runs in row tiles written
+    straight into ``out`` — which may be ``probabilities`` itself or a
+    column block of a wider array.
     """
-    n, d = probabilities.shape
     sums = probabilities.sum(axis=axis, keepdims=True)
-    safe = np.broadcast_to(np.where(sums == 0, 1.0, sums), (n, d))
-
-    def normalize(_: int, span: slice) -> None:
-        for rows in row_tiles(span, d):
-            tile = out[rows]
-            np.divide(probabilities[rows], safe[rows], out=tile)
-            tile *= probabilities.shape[axis]
-            tile += 1.0
-            np.log2(tile, out=tile)
-
-    run_blocks(normalize, partition_spans(n, n_threads), n_threads=n_threads, pool=pool)
+    safe = np.broadcast_to(np.where(sums == 0, 1.0, sums), probabilities.shape)
+    for rows in row_tiles(slice(0, probabilities.shape[0]), probabilities.shape[1]):
+        tile = out[rows]
+        np.divide(probabilities[rows], safe[rows], out=tile)
+        tile *= probabilities.shape[axis]
+        tile += 1.0
+        np.log2(tile, out=tile)
     return out
+
+
+def _column_blocks(d: int) -> list[slice]:
+    """``_BLOCK_COLUMNS``-wide blocks of ``range(d)``; a 1-wide tail joins the one before.
+
+    A 1-wide block's column sum is a contiguous reduction, which numpy adds
+    pairwise; a wider block adds its rows in order, as a full-width sum does.
+    """
+    bounds = [*range(0, d, _BLOCK_COLUMNS), d]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _operands(graph: AttributedGraph, dangling: str):
+    """``((T, Rr), (Tᵀ, Rc))``: what the forward and backward walks propagate."""
+    transition = random_walk_matrix(graph, dangling=dangling)
+    rr, rc = normalized_attribute_matrices(graph)
+    return (transition, rr.tocsc()), (transition.T.tocsr(), rc.tocsc())
+
+
+def _truncation(alpha: float, epsilon: float, n_iterations: int | None):
+    """``(α, t)``, validated; ``t`` from ``epsilon`` unless given."""
+    alpha = check_probability(alpha, "alpha")
+    if n_iterations is None:
+        n_iterations = iterations_for_epsilon(epsilon, alpha)
+    return alpha, n_iterations
+
+
+def block_probabilities(
+    matrix,
+    attributes,
+    columns: slice,
+    alpha: float,
+    t: int,
+    buffer: np.ndarray | None = None,
+) -> np.ndarray:
+    """Truncated walk probabilities ``P^(t)[:, columns]`` of one attribute block.
+
+    ``matrix`` is ``T`` (forward) or ``Tᵀ`` (backward) and ``attributes``
+    ``Rr`` (``Rc``).  The block's columns are densified into the first
+    third of ``buffer`` (at least ``3·n·width`` floats; allocated if
+    ``None``) as the restart term, and the ``t`` hops of Eq. (6) ping-pong
+    in the other two thirds.  Returns an ``n × width`` view into
+    ``buffer``.  :func:`apmi`'s block loop calls this; over every column at
+    once it gives the full ``P^(t)`` (:func:`apmi_probabilities`).
+    """
+    n, width = matrix.shape[0], columns.stop - columns.start
+    if buffer is None:
+        buffer = np.empty(3 * n * width)
+    restart, current, scratch = (
+        buffer[part * n * width : (part + 1) * n * width].reshape(n, width)
+        for part in range(3)
+    )
+    attributes[:, columns].toarray(out=restart)
+    # Initializing with α·Rr makes the recurrence compute Eq. (6)'s
+    # truncated series exactly (the printed Alg. 2 seeds with Rr, which
+    # overweights the final hop and would break Lemma 3.1's lower bound).
+    return propagate_recurrence(matrix, restart, alpha, t, buffers=(current, scratch))
+
+
+def block_buffers(n: int, d: int, n_threads: int) -> list[np.ndarray]:
+    """One ``3·n·w`` buffer per thread that gets a block (:func:`block_probabilities`)."""
+    blocks = _column_blocks(d)
+    width = max((columns.stop - columns.start for columns in blocks), default=0)
+    return [np.empty(3 * n * width) for _ in range(min(n_threads, len(blocks)))]
+
+
+def propagate_blocks(
+    matrix,
+    attributes,
+    alpha: float,
+    t: int,
+    write: Callable[[np.ndarray, slice], object],
+    buffers: list[np.ndarray],
+    *,
+    n_threads: int = 1,
+    pool: WorkerPool | None = None,
+) -> None:
+    """Every attribute block's ``t`` hops, each handed to ``write(P_block, columns)``.
+
+    Thread ``j`` of ``T`` takes blocks ``j, j + T, …`` in one dispatch and
+    runs them in ``buffers[j]`` (:func:`block_buffers`); ``P_block`` is a
+    view into it, valid until ``write`` returns.
+    """
+    blocks = _column_blocks(attributes.shape[1])
+
+    def work(worker: int, buffer: np.ndarray) -> None:
+        for columns in blocks[worker :: len(buffers)]:
+            write(block_probabilities(matrix, attributes, columns, alpha, t, buffer), columns)
+
+    run_blocks(work, buffers, n_threads=n_threads, pool=pool)
 
 
 def apmi(
@@ -127,34 +215,58 @@ def apmi(
     dangling:
         Dangling-node policy for the random-walk matrix.
     n_threads, pool:
-        Row spans to split each hop and the normalization over, and the
-        persistent pool to run them on; the result depends on neither.
+        Threads to share the attribute blocks (and the backward rows'
+        normalization) between, and the persistent pool to run them on;
+        the result depends on neither.
 
     Returns
     -------
-    AffinityPair with ``F′``, ``B′`` and the underlying probabilities.
+    AffinityPair with ``F′`` and ``B′``.
     """
-    alpha = check_probability(alpha, "alpha")
-    t = n_iterations if n_iterations is not None else iterations_for_epsilon(epsilon, alpha)
-    transition = random_walk_matrix(graph, dangling=dangling)
-    rr, rc = normalized_attribute_matrices(graph)
+    alpha, t = _truncation(alpha, epsilon, n_iterations)
+    forward_operands, backward_operands = _operands(graph, dangling)
+    n, d = graph.n_nodes, graph.n_attributes
+    # The block buffers before F′ and B′: once malloc serves n × d arrays
+    # from its heap (after the first one is freed), F′ and B′ then sit at
+    # the heap's top, and it shrinks when the fit drops them.
+    buffers = block_buffers(n, d, n_threads)
+    forward, backward = np.empty((n, d)), np.empty((n, d))
+    for operands, write in (
+        (forward_operands, lambda p, columns: _spmi_into(p, forward[:, columns], 0)),
+        (backward_operands, lambda p, columns: np.copyto(backward[:, columns], p)),
+    ):
+        propagate_blocks(*operands, alpha, t, write, buffers, n_threads=n_threads, pool=pool)
+    run_blocks(
+        lambda _, rows: _spmi_into(backward[rows], backward[rows], 1),
+        partition_spans(n, n_threads),
+        n_threads=n_threads,
+        pool=pool,
+    )
+    return AffinityPair(forward, backward)
 
-    def direction(matrix, attributes, axis: int) -> tuple[np.ndarray, np.ndarray]:
-        # Initializing with α·Rr makes the recurrence compute Eq. (6)'s
-        # truncated series exactly (the printed Alg. 2 seeds with Rr, which
-        # overweights the final hop and would break Lemma 3.1's lower bound).
-        restart = attributes.toarray()
-        buffers = np.empty_like(restart), np.empty_like(restart)
-        probabilities = propagate_recurrence(
-            matrix, restart, alpha, t, buffers=buffers, n_threads=n_threads, pool=pool
-        )
-        spare = buffers[1] if probabilities is buffers[0] else buffers[0]
-        affinity = _spmi_into(probabilities, spare, axis, n_threads=n_threads, pool=pool)
-        return affinity, probabilities
 
-    forward, pf = direction(transition, rr, 0)
-    backward, pb = direction(transition.T.tocsr(), rc, 1)
-    return AffinityPair(forward, backward, pf, pb)
+def apmi_probabilities(
+    graph: AttributedGraph,
+    alpha: float = 0.5,
+    epsilon: float = 0.015,
+    *,
+    n_iterations: int | None = None,
+    dangling: str = "zero",
+) -> tuple[np.ndarray, np.ndarray]:
+    """The truncated walk probabilities ``(P_f^(t), P_b^(t))`` :func:`apmi` normalizes.
+
+    :func:`block_probabilities` over one block of every column: each
+    column's arithmetic is the same as in :func:`apmi`'s blocks, so these
+    are the bits APMI's SPMI reads.  Two ``n × d`` arrays — for the
+    Lemma 3.1 checks and small graphs, not for a fit.
+    """
+    alpha, t = _truncation(alpha, epsilon, n_iterations)
+    every = slice(0, graph.n_attributes)
+    pf, pb = (
+        block_probabilities(matrix, attributes, every, alpha, t).copy()
+        for matrix, attributes in _operands(graph, dangling)
+    )
+    return pf, pb
 
 
 def papmi(
@@ -167,20 +279,46 @@ def papmi(
     dangling: str = "zero",
     pool: WorkerPool | None = None,
 ) -> AffinityPair:
-    """PAPMI (Algorithm 6): :func:`apmi` over ``n_threads`` row spans.
+    """PAPMI (Algorithm 6): :func:`apmi`'s attribute blocks over ``n_threads``.
 
-    The paper splits the *attribute* set into blocks and runs APMI on each
-    column block of ``Rr`` / ``Rc``; that needs a copy of every block,
-    per-block buffers, a narrower SpMM per non-zero and two concatenations,
-    and measured slower at two threads than APMI at one.  With row spans
-    every output row is produced by the same instruction sequence whichever
-    span owns it, so PAPMI equals APMI bit for bit at every thread count
-    (Lemma 4.1); the cost is one barrier per hop.
+    Blocks are ``_BLOCK_COLUMNS`` wide whatever the thread count and are
+    written straight into ``F′``'s (``B′``'s) columns: no block copies and
+    no concatenation.  Equals APMI bit for bit (Lemma 4.1).
     """
     return apmi(
         graph, alpha, epsilon, n_iterations=n_iterations, dangling=dangling,
         n_threads=n_threads, pool=pool,
     )
+
+
+def exact_probabilities(
+    graph: AttributedGraph,
+    alpha: float = 0.5,
+    *,
+    tolerance: float = 1e-12,
+    max_terms: int = 10_000,
+    dangling: str = "zero",
+) -> tuple[np.ndarray, np.ndarray]:
+    """The walk probabilities ``(P_f, P_b)`` via the full power series of Eq. (5).
+
+    Sums ``α Σ (1−α)^ℓ Pℓ Rr`` until the scalar tail drops below
+    ``tolerance``.  O(m·d) per term — use on small graphs (tests, Table 2).
+    """
+    alpha = check_probability(alpha, "alpha")
+
+    def series(matrix, attributes) -> np.ndarray:
+        term = attributes.toarray()
+        total, weight = alpha * term, alpha
+        for _ in range(max_terms):
+            weight *= 1.0 - alpha
+            if weight < tolerance:
+                break
+            term = np.asarray(matrix @ term)
+            total += weight * term
+        return total
+
+    pf, pb = (series(*operands) for operands in _operands(graph, dangling))
+    return pf, pb
 
 
 def exact_affinity(
@@ -191,29 +329,8 @@ def exact_affinity(
     max_terms: int = 10_000,
     dangling: str = "zero",
 ) -> AffinityPair:
-    """Exact affinity matrices via the full power series of Eq. (5).
-
-    Sums ``α Σ (1−α)^ℓ Pℓ Rr`` until the scalar tail drops below
-    ``tolerance``.  O(m·d) per term — use on small graphs (tests, Table 2).
-    """
-    alpha = check_probability(alpha, "alpha")
-    transition = random_walk_matrix(graph, dangling=dangling)
-    rr, rc = normalized_attribute_matrices(graph)
-    term_f = rr.toarray()
-    term_b = rc.toarray()
-    pf = alpha * term_f
-    pb = alpha * term_b
-    transition_t = transition.T.tocsr()
-    weight = alpha
-    for _ in range(max_terms):
-        weight *= 1.0 - alpha
-        if weight < tolerance:
-            break
-        term_f = np.asarray(transition @ term_f)
-        term_b = np.asarray(transition_t @ term_b)
-        pf += weight * term_f
-        pb += weight * term_b
-
-    forward = _spmi_into(pf, np.empty_like(pf), 0)
-    backward = _spmi_into(pb, np.empty_like(pb), 1)
-    return AffinityPair(forward, backward, pf, pb)
+    """Exact affinity matrices: SPMI (Eq. 7) of :func:`exact_probabilities`."""
+    pf, pb = exact_probabilities(
+        graph, alpha, tolerance=tolerance, max_terms=max_terms, dangling=dangling
+    )
+    return AffinityPair(_spmi_into(pf, pf, 0), _spmi_into(pb, pb, 1))

@@ -37,6 +37,9 @@ class PANEEmbedding:
         Per-phase wall-clock seconds (``affinity``, ``init``, ``ccd``).
     objective:
         Final value of the Eq. (4) objective, if it was computed.
+
+    ``n × k`` floats in all; the affinities ``F′``, ``B′`` (``n × d`` each,
+    the fit's only ``n × d`` arrays) are dropped when the fit returns.
     """
 
     x_forward: np.ndarray

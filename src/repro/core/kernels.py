@@ -85,10 +85,11 @@ dispatch per :func:`ccd_sweep`, two per :func:`ccd_sweeps` (one from a Gram
 start).
 
 Eq. (6) propagation: :func:`propagate_recurrence` is the one evaluator
-behind APMI and PAPMI — a hop is one dispatch over row spans of the
-*output*, on two caller-owned ping-pong buffers, bit-identical for every
-thread count — with :func:`spmm_into` writing rows of a CSR·dense product
-straight into the output buffer.
+behind APMI and PAPMI — the ``t`` hops of one attribute block on two
+caller-owned ``n × w`` ping-pong buffers, serial, on the thread that owns
+the block (:mod:`repro.core.affinity` deals the blocks out) — with
+:func:`spmm_into` writing a CSR·dense product straight into the output
+buffer.
 
 See ``docs/PERFORMANCE.md`` for measurements and the
 ``benchmarks/bench_kernels.py`` record format.
@@ -127,25 +128,17 @@ except ImportError:  # pragma: no cover - depends on scipy build
 # ---------------------------------------------------------------------------
 
 
-def spmm_into(
-    matrix, dense: np.ndarray, out: np.ndarray, rows: slice | None = None
-) -> np.ndarray:
-    """``out[rows] ← (matrix @ dense)[rows]`` without allocating the product.
+def spmm_into(matrix, dense: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out ← matrix @ dense`` without allocating the product.
 
-    ``rows`` (default: all) is a contiguous row range.  The CSR fast path
-    hands scipy's kernel ``indptr[r0:r1+1]``, which indexes the full
-    ``indices``/``data``, so nothing is sliced or copied, and writes
-    straight into ``out`` (bit-identical to ``matrix @ dense``, the same
-    kernel); any other matrix type or memory layout falls back to an
-    allocating product copied into ``out[rows]``.
+    The CSR fast path runs scipy's own kernel straight into ``out``
+    (bit-identical to ``matrix @ dense``); any other matrix type or memory
+    layout falls back to an allocating product copied into ``out``.
     """
     if matrix.shape[1] != dense.shape[0] or out.shape != (matrix.shape[0], dense.shape[1]):
         raise ValueError(
             f"shape mismatch: {matrix.shape} @ {dense.shape} -> {out.shape}"
         )
-    if rows is None:
-        rows = slice(0, matrix.shape[0])
-    target = out[rows]
     if (
         _HAVE_CSR_MATVECS
         and sp.issparse(matrix)
@@ -156,37 +149,20 @@ def spmm_into(
         and dense.flags.c_contiguous
         and out.flags.c_contiguous
     ):
-        target.fill(0.0)
+        out.fill(0.0)
         _sparsetools.csr_matvecs(
-            rows.stop - rows.start,
+            matrix.shape[0],
             matrix.shape[1],
             dense.shape[1],
-            matrix.indptr[rows.start : rows.stop + 1],
+            matrix.indptr,
             matrix.indices,
             matrix.data,
             dense.ravel(),
-            target.ravel(),
+            out.ravel(),
         )
         return out
-    np.copyto(target, np.asarray(matrix[rows] @ dense))
+    np.copyto(out, np.asarray(matrix @ dense))
     return out
-
-
-def _work_spans(matrix, n_blocks: int) -> list[slice]:
-    """Row spans of about equal propagation work, read off ``indptr``.
-
-    A row of a hop costs one ``d``-wide axpy per non-zero plus about two
-    more for the fill, scale and restart passes.  Rows of ``Tᵀ`` follow the
-    in-degree distribution — power-law, and sorted by node id in generated
-    graphs — so equal row counts can leave one span nearly all the SpMM.
-    """
-    n = matrix.shape[0]
-    if n_blocks == 1 or not (sp.issparse(matrix) and matrix.format == "csr"):
-        return partition_spans(n, n_blocks)
-    work = matrix.indptr + 2 * np.arange(n + 1)
-    cuts = np.searchsorted(work, np.linspace(0, work[-1], n_blocks + 1)[1:-1])
-    bounds = [0, *cuts.tolist(), n]
-    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
 
 def propagate_recurrence(
@@ -196,26 +172,21 @@ def propagate_recurrence(
     t: int,
     *,
     buffers: tuple[np.ndarray, np.ndarray] | None = None,
-    n_threads: int = 1,
-    pool: "WorkerPool | None" = None,
 ) -> np.ndarray:
     """Evaluate the Alg. 2 recurrence ``p ← (1−α)·T·p + α·p0`` for ``t`` hops.
 
     Starting from ``p = α·p0``, this computes Eq. (6)'s truncated series
     exactly (seeding with ``α·Rr`` rather than the printed ``Rr`` — see
-    :func:`repro.core.affinity.apmi`), ping-ponging between two
-    preallocated buffers.  A hop is one dispatch over ``n_threads`` row
-    spans of the *output*: each span accumulates ``T[rows]·p``, scales it
-    and adds its rows of the restart term — four calls per span, because
-    scipy's SpMM holds the GIL and every further call is one more hand-off
-    between the spans (tiling the span measured slower).  Every row goes
-    through the same instruction sequence whichever span owns it, so the
-    result is bit-identical for every thread count.
+    :func:`repro.core.affinity.block_probabilities`), ping-ponging between
+    two preallocated buffers.  Serial: APMI runs it once per attribute
+    block, on the thread that owns the block.  Every operation is
+    column-wise, so a column's bits do not depend on which columns share
+    its block.
 
     ``p0`` is scaled by ``alpha`` **in place** and serves as the constant
-    restart term, so the caller must own it (both call sites densify a
-    sparse seed immediately before calling).  Returns one of the two
-    propagation buffers; ``p0`` holds ``α·p0`` afterwards.
+    restart term, so the caller must own it (APMI densifies a block of the
+    sparse seed into it immediately before calling).  Returns one of the
+    two propagation buffers; ``p0`` holds ``α·p0`` afterwards.
     """
     p0 *= alpha
     if buffers is None:
@@ -224,15 +195,10 @@ def propagate_recurrence(
         current, scratch = buffers
     np.copyto(current, p0)
     decay = 1.0 - alpha
-    spans = _work_spans(transition, n_threads)
     for _ in range(t):
-
-        def hop(_: int, rows: slice, source=current, target=scratch) -> None:
-            spmm_into(transition, source, target, rows)
-            target[rows] *= decay
-            target[rows] += p0[rows]
-
-        run_blocks(hop, spans, n_threads=n_threads, pool=pool)
+        spmm_into(transition, current, scratch)
+        scratch *= decay
+        scratch += p0
         current, scratch = scratch, current
     return current
 

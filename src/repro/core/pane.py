@@ -20,7 +20,9 @@ accuracy cost the paper quantifies in Sec. 5.5–5.6.
 Performance notes: ``fit`` acquires one persistent
 :class:`~repro.parallel.pool.WorkerPool` and threads it through every
 parallel phase (the seed tore down two thread pools per CCD sweep).
-After APMI a fit reads ``F′``/``B′`` twice, however many power
+APMI runs in attribute blocks (:mod:`repro.core.affinity`), so the only
+``n × d`` arrays a fit holds are ``F′`` and ``B′``, beside ``3·n·32``
+floats of block buffers per thread.  After APMI a fit reads ``F′``/``B′`` twice, however many power
 iterations and sweeps it runs: the init sums their Grams ``F′ᵀF′``,
 ``B′ᵀB′`` over row spans and takes ``Y`` from ``F′ᵀF′`` on the ``d`` side
 (:func:`repro.core.greedy_init.gram_start`); CCD starts from

@@ -690,7 +690,7 @@ class ServingClient:
         returning rows that mix versions.
         """
         start = time.perf_counter()
-        nodes = np.asarray(nodes, dtype=np.intp).ravel()
+        nodes = np.asarray(nodes)  # uncast: the server's validator decides
         if nodes.size == 0:
             raise ValueError("batch_top_k needs at least one node")
 
@@ -781,23 +781,17 @@ class ServingClient:
         LSNs are fsync'd before the ack is sent.  Arrays ride the
         binary frame format when negotiated, JSON otherwise.
         """
-        arrays: dict[str, np.ndarray] = {}
-        if add_edges is not None:
-            arrays["add_edges"] = np.asarray(
-                add_edges, dtype=np.int64
-            ).reshape(-1, 2)
-        if remove_edges is not None:
-            arrays["remove_edges"] = np.asarray(
-                remove_edges, dtype=np.int64
-            ).reshape(-1, 2)
-        if add_associations is not None:
-            arrays["add_associations"] = np.asarray(
-                add_associations, dtype=np.float64
-            ).reshape(-1, 3)
-        if remove_associations is not None:
-            arrays["remove_associations"] = np.asarray(
-                remove_associations, dtype=np.int64
-            ).reshape(-1, 2)
+        # Sent as given, uncast: the server's GraphDelta.check decides what
+        # an id is, so [[0.7, 1.0]] gets the 400 its raw body would.
+        changes = {
+            "add_edges": add_edges,
+            "remove_edges": remove_edges,
+            "add_associations": add_associations,
+            "remove_associations": remove_associations,
+        }
+        arrays = {
+            name: np.asarray(rows) for name, rows in changes.items() if rows is not None
+        }
         if not arrays:
             raise ValueError("upsert requires at least one change")
         return self._request(

@@ -164,6 +164,38 @@ def greedy_init_reference():
     return _greedy_init_reference
 
 
+def _apmi_reference(graph, alpha=0.5, epsilon=0.015, *, n_iterations=None, dangling="zero"):
+    """APMI (Alg. 2) full width, as it ran before it moved to attribute blocks.
+
+    Densifies all of ``Rr``/``Rc``, runs the ``t`` hops of Eq. (6) on
+    ``n × d`` arrays, then SPMI-normalizes (Eq. 7) all columns (forward) or
+    rows (backward) at once; the ground truth ``apmi``'s blocks must match
+    bit for bit.  Returns ``(F′, B′)``.
+    """
+    from repro.core.affinity import iterations_for_epsilon
+    from repro.graph.matrices import normalized_attribute_matrices, random_walk_matrix
+
+    t = n_iterations if n_iterations is not None else iterations_for_epsilon(epsilon, alpha)
+    transition = random_walk_matrix(graph, dangling=dangling)
+    rr, rc = normalized_attribute_matrices(graph)
+
+    def direction(matrix, attributes, axis):
+        restart = alpha * attributes.toarray()
+        p = restart.copy()
+        for _ in range(t):
+            p = (1.0 - alpha) * np.asarray(matrix @ p) + restart
+        sums = p.sum(axis=axis, keepdims=True)
+        return np.log2(1.0 + p.shape[axis] * (p / np.where(sums == 0, 1.0, sums)))
+
+    return direction(transition, rr, 0), direction(transition.T.tocsr(), rc, 1)
+
+
+@pytest.fixture(scope="session")
+def apmi_reference():
+    """``apmi_reference(graph, alpha, epsilon, n_iterations=, dangling=)`` → ``(F′, B′)``."""
+    return _apmi_reference
+
+
 def _select_band_reference(scores, k, dim):
     """``select_band`` as it ran before it stopped partitioning whole rows.
 

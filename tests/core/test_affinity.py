@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.affinity import apmi, exact_affinity, iterations_for_epsilon
+from repro.core.affinity import (
+    apmi,
+    apmi_probabilities,
+    exact_affinity,
+    exact_probabilities,
+    iterations_for_epsilon,
+)
 
 
 class TestIterationsForEpsilon:
@@ -40,20 +46,18 @@ class TestApmiStructure:
         assert pair.backward.min() >= 0.0
 
     def test_probabilities_within_unit(self, sbm_graph):
-        pair = apmi(sbm_graph)
-        assert pair.forward_probabilities.min() >= 0.0
-        assert pair.forward_probabilities.max() <= 1.0 + 1e-12
+        pf, _ = apmi_probabilities(sbm_graph)
+        assert pf.min() >= 0.0
+        assert pf.max() <= 1.0 + 1e-12
 
     def test_forward_rows_at_most_one(self, sbm_graph):
         # P_f rows are (sub-)distributions over attributes
-        pair = apmi(sbm_graph)
-        sums = pair.forward_probabilities.sum(axis=1)
-        assert np.all(sums <= 1.0 + 1e-9)
+        pf, _ = apmi_probabilities(sbm_graph)
+        assert np.all(pf.sum(axis=1) <= 1.0 + 1e-9)
 
     def test_backward_columns_at_most_one(self, sbm_graph):
-        pair = apmi(sbm_graph)
-        sums = pair.backward_probabilities.sum(axis=0)
-        assert np.all(sums <= 1.0 + 1e-9)
+        _, pb = apmi_probabilities(sbm_graph)
+        assert np.all(pb.sum(axis=0) <= 1.0 + 1e-9)
 
     def test_explicit_iterations_override(self, sbm_graph):
         a = apmi(sbm_graph, n_iterations=2)
@@ -62,7 +66,7 @@ class TestApmiStructure:
 
 
 class TestApmiMatchesSeedLoop:
-    """The tiled, buffer-reusing APMI returns the bits of the literal Alg. 2."""
+    """The blocked, buffer-reusing APMI returns the bits of the literal Alg. 2."""
 
     @pytest.mark.parametrize("alpha", [0.5, 0.3])
     def test_bit_identical_to_allocating_loop(self, citation, alpha):
@@ -86,8 +90,9 @@ class TestApmiMatchesSeedLoop:
         pb = seed_loop(transition.T.tocsr(), rc.toarray())
         n, d = pf.shape
         pair = apmi(citation, alpha=alpha, epsilon=0.05)
-        assert np.array_equal(pair.forward_probabilities, pf)
-        assert np.array_equal(pair.backward_probabilities, pb)
+        probabilities = apmi_probabilities(citation, alpha=alpha, epsilon=0.05)
+        assert np.array_equal(probabilities[0], pf)
+        assert np.array_equal(probabilities[1], pb)
         assert np.array_equal(
             pair.forward, np.log2(1.0 + n * dense_column_normalize(pf))
         )
@@ -96,23 +101,22 @@ class TestApmiMatchesSeedLoop:
         )
 
     def test_normalization_tiles_and_spans_do_not_change_a_bit(self, citation, monkeypatch):
-        """7-row tiles (uneven against n and the spans) on 3 threads: same F′, B′."""
-        from repro.core import kernels
+        """7-row tiles, 3-column blocks (uneven against n, d and the threads): same F′, B′."""
+        from repro.core import affinity, kernels
 
         expected = apmi(citation, epsilon=0.05)
         monkeypatch.setattr(kernels, "_TILE_BYTES", 7 * 8 * citation.n_attributes)
+        monkeypatch.setattr(affinity, "_BLOCK_COLUMNS", 3)
         produced = apmi(citation, epsilon=0.05, n_threads=3)
         assert np.array_equal(produced.forward, expected.forward)
         assert np.array_equal(produced.backward, expected.backward)
 
     def test_outputs_do_not_alias(self, sbm_graph):
-        """F′ is written into the spare ping-pong buffer, not over P_f."""
+        """F′ and B′ are two arrays, and neither is a view of a block buffer."""
         pair = apmi(sbm_graph)
-        arrays = [pair.forward, pair.backward,
-                  pair.forward_probabilities, pair.backward_probabilities]
-        for i, a in enumerate(arrays):
-            for b in arrays[i + 1:]:
-                assert not np.shares_memory(a, b)
+        assert not np.shares_memory(pair.forward, pair.backward)
+        for array in (pair.forward, pair.backward):
+            assert array.base is None and array.flags.c_contiguous
 
 
 class TestApmiConvergence:
@@ -130,7 +134,10 @@ class TestApmiConvergence:
         alpha, epsilon = 0.5, 0.05
         exact = exact_affinity(sbm_graph, alpha=alpha)
         approx = apmi(sbm_graph, alpha=alpha, epsilon=epsilon)
-        diff = exact.forward_probabilities - approx.forward_probabilities
+        diff = (
+            exact_probabilities(sbm_graph, alpha=alpha)[0]
+            - apmi_probabilities(sbm_graph, alpha=alpha, epsilon=epsilon)[0]
+        )
         assert diff.min() >= -1e-9
         assert diff.max() <= epsilon + 1e-9
 
@@ -146,7 +153,7 @@ class TestApmiConvergence:
         exact = exact_affinity(sbm_graph, alpha=alpha)
         approx = apmi(sbm_graph, alpha=alpha, epsilon=epsilon)
 
-        pf = exact.forward_probabilities
+        pf, _ = exact_probabilities(sbm_graph, alpha=alpha)
         numer = np.expm1(approx.forward * math.log(2))  # 2^F' - 1
         denom = np.expm1(exact.forward * math.log(2))  # 2^F - 1
         mask = denom > 1e-12
@@ -176,8 +183,8 @@ class TestExactAffinity:
     def test_attributeless_node_zero_forward_probability_row(self, tiny_graph):
         # node 3 has no attributes AND no out-edges: its walk never yields
         # an attribute, so its forward probability row is all zero
-        pair = exact_affinity(tiny_graph, alpha=0.5)
-        assert np.all(pair.forward_probabilities[3] == 0.0)
+        pf, _ = exact_probabilities(tiny_graph, alpha=0.5)
+        assert np.all(pf[3] == 0.0)
 
     def test_self_loop_dangling_policy(self, tiny_graph):
         pair = exact_affinity(tiny_graph, alpha=0.5, dangling="self")

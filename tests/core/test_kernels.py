@@ -64,23 +64,6 @@ class TestSpmmInto:
         spmm_into(matrix, dense, out)
         assert np.array_equal(out, dense)
 
-    def test_row_range_writes_only_its_rows(self):
-        """``rows=`` computes that slice of the product and leaves the rest."""
-        rng = np.random.default_rng(0)
-        matrix = sp.random(40, 40, density=0.2, format="csr", random_state=1)
-        dense = rng.random((40, 9))
-        expected = np.asarray(matrix @ dense)
-        for fmt in ("csr", "csc"):  # fast path and fallback
-            out = np.full((40, 9), 99.0)
-            spmm_into(matrix.asformat(fmt), dense, out, slice(7, 23))
-            assert np.allclose(out[7:23], expected[7:23], atol=1e-15)
-            if fmt == "csr":
-                assert np.array_equal(out[7:23], expected[7:23])
-            assert np.all(out[:7] == 99.0) and np.all(out[23:] == 99.0)
-        out = np.full((40, 9), 99.0)
-        spmm_into(matrix, dense, out, slice(5, 5))  # empty range: a no-op
-        assert np.all(out == 99.0)
-
     def test_shape_mismatch_raises(self):
         """Wrong-shaped buffers must raise, not corrupt the heap."""
         matrix = sp.identity(10, format="csr")
@@ -111,18 +94,23 @@ class TestPropagateRecurrence:
 
     @pytest.mark.parametrize("alpha", [0.5, 0.3])
     @pytest.mark.parametrize("n_threads", [2, 3, 40])
-    def test_threads_do_not_change_a_bit(self, alpha, n_threads):
-        """Row spans cut by ``indptr`` mass, more spans than rows: the seed loop's bits."""
+    def test_threads_do_not_change_a_bit(self, alpha, n_threads, apmi_reference, monkeypatch):
+        """Attribute blocks dealt to threads, more threads than blocks: the full-width bits."""
+        from repro.core import affinity
+        from repro.graph.attributed_graph import AttributedGraph
+
         rng = np.random.default_rng(2)
         # Skewed rows (a few hubs hold most non-zeros), as Tᵀ of a power-law graph.
-        dense = rng.random((25, 25)) * (rng.random((25, 1)) ** 4 > rng.random((25, 25)))
-        transition = sp.csr_matrix(dense)
-        p0 = rng.random((25, 6))
-        expected = self._seed_loop(transition, p0, alpha, 4)
-        produced = propagate_recurrence(
-            transition, p0.copy(), alpha, 4, n_threads=n_threads
+        adjacency = rng.random((25, 25)) * (rng.random((25, 1)) ** 4 > rng.random((25, 25)))
+        graph = AttributedGraph(
+            adjacency=sp.csr_matrix(adjacency),
+            attributes=sp.csr_matrix(rng.random((25, 7)) * (rng.random((25, 7)) < 0.5)),
         )
-        assert np.array_equal(produced, expected)
+        monkeypatch.setattr(affinity, "_BLOCK_COLUMNS", 2)  # 4 blocks, the last 1 wide
+        produced = apmi(graph, alpha, n_iterations=4, n_threads=n_threads)
+        expected = apmi_reference(graph, alpha, n_iterations=4)
+        assert np.array_equal(produced.forward, expected[0])
+        assert np.array_equal(produced.backward, expected[1])
 
     def test_scales_seed_in_place(self):
         transition = sp.identity(4, format="csr")
@@ -507,10 +495,25 @@ class TestNoLargeTemporaries:
         peak = self._peak(lambda: refine(state, 2))
         assert peak < 0.25 * self.n * self.d * 8
 
-    def test_apmi_peaks_below_six_matrices(self):
-        """Two outputs of one direction + three buffers of the other + sparse."""
+    @pytest.mark.parametrize("n_threads", [1, 2, 3])
+    def test_apmi_peak_within_block_budget(self, n_threads):
+        """``F′`` + ``B′`` + ``c = 3`` block buffers per thread + the sparse inputs.
+
+        A thread's block buffers are its densified ``Rr``/``Rc`` columns and
+        two ``n × w`` ping-pong buffers.  The sparse inputs are counted three
+        times: ``T`` and ``Tᵀ``, ``Rr``/``Rc`` in CSR and CSC, and the
+        column slices the threads densify from.  Full-width APMI holds about
+        five ``n × d`` arrays and fails this at every thread count.
+        """
+        from repro.core.affinity import _BLOCK_COLUMNS
         from repro.graph.generators import power_law_attributed
+        from repro.graph.matrices import normalized_attribute_matrices, random_walk_matrix
 
         graph = power_law_attributed(self.n, self.d, seed=0)
-        peak = self._peak(lambda: apmi(graph))
-        assert peak < 6 * self.n * self.d * 8
+        sparse = sum(
+            m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+            for m in (random_walk_matrix(graph), *normalized_attribute_matrices(graph))
+        )
+        peak = self._peak(lambda: apmi(graph, n_threads=n_threads))
+        budget = 2 * self.n * self.d * 8 + 3 * self.n * _BLOCK_COLUMNS * 8 * n_threads
+        assert peak <= budget + 3 * sparse

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.affinity import apmi, papmi
 
-_ARRAYS = ("forward", "backward", "forward_probabilities", "backward_probabilities")
+_ARRAYS = ("forward", "backward")
 
 
 def _assert_same_bits(serial, parallel):
@@ -24,13 +24,14 @@ class TestLemma41:
             _assert_same_bits(serial, parallel)
 
     def test_more_threads_than_attributes(self, tiny_graph):
-        """16 threads, 4 nodes, 3 attributes: empty spans are dropped."""
+        """16 threads, 4 nodes, 3 attributes: one block, empty spans are dropped."""
         serial = apmi(tiny_graph, epsilon=0.1)
         parallel = papmi(tiny_graph, epsilon=0.1, n_threads=16)
         _assert_same_bits(serial, parallel)
 
     def test_probabilities_identical(self, sbm_graph):
-        """On a persistent pool, as ``PANE.fit`` calls it."""
+        """On a persistent pool, as ``PANE.fit`` calls it: F′ and B′ (the
+        probabilities are not kept; ``apmi_probabilities`` is serial)."""
         from repro.parallel.pool import WorkerPool
 
         serial = apmi(sbm_graph, epsilon=0.05)

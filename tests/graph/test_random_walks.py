@@ -8,7 +8,7 @@ series probabilities that APMI computes.
 import numpy as np
 import pytest
 
-from repro.core.affinity import exact_affinity
+from repro.core.affinity import exact_probabilities
 from repro.graph.random_walks import WalkSimulator
 from repro.utils.sparse import dense_row_normalize
 
@@ -49,7 +49,7 @@ class TestConvergenceToClosedForm:
         alpha = 0.3
         sim = WalkSimulator(toy_graph, alpha=alpha, seed=1)
         empirical = sim.forward_probabilities(walks_per_node=3000)
-        exact = exact_affinity(toy_graph, alpha=alpha).forward_probabilities
+        exact = exact_probabilities(toy_graph, alpha=alpha)[0]
         # footnote-1 restarts renormalize each row over successful outcomes
         expected = dense_row_normalize(exact)
         assert np.allclose(empirical, expected, atol=0.04)
@@ -58,7 +58,7 @@ class TestConvergenceToClosedForm:
         alpha = 0.3
         sim = WalkSimulator(toy_graph, alpha=alpha, seed=2)
         empirical = sim.backward_probabilities(walks_per_attribute=3000)
-        exact = exact_affinity(toy_graph, alpha=alpha).backward_probabilities
+        exact = exact_probabilities(toy_graph, alpha=alpha)[1]
         # backward walks have no restart; columns are direct distributions
         assert np.allclose(
             empirical.sum(axis=0), exact.sum(axis=0), atol=0.05

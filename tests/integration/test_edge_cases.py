@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core.affinity import apmi
+from repro.core.affinity import apmi, apmi_probabilities
 from repro.core.pane import PANE
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.generators import attributed_sbm
@@ -52,11 +52,11 @@ class TestDegenerateGraphs:
         """Every node dangling: walks never move; 0-hop affinity only."""
         attributes = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         graph = _graph(np.zeros((3, 3)), attributes)
-        pair = apmi(graph, alpha=0.5, epsilon=0.1)
+        pf, _ = apmi_probabilities(graph, alpha=0.5, epsilon=0.1)
         # forward prob of owning node's attributes is its Rr row (times
         # the truncated restart mass)
-        assert pair.forward_probabilities[0, 0] > 0
-        assert pair.forward_probabilities[0, 1] == 0
+        assert pf[0, 0] > 0
+        assert pf[0, 1] == 0
 
     def test_self_loop_only_graph(self):
         adjacency = np.eye(4)

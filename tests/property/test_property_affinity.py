@@ -5,7 +5,12 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.affinity import apmi, exact_affinity, papmi
+from repro.core.affinity import (
+    apmi,
+    apmi_probabilities,
+    exact_probabilities,
+    papmi,
+)
 from repro.graph.attributed_graph import AttributedGraph
 
 
@@ -42,16 +47,10 @@ class TestAffinityInvariants:
     @settings(max_examples=30, deadline=None)
     def test_truncation_never_exceeds_exact(self, graph):
         """Inequalities (9)/(10): P^(t) ≤ P entrywise."""
-        exact = exact_affinity(graph, alpha=0.5)
-        approx = apmi(graph, alpha=0.5, epsilon=0.1)
-        assert np.all(
-            approx.forward_probabilities
-            <= exact.forward_probabilities + 1e-9
-        )
-        assert np.all(
-            approx.backward_probabilities
-            <= exact.backward_probabilities + 1e-9
-        )
+        exact = exact_probabilities(graph, alpha=0.5)
+        approx = apmi_probabilities(graph, alpha=0.5, epsilon=0.1)
+        for truncated, full in zip(approx, exact):
+            assert np.all(truncated <= full + 1e-9)
 
     @given(small_graphs(), st.integers(2, 5))
     @settings(max_examples=30, deadline=None)
@@ -65,8 +64,8 @@ class TestAffinityInvariants:
     @given(small_graphs())
     @settings(max_examples=30, deadline=None)
     def test_forward_probability_rows_subdistributions(self, graph):
-        pair = apmi(graph, epsilon=0.05)
-        row_sums = pair.forward_probabilities.sum(axis=1)
+        pf, _ = apmi_probabilities(graph, epsilon=0.05)
+        row_sums = pf.sum(axis=1)
         assert np.all(row_sums <= 1.0 + 1e-9)
 
     @given(small_graphs())

@@ -265,6 +265,17 @@ class TestValidation:
                 client._request("POST", protocol.TOPK_BATCH, body)
             assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("wire", ["json", "binary"])
+    def test_batch_sends_node_ids_as_given(self, server, wire):
+        """``[0.7, 1]`` is not the batch ``[0, 1]``: the server's validator rejects it."""
+        client = ServingClient(server.url, retries=0, wire=wire)
+        for nodes in ([0.7, 1], [1.0, 2.0]):
+            with pytest.raises(ApiError) as excinfo:
+                client.batch_top_k(nodes, 3)
+            assert excinfo.value.status == 400
+            assert excinfo.value.code == "invalid_request"
+        assert client.batch_top_k(np.array([0, 1], dtype=np.int32), 3).ids.shape == (2, 3)
+
     def test_vector_validation(self, client):
         for body in (
             {},

@@ -762,11 +762,30 @@ class TestHttpUpsert:
 
     def test_fractional_node_id_maps_to_400(self, serving):
         pipeline, _, client = serving
-        with pytest.raises(ApiError) as excinfo:  # a raw body: the client casts to int64
+        with pytest.raises(ApiError) as excinfo:  # a raw body, as a non-Python caller sends it
             client._request("POST", protocol.UPSERT, {"add_edges": [[0.7, 1.0]]})
         assert excinfo.value.status == 400
         assert excinfo.value.code == "invalid_request"
         assert pipeline.lsn_durable == 0  # not logged as edge (0, 1)
+
+    @pytest.mark.parametrize("wire", ["json", "binary"])
+    def test_client_sends_ids_as_given(self, serving, wire):
+        """The client passes ids through uncast, over JSON and binary frames:
+        ``[[0.7, 1.0]]`` is rejected as the raw body is, not acked as (0, 1)."""
+        pipeline, server, _ = serving
+        client = ServingClient(server.url, retries=0, wire=wire)
+        for change in (
+            {"add_edges": [[0.7, 1.0]]},
+            {"remove_edges": [[1, 2.5]]},
+            {"add_associations": [[0.5, 1, 1.0]]},
+            {"remove_associations": [[1, 0.25]]},
+        ):
+            with pytest.raises(ApiError) as excinfo:
+                client.upsert(**change)
+            assert excinfo.value.status == 400
+            assert excinfo.value.code == "invalid_request"
+        assert pipeline.lsn_durable == 0  # nothing logged
+        assert client.upsert(add_edges=[[0.0, 5.0]])["lsn"] == 1  # integral floats count
 
     def test_malformed_upsert_body_400(self, serving):
         pipeline, _, client = serving
