@@ -40,6 +40,7 @@ seconds of its request, and the fleet view is the servers'
 
 from __future__ import annotations
 
+import operator
 import threading
 import time
 from collections import deque
@@ -53,6 +54,21 @@ from repro.search.knn import NodeFilter
 from repro.serving.http import protocol, wire
 from repro.serving.http.protocol import ApiError
 from repro.serving.obs.trace import new_request_id
+
+
+def _as_given(value):
+    """An integral scalar as a Python ``int``; anything else unchanged.
+
+    numpy integers become ``int`` so they encode; a float, a bool or a
+    string is sent as the caller gave it, so ``top_k(0.7)`` is the
+    server's 400 (its ``require_int`` decides), never node 0.
+    """
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    try:
+        return operator.index(value)
+    except TypeError:
+        return value
 
 
 def _merge_search_options(body: dict, node_filter, params) -> None:
@@ -624,7 +640,7 @@ class ServingClient:
         min_lsn: int | None = None,
     ) -> HTTPQueryResult:
         start = time.perf_counter()
-        body = {"node": int(node), "k": int(k)}
+        body = {"node": _as_given(node), "k": _as_given(k)}
         _merge_search_options(body, filter, params)
         payload = self._request(
             "POST", protocol.TOPK, body, timeout_s=timeout_s, min_lsn=min_lsn
@@ -652,7 +668,7 @@ class ServingClient:
         min_lsn: int | None = None,
     ) -> HTTPQueryResult:
         start = time.perf_counter()
-        body: dict = {"k": int(k)}
+        body: dict = {"k": _as_given(k)}
         _merge_search_options(body, filter, params)
         query = np.asarray(vector, dtype=np.float64).ravel()
         payload = self._request(
@@ -695,7 +711,7 @@ class ServingClient:
             raise ValueError("batch_top_k needs at least one node")
 
         def submit(chunk: np.ndarray, prefer: int) -> dict:
-            body: dict = {"k": int(k)}
+            body: dict = {"k": _as_given(k)}
             _merge_search_options(body, filter, params)
             return self._request(
                 "POST", protocol.TOPK_BATCH, body,

@@ -3,7 +3,9 @@
 No sklearn is available in this environment, so we provide:
 
 - :class:`LogisticRegression` — binary logistic regression with L2
-  regularization, optimized with scipy's L-BFGS on the exact gradient;
+  regularization, optimized with scipy's L-BFGS on the exact gradient
+  (``scipy.optimize`` loads on the first fit, so a process that imports
+  this module but never trains a classifier does not carry it);
 - :class:`LinearSVM` — L2-regularized squared-hinge SVM, same optimizer;
 - :class:`OneVsRestClassifier` — multi-class / multi-label wrapper that
   trains one binary model per label and predicts by argmax (single-label)
@@ -14,7 +16,6 @@ No sklearn is available in this environment, so we provide:
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
 
 
 class _BinaryLinearModel:
@@ -37,6 +38,8 @@ class _BinaryLinearModel:
         targets = np.where(np.asarray(labels).ravel() > 0, 1.0, -1.0)
         if features.shape[0] != targets.size:
             raise ValueError("features and labels disagree on sample count")
+        from scipy.optimize import minimize
+
         p = features.shape[1]
         x0 = np.zeros(p + 1)
         result = minimize(

@@ -276,6 +276,27 @@ class TestValidation:
             assert excinfo.value.code == "invalid_request"
         assert client.batch_top_k(np.array([0, 1], dtype=np.int32), 3).ids.shape == (2, 3)
 
+    @pytest.mark.parametrize("wire", ["json", "binary"])
+    def test_scalars_sent_as_given(self, server, trained_embedding, wire):
+        """``top_k(0.7)`` is not node 0: a fractional or bool node or ``k``
+        is the server's 400, while a numpy integer is the plain int."""
+        client = ServingClient(server.url, retries=0, wire=wire)
+        vector = trained_embedding.node_embeddings()[11]
+        sends = [
+            lambda value: client.top_k(value),
+            lambda value: client.top_k(3, value),
+            lambda value: client.batch_top_k([3, 5], value),
+            lambda value: client.similar_by_vector(vector, value),
+        ]
+        for send in sends:
+            for value in (0.7, 2.5, True):
+                with pytest.raises(ApiError) as excinfo:
+                    send(value)
+                assert (excinfo.value.status, excinfo.value.code) == (400, "invalid_request")
+            got, expected = send(np.int64(3)), send(3)
+            assert np.array_equal(got.ids, expected.ids)
+            assert got.scores.tobytes() == expected.scores.tobytes()
+
     def test_vector_validation(self, client):
         for body in (
             {},

@@ -3,7 +3,8 @@
 Checked from outside a real ``repro serve`` process — what the kernel
 says it has mapped — and from inside a fresh interpreter's
 ``sys.modules``.  The trainer and scipy may load only when ``--wal-dir``
-puts the compactor in the process.  The stdlib HTTP stack never loads:
+puts the compactor in the process, and then of scipy only ``scipy.sparse``
+(``tests/test_fit_import_closure.py``).  The stdlib HTTP stack never loads:
 both ends of the wire speak ``repro.serving.http.wire``.
 """
 
@@ -140,7 +141,7 @@ def test_wal_server_loads_the_compactor_and_serves_an_upsert(tmp_path):
         footprint = process_footprint(process.pid)
         if footprint is not None:
             # The in-process compactor is the one serve-side caller of
-            # the trainer: here scipy is legitimately mapped.
+            # the trainer: here scipy.sparse is legitimately mapped.
             assert footprint["scipy_objects"] != []
         assert _stop(process) == 0
     finally:

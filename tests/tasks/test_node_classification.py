@@ -5,6 +5,7 @@ import pytest
 
 from repro.baselines import RandomEmbedding
 from repro.core.pane import PANE
+from repro.graph.generators import attributed_sbm
 from repro.tasks.node_classification import NodeClassificationTask
 
 
@@ -83,3 +84,27 @@ class TestProtocol:
         )
         result = task.evaluate(PANE(k=16, seed=0))
         assert result.micro[0] > 0.5
+
+
+class TestPinnedScores:
+    """Exact F1 on a seeded graph's attribute rows: a change to when or
+    how the classifiers load their optimizer must not move a prediction."""
+
+    @pytest.mark.parametrize(
+        "classifier, micro, macro",
+        [
+            ("svm", (0.9678571428571429, 0.9833333333333333),
+             (0.9671435502159291, 0.9825502335179754)),
+            ("logistic", (0.9678571428571429, 0.9916666666666667),
+             (0.9674887857522776, 0.9921798631476051)),
+        ],
+    )
+    def test_f1_equal_to_pinned(self, classifier, micro, macro):
+        graph = attributed_sbm(n_nodes=200, n_attributes=32, seed=7)
+        task = NodeClassificationTask(
+            graph, train_fractions=(0.3, 0.7), n_repeats=2,
+            classifier=classifier, seed=0,
+        )
+        result = task.evaluate_features(graph.attributes.toarray())
+        assert result.micro == micro
+        assert result.macro == macro
