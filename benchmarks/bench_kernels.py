@@ -11,9 +11,11 @@ the seed implementations they replaced:
   to 1e-9 relative (same update order, re-associated arithmetic), and a
   full run must keep B=1 at >= 5x the seed sweep.
 - ``propagation``     — the Eq. (6) recurrence: per-hop allocation vs
-  APMI's attribute-block kernel (``affinity.propagate_blocks``) at 1 and 2
-  threads, which must return the allocating loop's bits (``array_equal``)
-  at both.
+  APMI's attribute-block kernel (``affinity.propagate_blocks`` on
+  ``T′ = (1−α)·T``) at 1 and 2 threads, which must agree with the
+  allocating loop elementwise within ``(t+1)·(D+2)·ε`` relative at both
+  (the kernel adds ``T′·p`` onto the restart; the loop scales ``T·p`` and
+  adds the restart after — see ``kernels.propagate_recurrence``).
 - ``worker_pool``     — many small parallel phases: ephemeral
   ``ThreadPoolExecutor`` per call vs one persistent ``WorkerPool``.
 
@@ -192,19 +194,24 @@ def bench_propagation(n: int, d: int, t: int, alpha: float, density: float = 2e-
     expected = seed_propagation(transition, seed.toarray(), alpha, t)
     seed_seconds = time.perf_counter() - start
     results = {"seed_allocating": {"seconds": seed_seconds}}
+    walk = transition.copy()
+    walk.data *= 1.0 - alpha
+    longest = int(np.diff(transition.indptr).max(initial=0))
+    bound = (t + 1) * (longest + 2) * np.finfo(np.float64).eps
     for name, n_threads in (("kernel_pingpong", 1), ("kernel_pingpong_parallel", 2)):
         produced = np.empty((n, d))
         with WorkerPool(n_threads) as pool:
             start = time.perf_counter()
             propagate_blocks(
-                transition, seed, alpha, t,
+                walk, seed, alpha, t,
                 lambda block, columns: np.copyto(produced[:, columns], block),
                 block_buffers(n, d, n_threads), n_threads=n_threads, pool=pool,
             )
             seconds = time.perf_counter() - start
         # Same column-wise arithmetic in the same order for every column,
-        # whichever block and thread it falls in: the allocating loop's bits.
-        assert np.array_equal(produced, expected), name
+        # whichever block and thread it falls in; the loop's association
+        # differs, so its bits agree only within the rounding bound.
+        assert np.all(np.abs(produced - expected) <= bound * expected), name
         results[name] = {
             "seconds": seconds,
             "n_threads": float(n_threads),

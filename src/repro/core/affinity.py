@@ -15,13 +15,19 @@ APMI runs on blocks of ``w = _BLOCK_COLUMNS`` attribute columns, PAPMI's
 attribute split (Alg. 6), at every thread count: a block densifies its
 columns of ``Rr`` (``Rc``) and runs all ``t`` hops in a per-thread
 ``3·n·w`` buffer (:func:`block_probabilities`), so the hops stay in cache.
-Forward SPMI (Eq. 7) normalizes columns, so a block goes straight into
-``F′``'s columns; backward SPMI needs whole rows, so the blocks' walk
-probabilities fill ``B′`` and its rows are normalized in place.  Threads
-take blocks by a fixed rule, one dispatch per direction and no barrier per
-hop.  Every operation is column-wise, so ``F′``/``B′`` are the bits of the
-full-width recurrence at every thread count (Lemma 4.1), and APMI holds
-two ``n × d`` arrays instead of five.
+The walks propagate ``T′ = (1−α)·T`` (``T′ᵀ`` backward), scaled once per
+fit, so each hop is one copy of the ``α``-scaled restart and one CSR
+kernel call adding ``T′·p`` onto it
+(:func:`repro.core.kernels.propagate_recurrence`, which states how far
+that association is from the printed Alg. 2's).  Forward SPMI (Eq. 7)
+normalizes columns, so a block is normalized in place in its contiguous
+buffer while it is in cache and copied into ``F′``'s columns; backward
+SPMI needs whole rows, so the blocks' walk probabilities fill ``B′`` and
+its rows are normalized in place.  Threads take blocks by a fixed rule,
+one dispatch per direction and no barrier per hop.  Every operation is
+column-wise, so ``F′``/``B′`` are the bits of the full-width recurrence at
+every thread count (Lemma 4.1), and APMI holds two ``n × d`` arrays
+instead of five.
 """
 
 from __future__ import annotations
@@ -78,24 +84,22 @@ class AffinityPair:
     backward: np.ndarray
 
 
-def _spmi_into(probabilities: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
-    """SPMI normalization of Eq. (7): ``out ← log2(1 + m·P / sums)``.
+def _spmi(probabilities: np.ndarray, axis: int) -> np.ndarray:
+    """SPMI normalization of Eq. (7) in place: ``P ← log2(1 + m·P / sums)``.
 
     ``axis=0`` normalizes columns, ``m = n`` (forward affinity); ``axis=1``
     rows, ``m = d`` (backward); all-zero rows/columns stay zero.  The sums
-    are taken once, then the elementwise part runs in row tiles written
-    straight into ``out`` — which may be ``probabilities`` itself or a
-    column block of a wider array.
+    are taken once, then the elementwise part runs in row tiles.
     """
     sums = probabilities.sum(axis=axis, keepdims=True)
     safe = np.broadcast_to(np.where(sums == 0, 1.0, sums), probabilities.shape)
     for rows in row_tiles(slice(0, probabilities.shape[0]), probabilities.shape[1]):
-        tile = out[rows]
-        np.divide(probabilities[rows], safe[rows], out=tile)
+        tile = probabilities[rows]
+        np.divide(tile, safe[rows], out=tile)
         tile *= probabilities.shape[axis]
         tile += 1.0
         np.log2(tile, out=tile)
-    return out
+    return probabilities
 
 
 def _column_blocks(d: int) -> list[slice]:
@@ -110,11 +114,16 @@ def _column_blocks(d: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _operands(graph: AttributedGraph, dangling: str):
-    """``((T, Rr), (Tᵀ, Rc))``: what the forward and backward walks propagate."""
-    transition = random_walk_matrix(graph, dangling=dangling)
+def _operands(graph: AttributedGraph, dangling: str, alpha: float):
+    """``((T′, Rr), (T′ᵀ, Rc))``: what the forward and backward walks propagate.
+
+    ``T′ = (1−α)·T`` is the decayed walk, scaled once here in CSR float64
+    (what :func:`repro.core.kernels.spmm_add` takes), so no hop scales.
+    """
+    walk = random_walk_matrix(graph, dangling=dangling)
+    walk.data *= 1.0 - alpha
     rr, rc = normalized_attribute_matrices(graph)
-    return (transition, rr.tocsc()), (transition.T.tocsr(), rc.tocsc())
+    return (walk, rr.tocsc()), (walk.T.tocsr(), rc.tocsc())
 
 
 def _truncation(alpha: float, epsilon: float, n_iterations: int | None):
@@ -135,13 +144,14 @@ def block_probabilities(
 ) -> np.ndarray:
     """Truncated walk probabilities ``P^(t)[:, columns]`` of one attribute block.
 
-    ``matrix`` is ``T`` (forward) or ``Tᵀ`` (backward) and ``attributes``
-    ``Rr`` (``Rc``).  The block's columns are densified into the first
-    third of ``buffer`` (at least ``3·n·width`` floats; allocated if
-    ``None``) as the restart term, and the ``t`` hops of Eq. (6) ping-pong
-    in the other two thirds.  Returns an ``n × width`` view into
-    ``buffer``.  :func:`apmi`'s block loop calls this; over every column at
-    once it gives the full ``P^(t)`` (:func:`apmi_probabilities`).
+    ``matrix`` is ``T′ = (1−α)·T`` (forward) or ``T′ᵀ`` (backward) and
+    ``attributes`` ``Rr`` (``Rc``), as :func:`_operands` builds them.  The
+    block's columns are densified into the first third of ``buffer`` (at
+    least ``3·n·width`` floats; allocated if ``None``) as the restart term,
+    and the ``t`` hops of Eq. (6) ping-pong in the other two thirds.
+    Returns an ``n × width`` view into ``buffer``.  :func:`apmi`'s block
+    loop calls this; over every column at once it gives the full ``P^(t)``
+    (:func:`apmi_probabilities`).
     """
     n, width = matrix.shape[0], columns.stop - columns.start
     if buffer is None:
@@ -224,7 +234,7 @@ def apmi(
     AffinityPair with ``F′`` and ``B′``.
     """
     alpha, t = _truncation(alpha, epsilon, n_iterations)
-    forward_operands, backward_operands = _operands(graph, dangling)
+    forward_operands, backward_operands = _operands(graph, dangling, alpha)
     n, d = graph.n_nodes, graph.n_attributes
     # The block buffers before F′ and B′: once malloc serves n × d arrays
     # from its heap (after the first one is freed), F′ and B′ then sit at
@@ -232,12 +242,12 @@ def apmi(
     buffers = block_buffers(n, d, n_threads)
     forward, backward = np.empty((n, d)), np.empty((n, d))
     for operands, write in (
-        (forward_operands, lambda p, columns: _spmi_into(p, forward[:, columns], 0)),
+        (forward_operands, lambda p, columns: np.copyto(forward[:, columns], _spmi(p, 0))),
         (backward_operands, lambda p, columns: np.copyto(backward[:, columns], p)),
     ):
         propagate_blocks(*operands, alpha, t, write, buffers, n_threads=n_threads, pool=pool)
     run_blocks(
-        lambda _, rows: _spmi_into(backward[rows], backward[rows], 1),
+        lambda _, rows: _spmi(backward[rows], 1),
         partition_spans(n, n_threads),
         n_threads=n_threads,
         pool=pool,
@@ -264,7 +274,7 @@ def apmi_probabilities(
     every = slice(0, graph.n_attributes)
     pf, pb = (
         block_probabilities(matrix, attributes, every, alpha, t).copy()
-        for matrix, attributes in _operands(graph, dangling)
+        for matrix, attributes in _operands(graph, dangling, alpha)
     )
     return pf, pb
 
@@ -281,9 +291,9 @@ def papmi(
 ) -> AffinityPair:
     """PAPMI (Algorithm 6): :func:`apmi`'s attribute blocks over ``n_threads``.
 
-    Blocks are ``_BLOCK_COLUMNS`` wide whatever the thread count and are
-    written straight into ``F′``'s (``B′``'s) columns: no block copies and
-    no concatenation.  Equals APMI bit for bit (Lemma 4.1).
+    Blocks are ``_BLOCK_COLUMNS`` wide whatever the thread count, and each
+    is copied once into ``F′``'s (``B′``'s) columns: no concatenation.
+    Equals APMI bit for bit (Lemma 4.1).
     """
     return apmi(
         graph, alpha, epsilon, n_iterations=n_iterations, dangling=dangling,
@@ -301,23 +311,24 @@ def exact_probabilities(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The walk probabilities ``(P_f, P_b)`` via the full power series of Eq. (5).
 
-    Sums ``α Σ (1−α)^ℓ Pℓ Rr`` until the scalar tail drops below
-    ``tolerance``.  O(m·d) per term — use on small graphs (tests, Table 2).
+    Sums ``α Σ (1−α)^ℓ Pℓ Rr`` (``α Σ T′ℓ Rr``) until the scalar tail
+    drops below ``tolerance``.  O(m·d) per term — use on small graphs
+    (tests, Table 2).
     """
     alpha = check_probability(alpha, "alpha")
 
-    def series(matrix, attributes) -> np.ndarray:
+    def series(walk, attributes) -> np.ndarray:
         term = attributes.toarray()
         total, weight = alpha * term, alpha
         for _ in range(max_terms):
             weight *= 1.0 - alpha
             if weight < tolerance:
                 break
-            term = np.asarray(matrix @ term)
-            total += weight * term
+            term = np.asarray(walk @ term)
+            total += alpha * term
         return total
 
-    pf, pb = (series(*operands) for operands in _operands(graph, dangling))
+    pf, pb = (series(*operands) for operands in _operands(graph, dangling, alpha))
     return pf, pb
 
 
@@ -333,4 +344,4 @@ def exact_affinity(
     pf, pb = exact_probabilities(
         graph, alpha, tolerance=tolerance, max_terms=max_terms, dangling=dangling
     )
-    return AffinityPair(_spmi_into(pf, pf, 0), _spmi_into(pb, pb, 1))
+    return AffinityPair(_spmi(pf, 0), _spmi(pb, 1))

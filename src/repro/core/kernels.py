@@ -87,9 +87,14 @@ start).
 Eq. (6) propagation: :func:`propagate_recurrence` is the one evaluator
 behind APMI and PAPMI — the ``t`` hops of one attribute block on two
 caller-owned ``n × w`` ping-pong buffers, serial, on the thread that owns
-the block (:mod:`repro.core.affinity` deals the blocks out) — with
-:func:`spmm_into` writing a CSR·dense product straight into the output
-buffer.
+the block (:mod:`repro.core.affinity` deals the blocks out).  The walk
+operator is ``T′ = (1−α)·T``, scaled once per fit, so a hop is two passes
+over its output buffer: copy the restart ``α·Rr`` block in, and let
+:func:`spmm_add` (scipy's CSR kernel) add ``T′·p`` onto it.  That
+associates each entry as ``α·r + Σ_j T′_ij·p_j``, summed in ``T′``'s
+stored order, where the printed Alg. 2 forms ``(1−α)·(T·p) + α·r``; the
+bits moved once when the hop took this form, within the bound
+:func:`propagate_recurrence` states.
 
 See ``docs/PERFORMANCE.md`` for measurements and the
 ``benchmarks/bench_kernels.py`` record format.
@@ -100,7 +105,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+# scipy's CSR·dense kernel (private, stable since 2008): ``y += a·x`` per
+# stored entry, row by row, with no fused multiply-add.
+from scipy.sparse import _sparsetools
 
 from repro.parallel.executor import run_blocks
 from repro.parallel.partitioning import partition_spans
@@ -114,74 +122,67 @@ _EPS_DENOM = 1e-300
 #: Size of the ``n × d`` operand tile a span works on at a time (``row_tiles``).
 _TILE_BYTES = 512 * 1024
 
-try:  # CSR kernels shipped with scipy; private but stable since 2008.
-    from scipy.sparse import _sparsetools
-
-    _HAVE_CSR_MATVECS = hasattr(_sparsetools, "csr_matvecs")
-except ImportError:  # pragma: no cover - depends on scipy build
-    _sparsetools = None
-    _HAVE_CSR_MATVECS = False
-
 
 # ---------------------------------------------------------------------------
 # Sparse propagation kernels (Eq. 6)
 # ---------------------------------------------------------------------------
 
 
-def spmm_into(matrix, dense: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out ← matrix @ dense`` without allocating the product.
+def spmm_add(matrix, dense: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out += matrix @ dense`` with scipy's CSR kernel, allocating nothing.
 
-    The CSR fast path runs scipy's own kernel straight into ``out``
-    (bit-identical to ``matrix @ dense``); any other matrix type or memory
-    layout falls back to an allocating product copied into ``out``.
+    Row ``i`` of ``out`` gets the stored entries of ``matrix``'s row ``i``
+    added onto what it holds, one at a time in stored order, each as a
+    rounded product then a rounded add.  ``matrix`` is CSR float64 (as
+    :mod:`repro.core.affinity` builds ``T′``); ``dense`` and ``out`` are
+    C-contiguous float64 — there is no fallback.
     """
     if matrix.shape[1] != dense.shape[0] or out.shape != (matrix.shape[0], dense.shape[1]):
         raise ValueError(
             f"shape mismatch: {matrix.shape} @ {dense.shape} -> {out.shape}"
         )
-    if (
-        _HAVE_CSR_MATVECS
-        and sp.issparse(matrix)
-        and matrix.format == "csr"
-        and matrix.dtype == np.float64
-        and dense.dtype == np.float64
-        and out.dtype == np.float64
-        and dense.flags.c_contiguous
-        and out.flags.c_contiguous
-    ):
-        out.fill(0.0)
-        _sparsetools.csr_matvecs(
-            matrix.shape[0],
-            matrix.shape[1],
-            dense.shape[1],
-            matrix.indptr,
-            matrix.indices,
-            matrix.data,
-            dense.ravel(),
-            out.ravel(),
-        )
-        return out
-    np.copyto(out, np.asarray(matrix @ dense))
+    if not (dense.flags.c_contiguous and out.flags.c_contiguous):
+        raise ValueError("spmm_add needs C-contiguous dense operands")
+    _sparsetools.csr_matvecs(
+        matrix.shape[0],
+        matrix.shape[1],
+        dense.shape[1],
+        matrix.indptr,
+        matrix.indices,
+        matrix.data,
+        dense.ravel(),
+        out.ravel(),
+    )
     return out
 
 
 def propagate_recurrence(
-    transition,
+    walk,
     p0: np.ndarray,
     alpha: float,
     t: int,
     *,
     buffers: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Evaluate the Alg. 2 recurrence ``p ← (1−α)·T·p + α·p0`` for ``t`` hops.
+    """Evaluate the Alg. 2 recurrence ``p ← T′·p + α·p0`` for ``t`` hops.
 
-    Starting from ``p = α·p0``, this computes Eq. (6)'s truncated series
-    exactly (seeding with ``α·Rr`` rather than the printed ``Rr`` — see
+    ``walk`` is ``T′ = (1−α)·T``, the transition with the decay folded in
+    (CSR float64, built once per fit).  Starting from ``p = α·p0``, each
+    hop is two passes over an ``n × w`` buffer: copy the restart ``α·p0``
+    into it, then let :func:`spmm_add` add ``T′·p`` onto it in ``T′``'s
+    stored order.  That computes Eq. (6)'s truncated series exactly
+    (seeding with ``α·Rr`` rather than the printed ``Rr`` — see
     :func:`repro.core.affinity.block_probabilities`), ping-ponging between
     two preallocated buffers.  Serial: APMI runs it once per attribute
     block, on the thread that owns the block.  Every operation is
     column-wise, so a column's bits do not depend on which columns share
     its block.
+
+    The association is ``α·p0 + Σ_j T′_ij·p_j`` added left to right, not
+    the printed ``(1−α)·(T·p) + α·p0``.  For non-negative ``T`` and ``p0``
+    each rounds an entry's terms at most ``D + 2`` times per hop (``D`` the
+    longest stored row), so the two agree elementwise within
+    ``(t+1)·(D+2)·ε`` relative, not bit for bit.
 
     ``p0`` is scaled by ``alpha`` **in place** and serves as the constant
     restart term, so the caller must own it (APMI densifies a block of the
@@ -194,11 +195,9 @@ def propagate_recurrence(
     else:
         current, scratch = buffers
     np.copyto(current, p0)
-    decay = 1.0 - alpha
     for _ in range(t):
-        spmm_into(transition, current, scratch)
-        scratch *= decay
-        scratch += p0
+        np.copyto(scratch, p0)
+        spmm_add(walk, current, scratch)
         current, scratch = scratch, current
     return current
 

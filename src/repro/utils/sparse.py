@@ -6,28 +6,37 @@ import numpy as np
 import scipy.sparse as sp
 
 
+def _inverse(sums: np.ndarray) -> np.ndarray:
+    """``1 / sums`` where the sum is non-zero, 0 where it is zero."""
+    inv = np.zeros_like(sums)
+    nonzero = sums != 0
+    inv[nonzero] = 1.0 / sums[nonzero]
+    return inv
+
+
 def row_normalize(matrix: sp.spmatrix) -> sp.csr_matrix:
     """Return a copy of ``matrix`` with every non-empty row scaled to sum 1.
 
     Rows whose sum is zero are left as all-zero rows (the library-wide
-    dangling policy; see DESIGN.md §2).
+    dangling policy; see DESIGN.md §2).  The copy keeps the input's CSR
+    structure (``indptr``, ``indices`` and their order, explicit zeros);
+    only ``data`` is scaled, each entry by its row's inverse sum.
     """
     matrix = matrix.tocsr().astype(np.float64)
-    row_sums = np.asarray(matrix.sum(axis=1)).ravel()
-    inv = np.zeros_like(row_sums)
-    nonzero = row_sums != 0
-    inv[nonzero] = 1.0 / row_sums[nonzero]
-    return sp.diags(inv) @ matrix
+    inv = _inverse(np.asarray(matrix.sum(axis=1)).ravel())
+    matrix.data *= np.repeat(inv, np.diff(matrix.indptr))
+    return matrix
 
 
 def column_normalize(matrix: sp.spmatrix) -> sp.csr_matrix:
-    """Return a copy of ``matrix`` with every non-empty column scaled to sum 1."""
+    """Return a copy of ``matrix`` with every non-empty column scaled to sum 1.
+
+    Like :func:`row_normalize`: the CSR structure is kept, ``data`` scaled.
+    """
     matrix = matrix.tocsr().astype(np.float64)
-    col_sums = np.asarray(matrix.sum(axis=0)).ravel()
-    inv = np.zeros_like(col_sums)
-    nonzero = col_sums != 0
-    inv[nonzero] = 1.0 / col_sums[nonzero]
-    return matrix @ sp.diags(inv)
+    inv = _inverse(np.asarray(matrix.sum(axis=0)).ravel())
+    matrix.data *= inv[matrix.indices]
+    return matrix
 
 
 def dense_row_normalize(matrix: np.ndarray) -> np.ndarray:

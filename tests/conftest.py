@@ -164,36 +164,126 @@ def greedy_init_reference():
     return _greedy_init_reference
 
 
-def _apmi_reference(graph, alpha=0.5, epsilon=0.015, *, n_iterations=None, dangling="zero"):
-    """APMI (Alg. 2) full width, as it ran before it moved to attribute blocks.
-
-    Densifies all of ``Rr``/``Rc``, runs the ``t`` hops of Eq. (6) on
-    ``n × d`` arrays, then SPMI-normalizes (Eq. 7) all columns (forward) or
-    rows (backward) at once; the ground truth ``apmi``'s blocks must match
-    bit for bit.  Returns ``(F′, B′)``.
-    """
-    from repro.core.affinity import iterations_for_epsilon
+def _walk_operands(graph, dangling):
+    """``((T, Rr), (Tᵀ, Rc))`` for the reference recurrences, ``T`` undecayed."""
     from repro.graph.matrices import normalized_attribute_matrices, random_walk_matrix
 
-    t = n_iterations if n_iterations is not None else iterations_for_epsilon(epsilon, alpha)
     transition = random_walk_matrix(graph, dangling=dangling)
     rr, rc = normalized_attribute_matrices(graph)
+    return (transition, rr), (transition.T.tocsr(), rc)
 
-    def direction(matrix, attributes, axis):
-        restart = alpha * attributes.toarray()
-        p = restart.copy()
-        for _ in range(t):
-            p = (1.0 - alpha) * np.asarray(matrix @ p) + restart
+
+def _truncation(alpha, epsilon, n_iterations):
+    from repro.core.affinity import iterations_for_epsilon
+
+    return n_iterations if n_iterations is not None else iterations_for_epsilon(epsilon, alpha)
+
+
+def _two_pass_hops(matrix, restart, alpha, t):
+    """``t`` hops ``p ← α·r + Σ_j ((1−α)·T_ij)·p_j``, literally.
+
+    Each row starts from its restart and adds ``T′``'s stored entries of
+    that row one at a time in stored order, ``T′_ij = (1−α)·T_ij`` rounded
+    first: one rounded product and one rounded add per entry, no fused
+    multiply-add (scipy's ``csr_matvecs`` computes exactly this).
+    """
+    decay = 1.0 - alpha
+    p = restart.copy()
+    for _ in range(t):
+        nxt = restart.copy()
+        for i in range(matrix.shape[0]):
+            for entry in range(matrix.indptr[i], matrix.indptr[i + 1]):
+                nxt[i] += (decay * matrix.data[entry]) * p[matrix.indices[entry]]
+        p = nxt
+    return p
+
+
+def _printed_hops(matrix, restart, alpha, t):
+    """``t`` hops in the printed Alg. 2 association ``(1−α)·(T·p) + α·r``."""
+    p = restart.copy()
+    for _ in range(t):
+        p = (1.0 - alpha) * np.asarray(matrix @ p) + restart
+    return p
+
+
+def _reference_probabilities(hops, graph, alpha, epsilon, n_iterations, dangling):
+    t = _truncation(alpha, epsilon, n_iterations)
+    return tuple(
+        hops(matrix, alpha * attributes.toarray(), alpha, t)
+        for matrix, attributes in _walk_operands(graph, dangling)
+    )
+
+
+def _apmi_reference(graph, alpha=0.5, epsilon=0.015, *, n_iterations=None, dangling="zero"):
+    """APMI (Alg. 2) full width, each hop the literal two-pass recurrence.
+
+    Densifies all of ``Rr``/``Rc``, runs the ``t`` hops of Eq. (6) on
+    ``n × d`` arrays by :func:`_two_pass_hops`, then SPMI-normalizes
+    (Eq. 7) all columns (forward) or rows (backward) at once; the ground
+    truth ``apmi``'s blocks must match bit for bit.  Returns ``(F′, B′)``.
+    """
+    pf, pb = _reference_probabilities(
+        _two_pass_hops, graph, alpha, epsilon, n_iterations, dangling
+    )
+
+    def spmi(p, axis):
         sums = p.sum(axis=axis, keepdims=True)
         return np.log2(1.0 + p.shape[axis] * (p / np.where(sums == 0, 1.0, sums)))
 
-    return direction(transition, rr, 0), direction(transition.T.tocsr(), rc, 1)
+    return spmi(pf, 0), spmi(pb, 1)
 
 
 @pytest.fixture(scope="session")
 def apmi_reference():
     """``apmi_reference(graph, alpha, epsilon, n_iterations=, dangling=)`` → ``(F′, B′)``."""
     return _apmi_reference
+
+
+def _printed_bound(matrix, t):
+    """Relative elementwise distance of the two hop associations after ``t`` hops.
+
+    All terms are non-negative, so each hop's rounding is relative to the
+    exact entry.  Either association rounds an entry's term at most
+    ``D + 2`` times per hop (``D`` = most stored entries in a row): the
+    printed one a product, ``D − 1`` adds, the ``(1−α)`` scale and the
+    restart add; the two-pass one ``(1−α)·T_ij``, a product and ``D``
+    adds.  Hop ``k``'s input error carries through unchanged, so each side
+    is within ``(1 + γ)^t − 1 ≈ t·(D+2)·u`` of the exact series (``γ =
+    (D+2)·u``, ``u = ε/2``), and the two within twice that:
+    ``|Δp| ≤ (t+1)·(D+2)·ε·p`` elementwise, so ``‖Δ‖∞ ≤ (t+1)·(D+2)·ε·‖P‖∞``.
+    """
+    longest = int(np.diff(matrix.indptr).max(initial=0))
+    return (t + 1) * (longest + 2) * np.finfo(np.float64).eps
+
+
+def _assert_near_printed(
+    probabilities, graph, alpha=0.5, epsilon=0.015, *, n_iterations=None, dangling="zero"
+):
+    """``(P_f, P_b)`` within :func:`_printed_bound` of the printed association."""
+    t = _truncation(alpha, epsilon, n_iterations)
+    printed = _reference_probabilities(
+        _printed_hops, graph, alpha, epsilon, n_iterations, dangling
+    )
+    for produced, expected, (matrix, _) in zip(
+        probabilities, printed, _walk_operands(graph, dangling)
+    ):
+        assert np.all(
+            np.abs(produced - expected) <= _printed_bound(matrix, t) * expected
+        )
+
+
+@pytest.fixture(scope="session")
+def hop_references():
+    """The hop oracles: ``two_pass``/``printed`` ``(T, α·r, α, t)``, ``bound(T, t)``,
+    ``assert_near_printed((P_f, P_b), graph, α, ϵ, n_iterations=, dangling=)``."""
+    from types import SimpleNamespace
+
+    return SimpleNamespace(
+        two_pass=_two_pass_hops,
+        printed=_printed_hops,
+        bound=_printed_bound,
+        assert_near_printed=_assert_near_printed,
+    )
 
 
 def _select_band_reference(scores, k, dim):

@@ -66,10 +66,11 @@ class TestApmiStructure:
 
 
 class TestApmiMatchesSeedLoop:
-    """The blocked, buffer-reusing APMI returns the bits of the literal Alg. 2."""
+    """The blocked, buffer-reusing APMI returns the bits of the literal two-pass Alg. 2."""
 
     @pytest.mark.parametrize("alpha", [0.5, 0.3])
-    def test_bit_identical_to_allocating_loop(self, citation, alpha):
+    def test_bit_identical_to_allocating_loop(self, citation, alpha, hop_references):
+        """Equal to the per-hop-allocating two-pass loop; the printed association within its bound."""
         from repro.graph.matrices import (
             normalized_attribute_matrices,
             random_walk_matrix,
@@ -79,15 +80,8 @@ class TestApmiMatchesSeedLoop:
         t = iterations_for_epsilon(0.05, alpha)
         transition = random_walk_matrix(citation)
         rr, rc = normalized_attribute_matrices(citation)
-
-        def seed_loop(matrix, p0):
-            p = alpha * p0
-            for _ in range(t):
-                p = (1.0 - alpha) * np.asarray(matrix @ p) + alpha * p0
-            return p
-
-        pf = seed_loop(transition, rr.toarray())
-        pb = seed_loop(transition.T.tocsr(), rc.toarray())
+        pf = hop_references.two_pass(transition, alpha * rr.toarray(), alpha, t)
+        pb = hop_references.two_pass(transition.T.tocsr(), alpha * rc.toarray(), alpha, t)
         n, d = pf.shape
         pair = apmi(citation, alpha=alpha, epsilon=0.05)
         probabilities = apmi_probabilities(citation, alpha=alpha, epsilon=0.05)
@@ -99,6 +93,7 @@ class TestApmiMatchesSeedLoop:
         assert np.array_equal(
             pair.backward, np.log2(1.0 + d * dense_row_normalize(pb))
         )
+        hop_references.assert_near_printed(probabilities, citation, alpha, 0.05)
 
     def test_normalization_tiles_and_spans_do_not_change_a_bit(self, citation, monkeypatch):
         """7-row tiles, 3-column blocks (uneven against n, d and the threads): same F′, B′."""

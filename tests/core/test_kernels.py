@@ -12,7 +12,7 @@ from repro.core.greedy_init import InitState, greedy_init, random_init
 from repro.core.kernels import (
     ccd_sweeps,
     propagate_recurrence,
-    spmm_into,
+    spmm_add,
 )
 from repro.core.svd_ccd import (
     cached_objective,
@@ -40,62 +40,65 @@ def problem(sbm_graph):
     return pair.forward, pair.backward
 
 
-class TestSpmmInto:
+class TestSpmmAdd:
     def test_matches_matmul_csr(self):
+        """Onto zeros, the stored-order sum is scipy's own product."""
         rng = np.random.default_rng(0)
         matrix = sp.random(40, 40, density=0.2, format="csr", random_state=1)
         dense = rng.random((40, 9))
-        out = np.empty((40, 9))
-        spmm_into(matrix, dense, out)
+        out = np.zeros((40, 9))
+        spmm_add(matrix, dense, out)
         assert np.array_equal(out, np.asarray(matrix @ dense))
 
-    def test_fallback_non_csr(self):
-        rng = np.random.default_rng(0)
-        matrix = sp.random(30, 30, density=0.2, format="csc", random_state=1)
-        dense = rng.random((30, 5))
-        out = np.empty((30, 5))
-        spmm_into(matrix, dense, out)
-        assert np.allclose(out, np.asarray(matrix @ dense))
-
-    def test_overwrites_stale_output(self):
-        matrix = sp.identity(10, format="csr")
-        dense = np.arange(20.0).reshape(10, 2)
-        out = np.full((10, 2), 99.0)
-        spmm_into(matrix, dense, out)
-        assert np.array_equal(out, dense)
+    def test_adds_onto_output(self):
+        """Each stored entry is added onto what ``out`` holds, in stored order."""
+        rng = np.random.default_rng(1)
+        matrix = sp.random(30, 30, density=0.3, format="csr", random_state=2)
+        dense, start = rng.random((30, 4)), rng.random((30, 4))
+        expected = start.copy()
+        for i in range(30):
+            for entry in range(matrix.indptr[i], matrix.indptr[i + 1]):
+                expected[i] += matrix.data[entry] * dense[matrix.indices[entry]]
+        out = start.copy()
+        spmm_add(matrix, dense, out)
+        assert np.array_equal(out, expected)
 
     def test_shape_mismatch_raises(self):
         """Wrong-shaped buffers must raise, not corrupt the heap."""
         matrix = sp.identity(10, format="csr")
         dense = np.zeros((10, 2))
         with pytest.raises(ValueError, match="shape mismatch"):
-            spmm_into(matrix, dense, np.empty((4, 2)))
+            spmm_add(matrix, dense, np.empty((4, 2)))
         with pytest.raises(ValueError, match="shape mismatch"):
-            spmm_into(matrix, np.zeros((7, 2)), np.empty((10, 2)))
+            spmm_add(matrix, np.zeros((7, 2)), np.empty((10, 2)))
+
+    def test_strided_buffer_raises(self):
+        """A strided ``out`` would be raveled into a copy and the sum lost."""
+        matrix = sp.identity(10, format="csr")
+        with pytest.raises(ValueError, match="C-contiguous"):
+            spmm_add(matrix, np.zeros((10, 2)), np.zeros((10, 4))[:, ::2])
 
 
 class TestPropagateRecurrence:
-    """The ping-pong kernel must reproduce the seed per-hop-allocating loop."""
-
-    def _seed_loop(self, transition, p0, alpha, t):
-        p = alpha * p0
-        for _ in range(t):
-            p = (1.0 - alpha) * np.asarray(transition @ p) + alpha * p0
-        return p
+    """The ping-pong kernel: the two-pass hop exactly, the printed Alg. 2 within its bound."""
 
     @pytest.mark.parametrize("t", [0, 1, 4])
-    def test_matches_seed_loop(self, t):
+    def test_matches_seed_loop(self, t, hop_references):
         rng = np.random.default_rng(2)
         transition = sp.random(25, 25, density=0.3, format="csr", random_state=3)
         p0 = rng.random((25, 6))
-        expected = self._seed_loop(transition, p0, 0.5, t)
-        produced = propagate_recurrence(transition, p0.copy(), 0.5, t)
-        assert np.array_equal(produced, expected)
+        walk = transition.copy()
+        walk.data *= 0.5
+        produced = propagate_recurrence(walk, p0.copy(), 0.5, t)
+        assert np.array_equal(produced, hop_references.two_pass(transition, 0.5 * p0, 0.5, t))
+        printed = hop_references.printed(transition, 0.5 * p0, 0.5, t)
+        bound = hop_references.bound(transition, t)
+        assert np.all(np.abs(produced - printed) <= bound * printed)
 
     @pytest.mark.parametrize("alpha", [0.5, 0.3])
     @pytest.mark.parametrize("n_threads", [2, 3, 40])
     def test_threads_do_not_change_a_bit(self, alpha, n_threads, apmi_reference, monkeypatch):
-        """Attribute blocks dealt to threads, more threads than blocks: the full-width bits."""
+        """Attribute blocks dealt to threads, more threads than blocks: the full-width two-pass bits."""
         from repro.core import affinity
         from repro.graph.attributed_graph import AttributedGraph
 
@@ -125,6 +128,50 @@ class TestPropagateRecurrence:
         buffers = (np.empty_like(p0), np.empty_like(p0))
         result = propagate_recurrence(transition, p0.copy(), 0.5, 3, buffers=buffers)
         assert result is buffers[0] or result is buffers[1]
+
+
+class TestApmiHopCost:
+    """A hop is one restart copy and one CSR kernel call onto it.
+
+    Per fit the kernel runs exactly ``2·t·⌈d/w⌉`` times (two directions,
+    ``t`` hops, ``⌈d/w⌉`` attribute blocks), and on entry each call's output
+    buffer holds its block's restart ``α·r`` bits, so a buffer prepared any
+    other way (zero-filled with the restart added after, or scaled) fails
+    here, and so does an extra kernel call.
+    """
+
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_one_kernel_call_per_hop_onto_the_restart(self, sbm_graph, monkeypatch, n_threads):
+        import math
+        import threading
+        from types import SimpleNamespace
+
+        from repro.core import affinity, kernels
+        from repro.core.affinity import iterations_for_epsilon
+        from repro.core.pane import PANE
+
+        restarts, onto_restart = [], []
+        lock = threading.Lock()
+        recurrence, matvecs = affinity.propagate_recurrence, kernels._sparsetools.csr_matvecs
+
+        def recording(walk, p0, alpha, t, **kwargs):
+            with lock:
+                restarts.append((alpha * p0).ravel())  # the bits ``p0 *= alpha`` leaves
+            return recurrence(walk, p0, alpha, t, **kwargs)
+
+        def counting(n_row, n_col, n_vecs, indptr, indices, data, x, y):
+            with lock:
+                onto_restart.append(any(np.array_equal(y, r) for r in restarts))
+            matvecs(n_row, n_col, n_vecs, indptr, indices, data, x, y)
+
+        monkeypatch.setattr(affinity, "propagate_recurrence", recording)
+        monkeypatch.setattr(kernels, "_sparsetools", SimpleNamespace(csr_matvecs=counting))
+        monkeypatch.setattr(affinity, "_BLOCK_COLUMNS", 8)  # d = 30: 4 blocks
+        model = PANE(k=8, n_threads=n_threads)
+        model.fit(sbm_graph)
+        t = iterations_for_epsilon(model.config.epsilon, model.config.alpha)
+        assert len(onto_restart) == 2 * t * math.ceil(sbm_graph.n_attributes / 8)
+        assert all(onto_restart)
 
 
 _STATE_FIELDS = ("x_forward", "x_backward", "y")

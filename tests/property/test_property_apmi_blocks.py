@@ -1,11 +1,19 @@
-"""Property test: APMI in attribute blocks returns the full-width bits."""
+"""Property test: APMI in attribute blocks returns the full-width two-pass bits.
+
+The oracle (``apmi_reference`` in ``tests/conftest.py``) runs each hop as
+the literal per-row loop ``α·r + Σ_j T′_ij·p_j`` in stored order; the
+printed Alg. 2 association ``(1−α)·(T·p) + α·r`` is within the bound
+``hop_references.bound`` derives, elementwise on the probabilities.
+"""
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.affinity import _BLOCK_COLUMNS, apmi
+from repro.core import affinity
+from repro.core.affinity import _BLOCK_COLUMNS, apmi, apmi_probabilities
 from repro.graph.attributed_graph import AttributedGraph
 
 W = _BLOCK_COLUMNS
@@ -40,20 +48,27 @@ class TestBlockedApmiBits:
         st.integers(0, 6),
         st.sampled_from(["zero", "self"]),
         st.integers(1, 3),
+        st.sampled_from([2, 3, W]),
     )
     @settings(max_examples=100, deadline=None)
     def test_array_equal_to_full_width(
-        self, apmi_reference, graph, alpha, t, dangling, n_threads
+        self, apmi_reference, hop_references, graph, alpha, t, dangling, n_threads, width
     ):
-        """Every operation keeps the bits: no ulp bound is needed."""
-        pair = apmi(graph, alpha, n_iterations=t, dangling=dangling, n_threads=n_threads)
+        """Every operation keeps the bits at every block width: no ulp bound is needed."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(affinity, "_BLOCK_COLUMNS", width)
+            pair = apmi(graph, alpha, n_iterations=t, dangling=dangling, n_threads=n_threads)
         forward, backward = apmi_reference(
             graph, alpha, n_iterations=t, dangling=dangling
         )
         assert np.array_equal(pair.forward, forward)
         assert np.array_equal(pair.backward, backward)
+        probabilities = apmi_probabilities(graph, alpha, n_iterations=t, dangling=dangling)
+        hop_references.assert_near_printed(
+            probabilities, graph, alpha, n_iterations=t, dangling=dangling
+        )
 
-    def test_one_wide_tail_keeps_the_bits(self, apmi_reference):
+    def test_one_wide_tail_keeps_the_bits(self, apmi_reference, hop_references):
         """``d = w + 1``: a 1-wide last block would sum its column pairwise."""
         rng = np.random.default_rng(0)
         graph = AttributedGraph(
@@ -64,3 +79,6 @@ class TestBlockedApmiBits:
         forward, backward = apmi_reference(graph, 0.5, n_iterations=3)
         assert np.array_equal(pair.forward, forward)
         assert np.array_equal(pair.backward, backward)
+        hop_references.assert_near_printed(
+            apmi_probabilities(graph, 0.5, n_iterations=3), graph, 0.5, n_iterations=3
+        )

@@ -1,6 +1,7 @@
 """Tests for repro.utils.sparse."""
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
 from repro.utils.sparse import (
@@ -40,6 +41,83 @@ class TestColumnNormalize:
         m = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 1.0]]))
         out = column_normalize(m).toarray()
         assert np.all(out[:, 0] == 0)
+
+
+def _awkward(kind: str) -> sp.csr_matrix:
+    """A CSR input the normalizers must keep the structure of."""
+    if kind == "unsorted":  # every row's indices reversed, as a diags product leaves them
+        m = sp.random(12, 9, density=0.4, format="csr", random_state=0)
+        for i in range(m.shape[0]):
+            row = slice(m.indptr[i], m.indptr[i + 1])
+            m.indices[row], m.data[row] = m.indices[row][::-1], m.data[row][::-1]
+        m.has_sorted_indices = False
+        return m
+    if kind == "explicit_zeros":
+        m = sp.random(12, 9, density=0.4, format="csr", random_state=1)
+        m.data[::3] = 0.0  # row 0 may be all explicit zeros: a zero sum
+        return m
+    if kind == "empty_rows_and_columns":
+        m = sp.random(12, 9, density=0.4, format="lil", random_state=2)
+        m[3, :] = 0.0
+        m[:, 5] = 0.0
+        return m.tocsr()
+    # ``dangling="self"``: the adjacency plus a loop on every node without out-links
+    adjacency = _dangling_adjacency()
+    return adjacency + sp.csr_matrix((np.ones(2), ([0, 7], [0, 7])), shape=adjacency.shape)
+
+
+def _dangling_adjacency() -> sp.csr_matrix:
+    """12 nodes, no self-loops, nodes 0 and 7 without out-links."""
+    m = sp.random(12, 12, density=0.2, format="lil", random_state=3)
+    m[[0, 7], :] = 0.0
+    m.setdiag(0.0)
+    m = m.tocsr()
+    m.eliminate_zeros()
+    return m
+
+
+class TestScaledData:
+    """The normalizers scale ``data`` only: ``diags(inv) @ m`` entry for entry, ``m``'s structure."""
+
+    KINDS = ("unsorted", "explicit_zeros", "empty_rows_and_columns", "dangling_self_loops")
+
+    @staticmethod
+    def _inverse(sums):
+        return np.where(sums != 0, 1.0 / np.where(sums != 0, sums, 1.0), 0.0)
+
+    def _check(self, m, out, expected):
+        assert out.format == "csr" and out.dtype == np.float64
+        assert np.array_equal(out.toarray(), expected.toarray())
+        assert np.array_equal(out.indptr, m.indptr)
+        assert np.array_equal(out.indices, m.indices)
+        assert not np.shares_memory(out.data, m.data)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_row_normalize(self, kind):
+        m = _awkward(kind)
+        before = m.copy()
+        inv = self._inverse(np.asarray(m.sum(axis=1)).ravel())
+        self._check(m, row_normalize(m), sp.diags(inv) @ m)
+        assert np.array_equal(m.data, before.data)  # the input is not scaled
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_column_normalize(self, kind):
+        m = _awkward(kind)
+        inv = self._inverse(np.asarray(m.sum(axis=0)).ravel())
+        self._check(m, column_normalize(m), m @ sp.diags(inv))
+
+    def test_random_walk_matrix_keeps_the_adjacency_order(self):
+        """``dangling="self"``: ``T`` is ``A + loops`` row-scaled, in ``A + loops``' order."""
+        from repro.graph.attributed_graph import AttributedGraph
+        from repro.graph.matrices import random_walk_matrix
+
+        looped = _awkward("dangling_self_loops")
+        graph = AttributedGraph(
+            adjacency=_dangling_adjacency(), attributes=sp.identity(12, format="csr")
+        )
+        transition = random_walk_matrix(graph, dangling="self")
+        inv = self._inverse(np.asarray(looped.sum(axis=1)).ravel())
+        self._check(looped, transition, sp.diags(inv) @ looped)
 
 
 class TestDenseNormalizers:
