@@ -1,19 +1,19 @@
 """HTTP serving benchmarks — emits a ``BENCH_http.json`` perf record.
 
 Measures the network front-end (:mod:`repro.serving.http`) over
-localhost for three deployments of the same corpus:
+localhost for two deployments of the same corpus:
 
 - ``exact``   — unsharded brute-force backend;
-- ``ivf``     — the IVF ANN backend at its default ``nprobe``;
 - ``sharded`` — a 4-shard range-partitioned store behind the
   scatter-gather router (exact per shard).
 
-Schema ``bench_http/v5`` (same file as v1–v4): every deployment is
+Schema ``bench_http/v6`` (same file as v1–v5): every deployment is
 measured along two wire formats (``json`` vs ``binary`` frames) — the
 dimension the PR-5 request-path overhaul optimizes; v5 drops v2–v4's
 second, admission-coalesced server per deployment (the coalescer is
 gone: concurrent single queries now batch naturally inside the one
-server) and its ``coalesced`` cells.  A closed
+server) and its ``coalesced`` cells; v6 drops the ``ivf`` deployment
+(the approximate backend is gone) and its floor.  A closed
 loop (:func:`repro.serving.http.run_load`) drives ``POST /v1/topk`` and
 ``POST /v1/topk:batch`` through a real :class:`ServingClient` (keep-alive
 connection reuse included) and records client-observed QPS, p50 and p99,
@@ -29,8 +29,9 @@ runs assert the on/off throughput ratio stays at or above 0.95.
 Correctness is asserted on **every** run (``--smoke`` included):
 
 - ``GET /healthz`` answers 200 with the active version;
-- exact top-k over HTTP is **bit-identical** to the in-process
-  ``QueryService.search`` answer for *both* wire formats — JSON floats
+- top-k over HTTP is **bit-identical** to the in-process
+  ``QueryService.search`` answer for *both* wire formats and both
+  deployments — JSON floats
   survive the round trip via shortest-repr, binary frames carry the raw
   IEEE-754 bytes (the binary check runs against an independent
   in-process service);
@@ -49,9 +50,8 @@ Correctness is asserted on **every** run (``--smoke`` included):
   full capacity afterwards.
 
 The full (non-smoke) configuration additionally asserts the PR-5
-acceptance floors against the committed PR-4 baselines: exact
-single-query throughput ≥ 2× 119 req/s and IVF ≥ 1.5× 528 req/s over
-the binary wire.
+acceptance floor against the committed PR-4 baseline: exact
+single-query throughput ≥ 2× 119 req/s over the binary wire.
 
 Run as a script (not under pytest)::
 
@@ -91,11 +91,11 @@ from repro.serving.service import QueryService, SearchRequest
 from repro.serving.store import EmbeddingStore
 from repro.serving.synth import synthetic_embedding
 
-# PR-4 committed full-run baselines (single-query req/s, this bench's
-# default shape) and the PR-5 acceptance multipliers asserted against
-# them on full runs.
-PR4_SINGLE_QPS = {"exact": 119.0, "ivf": 528.0}
-ACCEPTANCE_FLOOR = {"exact": 2.0, "ivf": 1.5}
+# PR-4 committed full-run baseline (exact single-query req/s, this
+# bench's default shape) and the PR-5 acceptance multiplier asserted
+# against it on full runs.
+PR4_EXACT_SINGLE_QPS = 119.0
+ACCEPTANCE_FLOOR = 2.0
 
 
 def check_drain(url: str, n_nodes: int, server: EmbeddingServer, k: int) -> dict:
@@ -269,20 +269,6 @@ def exact_reference(store, k: int):
     return reference
 
 
-def service_reference(store, backend: str, args: argparse.Namespace):
-    """An in-process service pinned to the named version (same backend)."""
-
-    def reference(version: str, nodes: np.ndarray):
-        with QueryService(
-            store, backend=backend, nprobe=args.nprobe, version=version,
-            cache_size=0, index_cache=True,
-        ) as pinned:
-            result = pinned.search(SearchRequest(nodes=nodes, k=args.k))
-        return result.ids, result.scores
-
-    return reference
-
-
 def best_single_run(url: str, args: argparse.Namespace, *, seed_base: int, wire: str) -> dict:
     """Best-of-N single-query load run (distinct node stream per trial).
 
@@ -316,30 +302,9 @@ def best_single_run(url: str, args: argparse.Namespace, *, seed_base: int, wire:
     return best
 
 
-def bench_deployment(
-    name: str,
-    store,
-    backend: str,
-    embedding,
-    args: argparse.Namespace,
-    *,
-    check_identity: bool,
-) -> dict:
-    with QueryService(
-        store,
-        backend=backend,
-        nprobe=args.nprobe,
-        n_threads=args.threads,
-        # Persist/load index artifacts so the version-flip stress's
-        # /admin/refresh flips swap in milliseconds instead of
-        # retraining an IVF quantizer per flip — the race needs real
-        # flip pressure to be worth asserting.
-        index_cache=True,
-    ) as service:
-        record: dict = {
-            "backend": backend,
-            "backend_kind": service.describe()["backend_kind"],
-        }
+def bench_deployment(name: str, store, args: argparse.Namespace) -> dict:
+    with QueryService(store, n_threads=args.threads) as service:
+        record: dict = {"backend_kind": service.describe()["backend_kind"]}
 
         server = EmbeddingServer(service, drain_timeout_s=30.0).start()
         url = server.url
@@ -348,27 +313,24 @@ def bench_deployment(
             assert health["status"] == "ok", health
             assert health["version"] == service.version
 
-        if check_identity:
-            rng = np.random.default_rng(args.seed + 7)
-            sample = rng.choice(args.n, size=args.identity_sample, replace=False)
-            # Clients are closed after use: every leaked pooled socket
-            # would pin one of this server's handler threads through the
-            # load phases measured next.
-            with ServingClient(url, wire="json") as json_client:
-                record["bit_identical_nodes"] = assert_bit_identical(
-                    json_client, service, sample, args.k
+        rng = np.random.default_rng(args.seed + 7)
+        sample = rng.choice(args.n, size=args.identity_sample, replace=False)
+        # Clients are closed after use: every leaked pooled socket
+        # would pin one of this server's handler threads through the
+        # load phases measured next.
+        with ServingClient(url, wire="json") as json_client:
+            record["bit_identical_nodes"] = assert_bit_identical(
+                json_client, service, sample, args.k
+            )
+        # The binary frame path must be just as bit-identical — raw
+        # float64 bytes on the wire make it true by construction,
+        # this asserts the construction, against an independent
+        # in-process service.
+        with ServingClient(url, wire="binary") as binary_client:
+            with QueryService(store) as independent:
+                record["bit_identical_nodes_binary"] = assert_bit_identical(
+                    binary_client, independent, sample, args.k
                 )
-            # The binary frame path must be just as bit-identical — raw
-            # float64 bytes on the wire make it true by construction,
-            # this asserts the construction, against an independent
-            # in-process service.
-            with ServingClient(url, wire="binary") as binary_client:
-                with QueryService(
-                    store, backend=backend, nprobe=args.nprobe
-                ) as independent:
-                    record["bit_identical_nodes_binary"] = assert_bit_identical(
-                        binary_client, independent, sample, args.k
-                    )
 
         record["single"] = {}
         record["batch"] = {}
@@ -394,11 +356,7 @@ def bench_deployment(
 
         record["version_flips"] = check_version_flips(
             url, store, args,
-            reference=(
-                exact_reference(store, args.k)
-                if check_identity
-                else service_reference(store, backend, args)
-            ),
+            reference=exact_reference(store, args.k),
             requests=max(128, args.requests // 4),
         )
         # Drain-under-fire closes this server.
@@ -431,12 +389,7 @@ def bench_obs_overhead(store, args: argparse.Namespace) -> dict:
     """
     cells = {}
     for label, enabled in (("enabled", True), ("disabled", False)):
-        with QueryService(
-            store,
-            backend="exact",
-            n_threads=args.threads,
-            index_cache=True,
-        ) as service:
+        with QueryService(store, n_threads=args.threads) as service:
             server = EmbeddingServer(
                 service, drain_timeout_s=30.0, obs=enabled
             ).start()
@@ -482,21 +435,18 @@ def bench_supervised(store_root: Path, args: argparse.Namespace) -> dict:
     config = SupervisorConfig(
         store=str(store_root),
         n_workers=n_workers,
-        backend="exact",
         threads=args.threads,
         health_interval_s=0.1,
         backoff_base_s=0.05,
         max_restarts=50,  # the chaos phase crashes on purpose
         drain_timeout_s=30.0,
     )
-    record: dict = {"n_workers": n_workers, "backend": "exact", "single": {}}
+    record: dict = {"n_workers": n_workers, "single": {}}
 
     with Supervisor(config) as supervisor:
         rng = np.random.default_rng(args.seed + 11)
         sample = rng.choice(args.n, size=args.identity_sample, replace=False)
-        with QueryService(
-            EmbeddingStore(store_root), backend="exact", index_cache=True
-        ) as reference:
+        with QueryService(EmbeddingStore(store_root)) as reference:
             with ServingClient(supervisor.url, wire="binary") as client:
                 record["bit_identical_nodes"] = assert_bit_identical(
                     client, reference, sample, args.k
@@ -586,7 +536,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--concurrency", type=int, default=8)
     parser.add_argument("--batch-size", type=int, default=64)
     parser.add_argument("--k", type=int, default=10)
-    parser.add_argument("--nprobe", type=int, default=8)
     parser.add_argument("--shards", type=int, default=4)
     parser.add_argument("--threads", type=int, default=4, help="service pool")
     parser.add_argument(
@@ -620,7 +569,7 @@ def main(argv: list[str] | None = None) -> int:
 
     record = {
         "meta": {
-            "schema": "bench_http/v5",
+            "schema": "bench_http/v6",
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
@@ -635,7 +584,6 @@ def main(argv: list[str] | None = None) -> int:
             "concurrency": args.concurrency,
             "batch_size": args.batch_size,
             "k": args.k,
-            "nprobe": args.nprobe,
             "shards": args.shards,
             "threads": args.threads,
             "trials": args.trials,
@@ -649,21 +597,14 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         plain = EmbeddingStore(Path(tmp) / "plain")
         plain.publish(embedding)
-        record["exact"] = bench_deployment(
-            "exact", plain, "exact", embedding, args, check_identity=True
-        )
-        record["ivf"] = bench_deployment(
-            "ivf", plain, "ivf", embedding, args, check_identity=False
-        )
+        record["exact"] = bench_deployment("exact", plain, args)
         sharded = EmbeddingStore(
             Path(tmp) / "sharded", n_shards=args.shards
         )
         sharded.publish(embedding)
         # Sharded exact returns canonical scores, so the HTTP answers must
         # be bit-identical to the in-process *sharded* service too.
-        record["sharded"] = bench_deployment(
-            "sharded", sharded, "exact", embedding, args, check_identity=True
-        )
+        record["sharded"] = bench_deployment("sharded", sharded, args)
         # The multi-process fleet over the same plain store (the
         # version-flip stress above published extra permuted versions;
         # LATEST is what the workers open).
@@ -678,16 +619,14 @@ def main(argv: list[str] | None = None) -> int:
         assert ratio >= 0.95, (
             f"observability overhead exceeds 5%: on/off qps ratio {ratio:.3f}"
         )
-        # The PR-5 acceptance floors, against the committed PR-4 numbers.
-        for deployment, multiplier in ACCEPTANCE_FLOOR.items():
-            floor = PR4_SINGLE_QPS[deployment] * multiplier
-            got = record[deployment]["single"]["binary"]["qps"]
-            assert got >= floor, (
-                f"{deployment} binary single-query throughput "
-                f"{got:.0f} req/s is below the acceptance floor {floor:.0f} "
-                f"({multiplier}x the PR-4 baseline "
-                f"{PR4_SINGLE_QPS[deployment]:.0f})"
-            )
+        # The PR-5 acceptance floor, against the committed PR-4 number.
+        floor = PR4_EXACT_SINGLE_QPS * ACCEPTANCE_FLOOR
+        got = record["exact"]["single"]["binary"]["qps"]
+        assert got >= floor, (
+            f"exact binary single-query throughput {got:.0f} req/s is below "
+            f"the acceptance floor {floor:.0f} ({ACCEPTANCE_FLOOR}x the PR-4 "
+            f"baseline {PR4_EXACT_SINGLE_QPS:.0f})"
+        )
 
     out = Path(args.out)
     out.write_text(json.dumps(record, indent=2) + "\n")

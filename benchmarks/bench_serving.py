@@ -1,19 +1,15 @@
 """Serving-layer benchmarks — emits a ``BENCH_serving.json`` perf record.
 
-Measures the IVF ANN backend of :mod:`repro.serving.index` against the
-brute-force exact backend on a seeded clustered dataset shaped like real
-embedding matrices (cluster centers + Gaussian noise, unit rows):
+Measures the exact search backend of :mod:`repro.serving.index` on a
+seeded clustered dataset shaped like real embedding matrices (cluster
+centers + Gaussian noise, unit rows):
 
 - ``exact``   — batched brute-force QPS (float32 GEMM over the backend's
   resident copy, certified band, canonical float64 rescore) and
-  single-query latency; the ground truth for recall, asserted
-  **bit-identical** to the float64 engine on every run, smoke included.
-- ``ivf``     — index build time, batched QPS at the default ``nprobe``,
-  recall@10 vs exact, and the QPS/recall curve over a few ``nprobe``s.
-- ``filtered`` — predicate-filtered search: exact and IVF under random
-  allow masks at 50%/10%/1% selectivity, with filtered-exact as the
-  ground truth for filtered-IVF recall and the selectivity-widened
-  probe width reported per level.
+  single-query latency, asserted **bit-identical** to the float64 engine
+  on every run, smoke included.
+- ``filtered`` — predicate-filtered exact search under random allow masks
+  at 50%/10%/1% selectivity, QPS against the unfiltered scan.
 - ``sharded`` — exact scatter-gather through a
   :class:`~repro.serving.sharding.router.ShardRouter` over range-partitioned
   shards; asserts the results are **bit-identical** to unsharded exact.
@@ -39,18 +35,15 @@ Run as a script (not under pytest)::
     PYTHONPATH=src python benchmarks/bench_serving.py           # full record
     PYTHONPATH=src python benchmarks/bench_serving.py --smoke   # CI-sized
 
-The full configuration (n=131072) asserts the acceptance floors: IVF at
-the default ``nprobe`` must hold recall@10 ≥ 0.9 while serving ≥ 5× the
-exact backend's QPS.  Sharded bit-identity and ingestion freshness drain are
-asserted at every size, smoke included — they are correctness
-properties, not tuning properties; so is the filtered-IVF recall floor
-(≥ 0.95) at 1% selectivity, where the widened probe is exhaustive over
-the allowed set.  Full runs additionally assert filtered-IVF recall
-≥ 0.95 at every selectivity and filtered-exact ≥ 0.5× the unfiltered
+Exact and sharded bit-identity, ingestion freshness drain and
+replication drain are asserted at every size, smoke included — they are
+correctness properties, not tuning properties.  The full configuration
+(n=131072) additionally asserts filtered exact ≥ 0.5× the unfiltered
 exact QPS at 50% selectivity.  The JSON record (schema
-``bench_serving/v5``; v4 + the ``replication`` section) stores machine
-info, parameters, per-backend numbers, and the speedup so future PRs
-have a regression trajectory next to ``BENCH_kernels.json``.
+``bench_serving/v6``; v5 without the ``ivf`` section and the IVF half of
+``filtered``) stores machine info, parameters and per-section numbers so
+future changes have a regression trajectory next to
+``BENCH_kernels.json``.
 """
 
 from __future__ import annotations
@@ -70,18 +63,9 @@ import scipy
 
 from repro.parallel.pool import WorkerPool
 from repro.search.knn import CompiledFilter, exact_top_k
-from repro.serving.index import ExactBackend, IVFIndex, filtered_probe_width
+from repro.serving.index import ExactBackend
 from repro.serving.sharding import Partitioner, ShardRouter
 from repro.serving.synth import clustered_unit_vectors
-
-
-def recall_at_k(truth_ids: np.ndarray, test_ids: np.ndarray) -> float:
-    """Mean fraction of each truth row recovered by the test row."""
-    hits = sum(
-        np.intersect1d(truth_ids[row], test_ids[row]).shape[0]
-        for row in range(truth_ids.shape[0])
-    )
-    return hits / truth_ids.size
 
 
 def bench_exact(features: np.ndarray, query_nodes: np.ndarray, k: int) -> dict:
@@ -120,74 +104,20 @@ def bench_exact(features: np.ndarray, query_nodes: np.ndarray, k: int) -> dict:
     }
 
 
-def bench_ivf(
-    features: np.ndarray,
-    query_nodes: np.ndarray,
-    k: int,
-    truth_ids: np.ndarray,
-    exact_qps: float,
-    *,
-    nlist: int,
-    nprobe: int,
-    nprobe_sweep: tuple[int, ...],
-    seed: int,
-) -> dict:
-    start = time.perf_counter()
-    index = IVFIndex(features, nlist=nlist, nprobe=nprobe, seed=seed)
-    build_seconds = time.perf_counter() - start
-    queries = features[query_nodes]
-
-    def run(probe: int) -> tuple[float, float]:
-        tick = time.perf_counter()
-        ids, _ = index.search(queries, k, exclude=query_nodes, nprobe=probe)
-        seconds = time.perf_counter() - tick
-        return query_nodes.size / seconds, recall_at_k(truth_ids, ids)
-
-    qps, recall = run(nprobe)
-    sweep = {}
-    for probe in nprobe_sweep:
-        probe_qps, probe_recall = run(probe)
-        sweep[str(probe)] = {
-            "qps_batch": probe_qps,
-            "recall_at_k": probe_recall,
-        }
-    sizes = index.list_sizes()
-    record = {
-        "build_seconds": build_seconds,
-        "nlist": index.nlist,
-        "nprobe": nprobe,
-        "list_size_mean": float(sizes.mean()),
-        "list_size_max": int(sizes.max()),
-        "qps_batch": qps,
-        "recall_at_k": recall,
-        "speedup_vs_exact": qps / exact_qps,
-        "nprobe_sweep": sweep,
-    }
-    return {"record": record, "index": index}
-
-
 def bench_filtered(
     features: np.ndarray,
     query_nodes: np.ndarray,
     k: int,
-    ivf_index: IVFIndex,
     exact_qps: float,
     *,
-    nprobe: int,
     seed: int,
 ) -> dict:
-    """Predicate-filtered search at fixed selectivities.
+    """Predicate-filtered exact search at fixed selectivities.
 
     Random allow masks at 50% / 10% / 1% selectivity, pushed natively
-    into both backends via :class:`CompiledFilter`.  Filtered exact is
-    the ground truth for filtered-IVF recall (its own mask-then-rank
-    answer, not the unfiltered one).  The IVF probe width reported per
-    level is what :func:`filtered_probe_width` widens the base
-    ``nprobe`` to — at 1% selectivity it reaches ``nlist``, so the scan
-    is exhaustive over the allowed set and recall is exactly 1.0.
-    :func:`main` asserts the floors: filtered-IVF recall@k ≥ 0.95 at
-    every level on full runs (the 1% point is the acceptance floor) and
-    filtered-exact QPS ≥ 0.5× unfiltered exact at 50% selectivity.
+    into the exact backend via :class:`CompiledFilter`.  :func:`main`
+    asserts the floor on full runs: filtered-exact QPS ≥ 0.5× unfiltered
+    exact at 50% selectivity.
     """
     backend = ExactBackend(features)
     queries = features[query_nodes]
@@ -198,35 +128,14 @@ def bench_filtered(
         mask = rng.random(n) < fraction
         compiled = CompiledFilter(mask)
         start = time.perf_counter()
-        truth_ids, _ = backend.search(
-            queries, k, exclude=query_nodes, node_filter=compiled
-        )
+        backend.search(queries, k, exclude=query_nodes, node_filter=compiled)
         exact_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        ivf_ids, _ = ivf_index.search(
-            queries, k, exclude=query_nodes, nprobe=nprobe, node_filter=compiled
-        )
-        ivf_seconds = time.perf_counter() - start
-        # Recall over the rows filtered-exact actually filled: at 1%
-        # selectivity some queries may have fewer than k allowed rows.
-        hits = 0
-        answered = 0
-        for row in range(truth_ids.shape[0]):
-            truth_row = truth_ids[row][truth_ids[row] >= 0]
-            hits += np.intersect1d(truth_row, ivf_ids[row]).shape[0]
-            answered += truth_row.shape[0]
         exact_qps_filtered = query_nodes.size / exact_seconds
-        ivf_qps_filtered = query_nodes.size / ivf_seconds
         levels[f"{fraction:g}"] = {
             "selectivity": compiled.selectivity,
             "n_allowed": compiled.n_allowed,
-            "probe_width": filtered_probe_width(
-                nprobe, ivf_index.nlist, compiled.selectivity
-            ),
             "exact_qps": exact_qps_filtered,
             "exact_qps_vs_unfiltered": exact_qps_filtered / exact_qps,
-            "ivf_qps": ivf_qps_filtered,
-            "ivf_recall_at_k": hits / max(1, answered),
         }
     return levels
 
@@ -566,8 +475,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--clusters", type=int, default=256, help="data clusters")
     parser.add_argument("--queries", type=int, default=1024)
     parser.add_argument("--k", type=int, default=10)
-    parser.add_argument("--nlist", type=int, default=512)
-    parser.add_argument("--nprobe", type=int, default=8)
     parser.add_argument("--shards", type=int, default=4, help="router shards")
     parser.add_argument(
         "--shard-threads", type=int, default=4, help="scatter worker threads"
@@ -577,18 +484,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="CI-sized run (n=8192); skips the 5x speedup assertion "
-        "(exact GEMM is too fast at toy sizes for IVF to beat from python)",
+        help="CI-sized run (n=8192); skips the filtered-QPS floor",
     )
     args = parser.parse_args(argv)
 
     if args.smoke:
         args.n, args.dim, args.clusters = 8_192, 32, 64
-        args.queries, args.nlist, args.nprobe = 256, 64, 8
+        args.queries = 256
 
     record = {
         "meta": {
-            "schema": "bench_serving/v5",
+            "schema": "bench_serving/v6",
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
@@ -603,8 +509,6 @@ def main(argv: list[str] | None = None) -> int:
             "clusters": args.clusters,
             "queries": args.queries,
             "k": args.k,
-            "nlist": args.nlist,
-            "nprobe": args.nprobe,
             "shards": args.shards,
             "seed": args.seed,
         },
@@ -624,28 +528,12 @@ def main(argv: list[str] | None = None) -> int:
     exact = bench_exact(features, query_nodes, args.k)
     record["exact"] = exact["record"]
 
-    print("ivf backend...", flush=True)
-    ivf = bench_ivf(
-        features,
-        query_nodes,
-        args.k,
-        exact["truth_ids"],
-        exact["record"]["qps_batch"],
-        nlist=args.nlist,
-        nprobe=args.nprobe,
-        nprobe_sweep=(1, 4, 16),
-        seed=args.seed,
-    )
-    record["ivf"] = ivf["record"]
-
-    print("filtered search (exact + ivf at 50%/10%/1% selectivity)...", flush=True)
+    print("filtered exact search (50%/10%/1% selectivity)...", flush=True)
     record["filtered"] = bench_filtered(
         features,
         query_nodes,
         args.k,
-        ivf["index"],
         exact["record"]["qps_batch"],
-        nprobe=args.nprobe,
         seed=args.seed,
     )
 
@@ -684,9 +572,6 @@ def main(argv: list[str] | None = None) -> int:
         n_upserts=80 if args.smoke else 300,
     )
 
-    recall = record["ivf"]["recall_at_k"]
-    speedup = record["ivf"]["speedup_vs_exact"]
-    assert recall >= 0.9, f"IVF recall@{args.k} = {recall:.3f} < 0.9"
     lag = record["ingest"]["freshness_lag"]
     assert lag == 0, (
         f"ingestion lag did not drain: lsn_served="
@@ -707,34 +592,12 @@ def main(argv: list[str] | None = None) -> int:
         f"{rep['standby_lsn_durable']}"
     )
     assert rep["records_replicated"] >= rep["upserts"], rep
-    filtered_1pct = record["filtered"]["0.01"]["ivf_recall_at_k"]
-    assert filtered_1pct >= 0.95, (
-        f"filtered IVF recall@{args.k} at 1% selectivity = "
-        f"{filtered_1pct:.3f} < 0.95"
-    )
     if not args.smoke:
-        for level, row in record["filtered"].items():
-            assert row["ivf_recall_at_k"] >= 0.95, (
-                f"filtered IVF recall@{args.k} at selectivity {level} = "
-                f"{row['ivf_recall_at_k']:.3f} < 0.95"
-            )
         exact_ratio = record["filtered"]["0.5"]["exact_qps_vs_unfiltered"]
         assert exact_ratio >= 0.5, (
             f"filtered exact at 50% selectivity holds only "
             f"{exact_ratio:.2f}x of unfiltered QPS (< 0.5x)"
         )
-        if (os.cpu_count() or 1) > 1:
-            assert speedup >= 5.0, f"IVF speedup {speedup:.1f}x < 5x"
-        else:
-            # The 5x floor is calibrated for multi-core hosts, where the
-            # probe path amortizes across BLAS threads; a single-core box
-            # lands ~4x with an identical implementation, so asserting
-            # there would gate the record on hardware, not code.
-            print(
-                f"single-cpu host: IVF 5x floor skipped "
-                f"(measured {speedup:.1f}x)",
-                flush=True,
-            )
 
     out = Path(args.out)
     out.write_text(json.dumps(record, indent=2) + "\n")
@@ -743,18 +606,10 @@ def main(argv: list[str] | None = None) -> int:
         f"exact    {record['exact']['qps_batch']:10.0f} QPS  "
         f"(p50 single {record['exact']['p50_single_ms']:.2f} ms)"
     )
-    print(
-        f"ivf      {record['ivf']['qps_batch']:10.0f} QPS  "
-        f"recall@{args.k}={recall:.3f}  ({speedup:.1f}x vs exact, "
-        f"build {record['ivf']['build_seconds']:.1f}s)"
-    )
     for level, row in record["filtered"].items():
         print(
-            f"filtered {row['exact_qps']:10.0f} QPS exact / "
-            f"{row['ivf_qps']:.0f} QPS ivf at {float(level):.0%} selectivity  "
-            f"(ivf recall@{args.k}={row['ivf_recall_at_k']:.3f}, "
-            f"probe width {row['probe_width']}, "
-            f"exact {row['exact_qps_vs_unfiltered']:.2f}x of unfiltered)"
+            f"filtered {row['exact_qps']:10.0f} QPS at {float(level):.0%} "
+            f"selectivity ({row['exact_qps_vs_unfiltered']:.2f}x of unfiltered)"
         )
     print(
         f"sharded  {record['sharded']['qps_batch']:10.0f} QPS  "

@@ -9,8 +9,9 @@ Public API highlights:
   prediction, node classification).
 - Competitor methods in :mod:`repro.baselines`.
 - The paper's experiment harness in :mod:`repro.eval`.
-- The serving subsystem in :mod:`repro.serving` (versioned store, IVF
-  index, batched query service, online refresh — see ``docs/SERVING.md``).
+- The serving subsystem in :mod:`repro.serving` (versioned store, exact
+  search backend, batched query service, online refresh — see
+  ``docs/SERVING.md``).
 """
 
 from repro._lazy import lazy_exports

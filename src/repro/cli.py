@@ -455,8 +455,6 @@ def _serve_supervised(store, args: argparse.Namespace) -> int:
         n_workers=args.workers,
         host=args.http_host,
         port=args.http,
-        backend=args.backend,
-        nprobe=args.nprobe,
         threads=args.threads,
         drain_timeout_s=args.drain_timeout,
         log_requests=args.log_requests,
@@ -557,11 +555,7 @@ def _serve_http(store, args: argparse.Namespace) -> int:
             print("error: store has no published versions", file=sys.stderr)
             return 2
         with QueryService(
-            store,
-            backend=args.backend,
-            nprobe=args.nprobe,
-            n_threads=args.threads,
-            index_cache=True,
+            store, backend=args.backend, n_threads=args.threads
         ) as service:
             if write_path is not None:
                 # Reads in this process follow the write path: each
@@ -794,7 +788,6 @@ def _cmd_bench_http(args: argparse.Namespace) -> int:
         requests=args.requests,
         concurrency=args.concurrency,
         k=args.k,
-        nprobe=args.nprobe,
         batch=args.batch,
         timeout_s=args.timeout,
         seed=args.seed,
@@ -863,15 +856,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    with QueryService(
-        store,
-        backend=args.backend,
-        nprobe=args.nprobe,
-        version=args.version,
-        # Persist the trained IVF artifact into the version directory so a
-        # one-shot CLI process loads it instead of retraining per query.
-        index_cache=True,
-    ) as service:
+    with QueryService(store, version=args.version) as service:
         if args.attribute is not None:
             if node_filter is not None:
                 print(
@@ -891,7 +876,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         print(f"# version={result.version} latency={result.latency_s * 1e3:.2f}ms")
         for node, score in zip(result.ids, result.scores):
             if node < 0:
-                continue  # IVF padding for sparsely populated probes
+                continue  # padding: the filter allows fewer than k rows
             print(f"{node}\t{score:.4f}")
     return 0
 
@@ -982,13 +967,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--backend",
-        choices=("auto", "exact", "ivf"),
+        choices=("exact",),
         default="exact",
-        help="search backend behind --http (default exact; trained "
-        "artifacts persist into the store version directory)",
-    )
-    serve.add_argument(
-        "--nprobe", type=int, default=8, help="IVF cells probed per query"
+        help="search backend behind --http (exact is the only one)",
     )
     serve.add_argument(
         "--threads",
@@ -1239,21 +1220,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument("--k", type=int, default=10)
     query.add_argument(
-        "--backend",
-        choices=("auto", "exact", "ivf"),
-        # A one-shot CLI process answers a single query and exits; exact
-        # stays the default, but IVF persists its trained artifact into the
-        # store version directory on first use and loads it afterwards, so
-        # --backend ivf only pays the build once per version instead of
-        # per invocation.
-        default="exact",
-        help="search backend (default exact; ivf trains once per store "
-        "version, persists the artifact, and reloads it afterwards)",
-    )
-    query.add_argument(
-        "--nprobe", type=int, default=8, help="IVF cells probed per query"
-    )
-    query.add_argument(
         "--version", default=None, help="pin a store version (default: latest)"
     )
     query.add_argument(
@@ -1302,9 +1268,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_http.add_argument("--requests", type=int, default=512)
     bench_http.add_argument("--concurrency", type=int, default=4)
     bench_http.add_argument("--k", type=int, default=10)
-    bench_http.add_argument(
-        "--nprobe", type=int, default=None, help="IVF cells probed per query"
-    )
     bench_http.add_argument(
         "--batch",
         type=int,

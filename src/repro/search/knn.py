@@ -4,8 +4,8 @@ The classic downstream use of node embeddings: "find nodes like this one".
 This module is the *exact* search engine: brute-force dense scoring with
 certified candidate selection, tiled over queries so a batch never
 materializes more than ``tile × n`` scores at once.  The serving layer
-(:mod:`repro.serving.index`) wraps it as the ``ExactBackend`` and adds an
-IVF approximate backend behind the same interface.
+(:mod:`repro.serving.index`) wraps it as the ``ExactBackend``, its one
+search backend.
 
 All entry points accept ``assume_normalized=True`` for inputs whose rows
 are already unit-length (e.g. matrices published by
@@ -120,8 +120,8 @@ def select_band(scores: np.ndarray, k: int, dim: int) -> np.ndarray:
     canonical top-k (ties by id) is always among a row's candidates and a
     row has at least ``k`` of them.  Masked columns are candidates only
     when a row has fewer than ``k`` live ones; callers drop them by their
-    ``-inf`` score.  The one place that decides what the exact engine and
-    the IVF selectors rescore.
+    ``-inf`` score.  The one place that decides what the exact engine
+    rescores.
 
     The ``k``-th best ``t`` is found without partitioning the whole row.
     The row's first ``g·L`` columns fall into ``L ≥ k`` disjoint strided
@@ -183,12 +183,11 @@ def canonical_scores(
 ) -> np.ndarray:
     """Canonical cosine scores of ``features[ids]`` against one ``query``.
 
-    The single-query convenience over :func:`rowwise_inner` used by the
-    IVF backend to rescore candidate sets: the returned floats are
-    bit-identical to what :func:`exact_top_k` reports for the same rows.
-    A fancy-index gather always yields a fresh contiguous array, so the
-    einsum runs directly on it (this sits on per-query hot paths; the
-    generic :func:`rowwise_inner` wrapper calls are measurable there).
+    The single-query convenience over :func:`rowwise_inner`: the returned
+    floats are bit-identical to what :func:`exact_top_k` reports for the
+    same rows, which makes it the oracle of a brute-force ranking.  A
+    fancy-index gather always yields a fresh contiguous array, so the
+    einsum runs directly on it.
     """
     rows = features[ids]
     repeated = np.empty_like(rows)

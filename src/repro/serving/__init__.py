@@ -1,4 +1,4 @@
-"""Embedding serving: versioned store, ANN index, query service, refresh.
+"""Embedding serving: versioned store, exact search, query service, refresh.
 
 The subsystem that turns a trained :class:`~repro.core.embedding.PANEEmbedding`
 into something that answers similarity queries under load:
@@ -6,13 +6,13 @@ into something that answers similarity queries under load:
 - :class:`EmbeddingStore` — durable, versioned, memory-mapped storage with
   atomic publish and rollback, unsharded or rows split across N shards
   (``store.py``);
-- :class:`IVFIndex` / :class:`ExactBackend` — approximate and brute-force
-  search behind one :class:`SearchBackend` interface (``index.py``);
+- :class:`ExactBackend` — the exact search engine behind the
+  :class:`SearchBackend` interface (``index.py``);
 - :class:`QueryService` — one ``search(SearchRequest)`` entrypoint over
   batched, cached, metered query serving with atomic version swaps
   (``service.py``);
-- :class:`OnlineRefresher` — delta update → republish → incremental index
-  rebuild → swap, without downtime (``refresh.py``);
+- :class:`OnlineRefresher` — delta update → republish → swap, without
+  downtime (``refresh.py``);
 - :mod:`~repro.serving.sharding` — the scatter-gather
   :class:`ShardRouter` over a sharded store's shards (``sharding/``);
 - :mod:`~repro.serving.http` — the stdlib HTTP front-end
@@ -31,11 +31,8 @@ See ``docs/SERVING.md`` for the operational guide.
 from repro._lazy import lazy_exports
 
 __all__ = [
-    "AUTO_EXACT_THRESHOLD",
     "EmbeddingStore",
     "ExactBackend",
-    "IVFIndex",
-    "IVFRebuildStats",
     "OnlineRefresher",
     "Partitioner",
     "PinnedView",
@@ -43,14 +40,12 @@ __all__ = [
     "QueryService",
     "RefreshReport",
     "SearchBackend",
-    "SearchParams",
     "SearchRequest",
     "ShardRouter",
     "StoredEmbedding",
     "backend_kind_name",
     "json_safe",
     "make_backend",
-    "resolve_kind",
     "search_features",
 ]
 
@@ -60,13 +55,12 @@ __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "repro.serving.index": (
-            "AUTO_EXACT_THRESHOLD", "ExactBackend", "IVFIndex", "IVFRebuildStats",
-            "SearchBackend", "make_backend", "resolve_kind",
+            "ExactBackend", "SearchBackend", "make_backend",
         ),
         "repro.serving.refresh": ("OnlineRefresher", "RefreshReport"),
         "repro.serving.service": (
-            "PinnedView", "QueryResult", "QueryService", "SearchParams",
-            "SearchRequest", "backend_kind_name", "json_safe",
+            "PinnedView", "QueryResult", "QueryService", "SearchRequest",
+            "backend_kind_name", "json_safe",
         ),
         "repro.serving.sharding.router": ("ShardRouter",),
         "repro.serving.store": (

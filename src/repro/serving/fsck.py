@@ -278,9 +278,9 @@ def verify_version(store: EmbeddingStore, version: str) -> list[Issue]:
                     f"header promises {expected}",
                 )
 
-        # Index artifacts are derived data (deleting one only costs a
-        # rebuild), but a torn .npz would still crash activation with an
-        # opaque zipfile error — flag it so repair can GC it.
+        # Index artifacts are derived data an older release wrote and
+        # nothing reads any more: a torn one is flagged so repair deletes
+        # it, an intact one is left alone.
         for artifact in sorted(shard_path.glob("index_*.npz")):
             if not zipfile.is_zipfile(artifact):
                 issue(

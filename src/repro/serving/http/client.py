@@ -71,15 +71,12 @@ def _as_given(value):
         return value
 
 
-def _merge_search_options(body: dict, node_filter, params) -> None:
-    """Fold ``filter=`` / ``params=`` kwargs into a request body.
+def _merge_filter(body: dict, node_filter) -> None:
+    """Fold a ``filter=`` kwarg into a request body.
 
-    Accepts the in-process objects (:class:`NodeFilter`,
-    ``SearchParams``) or their plain JSON-object forms.  The encoded
-    objects ride in the JSON body or the binary frame *header*
-    unchanged, so one encoding serves both wire formats — old servers
-    reject the unknown fields with a structured 400, which surfaces
-    cleanly instead of being silently dropped.
+    Accepts a :class:`NodeFilter` or its plain JSON-object form.  The
+    encoded object rides in the JSON body or the binary frame *header*
+    unchanged, so one encoding serves both wire formats.
     """
     if node_filter is not None:
         obj = (
@@ -89,10 +86,6 @@ def _merge_search_options(body: dict, node_filter, params) -> None:
         )
         if obj:
             body["filter"] = obj
-    if params is not None:
-        obj = params.to_json() if hasattr(params, "to_json") else dict(params)
-        if obj:
-            body["params"] = obj
 
 
 class ServingUnavailable(ApiError):
@@ -635,13 +628,12 @@ class ServingClient:
         k: int = 10,
         *,
         filter: NodeFilter | dict | None = None,
-        params: dict | None = None,
         timeout_s: float | None = None,
         min_lsn: int | None = None,
     ) -> HTTPQueryResult:
         start = time.perf_counter()
         body = {"node": _as_given(node), "k": _as_given(k)}
-        _merge_search_options(body, filter, params)
+        _merge_filter(body, filter)
         payload = self._request(
             "POST", protocol.TOPK, body, timeout_s=timeout_s, min_lsn=min_lsn
         )
@@ -663,13 +655,12 @@ class ServingClient:
         k: int = 10,
         *,
         filter: NodeFilter | dict | None = None,
-        params: dict | None = None,
         timeout_s: float | None = None,
         min_lsn: int | None = None,
     ) -> HTTPQueryResult:
         start = time.perf_counter()
         body: dict = {"k": _as_given(k)}
-        _merge_search_options(body, filter, params)
+        _merge_filter(body, filter)
         query = np.asarray(vector, dtype=np.float64).ravel()
         payload = self._request(
             "POST", protocol.SIMILAR, body,
@@ -692,7 +683,6 @@ class ServingClient:
         k: int = 10,
         *,
         filter: NodeFilter | dict | None = None,
-        params: dict | None = None,
         timeout_s: float | None = None,
         min_lsn: int | None = None,
     ) -> HTTPQueryResult:
@@ -712,7 +702,7 @@ class ServingClient:
 
         def submit(chunk: np.ndarray, prefer: int) -> dict:
             body: dict = {"k": _as_given(k)}
-            _merge_search_options(body, filter, params)
+            _merge_filter(body, filter)
             return self._request(
                 "POST", protocol.TOPK_BATCH, body,
                 arrays={"nodes": chunk}, prefer=prefer, timeout_s=timeout_s,

@@ -289,7 +289,6 @@ def run_load(
     requests: int = 512,
     concurrency: int = 4,
     k: int = 10,
-    nprobe: int | None = None,
     batch: int = 0,
     timeout_s: float = 30.0,
     retries: int = 2,
@@ -317,7 +316,6 @@ def run_load(
     latencies: list[list[float]] = [[] for _ in range(concurrency)]
     failures: list[list[str]] = [[] for _ in range(concurrency)]
     barrier = threading.Barrier(concurrency + 1)
-    params = {"nprobe": nprobe} if nprobe is not None else None
 
     def worker(index: int) -> None:
         rng = np.random.default_rng(seed + index)
@@ -327,10 +325,10 @@ def run_load(
             try:
                 if batch > 0:
                     nodes = rng.integers(n_nodes, size=batch)
-                    client.batch_top_k(nodes, k, params=params)
+                    client.batch_top_k(nodes, k)
                 else:
                     node = int(rng.integers(n_nodes))
-                    client.top_k(node, k, params=params)
+                    client.top_k(node, k)
             except Exception as error:
                 failures[index].append(f"{type(error).__name__}: {error}")
             else:

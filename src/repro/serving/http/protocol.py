@@ -41,12 +41,10 @@ from typing import Any, NamedTuple, Sequence
 import numpy as np
 
 from repro.search.knn import FilterError, NodeFilter
-from repro.serving.service import DEFAULT_PARAMS, SearchParams
 
-# v2 has one spelling per thing: the probe width only as
-# ``params.nprobe``, writes only through ``/v1/upsert``, and latency in
-# ``/metrics`` only as the mergeable ``registry`` families plus count /
-# sum documents (no window percentiles).
+# v2 has one spelling per thing: writes only through ``/v1/upsert``, and
+# latency in ``/metrics`` only as the mergeable ``registry`` families plus
+# count / sum documents (no window percentiles).
 PROTOCOL_SCHEMA = "repro.serving.http/v2"
 
 # Stable endpoint paths (the server routes on these; the client targets them).
@@ -478,12 +476,12 @@ def require_node_field(body: dict, name: str, *, max_items: int) -> np.ndarray:
 #: Cap on ids per filter family (allow / deny / partitions) on the wire.
 MAX_FILTER_IDS = 65536
 
-#: The optional predicate/tuning fields every data endpoint accepts in
-#: addition to its own shape fields.  ``filter_allow``/``filter_deny``
+#: The optional predicate fields every data endpoint accepts in addition
+#: to its own shape fields.  ``filter_allow``/``filter_deny``
 #: are the binary-frame spelling of large id sets: raw ``<i8`` arrays
 #: instead of JSON integer lists (they merge into the ``filter`` object
 #: server-side and are rejected on JSON bodies).
-SEARCH_OPTION_FIELDS = ("filter", "params", "filter_allow", "filter_deny")
+SEARCH_OPTION_FIELDS = ("filter", "filter_allow", "filter_deny")
 
 
 def parse_filter_field(body: dict) -> NodeFilter | None:
@@ -545,21 +543,6 @@ def parse_filter_field(body: dict) -> NodeFilter | None:
                 {"items": len(ids)},
             )
     return None if node_filter.is_noop else node_filter
-
-
-def parse_params_field(body: dict):
-    """The request's ``"params"`` object → SearchParams.
-
-    Malformed params are an ``invalid_request`` (unlike filters they
-    have no dedicated error code).
-    """
-    obj = body.get("params")
-    if obj is None:
-        return DEFAULT_PARAMS
-    try:
-        return SearchParams.from_json(obj)
-    except ValueError as error:
-        raise ApiError(400, "invalid_request", str(error))
 
 
 def encode_filter(

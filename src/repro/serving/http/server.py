@@ -23,10 +23,9 @@ Endpoints (see :mod:`repro.serving.http.protocol` for the wire schema):
                             the mergeable metrics ``registry`` (Prometheus
                             text under ``Accept: text/plain``)
 ``GET  /debug/traces``      the newest finished request traces
-``POST /v1/topk``           ``{node, k?, filter?, params?}`` → ids/scores
-``POST /v1/topk:batch``     ``{nodes, k?, filter?, params?}`` → row-major
-                            ids/scores
-``POST /v1/similar_by_vector``  ``{vector, k?, filter?, params?}`` → ids/scores
+``POST /v1/topk``           ``{node, k?, filter?}`` → ids/scores
+``POST /v1/topk:batch``     ``{nodes, k?, filter?}`` → row-major ids/scores
+``POST /v1/similar_by_vector``  ``{vector, k?, filter?}`` → ids/scores
 ``POST /v1/upsert``         ``{add_edges?, remove_edges?, add_associations?,
                             remove_associations?}`` → durable LSN (requires a
                             WAL; acked only after fsync) — the only write
@@ -637,17 +636,14 @@ def _parse_search_request(
 ) -> SearchRequest:
     """The shared tail of the three data handlers: options → SearchRequest.
 
-    The filter parses to the ``invalid_filter`` wire code, params to
-    ``invalid_request``; request assembly itself can only fail on
-    programmer error upstream, but is translated anyway so a gap
-    surfaces as a 400, not a 500.
+    The filter parses to the ``invalid_filter`` wire code; request
+    assembly itself can only fail on programmer error upstream, but is
+    translated anyway so a gap surfaces as a 400, not a 500.
     """
     node_filter = protocol.parse_filter_field(body)
-    params = protocol.parse_params_field(body)
     return _translate_errors(
         lambda: SearchRequest(
-            node=node, nodes=nodes, vector=vector, k=k,
-            filter=node_filter, params=params,
+            node=node, nodes=nodes, vector=vector, k=k, filter=node_filter
         )
     )
 

@@ -84,7 +84,7 @@ _READY_RE = re.compile(r"admin=(http://\S+)")
 # The SupervisorConfig fields forwarded verbatim to every worker, which
 # reads each one (worker_main): the whole spec, no defaults on that side.
 _WORKER_KNOBS = (
-    "store", "backend", "nprobe", "threads", "drain_timeout_s",
+    "store", "threads", "drain_timeout_s",
     "log_requests", "slow_query_ms",
 )
 
@@ -93,7 +93,7 @@ _WORKER_KNOBS = (
 class SupervisorConfig:
     """Everything a multi-worker serving deployment needs to boot.
 
-    The serving knobs (``backend`` … ``log_requests``) mirror the
+    The serving knobs (``threads`` … ``slow_query_ms``) mirror the
     single-process CLI flags and are forwarded verbatim to every worker;
     the supervision knobs control the babysitting policy.
     """
@@ -103,8 +103,6 @@ class SupervisorConfig:
     host: str = "127.0.0.1"
     port: int = 0
     # -- per-worker serving knobs (mirror `repro serve --http`) --------
-    backend: str = "auto"
-    nprobe: int = 8
     threads: int = 1
     drain_timeout_s: float = 10.0
     log_requests: bool = False
@@ -177,13 +175,7 @@ def worker_main(environ=None) -> int:
     # Every key is required: the supervisor always writes the whole spec
     # (_WORKER_KNOBS), so a missing one is a boot error, not a silently
     # different server.
-    service = QueryService(
-        store,
-        backend=spec["backend"],
-        nprobe=int(spec["nprobe"]),
-        n_threads=max(1, int(spec["threads"])),
-        index_cache=True,
-    )
+    service = QueryService(store, n_threads=max(1, int(spec["threads"])))
     try:
         server = EmbeddingServer(
             service,

@@ -7,11 +7,7 @@ Ties the three other serving pieces to :mod:`repro.dynamic.incremental`:
    refresh (cheap — a few sweeps instead of a full fit);
 2. the updated embedding is :meth:`published <EmbeddingStore.publish>` as a
    new immutable store version;
-3. if the service is running an :class:`~repro.serving.index.IVFIndex`,
-   the index is refreshed *incrementally*: the coarse quantizer is kept,
-   vectors are re-assigned in one cheap pass, and only the inverted lists
-   whose membership changed are rebuilt;
-4. the service's active version is swapped atomically — in-flight queries
+3. the service's active version is swapped atomically — in-flight queries
    finish on the old snapshot, new queries see the new one.
 
 Nothing is deleted, so :meth:`EmbeddingStore.rollback` +
@@ -24,9 +20,7 @@ from dataclasses import dataclass
 
 from repro.dynamic.incremental import GraphDelta, IncrementalPANE
 from repro.graph.attributed_graph import AttributedGraph
-from repro.serving.index import IVFIndex
 from repro.serving.service import QueryService
-from repro.serving.sharding.router import ShardRouter
 from repro.serving.store import EmbeddingStore
 from repro.utils.timing import Timer
 
@@ -37,10 +31,7 @@ class RefreshReport:
 
     version: str
     n_nodes: int
-    n_moved: int  # vectors whose IVF cell changed (0 for exact backends)
-    n_lists_rebuilt: int
-    n_lists_total: int
-    timings: dict[str, float]  # update / publish / index / swap seconds
+    timings: dict[str, float]  # update / publish / swap seconds
 
 
 class OnlineRefresher:
@@ -50,7 +41,7 @@ class OnlineRefresher:
     --------
     >>> refresher = OnlineRefresher(model, store, service)  # doctest: +SKIP
     >>> report = refresher.apply(GraphDelta(add_edges=edges))  # doctest: +SKIP
-    >>> report.n_lists_rebuilt <= report.n_lists_total  # doctest: +SKIP
+    >>> service.version == report.version  # doctest: +SKIP
     True
     """
 
@@ -89,42 +80,12 @@ class OnlineRefresher:
         with timer.measure("publish"):
             version = self.store.publish(embedding, metadata=metadata)
 
-        n_moved = n_rebuilt = n_lists = 0
-        new_index = None
         if self.service is not None:
-            with timer.measure("index"):
-                stored = self.store.open(version)
-                backend = self.service.backend
-                if isinstance(backend, ShardRouter):
-                    # Per-shard incremental refresh: each IVF shard keeps
-                    # its quantizer and rebuilds only its changed lists; a
-                    # changed partition layout (node count) falls through
-                    # to a full router rebuild inside activate().
-                    try:
-                        new_index = backend.refresh(stored)
-                    except ValueError:
-                        new_index = None
-                    else:
-                        assert new_index.last_rebuild is not None
-                        n_moved = new_index.last_rebuild.n_moved
-                        n_rebuilt = new_index.last_rebuild.n_lists_rebuilt
-                        n_lists = new_index.last_rebuild.n_lists_total
-                elif isinstance(backend, IVFIndex) and (
-                    backend.features.shape == stored.features.shape
-                ):
-                    new_index = backend.refresh(stored.features)
-                    assert new_index.last_rebuild is not None
-                    n_moved = new_index.last_rebuild.n_moved
-                    n_rebuilt = new_index.last_rebuild.n_lists_rebuilt
-                    n_lists = new_index.last_rebuild.n_lists_total
             with timer.measure("swap"):
-                self.service.activate(version, index=new_index)
+                self.service.activate(version)
 
         return RefreshReport(
             version=version,
             n_nodes=embedding.n_nodes,
-            n_moved=n_moved,
-            n_lists_rebuilt=n_rebuilt,
-            n_lists_total=n_lists,
             timings=dict(timer.laps),
         )

@@ -3,7 +3,9 @@
 A :class:`QueryService` serves cosine top-k (node side) and Eq. (21)
 affinity (attribute side) queries from the *active version* of an
 :class:`~repro.serving.store.EmbeddingStore`, through a pluggable
-:class:`~repro.serving.index.SearchBackend` (IVF or exact).
+:class:`~repro.serving.index.ExactBackend` (one per shard, behind a
+:class:`~repro.serving.sharding.router.ShardRouter`, when the store is
+sharded).
 
 Concurrency model — how a version swap can never serve a torn result:
 all state needed to answer a query (version name, mmapped arrays, search
@@ -12,7 +14,7 @@ every query reads ``self._active`` exactly once.  :meth:`activate`
 publishes a fully constructed snapshot with a single reference assignment,
 so a query thread sees either the old version or the new one, end to end —
 never the new backend with the old matrix.  The result cache is keyed by
-``(version, node, k, nprobe)``, so entries can never bleed across versions
+``(version, node, k, filter)``, so entries can never bleed across versions
 either; rollback re-activates an older version and its keys simply miss.
 
 One way to ask — :meth:`QueryService.search` takes a
@@ -25,7 +27,7 @@ throughput comes from three places:
   slots as the process has cores: a request that finds a free slot runs
   at once, the rest queue, and the thread a released slot is handed to
   answers everything queued by then in one backend batch per
-  ``(snapshot, k, params, filter)`` — natural batching, with no timer;
+  ``(snapshot, k, filter)`` — natural batching, with no timer;
 - an LRU result cache absorbs repeated queries entirely.
 
 One way to count — every answered call is recorded once, into the
@@ -54,13 +56,7 @@ from repro.search.knn import (
 )
 from repro.serving.obs.metrics import Counter, Histogram
 from repro.serving.obs.trace import trace_span
-from repro.serving.index import (
-    ExactBackend,
-    IVFIndex,
-    SearchBackend,
-    make_backend,
-    resolve_kind,
-)
+from repro.serving.index import ExactBackend, SearchBackend, check_backend_kind
 from repro.serving.sharding.router import ShardRouter
 from repro.serving.store import _ARRAY_FILES, EmbeddingStore, StoredEmbedding
 
@@ -80,55 +76,6 @@ class QueryResult:
     cached: bool = False
 
 
-@dataclass(frozen=True)
-class SearchParams:
-    """Per-request tuning knobs, carried inside a :class:`SearchRequest`.
-
-    A field is a *hint*: it is honored by backends that advertise the
-    matching capability (``SUPPORTS_NPROBE``) and silently ignored
-    elsewhere, so one request shape works against every backend kind.
-    ``None`` means "the backend's configured default".
-
-    - ``nprobe``: IVF probe width (IVF / sharded IVF).
-    """
-
-    nprobe: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.nprobe is not None and int(self.nprobe) < 1:
-            raise ValueError(f"nprobe must be >= 1, got {self.nprobe}")
-
-    def key(self) -> tuple:
-        """Hashable identity for cache keys and admission groups."""
-        return (self.nprobe,)
-
-    def to_json(self) -> dict:
-        """The wire form: a dict of the non-default fields only."""
-        doc: dict = {}
-        if self.nprobe is not None:
-            doc["nprobe"] = int(self.nprobe)
-        return doc
-
-    @classmethod
-    def from_json(cls, obj: object) -> "SearchParams":
-        """Parse the wire ``"params"`` object; strict, ``ValueError`` on junk."""
-        if not isinstance(obj, dict):
-            raise ValueError(f"params must be an object, got {type(obj).__name__}")
-        unknown = set(obj) - {"nprobe"}
-        if unknown:
-            raise ValueError(f"unknown params field(s): {sorted(unknown)}")
-        nprobe = obj.get("nprobe")
-        if nprobe is not None and (
-            isinstance(nprobe, bool) or not isinstance(nprobe, int)
-        ):
-            raise ValueError(f"params.nprobe must be an integer, got {nprobe!r}")
-        return cls(nprobe=nprobe)
-
-
-#: The all-defaults instance shared by requests that pass no params.
-DEFAULT_PARAMS = SearchParams()
-
-
 @dataclass(frozen=True, eq=False)
 class SearchRequest:
     """One query against the serving tier, in any of its three shapes.
@@ -139,12 +86,11 @@ class SearchRequest:
     restricts the candidate population with a :class:`NodeFilter`
     predicate — the one place all three shapes accept the same allow /
     deny / attribute / partition object (this is also the exclude path
-    for vector queries, which historically had none).  ``params`` carries
-    per-request backend hints (see :class:`SearchParams`).
+    for vector queries, which historically had none).
 
     This is the single request object the whole stack speaks:
     :meth:`QueryService.search`, :class:`PinnedView`, the HTTP wire's
-    ``"filter"``/``"params"`` JSON objects, and the CLI all construct or
+    ``"filter"`` JSON object, and the CLI all construct or
     consume it.
     """
 
@@ -153,7 +99,6 @@ class SearchRequest:
     vector: np.ndarray | None = None
     k: int = 10
     filter: NodeFilter | None = None
-    params: SearchParams = DEFAULT_PARAMS
 
     def __post_init__(self) -> None:
         shapes = sum(
@@ -170,10 +115,6 @@ class SearchRequest:
             raise ValueError(
                 f"filter must be a NodeFilter, got {type(self.filter).__name__}"
             )
-        if not isinstance(self.params, SearchParams):
-            raise ValueError(
-                f"params must be a SearchParams, got {type(self.params).__name__}"
-            )
 
     def filter_key(self) -> bytes | None:
         """The filter's cache identity (``None`` when unfiltered / no-op)."""
@@ -182,23 +123,16 @@ class SearchRequest:
         return self.filter.key()
 
 
-def _node_key(
-    version: str,
-    node: int,
-    k: int,
-    params: SearchParams,
-    filter_key: bytes | None,
-) -> tuple:
+def _node_key(version: str, node: int, k: int, filter_key: bytes | None) -> tuple:
     """The result-cache key for a node top-k query.
 
     One constructor for every site that reads or fills the cache (the
     single-node path and the batch fill) — a key-shape drift between
     sites would silently stop hits matching.
-    Params and filter identity are part of the key: a filtered answer
-    must never be served to an unfiltered query (or vice versa), and two
-    requests differing only in ``nprobe`` are different answers.
+    The filter identity is part of the key: a filtered answer must never
+    be served to an unfiltered query (or vice versa).
     """
-    return (version, "node", int(node), int(k), params.key(), filter_key)
+    return (version, "node", int(node), int(k), filter_key)
 
 
 #: Compiled filter masks kept per service (LRU over (version, filter key)).
@@ -229,12 +163,8 @@ class QueryService:
         one shard gets per-shard backends behind a :class:`ShardRouter`;
         everything else is transparent.
     backend:
-        ``"ivf"``, ``"exact"``, or ``"auto"``
-        (IVF above :data:`repro.serving.index.AUTO_EXACT_THRESHOLD`
-        vectors).  For a sharded store this picks the *per-shard* backend
-        kind (``"auto"`` resolves on the total corpus size).
-    nlist / nprobe / seed:
-        IVF construction parameters (see :class:`IVFIndex`).
+        ``"exact"``, the only backend kind; anything else is a
+        ``ValueError``.
     cache_size:
         LRU entries kept across all versions (0 disables caching).
     n_threads:
@@ -242,33 +172,21 @@ class QueryService:
         over (and that the shard router's scatter uses).
     version:
         Pin an explicit store version instead of ``latest()``.
-    index_cache:
-        Persist built IVF index artifacts into the store's version
-        directory and load them on later activations, so short-lived
-        processes (the CLI) stop retraining quantizers per invocation.
     """
 
     def __init__(
         self,
         store: EmbeddingStore,
         *,
-        backend: str = "auto",
-        nlist: int | None = None,
-        nprobe: int = 8,
-        seed: int | None = 0,
+        backend: str = "exact",
         cache_size: int = 4096,
         n_threads: int = 1,
         version: str | None = None,
-        index_cache: bool = False,
     ) -> None:
+        check_backend_kind(backend)
         if cache_size < 0:
             raise ValueError(f"cache_size must be >= 0, got {cache_size}")
         self._store = store
-        self._backend_kind = backend
-        self._nlist = nlist
-        self._nprobe = nprobe
-        self._seed = seed
-        self._index_cache = index_cache
         self._cache_size = cache_size
         self._cache: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = OrderedDict()
         self._cache_lock = threading.Lock()
@@ -323,14 +241,11 @@ class QueryService:
     def backend(self) -> SearchBackend:
         return self._snapshot().backend
 
-    def activate(self, version: str | None = None, *, index: SearchBackend | None = None) -> str:
+    def activate(self, version: str | None = None) -> str:
         """Build and atomically swap in a serving snapshot for ``version``.
 
-        ``version=None`` follows the store's ``LATEST`` pointer.  ``index``
-        lets a refresher hand over an incrementally rebuilt backend (its
-        ``features`` must belong to the version being activated); otherwise
-        a backend is constructed from the stored ``features`` matrix.
-        Queries in flight keep the snapshot they started with.
+        ``version=None`` follows the store's ``LATEST`` pointer.  Queries
+        in flight keep the snapshot they started with.
         """
         from repro.serving.fsck import verify_open_target
 
@@ -342,7 +257,7 @@ class QueryService:
             # so the cost is a few KB of reads per activation.
             verify_open_target(self._store, version)
             stored = self._store.open(version)
-            backend = index if index is not None else self._build_backend(stored)
+            backend = self._build_backend(stored)
             for leaf in _leaf_backends(backend):
                 leaf.rescored_rows = self.rescored_rows_total
             outgoing = self._active.backend if self._active is not None else None
@@ -355,36 +270,10 @@ class QueryService:
             )
             return stored.version
 
-    def _make_backend(self, features, kind: str) -> SearchBackend:
-        return make_backend(
-            features,
-            kind,
-            nlist=self._nlist,
-            nprobe=self._nprobe,
-            seed=self._seed,
-        )
-
     def _build_backend(self, stored: StoredEmbedding) -> SearchBackend:
-        """One backend per shard, via the artifact cache if on.
-
-        ``"auto"`` resolves on the *total* corpus size so a sharded and an
-        unsharded deployment of the same corpus pick the same kind; more
-        than one shard puts the backends behind a scatter-gather router.
-        """
-        kind = resolve_kind(self._backend_kind, stored.n_nodes)
-        cache = self._index_cache and kind != "exact"
-        backends: list[SearchBackend] = []
-        for shard in stored.shards:
-            backend = None
-            if cache:
-                backend = self._store.load_index(
-                    stored.version, shard.features, shard=shard.shard
-                )
-            if backend is None:
-                backend = self._make_backend(shard.features, kind)
-                if cache:
-                    self._store.save_index(stored.version, backend, shard=shard.shard)
-            backends.append(backend)
+        """One exact backend per shard; more than one shard puts them
+        behind a scatter-gather router."""
+        backends = [ExactBackend(shard.features) for shard in stored.shards]
         if len(backends) == 1:
             return backends[0]
         return ShardRouter(backends, stored.partitioner, pool=self.pool)
@@ -450,7 +339,7 @@ class QueryService:
         start = time.perf_counter()
         node, k = int(request.node), int(request.k)
         self._check_node(active, node)
-        key = _node_key(active.version, node, k, request.params, request.filter_key())
+        key = _node_key(active.version, node, k, request.filter_key())
         hit = self._cache_hit(active.version, key, start)
         if hit is not None:
             return hit
@@ -517,7 +406,7 @@ class QueryService:
 
     def _drain(self, first: "_Queued") -> None:
         """Answer ``first`` and everything queued behind it, one
-        :func:`_search` per ``(snapshot, k, params, filter)`` group.
+        backend call per ``(snapshot, k, filter)`` group.
 
         An error fails its own group only; every other member is woken
         whatever happens.
@@ -528,12 +417,7 @@ class QueryService:
         groups: dict[tuple, list[_Queued]] = {}
         for member in members:
             request = member.request
-            key = (
-                id(member.active),
-                int(request.k),
-                request.params.key(),
-                request.filter_key(),
-            )
+            key = (id(member.active), int(request.k), request.filter_key())
             groups.setdefault(key, []).append(member)
         try:
             for group in groups.values():
@@ -556,12 +440,12 @@ class QueryService:
         self, active: _ActiveVersion, request: SearchRequest, nodes: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """One backend call for the stored rows ``nodes`` (self-matches
-        excluded), with ``request``'s k, params and filter."""
+        excluded), with ``request``'s k and filter."""
         compiled = self._compile_filter(active, request.filter)
         queries = active.stored.features[nodes]
         with trace_span("select", version=active.version, batch=int(nodes.size)):
-            return _search(
-                active.backend, queries, int(request.k), nodes, request.params, compiled
+            return active.backend.search(
+                queries, int(request.k), exclude=nodes, node_filter=compiled
             )
 
     def _batch_top_k_on(
@@ -585,8 +469,8 @@ class QueryService:
                 # callers — parallelism across shards replaces parallelism
                 # across query chunks.
                 queries = active.stored.features[nodes]
-                ids, scores = _search(
-                    active.backend, queries, k, nodes, request.params, compiled
+                ids, scores = active.backend.search(
+                    queries, k, exclude=nodes, node_filter=compiled
                 )
             else:
                 n_chunks = min(self.pool.n_threads, nodes.size)
@@ -594,8 +478,8 @@ class QueryService:
 
                 def work(_: int, chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                     queries = active.stored.features[chunk]
-                    return _search(
-                        active.backend, queries, k, chunk, request.params, compiled
+                    return active.backend.search(
+                        queries, k, exclude=chunk, node_filter=compiled
                     )
 
                 parts = self.pool.run_blocks(work, chunks)
@@ -603,7 +487,7 @@ class QueryService:
                 scores = np.vstack([part[1] for part in parts])
         for row, node in enumerate(nodes):
             self._cache_put(
-                _node_key(active.version, node, k, request.params, filter_key),
+                _node_key(active.version, node, k, filter_key),
                 ids[row],
                 scores[row],
             )
@@ -623,8 +507,8 @@ class QueryService:
         compiled = self._compile_filter(active, request.filter)
         query = normalize_rows(vector[np.newaxis])[0]
         with trace_span("select", version=active.version):
-            ids, scores = _search(
-                active.backend, query[np.newaxis], k, None, request.params, compiled
+            ids, scores = active.backend.search(
+                query[np.newaxis], k, node_filter=compiled
             )
         return QueryResult(active.version, ids[0], scores[0], self._record(start))
 
@@ -748,8 +632,8 @@ class QueryService:
         The top of the dict is a stable, server-visible schema — the same
         document ``GET /v1/describe`` returns over HTTP (see
         :mod:`repro.serving.http`): ``version`` (the active store version
-        id), ``backend_kind`` (one of ``exact``/``ivf``/``sharded`` — stable across refactors, unlike the class name in
-        ``backend``), ``n_shards`` (1 for an unsharded deployment),
+        id), ``backend_kind`` (``exact`` or ``sharded`` — stable across
+        refactors, unlike the class name in ``backend``), ``n_shards`` (1 for an unsharded deployment),
         ``n_nodes``, and ``n_attributes``.  Every value is a plain Python
         scalar/list/dict — ``json.dumps(service.describe())`` must never
         trip over a numpy scalar.
@@ -803,15 +687,12 @@ class QueryService:
             "mapped_bytes": mapped,
             "total_mapped_bytes": sum(mapped.values()),
             # Per shard: what selection keeps resident beside the mapped
-            # rows (the exact backend's float32 copy; 0 for the others).
+            # rows (the exact backend's float32 copy).
             "select_resident_bytes": [
-                int(getattr(leaf, "resident_bytes", 0))
-                for leaf in _leaf_backends(backend)
+                leaf.resident_bytes for leaf in _leaf_backends(backend)
             ],
         }
         info["memory"] = memory
-        if isinstance(backend, IVFIndex):
-            info["ivf"] = {"nlist": backend.nlist, "nprobe": backend.nprobe}
         if isinstance(backend, ShardRouter):
             stored = active.stored
             memory["per_shard_bytes"] = [
@@ -965,28 +846,6 @@ class PinnedView:
         return self._service._top_k_on(self._active, request)
 
 
-def _search(
-    backend: SearchBackend,
-    queries: np.ndarray,
-    k: int,
-    exclude: np.ndarray | None,
-    params: SearchParams,
-    node_filter: CompiledFilter | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dispatch a search with capability-gated per-request hints.
-
-    Every backend honors the compiled filter; ``nprobe`` is passed only
-    to backends that advertise ``SUPPORTS_NPROBE`` and ignored elsewhere
-    by design.
-    """
-    kwargs: dict = {}
-    if node_filter is not None:
-        kwargs["node_filter"] = node_filter
-    if getattr(backend, "SUPPORTS_NPROBE", False):
-        kwargs["nprobe"] = params.nprobe
-    return backend.search(queries, k, exclude=exclude, **kwargs)
-
-
 def _leaf_backends(backend: SearchBackend) -> list[SearchBackend]:
     """A backend's concrete leaves (a router's shards, else itself)."""
     if isinstance(backend, ShardRouter):
@@ -995,7 +854,7 @@ def _leaf_backends(backend: SearchBackend) -> list[SearchBackend]:
 
 
 def backend_kind_name(backend: SearchBackend) -> str:
-    """The stable wire name of a backend: exact/ivf/sharded.
+    """The stable wire name of a backend: exact/sharded.
 
     ``describe()`` and the HTTP ``/v1/describe`` endpoint report this
     instead of the class name, so renaming a class cannot silently change
@@ -1003,8 +862,6 @@ def backend_kind_name(backend: SearchBackend) -> str:
     """
     if isinstance(backend, ShardRouter):
         return "sharded"
-    if isinstance(backend, IVFIndex):
-        return "ivf"
     if isinstance(backend, ExactBackend):
         return "exact"
     return type(backend).__name__.lower()

@@ -33,9 +33,9 @@ import numpy as np
 
 from repro.parallel.pool import WorkerPool
 from repro.search.knn import CompiledFilter
-from repro.serving.index import IVFIndex, SearchBackend
+from repro.serving.index import SearchBackend
 from repro.serving.obs.metrics import Histogram
-from repro.serving.store import Partitioner, StoredEmbedding
+from repro.serving.store import Partitioner
 
 
 class ShardRouter(SearchBackend):
@@ -54,8 +54,6 @@ class ShardRouter(SearchBackend):
         wrap router calls in pool tasks of the same pool, or the scatter
         would deadlock waiting for workers occupied by its own callers.
     """
-
-    SUPPORTS_NPROBE = True
 
     def __init__(
         self,
@@ -86,7 +84,6 @@ class ShardRouter(SearchBackend):
             "Seconds per per-shard backend search, by shard",
             ("shard",),
         )
-        self.last_rebuild = None
 
     # ------------------------------------------------------------------
     @property
@@ -108,15 +105,13 @@ class ShardRouter(SearchBackend):
         k: int,
         *,
         exclude: np.ndarray | None = None,
-        nprobe: int | None = None,
         node_filter: CompiledFilter | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Scatter to every shard, heap-merge into the global top-k.
 
         With exact per-shard backends the result is bit-identical to
         unsharded :class:`~repro.serving.index.ExactBackend` search (ids
-        and scores).  ``nprobe`` is forwarded to shards that support it
-        (IVF); ``exclude`` carries *global* ids and is translated
+        and scores).  ``exclude`` carries *global* ids and is translated
         to the owning shard's local id.  ``node_filter`` carries global
         ids too: each shard gets the filter *sliced* to its own rows
         (local-id mask), and shards the filter empties entirely are
@@ -165,13 +160,8 @@ class ShardRouter(SearchBackend):
             shard_exclude = None
             if exclude is not None:
                 shard_exclude = np.where(owner == shard, local, -1)
-            kwargs = {}
-            if shard_filter is not None:
-                kwargs["node_filter"] = shard_filter
-            if getattr(backend, "SUPPORTS_NPROBE", False):
-                kwargs["nprobe"] = nprobe
             local_ids, scores = backend.search(
-                queries, k, exclude=shard_exclude, **kwargs
+                queries, k, exclude=shard_exclude, node_filter=shard_filter
             )
             global_ids = np.where(
                 local_ids >= 0,
@@ -208,56 +198,6 @@ class ShardRouter(SearchBackend):
             "total_seconds": sum(entry["total_seconds"] for entry in per_shard),
             "per_shard": per_shard,
         }
-
-    # ------------------------------------------------------------------
-    def refresh(self, stored: StoredEmbedding) -> "ShardRouter":
-        """A new router over refreshed per-shard backends.
-
-        Every shard keeps its *kind* and its trained state: IVF backends
-        refresh incrementally (quantizer kept, only changed inverted
-        lists rebuilt — see :meth:`IVFIndex.refresh`), and exact backends
-        are rebuilt over the new segment, which re-streams their float32
-        selection copy (``n·dim·4`` bytes by ``pread``).
-        Aggregate IVF rebuild work lands in :attr:`last_rebuild`.
-        Requires the version to keep the same partition layout (same node
-        count).
-        """
-        from repro.serving.index import ExactBackend, IVFRebuildStats
-
-        if stored.partitioner != self.partitioner:
-            raise ValueError(
-                "refresh requires an identical partition layout "
-                "(node count changes need a full router rebuild)"
-            )
-        backends: list[SearchBackend] = []
-        moved = rebuilt = total = 0
-        for shard, segment in enumerate(stored.shards):
-            backend = self.backends[shard]
-            if isinstance(backend, IVFIndex) and (
-                backend.features.shape == segment.features.shape
-            ):
-                refreshed = backend.refresh(segment.features)
-                assert refreshed.last_rebuild is not None
-                moved += refreshed.last_rebuild.n_moved
-                rebuilt += refreshed.last_rebuild.n_lists_rebuilt
-                total += refreshed.last_rebuild.n_lists_total
-                backends.append(refreshed)
-            elif isinstance(backend, ExactBackend):
-                backends.append(ExactBackend(segment.features))
-            else:
-                # An unknown (or shape-changed) backend kind cannot be
-                # refreshed in place; signal the caller to rebuild the
-                # router from its configuration instead of silently
-                # downgrading the shard.
-                raise ValueError(
-                    f"shard {shard} backend {type(backend).__name__} does "
-                    "not support incremental refresh; rebuild the router"
-                )
-        router = ShardRouter(backends, stored.partitioner, pool=self.pool)
-        router.last_rebuild = IVFRebuildStats(
-            n_moved=moved, n_lists_rebuilt=rebuilt, n_lists_total=total
-        )
-        return router
 
 
 def _heap_merge(

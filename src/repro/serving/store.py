@@ -54,7 +54,6 @@ import shutil
 import tempfile
 import time
 import weakref
-import zipfile
 from dataclasses import asdict, dataclass
 from dataclasses import fields as dataclass_fields
 from functools import cached_property
@@ -746,48 +745,6 @@ class EmbeddingStore:
             to = versions[position - 1]
         self.set_latest(to)
         return to
-
-    # -- index artifact persistence ------------------------------------
-    def index_path(self, version: str, *, shard: int = 0) -> Path:
-        """Where shard ``shard``'s IVF index artifact lives."""
-        directory = shard_dir(self._version_dir(version), shard, self.n_shards)
-        return directory / "index_ivf.npz"
-
-    def save_index(self, version: str, backend, *, shard: int = 0) -> Path | None:
-        """Persist a built IVF index next to the shard's arrays.
-
-        One atomically written ``index_ivf.npz`` per shard, so a later
-        ``cli query`` (or service activation with ``index_cache``) loads
-        the trained quantizer instead of rebuilding it per invocation.
-        Exact backends have no trained state and return ``None``.  The
-        artifact is derived data: deleting it only costs a rebuild.
-        """
-        from repro.serving.index import IVFIndex
-
-        if not isinstance(backend, IVFIndex):
-            return None
-        if not self._version_dir(version).is_dir():
-            raise FileNotFoundError(f"version {version!r} not found in {self.root}")
-        arrays = backend.save_arrays()
-        path = self.index_path(version, shard=shard)
-        atomic_write(path, lambda handle: np.savez(handle, **arrays))
-        return path
-
-    def load_index(self, version: str, features, *, shard: int = 0):
-        """Reconstruct shard ``shard``'s persisted IVF index over ``features``.
-
-        Returns ``None`` when the artifact is missing or unusable — not a
-        readable archive, or one that covers a different row count — so
-        the caller rebuilds the index and rewrites the file.
-        """
-        from repro.serving.index import IVFIndex
-
-        try:
-            with np.load(self.index_path(version, shard=shard)) as archive:
-                arrays = {name: archive[name] for name in archive.files}
-            return IVFIndex.from_arrays(features, arrays)
-        except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
-            return None
 
     # ------------------------------------------------------------------
     def _version_dir(self, version: str) -> Path:

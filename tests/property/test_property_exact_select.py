@@ -41,8 +41,8 @@ from repro.search.knn import (
     select_band,
 )
 from repro.serving import store as store_module
-from repro.serving.index import ExactBackend, IVFIndex
-from repro.serving.service import QueryService, SearchParams, SearchRequest
+from repro.serving.index import ExactBackend
+from repro.serving.service import QueryService, SearchRequest
 from repro.serving.sharding.router import ShardRouter
 from repro.serving.store import (
     EmbeddingStore,
@@ -131,10 +131,8 @@ def _router(features, n_shards, kind):
 def _engines(features, queries, k, exclude, mask):
     """Every exact path, by name, each answering ``(ids, scores)``."""
     node_filter = None if mask is None else CompiledFilter(mask)
-    nlist = min(4, features.shape[0])
-    ivf = IVFIndex(features, nlist=nlist, nprobe=1, seed=0)
     routed = dict(exclude=exclude, node_filter=node_filter)
-    engines = {
+    return {
         "float64 engine": exact_top_k(
             features, queries, k, assume_normalized=True, **routed
         ),
@@ -150,13 +148,7 @@ def _engines(features, queries, k, exclude, mask):
         "3-shard hash router": _router(features, 3, "hash").search(
             queries, k, **routed
         ),
-        "ivf nprobe=nlist": ivf.search(queries, k, nprobe=nlist, **routed),
     }
-    if mask is None:  # an unfiltered full-coverage scan scores exactly too
-        engines["ivf nprobe=nlist, rescore=False"] = ivf.search(
-            queries, k, nprobe=nlist, rescore=False, exclude=exclude
-        )
-    return engines
 
 
 def _assert_matches(features, queries, k, exclude=None, mask=None):
@@ -418,10 +410,9 @@ class TestDerivedSearchRows:
                     )
 
     @pytest.mark.parametrize("layout", LAYOUTS)
-    @pytest.mark.parametrize("backend", ["exact", "ivf"])
-    def test_served_answers_equal_the_oracle(self, tmp_path, layout, backend):
-        """Exact, exhaustive IVF (``nprobe = nlist``) and sharded answers
-        over a store are ``exact_top_k(search_features(emb))``'s bits."""
+    def test_served_answers_equal_the_oracle(self, tmp_path, layout):
+        """Unsharded and sharded answers over a store are
+        ``exact_top_k(search_features(emb))``'s bits."""
         rng = np.random.default_rng(20)
         n, half, k = 300, 6, 10
         xf, xb = rng.standard_normal((n, half)), rng.standard_normal((n, half))
@@ -432,17 +423,15 @@ class TestDerivedSearchRows:
         embedding = _embedding(xf, xb)
         full = search_features(embedding)
         store = _open(tmp_path / "store", embedding, *layout)
-        nlist = 4
         nodes = np.arange(0, n, 7)
         want_ids, want_scores = exact_top_k(
             full, full[nodes], k, assume_normalized=True, exclude=nodes
         )
-        params = SearchParams(nprobe=nlist) if backend == "ivf" else SearchParams()
-        with QueryService(store, backend=backend, nlist=nlist, cache_size=0) as service:
-            got = service.search(SearchRequest(nodes=nodes, k=k, params=params))
+        with QueryService(store, cache_size=0) as service:
+            got = service.search(SearchRequest(nodes=nodes, k=k))
             assert np.array_equal(got.ids, want_ids)
             assert got.scores.tobytes() == want_scores.tobytes()
             for row, node in enumerate(nodes[:12]):
-                one = service.search(SearchRequest(node=int(node), k=k, params=params))
+                one = service.search(SearchRequest(node=int(node), k=k))
                 assert np.array_equal(one.ids, want_ids[row])
                 assert one.scores.tobytes() == want_scores[row].tobytes()

@@ -1,7 +1,7 @@
 """Wire-versioning tests for the filtered-search fields.
 
-The ``"filter"`` and ``"params"`` request fields are a purely *additive*
-protocol change on the three data endpoints.  The compatibility matrix
+The ``"filter"`` request field is a purely *additive* protocol change on
+the three data endpoints.  The compatibility matrix
 under test:
 
 - **old client / new server** — requests without the new fields answer
@@ -25,7 +25,7 @@ import pytest
 from repro.search.knn import NodeFilter
 from repro.serving.http import ApiError, EmbeddingServer, ServingClient
 from repro.serving.http import protocol
-from repro.serving.service import QueryService, SearchParams, SearchRequest
+from repro.serving.service import QueryService, SearchRequest
 
 # The /v1/topk allowlist as it was before the filter fields existed: an
 # old server validates against exactly this set.
@@ -80,9 +80,9 @@ class TestNewClientOldServer:
         # old strict allowlist: a structured invalid_request, never a
         # silently unfiltered answer.
         body = {"node": 1, "k": 3}
-        from repro.serving.http.client import _merge_search_options
+        from repro.serving.http.client import _merge_filter
 
-        _merge_search_options(body, NodeFilter(deny=[2]), None)
+        _merge_filter(body, NodeFilter(deny=[2]))
         assert "filter" in body  # rides as a plain field both wires
         with pytest.raises(ApiError) as excinfo:
             protocol.reject_unknown_fields(body, OLD_TOPK_FIELDS)
@@ -112,33 +112,23 @@ class TestFilteredOverTheWire:
         assert np.array_equal(got_vec.ids, ref_vec.ids)
         assert got_vec.scores.tobytes() == ref_vec.scores.tobytes()
 
-    def test_params_field_and_nprobe_disagreement(self, client):
-        """``params.nprobe`` is the one spelling: a top-level ``"nprobe"``
-        next to it is an unknown field, whether the two agree or not."""
-        result = client.top_k(3, 5, params={"nprobe": 4})
-        assert result.ids.shape == (5,)
-        # Removed hints (selection precision, the PQ shortlist factor)
-        # are unknown fields: a structured 400 that names them.
-        for removed in ({"select_dtype": "float32"}, {"rescore_factor": 2}):
-            with pytest.raises(ApiError) as excinfo:
-                client.top_k(3, 5, params=removed)
-            assert excinfo.value.status == 400
-            assert excinfo.value.code == "invalid_request"
-            assert repr(sorted(removed)) in excinfo.value.message
+    def test_params_is_an_unknown_field(self, client):
+        """The probe-width ``"params"`` object left with the IVF backend:
+        on every data endpoint, over either wire, it is an unknown field
+        like a top-level ``"nprobe"`` — a structured 400 naming it."""
         for path, shape in (
             (protocol.TOPK, {"node": 3}),
             (protocol.TOPK_BATCH, {"nodes": [3, 4]}),
             (protocol.SIMILAR, {"vector": [1.0] * 16}),
         ):
-            for params in ({"nprobe": 8}, {"nprobe": 4}, None):
-                body = {**shape, "k": 5, "nprobe": 4}
-                if params is not None:
-                    body["params"] = params
+            for extra in ({"params": {"nprobe": 4}}, {"params": {}}, {"nprobe": 4}):
                 with pytest.raises(ApiError) as excinfo:
-                    client._request("POST", path, body)
+                    client._request("POST", path, {**shape, "k": 5, **extra})
                 assert excinfo.value.status == 400
                 assert excinfo.value.code == "invalid_request"
-                assert excinfo.value.details["unknown"] == ["nprobe"]
+                assert excinfo.value.details["unknown"] == sorted(extra)
+        # The plain request beside it still answers.
+        assert client.top_k(3, 5).ids.shape == (5,)
 
     @pytest.mark.parametrize(
         "bad",

@@ -28,15 +28,13 @@ from repro.search.knn import (
     exact_top_k,
     normalize_rows,
 )
-from repro.serving.index import IVFIndex, filtered_probe_width
-from repro.serving.sharding.router import Partitioner, ShardRouter
 from repro.serving.index import ExactBackend
+from repro.serving.sharding.router import Partitioner, ShardRouter
 
 # Recorded before the filtered-search change (see module docstring):
 # sha256(ids.int64.tobytes() + scores.f64.tobytes()) over the fixed
 # corpus/queries/exclude below.
 PINNED_EXACT = "c7112b365da4e7a335ac0d4ae56d2eae85d3addc6669cb8ade442de02b76740f"
-PINNED_IVF = "a27d667ca22d5d8577a8edda1e80ce7d83b162388357cc0a5df18cb73a082906"
 
 
 def _pinned_corpus():
@@ -215,62 +213,6 @@ class TestFilteredExact:
         assert scores.tobytes() == base_scores.tobytes()
 
 
-class TestFilteredIVF:
-    def test_probe_width_widens_with_selectivity(self):
-        assert filtered_probe_width(4, 16, 1.0) == 4
-        assert filtered_probe_width(4, 16, 0.5) == 8
-        assert filtered_probe_width(4, 16, 0.01) == 16  # clamped at nlist
-        assert filtered_probe_width(4, 16, 0.0) == 16
-
-    def test_filtered_recall_holds_vs_own_unfiltered(self):
-        rng = np.random.default_rng(5)
-        centers = normalize_rows(rng.standard_normal((8, 32)))
-        rows = normalize_rows(
-            np.repeat(centers, 64, axis=0) + 0.15 * rng.standard_normal((512, 32))
-        )
-        queries = rows[rng.integers(0, 512, size=24)]
-        index = IVFIndex(rows, nlist=16, nprobe=4, seed=0)
-        mask = np.zeros(512, dtype=bool)
-        mask[rng.permutation(512)[:52]] = True  # ~10% selectivity
-        compiled = CompiledFilter(mask)
-        exact_ids, _ = exact_top_k(
-            rows, queries, 10, assume_normalized=True, node_filter=compiled
-        )
-        got_ids, got_scores = index.search(queries, 10, node_filter=compiled)
-        assert got_ids.shape == exact_ids.shape
-        allowed = got_ids[got_ids >= 0]
-        assert mask[allowed].all()
-        hits = sum(
-            len(set(g[g >= 0]) & set(e[e >= 0]))
-            for g, e in zip(got_ids, exact_ids)
-        )
-        wanted = (exact_ids >= 0).sum()
-        # Widened probes keep filtered recall at least at the unfiltered
-        # level of this index (random-ish corpus, so not asserted at 0.95
-        # here; the bench asserts that on the clustered corpus).
-        base_ids, _ = index.search(queries, 10)
-        base_exact, _ = exact_top_k(rows, queries, 10, assume_normalized=True)
-        base_hits = sum(
-            len(set(g[g >= 0]) & set(e[e >= 0]))
-            for g, e in zip(base_ids, base_exact)
-        )
-        assert hits / max(wanted, 1) >= base_hits / base_ids.size - 1e-9
-
-    def test_full_probe_filtered_matches_brute_force(self):
-        features, queries, exclude = _pinned_corpus()
-        index = IVFIndex(features, nlist=16, nprobe=16, seed=0)
-        mask = np.zeros(512, dtype=bool)
-        mask[::3] = True
-        ids, scores = index.search(
-            queries, 13, exclude=exclude, node_filter=CompiledFilter(mask)
-        )
-        ref_ids, ref_scores = brute_force_filtered(
-            features, queries, 13, mask, exclude
-        )
-        assert np.array_equal(ids, ref_ids)
-        assert scores.tobytes() == ref_scores.tobytes()
-
-
 class TestFilteredRouter:
     def _router(self, features, kind="range", n_shards=4):
         partitioner = Partitioner.build(kind, n_shards, features.shape[0])
@@ -333,9 +275,3 @@ class TestUnfilteredPinnedIdentity:
         }
         for name, (ids, scores) in answers.items():
             assert _digest(ids, scores) == PINNED_EXACT, name
-
-    def test_ivf_index(self):
-        features, queries, exclude = _pinned_corpus()
-        index = IVFIndex(features, nlist=16, nprobe=4, seed=0)
-        ids, scores = index.search(queries, 13, exclude=exclude)
-        assert _digest(ids, scores) == PINNED_IVF

@@ -73,7 +73,9 @@ class TestVerifyVersion:
 
     def test_corrupt_index_artifact_flagged_separately(self, store):
         version = store.latest()
-        store.index_path(version).write_bytes(b"not a zip archive")
+        (store.root / "versions" / version / "index_ivf.npz").write_bytes(
+            b"not a zip archive"
+        )
         issues = verify_version(store, version)
         assert [i.code for i in issues] == ["corrupt_index"]
 
@@ -250,7 +252,7 @@ class TestFsckRepair:
 
     def test_corrupt_index_repair_deletes_artifact_only(self, store):
         version = store.latest()
-        artifact = store.index_path(version)
+        artifact = store.root / "versions" / version / "index_ivf.npz"
         artifact.write_bytes(b"garbage")
         report = fsck(store.root, repair=True)
         assert report.exit_code() == 1

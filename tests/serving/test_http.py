@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.pane import PANEEmbedding
-from repro.search.knn import top_k_similar
+from repro.search.knn import NodeFilter, top_k_similar
 from repro.serving.http import (
     ApiError,
     EmbeddingServer,
@@ -27,7 +27,7 @@ from repro.serving.http import (
 from repro.serving.http import protocol
 from repro.serving.http.supervisor import Supervisor, SupervisorConfig
 from repro.serving.obs.metrics import family_total
-from repro.serving.service import QueryService, SearchParams, SearchRequest
+from repro.serving.service import QueryService, SearchRequest
 from repro.serving.store import EmbeddingStore
 
 
@@ -67,7 +67,7 @@ def fleet(tmp_path_factory, trained_embedding):
     """A real one-worker ``--workers`` fleet, for its two admin ports."""
     root = tmp_path_factory.mktemp("fleet") / "store"
     EmbeddingStore(root).publish(trained_embedding)
-    config = SupervisorConfig(store=str(root), n_workers=1, backend="exact")
+    config = SupervisorConfig(store=str(root), n_workers=1)
     with Supervisor(config) as supervisor:
         yield supervisor
 
@@ -458,18 +458,23 @@ class TestBitIdentity:
         assert remote.ids[0] == 11
 
     def test_padding_null_roundtrip(self, store):
-        """IVF -inf padding crosses the wire as null and comes back -inf."""
-        with QueryService(store, backend="ivf", nlist=8, nprobe=1) as service:
+        """-inf padding (a filter allowing fewer than k rows) crosses the
+        JSON wire as null and comes back -inf."""
+        node_filter = NodeFilter(allow=[3, 7, 9])
+        with QueryService(store, backend="exact") as service:
             with EmbeddingServer(service) as server:
-                client = ServingClient(server.url)
-                remote = client.top_k(0, 60, params={"nprobe": 1})
-                local = service.search(
-                    SearchRequest(node=0, k=60, params=SearchParams(nprobe=1))
+                client = ServingClient(server.url, wire="json")
+                raw = client._request(
+                    "POST", protocol.TOPK,
+                    {"node": 0, "k": 5, "filter": node_filter.to_json()},
                 )
+                assert raw["scores"][3:] == [None, None]
+                remote = client.top_k(0, 5, filter=node_filter)
+                local = service.search(SearchRequest(node=0, k=5, filter=node_filter))
+                assert list(local.ids[3:]) == [-1, -1]
                 assert np.array_equal(remote.ids, local.ids)
                 assert remote.scores.tobytes() == local.scores.tobytes()
-                if (local.ids == -1).any():  # padding actually exercised
-                    assert (remote.scores[remote.ids == -1] == -np.inf).all()
+                assert (remote.scores[3:] == -np.inf).all()
 
 
 class TestRefresh:

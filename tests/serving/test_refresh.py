@@ -1,13 +1,12 @@
-"""Tests for online refresh: delta → republish → incremental swap."""
+"""Tests for online refresh: delta → republish → atomic swap."""
 
 import numpy as np
 import pytest
 
 from repro.dynamic.incremental import GraphDelta, IncrementalPANE
 from repro.graph.generators import attributed_sbm
-from repro.serving.index import IVFIndex
 from repro.serving.refresh import OnlineRefresher
-from repro.serving.service import QueryService, SearchParams, SearchRequest
+from repro.serving.service import QueryService, SearchRequest
 from repro.serving.store import EmbeddingStore
 
 
@@ -18,12 +17,12 @@ def graph():
 
 @pytest.fixture()
 def rig(tmp_path, graph):
-    """Model + store + IVF service wired through an OnlineRefresher."""
+    """Model + store + service wired through an OnlineRefresher."""
     store = EmbeddingStore(tmp_path / "store")
     model = IncrementalPANE(k=16, seed=0, update_sweeps=2)
     refresher = OnlineRefresher(model, store)
     refresher.bootstrap(graph)
-    service = QueryService(store, backend="ivf", nlist=9, nprobe=9, seed=0)
+    service = QueryService(store)
     refresher.service = service
     yield refresher, store, service
     service.close()
@@ -56,31 +55,13 @@ class TestApply:
         assert report.version == "v00000002"
         assert store.latest() == "v00000002"
         assert service.version == "v00000002"
-        assert set(report.timings) == {"update", "publish", "index", "swap"}
-
-    def test_incremental_index_reuses_quantizer(self, rig):
-        refresher, _, service = rig
-        old_backend = service.backend
-        assert isinstance(old_backend, IVFIndex)
-        report = refresher.apply(_delta())
-        new_backend = service.backend
-        assert isinstance(new_backend, IVFIndex)
-        assert new_backend is not old_backend
-        assert np.array_equal(new_backend.centroids, old_backend.centroids)
-        assert report.n_lists_total == old_backend.nlist
-        assert report.n_lists_rebuilt <= report.n_lists_total
-
-    def test_small_delta_rebuilds_few_lists(self, rig):
-        refresher, _, _ = rig
-        report = refresher.apply(_delta())
-        # a 3-edge delta with 2 warm sweeps should not move most vectors
-        assert report.n_moved < report.n_nodes / 2
+        assert set(report.timings) == {"update", "publish", "swap"}
 
     def test_queries_reflect_new_embedding(self, rig):
         refresher, _, service = rig
         refresher.apply(_delta())
         result = service.search(
-            SearchRequest(node=0, k=5, params=SearchParams(nprobe=9))
+            SearchRequest(node=0, k=5)
         )
         expected = refresher.model.embedding
         from repro.search.knn import top_k_similar
@@ -91,13 +72,13 @@ class TestApply:
     def test_rollback_after_refresh(self, rig):
         refresher, store, service = rig
         before = service.search(
-            SearchRequest(node=3, k=5, params=SearchParams(nprobe=9))
+            SearchRequest(node=3, k=5)
         )
         refresher.apply(_delta())
         store.rollback()
         service.refresh_to_latest()
         restored = service.search(
-            SearchRequest(node=3, k=5, params=SearchParams(nprobe=9))
+            SearchRequest(node=3, k=5)
         )
         assert restored.version == "v00000001"
         assert np.array_equal(restored.ids, before.ids)
@@ -110,7 +91,7 @@ class TestApply:
         with QueryService(store, backend="exact") as service:
             refresher.service = service
             report = refresher.apply(_delta())
-            assert report.n_lists_total == 0  # no IVF bookkeeping
+            assert not hasattr(report, "n_lists_total")  # no index bookkeeping
             assert service.version == "v00000002"
 
     def test_refresher_without_service(self, tmp_path, graph):
@@ -134,7 +115,7 @@ class TestShardedApply:
         model = IncrementalPANE(k=16, seed=0, update_sweeps=2)
         refresher = OnlineRefresher(model, store)
         refresher.bootstrap(graph)
-        service = QueryService(store, backend="ivf", nlist=5, nprobe=5, seed=0)
+        service = QueryService(store)
         refresher.service = service
         yield refresher, store, service
         service.close()
@@ -149,26 +130,11 @@ class TestShardedApply:
         assert store.latest() == "v00000002"
         assert service.version == "v00000002"
 
-    def test_sharded_refresh_keeps_per_shard_quantizers(self, sharded_rig):
-        refresher, _, service = sharded_rig
-        old_router = service.backend
-        report = refresher.apply(_delta())
-        new_router = service.backend
-        assert new_router is not old_router
-        for old, new in zip(old_router.backends, new_router.backends):
-            assert isinstance(old, IVFIndex) and isinstance(new, IVFIndex)
-            assert np.array_equal(new.centroids, old.centroids)
-        # Aggregated rebuild accounting spans all shards' lists.
-        assert report.n_lists_total == sum(
-            backend.nlist for backend in old_router.backends
-        )
-        assert report.n_lists_rebuilt <= report.n_lists_total
-
     def test_sharded_queries_reflect_new_embedding(self, sharded_rig):
         refresher, _, service = sharded_rig
         refresher.apply(_delta())
         result = service.search(
-            SearchRequest(node=0, k=5, params=SearchParams(nprobe=5))
+            SearchRequest(node=0, k=5)
         )
         expected = refresher.model.embedding
         from repro.search.knn import top_k_similar
@@ -179,13 +145,13 @@ class TestShardedApply:
     def test_sharded_rollback_after_refresh(self, sharded_rig):
         refresher, store, service = sharded_rig
         before = service.search(
-            SearchRequest(node=3, k=5, params=SearchParams(nprobe=5))
+            SearchRequest(node=3, k=5)
         )
         refresher.apply(_delta())
         store.rollback()
         service.refresh_to_latest()
         restored = service.search(
-            SearchRequest(node=3, k=5, params=SearchParams(nprobe=5))
+            SearchRequest(node=3, k=5)
         )
         assert restored.version == "v00000001"
         assert np.array_equal(restored.ids, before.ids)

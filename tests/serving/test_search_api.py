@@ -1,4 +1,4 @@
-"""The unified query API: SearchRequest/SearchParams and filters.
+"""The unified query API: SearchRequest and filters.
 
 ``QueryService.search(SearchRequest)`` is the one entrypoint (and
 ``PinnedView.search`` its pinned twin).  These tests pin the contract:
@@ -14,51 +14,13 @@ import numpy as np
 import pytest
 
 from repro.search.knn import FilterError, NodeFilter
-from repro.serving.service import (
-    QueryService,
-    SearchParams,
-    SearchRequest,
-)
+from repro.serving.service import QueryService, SearchRequest
 
 
 @pytest.fixture()
 def service(store):
     with QueryService(store) as svc:
         yield svc
-
-
-class TestSearchParams:
-    def test_defaults_are_all_none(self):
-        params = SearchParams()
-        assert params.key() == (None,)
-        assert SearchParams(nprobe=4).key() == (4,)
-        assert params.to_json() == {}
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SearchParams(nprobe=0)
-        with pytest.raises(TypeError):  # nprobe is the only field
-            SearchParams(rescore_factor=2)
-
-    def test_json_round_trip(self):
-        params = SearchParams(nprobe=4)
-        assert params.to_json() == {"nprobe": 4}
-        assert SearchParams.from_json(params.to_json()) == params
-
-    @pytest.mark.parametrize(
-        "obj",
-        [
-            {"bogus": 1},
-            {"nprobe": True},
-            {"nprobe": "4"},
-            {"select_dtype": "float32"},  # a removed hint is an unknown field
-            {"rescore_factor": 2},
-            {"nprobe": 4, "rescore_factor": 2},
-        ],
-    )
-    def test_from_json_rejects_malformed(self, obj):
-        with pytest.raises(ValueError):
-            SearchParams.from_json(obj)
 
 
 class TestSearchRequest:
@@ -75,8 +37,8 @@ class TestSearchRequest:
             SearchRequest(node=1, k=0)
         with pytest.raises(ValueError):
             SearchRequest(node=1, filter={"allow": [1]})  # must be NodeFilter
-        with pytest.raises(ValueError):
-            SearchRequest(node=1, params={"nprobe": 2})  # must be SearchParams
+        with pytest.raises(TypeError):  # no per-request backend hints
+            SearchRequest(node=1, params={"nprobe": 2})
 
     def test_filter_key_none_for_noop(self):
         assert SearchRequest(node=1).filter_key() is None

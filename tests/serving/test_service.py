@@ -10,7 +10,7 @@ import pytest
 from repro.core.pane import PANEEmbedding
 from repro.parallel.pool import WorkerPool
 from repro.search.knn import top_k_similar
-from repro.serving.index import ExactBackend, IVFIndex
+from repro.serving.index import ExactBackend
 from repro.serving.service import QueryService, SearchRequest
 from repro.serving.store import EmbeddingStore
 
@@ -505,13 +505,6 @@ class TestDescribe:
         assert info["version"] == "v00000001"
         assert info["n_nodes"] == 120
 
-    def test_describe_ivf(self, store):
-        with QueryService(store, backend="ivf", nlist=8, nprobe=3) as service:
-            info = service.describe()
-            assert info["backend"] == "IVFIndex"
-            assert info["backend_kind"] == "ivf"
-            assert info["ivf"] == {"nlist": 8, "nprobe": 3}
-
     @staticmethod
     def _assert_plain_types(value, path="describe()"):
         """No numpy scalars anywhere — the wire schema is plain JSON types."""
@@ -532,15 +525,6 @@ class TestDescribe:
         info = service.describe()
         self._assert_plain_types(info)
         json.loads(json.dumps(info, allow_nan=False))
-
-    def test_describe_json_serializable_all_backends(self, store):
-        for backend in ("ivf",):
-            with QueryService(store, backend=backend, nlist=4) as service:
-                service.search(SearchRequest(node=0, k=5))
-                info = service.describe()
-                assert info["backend_kind"] == backend
-                self._assert_plain_types(info)
-                json.loads(json.dumps(info, allow_nan=False))
 
     def test_describe_json_serializable_sharded(self, tmp_path, trained_embedding):
         store = EmbeddingStore(tmp_path / "sharded", n_shards=3)
@@ -604,12 +588,13 @@ class TestPinnedView:
 
 
 class TestBackendSelection:
-    def test_auto_small_store_uses_exact(self, store):
-        with QueryService(store, backend="auto") as service:
-            assert isinstance(service.backend, ExactBackend)
+    def test_exact_is_the_default_and_only_backend(self, store):
+        for kwargs in ({}, {"backend": "exact"}):
+            with QueryService(store, **kwargs) as service:
+                assert isinstance(service.backend, ExactBackend)
+                assert service.describe()["backend_kind"] == "exact"
 
-    def test_explicit_ivf(self, store):
-        with QueryService(store, backend="ivf", nlist=6, nprobe=6) as service:
-            assert isinstance(service.backend, IVFIndex)
-            result = service.search(SearchRequest(node=0, k=5))
-            assert result.ids.shape == (5,)
+    @pytest.mark.parametrize("backend", ["ivf", "auto"])
+    def test_removed_backend_kinds_refused(self, store, backend):
+        with pytest.raises(ValueError, match="inverted-file backend was removed"):
+            QueryService(store, backend=backend)

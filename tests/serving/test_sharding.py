@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.parallel.pool import WorkerPool
-from repro.serving.index import ExactBackend, IVFIndex
+from repro.serving.index import ExactBackend
 from repro.serving.service import QueryService, SearchRequest
 from repro.serving.sharding import Partitioner, ShardRouter
 from repro.serving.store import EmbeddingStore
@@ -303,39 +303,6 @@ class TestShardRouterBitIdentity:
         with pytest.raises(ValueError, match="backends"):
             ShardRouter([ExactBackend(features)], partitioner)
 
-    def test_ivf_shards_accept_nprobe(self, clustered_unit_vectors):
-        features = clustered_unit_vectors(600, 16, 16, seed=3)
-        partitioner = Partitioner.build("range", 2, 600)
-        backends = [
-            IVFIndex(
-                np.ascontiguousarray(features[partitioner.shard_members(s)]),
-                nlist=8,
-                nprobe=2,
-                seed=0,
-            )
-            for s in range(2)
-        ]
-        router = ShardRouter(backends, partitioner)
-        # nprobe >= nlist per shard delegates to exact → global exact.
-        ids, scores = router.search(features[:4], 5, nprobe=8)
-        truth = ExactBackend(features).search(features[:4], 5)
-        assert np.array_equal(ids, truth[0])
-        assert np.array_equal(scores, truth[1])
-
-    def test_refresh_preserves_ivf_shard_kind(self, tmp_path, trained_embedding):
-        """Router refresh must keep IVF shards and their trained quantizer,
-        not downgrade them to exact backends or retrain."""
-        store = EmbeddingStore(tmp_path / "s", n_shards=2)
-        store.publish(trained_embedding)
-        stored = store.open()
-        backends = [IVFIndex(seg.features, nlist=4, seed=0) for seg in stored.shards]
-        router = ShardRouter(backends, stored.partitioner)
-        store.publish(trained_embedding)
-        refreshed = router.refresh(store.open())
-        for old, new in zip(backends, refreshed.backends):
-            assert isinstance(new, IVFIndex)
-            assert new.centroids is old.centroids  # quantizer reused, not retrained
-
     def test_per_shard_stats_record_disjoint_streams(
         self, clustered_unit_vectors
     ):
@@ -432,19 +399,3 @@ class TestShardedService:
         with QueryService(sharded, backend="exact") as service:
             with pytest.raises(IndexError):
                 service.search(SearchRequest(node=10_000, k=3))
-
-    def test_sharded_index_cache_round_trip(self, stores):
-        _, sharded = stores
-        with QueryService(
-            sharded, backend="ivf", nlist=4, index_cache=True
-        ) as service:
-            first = service.search(SearchRequest(node=1, k=4))
-        stored = sharded.open()
-        for shard in stored.shards:
-            assert sharded.index_path(stored.version, shard=shard.shard).is_file()
-        with QueryService(
-            sharded, backend="ivf", nlist=4, index_cache=True
-        ) as service:
-            again = service.search(SearchRequest(node=1, k=4))
-        assert np.array_equal(first.ids, again.ids)
-        assert np.array_equal(first.scores, again.scores)

@@ -10,7 +10,8 @@ own publish, manifest and fsck sweep beside the unsharded one's, and a
 torn sharded publish leaked shard data no sweep could see.  And the
 exact engine once had a float32 shortlist with a fixed oversample, a
 float64 boundary-repair loop and an IVF top-k without a tie band: three
-answers to one question, now one certified band.  And single-node
+answers to one question, now one certified band — and one engine, since
+the approximate IVF backend beside it is gone.  And single-node
 queries once had two paths into the engine, one of them an opt-in
 coalescer with a window knob; now there is one admission path.  And the
 delta log's segments were once walked by four loops and its checksummed
@@ -175,11 +176,34 @@ def test_one_certified_band_and_no_precision_knob():
 
     assert [module for module, _ in functions["certified_band"]] == ["search/knn.py"]
     assert callers("certified_band") == {"search/knn.py:select_band"}
-    assert callers("select_band") == {
-        "search/knn.py:_select_and_rescore",
-        "serving/index.py:_rescored",
-    }
+    assert callers("select_band") == {"search/knn.py:_select_and_rescore"}
     assert knob == []
+
+
+def test_one_search_engine_and_no_probe_knob():
+    """The exact backend is the one search engine (the shard router only
+    scatters to it), and no name of the approximate backend it replaced
+    — its class, its probe width, its per-request hints, its artifact
+    cache — is spelled anywhere in the tree."""
+    backends, leftovers = set(), []
+    for path in sorted(SRC.rglob("*.py")):
+        module = str(path.relative_to(SRC))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef) and "SearchBackend" in {
+                _name(base) for base in node.bases
+            }:
+                backends.add(f"{module}:{node.name}")
+            leftovers += [
+                f"{module}:{node.lineno}:{name}"
+                for name in _identifiers(node)
+                if any(word in name.lower() for word in
+                       ("ivf", "nprobe", "nlist", "searchparams", "index_cache"))
+            ]
+    assert backends == {
+        "serving/index.py:ExactBackend",
+        "serving/sharding/router.py:ShardRouter",
+    }
+    assert leftovers == []
 
 
 def test_one_single_query_path_and_no_coalescing_knob(capsys):
@@ -202,8 +226,19 @@ def test_one_single_query_path_and_no_coalescing_knob(capsys):
             ]
     assert coalesce == []
     service = "serving/service.py"
+
+    def calls_backend_search(node: ast.AST) -> bool:
+        return any(
+            isinstance(inner, ast.Call)
+            and isinstance(inner.func, ast.Attribute)
+            and inner.func.attr == "search"
+            and _name(inner.func.value) == "backend"
+            for inner in ast.walk(node)
+        )
+
     assert {
-        key for key, node in functions.items() if "_search" in _calls(node)
+        key for key, node in functions.items()
+        if key.startswith(service) and calls_backend_search(node)
     } == {
         f"{service}:_select",
         f"{service}:_batch_top_k_on",

@@ -37,7 +37,6 @@ def make_config(store_root, **overrides) -> SupervisorConfig:
     base = dict(
         store=str(store_root),
         n_workers=2,
-        backend="exact",
         health_interval_s=0.15,
         health_timeout_s=1.0,
         hang_checks=3,

@@ -17,9 +17,10 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro.search.knn import NodeFilter
 from repro.serving.http import ApiError, EmbeddingServer, ServingClient, run_load
 from repro.serving.http import protocol
-from repro.serving.service import QueryService, SearchParams, SearchRequest
+from repro.serving.service import QueryService, SearchRequest
 
 
 @pytest.fixture()
@@ -169,14 +170,15 @@ class TestNegotiation:
         assert remote.scores.tobytes() == local.scores.tobytes()
 
     def test_binary_padding_needs_no_null(self, store):
-        """IVF -inf padding crosses the binary wire as raw float64 bits."""
-        with QueryService(store, backend="ivf", nlist=8, nprobe=1) as service:
+        """-inf padding (a filter allowing fewer than k rows) crosses the
+        binary wire as raw float64 bits."""
+        node_filter = NodeFilter(allow=[3, 7, 9])
+        with QueryService(store, backend="exact") as service:
             with EmbeddingServer(service) as server:
                 client = ServingClient(server.url, wire="binary")
-                remote = client.top_k(0, 60, params={"nprobe": 1})
-                local = service.search(
-                    SearchRequest(node=0, k=60, params=SearchParams(nprobe=1))
-                )
+                remote = client.top_k(0, 5, filter=node_filter)
+                local = service.search(SearchRequest(node=0, k=5, filter=node_filter))
+                assert list(local.ids[3:]) == [-1, -1]
                 assert np.array_equal(remote.ids, local.ids)
                 assert remote.scores.tobytes() == local.scores.tobytes()
 

@@ -31,8 +31,8 @@ def _writer_schema(name: str) -> str:
             "http",
             marks=pytest.mark.xfail(
                 strict=True,
-                reason="ROADMAP 6a: BENCH_http.json is still the v2 full run, "
-                "bench_http.py writes v5 — regenerate on the reference host",
+                reason="ROADMAP item 21: BENCH_http.json is still the v2 full "
+                "run, bench_http.py writes v6 — regenerate on the reference host",
             ),
         ),
     ],

@@ -158,7 +158,6 @@ class TestServeQuery:
         code = main(
             [
                 "query", "--store", str(store), "--node", "0", "--k", "5",
-                "--backend", "exact",
             ]
         )
         assert code == 0
@@ -188,12 +187,16 @@ class TestServeQuery:
         assert excinfo.value.code == 2
         assert "not allowed with" in capsys.readouterr().err
 
-    def test_query_defaults_to_exact_backend(self):
-        # A one-shot CLI query must not pay an IVF build per invocation.
+    def test_query_defaults_to_exact_backend(self, capsys):
+        # The exact engine is the only one: `query` has no backend flag.
         from repro.cli import build_parser
 
         args = build_parser().parse_args(["query", "--store", "s"])
-        assert args.backend == "exact"
+        assert not hasattr(args, "backend")
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["query", "--store", "s", "--backend", "exact"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
     def test_serve_rollback(self, embedding_file, tmp_path, capsys):
         store = tmp_path / "store"
@@ -219,12 +222,25 @@ class TestServeQuery:
         code = main(
             [
                 "query", "--store", str(store), "--attribute", "0", "--k", "3",
-                "--backend", "exact",
             ]
         )
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 4  # header + 3 rows
+
+    def test_query_skips_filter_padding(self, embedding_file, tmp_path, capsys):
+        """A filter allowing fewer than k rows pads the answer with id -1;
+        `query` prints only the real rows."""
+        store = tmp_path / "store"
+        main(["serve", "--store", str(store), "--publish", str(embedding_file)])
+        capsys.readouterr()
+        code = main(
+            ["query", "--store", str(store), "--node", "0", "--k", "5",
+             "--filter-allow", "3,7"]
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert sorted(int(line.split("\t")[0]) for line in lines[1:]) == [3, 7]
 
     def test_query_empty_store_errors(self, tmp_path, capsys):
         assert main(["query", "--store", str(tmp_path / "empty"), "--node", "0"]) == 2
@@ -311,24 +327,6 @@ class TestShardedServeQuery:
         # Matching layout (or none at all) still publishes.
         assert self._publish(store, embedding_file, "--shards", "4") == 0
 
-    def test_query_ivf_persists_index_artifact(
-        self, embedding_file, tmp_path, capsys
-    ):
-        from repro.serving.store import EmbeddingStore
-
-        store = tmp_path / "store"
-        self._publish(store, embedding_file)
-        capsys.readouterr()
-        args = ["query", "--store", str(store), "--node", "0", "--k", "3",
-                "--backend", "ivf"]
-        assert main(args) == 0
-        first = capsys.readouterr().out
-        artifact = EmbeddingStore(store).index_path("v00000001")
-        assert artifact.is_file()
-        # Second invocation loads the artifact and answers identically.
-        assert main(args) == 0
-        assert capsys.readouterr().out.splitlines()[1:] == first.splitlines()[1:]
-
     def test_gc_on_sharded_store(self, embedding_file, tmp_path, capsys):
         store = tmp_path / "store"
         self._publish(store, embedding_file, "--shards", "2")
@@ -355,20 +353,6 @@ class TestShardedServeQuery:
         assert result["protected"] == ["v00000001"]
         assert result["deleted"] == ["v00000002"]
         assert result["kept"] == ["v00000001", "v00000003"]
-
-    def test_query_ivf_backend_on_sharded_store(
-        self, embedding_file, tmp_path, capsys
-    ):
-        store = tmp_path / "store"
-        self._publish(store, embedding_file, "--shards", "2")
-        capsys.readouterr()
-        code = main(
-            ["query", "--store", str(store), "--node", "0", "--k", "3",
-             "--backend", "ivf"]
-        )
-        assert code == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 4  # header + 3 rows
 
 
 class TestHTTPServeCli:
@@ -489,10 +473,12 @@ class TestWireAndCoalesceCLI:
                     [command, "--store", "s", "--select-dtype", "float32"]
                 )
             capsys.readouterr()
+        # `serve --backend exact` still parses; every other kind is refused.
+        for kind in ("pq", "ivf", "auto"):
             with pytest.raises(SystemExit) as excinfo:
-                main([command, "--store", "s", "--backend", "pq"])
+                main(["serve", "--store", "s", "--backend", kind])
             assert excinfo.value.code == 2
-            assert "invalid choice: 'pq'" in capsys.readouterr().err
+            assert f"invalid choice: '{kind}'" in capsys.readouterr().err
         with pytest.raises(SystemExit):
             build_parser().parse_args(
                 ["bench-http", "--url", "u", "--wire", "msgpack"]
@@ -509,8 +495,7 @@ class TestWireAndCoalesceCLI:
         ) == 0
         capsys.readouterr()
         assert main(
-            ["query", "--store", str(store), "--node", "0", "--k", "5",
-             "--backend", "exact"]
+            ["query", "--store", str(store), "--node", "0", "--k", "5"]
         ) == 0
         lines = capsys.readouterr().out.strip().splitlines()[1:]  # drop the header
         features = np.asarray(EmbeddingStore(store).open().features)

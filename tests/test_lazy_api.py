@@ -29,7 +29,6 @@ LAZY_PACKAGES = (
 # Plain values carry no ``__module__`` to read their home from.
 CONSTANT_HOMES = {
     "__version__": "repro",
-    "AUTO_EXACT_THRESHOLD": "repro.serving.index",
     "BASE_GRAPH_FILE": "repro.serving.wal.compactor",
     "CHECKPOINT_FILE": "repro.serving.wal.compactor",
     "CHECKPOINT_SCHEMA": "repro.serving.wal.compactor",
