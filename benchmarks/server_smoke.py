@@ -256,13 +256,13 @@ def main() -> int:
                 check_bit_identical(client, local, "v2 exact after refresh")
 
             metrics = client.metrics()
-            queries = metrics["service"]["queries"]
-            assert queries > 0, metrics
-            # The JSON section is derived from the service's own counter:
-            # the registry in the same document must say the same number.
+            # Every count lives in the registry; the cache document reads
+            # the same lookup counter.
+            registry = metrics["registry"]
+            assert family_total(registry, "service_queries_total") > 0, metrics
             assert family_total(
-                metrics["registry"], "service_queries_total"
-            ) == queries, metrics
+                registry, "cache_lookups_total"
+            ) == metrics["cache"]["hits"] + metrics["cache"]["misses"], metrics
             scrape = scrape_prometheus(url)
             check_footprint(server.pid)
             client.close()  # release pooled sockets before the drain

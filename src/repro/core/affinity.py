@@ -279,28 +279,6 @@ def apmi_probabilities(
     return pf, pb
 
 
-def papmi(
-    graph: AttributedGraph,
-    alpha: float = 0.5,
-    epsilon: float = 0.015,
-    *,
-    n_threads: int = 2,
-    n_iterations: int | None = None,
-    dangling: str = "zero",
-    pool: WorkerPool | None = None,
-) -> AffinityPair:
-    """PAPMI (Algorithm 6): :func:`apmi`'s attribute blocks over ``n_threads``.
-
-    Blocks are ``_BLOCK_COLUMNS`` wide whatever the thread count, and each
-    is copied once into ``F′``'s (``B′``'s) columns: no concatenation.
-    Equals APMI bit for bit (Lemma 4.1).
-    """
-    return apmi(
-        graph, alpha, epsilon, n_iterations=n_iterations, dangling=dangling,
-        n_threads=n_threads, pool=pool,
-    )
-
-
 def exact_probabilities(
     graph: AttributedGraph,
     alpha: float = 0.5,

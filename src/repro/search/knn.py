@@ -178,23 +178,6 @@ def rowwise_inner(rows: np.ndarray, others: np.ndarray) -> np.ndarray:
     )
 
 
-def canonical_scores(
-    features: np.ndarray, ids: np.ndarray, query: np.ndarray
-) -> np.ndarray:
-    """Canonical cosine scores of ``features[ids]`` against one ``query``.
-
-    The single-query convenience over :func:`rowwise_inner`: the returned
-    floats are bit-identical to what :func:`exact_top_k` reports for the
-    same rows, which makes it the oracle of a brute-force ranking.  A
-    fancy-index gather always yields a fresh contiguous array, so the
-    einsum runs directly on it.
-    """
-    rows = features[ids]
-    repeated = np.empty_like(rows)
-    repeated[:] = query
-    return np.einsum("ij,ij->i", rows, repeated)
-
-
 def top_k_sorted_indices(scores: np.ndarray, k: int) -> np.ndarray:
     """Indices of the ``k`` largest entries of a 1-D score vector, descending.
 

@@ -43,7 +43,6 @@ __all__ = [
     "SearchRequest",
     "ShardRouter",
     "StoredEmbedding",
-    "backend_kind_name",
     "json_safe",
     "make_backend",
     "search_features",
@@ -60,7 +59,7 @@ __getattr__, __dir__ = lazy_exports(
         "repro.serving.refresh": ("OnlineRefresher", "RefreshReport"),
         "repro.serving.service": (
             "PinnedView", "QueryResult", "QueryService", "SearchRequest",
-            "backend_kind_name", "json_safe",
+            "json_safe",
         ),
         "repro.serving.sharding.router": ("ShardRouter",),
         "repro.serving.store": (

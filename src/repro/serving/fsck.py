@@ -37,7 +37,6 @@ import json
 import math
 import os
 import shutil
-import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -97,7 +96,7 @@ class Issue:
     """One integrity finding.
 
     ``code`` is stable and machine-readable (``orphan_staging``,
-    ``bad_manifest``, ``bad_array``, ``corrupt_index``, ``bad_latest``,
+    ``bad_manifest``, ``bad_array``, ``bad_latest``,
     ``not_a_store``); ``detail`` says what exactly is wrong;
     ``repairable`` says whether :func:`fsck` with ``repair=True`` can
     bring the store back to a clean, servable state past this issue.
@@ -277,17 +276,6 @@ def verify_version(store: EmbeddingStore, version: str) -> list[Issue]:
                     f"{label} {kind}: {actual} bytes on disk, "
                     f"header promises {expected}",
                 )
-
-        # Index artifacts are derived data an older release wrote and
-        # nothing reads any more: a torn one is flagged so repair deletes
-        # it, an intact one is left alone.
-        for artifact in sorted(shard_path.glob("index_*.npz")):
-            if not zipfile.is_zipfile(artifact):
-                issue(
-                    "corrupt_index", artifact,
-                    f"{version}: index artifact {prefix}{artifact.name} is not a "
-                    "readable archive (derived data; repair deletes it)",
-                )
     return issues
 
 
@@ -341,22 +329,13 @@ def _sweep(store: EmbeddingStore, *, repair: bool) -> FsckReport:
 
     for version in store.versions():
         issues = verify_version(store, version)
-        # A corrupt-but-GC-able index artifact alone does not condemn the
-        # version: the arrays are intact, only derived data needs repair.
-        fatal = [issue for issue in issues if issue.code != "corrupt_index"]
         report.issues.extend(issues)
-        if fatal:
+        if issues:
             report.corrupt_versions.append(version)
             if repair:
                 _quarantine(root, root / "versions" / version, report)
         else:
             report.clean_versions.append(version)
-            if repair:
-                for issue in issues:  # corrupt_index only
-                    Path(issue.path).unlink(missing_ok=True)
-                    report.actions.append(
-                        f"deleted corrupt index artifact {Path(issue.path).name}"
-                    )
 
     _check_latest(store, report, repair=repair)
     _check_datasets(store, report, repair=repair)
@@ -749,9 +728,6 @@ def verify_open_target(store, version: str | None) -> None:
     target = version if version is not None else store.latest()
     if target is None or not (store.root / "versions" / target).is_dir():
         return  # open() raises the canonical missing-version error
-    fatal = [
-        issue for issue in verify_version(store, target)
-        if issue.code != "corrupt_index"
-    ]
-    if fatal:
-        raise StoreCorruptionError(store.root, target, fatal)
+    issues = verify_version(store, target)
+    if issues:
+        raise StoreCorruptionError(store.root, target, issues)

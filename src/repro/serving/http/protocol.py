@@ -42,10 +42,11 @@ import numpy as np
 
 from repro.search.knn import FilterError, NodeFilter
 
-# v2 has one spelling per thing: writes only through ``/v1/upsert``, and
-# latency in ``/metrics`` only as the mergeable ``registry`` families plus
-# count / sum documents (no window percentiles).
-PROTOCOL_SCHEMA = "repro.serving.http/v2"
+# v3 counts in one place: ``/metrics`` lost its ``server``, ``service`` and
+# ``shards`` documents, and ``/v1/describe`` its ``latency``, ``cache``,
+# ``backend`` and ``sharding.{n_shards, latency}`` fields and the per-shard
+# ``backend`` / ``kind``; every count and latency is a ``registry`` family.
+PROTOCOL_SCHEMA = "repro.serving.http/v3"
 
 # Stable endpoint paths (the server routes on these; the client targets them).
 TOPK = "/v1/topk"

@@ -19,9 +19,9 @@ Endpoints (see :mod:`repro.serving.http.protocol` for the wire schema):
 ==========================  ====================================================
 ``GET  /healthz``           liveness + active version (503 while draining)
 ``GET  /v1/describe``       the stable ``QueryService.describe()`` document
-``GET  /metrics``           cache / ingest / service count-sum documents plus
-                            the mergeable metrics ``registry`` (Prometheus
-                            text under ``Accept: text/plain``)
+``GET  /metrics``           the LRU ``cache`` document, the write path's
+                            block, and the mergeable metrics ``registry``
+                            (Prometheus text under ``Accept: text/plain``)
 ``GET  /debug/traces``      the newest finished request traces
 ``POST /v1/topk``           ``{node, k?, filter?}`` → ids/scores
 ``POST /v1/topk:batch``     ``{nodes, k?, filter?}`` → row-major ids/scores
@@ -70,7 +70,7 @@ from repro.serving.http.protocol import ApiError
 from repro.serving.http.write_path import WritePath, write_routes
 from repro.serving.obs import metrics as obs_metrics
 from repro.serving.obs import trace as obs_trace
-from repro.serving.obs.metrics import MetricsRegistry
+from repro.serving.obs.metrics import Counter, MetricsRegistry
 from repro.serving.obs.trace import TraceBuffer, trace_span
 from repro.search.knn import FilterError
 from repro.serving.service import QueryService, SearchRequest, json_safe
@@ -142,15 +142,21 @@ class HttpFrontEnd:
         self._flight_lock = threading.Lock()
         self._drained = threading.Condition(self._flight_lock)
         self._thread: threading.Thread | None = None
-        self.error_counts: dict[str, int] = {}
+        # Owned here whether or not a registry exposes it; _count_error()
+        # is its only writer.
+        self.errors_total = Counter(
+            "http_errors_total", "Structured error responses, by code", ("code",)
+        )
         self.slow_query_ms = float(slow_query_ms)
         self._slow_log = slow_log
         self.registry = registry
         self.trace_buffer = TraceBuffer() if registry is not None else None
         if registry is not None:
             # The request path pays exactly one counter increment and one
-            # histogram observation; state that is not an event stream
-            # (in-flight, error counts) is mirrored only at scrape time.
+            # histogram observation (plus one per error); state that is
+            # not an event stream (in-flight, draining) is mirrored only
+            # at scrape time.
+            registry.adopt(self.errors_total)
             self._m_requests = registry.counter(
                 "http_requests_total",
                 "HTTP requests dispatched, by endpoint",
@@ -282,8 +288,7 @@ class HttpFrontEnd:
                 self._drained.notify_all()
 
     def _count_error(self, code: str) -> None:
-        with self._flight_lock:
-            self.error_counts[code] = self.error_counts.get(code, 0) + 1
+        self.errors_total.inc(code=code)
 
     # -- what a port built on this may specialize -------------------------
     def draining_health(self) -> dict:
@@ -303,13 +308,6 @@ class HttpFrontEnd:
         reg.gauge("http_draining", "1 while the server is draining").set(
             1.0 if self._draining else 0.0
         )
-        errors = reg.counter(
-            "http_errors_total", "Structured error responses, by code", ("code",)
-        )
-        with self._flight_lock:
-            counts = dict(self.error_counts)
-        for code, n in counts.items():
-            errors.set_total(n, code=code)
 
     def _finish_trace(self, trace, path: str, status, duration_s: float) -> None:
         """Seal a request trace: counters, ring buffer, slow-query log."""
@@ -452,12 +450,6 @@ class EmbeddingServer(HttpFrontEnd):
         """Mirror state that is not an event stream, only when scraped."""
         reg = self.registry
         obs_metrics.mirror_process(reg, worker=self.worker_id or 0)
-        cache = self.service.cache_info()
-        lookups = reg.counter(
-            "cache_lookups_total", "LRU cache lookups, by outcome", ("outcome",)
-        )
-        lookups.set_total(cache.get("hits", 0), outcome="hit")
-        lookups.set_total(cache.get("misses", 0), outcome="miss")
         if self.write_path is not None:
             self.write_path.collect(reg)
 
@@ -493,29 +485,14 @@ class EmbeddingServer(HttpFrontEnd):
     def handle_metrics(self, _body: dict) -> tuple[int, dict]:
         payload = {
             "schema": protocol.PROTOCOL_SCHEMA,
-            "server": {
-                "worker": self.worker_id,
-                "in_flight": self.in_flight,
-                "draining": self._draining,
-                "errors": dict(self.error_counts),
-            },
-            "service": self.service.latency_info(),
-            # The LRU's own hit/miss view (the service counters above
-            # only say how many answers were cache-served, not how often
-            # lookups missed — both are needed to judge sizing).
+            # The LRU's size beside its cache_lookups_total cells.
             "cache": self.service.cache_info(),
         }
-        backend = self.service.backend
-        if isinstance(backend, ShardRouter):
-            payload["shards"] = {
-                "n_shards": backend.n_shards,
-                **backend.latency_info(),
-            }
         if self.write_path is not None:
             payload.update(self.write_path.status_fields())
         if self.registry is not None:
-            # The sum-mergeable view, and the only home of per-endpoint
-            # HTTP latency: the same families the Prometheus exposition
+            # The sum-mergeable view, and the only home of every count and
+            # latency: the same families the Prometheus exposition
             # renders, as JSON, so a supervisor can merge worker cells
             # exactly (obs.metrics.merge_dicts).
             payload["registry"] = self.registry.as_dict()

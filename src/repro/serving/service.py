@@ -30,10 +30,10 @@ throughput comes from three places:
   ``(snapshot, k, filter)`` — natural batching, with no timer;
 - an LRU result cache absorbs repeated queries entirely.
 
-One way to count — every answered call is recorded once, into the
-:mod:`repro.serving.obs.metrics` instruments the service owns
-(:attr:`QueryService.instruments`); ``describe()["latency"]`` is read off
-their cells and an HTTP server adopts the same objects into its registry.
+One way to count — every answered call and every cache lookup is
+recorded once, into the :mod:`repro.serving.obs.metrics` instruments the
+service owns (:attr:`QueryService.instruments`); an HTTP server adopts the
+same objects into its registry, and no document re-derives their cells.
 """
 
 from __future__ import annotations
@@ -195,11 +195,9 @@ class QueryService:
         # client session that keep sending the same predicate.
         self._filter_cache: OrderedDict[tuple, CompiledFilter] = OrderedDict()
         self._filter_lock = threading.Lock()
-        self._cache_hit_count = 0
-        self._cache_miss_count = 0
         self._swap_lock = threading.Lock()
         # The service's instruments: _record() below is the only writer,
-        # once per answered call.
+        # once per answered call, and _cache_get() once per cache lookup.
         self.queries_total = Counter(
             "service_queries_total",
             "Queries answered by the query service (batch members counted)",
@@ -207,6 +205,9 @@ class QueryService:
         )
         self.cache_served_total = Counter(
             "service_cache_served_total", "Queries answered from the LRU cache", ()
+        )
+        self.cache_lookups_total = Counter(
+            "cache_lookups_total", "LRU cache lookups, by outcome", ("outcome",)
         )
         self.query_seconds = Histogram(
             "service_query_seconds",
@@ -627,36 +628,32 @@ class QueryService:
 
     # -- introspection / lifecycle -------------------------------------
     def describe(self) -> dict:
-        """Serving state, memory accounting, query counters (JSON-safe).
+        """Serving state and memory accounting (JSON-safe); no counts.
 
         The top of the dict is a stable, server-visible schema — the same
         document ``GET /v1/describe`` returns over HTTP (see
         :mod:`repro.serving.http`): ``version`` (the active store version
-        id), ``backend_kind`` (``exact`` or ``sharded`` — stable across
-        refactors, unlike the class name in ``backend``), ``n_shards`` (1 for an unsharded deployment),
-        ``n_nodes``, and ``n_attributes``.  Every value is a plain Python
-        scalar/list/dict — ``json.dumps(service.describe())`` must never
-        trip over a numpy scalar.
+        id), ``backend_kind`` (``exact`` or ``sharded``), ``n_shards`` (1
+        for an unsharded deployment), ``n_nodes``, and ``n_attributes``.
+        Every value is a plain Python scalar/list/dict —
+        ``json.dumps(service.describe())`` must never trip over a numpy
+        scalar.
 
         ``memory`` reports the mapped bytes behind every stored array (what
         the OS *could* page in, not resident set; for a sharded snapshot
         the replicated ``y`` counts every shard's copy) plus what each
-        shard's selection keeps resident.  ``latency`` is :meth:`latency_info`.  A sharded snapshot
-        adds a ``sharding`` section with per-shard sizes and the router's
-        own ``latency`` (:meth:`ShardRouter.latency_info`).  Units there
-        are **per-shard searches**: every backend call is scattered to
-        all shards, so ``searches`` reads ``n_shards ×`` the number of
-        uncached service calls, and cache hits only ever appear in the
-        service-level ``latency``.
+        shard's selection keeps resident.  A sharded snapshot adds a
+        ``sharding`` section with the partition kind and per-shard sizes.
+        Query, cache and latency numbers live only in
+        :attr:`instruments` (and the router's ``shard_search_seconds``).
         """
         active = self._snapshot()
         backend = active.backend
+        sharded = isinstance(backend, ShardRouter)
         info = {
             "version": active.version,
-            "backend_kind": backend_kind_name(backend),
-            "n_shards": (
-                backend.n_shards if isinstance(backend, ShardRouter) else 1
-            ),
+            "backend_kind": "sharded" if sharded else "exact",
+            "n_shards": backend.n_shards if sharded else 1,
             "n_nodes": active.stored.n_nodes,
             "n_attributes": active.stored.n_attributes,
             # Filter capability advertisement (mirrored by /v1/describe):
@@ -667,15 +664,8 @@ class QueryService:
             "filters": {
                 "ids": True,
                 "attributes": True,
-                "partitions": isinstance(backend, ShardRouter),
+                "partitions": sharded,
             },
-            "backend": type(backend).__name__,
-            # One source of truth for cache state: the ``cache`` dict
-            # (entries/capacity/hits/misses/hit_rate) replaces the old
-            # top-level cache_entries/cache_size pair, which duplicated
-            # it under a second read of the lock.
-            "cache": self.cache_info(),
-            "latency": self.latency_info(),
         }
         # Y is *replicated* per shard: count every mapped replica so
         # total_mapped_bytes agrees with the per-shard sums reported below.
@@ -693,25 +683,18 @@ class QueryService:
             ],
         }
         info["memory"] = memory
-        if isinstance(backend, ShardRouter):
+        if sharded:
             stored = active.stored
             memory["per_shard_bytes"] = [
                 sum(int(getattr(shard, name).nbytes) for name in _ARRAY_FILES)
                 for shard in stored.shards
             ]
             info["sharding"] = {
-                "n_shards": backend.n_shards,
                 "partition": stored.partitioner.kind,
                 "per_shard": [
-                    {
-                        "shard": shard.shard,
-                        "n_nodes": shard.n_nodes,
-                        "backend": type(backend.backends[shard.shard]).__name__,
-                        "kind": backend_kind_name(backend.backends[shard.shard]),
-                    }
+                    {"shard": shard.shard, "n_nodes": shard.n_nodes}
                     for shard in stored.shards
                 ],
-                "latency": backend.latency_info(),
             }
         # The document is a wire schema (shared with ``GET /v1/describe``):
         # scrub any numpy scalar an accessor above may have produced so
@@ -741,40 +724,27 @@ class QueryService:
             raise IndexError(f"node {node} out of range [0, {n})")
 
     @property
-    def instruments(self) -> tuple[Counter, Counter, Histogram, Counter]:
+    def instruments(self) -> tuple[Counter, Counter, Counter, Histogram, Counter]:
         """The metric objects this service records into, for a registry to adopt."""
         return (
             self.queries_total,
             self.cache_served_total,
+            self.cache_lookups_total,
             self.query_seconds,
             self.rescored_rows_total,
         )
 
-    def latency_info(self) -> dict:
-        """Lifetime counts and seconds, read off :attr:`instruments`.
-
-        ``queries`` counts batch members, ``calls`` answered calls (a batch
-        is one); quantiles come from the histogram's buckets, not from here.
-        """
-        cell = self.query_seconds.cell()
-        return {
-            "queries": int(self.queries_total.value()),
-            "cache_hits": int(self.cache_served_total.value()),
-            "calls": cell["count"],
-            "total_seconds": cell["sum"],
-        }
-
     def cache_info(self) -> dict:
-        """Result-cache effectiveness counters (lifetime, this process).
+        """The LRU's size and its lookups (lifetime, this process).
 
-        ``hits``/``misses`` count result lookups against
-        the LRU (disabled caches record nothing); exposed through
-        :meth:`describe` and the HTTP ``/metrics`` endpoint so the
-        cache's effectiveness is observable, not just its size.
+        ``hits``/``misses`` are read off ``cache_lookups_total`` (a
+        disabled cache records nothing); the HTTP ``/metrics`` endpoint
+        serves this as its ``cache`` document.
         """
         with self._cache_lock:
-            hits, misses = self._cache_hit_count, self._cache_miss_count
             entries = len(self._cache)
+        hits = int(self.cache_lookups_total.value(outcome="hit"))
+        misses = int(self.cache_lookups_total.value(outcome="miss"))
         lookups = hits + misses
         return {
             "entries": entries,
@@ -791,10 +761,8 @@ class QueryService:
             hit = self._cache.get(key)
             if hit is not None:
                 self._cache.move_to_end(key)
-                self._cache_hit_count += 1
-            else:
-                self._cache_miss_count += 1
-            return hit
+        self.cache_lookups_total.inc(outcome="miss" if hit is None else "hit")
+        return hit
 
     def _cache_put(self, key: tuple, ids: np.ndarray, scores: np.ndarray) -> None:
         if self._cache_size == 0:
@@ -851,20 +819,6 @@ def _leaf_backends(backend: SearchBackend) -> list[SearchBackend]:
     if isinstance(backend, ShardRouter):
         return list(backend.backends)
     return [backend]
-
-
-def backend_kind_name(backend: SearchBackend) -> str:
-    """The stable wire name of a backend: exact/sharded.
-
-    ``describe()`` and the HTTP ``/v1/describe`` endpoint report this
-    instead of the class name, so renaming a class cannot silently change
-    what remote clients key dashboards and routing decisions on.
-    """
-    if isinstance(backend, ShardRouter):
-        return "sharded"
-    if isinstance(backend, ExactBackend):
-        return "exact"
-    return type(backend).__name__.lower()
 
 
 def json_safe(value):

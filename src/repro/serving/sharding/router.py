@@ -20,8 +20,8 @@ runs, stopping after ``k`` pops — O(k log S), independent of corpus size.
 
 The router times every per-shard search into one fixed-bucket histogram
 labelled by shard (:attr:`ShardRouter.search_seconds`, observed inside the
-scatter tasks), so a hot shard shows up in ``QueryService.describe()``
-and ``/metrics`` instead of hiding in the service-level latency.
+scatter tasks), so a hot shard shows up in the ``/metrics`` registry
+instead of hiding in the service-level latency.
 """
 
 from __future__ import annotations
@@ -180,24 +180,6 @@ class ShardRouter(SearchBackend):
         if single:
             return ids[0], scores[0]
         return ids, scores
-
-    def latency_info(self) -> dict:
-        """Per-shard search counts and seconds, read off the histogram."""
-        per_shard = []
-        for shard in range(self.n_shards):
-            cell = self.search_seconds.cell(shard=shard)
-            per_shard.append(
-                {
-                    "shard": shard,
-                    "searches": cell["count"],
-                    "total_seconds": cell["sum"],
-                }
-            )
-        return {
-            "searches": sum(entry["searches"] for entry in per_shard),
-            "total_seconds": sum(entry["total_seconds"] for entry in per_shard),
-            "per_shard": per_shard,
-        }
 
 
 def _heap_merge(

@@ -14,6 +14,15 @@ from repro.search.knn import certified_band
 from repro.utils.rng import ensure_rng
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "contract: seconds-long guards of the import closures, the public API,"
+        " the serving structure and the fit's and engine's cost and bits"
+        " (CI runs them first, with -m contract)",
+    )
+
+
 @pytest.fixture(scope="session")
 def toy_graph() -> AttributedGraph:
     """The paper's 6-node running example (Fig. 1)."""
@@ -308,3 +317,24 @@ def _select_band_reference(scores, k, dim):
 def select_band_reference():
     """``select_band_reference(scores, k, dim)``: the full-partition band."""
     return _select_band_reference
+
+
+def _canonical_scores(features, ids, query):
+    """Canonical cosine scores of ``features[ids]`` against one ``query``.
+
+    The single-query form of ``repro.search.knn.rowwise_inner``: the
+    returned floats are bit-identical to what ``exact_top_k`` reports for
+    the same rows, which makes it the oracle of a brute-force ranking.  A
+    fancy-index gather always yields a fresh contiguous array, so the
+    einsum runs directly on it.
+    """
+    rows = features[ids]
+    repeated = np.empty_like(rows)
+    repeated[:] = query
+    return np.einsum("ij,ij->i", rows, repeated)
+
+
+@pytest.fixture(scope="session")
+def canonical_scores():
+    """``canonical_scores(features, ids, query)``: the engine's score bits."""
+    return _canonical_scores

@@ -18,7 +18,10 @@ class TestDefaults:
         assert PANEConfig(k=64).half_dim == 32
 
 
+@pytest.mark.contract
 class TestValidation:
+    """Contract: TestValidation rejects bad PANEConfig fields at construction."""
+
     @pytest.mark.parametrize("bad_k", [0, -2, 7, 15])
     def test_bad_k_rejected(self, bad_k):
         with pytest.raises(ValueError):

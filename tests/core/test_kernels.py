@@ -130,6 +130,7 @@ class TestPropagateRecurrence:
         assert result is buffers[0] or result is buffers[1]
 
 
+@pytest.mark.contract
 class TestApmiHopCost:
     """A hop is one restart copy and one CSR kernel call onto it.
 
@@ -138,6 +139,11 @@ class TestApmiHopCost:
     buffer holds its block's restart ``α·r`` bits, so a buffer prepared any
     other way (zero-filled with the restart added after, or scaled) fails
     here, and so does an extra kernel call.
+
+    Contract: TestApmiHopCost counts the CSR kernel calls of a fit (exactly
+    2 t ceil(d/w)) and checks each one's output already holds the restart (a
+    zero-fill with the restart added after, a scaled buffer or an extra
+    kernel call fails here).
     """
 
     @pytest.mark.parametrize("n_threads", [1, 2])
@@ -419,8 +425,16 @@ class _CountingAffinity(np.ndarray):
         return getattr(ufunc, method)(*plain, **kwargs)
 
 
+@pytest.mark.contract
 class TestCoefficientSpaceCost:
-    """``ccd_sweeps`` reads ``F′``/``B′`` a fixed number of times per fit."""
+    """``ccd_sweeps`` reads ``F′``/``B′`` a fixed number of times per fit.
+
+    Contract: The two CCD tests guard the fit's refinement: ccd_sweeps must
+    match a loop of single ccd_sweep calls on planted spectra, dead and
+    near-collinear Y columns, 0-8 sweeps, d below and above n, and must
+    multiply by F'/B' as often for 8 sweeps as for 1 and 2 (a per-sweep pass
+    over the affinities creeping back fails here).
+    """
 
     n, d, k = 300, 24, 8
 
@@ -464,6 +478,7 @@ class TestCoefficientSpaceCost:
         assert two > self._matmuls(self._coefficient, 2, 1)
 
 
+@pytest.mark.contract
 class TestFitAffinityReads:
     """After APMI, ``PANE.fit`` multiplies by each of ``F′``, ``B′`` twice.
 
@@ -471,6 +486,13 @@ class TestFitAffinityReads:
     to write ``X`` — whatever the power iterations and sweeps.  The graph
     is small enough that a span is one row tile, so that is two products
     per span.
+
+    Contract: The greedy-init property test and TestFitAffinityReads guard
+    the fit's init: its Y (from the Gram F'^T F') must stay within 4
+    sqrt(eps) sigma_1 of the randsvd-based init's truncation error at 1-3
+    spans, PANE.fit must equal greedy_init + refine to 1e-10, and a fit may
+    multiply by F'/B' only twice after APMI, whatever the power iterations
+    and sweeps (a pass per iteration creeping back fails here).
     """
 
     @pytest.mark.parametrize("n_threads", [1, 2])
@@ -542,6 +564,7 @@ class TestNoLargeTemporaries:
         peak = self._peak(lambda: refine(state, 2))
         assert peak < 0.25 * self.n * self.d * 8
 
+    @pytest.mark.contract
     @pytest.mark.parametrize("n_threads", [1, 2, 3])
     def test_apmi_peak_within_block_budget(self, n_threads):
         """``F′`` + ``B′`` + ``c = 3`` block buffers per thread + the sparse inputs.
@@ -551,6 +574,10 @@ class TestNoLargeTemporaries:
         times: ``T`` and ``Tᵀ``, ``Rr``/``Rc`` in CSR and CSC, and the
         column slices the threads densify from.  Full-width APMI holds about
         five ``n × d`` arrays and fails this at every thread count.
+
+        Contract: The peak traced allocation of apmi must stay within F' +
+        B' + 3 block buffers per thread + the sparse inputs (a full-width
+        buffer or kept probabilities creeping back fails here).
         """
         from repro.core.affinity import _BLOCK_COLUMNS
         from repro.graph.generators import power_law_attributed

@@ -9,7 +9,6 @@ from repro.core.affinity import (
     apmi,
     apmi_probabilities,
     exact_probabilities,
-    papmi,
 )
 from repro.graph.attributed_graph import AttributedGraph
 
@@ -57,7 +56,7 @@ class TestAffinityInvariants:
     def test_papmi_equals_apmi(self, graph, n_threads):
         """Lemma 4.1, bitwise, over arbitrary graphs and thread counts."""
         serial = apmi(graph, epsilon=0.1)
-        parallel = papmi(graph, epsilon=0.1, n_threads=n_threads)
+        parallel = apmi(graph, epsilon=0.1, n_threads=n_threads)
         assert np.array_equal(serial.forward, parallel.forward)
         assert np.array_equal(serial.backward, parallel.backward)
 

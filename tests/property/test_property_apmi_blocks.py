@@ -4,6 +4,14 @@ The oracle (``apmi_reference`` in ``tests/conftest.py``) runs each hop as
 the literal per-row loop ``α·r + Σ_j T′_ij·p_j`` in stored order; the
 printed Alg. 2 association ``(1−α)·(T·p) + α·r`` is within the bound
 ``hop_references.bound`` derives, elementwise on the probabilities.
+
+Contract: The APMI block tests guard the affinity: blocked F'/B' must be
+array_equal to the full-width two-pass oracle in tests/conftest.py, each hop
+a literal per-row loop adding (1-alpha) T entries onto the restart in stored
+order (dangling nodes, empty attribute columns and rows, d below/at/past the
+block width, block widths 2/3/32, 1-3 threads), and its walk probabilities
+must stay within the derived rounding bound (t+1)(D+2)eps of the printed
+Alg. 2 seed loop, elementwise.
 """
 
 import numpy as np
@@ -15,6 +23,8 @@ from hypothesis import strategies as st
 from repro.core import affinity
 from repro.core.affinity import _BLOCK_COLUMNS, apmi, apmi_probabilities
 from repro.graph.attributed_graph import AttributedGraph
+
+pytestmark = pytest.mark.contract
 
 W = _BLOCK_COLUMNS
 

@@ -1,6 +1,7 @@
 """Property-based tests for the CCD solver invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -160,8 +161,16 @@ def sweep_problems(draw):
     return state, n_sweeps, block_size, n_threads
 
 
+@pytest.mark.contract
 class TestCoefficientSpace:
-    """``ccd_sweeps(state, s)`` is ``s`` calls of ``ccd_sweep``, to rounding."""
+    """``ccd_sweeps(state, s)`` is ``s`` calls of ``ccd_sweep``, to rounding.
+
+    Contract: The two CCD tests guard the fit's refinement: ccd_sweeps must
+    match a loop of single ccd_sweep calls on planted spectra, dead and
+    near-collinear Y columns, 0-8 sweeps, d below and above n, and must
+    multiply by F'/B' as often for 8 sweeps as for 1 and 2 (a per-sweep pass
+    over the affinities creeping back fails here).
+    """
 
     @given(sweep_problems())
     @settings(max_examples=150, deadline=None)

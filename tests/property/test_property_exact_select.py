@@ -1,7 +1,7 @@
 """Property test: every exact serving path == a brute-force canonical ranking.
 
 The oracle scores *every* row with the canonical einsum
-(:func:`repro.search.knn.canonical_scores`) and ranks by
+(``canonical_scores`` in ``tests/conftest.py``) and ranks by
 ``lexsort((ids, -scores))`` — no selection, no band.  The engines under
 test select with a GEMM in the dtype of the matrix they are given (the
 serving backend's resident float32 copy, or float64) and rescore only the
@@ -35,7 +35,6 @@ from repro.core.config import PANEConfig
 from repro.core.embedding import PANEEmbedding
 from repro.search.knn import (
     CompiledFilter,
-    canonical_scores,
     exact_top_k,
     normalize_rows,
     select_band,
@@ -52,7 +51,7 @@ from repro.serving.store import (
 )
 
 
-def oracle(features, queries, k, *, exclude=None, mask=None):
+def oracle(canonical_scores, features, queries, k, *, exclude=None, mask=None):
     """Canonical score of every row, then ``lexsort((ids, -scores))``."""
     n = features.shape[0]
     width = min(k, n)
@@ -151,8 +150,10 @@ def _engines(features, queries, k, exclude, mask):
     }
 
 
-def _assert_matches(features, queries, k, exclude=None, mask=None):
-    ref_ids, ref_scores = oracle(features, queries, k, exclude=exclude, mask=mask)
+def _assert_matches(canonical_scores, features, queries, k, exclude=None, mask=None):
+    ref_ids, ref_scores = oracle(
+        canonical_scores, features, queries, k, exclude=exclude, mask=mask
+    )
     width = ref_ids.shape[1]
     for name, (ids, scores) in _engines(features, queries, k, exclude, mask).items():
         assert np.all(ids[:, width:] == -1), name
@@ -163,9 +164,9 @@ def _assert_matches(features, queries, k, exclude=None, mask=None):
 class TestExactSelection:
     @given(problems())
     @settings(max_examples=150, deadline=None)
-    def test_every_exact_path_matches_the_oracle(self, problem):
+    def test_every_exact_path_matches_the_oracle(self, canonical_scores, problem):
         features, queries, k, exclude, mask = problem
-        _assert_matches(features, queries, k, exclude, mask)
+        _assert_matches(canonical_scores, features, queries, k, exclude, mask)
 
     @given(problems(), st.sampled_from([1, 3, 8, 128]))
     @settings(max_examples=100, deadline=None)
@@ -202,7 +203,7 @@ class TestExactSelection:
                 assert np.array_equal(batched[name][0][row], ids[0]), (name, row)
                 assert np.array_equal(batched[name][1][row], scores[0]), (name, row)
 
-    def test_float32_twins_straddling_the_kth(self):
+    def test_float32_twins_straddling_the_kth(self, canonical_scores):
         """Two rows with one float32 image whose float64 scores differ.
 
         The twin with the larger id scores higher, and the pair holds
@@ -228,14 +229,14 @@ class TestExactSelection:
         assert np.array_equal(
             features[2].astype(np.float32), features[3].astype(np.float32)
         )
-        ids, _ = oracle(features, query[np.newaxis], 3)
+        ids, _ = oracle(canonical_scores, features, query[np.newaxis], 3)
         assert 3 in ids[0] and 2 not in ids[0]
-        _assert_matches(features, query[np.newaxis], 3)
-        _assert_matches(features, query[np.newaxis], 3, exclude=np.array([0]))
+        _assert_matches(canonical_scores, features, query[np.newaxis], 3)
+        _assert_matches(canonical_scores, features, query[np.newaxis], 3, exclude=np.array([0]))
         keep_twins = np.array([False, True, True, True, False, True, False])
-        _assert_matches(features, query[np.newaxis], 2, mask=keep_twins)
+        _assert_matches(canonical_scores, features, query[np.newaxis], 2, mask=keep_twins)
 
-    def test_a_batch_of_zero_node_queries(self, monkeypatch):
+    def test_a_batch_of_zero_node_queries(self, monkeypatch, canonical_scores):
         """Zero rows (isolated nodes without features) queried by node.
 
         A zero query ties every row, so each query's band is the whole
@@ -253,7 +254,7 @@ class TestExactSelection:
         nodes = np.arange(0, n, 50)
         features[nodes] = 0.0
         queries = features[nodes]
-        _assert_matches(features, queries, k, exclude=nodes)
+        _assert_matches(canonical_scores, features, queries, k, exclude=nodes)
 
         class Tally:
             total = 0
@@ -270,7 +271,9 @@ class TestExactSelection:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        ref_ids, ref_scores = oracle(features, queries, k, exclude=nodes)
+        ref_ids, ref_scores = oracle(
+            canonical_scores, features, queries, k, exclude=nodes
+        )
         assert np.array_equal(ids, ref_ids)
         assert scores.tobytes() == ref_scores.tobytes()
         assert backend.rescored_rows.total == nodes.size * (n - 1)
@@ -308,7 +311,16 @@ def score_blocks(draw):
     return scores, k, dim
 
 
+@pytest.mark.contract
 class TestSelectBand:
+    """Contract: The select_band property test and tests/test_search.py guard
+    the exact engine's selection: its band must equal the full-partition
+    reference's mask (float32/float64, heavy ties, zero rows, -inf masks),
+    and one query may run no partition wider than m // 8 and no np.nonzero
+    over a 2-D mask (a whole-row partition creeping back fails here), while
+    non-finite rows and queries raise.
+    """
+
     @given(score_blocks())
     @settings(max_examples=300, deadline=None)
     def test_band_equals_the_full_partition_reference(

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from repro.search.knn import (
     CompiledFilter,
-    canonical_scores,
     exact_top_k,
     normalize_rows,
 )
@@ -70,7 +69,7 @@ def duplicate_row_problem(seed: int):
 STRADDLING_SEEDS = {13952: "unfiltered", 1082: "mask", 8551: "gather"}
 
 
-def brute_force(features, queries, k, mask, exclude):
+def brute_force(canonical_scores, features, queries, k, mask, exclude):
     n = features.shape[0]
     width = min(k, n)
     all_ids = np.arange(n)
@@ -91,14 +90,14 @@ class TestFilteredExactEquivalence:
     @given(filtered_problems())
     @example(duplicate_row_problem(13952))
     @settings(max_examples=120, deadline=None)
-    def test_bit_identical_to_mask_then_rank(self, problem):
+    def test_bit_identical_to_mask_then_rank(self, canonical_scores, problem):
         features, queries, k, mask, exclude = problem
         got_ids, got_scores = exact_top_k(
             features, queries, k,
             assume_normalized=True, exclude=exclude,
             node_filter=CompiledFilter(mask),
         )
-        ref_ids, ref_scores = brute_force(features, queries, k, mask, exclude)
+        ref_ids, ref_scores = brute_force(canonical_scores, features, queries, k, mask, exclude)
         assert np.array_equal(got_ids, ref_ids)
         assert got_scores.tobytes() == ref_scores.tobytes()
 
@@ -118,7 +117,7 @@ class TestFilteredExactEquivalence:
         assert scores.tobytes() == base_scores.tobytes()
 
     @pytest.mark.parametrize("seed", sorted(STRADDLING_SEEDS))
-    def test_duplicate_rows_straddling_the_kth_rank(self, seed):
+    def test_duplicate_rows_straddling_the_kth_rank(self, seed, canonical_scores):
         features, queries, k, mask, _ = duplicate_row_problem(seed)
         n = features.shape[0]
         strategy = (
@@ -130,14 +129,14 @@ class TestFilteredExactEquivalence:
             features, queries, k,
             assume_normalized=True, node_filter=CompiledFilter(mask),
         )
-        ref_ids, ref_scores = brute_force(features, queries, k, mask, None)
+        ref_ids, ref_scores = brute_force(canonical_scores, features, queries, k, mask, None)
         # The case is live: some row's answer ends with exactly one of the twins.
         assert any((0 in row) != (n - 1 in row) for row in ref_ids)
         assert np.array_equal(got_ids, ref_ids)
         assert got_scores.tobytes() == ref_scores.tobytes()
 
     @pytest.mark.parametrize("selection", ["float64", "float32"])
-    def test_duplicate_free_matrix_matches_rank_all(self, selection):
+    def test_duplicate_free_matrix_matches_rank_all(self, selection, canonical_scores):
         """No duplicates, no ties: the band must never change an answer."""
         rng = np.random.default_rng(0)
         features = normalize_rows(rng.standard_normal((4096, 32)))
@@ -148,6 +147,6 @@ class TestFilteredExactEquivalence:
                 features.astype(selection), queries, k,
                 assume_normalized=True, rows=features,
             )
-            ref_ids, ref_scores = brute_force(features, queries, k, everything, None)
+            ref_ids, ref_scores = brute_force(canonical_scores, features, queries, k, everything, None)
             assert np.array_equal(ids, ref_ids)
             assert scores.tobytes() == ref_scores.tobytes()

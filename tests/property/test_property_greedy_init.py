@@ -11,6 +11,13 @@ Measured over 10 500 planted problems (``n, d ≤ 200``, 1–3 spans): the
 truncation error was at most ``1.33·√ε·σ₁`` above the reference's, and
 thread counts differed by at most ``1.1·√ε·σ₁``; the bound asserted is
 ``4·√ε·σ₁``.
+
+Contract: The greedy-init property test and TestFitAffinityReads guard the
+fit's init: its Y (from the Gram F'^T F') must stay within 4 sqrt(eps)
+sigma_1 of the randsvd-based init's truncation error at 1-3 spans, PANE.fit
+must equal greedy_init + refine to 1e-10, and a fit may multiply by F'/B'
+only twice after APMI, whatever the power iterations and sweeps (a pass per
+iteration creeping back fails here).
 """
 
 import numpy as np
@@ -23,6 +30,8 @@ from repro.core.greedy_init import greedy_init, sm_greedy_init
 from repro.core.pane import PANE
 from repro.core.svd_ccd import refine
 from repro.graph.generators import attributed_sbm, power_law_attributed
+
+pytestmark = pytest.mark.contract
 
 #: ``√ε·σ₁`` multiples a Gram init may lose against ``randsvd`` (measured ≤ 1.33).
 _FLOOR = 4.0 * np.sqrt(np.finfo(float).eps)

@@ -6,14 +6,23 @@ orthonormalises after every product.  Both draw the same Gaussian test
 matrix for a seed, so on any input the fast loop must reach the
 reference's truncation error, within a ``1e-9·‖M‖`` slack (the module
 docstring gives the measured margin).
+
+Contract: The two randsvd files guard randsvd for the baselines only (the
+fit's init no longer calls it): the power iteration must match the
+orthonormalise-every-product reference loop's truncation error on planted
+tall/wide, dense/CSR spectra, and may run at most one QR on the large side
+of its input (a tall QR creeping back fails here).
 """
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.randsvd import randsvd
+
+pytestmark = pytest.mark.contract
 
 
 @st.composite

@@ -47,7 +47,7 @@ class TestServerShedding:
             assert status == 503
             assert payload["error"]["code"] == "deadline_exceeded"
             assert "budget_ms" in payload["error"]["details"]
-            assert server.error_counts.get("deadline_exceeded") == 1
+            assert server.errors_total.value(code="deadline_exceeded") == 1
 
     def test_generous_deadline_executes(self, service):
         with EmbeddingServer(service) as server:
@@ -181,9 +181,9 @@ class TestClientBudget:
                 client.top_k(0, k=5, timeout_s=0.08)
             deadline = time.perf_counter() + 2.0
             while (
-                server.error_counts.get("deadline_exceeded", 0) == 0
+                server.errors_total.value(code="deadline_exceeded") == 0
                 and time.perf_counter() < deadline
             ):
                 time.sleep(0.01)
-            assert server.error_counts.get("deadline_exceeded", 0) >= 1
+            assert server.errors_total.value(code="deadline_exceeded") >= 1
             client.close()

@@ -154,7 +154,7 @@ class TestServerIntegration:
                 client.close()
             # The crash is a crash, not a handled 500 — and health probes
             # never advance the kill counter.
-            assert "internal" not in server.error_counts
+            assert server.errors_total.value(code="internal") == 0
 
     def test_health_probes_never_trigger_kills(self, store):
         plan = FaultPlan(kill_after_requests=1)

@@ -56,15 +56,13 @@ def _digest(ids, scores):
     ).hexdigest()
 
 
-def brute_force_filtered(features, queries, k, mask, exclude=None):
+def brute_force_filtered(canonical_scores, features, queries, k, mask, exclude=None):
     """Mask, rank every allowed row, tie-break ascending id.
 
-    Scores come from :func:`canonical_scores` — the fixed-order einsum
-    every backend rescores with — so a passing comparison means *bit*
-    equality, not just the same ranking.
+    Scores come from ``canonical_scores`` (``tests/conftest.py``) — the
+    fixed-order einsum every backend rescores with — so a passing
+    comparison means *bit* equality, not just the same ranking.
     """
-    from repro.search.knn import canonical_scores
-
     n = features.shape[0]
     width = min(k, n)
     all_ids = np.arange(n)
@@ -169,7 +167,7 @@ class TestNodeFilter:
 
 class TestFilteredExact:
     @pytest.mark.parametrize("selectivity", ["gather", "mask"])
-    def test_matches_brute_force_on_both_strategies(self, selectivity):
+    def test_matches_brute_force_on_both_strategies(self, selectivity, canonical_scores):
         features, queries, exclude = _pinned_corpus()
         # below vs above the _GATHER_SELECTIVITY=0.125 switch point
         width = 32 if selectivity == "gather" else 400
@@ -181,7 +179,7 @@ class TestFilteredExact:
             assume_normalized=True, exclude=exclude, node_filter=compiled,
         )
         ref_ids, ref_scores = brute_force_filtered(
-            features, queries, 13, mask, exclude
+            canonical_scores, features, queries, 13, mask, exclude
         )
         assert np.array_equal(ids, ref_ids)
         assert scores.tobytes() == ref_scores.tobytes()

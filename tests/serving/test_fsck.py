@@ -71,14 +71,6 @@ class TestVerifyVersion:
         issues = verify_version(store, version)
         assert [i.code for i in issues] == ["bad_manifest"]
 
-    def test_corrupt_index_artifact_flagged_separately(self, store):
-        version = store.latest()
-        (store.root / "versions" / version / "index_ivf.npz").write_bytes(
-            b"not a zip archive"
-        )
-        issues = verify_version(store, version)
-        assert [i.code for i in issues] == ["corrupt_index"]
-
 
 class TestTornPublish:
     """Publishers killed at each step leave exactly the debris fsck expects."""
@@ -249,16 +241,6 @@ class TestFsckRepair:
         fsck(store.root, repair=True)
         names = sorted(p.name for p in (store.root / QUARANTINE_DIR).iterdir())
         assert names == ["v00000001", "v00000001.1"]
-
-    def test_corrupt_index_repair_deletes_artifact_only(self, store):
-        version = store.latest()
-        artifact = store.root / "versions" / version / "index_ivf.npz"
-        artifact.write_bytes(b"garbage")
-        report = fsck(store.root, repair=True)
-        assert report.exit_code() == 1
-        assert report.clean_versions == [version]  # version itself survives
-        assert not artifact.exists()
-        assert store.latest() == version
 
 
 class TestShardedFsck:

@@ -123,20 +123,21 @@ class TestEndpoints:
         client.top_k(0, 5)
         client.top_k(0, 5)
         metrics = client.metrics()
-        assert metrics["schema"] == "repro.serving.http/v2"
-        assert metrics["service"]["queries"] == 2
-        assert metrics["service"]["cache_hits"] == 1
-        # Per-endpoint HTTP numbers live in the registry and nowhere
-        # else in the document; one observation per request.
-        assert set(metrics["server"]) == {
-            "worker", "in_flight", "draining", "errors",
-        }
+        assert metrics["schema"] == "repro.serving.http/v3"
+        # Every count and latency lives in the registry and nowhere else
+        # in the document; one observation per request.
+        assert set(metrics) == {"schema", "cache", "registry"}
         registry = metrics["registry"]
         for family in ("http_requests_total", "http_request_seconds"):
             assert family_total(registry, family, endpoint=protocol.TOPK) == 2
         assert family_total(registry, "service_queries_total") == 2
         assert family_total(registry, "service_query_seconds") == 2
         assert family_total(registry, "service_cache_served_total") == 1
+        # The cache document reads the very cells of the lookup counter.
+        for key, outcome in (("hits", "hit"), ("misses", "miss")):
+            assert metrics["cache"][key] == family_total(
+                registry, "cache_lookups_total", outcome=outcome
+            ) == 1
         json.dumps(metrics, allow_nan=False)
 
     def test_metrics_includes_shard_merge(self, tmp_path, trained_embedding):
@@ -147,11 +148,8 @@ class TestEndpoints:
                 client = ServingClient(server.url)
                 client.top_k(0, 5)
                 metrics = client.metrics()
-                shards = metrics["shards"]
-                assert shards["n_shards"] == 3
-                assert [s["searches"] for s in shards["per_shard"]] == [1, 1, 1]
-                assert shards["searches"] == 3
-                # The same numbers, from the same cells, in the registry.
+                assert "shards" not in metrics
+                # One search per shard, counted only in the registry.
                 for shard in range(3):
                     assert family_total(
                         metrics["registry"], "shard_search_seconds", shard=shard

@@ -6,6 +6,11 @@ says it has mapped — and from inside a fresh interpreter's
 puts the compactor in the process, and then of scipy only ``scipy.sparse``
 (``tests/test_fit_import_closure.py``).  The stdlib HTTP stack never loads:
 both ends of the wire speak ``repro.serving.http.wire``.
+
+Contract: A real `repro serve` subprocess must map no scipy object
+(/proc/<pid>/maps) and a fresh interpreter importing the serve path must not
+load the trainer.  A module-level import added to the read path fails here
+before the full suite starts.
 """
 
 from __future__ import annotations
@@ -28,6 +33,8 @@ from repro.serving.http.loadgen import (
 )
 from repro.serving.store import EmbeddingStore
 from repro.serving.synth import synthetic_embedding
+
+pytestmark = pytest.mark.contract
 
 SERVE_PATH_MODULES = (
     "repro.cli",

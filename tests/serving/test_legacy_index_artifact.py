@@ -2,9 +2,9 @@
 
 Releases that had an approximate IVF backend persisted its trained
 quantizer as ``index_ivf.npz`` in every shard directory of a version.
-Nothing reads that file any more; a store that holds one must still
-activate and answer exactly, check clean under ``fsck``, boot an HTTP
-server, and give the file's bytes back to ``gc``.
+Nothing reads that file any more; a store that holds one — intact or
+torn — must still activate and answer exactly, check clean under
+``fsck``, boot an HTTP server, and give the file's bytes back to ``gc``.
 """
 
 from __future__ import annotations
@@ -86,6 +86,25 @@ def test_fsck_reports_clean(legacy_store, capsys):
     assert main(["fsck", "--store", str(store.root)]) == 0
     capsys.readouterr()
     assert all(path.is_file() for path in paths)  # left alone
+
+
+def test_torn_artifact_leaves_fsck_clean(legacy_store, capsys):
+    """A torn archive is data no reader can trip on: fsck (repair or not)
+    reports nothing, leaves the file, and the version still activates."""
+    store, version, paths = legacy_store
+    for path in paths:
+        path.write_bytes(b"not a zip archive")
+    for repair in (False, True):
+        report = fsck(store.root, repair=repair)
+        assert report.issues == [] and report.actions == []
+        assert report.exit_code() == 0
+        assert report.clean_versions == [version]
+    assert main(["fsck", "--store", str(store.root)]) == 0
+    capsys.readouterr()
+    assert all(path.read_bytes() == b"not a zip archive" for path in paths)
+    with QueryService(store, cache_size=0) as service:
+        assert service.version == version
+        assert service.search(SearchRequest(node=0, k=3)).ids.shape == (3,)
 
 
 def test_http_server_boots(legacy_store, trained_embedding):

@@ -541,7 +541,12 @@ class TestOneInstrument:
             try:
                 # adopt() hands back its argument only when the registry
                 # already holds that very object (a copy would raise).
-                owned = (*service.instruments, service.backend.search_seconds)
+                owned = (
+                    *service.instruments,
+                    service.backend.search_seconds,
+                    server.errors_total,
+                )
+                assert service.cache_lookups_total in owned
                 for metric in owned:
                     assert server.registry.adopt(metric) is metric
                 # Written by the layers, read by the scrape: no hook copies.
@@ -563,6 +568,36 @@ class TestOneInstrument:
                 )
             finally:
                 server.close()
+
+    def test_no_scrape_writes_error_or_cache_counts(self, service, monkeypatch):
+        """``http_errors_total`` and ``cache_lookups_total`` are written only
+        where the error or the lookup happens: no collect hook touches
+        them and nothing calls ``set_total`` on them."""
+        owned = ("http_errors_total", "cache_lookups_total")
+        mirrored = []
+        real_set_total = Counter.set_total
+
+        def set_total(self, value, **labels):
+            if self.name in owned:
+                mirrored.append(self.name)
+            real_set_total(self, value, **labels)
+
+        monkeypatch.setattr(Counter, "set_total", set_total)
+        with EmbeddingServer(service) as server:
+            client = ServingClient(server.url, retries=0)
+            client.top_k(0, 5)
+            client.top_k(0, 5)
+            with pytest.raises(ApiError):
+                client.top_k(10_000, 5)
+            client.close()
+            counters = (server.errors_total, service.cache_lookups_total)
+            frozen = [metric._cell_dicts() for metric in counters]
+            registry = server.registry.as_dict()  # runs every collect hook
+            assert [metric._cell_dicts() for metric in counters] == frozen
+        assert mirrored == []
+        assert family_total(registry, "http_errors_total", code="node_not_found") == 1
+        assert family_total(registry, "cache_lookups_total", outcome="hit") == 1
+        assert family_total(registry, "cache_lookups_total", outcome="miss") == 1
 
     def test_near_ties_show_in_the_rescore_counter(self, tmp_path):
         """A corpus of duplicates widens the certified band: the rows it

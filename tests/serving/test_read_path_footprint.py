@@ -8,6 +8,12 @@ from rows read with ``pread`` (a version stores no ``features.npy`` to
 map; ROADMAP item 20); and the row
 readers' descriptors die with their version, so a compactor that swaps
 versions for as long as the server lives leaks none (``/proc/<pid>/fd``).
+
+Contract: The read-path footprint test boots real servers: exact queries
+must leave the x_forward.npy and x_backward.npy mappings at Rss 0
+(/proc/<pid>/smaps) and a new version must hold no features.npy, and 50
+compactor swaps must leave no descriptor into a retired version
+(/proc/<pid>/fd).
 """
 
 from __future__ import annotations
@@ -29,9 +35,12 @@ from repro.serving.http.loadgen import mapped_rss_kib, spawn_cli_server
 from repro.serving.store import EmbeddingStore
 from repro.serving.synth import synthetic_embedding
 
-pytestmark = pytest.mark.skipif(
-    not Path("/proc/self/smaps").exists(), reason="needs /proc/<pid>/smaps"
-)
+pytestmark = [
+    pytest.mark.contract,
+    pytest.mark.skipif(
+        not Path("/proc/self/smaps").exists(), reason="needs /proc/<pid>/smaps"
+    ),
+]
 
 
 def _stop(process: subprocess.Popen) -> int:

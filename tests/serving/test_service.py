@@ -40,10 +40,10 @@ class TestTopK:
 
     def test_latency_recorded(self, service):
         service.search(SearchRequest(node=1, k=3))
-        info = service.latency_info()
-        assert info["queries"] == info["calls"] == 1
-        assert info["total_seconds"] > 0
-        assert service.describe()["latency"] == info
+        cell = service.query_seconds.cell()
+        assert service.queries_total.value() == cell["count"] == 1
+        assert cell["sum"] > 0
+        assert "latency" not in service.describe()
 
 
 class TestCache:
@@ -82,7 +82,8 @@ class TestCache:
         assert service.cache_served_total.value() == 1
         assert service.queries_total.value() == 2
         assert service.query_seconds.cell()["count"] == 2
-        assert service.latency_info()["cache_hits"] == 1
+        assert service.cache_lookups_total.value(outcome="hit") == 1
+        assert service.cache_lookups_total.value(outcome="miss") == 1
 
     def test_cache_disabled(self, store):
         with QueryService(store, backend="exact", cache_size=0) as service:
@@ -124,7 +125,6 @@ class TestBatch:
         assert service.queries_total.value() == 5
         assert service.query_seconds.cell()["count"] == 1
         assert service.cache_served_total.value() == 0
-        assert service.latency_info()["calls"] == 1
 
     def test_empty_batch_rejected(self, service):
         with pytest.raises(ValueError):
@@ -329,7 +329,7 @@ class TestMicroBatching:
                 hold_s=0.05,
             )
             assert queued.latency_s >= 0.05
-            assert service.latency_info()["total_seconds"] >= 0.05
+            assert service.query_seconds.cell()["sum"] >= 0.05
 
     def test_failing_group_fails_alone(self, store, monkeypatch):
         """A member whose filter cannot compile fails its own group only."""
@@ -498,8 +498,13 @@ class TestVersionSwap:
 
 class TestDescribe:
     def test_describe_exact(self, service):
+        service.search(SearchRequest(node=0, k=5))
         info = service.describe()
-        assert info["backend"] == "ExactBackend"
+        # No count and no latency: those live only in the instruments.
+        assert set(info) == {
+            "version", "backend_kind", "n_shards", "n_nodes", "n_attributes",
+            "filters", "memory",
+        }
         assert info["backend_kind"] == "exact"
         assert info["n_shards"] == 1
         assert info["version"] == "v00000001"
@@ -534,8 +539,8 @@ class TestDescribe:
             info = service.describe()
             assert info["backend_kind"] == "sharded"
             assert info["n_shards"] == 3
-            assert [s["kind"] for s in info["sharding"]["per_shard"]] == [
-                "exact"
+            assert [sorted(s) for s in info["sharding"]["per_shard"]] == [
+                ["n_nodes", "shard"]
             ] * 3
             self._assert_plain_types(info)
             json.loads(json.dumps(info, allow_nan=False))

@@ -21,6 +21,14 @@ replication frames share one seal and one decode loop.  And every
 version once stored its search rows twice — as ``Xf`` / ``Xb`` and as a
 ``features.npy`` nothing checked against them; now one function derives
 a search row and no version stores one.
+
+Contract: The structure test reads the syntax tree: one subclass of a stdlib
+request-handler base, one module building a stdlib listener, one module
+dialing a connection (the wire codec), one function writing the write-path
+gauges - a second HTTP front-end, HTTP client or write path fails here too,
+and so does a second candidate band, a selection-precision knob, a second
+walk over the WAL segments or a second codec for checksummed WAL records and
+feed frames.
 """
 
 from __future__ import annotations
@@ -31,6 +39,8 @@ from pathlib import Path
 import pytest
 
 import repro
+
+pytestmark = pytest.mark.contract
 
 SRC = Path(repro.__file__).resolve().parent
 

@@ -7,6 +7,16 @@ subpackages it holds must lie within the row's allowed set.  A
 module-level import of ``scipy.optimize`` or ``scipy.linalg`` in
 ``repro.core``, ``repro.tasks`` or ``repro.eval`` puts ≈ 7–25 MiB into
 every process that fits PANE, and fails here.
+
+Contract: The fit import closure runs PANE.fit with the link/attribute
+tasks, `repro embed`, `repro evaluate` per task and a compacting `repro
+serve --wal-dir`, each in a fresh interpreter, and checks the scipy
+subpackages in its sys.modules against one table: scipy.sparse only,
+scipy.optimize only for classification and only once a classifier fits.  A
+module-level import of a scipy subpackage in repro.core, repro.tasks or
+repro.eval fails here; in particular an eigensolve in the fit must use
+np.linalg.eigh, since scipy.linalg costs about +7 MiB (51.4 -> 58.5 MiB on
+the fit path).
 """
 
 from __future__ import annotations
@@ -26,6 +36,8 @@ from repro.graph.io import save_npz
 from repro.serving.http import ServingClient
 from repro.serving.http.loadgen import cli_subprocess_env
 from repro.serving.http.protocol import ApiError
+
+pytestmark = pytest.mark.contract
 
 SPARSE = frozenset({"sparse"})
 # "optimize" stands for scipy.optimize and whatever importing it loads

@@ -4,6 +4,9 @@
 ``repro.serving.wal`` import their public names on first use
 (:mod:`repro._lazy`); everything a caller could do with the eager
 packages must still work.
+
+Contract: The five lazily-resolving packages must still export every name in
+their __all__.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ import numpy as np
 import pytest
 
 from repro.serving.http.loadgen import cli_subprocess_env
+
+pytestmark = pytest.mark.contract
 
 LAZY_PACKAGES = (
     "repro",

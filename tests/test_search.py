@@ -1,16 +1,25 @@
-"""Tests for the similarity-search utilities."""
+"""Tests for the similarity-search utilities.
+
+Contract: The select_band property test and tests/test_search.py guard the
+exact engine's selection: its band must equal the full-partition reference's
+mask (float32/float64, heavy ties, zero rows, -inf masks), and one query may
+run no partition wider than m // 8 and no np.nonzero over a 2-D mask (a
+whole-row partition creeping back fails here), while non-finite rows and
+queries raise.
+"""
 
 import numpy as np
 import pytest
 
 from repro.search.knn import (
     batch_top_k,
-    canonical_scores,
     exact_top_k,
     normalize_rows,
     pairwise_cosine,
     top_k_similar,
 )
+
+pytestmark = pytest.mark.contract
 
 
 @pytest.fixture()
@@ -362,7 +371,7 @@ class TestFloat32Selection:
                 rows=feats,
             )
 
-    def test_default_unchanged(self):
+    def test_default_unchanged(self, canonical_scores):
         """The float64 path equals a full canonical ranking."""
         feats = self._corpus(n=128, dim=8, seed=7)
         ids, scores = exact_top_k(feats, feats[:4], 5, assume_normalized=True)

@@ -76,8 +76,13 @@ def _dangling_adjacency() -> sp.csr_matrix:
     return m
 
 
+@pytest.mark.contract
 class TestScaledData:
-    """The normalizers scale ``data`` only: ``diags(inv) @ m`` entry for entry, ``m``'s structure."""
+    """The normalizers scale ``data`` only: ``diags(inv) @ m`` entry for entry, ``m``'s structure.
+
+    Contract: TestScaledData checks the normalizers against diags(inv) @ m
+    on awkward CSR inputs.
+    """
 
     KINDS = ("unsorted", "explicit_zeros", "empty_rows_and_columns", "dangling_self_loops")
 
