@@ -634,6 +634,14 @@ def check_replication_failover(tmp_path: Path) -> None:
         except ApiError as error:
             assert error.code == "stale_epoch", error
         print("  fencing: client refused the revived primary's stale ack")
+        # The boot-guard step below needs the split-brain write folded
+        # into the revived primary's store before it dies.
+        revived_client = ServingClient(r_url)
+        _poll_until(
+            lambda: revived_client.healthz().get("lsn_served", 0) >= split["lsn"],
+            "the revived primary to fold the split-brain write",
+        )
+        revived_client.close()
     finally:
         revived.kill()
         revived.wait(timeout=30)

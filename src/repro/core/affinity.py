@@ -13,17 +13,19 @@ values (e.g. the v6/r3 entry 2.05).
 
 APMI runs on blocks of ``w = _BLOCK_COLUMNS`` attribute columns, PAPMI's
 attribute split (Alg. 6), at every thread count: a block densifies its
-columns of ``Rr`` (``Rc``) and runs all ``t`` hops in a per-thread
-``3·n·w`` buffer (:func:`block_probabilities`), so the hops stay in cache.
-The walks propagate ``T′ = (1−α)·T`` (``T′ᵀ`` backward), scaled once per
-fit, so each hop is one copy of the ``α``-scaled restart and one CSR
-kernel call adding ``T′·p`` onto it
-(:func:`repro.core.kernels.propagate_recurrence`, which states how far
-that association is from the printed Alg. 2's).  Forward SPMI (Eq. 7)
-normalizes columns, so a block is normalized in place in its contiguous
-buffer while it is in cache and copied into ``F′``'s columns; backward
-SPMI needs whole rows, so the blocks' walk probabilities fill ``B′`` and
-its rows are normalized in place.  Threads take blocks by a fixed rule,
+columns of ``Rr`` (``Rc``) and runs all ``t`` hops in a per-thread float32
+``3·n·w`` buffer (``3·n·w·4`` bytes, :func:`block_probabilities`).  The
+walks are float32 (Lemma 3.1's ``ϵ`` is five orders of magnitude above
+its roundoff, and a hop costs the bytes it gathers) and propagate
+``T′ = (1−α)·T`` (``T′ᵀ`` backward), scaled once per fit in float64 and
+rounded once, so a hop is one copy of the ``α``-scaled restart and one CSR
+kernel call adding ``T′·p`` onto it (:func:`repro.core.kernels.propagate_recurrence`
+states how far that is from the printed Alg. 2 and from a float64 walk).
+Each block is widened to float64 once; SPMI and all after it are float64.
+Forward SPMI (Eq. 7) normalizes columns, so a block is widened into its
+buffer's free two thirds, normalized there in cache and copied into
+``F′``'s columns; backward SPMI needs whole rows, so the blocks are widened
+into ``B′`` and its rows are normalized in place.  Threads take blocks by a fixed rule,
 one dispatch per direction and no barrier per hop.  Every operation is
 column-wise, so ``F′``/``B′`` are the bits of the full-width recurrence at
 every thread count (Lemma 4.1), and APMI holds two ``n × d`` arrays
@@ -46,10 +48,10 @@ from repro.parallel.partitioning import partition_spans
 from repro.parallel.pool import WorkerPool
 from repro.utils.validation import check_probability
 
-#: Attribute columns per APMI block (``w``): a block's three ``n × w``
-#: buffers are a thread's whole working set for its ``t`` hops.  Measured
-#: over {16, 32, 64, 128} in ``docs/PERFORMANCE.md``.
-_BLOCK_COLUMNS = 32
+#: Attribute columns per APMI block (``w``): a block's three float32 ``n × w``
+#: buffers (``3·n·w·4`` bytes) are a thread's working set for its ``t`` hops.
+#: Measured over {32, 64, 128} in ``docs/PERFORMANCE.md`` (128 loses at scale).
+_BLOCK_COLUMNS = 64
 
 
 def iterations_for_epsilon(epsilon: float, alpha: float) -> int:
@@ -114,16 +116,20 @@ def _column_blocks(d: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _operands(graph: AttributedGraph, dangling: str, alpha: float):
-    """``((T′, Rr), (T′ᵀ, Rc))``: what the forward and backward walks propagate.
-
-    ``T′ = (1−α)·T`` is the decayed walk, scaled once here in CSR float64
-    (what :func:`repro.core.kernels.spmm_add` takes), so no hop scales.
-    """
+def _series_operands(graph: AttributedGraph, dangling: str, alpha: float):
+    """``((T′, Rr), (T′ᵀ, Rc))`` in float64, ``T′ = (1−α)·T`` scaled once in CSR."""
     walk = random_walk_matrix(graph, dangling=dangling)
     walk.data *= 1.0 - alpha
     rr, rc = normalized_attribute_matrices(graph)
-    return (walk, rr.tocsc()), (walk.T.tocsr(), rc.tocsc())
+    return (walk, rr), (walk.T.tocsr(), rc)
+
+
+def _operands(graph: AttributedGraph, dangling: str, alpha: float):
+    """What the walks propagate: :func:`_series_operands` rounded to float32, ``Rr``/``Rc`` CSC."""
+    return tuple(
+        (matrix.astype(np.float32), attributes.astype(np.float32).tocsc())
+        for matrix, attributes in _series_operands(graph, dangling, alpha)
+    )
 
 
 def _truncation(alpha: float, epsilon: float, n_iterations: int | None):
@@ -147,16 +153,17 @@ def block_probabilities(
     ``matrix`` is ``T′ = (1−α)·T`` (forward) or ``T′ᵀ`` (backward) and
     ``attributes`` ``Rr`` (``Rc``), as :func:`_operands` builds them.  The
     block's columns are densified into the first third of ``buffer`` (at
-    least ``3·n·width`` floats; allocated if ``None``) as the restart term,
-    and the ``t`` hops of Eq. (6) ping-pong in the other two thirds.
-    Returns an ``n × width`` view into ``buffer``.  :func:`apmi`'s block
+    least ``3·n·width`` float32s; allocated if ``None``) as the restart
+    term, and the ``t`` hops of Eq. (6) ping-pong in the other two thirds.
+    Returns the float32 ``n × width`` view of the last third, so the first
+    two are free for the block widened to float64.  :func:`apmi`'s block
     loop calls this; over every column at once it gives the full ``P^(t)``
     (:func:`apmi_probabilities`).
     """
     n, width = matrix.shape[0], columns.stop - columns.start
     if buffer is None:
-        buffer = np.empty(3 * n * width)
-    restart, current, scratch = (
+        buffer = np.empty(3 * n * width, dtype=np.float32)
+    restart, first, last = (
         buffer[part * n * width : (part + 1) * n * width].reshape(n, width)
         for part in range(3)
     )
@@ -164,14 +171,15 @@ def block_probabilities(
     # Initializing with α·Rr makes the recurrence compute Eq. (6)'s
     # truncated series exactly (the printed Alg. 2 seeds with Rr, which
     # overweights the final hop and would break Lemma 3.1's lower bound).
-    return propagate_recurrence(matrix, restart, alpha, t, buffers=(current, scratch))
+    hops = (last, first) if t % 2 == 0 else (first, last)
+    return propagate_recurrence(matrix, restart, alpha, t, buffers=hops)
 
 
 def block_buffers(n: int, d: int, n_threads: int) -> list[np.ndarray]:
-    """One ``3·n·w`` buffer per thread that gets a block (:func:`block_probabilities`)."""
+    """One float32 ``3·n·w`` buffer (``3·n·w·4`` bytes) per thread that gets a block."""
     blocks = _column_blocks(d)
     width = max((columns.stop - columns.start for columns in blocks), default=0)
-    return [np.empty(3 * n * width) for _ in range(min(n_threads, len(blocks)))]
+    return [np.empty(3 * n * width, np.float32) for _ in range(min(n_threads, len(blocks)))]
 
 
 def propagate_blocks(
@@ -179,23 +187,25 @@ def propagate_blocks(
     attributes,
     alpha: float,
     t: int,
-    write: Callable[[np.ndarray, slice], object],
+    write: Callable[[np.ndarray, slice, np.ndarray], object],
     buffers: list[np.ndarray],
     *,
     n_threads: int = 1,
     pool: WorkerPool | None = None,
 ) -> None:
-    """Every attribute block's ``t`` hops, each handed to ``write(P_block, columns)``.
+    """Every attribute block's ``t`` hops, each handed to ``write(P_block, columns, spare)``.
 
     Thread ``j`` of ``T`` takes blocks ``j, j + T, …`` in one dispatch and
-    runs them in ``buffers[j]`` (:func:`block_buffers`); ``P_block`` is a
-    view into it, valid until ``write`` returns.
+    runs them in ``buffers[j]`` (:func:`block_buffers`): ``P_block`` is a
+    float32 view into it, ``spare`` a float64 one of its shape over the rest.
     """
     blocks = _column_blocks(attributes.shape[1])
 
     def work(worker: int, buffer: np.ndarray) -> None:
         for columns in blocks[worker :: len(buffers)]:
-            write(block_probabilities(matrix, attributes, columns, alpha, t, buffer), columns)
+            block = block_probabilities(matrix, attributes, columns, alpha, t, buffer)
+            spare = buffer[: 2 * block.size].view(np.float64).reshape(block.shape)
+            write(block, columns, spare)
 
     run_blocks(work, buffers, n_threads=n_threads, pool=pool)
 
@@ -241,9 +251,14 @@ def apmi(
     # the heap's top, and it shrinks when the fit drops them.
     buffers = block_buffers(n, d, n_threads)
     forward, backward = np.empty((n, d)), np.empty((n, d))
+
+    def forward_block(p: np.ndarray, columns: slice, spare: np.ndarray) -> None:
+        np.copyto(spare, p)  # widened once, then normalized in cache
+        np.copyto(forward[:, columns], _spmi(spare, 0))
+
     for operands, write in (
-        (forward_operands, lambda p, columns: np.copyto(forward[:, columns], _spmi(p, 0))),
-        (backward_operands, lambda p, columns: np.copyto(backward[:, columns], p)),
+        (forward_operands, forward_block),
+        (backward_operands, lambda p, columns, _: np.copyto(backward[:, columns], p)),
     ):
         propagate_blocks(*operands, alpha, t, write, buffers, n_threads=n_threads, pool=pool)
     run_blocks(
@@ -267,8 +282,8 @@ def apmi_probabilities(
 
     :func:`block_probabilities` over one block of every column: each
     column's arithmetic is the same as in :func:`apmi`'s blocks, so these
-    are the bits APMI's SPMI reads.  Two ``n × d`` arrays — for the
-    Lemma 3.1 checks and small graphs, not for a fit.
+    are the float32 bits APMI widens and normalizes.  Two float32 ``n × d``
+    arrays — for the Lemma 3.1 checks and small graphs, not for a fit.
     """
     alpha, t = _truncation(alpha, epsilon, n_iterations)
     every = slice(0, graph.n_attributes)
@@ -290,8 +305,8 @@ def exact_probabilities(
     """The walk probabilities ``(P_f, P_b)`` via the full power series of Eq. (5).
 
     Sums ``α Σ (1−α)^ℓ Pℓ Rr`` (``α Σ T′ℓ Rr``) until the scalar tail
-    drops below ``tolerance``.  O(m·d) per term — use on small graphs
-    (tests, Table 2).
+    drops below ``tolerance``, in float64.  O(m·d) per term — use on small
+    graphs (tests, Table 2).
     """
     alpha = check_probability(alpha, "alpha")
 
@@ -306,7 +321,7 @@ def exact_probabilities(
             total += alpha * term
         return total
 
-    pf, pb = (series(*operands) for operands in _operands(graph, dangling, alpha))
+    pf, pb = (series(*operands) for operands in _series_operands(graph, dangling, alpha))
     return pf, pb
 
 

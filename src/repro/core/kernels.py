@@ -90,7 +90,7 @@ caller-owned ``n × w`` ping-pong buffers, serial, on the thread that owns
 the block (:mod:`repro.core.affinity` deals the blocks out).  The walk
 operator is ``T′ = (1−α)·T``, scaled once per fit, so a hop is two passes
 over its output buffer: copy the restart ``α·Rr`` block in, and let
-:func:`spmm_add` (scipy's CSR kernel) add ``T′·p`` onto it.  That
+:func:`spmm_add` (scipy's CSR kernel) add ``T′·p`` onto it (in float32).  That
 associates each entry as ``α·r + Σ_j T′_ij·p_j``, summed in ``T′``'s
 stored order, where the printed Alg. 2 forms ``(1−α)·(T·p) + α·r``; the
 bits moved once when the hop took this form, within the bound
@@ -133,9 +133,9 @@ def spmm_add(matrix, dense: np.ndarray, out: np.ndarray) -> np.ndarray:
 
     Row ``i`` of ``out`` gets the stored entries of ``matrix``'s row ``i``
     added onto what it holds, one at a time in stored order, each as a
-    rounded product then a rounded add.  ``matrix`` is CSR float64 (as
+    rounded product then a rounded add.  ``matrix`` is CSR (float32 as
     :mod:`repro.core.affinity` builds ``T′``); ``dense`` and ``out`` are
-    C-contiguous float64 — there is no fallback.
+    C-contiguous and of its dtype — there is no fallback.
     """
     if matrix.shape[1] != dense.shape[0] or out.shape != (matrix.shape[0], dense.shape[1]):
         raise ValueError(
@@ -143,6 +143,8 @@ def spmm_add(matrix, dense: np.ndarray, out: np.ndarray) -> np.ndarray:
         )
     if not (dense.flags.c_contiguous and out.flags.c_contiguous):
         raise ValueError("spmm_add needs C-contiguous dense operands")
+    if not matrix.dtype == dense.dtype == out.dtype:
+        raise ValueError(f"dtype mismatch: {matrix.dtype}, {dense.dtype}, {out.dtype}")
     _sparsetools.csr_matvecs(
         matrix.shape[0],
         matrix.shape[1],
@@ -167,7 +169,8 @@ def propagate_recurrence(
     """Evaluate the Alg. 2 recurrence ``p ← T′·p + α·p0`` for ``t`` hops.
 
     ``walk`` is ``T′ = (1−α)·T``, the transition with the decay folded in
-    (CSR float64, built once per fit).  Starting from ``p = α·p0``, each
+    (CSR, float32 in APMI, built once per fit; ``p0`` and the buffers share
+    its dtype, and so does ``α``).  Starting from ``p = α·p0``, each
     hop is two passes over an ``n × w`` buffer: copy the restart ``α·p0``
     into it, then let :func:`spmm_add` add ``T′·p`` onto it in ``T′``'s
     stored order.  That computes Eq. (6)'s truncated series exactly
@@ -181,8 +184,10 @@ def propagate_recurrence(
     The association is ``α·p0 + Σ_j T′_ij·p_j`` added left to right, not
     the printed ``(1−α)·(T·p) + α·p0``.  For non-negative ``T`` and ``p0``
     each rounds an entry's terms at most ``D + 2`` times per hop (``D`` the
-    longest stored row), so the two agree elementwise within
-    ``(t+1)·(D+2)·ε`` relative, not bit for bit.
+    longest stored row), so in one dtype the two agree elementwise within
+    ``(t+1)·(D+2)·ε`` relative, not bit for bit; a float32 walk is within
+    ``((t+1)·(D+2) + 3)·ε₃₂`` relative of the float64 one (the ``+ 3``
+    rounds ``α·r``; derived in ``tests/conftest.py``).
 
     ``p0`` is scaled by ``alpha`` **in place** and serves as the constant
     restart term, so the caller must own it (APMI densifies a block of the

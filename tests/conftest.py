@@ -189,20 +189,21 @@ def _truncation(alpha, epsilon, n_iterations):
 
 
 def _two_pass_hops(matrix, restart, alpha, t):
-    """``t`` hops ``p ← α·r + Σ_j ((1−α)·T_ij)·p_j``, literally.
+    """``t`` hops ``p ← α·r + Σ_j ((1−α)·T_ij)·p_j``, literally, in ``restart``'s dtype.
 
     Each row starts from its restart and adds ``T′``'s stored entries of
     that row one at a time in stored order, ``T′_ij = (1−α)·T_ij`` rounded
-    first: one rounded product and one rounded add per entry, no fused
-    multiply-add (scipy's ``csr_matvecs`` computes exactly this).
+    first in float64 and then to ``restart``'s dtype: one rounded product
+    and one rounded add per entry, no fused multiply-add (scipy's
+    ``csr_matvecs`` computes exactly this, in float32 as in float64).
     """
-    decay = 1.0 - alpha
+    decayed = ((1.0 - alpha) * matrix.data).astype(restart.dtype)
     p = restart.copy()
     for _ in range(t):
         nxt = restart.copy()
         for i in range(matrix.shape[0]):
             for entry in range(matrix.indptr[i], matrix.indptr[i + 1]):
-                nxt[i] += (decay * matrix.data[entry]) * p[matrix.indices[entry]]
+                nxt[i] += decayed[entry] * p[matrix.indices[entry]]
         p = nxt
     return p
 
@@ -215,24 +216,32 @@ def _printed_hops(matrix, restart, alpha, t):
     return p
 
 
-def _reference_probabilities(hops, graph, alpha, epsilon, n_iterations, dangling):
+def _reference_probabilities(
+    hops, graph, alpha, epsilon, n_iterations, dangling, dtype=np.float64
+):
+    """``(P_f, P_b)`` by ``hops`` on ``dtype`` operands; ``α·r`` is formed in ``dtype``."""
     t = _truncation(alpha, epsilon, n_iterations)
     return tuple(
-        hops(matrix, alpha * attributes.toarray(), alpha, t)
+        hops(matrix, alpha * attributes.astype(dtype).toarray(), alpha, t)
         for matrix, attributes in _walk_operands(graph, dangling)
     )
 
 
 def _apmi_reference(graph, alpha=0.5, epsilon=0.015, *, n_iterations=None, dangling="zero"):
-    """APMI (Alg. 2) full width, each hop the literal two-pass recurrence.
+    """APMI (Alg. 2) full width, each hop the literal two-pass recurrence in float32.
 
-    Densifies all of ``Rr``/``Rc``, runs the ``t`` hops of Eq. (6) on
-    ``n × d`` arrays by :func:`_two_pass_hops`, then SPMI-normalizes
-    (Eq. 7) all columns (forward) or rows (backward) at once; the ground
-    truth ``apmi``'s blocks must match bit for bit.  Returns ``(F′, B′)``.
+    Rounds ``T′`` and ``Rr``/``Rc`` to float32, densifies all of
+    ``Rr``/``Rc``, runs the ``t`` hops of Eq. (6) on ``n × d`` float32
+    arrays by :func:`_two_pass_hops`, widens them to float64, then
+    SPMI-normalizes (Eq. 7) all columns (forward) or rows (backward) at
+    once; the ground truth ``apmi``'s blocks must match bit for bit.
+    Returns ``(F′, B′)``.
     """
-    pf, pb = _reference_probabilities(
-        _two_pass_hops, graph, alpha, epsilon, n_iterations, dangling
+    pf, pb = (
+        p.astype(np.float64)
+        for p in _reference_probabilities(
+            _two_pass_hops, graph, alpha, epsilon, n_iterations, dangling, np.float32
+        )
     )
 
     def spmi(p, axis):
@@ -248,6 +257,10 @@ def apmi_reference():
     return _apmi_reference
 
 
+def _longest_row(matrix):
+    return int(np.diff(matrix.indptr).max(initial=0))
+
+
 def _printed_bound(matrix, t):
     """Relative elementwise distance of the two hop associations after ``t`` hops.
 
@@ -261,37 +274,62 @@ def _printed_bound(matrix, t):
     (D+2)·u``, ``u = ε/2``), and the two within twice that:
     ``|Δp| ≤ (t+1)·(D+2)·ε·p`` elementwise, so ``‖Δ‖∞ ≤ (t+1)·(D+2)·ε·‖P‖∞``.
     """
-    longest = int(np.diff(matrix.indptr).max(initial=0))
-    return (t + 1) * (longest + 2) * np.finfo(np.float64).eps
+    return (t + 1) * (_longest_row(matrix) + 2) * np.finfo(np.float64).eps
 
 
-def _assert_near_printed(
+def _float32_bound(matrix, t):
+    """Relative elementwise distance of the float32 walk from the float64 one.
+
+    Both run the two-pass association on non-negative terms, so every
+    rounding is relative to the exact entry.  In float32 a product term
+    ``T′_ij·p_j`` is rounded ``D + 2`` times per hop (``T′_ij`` to
+    float32, the product, at most ``D`` adds) and the restart ``D + 3``
+    times (``r`` and ``α`` to float32, their product, at most ``D``
+    adds).  Hop ``k``'s input error carries through unchanged, so the
+    float32 walk is within ``(1 + u₃₂)^(t·(D+2) + 3) − 1`` of the exact
+    series, and the float64 one within ``(t+1)·(D+2)·u₆₄``.  Taking
+    ``ε₃₂ = 2·u₃₂`` per rounding absorbs the second-order terms and the
+    float64 side: ``|P₃₂ − P₆₄| ≤ ((t+1)·(D+2) + 3)·ε₃₂·P₆₄`` elementwise,
+    the ``(t+1)·(D+2)`` hop terms plus three for rounding ``α·r``.
+    """
+    return ((t + 1) * (_longest_row(matrix) + 2) + 3) * np.finfo(np.float32).eps
+
+
+def _walk_bounds(graph, alpha=0.5, epsilon=0.015, *, n_iterations=None, dangling="zero"):
+    """``(β_f, β_b)``: :func:`_float32_bound` of the forward and backward walk."""
+    t = _truncation(alpha, epsilon, n_iterations)
+    return tuple(_float32_bound(matrix, t) for matrix, _ in _walk_operands(graph, dangling))
+
+
+def _assert_near_float64(
     probabilities, graph, alpha=0.5, epsilon=0.015, *, n_iterations=None, dangling="zero"
 ):
-    """``(P_f, P_b)`` within :func:`_printed_bound` of the printed association."""
+    """float32 ``(P_f, P_b)`` within :func:`_float32_bound` of the float64 two-pass walk."""
     t = _truncation(alpha, epsilon, n_iterations)
-    printed = _reference_probabilities(
-        _printed_hops, graph, alpha, epsilon, n_iterations, dangling
+    references = _reference_probabilities(
+        _two_pass_hops, graph, alpha, epsilon, n_iterations, dangling
     )
     for produced, expected, (matrix, _) in zip(
-        probabilities, printed, _walk_operands(graph, dangling)
+        probabilities, references, _walk_operands(graph, dangling)
     ):
-        assert np.all(
-            np.abs(produced - expected) <= _printed_bound(matrix, t) * expected
-        )
+        assert produced.dtype == np.float32
+        assert np.all(np.abs(produced - expected) <= _float32_bound(matrix, t) * expected)
 
 
 @pytest.fixture(scope="session")
 def hop_references():
-    """The hop oracles: ``two_pass``/``printed`` ``(T, α·r, α, t)``, ``bound(T, t)``,
-    ``assert_near_printed((P_f, P_b), graph, α, ϵ, n_iterations=, dangling=)``."""
+    """The hop oracles: ``two_pass``/``printed`` ``(T, α·r, α, t)``, ``bound(T, t)``
+    (printed vs two-pass, float64), and per graph the float32 walk's
+    ``walk_bounds``/``assert_near_float64([(P_f, P_b),] graph, α, ϵ,
+    n_iterations=, dangling=)``."""
     from types import SimpleNamespace
 
     return SimpleNamespace(
         two_pass=_two_pass_hops,
         printed=_printed_hops,
         bound=_printed_bound,
-        assert_near_printed=_assert_near_printed,
+        walk_bounds=_walk_bounds,
+        assert_near_float64=_assert_near_float64,
     )
 
 

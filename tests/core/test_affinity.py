@@ -70,7 +70,8 @@ class TestApmiMatchesSeedLoop:
 
     @pytest.mark.parametrize("alpha", [0.5, 0.3])
     def test_bit_identical_to_allocating_loop(self, citation, alpha, hop_references):
-        """Equal to the per-hop-allocating two-pass loop; the printed association within its bound."""
+        """Equal to the per-hop-allocating two-pass loop in float32, widened; the
+        float64 walk within the float32 bound."""
         from repro.graph.matrices import (
             normalized_attribute_matrices,
             random_walk_matrix,
@@ -79,21 +80,21 @@ class TestApmiMatchesSeedLoop:
 
         t = iterations_for_epsilon(0.05, alpha)
         transition = random_walk_matrix(citation)
-        rr, rc = normalized_attribute_matrices(citation)
-        pf = hop_references.two_pass(transition, alpha * rr.toarray(), alpha, t)
-        pb = hop_references.two_pass(transition.T.tocsr(), alpha * rc.toarray(), alpha, t)
+        rr, rc = (m.astype(np.float32).toarray() for m in normalized_attribute_matrices(citation))
+        pf = hop_references.two_pass(transition, alpha * rr, alpha, t)
+        pb = hop_references.two_pass(transition.T.tocsr(), alpha * rc, alpha, t)
         n, d = pf.shape
         pair = apmi(citation, alpha=alpha, epsilon=0.05)
         probabilities = apmi_probabilities(citation, alpha=alpha, epsilon=0.05)
         assert np.array_equal(probabilities[0], pf)
         assert np.array_equal(probabilities[1], pb)
         assert np.array_equal(
-            pair.forward, np.log2(1.0 + n * dense_column_normalize(pf))
+            pair.forward, np.log2(1.0 + n * dense_column_normalize(pf.astype(np.float64)))
         )
         assert np.array_equal(
-            pair.backward, np.log2(1.0 + d * dense_row_normalize(pb))
+            pair.backward, np.log2(1.0 + d * dense_row_normalize(pb.astype(np.float64)))
         )
-        hop_references.assert_near_printed(probabilities, citation, alpha, 0.05)
+        hop_references.assert_near_float64(probabilities, citation, alpha, 0.05)
 
     def test_normalization_tiles_and_spans_do_not_change_a_bit(self, citation, monkeypatch):
         """7-row tiles, 3-column blocks (uneven against n, d and the threads): same F′, B′."""
@@ -124,25 +125,26 @@ class TestApmiConvergence:
         assert errors[0] >= errors[1] >= errors[2]
         assert errors[-1] < 0.05
 
-    def test_probability_truncation_bounded_by_epsilon(self, sbm_graph):
-        # Inequality (9): 0 <= Pf - Pf^(t) <= eps entrywise
+    def test_probability_truncation_bounded_by_epsilon(self, sbm_graph, hop_references):
+        """Inequality (9): 0 <= Pf - Pf^(t) <= eps entrywise, up to the float32
+        walk's derived rounding ``β_f·Pf^(t)`` (``hop_references.walk_bounds``)."""
         alpha, epsilon = 0.5, 0.05
-        exact = exact_affinity(sbm_graph, alpha=alpha)
-        approx = apmi(sbm_graph, alpha=alpha, epsilon=epsilon)
-        diff = (
-            exact_probabilities(sbm_graph, alpha=alpha)[0]
-            - apmi_probabilities(sbm_graph, alpha=alpha, epsilon=epsilon)[0]
-        )
-        assert diff.min() >= -1e-9
-        assert diff.max() <= epsilon + 1e-9
+        truncated = apmi_probabilities(sbm_graph, alpha=alpha, epsilon=epsilon)[0]
+        slack = hop_references.walk_bounds(sbm_graph, alpha, epsilon)[0] * truncated
+        diff = exact_probabilities(sbm_graph, alpha=alpha)[0] - truncated
+        assert np.all(diff >= -1e-9 - slack)
+        assert np.all(diff <= epsilon + 1e-9 + slack)
 
-    def test_lemma31_bounds(self, sbm_graph):
+    def test_lemma31_bounds(self, sbm_graph, hop_references):
         """Lemma 3.1 ratio bounds on (2^F' − 1)/(2^F − 1).
 
         We verify the bounds the lemma's own proof establishes from
         Inequalities (9)+(11): lower ``max(0, 1 − ε/Pf)`` as printed, and
         upper ``Σ_v Pf[v,r] / Σ_v max(0, Pf[v,r] − ε)`` (the printed
-        ``1 + ε/Σ…`` form drops the column-deficit factor).
+        ``1 + ε/Σ…`` form drops the column-deficit factor).  ``F′`` comes
+        from float32 walks: ``Pf^(t)`` and its column sum are each within
+        ``β_f`` relative of the float64 walk's, so the ratio takes
+        ``2·β_f`` relative slack.
         """
         alpha, epsilon = 0.5, 0.05
         exact = exact_affinity(sbm_graph, alpha=alpha)
@@ -159,8 +161,9 @@ class TestApmiConvergence:
         col_slack = np.maximum(0.0, pf - epsilon).sum(axis=0)
         upper_cols = col_sum / np.maximum(col_slack, 1e-300)
         upper = np.broadcast_to(upper_cols, pf.shape)[mask]
-        assert np.all(ratio >= lower - 1e-9)
-        assert np.all(ratio <= upper + 1e-9)
+        slack = 2 * hop_references.walk_bounds(sbm_graph, alpha, epsilon)[0] * ratio
+        assert np.all(ratio >= lower - 1e-9 - slack)
+        assert np.all(ratio <= upper + 1e-9 + slack)
 
 
 class TestExactAffinity:

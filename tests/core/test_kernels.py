@@ -63,6 +63,28 @@ class TestSpmmAdd:
         spmm_add(matrix, dense, out)
         assert np.array_equal(out, expected)
 
+    def test_float32_is_a_literal_float32_loop(self):
+        """The walks' dtype: each entry a float32 product then a float32 add, no FMA
+        (a loop accumulating in float64 differs in about half of the entries)."""
+        rng = np.random.default_rng(5)
+        matrix = sp.random(400, 400, density=0.05, format="csr", random_state=6)
+        matrix = matrix.astype(np.float32)
+        dense, start = (rng.random((400, 8), dtype=np.float32) for _ in range(2))
+        expected = start.copy()
+        for i in range(400):
+            for entry in range(matrix.indptr[i], matrix.indptr[i + 1]):
+                expected[i] += matrix.data[entry] * dense[matrix.indices[entry]]
+        out = start.copy()
+        spmm_add(matrix, dense, out)
+        assert out.dtype == np.float32
+        assert np.array_equal(out, expected)
+
+    def test_mixed_dtypes_raise(self):
+        """scipy would cast a float32 ``T′`` up to float64 operands silently."""
+        matrix = sp.identity(10, format="csr", dtype=np.float32)
+        with pytest.raises(ValueError, match="dtype"):
+            spmm_add(matrix, np.zeros((10, 2)), np.zeros((10, 2)))
+
     def test_shape_mismatch_raises(self):
         """Wrong-shaped buffers must raise, not corrupt the heap."""
         matrix = sp.identity(10, format="csr")
@@ -567,16 +589,17 @@ class TestNoLargeTemporaries:
     @pytest.mark.contract
     @pytest.mark.parametrize("n_threads", [1, 2, 3])
     def test_apmi_peak_within_block_budget(self, n_threads):
-        """``F′`` + ``B′`` + ``c = 3`` block buffers per thread + the sparse inputs.
+        """``F′`` + ``B′`` + ``c = 3`` float32 block buffers per thread + the sparse inputs.
 
         A thread's block buffers are its densified ``Rr``/``Rc`` columns and
-        two ``n × w`` ping-pong buffers.  The sparse inputs are counted three
-        times: ``T`` and ``Tᵀ``, ``Rr``/``Rc`` in CSR and CSC, and the
-        column slices the threads densify from.  Full-width APMI holds about
+        two ``n × w`` ping-pong buffers, all float32 (``3·n·w·4`` bytes).
+        The sparse inputs are counted three times: ``T`` and ``Tᵀ``,
+        ``Rr``/``Rc`` in CSR and CSC, and the column slices the threads
+        densify from.  Full-width APMI holds about
         five ``n × d`` arrays and fails this at every thread count.
 
         Contract: The peak traced allocation of apmi must stay within F' +
-        B' + 3 block buffers per thread + the sparse inputs (a full-width
+        B' + 3 float32 block buffers per thread + the sparse inputs (a full-width
         buffer or kept probabilities creeping back fails here).
         """
         from repro.core.affinity import _BLOCK_COLUMNS
@@ -589,5 +612,5 @@ class TestNoLargeTemporaries:
             for m in (random_walk_matrix(graph), *normalized_attribute_matrices(graph))
         )
         peak = self._peak(lambda: apmi(graph, n_threads=n_threads))
-        budget = 2 * self.n * self.d * 8 + 3 * self.n * _BLOCK_COLUMNS * 8 * n_threads
+        budget = 2 * self.n * self.d * 8 + 3 * self.n * _BLOCK_COLUMNS * 4 * n_threads
         assert peak <= budget + 3 * sparse

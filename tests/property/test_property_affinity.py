@@ -44,12 +44,14 @@ class TestAffinityInvariants:
 
     @given(small_graphs())
     @settings(max_examples=30, deadline=None)
-    def test_truncation_never_exceeds_exact(self, graph):
-        """Inequalities (9)/(10): P^(t) ≤ P entrywise."""
+    def test_truncation_never_exceeds_exact(self, hop_references, graph):
+        """Inequalities (9)/(10): P^(t) ≤ P entrywise, up to the float32 walk's
+        derived rounding ``β·P^(t)`` (``hop_references.walk_bounds``)."""
         exact = exact_probabilities(graph, alpha=0.5)
         approx = apmi_probabilities(graph, alpha=0.5, epsilon=0.1)
-        for truncated, full in zip(approx, exact):
-            assert np.all(truncated <= full + 1e-9)
+        bounds = hop_references.walk_bounds(graph, 0.5, 0.1)
+        for truncated, full, bound in zip(approx, exact, bounds):
+            assert np.all(truncated <= full + 1e-9 + bound * truncated)
 
     @given(small_graphs(), st.integers(2, 5))
     @settings(max_examples=30, deadline=None)

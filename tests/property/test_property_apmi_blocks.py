@@ -1,17 +1,19 @@
 """Property test: APMI in attribute blocks returns the full-width two-pass bits.
 
 The oracle (``apmi_reference`` in ``tests/conftest.py``) runs each hop as
-the literal per-row loop ``α·r + Σ_j T′_ij·p_j`` in stored order; the
-printed Alg. 2 association ``(1−α)·(T·p) + α·r`` is within the bound
-``hop_references.bound`` derives, elementwise on the probabilities.
+the literal per-row loop ``α·r + Σ_j T′_ij·p_j`` in stored order, in
+float32 as APMI walks, and widens before SPMI; the float64 walk is within
+the bound ``_float32_bound`` there derives, elementwise on the
+probabilities.
 
 Contract: The APMI block tests guard the affinity: blocked F'/B' must be
-array_equal to the full-width two-pass oracle in tests/conftest.py, each hop
-a literal per-row loop adding (1-alpha) T entries onto the restart in stored
-order (dangling nodes, empty attribute columns and rows, d below/at/past the
-block width, block widths 2/3/32, 1-3 threads), and its walk probabilities
-must stay within the derived rounding bound (t+1)(D+2)eps of the printed
-Alg. 2 seed loop, elementwise.
+array_equal to the full-width two-pass oracle in tests/conftest.py run on
+float32 operands, each hop a literal per-row loop adding (1-alpha) T entries
+onto the restart in stored order (dangling nodes, empty attribute columns
+and rows, d below/at/past the block width, block widths 2/3/64, 1-3
+threads), and its float32 walk probabilities must stay within the derived
+rounding bound ((t+1)(D+2)+3) eps32 of the float64 two-pass loop,
+elementwise.
 """
 
 import numpy as np
@@ -74,7 +76,7 @@ class TestBlockedApmiBits:
         assert np.array_equal(pair.forward, forward)
         assert np.array_equal(pair.backward, backward)
         probabilities = apmi_probabilities(graph, alpha, n_iterations=t, dangling=dangling)
-        hop_references.assert_near_printed(
+        hop_references.assert_near_float64(
             probabilities, graph, alpha, n_iterations=t, dangling=dangling
         )
 
@@ -89,6 +91,6 @@ class TestBlockedApmiBits:
         forward, backward = apmi_reference(graph, 0.5, n_iterations=3)
         assert np.array_equal(pair.forward, forward)
         assert np.array_equal(pair.backward, backward)
-        hop_references.assert_near_printed(
+        hop_references.assert_near_float64(
             apmi_probabilities(graph, 0.5, n_iterations=3), graph, 0.5, n_iterations=3
         )
