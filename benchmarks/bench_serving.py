@@ -17,8 +17,8 @@ centers + Gaussian noise, unit rows):
   publish → cold query → cached query → version swap, so the bench fails
   fast if the serving path itself regresses.
 - ``ingest`` — the write path: sustained fsync'd upserts through an
-  :class:`~repro.serving.wal.IngestPipeline` with a background
-  :class:`~repro.serving.wal.Compactor` and concurrent reader threads;
+  :class:`~repro.serving.wal.IngestPipeline` running its background
+  compaction cycle, and concurrent reader threads;
   reports acked upserts/s, read QPS under write load, compaction
   cadence, and the durable→served freshness lag, which is asserted to
   drain to zero on every run, smoke included.
@@ -230,8 +230,8 @@ def bench_ingest(
 
     A writer thread acks ``n_upserts`` durable appends through an
     :class:`IngestPipeline` while ``n_readers`` threads hammer the live
-    :class:`QueryService`; a background :class:`Compactor` folds the log
-    into new versions under that load.  After the writer finishes the
+    :class:`QueryService`; the pipeline's background compaction cycle
+    folds the log into new versions under that load.  After the writer finishes the
     bench waits for the durable→served lag to drain to zero (bounded by
     ``drain_ceiling_s``) — the steady-state freshness contract that
     :func:`main` asserts before writing the record.
@@ -240,7 +240,7 @@ def bench_ingest(
     from repro.graph.generators import attributed_sbm
     from repro.serving.service import QueryService, SearchRequest
     from repro.serving.store import EmbeddingStore
-    from repro.serving.wal import Compactor, IngestPipeline
+    from repro.serving.wal import IngestPipeline
 
     graph = attributed_sbm(n_nodes=n_nodes, n_attributes=n_attributes, seed=seed)
     rng = np.random.default_rng(seed + 7)
@@ -253,10 +253,7 @@ def bench_ingest(
         try:
             with QueryService(pipeline.store, backend="exact") as service:
                 pipeline.bind_service(service)
-                compactor = Compactor(
-                    pipeline, interval_s=0.05, keep_versions=4
-                )
-                compactor.start()
+                pipeline.start(interval_s=0.05, keep_versions=4)
                 stop = threading.Event()
                 reads = [0] * n_readers
 
@@ -307,7 +304,7 @@ def bench_ingest(
                     thread.join(timeout=10)
                 freshness = pipeline.freshness()
                 counters = dict(pipeline.counters)
-                compactor.stop()
+                pipeline.stop()
         finally:
             pipeline.close()
 
@@ -361,7 +358,7 @@ def bench_replication(
     from repro.serving.http.write_path import WritePath
     from repro.serving.service import QueryService
     from repro.serving.store import EmbeddingStore
-    from repro.serving.wal import Compactor, IngestPipeline
+    from repro.serving.wal import IngestPipeline
     from repro.serving.wal.log import LogReader
     from repro.serving.wal.replication import StandbyReplicator
 
@@ -384,10 +381,8 @@ def bench_replication(
             ):
                 primary.bind_service(p_service)
                 standby.bind_service(s_service)
-                p_compactor = Compactor(primary, interval_s=0.05, keep_versions=4)
-                s_compactor = Compactor(standby, interval_s=0.05, keep_versions=4)
-                p_compactor.start()
-                s_compactor.start()
+                primary.start(interval_s=0.05, keep_versions=4)
+                standby.start(interval_s=0.05, keep_versions=4)
                 with EmbeddingServer(
                     p_service,
                     ingest=WritePath(primary, ack_replicas=1, ack_timeout_s=10.0),
@@ -430,8 +425,8 @@ def bench_replication(
                         client.close()
                     finally:
                         replicator.stop(timeout_s=5.0)
-                p_compactor.stop()
-                s_compactor.stop()
+                primary.stop()
+                standby.stop()
             ours = [
                 (r.lsn, r.kind, r.a, r.b, r.weight)
                 for r in LogReader(root / "primary-wal").records()

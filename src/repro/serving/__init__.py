@@ -1,4 +1,4 @@
-"""Embedding serving: versioned store, exact search, query service, refresh.
+"""Embedding serving: versioned store, exact search, query service, write path.
 
 The subsystem that turns a trained :class:`~repro.core.embedding.PANEEmbedding`
 into something that answers similarity queries under load:
@@ -11,8 +11,6 @@ into something that answers similarity queries under load:
 - :class:`QueryService` — one ``search(SearchRequest)`` entrypoint over
   batched, cached, metered query serving with atomic version swaps
   (``service.py``);
-- :class:`OnlineRefresher` — delta update → republish → swap, without
-  downtime (``refresh.py``);
 - :mod:`~repro.serving.sharding` — the scatter-gather
   :class:`ShardRouter` over a sharded store's shards (``sharding/``);
 - :mod:`~repro.serving.http` — the stdlib HTTP front-end
@@ -20,10 +18,11 @@ into something that answers similarity queries under load:
   replica-fanning :class:`~repro.serving.http.ServingClient`
   (``http/``; imported lazily — ``from repro.serving.http import ...``);
 - :mod:`~repro.serving.wal` — the durable write path: append-only
-  :class:`~repro.serving.wal.DeltaLog`,
-  :class:`~repro.serving.wal.IngestPipeline`, and the background
-  :class:`~repro.serving.wal.Compactor` (``wal/``; imported lazily —
-  ``from repro.serving.wal import ...``).
+  :class:`~repro.serving.wal.DeltaLog` and the
+  :class:`~repro.serving.wal.IngestPipeline`, whose compaction cycle
+  (delta update → republish → swap, without downtime) runs in the
+  background (``wal/``; imported lazily — ``from repro.serving.wal
+  import ...``).
 
 See ``docs/SERVING.md`` for the operational guide.
 """
@@ -33,12 +32,10 @@ from repro._lazy import lazy_exports
 __all__ = [
     "EmbeddingStore",
     "ExactBackend",
-    "OnlineRefresher",
     "Partitioner",
     "PinnedView",
     "QueryResult",
     "QueryService",
-    "RefreshReport",
     "SearchBackend",
     "SearchRequest",
     "ShardRouter",
@@ -49,14 +46,13 @@ __all__ = [
 ]
 
 # Resolved on first use: every ``repro.serving.*`` import runs this file,
-# and ``refresh`` pulls in the trainer, which a read-only server never calls.
+# and a read-only server loads only what it calls.
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "repro.serving.index": (
             "ExactBackend", "SearchBackend", "make_backend",
         ),
-        "repro.serving.refresh": ("OnlineRefresher", "RefreshReport"),
         "repro.serving.service": (
             "PinnedView", "QueryResult", "QueryService", "SearchRequest",
             "json_safe",

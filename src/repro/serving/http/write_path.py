@@ -3,19 +3,19 @@
 Exactly one process may append to the delta log: a single-process
 :class:`~repro.serving.http.server.EmbeddingServer`, or the
 :class:`~repro.serving.http.supervisor.Supervisor` under ``--workers``.
-Whichever it is holds one :class:`WritePath` — pipeline, compactor,
-replication hub, optional standby replicator, ack settings, role — the
-only implementation of ``POST /v1/upsert``, ``POST /admin/promote``,
-``GET /v1/replicate``, the ingest / replication blocks of healthz,
-describe and metrics, and the ``ingest_*`` / ``replication_*`` /
-``compactor_*`` scrape-time gauges.
+Whichever it is holds one :class:`WritePath` — the pipeline (which also
+runs the compaction cycle), replication hub, optional standby replicator,
+ack settings, role — the only implementation of ``POST /v1/upsert``,
+``POST /admin/promote``, ``GET /v1/replicate``, the ingest / replication
+blocks of healthz, describe and metrics, and the ``ingest_*`` /
+``replication_*`` / ``compactor_*`` scrape-time gauges.
 
 What differs between the owners is what "served" means — one process's
 active version, or the *minimum* over a fleet's workers: the
 ``lsn_served`` argument of the status methods (``None`` = this
 process's own), not a second code path.  ``wal.compactor`` (the one
-serve-side caller of the trainer) is imported only by :meth:`WritePath.open`
-/ :meth:`~WritePath.start`, so a read-only server never loads it.
+serve-side caller of the trainer) is imported only by :meth:`WritePath.open`,
+so a read-only server never loads it.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def write_routes(write_path: "WritePath | None") -> dict:
 
 
 class WritePath:
-    """Pipeline + compactor + replication, behind the wire contract.
+    """Pipeline + replication, behind the wire contract.
 
     Parameters
     ----------
@@ -137,7 +137,6 @@ class WritePath:
         self.journal = journal
         self.faults = faults
         self.hub = ReplicationHub(journal=journal)
-        self.compactor = None
         # A standby carries a replicator and refuses writes with 409
         # not_primary until promote() flips it.
         self.replicator: StandbyReplicator | None = None
@@ -182,23 +181,19 @@ class WritePath:
         standby_of: str | None = None,
         standby_id: str | None = None,
     ) -> None:
-        """Start the compactor and, with ``standby_of``, the standby tail.
+        """Start the compaction cycle and, with ``standby_of``, the standby tail.
 
         Each compacted version is activated on ``service`` (reads in this
         process follow the write path) and announced to ``on_publish``.
         """
-        from repro.serving.wal.compactor import Compactor
-
         if service is not None:
             self.pipeline.bind_service(service)
-        self.compactor = Compactor(
-            self.pipeline,
+        self.pipeline.start(
             interval_s=compact_interval_s,
             keep_versions=gc_keep,
             on_publish=on_publish,
             journal=self.journal,
         )
-        self.compactor.start()
         if standby_of is not None:
             self.replicator = StandbyReplicator(
                 standby_of,
@@ -217,8 +212,7 @@ class WritePath:
         self._quiesced = True
         if self.replicator is not None:
             self.replicator.stop(timeout_s=1.0)
-        if self.compactor is not None:
-            self.compactor.stop()
+        self.pipeline.stop()
 
     def close(self) -> None:
         """Quiesce, then close the log — after the front-end has drained."""
@@ -456,15 +450,9 @@ class WritePath:
             "log_max_bytes": log.max_bytes,
             "counters": dict(self.pipeline.counters),
         }
-        compactor = self.compactor
-        if compactor is not None:
-            ingest["compactor"] = {
-                "alive": compactor.is_alive(),
-                "interval_s": compactor.interval_s,
-                "keep_versions": compactor.keep_versions,
-                "last_publish": compactor.last_publish,
-                "last_error": compactor.last_error,
-            }
+        cycle = self.pipeline.cycle_status()
+        if cycle is not None:
+            ingest["compactor"] = cycle
         replication = {
             "role": self.role,
             "epoch": log.epoch,
@@ -526,17 +514,16 @@ class WritePath:
                  "Transient replication failures (retried)", "errors"),
             ):
                 reg.counter(name, help).set_total(status[key])
-        if self.compactor is not None:
-            timings = self.compactor.timings
+        cycle = self.pipeline.cycle_status()
+        if cycle is not None:
+            timings = self.pipeline.timings
             for name, help, key in (
                 ("compactor_fold_seconds_total",
                  "Time spent folding WAL deltas", "fold_seconds"),
                 ("compactor_publish_seconds_total",
                  "Time spent publishing folded versions", "publish_seconds"),
-                ("compactor_publishes_total",
-                 "Versions published by the compactor", "publishes"),
             ):
                 reg.counter(name, help).set_total(timings[key])
             reg.gauge(
                 "compactor_alive", "1 while the compactor thread is running"
-            ).set(1.0 if self.compactor.is_alive() else 0.0)
+            ).set(1.0 if cycle["alive"] else 0.0)

@@ -8,14 +8,14 @@ summation and any quantile can be estimated *after* the merge.  The
 bucket bounds are therefore part of the fleet contract: every worker
 uses the same defaults below.
 
-Three output surfaces, one source of truth:
+One source of truth, one document, one renderer:
 
 - :meth:`MetricsRegistry.as_dict` — a JSON-able document (shipped
   inside the existing ``GET /metrics`` JSON payload, and what the
   supervisor merges across workers with :func:`merge_dicts`);
-- :meth:`MetricsRegistry.render_text` /
-  :func:`render_text_from_dict` — Prometheus text exposition
-  (``Accept: text/plain`` content negotiation on ``/metrics``);
+- :func:`render_text_from_dict` — Prometheus text exposition of that
+  document (``Accept: text/plain`` content negotiation on
+  ``/metrics``);
 - :func:`parse_text` — a tiny validating parser for the exposition
   format (no external deps), used by the CI smoke and the tests to
   assert the output is real Prometheus, not Prometheus-shaped.
@@ -140,13 +140,6 @@ class Counter(_Metric):
                 for key, value in sorted(self._cells.items())
             ]
 
-    def _render(self, lines: list[str]) -> None:
-        for cell in self._cell_dicts():
-            suffix = _label_suffix(
-                self.labels, tuple(cell["labels"][n] for n in self.labels)
-            )
-            lines.append(f"{self.name}{suffix} {_format_value(cell['value'])}")
-
 
 class Gauge(Counter):
     """A value that can go anywhere; fleet aggregation sums cells."""
@@ -233,21 +226,6 @@ class Histogram(_Metric):
                 }
                 for key, cell in sorted(self._cells.items())
             ]
-
-    def _render(self, lines: list[str]) -> None:
-        bounds = [*self.buckets, math.inf]
-        for cell in self._cell_dicts():
-            values = tuple(cell["labels"][n] for n in self.labels)
-            cumulative = 0
-            for bound, count in zip(bounds, cell["counts"]):
-                cumulative += count
-                suffix = _label_suffix(
-                    self.labels, values, f'le="{_format_value(bound)}"'
-                )
-                lines.append(f"{self.name}_bucket{suffix} {cumulative}")
-            suffix = _label_suffix(self.labels, values)
-            lines.append(f"{self.name}_sum{suffix} {_format_value(cell['sum'])}")
-            lines.append(f"{self.name}_count{suffix} {cell['count']}")
 
 
 class MetricsRegistry:
@@ -344,15 +322,6 @@ class MetricsRegistry:
                 family["buckets"] = list(metric.buckets)
             families.append(family)
         return {"families": families}
-
-    def render_text(self) -> str:
-        """Prometheus text exposition (runs collect hooks)."""
-        lines: list[str] = []
-        for metric in self._collect():
-            lines.append(f"# HELP {metric.name} {_escape_help(metric.help)}")
-            lines.append(f"# TYPE {metric.name} {metric.kind}")
-            metric._render(lines)
-        return "\n".join(lines) + "\n"
 
 
 # -- scrape-time mirrors shared by the server and the supervisor ---------

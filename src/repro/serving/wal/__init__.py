@@ -8,10 +8,9 @@ path"):
   :class:`~repro.dynamic.delta.GraphDelta` (``log.py``);
 - :class:`IngestPipeline` — durable appends + warm
   :class:`~repro.dynamic.incremental.IncrementalPANE` + publication of
-  compacted store versions stamped with ``applied_lsn``
-  (``compactor.py``);
-- :class:`Compactor` — the background fold → publish → retain →
-  checkpoint loop (``compactor.py``).
+  compacted store versions stamped with ``applied_lsn``, and the
+  background fold → publish → activate → retain → checkpoint cycle
+  (``compactor.py``).
 """
 
 from repro._lazy import lazy_exports
@@ -20,7 +19,6 @@ __all__ = [
     "BASE_GRAPH_FILE",
     "CHECKPOINT_FILE",
     "CHECKPOINT_SCHEMA",
-    "Compactor",
     "DeltaLog",
     "IngestPipeline",
     "LogCorruption",
@@ -40,7 +38,7 @@ __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "repro.serving.wal.compactor": (
-            "BASE_GRAPH_FILE", "CHECKPOINT_FILE", "CHECKPOINT_SCHEMA", "Compactor",
+            "BASE_GRAPH_FILE", "CHECKPOINT_FILE", "CHECKPOINT_SCHEMA",
             "IngestPipeline", "RecoveryError",
         ),
         "repro.serving.wal.log": (

@@ -1,11 +1,13 @@
-"""Ingest pipeline and background compactor over the delta log.
+"""The ingest pipeline: one owner of the delta log and its compaction cycle.
 
 ``IngestPipeline`` owns the write path end to end: durable appends into
 the :class:`~repro.serving.wal.log.DeltaLog`, a warm
 :class:`~repro.dynamic.incremental.IncrementalPANE` whose graph tracks
-the applied log prefix, and publication of compacted store versions with
+the applied log prefix, publication of compacted store versions with
 ``applied_lsn`` recorded in the manifest so a restart resumes replay at
-the right offset.
+the right offset, and activation of each version on the bound query
+service (in-flight queries finish on the old snapshot, new ones see the
+new one).
 
 Recovery contract (the LogBase recipe):
 
@@ -17,9 +19,11 @@ Recovery contract (the LogBase recipe):
   to rebuild the compactor's graph, adopt the stored embedding as the
   warm CCD seed, and fold everything past ``applied`` as usual.
 
-``Compactor`` is the background thread that drives folding, store
-version retention, and checkpoint/prune cycles while queries keep
-flowing against the immutable published versions.
+One compaction cycle (:meth:`IngestPipeline.cycle`) is fold → publish
+→ activate → journal → ``on_publish`` → retain → checkpoint;
+:meth:`IngestPipeline.start` runs it on a background thread, sleeping
+``interval_s`` after every cycle, while queries keep flowing against the
+immutable published versions.
 """
 
 from __future__ import annotations
@@ -36,13 +40,16 @@ from repro.dynamic.incremental import GraphDelta, IncrementalPANE, apply_delta
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.io import load_npz, save_npz
 from repro.serving.gc import collect_versions
-from repro.serving.refresh import OnlineRefresher
 from repro.serving.wal.log import DeltaLog, LogFull
 from repro.utils.fs import atomic_write, chmod_default_file
+from repro.utils.timing import Timer
 
 CHECKPOINT_FILE = "CHECKPOINT"
 BASE_GRAPH_FILE = "base.npz"
 CHECKPOINT_SCHEMA = "repro.serving.wal/v1"
+# A cycle checkpoints and prunes once the log holds this many bytes with
+# every record applied.
+CHECKPOINT_BYTES = 8 << 20
 
 
 class RecoveryError(RuntimeError):
@@ -72,10 +79,9 @@ class IngestPipeline:
     store:
         The :class:`~repro.serving.store.EmbeddingStore` compacted
         versions are published into.
-    service:
-        Optional :class:`~repro.serving.service.QueryService`; when
-        given, each compacted version is activated (atomic snapshot
-        swap) so reads in this process follow the write path.
+    segment_bytes / max_bytes:
+        The :class:`~repro.serving.wal.log.DeltaLog`'s segment size and
+        backpressure ceiling.
     """
 
     def __init__(
@@ -83,24 +89,16 @@ class IngestPipeline:
         wal_dir: str | Path,
         store,
         *,
-        service=None,
         segment_bytes: int = 4 << 20,
         max_bytes: int = 64 << 20,
-        fsync: bool = True,
-        faults=None,
     ) -> None:
         self.wal_dir = Path(wal_dir)
         self.store = store
-        self.service = service
+        self.service = None
         self.log = DeltaLog(
-            self.wal_dir,
-            segment_bytes=segment_bytes,
-            max_bytes=max_bytes,
-            fsync=fsync,
-            faults=faults,
+            self.wal_dir, segment_bytes=segment_bytes, max_bytes=max_bytes
         )
         self._model: IncrementalPANE | None = None
-        self._refresher: OnlineRefresher | None = None
         self._applied_lsn = 0
         self._checkpoint_lsn = 0
         self._compact_lock = threading.Lock()
@@ -113,17 +111,27 @@ class IngestPipeline:
             "checkpoints": 0,
             "log_full_rejections": 0,
         }
+        # Sum-mergeable duration totals of compact_once, mirrored into the
+        # metrics registry at scrape time (no percentile state to merge).
+        self.timings = {"fold_seconds": 0.0, "publish_seconds": 0.0}
+        # The background cycle (start / stop); its settings are start's.
+        self.interval_s = 0.25
+        self.keep_versions = 0
+        self.on_publish = None
+        self.journal = None
+        self.last_error: str | None = None
+        self.last_publish: dict | None = None
+        self._thread: threading.Thread | None = None
+        self._stop_event = threading.Event()
 
     def bind_service(self, service) -> None:
-        """Late-bind the in-process query service.
+        """Bind the in-process query service each version is activated on.
 
         A cold bootstrap has to publish the first version *before* a
         ``QueryService`` can open the store, so the CLI boots the
         pipeline first and wires the service in afterwards.
         """
         self.service = service
-        if self._refresher is not None:
-            self._refresher.service = service
         self._served_cache = None
 
     # -- state files ----------------------------------------------------
@@ -152,6 +160,20 @@ class IngestPipeline:
         )
         self._checkpoint_lsn = int(lsn)
 
+    def _publish(self, embedding, applied_lsn: int, timer: Timer) -> str:
+        """Publish ``embedding`` stamped with ``applied_lsn`` and activate it
+        on the bound service: an atomic swap, nothing is deleted, so
+        :meth:`EmbeddingStore.rollback` undoes a bad version."""
+        with timer.measure("publish"):
+            version = self.store.publish(
+                embedding,
+                metadata={"applied_lsn": applied_lsn, "epoch": self.log.epoch},
+            )
+        if self.service is not None:
+            with timer.measure("swap"):
+                self.service.activate(version)
+        return version
+
     # -- boot -----------------------------------------------------------
     @property
     def bootstrapped(self) -> bool:
@@ -167,7 +189,8 @@ class IngestPipeline:
         update_sweeps: int = 2,
         seed: int | None = 0,
     ) -> str:
-        """Cold-start: fit ``graph``, publish it, and checkpoint at LSN 0.
+        """Cold-start: fit ``graph``, publish and activate it, and
+        checkpoint at LSN 0.
 
         Any records already in the log predate nothing the base graph
         contains, so they stay unapplied and the first compaction folds
@@ -178,10 +201,7 @@ class IngestPipeline:
         self._model = IncrementalPANE(
             k=k, alpha=alpha, epsilon=epsilon, update_sweeps=update_sweeps, seed=seed
         )
-        self._refresher = OnlineRefresher(self._model, self.store, service=self.service)
-        version = self._refresher.bootstrap(
-            graph, metadata={"applied_lsn": 0, "epoch": self.log.epoch}
-        )
+        version = self._publish(self._model.fit(graph), 0, Timer())
         self._applied_lsn = 0
         self._write_checkpoint(0)
         return version
@@ -231,7 +251,6 @@ class IngestPipeline:
         model.config = PANEConfig(**cfg)
         model.adopt(graph, stored.to_embedding())
         self._model = model
-        self._refresher = OnlineRefresher(model, self.store, service=self.service)
         self._applied_lsn = applied
         self._checkpoint_lsn = base_lsn
         return latest
@@ -260,7 +279,6 @@ class IngestPipeline:
         model.config = stored.config
         model.adopt(graph, stored.to_embedding())
         self._model = model
-        self._refresher = OnlineRefresher(model, self.store, service=self.service)
         self._applied_lsn = applied
         self._write_checkpoint(applied)
         return latest
@@ -369,18 +387,23 @@ class IngestPipeline:
             if last == start:
                 return None
             t0 = time.perf_counter()
-            report = self._refresher.apply(
-                delta, metadata={"applied_lsn": last, "epoch": self.log.epoch}
-            )
+            timer = Timer()
+            with timer.measure("update"):
+                embedding = self._model.update(delta)
+            version = self._publish(embedding, last, timer)
+            seconds = time.perf_counter() - t0
             self._applied_lsn = last
             self.counters["compactions"] += 1
             self.counters["records_folded"] += last - start
+            publish_s = timer.laps["publish"]
+            self.timings["fold_seconds"] += max(0.0, seconds - publish_s)
+            self.timings["publish_seconds"] += publish_s
             return {
-                "version": report.version,
+                "version": version,
                 "applied_lsn": last,
                 "records": last - start,
-                "seconds": time.perf_counter() - t0,
-                "timings": dict(report.timings),
+                "seconds": seconds,
+                "timings": dict(timer.laps),
             }
 
     def checkpoint(self) -> dict:
@@ -399,92 +422,20 @@ class IngestPipeline:
             self.counters["checkpoints"] += 1
             return {"lsn": lsn, "pruned_segments": pruned}
 
-    def close(self) -> None:
-        self.log.close()
+    # -- the compaction cycle --------------------------------------------
+    def cycle(self) -> dict | None:
+        """One compaction cycle; returns :meth:`compact_once`'s summary.
 
-
-class Compactor(threading.Thread):
-    """Background thread: fold → publish → retain → checkpoint, forever.
-
-    Parameters
-    ----------
-    pipeline:
-        The :class:`IngestPipeline` to drive.
-    interval_s:
-        Poll interval when the log is idle.
-    keep_versions:
-        When > 0, retire superseded store versions after each publish,
-        keeping this many (LATEST and the actively served version are
-        always kept).
-    checkpoint_bytes:
-        Checkpoint + prune once the log exceeds this size with all
-        records applied; 0 disables checkpointing.
-    on_publish:
-        Optional callback ``fn(version: str)`` invoked after each
-        compacted version is published (the supervisor uses this to poke
-        workers onto the new version).
-    journal:
-        Optional :class:`~repro.serving.obs.journal.EventJournal`; when
-        given, every publish, checkpoint, and GC sweep is recorded with
-        its version/LSN and duration.
-    """
-
-    def __init__(
-        self,
-        pipeline: IngestPipeline,
-        *,
-        interval_s: float = 0.25,
-        keep_versions: int = 0,
-        checkpoint_bytes: int = 8 << 20,
-        on_publish=None,
-        journal=None,
-    ) -> None:
-        super().__init__(name="wal-compactor", daemon=True)
-        if interval_s <= 0:
-            raise ValueError("interval_s must be positive")
-        if keep_versions < 0:
-            raise ValueError("keep_versions must be non-negative")
-        self.pipeline = pipeline
-        self.interval_s = float(interval_s)
-        self.keep_versions = int(keep_versions)
-        self.checkpoint_bytes = int(checkpoint_bytes)
-        self.on_publish = on_publish
-        self.journal = journal
-        self.last_error: str | None = None
-        self.last_publish: dict | None = None
-        # Sum-mergeable duration counters, mirrored into the metrics
-        # registry by the server's collect hook (total seconds + counts
-        # sum across workers; no percentile state to reconcile).
-        self.timings = {
-            "folds": 0,
-            "fold_seconds": 0.0,
-            "publishes": 0,
-            "publish_seconds": 0.0,
-        }
-        self._stop_event = threading.Event()
-
-    def run(self) -> None:
-        while not self._stop_event.is_set():
-            try:
-                self.run_once()
-            except Exception as exc:  # noqa: BLE001 - keep serving reads
-                self.last_error = f"{type(exc).__name__}: {exc}"
-            self._stop_event.wait(self.interval_s)
-
-    def run_once(self) -> dict | None:
-        """One compaction cycle (also used synchronously by tests/CLI)."""
-        published = self.pipeline.compact_once()
+        Fold → publish → activate (:meth:`compact_once`), then journal
+        the publish, announce it to ``on_publish``, retire superseded
+        versions beyond ``keep_versions`` (LATEST and the served version
+        always stay) and, once the log reaches :data:`CHECKPOINT_BYTES`
+        with every record applied, checkpoint and prune.
+        """
+        published = self.compact_once()
         if published is not None:
             self.last_publish = published
             self.last_error = None
-            timings = published.get("timings", {})
-            publish_s = float(timings.get("publish", 0.0))
-            self.timings["folds"] += 1
-            self.timings["fold_seconds"] += max(
-                0.0, published["seconds"] - publish_s
-            )
-            self.timings["publishes"] += 1
-            self.timings["publish_seconds"] += publish_s
             if self.journal is not None:
                 self.journal.emit(
                     "publish",
@@ -496,13 +447,11 @@ class Compactor(threading.Thread):
             if self.on_publish is not None:
                 self.on_publish(published["version"])
             if self.keep_versions:
-                protect = set()
-                if self.pipeline.service is not None:
-                    active = self.pipeline.service.version
-                    if active:
-                        protect.add(active)
+                active = self.service.version if self.service is not None else None
                 swept = collect_versions(
-                    self.pipeline.store, keep=self.keep_versions, protect=protect
+                    self.store,
+                    keep=self.keep_versions,
+                    protect={active} if active else set(),
                 )
                 if self.journal is not None and swept["deleted"]:
                     self.journal.emit(
@@ -512,11 +461,10 @@ class Compactor(threading.Thread):
                         version=published["version"],
                     )
         if (
-            self.checkpoint_bytes
-            and self.pipeline.log.size_bytes >= self.checkpoint_bytes
-            and self.pipeline.lsn_applied == self.pipeline.lsn_durable
+            self.log.size_bytes >= CHECKPOINT_BYTES
+            and self.lsn_applied == self.lsn_durable
         ):
-            checkpointed = self.pipeline.checkpoint()
+            checkpointed = self.checkpoint()
             if self.journal is not None:
                 self.journal.emit(
                     "checkpoint",
@@ -525,7 +473,68 @@ class Compactor(threading.Thread):
                 )
         return published
 
+    def start(
+        self,
+        *,
+        interval_s: float = 0.25,
+        keep_versions: int = 0,
+        on_publish=None,
+        journal=None,
+    ) -> None:
+        """Run :meth:`cycle` on a background thread until :meth:`stop`.
+
+        Parameters
+        ----------
+        interval_s:
+            Sleep after every cycle.
+        keep_versions:
+            When > 0, store versions to retain after each publish.
+        on_publish:
+            Optional ``fn(version: str)`` called after each publish (the
+            supervisor pokes its workers onto the new version).
+        journal:
+            Optional :class:`~repro.serving.obs.journal.EventJournal`;
+            every publish, checkpoint and GC sweep is recorded in it.
+        """
+        if interval_s <= 0:
+            raise ValueError("interval_s must be positive")
+        if keep_versions < 0:
+            raise ValueError("keep_versions must be non-negative")
+        self.interval_s = float(interval_s)
+        self.keep_versions = int(keep_versions)
+        self.on_publish = on_publish
+        self.journal = journal
+        self._thread = threading.Thread(
+            target=self._run, name="wal-compactor", daemon=True
+        )
+        self._thread.start()
+
+    def _run(self) -> None:
+        while not self._stop_event.is_set():
+            try:
+                self.cycle()
+            except Exception as exc:  # noqa: BLE001 - keep serving reads
+                self.last_error = f"{type(exc).__name__}: {exc}"
+            self._stop_event.wait(self.interval_s)
+
     def stop(self, timeout_s: float = 10.0) -> None:
+        """Stop the background cycle after the one in flight.  Idempotent."""
         self._stop_event.set()
-        if self.is_alive():
-            self.join(timeout_s)
+        if self._thread is not None and self._thread.is_alive():
+            self._thread.join(timeout_s)
+
+    def cycle_status(self) -> dict | None:
+        """The background cycle's state; ``None`` if it was never started."""
+        if self._thread is None:
+            return None
+        return {
+            "alive": self._thread.is_alive(),
+            "interval_s": self.interval_s,
+            "keep_versions": self.keep_versions,
+            "last_publish": self.last_publish,
+            "last_error": self.last_error,
+        }
+
+    def close(self) -> None:
+        self.stop()
+        self.log.close()

@@ -51,7 +51,6 @@ TRAINER_ONLY = (
     "repro.core.randsvd",
     "repro.dynamic.incremental",
     "repro.graph",
-    "repro.serving.refresh",
     "repro.serving.wal.compactor",
 )
 

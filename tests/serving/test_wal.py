@@ -3,8 +3,8 @@
 The durability contract under test: an acked append survives any crash
 (torn tails are truncated, never replayed wrong), replaying the same log
 suffix is idempotent (LSN gating), and a compacted version is
-bit-identical to folding the same records into one ``GraphDelta`` and
-applying it through ``OnlineRefresher`` directly.
+bit-identical to folding the same records into one ``GraphDelta``,
+applying it with ``IncrementalPANE.update`` and publishing the result.
 """
 
 from __future__ import annotations
@@ -23,11 +23,9 @@ from repro.serving.faults import FaultInjector, FaultPlan, InjectedFault
 from repro.serving.fsck import fsck_wal
 from repro.serving.gc import collect_versions
 from repro.serving.http import ApiError, EmbeddingServer, ServingClient, protocol
-from repro.serving.refresh import OnlineRefresher
 from repro.serving.service import QueryService
 from repro.serving.store import EmbeddingStore
 from repro.serving.wal import (
-    Compactor,
     DeltaLog,
     IngestPipeline,
     LogCorruption,
@@ -205,7 +203,7 @@ class TestFoldRecords:
 
 
 # ---------------------------------------------------------------------
-# IngestPipeline + Compactor
+# IngestPipeline and its compaction cycle
 # ---------------------------------------------------------------------
 def make_pipeline(tmp_path, graph, **kwargs):
     store = EmbeddingStore(tmp_path / "store")
@@ -320,10 +318,9 @@ class TestIngestPipeline:
             recovered.close()
 
     def test_attach_upgrades_read_only_store(self, tmp_path, graph):
-        # a pre-WAL deployment: version published straight by a refresher
+        # a pre-WAL deployment: a version published straight into the store
         store = EmbeddingStore(tmp_path / "store")
-        model = IncrementalPANE(k=8, seed=0, update_sweeps=1)
-        OnlineRefresher(model, store).bootstrap(graph)
+        store.publish(IncrementalPANE(k=8, seed=0, update_sweeps=1).fit(graph))
 
         pipeline = IngestPipeline(tmp_path / "wal", store)
         try:
@@ -363,13 +360,7 @@ class TestIngestPipeline:
         pipeline = IngestPipeline(tmp_path / "wal", store)
         pipeline.bootstrap(graph, k=8, update_sweeps=1)
         published = []
-        compactor = Compactor(
-            pipeline,
-            interval_s=0.05,
-            keep_versions=2,
-            on_publish=published.append,
-        )
-        compactor.start()
+        pipeline.start(interval_s=0.05, keep_versions=2, on_publish=published.append)
         try:
             import time
 
@@ -382,16 +373,16 @@ class TestIngestPipeline:
                     time.sleep(0.02)
             assert pipeline.lsn_applied == 3
             # lsn_applied moves at publish, GC runs after it in the same
-            # iteration: join the thread so the retention asserts cannot
-            # land between the two.
-            compactor.stop(timeout_s=30)
-            assert not compactor.is_alive()
+            # cycle: join the thread so the retention asserts cannot land
+            # between the two.
+            pipeline.stop(timeout_s=30)
+            status = pipeline.cycle_status()
+            assert not status["alive"]
             assert published  # the hook saw every publish
-            assert compactor.last_error is None
+            assert status["last_error"] is None
             assert len(store.versions()) <= 2  # retention ran
             assert store.latest() in store.versions()
         finally:
-            compactor.stop()
             pipeline.close()
 
 
@@ -442,7 +433,7 @@ class TestReplaySemantics:
         self, tmp_path, graph
     ):
         """The whole pipeline (log → fold → update → publish) must equal
-        handing the folded delta to an OnlineRefresher directly."""
+        updating a model with the folded delta and publishing it directly."""
         pipeline = make_pipeline(tmp_path, graph)
         pipeline.append(delta(add_edges=[[0, 5], [3, 9]]))
         pipeline.append(delta(remove_edges=[[3, 9]], add_assocs=[[1, 2, 2.0]]))
@@ -452,9 +443,8 @@ class TestReplaySemantics:
 
         reference_store = EmbeddingStore(tmp_path / "reference")
         model = IncrementalPANE(k=8, seed=0, update_sweeps=1)
-        refresher = OnlineRefresher(model, reference_store)
-        refresher.bootstrap(graph)
-        refresher.apply(folded)
+        reference_store.publish(model.fit(graph))
+        reference_store.publish(model.update(folded))
         via_refresher = reference_store.open(reference_store.latest())
 
         for name in ("x_forward", "x_backward", "y"):

@@ -1,6 +1,6 @@
 """Committed ``BENCH_*.json`` records must carry the schema their writer emits.
 
-ROADMAP item 6a: a record whose ``meta.schema`` lags the script that
+ROADMAP item 21: a record whose ``meta.schema`` lags the script that
 writes it describes cells the code no longer produces.  The writer's
 schema is read from the script *source*, so nothing is benchmarked here.
 """
